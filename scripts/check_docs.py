@@ -15,7 +15,10 @@ with ``PYTHONPATH=src python scripts/check_docs.py``):
 4. every ``--flag`` of every ``python -m repro`` command (enumerated
    from the real parser, ``repro.__main__.build_parser``) is mentioned
    in at least one doc under ``docs/``, so the CLI surface and its
-   documentation cannot drift apart.
+   documentation cannot drift apart;
+5. every workload and metric ``BENCHMARK.json`` declares is named in
+   ``bench/README.md`` (read-only here: the benchmark is changed by its
+   own PRs only), so the yardstick's documentation lists what it prints.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ DOCS = REPO / "docs"
 ARCHITECTURE = DOCS / "ARCHITECTURE.md"
 OBSERVABILITY = DOCS / "OBSERVABILITY.md"
 DOCS_INDEX = DOCS / "README.md"
+BENCHMARK = REPO / "BENCHMARK.json"
+BENCH_README = REPO / "bench" / "README.md"
 
 
 def repro_packages():
@@ -110,6 +115,26 @@ def undocumented_flags(text=None):
     return [flag for flag in cli_flags() if flag not in text]
 
 
+def undocumented_bench_names(text=None):
+    """Workloads and metrics of BENCHMARK.json that bench/README.md never
+    names.  A member of a per-pattern or per-shard family
+    (``caller.solve_s.cfd06``) counts as named when the family is
+    (``caller.solve_s.<pattern>``)."""
+    import json
+
+    if text is None:
+        text = BENCH_README.read_text(encoding="utf-8")
+    declared = json.loads(BENCHMARK.read_text(encoding="utf-8"))
+    names = [entry["name"]
+             for section in ("workloads", "end_to_end", "per_layer")
+             for entry in declared[section]]
+    def family(name):
+        return name.rpartition(".")[0] + ".<" if "." in name else name
+
+    return [name for name in names
+            if name not in text and family(name) not in text]
+
+
 def main():
     status = 0
     if not ARCHITECTURE.is_file():
@@ -136,6 +161,13 @@ def main():
     for flag in undocumented_flags():
         print(f"docs/: CLI flag {flag} not documented in any doc")
         status = 1
+    if not BENCH_README.is_file():
+        print(f"missing: {BENCH_README}")
+        status = 1
+    else:
+        for name in undocumented_bench_names():
+            print(f"bench/README.md: {name} (BENCHMARK.json) not named")
+            status = 1
     if status == 0:
         print("docs lint: OK "
               f"({len(repro_packages())} packages, all counters "

@@ -15,6 +15,12 @@ The paper runs its symbolic phase redundantly on every processor; here it
 runs once and the results are shared read-only, which is observationally
 identical (the paper's Table 3 likewise reports the symbolic time as a
 single processor-count-independent column).
+
+Steps 1-2, the fact-mode decision, ``refactor`` and the plan / cache
+plumbing are :mod:`repro.driver.pipeline`'s, shared with the serial
+driver (the etree postorder is an argument of its column-ordering step);
+this module is the distributed numeric back end — step 3's structures,
+the block-cyclic value scatter, and ``pdgstrf`` / ``pdgstrs``.
 """
 
 from __future__ import annotations
@@ -23,32 +29,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.dmem.distribute import (
-    DistributedBlocks,
-    distribute_matrix,
-    refill_values,
-)
+from repro.dmem.distribute import distribute_matrix, refill_values
 from repro.dmem.grid import ProcessGrid, best_grid
 from repro.dmem.machine import MachineModel
+from repro.driver.factcache import dist_plan_key
 from repro.driver.options import GESPOptions
-from repro.obs import Tracer, add, annotate, get_tracer, use_tracer
-from repro.ordering.colamd import column_ordering
-from repro.ordering.etree import etree_symmetric, postorder
+from repro.driver.pipeline import PatternSolver, SolveReport
+from repro.obs import Tracer, annotate, use_tracer
 from repro.pdgstrf import FactorizationRun, build_schedule, pdgstrf
 from repro.pdgstrs import SolveRun, pdgstrs
-from repro.scaling.equilibrate import equilibrate
-from repro.scaling.mc64 import mc64
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import (
-    PatternMismatchError,
-    norm1,
-    pattern_fingerprint,
-    pattern_union_transpose,
-    permute_rows,
-    permute_symmetric,
-    scale_cols,
-    scale_rows,
-)
+from repro.sparse.ops import norm1
 from repro.symbolic.edag import build_block_dag
 from repro.symbolic.fill import symbolic_lu_symmetrized
 from repro.symbolic.supernode import (
@@ -61,7 +52,7 @@ __all__ = ["DistributedGESPSolver"]
 
 
 @dataclass
-class DistributedGESPSolver:
+class DistributedGESPSolver(PatternSolver):
     """Factor a sparse system on a simulated P-processor machine.
 
     Parameters
@@ -132,260 +123,60 @@ class DistributedGESPSolver:
     tracer: Tracer | None = None
     cache: object = None
 
-    _REUSE_FACTS = ("SAME_PATTERN", "SAME_PATTERN_SAME_ROWPERM")
+    _ETREE_POSTORDER = True
 
     def __post_init__(self):
-        if self.a.nrows != self.a.ncols:
-            raise ValueError("DistributedGESPSolver requires a square matrix")
         if self.grid is None:
             self.grid = best_grid(self.nprocs)
-        self.options.validate()
         if self.executor is None:
             self.executor = self.options.executor
-        if self.options.fact == "FACTORED":
-            raise ValueError(
-                "fact='FACTORED' asserts the existing factors are current; "
-                "it is only valid on refactor(), not on construction")
-        if self.tracer is None:
-            ambient = get_tracer()
-            self.tracer = ambient if ambient.enabled else Tracer(name="gesp")
-        if self.cache is None:
-            from repro.driver.factcache import FACTOR_CACHE
-
-            self._cache = FACTOR_CACHE
-        elif self.cache is False:
-            self._cache = None
-        else:
-            self._cache = self.cache
-        self._fingerprint = pattern_fingerprint(self.a)
-        self._schedule = None
-        fact = self.options.fact
-        plan = None
-        with use_tracer(self.tracer):
-            if fact in self._REUSE_FACTS and self._cache is not None:
-                plan = self._cache.lookup(self._plan_key())
-                if plan is None:
-                    add("factor.reuse_misses", 1)
-            self._pipeline_from(self.a, plan,
-                                fact if plan is not None else "DOFACT")
-            if self._cache is not None:
-                self._publish_plan()
-        self.factor_run: FactorizationRun | None = None
+        self.dist = None
+        self._open(self.tracer, self.cache)
 
     # ------------------------------------------------------------------ #
+    # the distributed back end
+    # ------------------------------------------------------------------ #
 
-    def _run_equil(self, a):
-        n = a.ncols
-        if self.options.equilibrate:
-            eq = equilibrate(a)
-            return eq.apply(a), eq.dr.copy(), eq.dc.copy()
-        return a, np.ones(n), np.ones(n)
+    def _plan_key(self, fingerprint):
+        return dist_plan_key(
+            fingerprint, self.options, self.grid,
+            self.max_block_size, self.relax_size,
+            self.dense_tail_threshold, self.edag_prune)
 
-    def _run_rowperm(self, a, dr, dc):
-        opts = self.options
-        n = a.ncols
-        if opts.row_perm == "none":
-            return a, dr, dc, np.arange(n, dtype=np.int64)
-        job = {"mc64_product": "product",
-               "mc64_bottleneck": "bottleneck",
-               "mc64_cardinality": "cardinality"}[opts.row_perm]
-        res = mc64(a, job=job,
-                   scale=(opts.scale_diagonal and job == "product"))
-        if opts.scale_diagonal and job == "product":
-            dr = dr * res.dr
-            dc = dc * res.dc
-            a = scale_cols(scale_rows(a, res.dr), res.dc)
-        return permute_rows(a, res.perm_r), dr, dc, res.perm_r
+    def _plan_extras(self):
+        return dict(part=self.part, dag=self.dag, schedule=self._schedule)
 
-    def _run_colperm(self, a):
-        opts = self.options
-        n = a.ncols
-        if opts.col_perm != "natural":
-            perm_c = column_ordering(a, method=opts.col_perm)
-            a = permute_symmetric(a, perm_c)
-        else:
-            perm_c = np.arange(n, dtype=np.int64)
-        # postorder the etree of the symmetrized pattern: makes
-        # supernode chains contiguous without changing fill (an
-        # equivalent reordering)
-        parent = etree_symmetric(pattern_union_transpose(a))
-        post = postorder(parent)
-        a = permute_symmetric(a, post)
-        return a, post[perm_c]
-
-    def _pipeline_from(self, a, plan, fact):
-        """GESP steps (1)-(2) + symbolic analysis, reusing ``plan`` per
-        ``fact`` (the serial driver's `_factor_from`, minus numerics —
-        the distributed numeric phase is :meth:`factorize`)."""
-        if fact == "SAME_PATTERN_SAME_ROWPERM":
-            with self.tracer.span("equil"):
-                annotate(reused=True)
-                dr, dc = plan.dr, plan.dc
-                at = scale_cols(scale_rows(a, dr), dc)
-            with self.tracer.span("rowperm"):
-                annotate(reused=True)
-                perm_r = plan.perm_r
-                at = permute_rows(at, perm_r)
-            with self.tracer.span("colperm"):
-                annotate(reused=True)
-                perm_c = plan.perm_c  # already composed with the postorder
-                at = permute_symmetric(at, perm_c)
-            reuse_structures = True
-        elif fact == "SAME_PATTERN":
-            with self.tracer.span("equil"):
-                at, dr, dc = self._run_equil(a)
-            with self.tracer.span("rowperm"):
-                at, dr, dc, perm_r = self._run_rowperm(at, dr, dc)
-            if np.array_equal(perm_r, plan.perm_r):
-                with self.tracer.span("colperm"):
-                    annotate(reused=True)
-                    perm_c = plan.perm_c
-                    at = permute_symmetric(at, perm_c)
-                reuse_structures = True
-            else:
-                add("factor.reuse_misses", 1)
-                annotate(reuse_downgraded="row_perm_changed")
-                with self.tracer.span("colperm"):
-                    at, perm_c = self._run_colperm(at)
-                reuse_structures = False
-        else:  # DOFACT
-            with self.tracer.span("equil"):
-                at, dr, dc = self._run_equil(a)
-            with self.tracer.span("rowperm"):
-                at, dr, dc, perm_r = self._run_rowperm(at, dr, dc)
-            with self.tracer.span("colperm"):
-                at, perm_c = self._run_colperm(at)
-            reuse_structures = False
-
-        self.a_factored = at
-        self.perm_r = perm_r
-        self.perm_c = perm_c
-        self.dr = dr
-        self.dc = dc
-        self.anorm = norm1(at)
-
-        with self.tracer.span("symbolic"):
-            if reuse_structures:
-                annotate(reused=True)
-                self.symbolic = plan.symbolic
-                self.part = plan.part
-                self.dag = plan.dag
-                self._schedule = plan.schedule
-                add("factor.reuse_hits", 1)
-            else:
-                self._analyze_structures()
-                self._schedule = None
-            self.dist: DistributedBlocks = distribute_matrix(
-                self.a_factored, self.symbolic, self.part, self.grid)
-
-    def _analyze_structures(self):
-        """Symbolic factorization, supernode partition, block DAG."""
-        self.symbolic = symbolic_lu_symmetrized(self.a_factored)
-        part = find_supernodes(self.symbolic)
+    def _symbolic_step(self, at, plan):
+        """Symbolic factorization, supernode partition, block DAG (and,
+        from a plan, the EDAG-pruned communication schedule)."""
+        if plan is not None:
+            return dict(symbolic=plan.symbolic, part=plan.part, dag=plan.dag,
+                        _schedule=plan.schedule)
+        sym = symbolic_lu_symmetrized(at)
+        part = find_supernodes(sym)
         if self.relax_size > 1:
-            part = relax_supernodes(self.symbolic, part,
-                                    relax_size=self.relax_size)
+            part = relax_supernodes(sym, part, relax_size=self.relax_size)
         if self.dense_tail_threshold > 0.0:
             from repro.symbolic.supernode import merge_dense_tail
 
             part = merge_dense_tail(
-                self.symbolic, part,
-                density_threshold=self.dense_tail_threshold)
-        self.part = split_supernodes(part, max_size=self.max_block_size)
-        self.dag = build_block_dag(self.symbolic, self.part)
+                sym, part, density_threshold=self.dense_tail_threshold)
+        part = split_supernodes(part, max_size=self.max_block_size)
+        return dict(symbolic=sym, part=part, dag=build_block_dag(sym, part),
+                    _schedule=None)
 
-    # ------------------------------------------------------------------ #
-    # cache plumbing
-    # ------------------------------------------------------------------ #
-
-    def _plan_key(self):
-        from repro.driver.factcache import dist_plan_key
-
-        return dist_plan_key(
-            self._fingerprint, self.options, self.grid,
-            self.max_block_size, self.relax_size,
-            self.dense_tail_threshold, self.edag_prune)
-
-    def _instance_plan(self):
-        from repro.driver.factcache import PatternPlan
-        from repro.kernels import resolve_backend_name
-
-        return PatternPlan(
-            fingerprint=self._fingerprint, key=self._plan_key(),
-            perm_r=self.perm_r, perm_c=self.perm_c, dr=self.dr, dc=self.dc,
-            symbolic=self.symbolic, part=self.part, dag=self.dag,
-            schedule=self._schedule,
-            kernel_backend=resolve_backend_name(self.options.kernel_backend))
-
-    def _publish_plan(self):
-        self._cache.store(self._instance_plan())
-
-    # ------------------------------------------------------------------ #
-
-    def refactor(self, a_new: CSCMatrix, fact: str | None = None):
-        """Refactor for new values on the same sparsity pattern.
-
-        The distributed SamePattern fast path: the block-cyclic layout is
-        *refilled in place* (:func:`repro.dmem.distribute.refill_values`
-        — no reallocation), the symbolic structures and the EDAG-pruned
-        communication schedule are reused, and only the simulated numeric
-        factorization re-runs on the next :meth:`factorize` /
-        :meth:`solve`.  Modes as in
-        :meth:`repro.driver.gesp_driver.GESPSolver.refactor`; raises
-        :class:`~repro.sparse.ops.PatternMismatchError` when ``a_new``'s
-        pattern differs (reuse modes).  Returns ``self``.
-        """
-        if a_new.nrows != a_new.ncols:
-            raise ValueError("DistributedGESPSolver requires a square matrix")
-        if a_new.ncols != self.a.ncols:
-            raise ValueError("refactor requires a matrix of the same order")
-        if fact is None:
-            fact = (self.options.fact
-                    if self.options.fact in self._REUSE_FACTS
-                    else "SAME_PATTERN_SAME_ROWPERM")
-        if fact not in ("DOFACT", "FACTORED") + self._REUSE_FACTS:
-            raise ValueError(f"unknown fact {fact!r}")
-        fp = pattern_fingerprint(a_new)
-        if (fact in self._REUSE_FACTS + ("FACTORED",)
-                and fp != self._fingerprint):
-            raise PatternMismatchError(
-                expected=self._fingerprint, got=fp,
-                where="DistributedGESPSolver.refactor",
-                n=a_new.ncols, nnz=a_new.nnz)
-        with use_tracer(self.tracer), self.tracer.span("refactor", fact=fact):
-            if fact == "FACTORED":
-                annotate(kept_factors=True)
-                add("factor.reuse_hits", 1)
-                self.a = a_new
-                return self
-            if fact == "DOFACT":
-                self._fingerprint = fp
-                self._pipeline_from(a_new, None, "DOFACT")
-            elif fact == "SAME_PATTERN_SAME_ROWPERM":
-                # fastest path: every transform and structure reused, the
-                # existing block storage refilled in place
-                with self.tracer.span("equil"):
-                    annotate(reused=True)
-                    at = scale_cols(scale_rows(a_new, self.dr), self.dc)
-                with self.tracer.span("rowperm"):
-                    annotate(reused=True)
-                    at = permute_rows(at, self.perm_r)
-                with self.tracer.span("colperm"):
-                    annotate(reused=True)
-                    at = permute_symmetric(at, self.perm_c)
-                with self.tracer.span("symbolic"):
-                    annotate(reused=True)
-                self.a_factored = at
-                self.anorm = norm1(at)
-                refill_values(self.dist, at, self.symbolic)
-                add("factor.reuse_hits", 1)
-            else:  # SAME_PATTERN
-                self._pipeline_from(a_new, self._instance_plan(), fact)
-        self.a = a_new
-        self.factor_run = None
-        if self._cache is not None:
-            self._publish_plan()
-        return self
+    def _numeric_step(self, at, structures, reused):
+        """Scatter the values into the 2-D block-cyclic layout: structures
+        reused and block storage exists → refill it in place
+        (:func:`~repro.dmem.distribute.refill_values`, no reallocation),
+        else distribute.  The simulated numeric factorization itself runs
+        on the next :meth:`factorize` / :meth:`solve`."""
+        if reused and self.dist is not None:
+            dist = refill_values(self.dist, at, structures["symbolic"])
+        else:
+            dist = distribute_matrix(at, structures["symbolic"],
+                                     structures["part"], self.grid)
+        return dict(dist=dist, anorm=norm1(at), factor_run=None)
 
     # ------------------------------------------------------------------ #
 
@@ -396,12 +187,11 @@ class DistributedGESPSolver:
         and reused across refactorizations (it depends only on the block
         structure, the DAG, and ``edag_prune``).
         """
-        with use_tracer(self.tracer), self.tracer.span("factor"):
+        with use_tracer(self.tracer), self._stage("factor"):
             if self._schedule is None:
                 self._schedule = build_schedule(self.dist, self.dag,
                                                 self.edag_prune)
-                if self._cache is not None:
-                    self._publish_plan()
+                self._publish_plan()
             else:
                 annotate(schedule_reused=True)
             self.factor_run = pdgstrf(
@@ -426,17 +216,16 @@ class DistributedGESPSolver:
         """
         if self.factor_run is None:
             self.factorize()
-        b = np.asarray(b, dtype=np.float64)
         with use_tracer(self.tracer), self.tracer.span("solve"):
-            c = np.empty_like(b)
-            c[self.perm_c[self.perm_r]] = self.dr * b
-            run = pdgstrs(self.dist, c, machine=self.machine,
+            run = pdgstrs(self.dist,
+                          self._to_factored(np.asarray(b, dtype=np.float64)),
+                          machine=self.machine,
                           fault_plan=self.fault_plan,
                           recv_timeout=self.recv_timeout,
                           recv_retries=self.recv_retries,
                           kernel=self.options.kernel_backend,
                           executor=self.executor)
-            x = self.dc * run.x[self.perm_c]
+            x = self._from_factored(run.x)
         return SolveRun(x=x, lower=run.lower, upper=run.upper)
 
     def solve_distributed_multi(self, b_block) -> SolveRun:
@@ -447,22 +236,10 @@ class DistributedGESPSolver:
         per-vector cost collapses — the §5 point that algorithm choice
         "will probably depend on the number of right-hand sides".
         """
-        if self.factor_run is None:
-            self.factorize()
         b_block = np.asarray(b_block, dtype=np.float64)
         if b_block.ndim != 2 or b_block.shape[0] != self.a.ncols:
             raise ValueError("b_block must be (n, nrhs)")
-        with use_tracer(self.tracer), self.tracer.span("solve"):
-            c = np.empty_like(b_block)
-            c[self.perm_c[self.perm_r], :] = self.dr[:, None] * b_block
-            run = pdgstrs(self.dist, c, machine=self.machine,
-                          fault_plan=self.fault_plan,
-                          recv_timeout=self.recv_timeout,
-                          recv_retries=self.recv_retries,
-                          kernel=self.options.kernel_backend,
-                          executor=self.executor)
-            x = self.dc[:, None] * run.x[self.perm_c, :]
-        return SolveRun(x=x, lower=run.lower, upper=run.upper)
+        return self.solve_distributed(b_block)
 
     def solve(self, b, refine: bool | None = None):
         """Solve with iterative refinement (serial residuals around the
@@ -475,9 +252,6 @@ class DistributedGESPSolver:
         report comes back with ``converged=False`` and the structured
         diagnosis in ``failure`` instead of the exception escaping.
         """
-        from repro.driver.gesp_driver import SolveReport
-        from repro.solve.refine import iterative_refinement
-
         if self.factor_run is None:
             try:
                 self.factorize()
@@ -496,29 +270,9 @@ class DistributedGESPSolver:
         gathered = self.dist.gather_to_supernodal()
 
         def solve_once(rhs):
-            rhs = np.asarray(rhs, dtype=np.float64)
-            c = np.empty_like(rhs)
-            c[self.perm_c[self.perm_r]] = self.dr * rhs
-            z = gathered.solve(c, kernel=self.options.kernel_backend)
-            return self.dc * z[self.perm_c]
+            c = self._to_factored(np.asarray(rhs, dtype=np.float64))
+            return self._from_factored(
+                gathered.solve(c, kernel=self.options.kernel_backend))
 
-        opts = self.options
-        do_refine = opts.refine if refine is None else refine
         with use_tracer(self.tracer), self.tracer.span("solve"):
-            if not do_refine:
-                from repro.solve.refine import componentwise_backward_error
-
-                x = solve_once(b)
-                berr = componentwise_backward_error(self.a, x, b)
-                # same promise as the refined path: converged means the
-                # backward error actually met the target
-                return SolveReport(
-                    x=x, berr=berr, refine_steps=0, berr_history=[berr],
-                    converged=bool(berr <= opts.refine_eps))
-            res = iterative_refinement(
-                self.a, solve_once, b, max_steps=opts.refine_max_steps,
-                eps=opts.refine_eps, stagnation_factor=opts.refine_stagnation,
-                extra_precision=opts.extra_precision_residual)
-        return SolveReport(x=res.x, berr=res.berr, refine_steps=res.steps,
-                           berr_history=res.berr_history,
-                           converged=res.converged)
+            return self._solve_report(solve_once, b, refine)

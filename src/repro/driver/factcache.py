@@ -12,19 +12,13 @@ the drivers consult it when ``GESPOptions.fact`` asks for
 ``SAME_PATTERN`` / ``SAME_PATTERN_SAME_ROWPERM`` reuse — the direct
 descendant of SuperLU_DIST's ``Fact`` option.
 
-Semantics (see docs/REFACTORIZATION.md for the full contract):
-
-- ``SAME_PATTERN`` recomputes everything value-dependent (equilibration,
-  MC64 matching and scalings) and reuses only structures a cold run
-  would reproduce identically, so its factors are **bit-identical** to a
-  cold factorization; the recomputed row permutation is compared against
-  the plan's before any structure is trusted.
-- ``SAME_PATTERN_SAME_ROWPERM`` additionally reuses the row permutation
-  and the Dr/Dc scalings (skipping equilibration and MC64 entirely);
-  fastest, with possibly stale scalings that refinement absorbs.
-- Structure mismatches raise
-  :class:`~repro.sparse.ops.PatternMismatchError` — never garbage
-  factors.
+What each mode reuses is decided in exactly one place,
+:func:`repro.driver.pipeline.preprocess` (docs/REFACTORIZATION.md has
+the full contract): ``SAME_PATTERN`` factors are **bit-identical** to a
+cold factorization, ``SAME_PATTERN_SAME_ROWPERM`` trades possibly stale
+scalings (which refinement absorbs) for skipping MC64, and a structure
+mismatch raises :class:`~repro.sparse.ops.PatternMismatchError` — never
+garbage factors.
 
 The cache is a bounded LRU and thread-safe; the simulator and benchmark
 harness share it process-wide through :data:`FACTOR_CACHE`.
@@ -40,8 +34,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.obs import add
-from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import PatternMismatchError, pattern_fingerprint
 from repro.symbolic.fill import SymbolicLU
 
 __all__ = [
@@ -80,16 +72,6 @@ class PatternPlan:
     part: object = None
     dag: object = None
     schedule: dict | None = None
-    # which dense-kernel backend the producing run used (also baked into
-    # the key, so plans never cross backends)
-    kernel_backend: str = "reference"
-
-    def check(self, a: CSCMatrix, where: str = "PatternPlan"):
-        """Raise :class:`PatternMismatchError` unless A matches."""
-        got = pattern_fingerprint(a)
-        if got != self.fingerprint:
-            raise PatternMismatchError(expected=self.fingerprint, got=got,
-                                       where=where, n=a.ncols, nnz=a.nnz)
 
 
 class CacheStats(NamedTuple):

@@ -17,6 +17,11 @@ with iterative refinement wrapped around the whole thing on the
 regenerated from a trace; the legacy ``timings`` dict is kept as a thin
 view over those spans.
 
+Steps (1)-(2), the fact-mode decision, ``refactor`` and the plan / cache
+plumbing are :mod:`repro.driver.pipeline`'s, shared with the distributed
+driver; this module is the serial numeric back end — the symbolic
+factorization, the numeric kernel (step (3)) and the triangular solves.
+
 Pattern reuse (``GESPOptions.fact``, :meth:`GESPSolver.refactor`): when a
 sequence of matrices shares one sparsity pattern — Newton steps,
 time-stepping, parameter sweeps — the structures GESP derives (column
@@ -27,67 +32,22 @@ re-runs.  See docs/REFACTORIZATION.md.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from repro.driver.factcache import serial_plan_key
 from repro.driver.options import GESPOptions
-from repro.factor.gesp import GESPFactors, gesp_factor
-from repro.obs import Tracer, add, annotate, get_tracer, use_tracer
-from repro.scaling.equilibrate import equilibrate
-from repro.scaling.mc64 import mc64
+from repro.driver.pipeline import PatternSolver, SolveReport
+from repro.factor.gesp import gesp_factor
+from repro.obs import Tracer, annotate, use_tracer
 from repro.solve.errbound import forward_error_bound
-from repro.solve.refine import RefinementResult, iterative_refinement
 from repro.solve.sherman import ShermanMorrisonSolver
-from repro.solve.triangular import (
-    solve_lower_csc,
-    solve_lower_t_csc,
-    solve_upper_csc,
-    solve_upper_t_csc,
-)
+from repro.solve.triangular import solve_lower_t_csc, solve_upper_t_csc
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import (
-    PatternMismatchError,
-    pattern_fingerprint,
-    permute_rows,
-    permute_symmetric,
-    scale_cols,
-    scale_rows,
-)
 from repro.symbolic.fill import symbolic_lu
 
 __all__ = ["GESPSolver", "SolveReport", "MultiSolveResult", "gesp_solve"]
-
-_REUSE_FACTS = ("SAME_PATTERN", "SAME_PATTERN_SAME_ROWPERM")
-
-
-@dataclass
-class SolveReport:
-    """Everything a benchmark wants to know about one solve.
-
-    ``failure`` (a :class:`repro.recovery.health.FailureDiagnosis`) and
-    ``recovery`` (a :class:`repro.recovery.ladder.RecoveryReport`) are
-    filled by the recovery ladder: when a solve could not be certified,
-    ``converged`` is False and ``failure`` says why; when the ladder had
-    to escalate, ``recovery`` records every rung attempted.
-    """
-
-    x: np.ndarray
-    berr: float
-    refine_steps: int
-    berr_history: list = field(default_factory=list)
-    converged: bool = True
-    forward_error_estimate: float | None = None
-    failure: object | None = None
-    recovery: object | None = None
-
-    @property
-    def figure3_steps(self):
-        """Refinement steps in the paper's Figure-3 counting: the initial
-        solve's convergence check is step 1 (``refine_steps + 1``)."""
-        return self.refine_steps + 1
 
 
 class MultiSolveResult(NamedTuple):
@@ -115,7 +75,7 @@ class MultiSolveResult(NamedTuple):
     col_converged: np.ndarray | None = None
 
 
-class GESPSolver:
+class GESPSolver(PatternSolver):
     """Factor once, solve many times — the GESP pipeline as an object.
 
     Parameters
@@ -155,226 +115,77 @@ class GESPSolver:
         ``symbolic``, ``factor`` — the raw material of Figure 6.
     """
 
-    _STAGES = ("equil", "rowperm", "colperm", "symbolic", "factor")
-
     def __init__(self, a: CSCMatrix, options: GESPOptions | None = None,
                  tracer: Tracer | None = None, cache=None):
-        if a.nrows != a.ncols:
-            raise ValueError("GESPSolver requires a square matrix")
         self.a = a
-        self.options = (options or GESPOptions()).validate()
-        if tracer is None:
-            ambient = get_tracer()
-            tracer = ambient if ambient.enabled else Tracer(name="gesp")
-        self.tracer = tracer
-        self._stage_spans = {}
-        self._sym_blockpivot = None
-        if cache is None:
-            from repro.driver.factcache import FACTOR_CACHE
-
-            self._cache = FACTOR_CACHE
-        elif cache is False:
-            self._cache = None
-        else:
-            self._cache = cache
-        self._fingerprint = pattern_fingerprint(a)
-        with use_tracer(self.tracer):
-            self._build()
-
-    @property
-    def timings(self):
-        """Per-stage seconds, derived from the build spans (same keys as
-        the pre-observability ad-hoc dict)."""
-        return {name: span.duration
-                for name, span in self._stage_spans.items()}
+        self.options = options or GESPOptions()
+        self._open(tracer, cache)
 
     # ------------------------------------------------------------------ #
-    # pipeline stages
+    # the serial back end
     # ------------------------------------------------------------------ #
 
-    @contextmanager
-    def _stage(self, name, **attrs):
-        """Open one top-level build-stage span and remember it."""
-        with self.tracer.span(name, **attrs) as span:
-            self._stage_spans[name] = span
-            yield span
+    def _plan_key(self, fingerprint):
+        return serial_plan_key(fingerprint, self.options)
 
-    def _run_equil(self, a):
-        n = a.ncols
-        if self.options.equilibrate:
-            eq = equilibrate(a)
-            return eq.apply(a), eq.dr.copy(), eq.dc.copy()
-        return a, np.ones(n), np.ones(n)
+    def _plan_extras(self):
+        return dict(sym_blockpivot=self._sym_blockpivot)
 
-    def _run_rowperm(self, a, dr, dc):
-        opts = self.options
-        n = a.ncols
-        if opts.row_perm == "none":
-            return a, dr, dc, np.arange(n, dtype=np.int64)
-        job = {"mc64_product": "product",
-               "mc64_bottleneck": "bottleneck",
-               "mc64_cardinality": "cardinality"}[opts.row_perm]
-        res = mc64(a, job=job,
-                   scale=(opts.scale_diagonal and job == "product"))
-        perm_r = res.perm_r
-        if opts.scale_diagonal and job == "product":
-            dr = dr * res.dr
-            dc = dc * res.dc
-            a = scale_cols(scale_rows(a, res.dr), res.dc)
-        return permute_rows(a, perm_r), dr, dc, perm_r
+    def _symbolic_step(self, at, plan):
+        if plan is not None:
+            return dict(symbolic=plan.symbolic,
+                        _sym_blockpivot=plan.sym_blockpivot)
+        return dict(
+            symbolic=symbolic_lu(at, method=self.options.symbolic_method),
+            _sym_blockpivot=None)
 
-    def _run_colperm(self, a):
-        opts = self.options
-        n = a.ncols
-        if opts.col_perm == "natural":
-            return a, np.arange(n, dtype=np.int64)
-        from repro.ordering.colamd import column_ordering
-
-        perm_c = column_ordering(a, method=opts.col_perm)
-        return permute_symmetric(a, perm_c), perm_c
-
-    def _numeric_factor(self, a, sym):
+    def _numeric_step(self, at, structures, reused):
         """The value-dependent step (3): numeric kernels + SMW wiring."""
         opts = self.options
-        n = a.ncols
-        if opts.diag_block_pivoting > 0.0:
-            # §5 extension: mixed static / within-diagonal-block
-            # pivoting.  Requires the symmetrized (supernodal)
-            # pattern; the resulting factors satisfy
-            # P·A_factored = L·U with block-diagonal P, absorbed
-            # inside BlockPivotedFactors.solve.
-            from repro.factor.blockpivot import (
-                supernodal_factor_block_pivoting,
-            )
-            from repro.symbolic.fill import symbolic_lu_symmetrized
-
-            if sym.symmetrized:
-                sym_s = sym
-            elif self._sym_blockpivot is not None:
-                sym_s = self._sym_blockpivot
-            else:
-                sym_s = symbolic_lu_symmetrized(a)
-            self._sym_blockpivot = sym_s
-            self.factors = supernodal_factor_block_pivoting(
-                a, sym=sym_s,
-                pivot_threshold=opts.diag_block_pivoting,
-                replace_tiny_pivots=opts.replace_tiny_pivots,
-                tiny_pivot_scale=opts.tiny_pivot_scale,
-                kernel=opts.kernel_backend)
-        else:
-            policy = ("column_max" if opts.aggressive_pivot_replacement
-                      else "sqrt_eps")
-            self.factors = gesp_factor(
-                a, sym=sym,
-                replace_tiny_pivots=opts.replace_tiny_pivots,
-                tiny_pivot_scale=opts.tiny_pivot_scale,
-                pivot_policy=policy,
-                kernel=opts.kernel_backend)
-
-        # Sherman-Morrison-Woodbury wrapper when the aggressive policy
-        # actually perturbed something (reset on every refactorization —
-        # the correction is value-dependent)
-        self._smw = None
-        if opts.aggressive_pivot_replacement and self.factors.n_tiny_pivots:
-            self._smw = ShermanMorrisonSolver(
-                n, self.factors.solve,
-                self.factors.perturbed_columns, self.factors.pivot_deltas)
-
-    # ------------------------------------------------------------------ #
-    # build / refactor
-    # ------------------------------------------------------------------ #
-
-    def _build(self):
-        fact = self.options.fact
-        if fact == "FACTORED":
-            raise ValueError(
-                "fact='FACTORED' asserts the existing factors are current; "
-                "it is only valid on GESPSolver.refactor(), not on "
-                "construction")
-        plan = None
-        if fact in _REUSE_FACTS and self._cache is not None:
-            plan = self._cache.lookup(self._plan_key())
-            if plan is None:
-                # nothing cached for this pattern yet: fall back to a
-                # cold factorization and seed the cache for the next one
-                add("factor.reuse_misses", 1)
-        self._factor_from(self.a, plan,
-                          fact if plan is not None else "DOFACT")
-        if self._cache is not None:
-            self._publish_plan()
-
-    def _factor_from(self, a, plan, fact):
-        """Run the pipeline on ``a``, reusing ``plan`` per ``fact``."""
-        if fact == "SAME_PATTERN_SAME_ROWPERM":
-            # reuse every transform of the plan's run, values and all:
-            # skip equilibration and MC64 entirely (their Dr/Dc may be
-            # stale for the new values; refinement absorbs that)
-            with self._stage("equil"):
-                annotate(reused=True)
-                dr, dc = plan.dr, plan.dc
-                at = scale_cols(scale_rows(a, dr), dc)
-            with self._stage("rowperm"):
-                annotate(reused=True)
-                perm_r = plan.perm_r
-                at = permute_rows(at, perm_r)
-            with self._stage("colperm"):
-                annotate(reused=True)
-                perm_c = plan.perm_c
-                at = permute_symmetric(at, perm_c)
-            with self._stage("symbolic"):
-                annotate(reused=True)
-                sym = plan.symbolic
-            self._sym_blockpivot = plan.sym_blockpivot
-            add("factor.reuse_hits", 1)
-        elif fact == "SAME_PATTERN":
-            # recompute everything value-dependent; reuse only what a
-            # cold run would reproduce identically, so the factors stay
-            # bit-identical to a cold factorization
-            with self._stage("equil"):
-                at, dr, dc = self._run_equil(a)
-            with self._stage("rowperm"):
-                at, dr, dc, perm_r = self._run_rowperm(at, dr, dc)
-            if np.array_equal(perm_r, plan.perm_r):
-                with self._stage("colperm"):
-                    annotate(reused=True)
-                    perm_c = plan.perm_c
-                    at = permute_symmetric(at, perm_c)
-                with self._stage("symbolic"):
-                    annotate(reused=True)
-                    sym = plan.symbolic
-                self._sym_blockpivot = plan.sym_blockpivot
-                add("factor.reuse_hits", 1)
-            else:
-                # the new values moved the MC64 matching: the cached
-                # ordering no longer describes what a cold run computes,
-                # so downgrade to a cold analysis (counted as a miss)
-                add("factor.reuse_misses", 1)
-                annotate(reuse_downgraded="row_perm_changed")
-                with self._stage("colperm"):
-                    at, perm_c = self._run_colperm(at)
-                with self._stage("symbolic"):
-                    sym = symbolic_lu(at, method=self.options.symbolic_method)
-                self._sym_blockpivot = None
-        else:  # DOFACT
-            with self._stage("equil"):
-                at, dr, dc = self._run_equil(a)
-            with self._stage("rowperm"):
-                at, dr, dc, perm_r = self._run_rowperm(at, dr, dc)
-            with self._stage("colperm"):
-                at, perm_c = self._run_colperm(at)
-            with self._stage("symbolic"):
-                sym = symbolic_lu(at, method=self.options.symbolic_method)
-            self._sym_blockpivot = None
-
+        sym = structures["symbolic"]
+        sym_s = structures["_sym_blockpivot"]
         with self._stage("factor"):
-            self._numeric_factor(self._numeric_input(at), sym)
+            a = self._numeric_input(at)
+            if opts.diag_block_pivoting > 0.0:
+                # §5 extension: mixed static / within-diagonal-block
+                # pivoting.  Requires the symmetrized (supernodal)
+                # pattern; the resulting factors satisfy
+                # P·A_factored = L·U with block-diagonal P, absorbed
+                # inside BlockPivotedFactors.solve.
+                from repro.factor.blockpivot import (
+                    supernodal_factor_block_pivoting,
+                )
+                from repro.symbolic.fill import symbolic_lu_symmetrized
 
-        self.perm_r = perm_r
-        self.perm_c = perm_c
-        self.dr = dr
-        self.dc = dc
-        self.symbolic = sym
-        self.a_factored = at
+                if sym.symmetrized:
+                    sym_s = sym
+                elif sym_s is None:
+                    sym_s = symbolic_lu_symmetrized(a)
+                factors = supernodal_factor_block_pivoting(
+                    a, sym=sym_s,
+                    pivot_threshold=opts.diag_block_pivoting,
+                    replace_tiny_pivots=opts.replace_tiny_pivots,
+                    tiny_pivot_scale=opts.tiny_pivot_scale,
+                    kernel=opts.kernel_backend)
+            else:
+                policy = ("column_max" if opts.aggressive_pivot_replacement
+                          else "sqrt_eps")
+                factors = gesp_factor(
+                    a, sym=sym,
+                    replace_tiny_pivots=opts.replace_tiny_pivots,
+                    tiny_pivot_scale=opts.tiny_pivot_scale,
+                    pivot_policy=policy,
+                    kernel=opts.kernel_backend)
+
+            # Sherman-Morrison-Woodbury wrapper when the aggressive
+            # policy actually perturbed something (rebuilt on every
+            # refactorization — the correction is value-dependent)
+            smw = None
+            if opts.aggressive_pivot_replacement and factors.n_tiny_pivots:
+                smw = ShermanMorrisonSolver(
+                    a.ncols, factors.solve,
+                    factors.perturbed_columns, factors.pivot_deltas)
+        return dict(factors=factors, _smw=smw, _sym_blockpivot=sym_s)
 
     def _numeric_input(self, at):
         """The matrix step (3) actually factors: ``at`` itself in double
@@ -391,94 +202,6 @@ class GESPSolver:
             return CSCMatrix(at.nrows, at.ncols, at.colptr, at.rowind,
                              at.nzval.astype(np.float32), check=False)
         return at
-
-    def refactor(self, a_new: CSCMatrix, fact: str | None = None):
-        """Refactor for new values on the same sparsity pattern.
-
-        The SamePattern fast path (SuperLU_DIST's ``Fact`` ancestry):
-        every structure derived by the first factorization is reused and
-        only the value-dependent kernels re-run.  Runs under a
-        ``refactor`` span and bumps ``factor.reuse_hits`` /
-        ``factor.reuse_misses``.
-
-        Parameters
-        ----------
-        a_new:
-            The new matrix.  For the reuse modes it must match this
-            solver's sparsity pattern exactly
-            (:class:`~repro.sparse.ops.PatternMismatchError` otherwise).
-        fact:
-            Reuse mode for this refactorization:
-
-            - ``"SAME_PATTERN_SAME_ROWPERM"`` (default, unless the
-              solver's options request a specific reuse mode) — reuse
-              Dr/Dc/perm_r/perm_c and the symbolic factorization; only
-              the numeric kernel runs;
-            - ``"SAME_PATTERN"`` — recompute equilibration and MC64,
-              verify the row permutation still matches, then reuse the
-              ordering and symbolic analysis; bit-identical to a cold
-              factorization of ``a_new``;
-            - ``"FACTORED"`` — keep the existing factors untouched and
-              only swap in ``a_new`` (refinement then corrects the
-              value drift, like the paper's tiny-pivot perturbations);
-            - ``"DOFACT"`` — full cold rebuild (the pattern may change).
-
-        Returns ``self`` (factored and ready to solve).
-        """
-        if a_new.nrows != a_new.ncols:
-            raise ValueError("GESPSolver requires a square matrix")
-        if a_new.ncols != self.a.ncols:
-            raise ValueError("refactor requires a matrix of the same order")
-        if fact is None:
-            fact = (self.options.fact if self.options.fact in _REUSE_FACTS
-                    else "SAME_PATTERN_SAME_ROWPERM")
-        if fact not in ("DOFACT", "FACTORED") + _REUSE_FACTS:
-            raise ValueError(f"unknown fact {fact!r}")
-        fp = pattern_fingerprint(a_new)
-        if fact in _REUSE_FACTS + ("FACTORED",) and fp != self._fingerprint:
-            raise PatternMismatchError(
-                expected=self._fingerprint, got=fp,
-                where="GESPSolver.refactor", n=a_new.ncols, nnz=a_new.nnz)
-        with use_tracer(self.tracer), self.tracer.span("refactor", fact=fact):
-            if fact == "FACTORED":
-                # stale factors as a preconditioner: refinement on the
-                # new A absorbs the value drift (paper step (4))
-                annotate(kept_factors=True)
-                add("factor.reuse_hits", 1)
-                self.a = a_new
-                return self
-            if fact == "DOFACT":
-                self._fingerprint = fp
-                self._factor_from(a_new, None, "DOFACT")
-            else:
-                plan = self._instance_plan()
-                self._factor_from(a_new, plan, fact)
-        self.a = a_new
-        if self._cache is not None:
-            self._publish_plan()
-        return self
-
-    # ------------------------------------------------------------------ #
-    # cache plumbing
-    # ------------------------------------------------------------------ #
-
-    def _plan_key(self):
-        from repro.driver.factcache import serial_plan_key
-
-        return serial_plan_key(self._fingerprint, self.options)
-
-    def _instance_plan(self):
-        """This solver's own state as a plan (refactor never depends on
-        the module cache surviving eviction)."""
-        from repro.driver.factcache import PatternPlan
-
-        return PatternPlan(
-            fingerprint=self._fingerprint, key=self._plan_key(),
-            perm_r=self.perm_r, perm_c=self.perm_c, dr=self.dr, dc=self.dc,
-            symbolic=self.symbolic, sym_blockpivot=self._sym_blockpivot)
-
-    def _publish_plan(self):
-        self._cache.store(self._instance_plan())
 
     # ------------------------------------------------------------------ #
     # solves
@@ -507,12 +230,8 @@ class GESPSolver:
 
     def solve_once(self, b):
         """One direct solve through the factors (no refinement)."""
-        b = np.asarray(b)
-        n = self.a.ncols
-        c = np.empty(n, dtype=np.result_type(self.a.nzval, b, np.float64))
-        c[self.perm_c[self.perm_r]] = self.dr * b
-        z = self._solve_factored(c)
-        return self.dc * z[self.perm_c]
+        return self._from_factored(
+            self._solve_factored(self._to_factored(b)))
 
     def solve(self, b, refine: bool | None = None,
               forward_error: bool = False) -> SolveReport:
@@ -522,36 +241,13 @@ class GESPSolver:
         "by far the most expensive step after factorization ... we do this
         only when the user asks for it."
         """
-        opts = self.options
-        do_refine = opts.refine if refine is None else refine
-        b = np.asarray(b)
         with use_tracer(self.tracer), self.tracer.span("solve"):
-            if do_refine:
-                res: RefinementResult = iterative_refinement(
-                    self.a, self.solve_once, b,
-                    max_steps=opts.refine_max_steps,
-                    eps=opts.refine_eps,
-                    stagnation_factor=opts.refine_stagnation,
-                    extra_precision=opts.extra_precision_residual)
-                report = SolveReport(x=res.x, berr=res.berr,
-                                     refine_steps=res.steps,
-                                     berr_history=res.berr_history,
-                                     converged=res.converged)
-            else:
-                from repro.solve.refine import componentwise_backward_error
-
-                x = self.solve_once(b)
-                berr = componentwise_backward_error(self.a, x, b)
-                # the unrefined path makes the same promise as the
-                # refined one: converged means berr met the target
-                report = SolveReport(
-                    x=x, berr=berr, refine_steps=0, berr_history=[berr],
-                    converged=bool(berr <= opts.refine_eps))
+            report = self._solve_report(self.solve_once, b, refine)
             if forward_error:
                 with self.tracer.span("errbound"):
                     report.forward_error_estimate = forward_error_bound(
                         self.a, self.solve_once, self.solve_transpose,
-                        report.x, b)
+                        report.x, np.asarray(b))
         return report
 
     def solve_multi(self, b_block, refine: bool | None = None,
@@ -597,16 +293,13 @@ class GESPSolver:
                 # is tiny so per-column solves cost little extra
                 return np.column_stack([self.solve_once(bb[:, t])
                                         for t in range(bb.shape[1])])
-            c = np.empty(bb.shape,
-                         dtype=np.result_type(self.a.nzval, bb, np.float64))
-            c[self.perm_c[self.perm_r], :] = self.dr[:, None] * bb
             kern = self.options.kernel_backend
             z = solve_upper_csc_multi(
                 self.factors.u,
-                solve_lower_csc_multi(self.factors.l, c, unit_diagonal=True,
-                                      kernel=kern),
+                solve_lower_csc_multi(self.factors.l, self._to_factored(bb),
+                                      unit_diagonal=True, kernel=kern),
                 kernel=kern)
-            return self.dc[:, None] * z[self.perm_c, :]
+            return self._from_factored(z)
 
         def block_residual(xx):
             if xp:

@@ -1,0 +1,400 @@
+"""One analysis pipeline, two numeric back ends.
+
+The paper's idea is one sentence — decide every static thing once per
+sparsity pattern (Figure 1 steps (1)-(2) plus the symbolic analysis),
+then only move numbers.  This module is where that is written down, once:
+
+- :func:`scale_and_match` is step (1), ``Pr·Dr·A·Dc``;
+- :func:`preprocess` is steps (1)-(2) plus the fact-mode decision:
+
+  *Transforms (``dr``, ``dc``, ``perm_r``) come from the plan iff
+  ``fact == "SAME_PATTERN_SAME_ROWPERM"``, otherwise they are recomputed.
+  Structures (``perm_c``, the symbolic factorization and whatever the
+  back end derives from it) are reused iff a plan is present and its
+  ``perm_r`` equals the one in hand, otherwise they are recomputed and
+  counted as a miss.*
+
+- :class:`PatternSolver` is the template both drivers instantiate:
+  construction, :meth:`~PatternSolver.refactor`, the plan / cache /
+  tracer plumbing, the right-hand-side transform and the refine-or-not
+  :class:`SolveReport`.  :class:`~repro.driver.gesp_driver.GESPSolver`
+  and :class:`~repro.driver.dist_driver.DistributedGESPSolver` supply
+  only a plan key, a symbolic step and a numeric step.
+
+Every stage runs inside a :mod:`repro.obs` span (``equil`` / ``rowperm``
+/ ``colperm`` / ``symbolic``); a stage that only applies a stored
+transform to new values is annotated ``reused=True``.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+import numpy as np
+
+from repro.driver.factcache import FACTOR_CACHE, PatternPlan
+from repro.obs import Tracer, add, annotate, get_tracer, trace, use_tracer
+from repro.ordering.colamd import column_ordering
+from repro.ordering.etree import etree_symmetric, postorder
+from repro.scaling.equilibrate import equilibrate
+from repro.scaling.mc64 import mc64
+from repro.solve.refine import (
+    componentwise_backward_error,
+    iterative_refinement,
+)
+from repro.sparse.csc import CSCMatrix
+from repro.sparse.ops import (
+    PatternMismatchError,
+    pattern_fingerprint,
+    pattern_union_transpose,
+    permute_rows,
+    permute_symmetric,
+    scale_cols,
+    scale_rows,
+)
+
+__all__ = ["REUSE_FACTS", "PatternSolver", "SolveReport",
+           "scale_and_match", "preprocess"]
+
+REUSE_FACTS = ("SAME_PATTERN", "SAME_PATTERN_SAME_ROWPERM")
+
+
+@dataclass
+class SolveReport:
+    """Everything a benchmark wants to know about one solve.
+
+    ``failure`` (a :class:`repro.recovery.health.FailureDiagnosis`) and
+    ``recovery`` (a :class:`repro.recovery.ladder.RecoveryReport`) are
+    filled by the recovery ladder: when a solve could not be certified,
+    ``converged`` is False and ``failure`` says why; when the ladder had
+    to escalate, ``recovery`` records every rung attempted.
+    """
+
+    x: np.ndarray
+    berr: float
+    refine_steps: int
+    berr_history: list = field(default_factory=list)
+    converged: bool = True
+    forward_error_estimate: float | None = None
+    failure: object | None = None
+    recovery: object | None = None
+
+    @property
+    def figure3_steps(self):
+        """Refinement steps in the paper's Figure-3 counting: the initial
+        solve's convergence check is step 1 (``refine_steps + 1``)."""
+        return self.refine_steps + 1
+
+
+# ---------------------------------------------------------------------- #
+# steps (1)-(2)
+# ---------------------------------------------------------------------- #
+
+def scale_and_match(a, *, equil=True, row_perm="mc64_product",
+                    scale_diagonal=True, given=None, stage=trace):
+    """Figure 1 step (1): ``(Pr·Dr·A·Dc, dr, dc, perm_r)``.
+
+    Equilibrates (``equil`` stage), then permutes large entries to the
+    diagonal with MC64 and folds its scalings in (``rowperm`` stage).
+    With ``given=(dr, dc, perm_r)`` nothing is computed: the stored
+    transforms are applied to ``a``'s values and both stages are marked
+    ``reused=True``.  ``stage`` opens one named span per stage.
+    """
+    n = a.ncols
+    with stage("equil"):
+        if given is not None:
+            annotate(reused=True)
+            dr, dc, perm_r = given
+            a = scale_cols(scale_rows(a, dr), dc)
+        elif equil:
+            eq = equilibrate(a)
+            a, dr, dc = eq.apply(a), eq.dr.copy(), eq.dc.copy()
+        else:
+            dr, dc = np.ones(n), np.ones(n)
+    with stage("rowperm"):
+        if given is not None:
+            annotate(reused=True)
+            a = permute_rows(a, perm_r)
+        elif row_perm == "none":
+            perm_r = np.arange(n, dtype=np.int64)
+        else:
+            job = row_perm.removeprefix("mc64_")
+            scale = scale_diagonal and job == "product"
+            res = mc64(a, job=job, scale=scale)
+            perm_r = res.perm_r
+            if scale:
+                dr = dr * res.dr
+                dc = dc * res.dc
+                a = scale_cols(scale_rows(a, res.dr), res.dc)
+            a = permute_rows(a, perm_r)
+    return a, dr, dc, perm_r
+
+
+def _order_columns(a, col_perm, etree_postorder):
+    """Figure 1 step (2): the fill-reducing ordering, applied
+    symmetrically.  ``etree_postorder`` composes the postorder of the
+    symmetrized pattern's elimination tree into ``perm_c`` — it makes
+    supernode chains index-contiguous without changing fill (an
+    equivalent reordering), which the block-cyclic layout needs."""
+    if col_perm == "natural":
+        perm_c = np.arange(a.ncols, dtype=np.int64)
+    else:
+        perm_c = column_ordering(a, method=col_perm)
+        a = permute_symmetric(a, perm_c)
+    if etree_postorder:
+        post = postorder(etree_symmetric(pattern_union_transpose(a)))
+        a = permute_symmetric(a, post)
+        perm_c = post[perm_c]
+    return a, perm_c
+
+
+def preprocess(a, options, plan=None, fact="DOFACT", *,
+               etree_postorder=False, stage=trace):
+    """Steps (1)-(2) of Figure 1 under a fact mode (the rule in the
+    module docstring, as straight-line code).
+
+    Returns ``(at, dr, dc, perm_r, perm_c, reused)``: the transformed
+    matrix ``Pc·Pr·Dr·A·Dc·Pcᵀ``, the transforms, and whether the plan's
+    structures are still valid for it.  ``plan`` is the :class:`~repro.driver.factcache.PatternPlan` to
+    reuse from (``None`` for a cold run; required by the two reuse
+    modes).  Counts ``factor.reuse_hits`` when the plan's structures
+    survive and ``factor.reuse_misses`` — with a
+    ``reuse_downgraded="row_perm_changed"`` annotation — when new values
+    moved the MC64 matching, so the cached ordering no longer describes
+    what a cold run computes.
+    """
+    given = ((plan.dr, plan.dc, plan.perm_r)
+             if fact == "SAME_PATTERN_SAME_ROWPERM" else None)
+    at, dr, dc, perm_r = scale_and_match(
+        a, equil=options.equilibrate, row_perm=options.row_perm,
+        scale_diagonal=options.scale_diagonal, given=given, stage=stage)
+    reused = plan is not None and (
+        perm_r is plan.perm_r or np.array_equal(perm_r, plan.perm_r))
+    if reused:
+        add("factor.reuse_hits", 1)
+    elif plan is not None:
+        add("factor.reuse_misses", 1)
+        annotate(reuse_downgraded="row_perm_changed")
+    with stage("colperm"):
+        if reused:
+            annotate(reused=True)
+            perm_c = plan.perm_c
+            at = permute_symmetric(at, perm_c)
+        else:
+            at, perm_c = _order_columns(at, options.col_perm,
+                                        etree_postorder)
+    return at, dr, dc, perm_r, perm_c, reused
+
+
+# ---------------------------------------------------------------------- #
+# the solver template
+# ---------------------------------------------------------------------- #
+
+def _per_row(scale, block):
+    """``scale`` shaped to multiply ``block`` (n or n × nrhs) row-wise."""
+    return scale if block.ndim == 1 else scale[:, None]
+
+
+class PatternSolver:
+    """What the serial and the distributed driver share.
+
+    A back end sets ``a`` and ``options``, calls :meth:`_open`, and
+    supplies three hooks:
+
+    - ``_plan_key(fingerprint)`` — its :mod:`~repro.driver.factcache` key;
+    - ``_symbolic_step(at, plan)`` — the structures it derives from the
+      pattern of ``at`` (taken from ``plan`` when that is not None), as a
+      dict of attribute values;
+    - ``_numeric_step(at, structures, reused)`` — its value-dependent
+      step (3), as a dict of attribute values;
+
+    plus ``_plan_extras()`` (the structures again, as
+    :class:`~repro.driver.factcache.PatternPlan` fields).  Nothing is
+    assigned to the solver until the numeric step has returned, so a
+    factorization that raises leaves the previous one fully in place.
+    """
+
+    #: compose the etree postorder into ``perm_c`` (distributed layout)
+    _ETREE_POSTORDER = False
+
+    def _open(self, tracer, cache):
+        """Validate, resolve tracer and cache, run the first build."""
+        if self.a.nrows != self.a.ncols:
+            raise ValueError(
+                f"{type(self).__name__} requires a square matrix")
+        self.options.validate()
+        fact = self.options.fact
+        if fact == "FACTORED":
+            raise ValueError(
+                "fact='FACTORED' asserts the existing factors are current; "
+                "it is only valid on refactor(), not on construction")
+        if tracer is None:
+            ambient = get_tracer()
+            tracer = ambient if ambient.enabled else Tracer(name="gesp")
+        self.tracer = tracer
+        self._cache = (FACTOR_CACHE if cache is None
+                       else None if cache is False else cache)
+        self._stage_spans = {}
+        fingerprint = pattern_fingerprint(self.a)
+        with use_tracer(self.tracer):
+            plan = None
+            if fact in REUSE_FACTS and self._cache is not None:
+                plan = self._cache.lookup(self._plan_key(fingerprint))
+                if plan is None:
+                    # nothing cached for this pattern yet: fall back to a
+                    # cold factorization and seed the cache for the next
+                    add("factor.reuse_misses", 1)
+            self._factor_from(self.a, plan,
+                              fact if plan is not None else "DOFACT",
+                              fingerprint)
+
+    @property
+    def timings(self):
+        """Per-stage seconds, derived from the build spans (same keys as
+        the pre-observability ad-hoc dict)."""
+        return {name: span.duration
+                for name, span in self._stage_spans.items()}
+
+    @contextmanager
+    def _stage(self, name, **attrs):
+        """Open one top-level build-stage span and remember it."""
+        with self.tracer.span(name, **attrs) as span:
+            self._stage_spans[name] = span
+            yield span
+
+    def _factor_from(self, a, plan, fact, fingerprint):
+        """Run the pipeline on ``a`` reusing ``plan`` per ``fact``, then
+        commit matrix, fingerprint, transforms, structures and numeric
+        state together and publish the resulting plan."""
+        at, dr, dc, perm_r, perm_c, reused = preprocess(
+            a, self.options, plan, fact, stage=self._stage,
+            etree_postorder=self._ETREE_POSTORDER)
+        with self._stage("symbolic"):
+            if reused:
+                annotate(reused=True)
+            state = self._symbolic_step(at, plan if reused else None)
+        state.update(self._numeric_step(at, state, reused))
+        state.update(a=a, _fingerprint=fingerprint, a_factored=at,
+                     perm_r=perm_r, perm_c=perm_c, dr=dr, dc=dc)
+        self.__dict__.update(state)
+        self._publish_plan()
+
+    def refactor(self, a_new: CSCMatrix, fact: str | None = None):
+        """Refactor for new values on the same sparsity pattern.
+
+        The SamePattern fast path (SuperLU_DIST's ``Fact`` ancestry):
+        every structure derived by the first factorization is reused and
+        only the value-dependent work re-runs.  Runs under a ``refactor``
+        span and bumps ``factor.reuse_hits`` / ``factor.reuse_misses``.
+
+        Parameters
+        ----------
+        a_new:
+            The new matrix.  For the reuse modes it must match this
+            solver's sparsity pattern exactly
+            (:class:`~repro.sparse.ops.PatternMismatchError` otherwise).
+        fact:
+            Reuse mode for this refactorization:
+
+            - ``"SAME_PATTERN_SAME_ROWPERM"`` (default, unless the
+              solver's options request a specific reuse mode) — reuse
+              Dr/Dc/perm_r/perm_c and the symbolic factorization; only
+              the numeric step runs;
+            - ``"SAME_PATTERN"`` — recompute equilibration and MC64,
+              verify the row permutation still matches, then reuse the
+              ordering and symbolic analysis; bit-identical to a cold
+              factorization of ``a_new``;
+            - ``"FACTORED"`` — keep the existing factors untouched and
+              only swap in ``a_new`` (refinement then corrects the
+              value drift, like the paper's tiny-pivot perturbations);
+            - ``"DOFACT"`` — full cold rebuild (the pattern may change).
+
+        If the factorization raises, the solver keeps its previous
+        matrix, transforms and factors.  Returns ``self`` (factored and
+        ready to solve).
+        """
+        name = type(self).__name__
+        if a_new.nrows != a_new.ncols:
+            raise ValueError(f"{name} requires a square matrix")
+        if a_new.ncols != self.a.ncols:
+            raise ValueError("refactor requires a matrix of the same order")
+        if fact is None:
+            fact = (self.options.fact if self.options.fact in REUSE_FACTS
+                    else "SAME_PATTERN_SAME_ROWPERM")
+        if fact not in ("DOFACT", "FACTORED") + REUSE_FACTS:
+            raise ValueError(f"unknown fact {fact!r}")
+        fp = pattern_fingerprint(a_new)
+        if fact != "DOFACT" and fp != self._fingerprint:
+            raise PatternMismatchError(
+                expected=self._fingerprint, got=fp,
+                where=f"{name}.refactor", n=a_new.ncols, nnz=a_new.nnz)
+        with use_tracer(self.tracer), self.tracer.span("refactor", fact=fact):
+            if fact == "FACTORED":
+                # stale factors as a preconditioner: refinement on the
+                # new A absorbs the value drift (paper step (4))
+                annotate(kept_factors=True)
+                add("factor.reuse_hits", 1)
+                self.a = a_new
+            else:
+                # the solver's own state is the plan: refactor never
+                # depends on the module cache surviving eviction
+                plan = None if fact == "DOFACT" else self._instance_plan()
+                self._factor_from(a_new, plan, fact, fp)
+        return self
+
+    # ------------------------------------------------------------------ #
+    # plan plumbing
+    # ------------------------------------------------------------------ #
+
+    def _instance_plan(self):
+        """This solver's current state as a plan."""
+        return PatternPlan(
+            fingerprint=self._fingerprint,
+            key=self._plan_key(self._fingerprint),
+            perm_r=self.perm_r, perm_c=self.perm_c, dr=self.dr, dc=self.dc,
+            symbolic=self.symbolic, **self._plan_extras())
+
+    def _publish_plan(self):
+        if self._cache is not None:
+            self._cache.store(self._instance_plan())
+
+    # ------------------------------------------------------------------ #
+    # solves
+    # ------------------------------------------------------------------ #
+
+    def _to_factored(self, b):
+        """Apply Dr, Pr, Pc to a right-hand side (1-D or n × nrhs):
+        ``c[pc[pr[i]]] = dr[i] · b[i]``."""
+        b = np.asarray(b)
+        c = np.empty(b.shape,
+                     dtype=np.result_type(self.a.nzval, b, np.float64))
+        c[self.perm_c[self.perm_r]] = _per_row(self.dr, b) * b
+        return c
+
+    def _from_factored(self, z):
+        """Undo Pc and Dc on a solution of the factored system:
+        ``x[i] = dc[i] · z[pc[i]]``."""
+        return _per_row(self.dc, z) * z[self.perm_c]
+
+    def _solve_report(self, solve_once, b, refine) -> SolveReport:
+        """Step (4): ``solve_once`` wrapped in iterative refinement on
+        the original ``A`` (or one direct solve when refinement is off)."""
+        opts = self.options
+        b = np.asarray(b)
+        if opts.refine if refine is None else refine:
+            res = iterative_refinement(
+                self.a, solve_once, b,
+                max_steps=opts.refine_max_steps, eps=opts.refine_eps,
+                stagnation_factor=opts.refine_stagnation,
+                extra_precision=opts.extra_precision_residual)
+            return SolveReport(x=res.x, berr=res.berr,
+                               refine_steps=res.steps,
+                               berr_history=res.berr_history,
+                               converged=res.converged)
+        x = solve_once(b)
+        berr = componentwise_backward_error(self.a, x, b)
+        # the unrefined path makes the same promise as the refined one:
+        # converged means berr met the target
+        return SolveReport(x=x, berr=berr, refine_steps=0,
+                           berr_history=[berr],
+                           converged=bool(berr <= opts.refine_eps))

@@ -21,10 +21,8 @@ import numpy as np
 
 from repro.iterative.ilu import ilu0
 from repro.iterative.krylov import KrylovResult, bicgstab, gmres, tfqmr
-from repro.scaling.equilibrate import equilibrate
-from repro.scaling.mc64 import mc64
+from repro.driver.pipeline import scale_and_match
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import permute_rows, scale_cols, scale_rows
 
 __all__ = ["PreconditionedSolver"]
 
@@ -51,24 +49,11 @@ class PreconditionedSolver:
     def __post_init__(self):
         if self.a.nrows != self.a.ncols:
             raise ValueError("PreconditionedSolver requires a square matrix")
-        n = self.a.ncols
-        a = self.a
-        dr, dc = np.ones(n), np.ones(n)
-        if self.equilibrate_first:
-            eq = equilibrate(a)
-            dr, dc = eq.dr.copy(), eq.dc.copy()
-            a = eq.apply(a)
-        if self.mc64_permute:
-            res = mc64(a, job="product", scale=True)
-            dr *= res.dr
-            dc *= res.dc
-            a = permute_rows(scale_cols(scale_rows(a, res.dr), res.dc),
-                             res.perm_r)
-            self.perm_r = res.perm_r
-        else:
-            self.perm_r = np.arange(n, dtype=np.int64)
-        self.dr = dr
-        self.dc = dc
+        # step (1) exactly as GESP runs it: the two flags are its two
+        # stages (equilibrate, then MC64 matching + Duff-Koster scaling)
+        a, self.dr, self.dc, self.perm_r = scale_and_match(
+            self.a, equil=self.equilibrate_first,
+            row_perm="mc64_product" if self.mc64_permute else "none")
         self.a_transformed = a
         self.ilu = ilu0(a)
 

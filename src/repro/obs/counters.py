@@ -69,7 +69,7 @@ COUNTERS = (
         "this counter + 1 (RefinementResult.figure3_steps)."),
     CounterSpec(
         "factor.reuse_hits", "factorization",
-        "repro/driver/gesp_driver.py, repro/driver/dist_driver.py",
+        "repro/driver/pipeline.py",
         "Factorizations that reused a same-pattern plan (cached column "
         "ordering + symbolic analysis, and for "
         "SAME_PATTERN_SAME_ROWPERM also the row permutation and "
@@ -77,7 +77,7 @@ COUNTERS = (
         "partition, layout, and comm schedule)."),
     CounterSpec(
         "factor.reuse_misses", "factorization",
-        "repro/driver/gesp_driver.py, repro/driver/dist_driver.py",
+        "repro/driver/pipeline.py",
         "Reuse-mode factorizations that fell back to a cold analysis: "
         "nothing cached for the pattern yet, or the recomputed MC64 row "
         "permutation no longer matched the plan under SAME_PATTERN."),

@@ -80,3 +80,13 @@ def test_lint_catches_an_undocumented_flag():
     flags = check_docs.cli_flags()
     text = "\n".join(flags[:-1])
     assert check_docs.undocumented_flags(text) == [flags[-1]]
+
+
+def test_bench_readme_names_every_declared_workload_and_metric():
+    assert check_docs.undocumented_bench_names() == []
+    # a family placeholder covers its members; an absent name is caught
+    text = "cold_mix `caller.solve_s.<pattern>`"
+    missing = check_docs.undocumented_bench_names(text)
+    assert "caller.solve_s.kkt02" not in missing
+    assert "cold_mix" not in missing
+    assert "warm_newton" in missing

@@ -105,28 +105,124 @@ def test_same_pattern_bit_identical_via_refactor(rng):
     assert np.array_equal(s.perm_c, cold.perm_c)
 
 
-def test_same_pattern_rowperm_drift_downgrades_not_garbage(rng):
+def _two_matchings(n=24, seed=5):
+    """Two value sets on one pattern whose MC64 matchings provably
+    differ.  The pattern is the diagonal, the cyclic subdiagonal and a
+    sprinkle of small entries; the diagonal and the subdiagonal are its
+    only two perfect matchings free of small entries, and which of the
+    two dominates every column is swapped between ``a`` and ``a2``."""
+    rng = np.random.default_rng(seed)
+    d = np.where(rng.random((n, n)) < 0.1, 1e-3, 0.0)
+    idx = np.arange(n)
+    d2 = d.copy()
+    d[idx, idx], d[(idx + 1) % n, idx] = 10.0, 1.0
+    d2[idx, idx], d2[(idx + 1) % n, idx] = 1.0, 10.0
+    a, a2 = CSCMatrix.from_dense(d), CSCMatrix.from_dense(d2)
+    assert pattern_fingerprint(a) == pattern_fingerprint(a2)
+    return a, a2
+
+
+def _make(kind, a, **kw):
+    """A serial or a distributed solver, by name (cache off)."""
+    if kind == "serial":
+        return GESPSolver(a, cache=False, **kw)
+    return DistributedGESPSolver(a, nprocs=4, cache=False, **kw)
+
+
+def _factor_values(s):
+    """The numeric factors of either solver as a flat list of arrays."""
+    if isinstance(s, GESPSolver):
+        return [s.factors.l.nzval, s.factors.u.nzval]
+    s.factorize()
+    g = s.dist.gather_to_supernodal()
+    return [*g.diag, *g.below, *g.right]
+
+
+def _storage(s):
+    """The object a refactorization either keeps (reuse) or replaces."""
+    return s.symbolic if isinstance(s, GESPSolver) else s.dist
+
+
+DRIVERS = ("serial", "distributed")
+
+
+@pytest.mark.parametrize("kind", DRIVERS)
+def test_same_pattern_moved_matching_downgrades_to_cold(kind):
     """When new values move the MC64 matching, SAME_PATTERN must fall
-    back to a cold analysis (counted as a miss) and still produce a
-    correct, bit-identical-to-cold factorization."""
-    a, _ = _pair(rng, n=30)
-    # drastically different values: the matching will move
-    rng2 = np.random.default_rng(99)
-    a2 = CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind,
-                   rng2.standard_normal(a.nnz) * 100.0, check=False)
-    cache = FactorizationCache()
-    GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=cache)
+    back to a cold analysis — exactly one miss, no hit, said so on the
+    trace — and produce factors bit-identical to a cold run."""
+    a, a2 = _two_matchings()
     tracer = Tracer()
-    with use_tracer(tracer):
-        warm = GESPSolver(a2, GESPOptions(fact="SAME_PATTERN"), cache=cache)
-    cold = GESPSolver(a2, cache=False)
-    assert np.array_equal(warm.factors.l.nzval, cold.factors.l.nzval)
-    assert np.array_equal(warm.factors.u.nzval, cold.factors.u.nzval)
+    s = _make(kind, a, tracer=tracer)
+    perm_r_before, storage_before = s.perm_r, _storage(s)
+    s.refactor(a2, fact="SAME_PATTERN")
+    assert not np.array_equal(s.perm_r, perm_r_before)  # it did move
     counters = tracer.root.all_counters()
-    # either the matching moved (miss recorded) or it happened to agree
-    # (hit recorded) — never neither, never garbage
-    assert counters.get("factor.reuse_hits", 0) + \
-        counters.get("factor.reuse_misses", 0) >= 1
+    assert counters["factor.reuse_misses"] == 1
+    assert counters.get("factor.reuse_hits", 0) == 0
+    assert tracer.root.find("refactor").attrs["reuse_downgraded"] == \
+        "row_perm_changed"
+    assert _storage(s) is not storage_before  # nothing stale survived
+    cold = _make(kind, a2)
+    assert np.array_equal(s.perm_r, cold.perm_r)
+    assert np.array_equal(s.perm_c, cold.perm_c)
+    for x, y in zip(_factor_values(s), _factor_values(cold)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("fact", ["DOFACT", "SAME_PATTERN",
+                                  "SAME_PATTERN_SAME_ROWPERM"])
+def test_both_drivers_share_one_preprocessing(rng, fact):
+    """Steps (1)-(2) are one function: for every fact mode the two
+    drivers compute the same row permutation and scalings."""
+    a, a2 = _pair(rng, n=30)
+    serial, dist = _make("serial", a), _make("distributed", a)
+    for s in (serial, dist):
+        s.refactor(a2, fact=fact)
+    assert np.array_equal(serial.perm_r, dist.perm_r)
+    assert np.array_equal(serial.dr, dist.dr)
+    assert np.array_equal(serial.dc, dist.dc)
+
+
+def test_dist_same_pattern_unmoved_matching_refills_in_place(rng):
+    """Structures reused and block storage exists → refill in place,
+    whichever reuse mode got there."""
+    a, a2 = _pair(rng, n=30)
+    tracer = Tracer()
+    s = _make("distributed", a, tracer=tracer)
+    perm_r_before = s.perm_r
+    rank, key = next((r, k) for r in range(s.grid.size)
+                     for k in s.dist.diag[r])
+    block_before = s.dist.diag[rank][key]
+    s.refactor(a2, fact="SAME_PATTERN")
+    assert np.array_equal(s.perm_r, perm_r_before)
+    assert tracer.root.all_counters()["factor.reuse_hits"] == 1
+    assert s.dist.diag[rank][key] is block_before
+    cold = _make("distributed", a2)
+    for x, y in zip(_factor_values(s), _factor_values(cold)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("kind", DRIVERS)
+def test_failed_dofact_refactor_leaves_solver_intact(rng, kind):
+    """A DOFACT refactorization that raises (here: a structurally
+    singular matrix) must not commit anything — in particular not the
+    new fingerprint, which would make the next SAME_PATTERN call on the
+    old pattern a PatternMismatchError against its own factors."""
+    from repro.scaling.matching import StructurallySingularError
+
+    a, a2 = _pair(rng, n=20)
+    d = a.to_dense()
+    d[:, 3] = 0.0
+    d[0, 3] = d[0, 4] = 1.0
+    d[1:, 4] = 0.0  # columns 3 and 4 both live in row 0 only
+    s = _make(kind, a)
+    with pytest.raises(StructurallySingularError):
+        s.refactor(CSCMatrix.from_dense(d), fact="DOFACT")
+    assert s.a is a
+    s.refactor(a2, fact="SAME_PATTERN")
+    rep = s.solve(a2 @ np.ones(a.ncols))
+    assert rep.converged and rep.berr <= 8 * EPS
 
 
 def test_same_pattern_same_rowperm_solves_accurately(rng):
@@ -271,7 +367,7 @@ def test_module_cache_is_default(rng):
     key_count = len(FACTOR_CACHE)
     s = GESPSolver(a)
     assert len(FACTOR_CACHE) >= key_count  # seeded (or refreshed)
-    assert s._plan_key() in FACTOR_CACHE
+    assert serial_plan_key(pattern_fingerprint(a), s.options) in FACTOR_CACHE
 
 
 def test_cache_disabled_with_false(rng):

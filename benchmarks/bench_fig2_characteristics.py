@@ -10,7 +10,7 @@ import numpy as np
 
 from conftest import save_table
 from repro.analysis import Table
-from repro.driver import GESPSolver
+from repro.driver import GESPOptions, GESPSolver
 from repro.matrices import matrix_by_name
 
 
@@ -37,4 +37,6 @@ def bench_fig2_characteristics(benchmark, testbed_results):
     # benchmark unit: one representative factorization (median-fill matrix)
     mid = rows[len(rows) // 2][0]
     a = matrix_by_name(mid).build()
-    benchmark.pedantic(lambda: GESPSolver(a), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: GESPSolver(a, GESPOptions.paper_defaults()),
+        rounds=1, iterations=1)

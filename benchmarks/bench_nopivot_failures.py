@@ -52,4 +52,6 @@ def bench_nopivot_failures(benchmark, testbed_results):
     assert all(r["err_gesp"] < 1e-5 for r in testbed_results.values())
 
     a = matrix_by_name("cfd01").build()
-    benchmark.pedantic(lambda: GESPSolver(a), rounds=1, iterations=1)
+    benchmark.pedantic(
+        lambda: GESPSolver(a, GESPOptions.paper_defaults()),
+        rounds=1, iterations=1)

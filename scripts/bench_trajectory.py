@@ -22,8 +22,8 @@ Schema ``bench_refactor/v1``::
       "reuse": {"hits": ..., "misses": ...}
     }
 
-``--bench kernels`` instead replays the dense-op trace of a supernodal
-factorization through both ``repro.kernels`` backends (the same
+``--bench kernels`` instead replays the dense-op trace of a ``pdgstrf``
+factorization (1x1 grid) through both ``repro.kernels`` backends (the same
 comparison as ``benchmarks/bench_kernels.py``) and writes
 ``BENCH_kernels.json``:
 
@@ -37,7 +37,7 @@ Schema ``bench_kernels/v1``::
       "rows": [{"matrix", "n", "ops", "reference_seconds",
                 "vectorized_seconds", "speedup"}, ...],
       "speedup": ...,            # of the largest (last) workload
-      "speedup_floor": 1.5
+      "speedup_floor": 1.2
     }
 
 ``--bench service`` runs the solve-service load trajectory of

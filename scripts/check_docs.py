@@ -18,7 +18,10 @@ with ``PYTHONPATH=src python scripts/check_docs.py``):
    documentation cannot drift apart;
 5. every workload and metric ``BENCHMARK.json`` declares is named in
    ``bench/README.md`` (read-only here: the benchmark is changed by its
-   own PRs only), so the yardstick's documentation lists what it prints.
+   own PRs only), so the yardstick's documentation lists what it prints;
+6. every module a catalog entry's ``where`` names exists under ``src/``
+   and contains that counter's name as a string literal, so the catalog
+   keeps pointing at the code that emits each counter when emitters move.
 """
 
 from __future__ import annotations
@@ -135,6 +138,23 @@ def undocumented_bench_names(text=None):
             if name not in text and family(name) not in text]
 
 
+def stale_counter_emitters(counters=None):
+    """``(counter, module)`` pairs whose ``CounterSpec.where`` module is
+    missing under ``src/`` or never spells the counter's name as a
+    string literal."""
+    if counters is None:
+        from repro.obs.counters import COUNTERS as counters
+
+    stale = []
+    for spec in counters:
+        for module in (m.strip() for m in spec.where.split(",")):
+            path = REPO / "src" / module
+            text = path.read_text(encoding="utf-8") if path.is_file() else ""
+            if not any(f"{q}{spec.name}{q}" in text for q in "\"'"):
+                stale.append((spec.name, module))
+    return stale
+
+
 def main():
     status = 0
     if not ARCHITECTURE.is_file():
@@ -168,6 +188,10 @@ def main():
         for name in undocumented_bench_names():
             print(f"bench/README.md: {name} (BENCHMARK.json) not named")
             status = 1
+    for name, module in stale_counter_emitters():
+        print(f"obs/counters.py: {name} is not emitted by src/{module} "
+              "(missing module, or no such string literal in it)")
+        status = 1
     if status == 0:
         print("docs lint: OK "
               f"({len(repro_packages())} packages, all counters "

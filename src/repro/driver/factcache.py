@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.obs import add
+from repro.sparse.ops import ValueMap
 from repro.symbolic.fill import SymbolicLU
 
 __all__ = [
@@ -51,12 +52,13 @@ __all__ = [
 class PatternPlan:
     """One pattern's reusable factorization plan.
 
-    Structural fields (``perm_c``, ``symbolic``, ``part``, ``dag``,
-    ``schedule``) are valid for *any* matrix with this fingerprint;
-    ``perm_r``/``dr``/``dc`` were computed from the values of the run
-    that created the plan and are only reused under
+    Structural fields (``perm_c``, ``symbolic``, ``block_plan``,
+    ``part``, ``dag``, ``schedule``) are valid for *any* matrix with this
+    fingerprint; ``perm_r``/``dr``/``dc`` were computed from the values
+    of the run that created the plan and are only reused under
     ``SAME_PATTERN_SAME_ROWPERM`` (or verified against a recomputation
-    under ``SAME_PATTERN``).
+    under ``SAME_PATTERN``).  ``value_map`` is the gather that applies
+    ``perm_r`` and ``perm_c`` to new values, valid whenever they are.
     """
 
     fingerprint: str
@@ -65,8 +67,11 @@ class PatternPlan:
     perm_c: np.ndarray
     dr: np.ndarray
     dc: np.ndarray
+    value_map: ValueMap
     symbolic: SymbolicLU
-    # serial extras
+    # serial extras: the block engine's static schedule (None when the
+    # options select the column kernel)
+    block_plan: object = None
     sym_blockpivot: SymbolicLU | None = None
     # distributed extras (present on "dist" plans only)
     part: object = None

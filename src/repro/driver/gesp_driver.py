@@ -20,12 +20,16 @@ view over those spans.
 Steps (1)-(2), the fact-mode decision, ``refactor`` and the plan / cache
 plumbing are :mod:`repro.driver.pipeline`'s, shared with the distributed
 driver; this module is the serial numeric back end — the symbolic
-factorization, the numeric kernel (step (3)) and the triangular solves.
+factorization and block schedule, the numeric engine (step (3): the
+supernodal block engine by default, the column kernel on the exact
+unsymmetric fill or under aggressive pivot replacement) and the
+triangular solves.
 
 Pattern reuse (``GESPOptions.fact``, :meth:`GESPSolver.refactor`): when a
 sequence of matrices shares one sparsity pattern — Newton steps,
 time-stepping, parameter sweeps — the structures GESP derives (column
-ordering, symbolic factorization) are computed once and reused through
+ordering, value map, symbolic factorization, block schedule) are
+computed once and reused through
 the :mod:`repro.driver.factcache` cache; only the value-dependent work
 re-runs.  See docs/REFACTORIZATION.md.
 """
@@ -39,13 +43,16 @@ import numpy as np
 from repro.driver.factcache import serial_plan_key
 from repro.driver.options import GESPOptions
 from repro.driver.pipeline import PatternSolver, SolveReport
+from repro.factor.blockplan import build_block_plan
 from repro.factor.gesp import gesp_factor
+from repro.factor.supernodal import supernodal_factor
 from repro.obs import Tracer, annotate, use_tracer
 from repro.solve.errbound import forward_error_bound
 from repro.solve.sherman import ShermanMorrisonSolver
 from repro.solve.triangular import solve_lower_t_csc, solve_upper_t_csc
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import symbolic_lu
+from repro.symbolic.supernode import block_partition
 
 __all__ = ["GESPSolver", "SolveReport", "MultiSolveResult", "gesp_solve"]
 
@@ -54,12 +61,14 @@ class MultiSolveResult(NamedTuple):
     """Outcome of :meth:`GESPSolver.solve_multi`.
 
     ``converged`` distinguishes a certified block solve (worst-column
-    berr at or below the refinement target) from stagnation — callers of
-    the old 3-tuple could not tell the two apart.
+    berr at or below the refinement target, or within
+    :data:`repro.solve.refine.STAGNATION_SLACK` of it at a stagnation
+    stop) from stagnation above it — callers of the old 3-tuple could
+    not tell the two apart.
 
     ``berrs`` and ``col_converged`` carry the *per-column* picture:
     ``berrs[t]`` is column t's componentwise backward error for the
-    returned iterate and ``col_converged[t]`` whether it met the target.
+    returned iterate and ``col_converged[t]`` whether it met that bar.
     The scalar ``berr``/``converged`` remain the worst-case aggregates
     (``berr == berrs.max()``, ``converged == col_converged.all()``), so
     existing callers are unaffected; :mod:`repro.service` uses the
@@ -83,7 +92,7 @@ class GESPSolver(PatternSolver):
     a:
         The square sparse system matrix (CSC).
     options:
-        A :class:`~repro.driver.options.GESPOptions`; paper defaults when
+        A :class:`~repro.driver.options.GESPOptions`; library defaults when
         omitted.  ``options.fact`` selects how much of a cached previous
         factorization of the same sparsity pattern to reuse (falls back
         to a cold factorization when nothing is cached).
@@ -129,15 +138,28 @@ class GESPSolver(PatternSolver):
         return serial_plan_key(fingerprint, self.options)
 
     def _plan_extras(self):
-        return dict(sym_blockpivot=self._sym_blockpivot)
+        return dict(block_plan=self._block_plan,
+                    sym_blockpivot=self._sym_blockpivot)
+
+    def _block_engine(self, sym):
+        """Whether step (3) runs the supernodal block engine: it needs L
+        and Uᵀ to share one pattern, and knows only the paper's
+        ``sqrt_eps`` replacement.  Otherwise the column kernel runs."""
+        opts = self.options
+        return (sym.symmetrized and not opts.aggressive_pivot_replacement
+                and not opts.diag_block_pivoting > 0.0)
 
     def _symbolic_step(self, at, plan):
-        if plan is not None:
-            return dict(symbolic=plan.symbolic,
-                        _sym_blockpivot=plan.sym_blockpivot)
-        return dict(
-            symbolic=symbolic_lu(at, method=self.options.symbolic_method),
-            _sym_blockpivot=None)
+        """The symbolic factorization and, for the block engine, its
+        schedule (built here too when a cached plan came without one)."""
+        sym = (plan.symbolic if plan is not None
+               else symbolic_lu(at, method=self.options.symbolic_method))
+        block_plan = plan.block_plan if plan is not None else None
+        if block_plan is None and self._block_engine(sym):
+            block_plan = build_block_plan(at, sym, block_partition(sym))
+        return dict(symbolic=sym, _block_plan=block_plan,
+                    _sym_blockpivot=(plan.sym_blockpivot
+                                     if plan is not None else None))
 
     def _numeric_step(self, at, structures, reused):
         """The value-dependent step (3): numeric kernels + SMW wiring."""
@@ -167,7 +189,15 @@ class GESPSolver(PatternSolver):
                     replace_tiny_pivots=opts.replace_tiny_pivots,
                     tiny_pivot_scale=opts.tiny_pivot_scale,
                     kernel=opts.kernel_backend)
+            elif self._block_engine(sym):
+                factors = supernodal_factor(
+                    a, plan=structures["_block_plan"],
+                    replace_tiny_pivots=opts.replace_tiny_pivots,
+                    tiny_pivot_scale=opts.tiny_pivot_scale,
+                    kernel=opts.kernel_backend).to_gesp_factors()
             else:
+                # the readable oracle: exact unsymmetric fill, or the
+                # column_max replacement policy
                 policy = ("column_max" if opts.aggressive_pivot_replacement
                           else "sqrt_eps")
                 factors = gesp_factor(
@@ -268,6 +298,7 @@ class GESPSolver(PatternSolver):
         factors have their own solve).
         """
         from repro.solve.refine import (
+            STAGNATION_SLACK,
             _residual_extended,
             componentwise_backward_error,
         )
@@ -317,10 +348,10 @@ class GESPSolver(PatternSolver):
                 self.a, xx[:, t], b_block[:, t], extra_precision=xp)
                 for t in range(b_block.shape[1])])
 
-        def result(x, bv, berr, steps, converged):
+        def result(x, bv, berr, steps, converged, bar=opts.refine_eps):
             return MultiSolveResult(
                 x=x, berr=berr, steps=steps, converged=converged,
-                berrs=bv, col_converged=bv <= opts.refine_eps)
+                berrs=bv, col_converged=bv <= bar)
 
         x = direct(b_block)
         bv = col_berrs(x)
@@ -344,13 +375,14 @@ class GESPSolver(PatternSolver):
                     break
                 if new_berr > berr / opts.refine_stagnation:
                     # stagnation: keep the better iterate and stop (the
-                    # same rollback as the single-RHS path)
+                    # same rollback, and the same bar for a stagnation
+                    # stop, as the single-RHS path)
                     if new_berr > berr:
                         x = x - dx
                     else:
                         bv, berr = new_bv, new_berr
-                    converged = False
-                    break
+                    bar = STAGNATION_SLACK * opts.refine_eps
+                    return result(x, bv, berr, steps, berr <= bar, bar)
                 bv, berr = new_bv, new_berr
         return result(x, bv, berr, steps, converged)
 

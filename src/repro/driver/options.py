@@ -3,12 +3,16 @@
 The defaults reproduce the configuration the paper reports results for:
 MC64 max-product matching *with* scaling, minimum degree on AᵀA applied
 symmetrically, ``sqrt(eps)·‖A‖`` tiny-pivot replacement, refinement until
-``berr <= eps`` or stagnation.
+``berr <= eps`` or stagnation — with the symmetrized (A+Aᵀ) analysis
+SuperLU_DIST ships, which lets step (3) run the supernodal block engine
+on a per-pattern static schedule (:mod:`repro.factor.supernodal`).
+:meth:`GESPOptions.paper_defaults` pins the paper's §2 serial
+configuration (exact unsymmetric fill, column kernel) instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,13 +50,19 @@ class GESPOptions:
         its column and recover with Sherman-Morrison-Woodbury at solve
         time instead of relying on refinement alone.
     symbolic_method:
-        ``"unsymmetric"`` (exact fill) or ``"symmetrized"`` (A+Aᵀ fill,
-        the SuperLU_DIST choice; required by the supernodal/distributed
-        kernels).
+        ``"symmetrized"`` (default: A+Aᵀ fill, the SuperLU_DIST choice;
+        L and Uᵀ share one pattern, which the supernodal block engine —
+        the serial default for step (3) — and the distributed kernels
+        need) or ``"unsymmetric"`` (exact fill; step (3) then runs the
+        column-by-column kernel :func:`repro.factor.gesp.gesp_factor`,
+        the readable oracle the block engine is tested against, as it
+        does under ``aggressive_pivot_replacement``).
     refine:
         Run step (4) iterative refinement.
     refine_max_steps, refine_eps, refine_stagnation:
-        Stopping controls; defaults are the paper's rule.
+        Stopping controls; defaults are the paper's rule.  (A stagnation
+        stop within :data:`repro.solve.refine.STAGNATION_SLACK` of
+        ``refine_eps`` is reported as converged.)
     extra_precision_residual:
         §5 extension: accumulate refinement residuals in extended
         precision.
@@ -112,7 +122,7 @@ class GESPOptions:
     replace_tiny_pivots: bool = True
     tiny_pivot_scale: float = float(np.sqrt(_EPS))
     aggressive_pivot_replacement: bool = False
-    symbolic_method: str = "unsymmetric"
+    symbolic_method: str = "symmetrized"
     refine: bool = True
     refine_max_steps: int = 20
     refine_eps: float = _EPS
@@ -164,11 +174,17 @@ class GESPOptions:
 
     @classmethod
     def paper_defaults(cls):
-        """The exact configuration of the paper's Section 2 experiments."""
-        return cls()
+        """The configuration of the paper's Section 2 serial experiments:
+        the library defaults, except that the fill is the *exact*
+        unsymmetric one (so step (3) runs the column kernel).  The §2
+        exhibits and EXPERIMENTS.md's fill / refinement-step numbers are
+        produced with it and do not move with the library default."""
+        return cls(symbolic_method="unsymmetric")
 
     @classmethod
     def no_pivoting(cls):
-        """All safeguards off — the failure baseline (27/53 matrices die)."""
-        return cls(equilibrate=False, row_perm="none", scale_diagonal=False,
-                   replace_tiny_pivots=False, refine=False)
+        """All safeguards off — the §2 failure baseline (27/53 matrices
+        die)."""
+        return replace(cls.paper_defaults(), equilibrate=False,
+                       row_perm="none", scale_diagonal=False,
+                       replace_tiny_pivots=False, refine=False)

@@ -9,10 +9,15 @@ then only move numbers.  This module is where that is written down, once:
 
   *Transforms (``dr``, ``dc``, ``perm_r``) come from the plan iff
   ``fact == "SAME_PATTERN_SAME_ROWPERM"``, otherwise they are recomputed.
-  Structures (``perm_c``, the symbolic factorization and whatever the
-  back end derives from it) are reused iff a plan is present and its
-  ``perm_r`` equals the one in hand, otherwise they are recomputed and
-  counted as a miss.*
+  Structures (``perm_c``, the value map, the symbolic factorization and
+  whatever the back end derives from it) are reused iff a plan is
+  present and its ``perm_r`` equals the one in hand, otherwise they are
+  recomputed and counted as a miss.*
+
+  In every mode the values of ``Pc·Pr·Dr·A·Dc·Pcᵀ`` come out of the one
+  :class:`~repro.sparse.ops.ValueMap` formula, so a reused plan moves
+  numbers with a gather and two multiplies, and ``SAME_PATTERN`` equals
+  a cold run bit for bit by construction.
 
 - :class:`PatternSolver` is the template both drivers instantiate:
   construction, :meth:`~PatternSolver.refactor`, the plan / cache /
@@ -45,6 +50,7 @@ from repro.solve.refine import (
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import (
     PatternMismatchError,
+    ValueMap,
     pattern_fingerprint,
     pattern_union_transpose,
     permute_rows,
@@ -63,6 +69,9 @@ REUSE_FACTS = ("SAME_PATTERN", "SAME_PATTERN_SAME_ROWPERM")
 class SolveReport:
     """Everything a benchmark wants to know about one solve.
 
+    ``converged`` is :func:`repro.solve.refine.iterative_refinement`'s:
+    ``berr`` met ``options.refine_eps``, or refinement stagnated within
+    :data:`~repro.solve.refine.STAGNATION_SLACK` of it.
     ``failure`` (a :class:`repro.recovery.health.FailureDiagnosis`) and
     ``recovery`` (a :class:`repro.recovery.ladder.RecoveryReport`) are
     filled by the recovery ladder: when a solve could not be certified,
@@ -91,31 +100,22 @@ class SolveReport:
 # ---------------------------------------------------------------------- #
 
 def scale_and_match(a, *, equil=True, row_perm="mc64_product",
-                    scale_diagonal=True, given=None, stage=trace):
+                    scale_diagonal=True, stage=trace):
     """Figure 1 step (1): ``(Pr·Dr·A·Dc, dr, dc, perm_r)``.
 
     Equilibrates (``equil`` stage), then permutes large entries to the
     diagonal with MC64 and folds its scalings in (``rowperm`` stage).
-    With ``given=(dr, dc, perm_r)`` nothing is computed: the stored
-    transforms are applied to ``a``'s values and both stages are marked
-    ``reused=True``.  ``stage`` opens one named span per stage.
+    ``stage`` opens one named span per stage.
     """
     n = a.ncols
     with stage("equil"):
-        if given is not None:
-            annotate(reused=True)
-            dr, dc, perm_r = given
-            a = scale_cols(scale_rows(a, dr), dc)
-        elif equil:
+        if equil:
             eq = equilibrate(a)
             a, dr, dc = eq.apply(a), eq.dr.copy(), eq.dc.copy()
         else:
             dr, dc = np.ones(n), np.ones(n)
     with stage("rowperm"):
-        if given is not None:
-            annotate(reused=True)
-            a = permute_rows(a, perm_r)
-        elif row_perm == "none":
+        if row_perm == "none":
             perm_r = np.arange(n, dtype=np.int64)
         else:
             job = row_perm.removeprefix("mc64_")
@@ -131,21 +131,21 @@ def scale_and_match(a, *, equil=True, row_perm="mc64_product",
 
 
 def _order_columns(a, col_perm, etree_postorder):
-    """Figure 1 step (2): the fill-reducing ordering, applied
-    symmetrically.  ``etree_postorder`` composes the postorder of the
-    symmetrized pattern's elimination tree into ``perm_c`` — it makes
-    supernode chains index-contiguous without changing fill (an
-    equivalent reordering), which the block-cyclic layout needs."""
+    """Figure 1 step (2): the fill-reducing ordering ``perm_c`` of the
+    row-permuted matrix ``a`` (applied symmetrically, by the value map).
+    ``etree_postorder`` composes the postorder of the symmetrized
+    pattern's elimination tree into it — it makes supernode chains
+    index-contiguous without changing fill (an equivalent reordering),
+    which the block-cyclic layout needs."""
     if col_perm == "natural":
         perm_c = np.arange(a.ncols, dtype=np.int64)
     else:
         perm_c = column_ordering(a, method=col_perm)
-        a = permute_symmetric(a, perm_c)
     if etree_postorder:
-        post = postorder(etree_symmetric(pattern_union_transpose(a)))
-        a = permute_symmetric(a, post)
+        post = postorder(etree_symmetric(pattern_union_transpose(
+            permute_symmetric(a, perm_c))))
         perm_c = post[perm_c]
-    return a, perm_c
+    return perm_c
 
 
 def preprocess(a, options, plan=None, fact="DOFACT", *,
@@ -153,21 +153,27 @@ def preprocess(a, options, plan=None, fact="DOFACT", *,
     """Steps (1)-(2) of Figure 1 under a fact mode (the rule in the
     module docstring, as straight-line code).
 
-    Returns ``(at, dr, dc, perm_r, perm_c, reused)``: the transformed
-    matrix ``Pc·Pr·Dr·A·Dc·Pcᵀ``, the transforms, and whether the plan's
-    structures are still valid for it.  ``plan`` is the :class:`~repro.driver.factcache.PatternPlan` to
-    reuse from (``None`` for a cold run; required by the two reuse
-    modes).  Counts ``factor.reuse_hits`` when the plan's structures
-    survive and ``factor.reuse_misses`` — with a
+    Returns ``(at, dr, dc, perm_r, perm_c, value_map, reused)``: the
+    transformed matrix ``Pc·Pr·Dr·A·Dc·Pcᵀ``, the transforms, the map
+    that produced its values, and whether the plan's structures are
+    still valid for it.  ``plan`` is the
+    :class:`~repro.driver.factcache.PatternPlan` to reuse from (``None``
+    for a cold run; required by the two reuse modes).  Counts
+    ``factor.reuse_hits`` when the plan's structures survive and
+    ``factor.reuse_misses`` — with a
     ``reuse_downgraded="row_perm_changed"`` annotation — when new values
     moved the MC64 matching, so the cached ordering no longer describes
     what a cold run computes.
     """
-    given = ((plan.dr, plan.dc, plan.perm_r)
-             if fact == "SAME_PATTERN_SAME_ROWPERM" else None)
-    at, dr, dc, perm_r = scale_and_match(
-        a, equil=options.equilibrate, row_perm=options.row_perm,
-        scale_diagonal=options.scale_diagonal, given=given, stage=stage)
+    if fact == "SAME_PATTERN_SAME_ROWPERM":
+        for name in ("equil", "rowperm"):
+            with stage(name):
+                annotate(reused=True)
+        row_permuted, dr, dc, perm_r = None, plan.dr, plan.dc, plan.perm_r
+    else:
+        row_permuted, dr, dc, perm_r = scale_and_match(
+            a, equil=options.equilibrate, row_perm=options.row_perm,
+            scale_diagonal=options.scale_diagonal, stage=stage)
     reused = plan is not None and (
         perm_r is plan.perm_r or np.array_equal(perm_r, plan.perm_r))
     if reused:
@@ -178,12 +184,13 @@ def preprocess(a, options, plan=None, fact="DOFACT", *,
     with stage("colperm"):
         if reused:
             annotate(reused=True)
-            perm_c = plan.perm_c
-            at = permute_symmetric(at, perm_c)
+            perm_c, value_map = plan.perm_c, plan.value_map
         else:
-            at, perm_c = _order_columns(at, options.col_perm,
-                                        etree_postorder)
-    return at, dr, dc, perm_r, perm_c, reused
+            perm_c = _order_columns(row_permuted, options.col_perm,
+                                    etree_postorder)
+            value_map = ValueMap(a, perm_r, perm_c)
+        at = value_map.apply(a, dr, dc)
+    return at, dr, dc, perm_r, perm_c, value_map, reused
 
 
 # ---------------------------------------------------------------------- #
@@ -266,7 +273,7 @@ class PatternSolver:
         """Run the pipeline on ``a`` reusing ``plan`` per ``fact``, then
         commit matrix, fingerprint, transforms, structures and numeric
         state together and publish the resulting plan."""
-        at, dr, dc, perm_r, perm_c, reused = preprocess(
+        at, dr, dc, perm_r, perm_c, value_map, reused = preprocess(
             a, self.options, plan, fact, stage=self._stage,
             etree_postorder=self._ETREE_POSTORDER)
         with self._stage("symbolic"):
@@ -275,7 +282,8 @@ class PatternSolver:
             state = self._symbolic_step(at, plan if reused else None)
         state.update(self._numeric_step(at, state, reused))
         state.update(a=a, _fingerprint=fingerprint, a_factored=at,
-                     perm_r=perm_r, perm_c=perm_c, dr=dr, dc=dc)
+                     perm_r=perm_r, perm_c=perm_c, dr=dr, dc=dc,
+                     _value_map=value_map)
         self.__dict__.update(state)
         self._publish_plan()
 
@@ -352,7 +360,8 @@ class PatternSolver:
             fingerprint=self._fingerprint,
             key=self._plan_key(self._fingerprint),
             perm_r=self.perm_r, perm_c=self.perm_c, dr=self.dr, dc=self.dc,
-            symbolic=self.symbolic, **self._plan_extras())
+            value_map=self._value_map, symbolic=self.symbolic,
+            **self._plan_extras())
 
     def _publish_plan(self):
         if self._cache is not None:

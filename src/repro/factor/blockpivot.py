@@ -33,17 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.factor.supernodal import scatter_a_to_blocks, supernode_row_sets
+from repro.factor.blockplan import build_block_plan, supernode_row_sets
+from repro.factor.gesp import tiny_pivot_threshold
+from repro.factor.supernodal import block_substitute, eliminate
 from repro.kernels import get_backend, kernel_counters, resolve_backend
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import norm1
 from repro.symbolic.fill import SymbolicLU, symbolic_lu_symmetrized
 from repro.symbolic.supernode import SupernodePartition, block_partition
 
 __all__ = ["BlockPivotedFactors", "factor_diagonal_block_pivoted",
            "supernodal_factor_block_pivoting"]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def factor_diagonal_block_pivoted(d, thresh, pivot_threshold=1.0):
@@ -100,24 +99,7 @@ class BlockPivotedFactors:
 
     def solve(self, b, kernel=None):
         """x with ``A x = b`` (applies P, then the block substitutions)."""
-        backend = resolve_backend(
-            kernel if kernel is not None else self.kernel_backend)
-        x = self.apply_row_perm(b)
-        ns = self.part.nsuper
-        xsup = self.part.xsup
-        for k in range(ns):
-            lo, hi = int(xsup[k]), int(xsup[k + 1])
-            backend.diag_solve_lower_unit(self.diag[k], x[lo:hi])
-            s = self.s_rows[k]
-            if s.size:
-                x[s] -= backend.gemm_update(self.below[k], x[lo:hi])
-        for k in range(ns - 1, -1, -1):
-            lo, hi = int(xsup[k]), int(xsup[k + 1])
-            s = self.s_rows[k]
-            if s.size:
-                x[lo:hi] -= backend.gemm_update(self.right[k], x[s])
-            backend.diag_solve_upper(self.diag[k], x[lo:hi])
-        return x
+        return block_substitute(self, self.apply_row_perm(b), kernel)
 
     def max_l_magnitude(self):
         """max |L| entry — bounded by 1/pivot_threshold within blocks when
@@ -154,16 +136,11 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
         raise ValueError("block-pivoted factorization requires a square matrix")
     if sym is None:
         sym = symbolic_lu_symmetrized(a)
-    if not sym.symmetrized:
-        raise ValueError("requires the symmetrized pattern")
     if part is None:
         part = block_partition(sym, max_size=max_block_size,
                                relax_size=relax_size)
-    if tiny_pivot_scale is None:
-        tiny_pivot_scale = np.sqrt(_EPS)
-    anorm = norm1(a)
-    thresh = (tiny_pivot_scale * anorm if anorm > 0 else tiny_pivot_scale) \
-        if replace_tiny_pivots else 0.0
+    thresh = (tiny_pivot_threshold(a, tiny_pivot_scale)
+              if replace_tiny_pivots else 0.0)
     if not (0.0 < pivot_threshold <= 1.0):
         raise ValueError("pivot_threshold must be in (0, 1]")
 
@@ -185,118 +162,49 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
         mem = sorted(b for b in bp[k] if b > k)
         for idx, i in enumerate(mem):
             bp[i].update(m for m in mem[idx + 1:])
-    s_rows = []
-    for k in range(ns):
-        blocks = sorted(b for b in bp[k] if b > k)
-        if not blocks:
-            s_rows.append(np.empty(0, dtype=np.int64))
-            continue
-        closed = np.concatenate([np.arange(xsup[b], xsup[b + 1])
-                                 for b in blocks])
-        s_rows.append(closed.astype(np.int64))
-
-    dtype = a.nzval.dtype
-    diag = [np.zeros((int(xsup[k + 1] - xsup[k]),) * 2, dtype=dtype)
-            for k in range(ns)]
-    below = [np.zeros((s_rows[k].size, int(xsup[k + 1] - xsup[k])),
-                      dtype=dtype)
-             for k in range(ns)]
-    right = [np.zeros((int(xsup[k + 1] - xsup[k]), s_rows[k].size),
-                      dtype=dtype)
-             for k in range(ns)]
-    piv = [None] * ns
-
     # l_slices[K] = list of (k_src, row_positions) for earlier L panels
     # whose rows intersect block K — precomputed so the block-row swap at
     # step K touches exactly the right slices
-    l_slices = [[] for _ in range(ns)]
+    s_rows, l_slices = [], [[] for _ in range(ns)]
     for k in range(ns):
-        s = s_rows[k]
-        if not s.size:
-            continue
-        blocks = supno[s]
-        start = 0
-        while start < s.size:
-            bidx = int(blocks[start])
-            end = start
-            while end < s.size and blocks[end] == bidx:
-                end += 1
-            l_slices[bidx].append((k, start, end))
-            start = end
+        closed = [np.arange(xsup[b], xsup[b + 1])
+                  for b in sorted(b for b in bp[k] if b > k)]
+        s_rows.append(np.concatenate([*closed, xsup[:0]]))
+        ends = np.cumsum([rows.size for rows in closed]).tolist()
+        for rows, start, end in zip(closed, [0] + ends, ends):
+            l_slices[supno[rows[0]]].append((k, start, end))
 
-    scatter_a_to_blocks(a, supno, xsup, s_rows, diag, below, right)
+    plan = build_block_plan(a, sym, part, s_rows=s_rows)
+    flat, (diag, below, right) = plan.load(a)
+    piv = [None] * ns
 
-    n_tiny = 0
+    replaced = []
+
+    def factor_diag(k, d):
+        pk, tiny = backend.lu_partial(
+            d, thresh, pivot_threshold=pivot_threshold)
+        piv[k] = pk
+        replaced.extend(tiny)
+        # apply the same local row permutation to block row K
+        # everywhere: the U panel of K, and the block-K rows of
+        # earlier L panels
+        if not np.array_equal(pk, np.arange(pk.size)):
+            right[k][:, :] = right[k][pk, :]
+            for (k_src, lo_s, hi_s) in l_slices[k]:
+                if k_src >= k:
+                    continue
+                # block-closed storage: the slice covers the whole
+                # block, so the local interchange is a plain row shuffle
+                assert hi_s - lo_s == pk.size
+                below[k_src][lo_s:hi_s, :] = \
+                    below[k_src][lo_s:hi_s, :][pk, :]
+
     with kernel_counters(backend):
-        for k in range(ns):
-            d = diag[k]
-            pk, replaced = backend.lu_partial(
-                d, thresh, pivot_threshold=pivot_threshold)
-            piv[k] = pk
-            n_tiny += len(replaced)
-            # apply the same local row permutation to block row K
-            # everywhere: the U panel of K, and the block-K rows of
-            # earlier L panels
-            if not np.array_equal(pk, np.arange(pk.size)):
-                right[k][:, :] = right[k][pk, :]
-                for (k_src, lo_s, hi_s) in l_slices[k]:
-                    if k_src >= k:
-                        continue
-                    # block-closed storage: the slice covers the whole
-                    # block, so the local interchange is a plain row shuffle
-                    assert hi_s - lo_s == pk.size
-                    below[k_src][lo_s:hi_s, :] = \
-                        below[k_src][lo_s:hi_s, :][pk, :]
-            s = s_rows[k]
-            if s.size == 0:
-                continue
-            b = backend.trsm_upper(d, below[k])
-            r = backend.trsm_lower_unit(d, right[k])
-            upd = backend.gemm_update(b, r)
-            # scatter-subtract (masked, as in the reference kernel); s is
-            # sorted, so the group of s owned by j_sup is the diagonal
-            # row set, later groups land below, earlier groups above
-            tgt_sup = supno[s]
-            cut = np.flatnonzero(tgt_sup[1:] != tgt_sup[:-1]) + 1
-            bounds = np.concatenate(([0], cut, [s.size]))
-            groups = [(int(tgt_sup[bounds[g]]), int(bounds[g]),
-                       int(bounds[g + 1])) for g in range(bounds.size - 1)]
-            for gi, (j_sup, start, end) in enumerate(groups):
-                cols = s[start:end]
-                cols_loc = cols - xsup[j_sup]
-                backend.scatter_sub(diag[j_sup], cols_loc, cols_loc, upd,
-                                    src_rows=slice(start, end),
-                                    src_cols=slice(start, end))
-                if end < s.size:
-                    rr = s[end:]
-                    tgt_rows = s_rows[j_sup]
-                    pos = np.searchsorted(tgt_rows, rr)
-                    valid = pos < tgt_rows.size
-                    valid[valid] = tgt_rows[pos[valid]] == rr[valid]
-                    if np.any(valid):
-                        backend.scatter_sub(
-                            below[j_sup], pos[valid], cols_loc, upd,
-                            src_rows=end + np.flatnonzero(valid),
-                            src_cols=slice(start, end))
-                # one scatter covers every later column group at once (see
-                # the identical restructure in supernodal.py — each
-                # right[j_sup] element gets exactly one subtraction per
-                # source supernode K, so batching is bit-identical)
-                if end < s.size:
-                    cols_after = s[end:]
-                    tgt_cols = s_rows[j_sup]
-                    cpos = np.searchsorted(tgt_cols, cols_after)
-                    cvalid = cpos < tgt_cols.size
-                    cvalid[cvalid] = \
-                        tgt_cols[cpos[cvalid]] == cols_after[cvalid]
-                    if np.any(cvalid):
-                        backend.scatter_sub(
-                            right[j_sup], cols_loc, cpos[cvalid], upd,
-                            src_rows=slice(start, end),
-                            src_cols=end + np.flatnonzero(cvalid))
+        eliminate(plan, flat, (diag, below, right), backend,
+                  factor_diag)
 
     return BlockPivotedFactors(part=part, s_rows=s_rows, diag=diag,
                                below=below, right=right, piv=piv,
-                               n_tiny_pivots=n_tiny,
+                               n_tiny_pivots=len(replaced),
                                tiny_pivot_threshold=thresh,
                                kernel_backend=backend.name)

@@ -1,0 +1,153 @@
+"""The static schedule of the supernodal factorization (paper §3).
+
+With the pivots fixed on the diagonal, *where* every number of the
+blocked right-looking elimination goes is a function of the sparsity
+pattern alone.  A :class:`BlockPlan` is that function, evaluated once:
+
+- the supernode partition and the row sets ``S_K``;
+- one flat value array laid out ``[D_K | B_K | R_K]`` supernode after
+  supernode — the diagonal block (w×w), the below panel L(S_K, K)
+  (|S_K|×w) and the right panel U(K, S_K) (w×|S_K|), each a C-ordered
+  view (:meth:`BlockPlan.load`);
+- ``a_pos`` — where each nonzero of the analysed matrix lands in it;
+- per supernode, the flat positions its |S_K|×|S_K| rank-w update is
+  subtracted from (``targets``), and which entries of the update take
+  part when relaxed supernodes left some without a home
+  (``selection``);
+- ``l_pos`` / ``u_pos`` — where the static CSC patterns of L and U read
+  their values back.
+
+The numeric pass (:func:`repro.factor.supernodal.eliminate`) is then
+``lu → trsm → trsm → gemm → one indexed subtract`` per supernode.  The
+index costs ``Σ|S_K|²`` integers, stored ``int32`` while the flat array
+is shorter than 2³¹ (docs/REFACTORIZATION.md has the bytes).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from repro.factor.gesp import transpose_pattern
+from repro.sparse.csc import CSCMatrix
+from repro.symbolic.fill import SymbolicLU
+from repro.symbolic.supernode import SupernodePartition
+
+__all__ = ["BlockPlan", "build_block_plan", "supernode_row_sets"]
+
+
+def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
+    """``S_K`` for every supernode: the sorted global rows strictly below
+    the supernode that appear in any of its columns' L patterns.  With
+    the symmetrized pattern this equals the right-of-diagonal column set
+    of the supernode's U block row."""
+    n, ns = part.n, part.nsuper
+    k = np.repeat(part.supno(), np.diff(sym.l_colptr))
+    below = sym.l_rowind >= part.xsup[k + 1]
+    keys = np.unique(k[below] * n + sym.l_rowind[below])
+    cuts = np.cumsum(np.bincount(keys // n, minlength=ns))[:-1]
+    return np.split(keys % n, cuts)[:ns]
+
+
+@dataclass
+class BlockPlan:
+    """Everything the numeric pass looks up (see the module docstring)."""
+
+    sym: SymbolicLU
+    part: SupernodePartition
+    s_rows: list
+    bounds: list        # 3·nsuper + 1 flat offsets: D_0, B_0, R_0, D_1, ...
+    shapes: list        # the 3·nsuper block shapes, same order
+    a_pos: np.ndarray
+    targets: list
+    selection: list
+    l_pos: np.ndarray
+    u_pos: np.ndarray
+    u_colptr: np.ndarray
+    u_rowind: np.ndarray
+
+    def load(self, a: CSCMatrix):
+        """``(flat, (diag, below, right))``: the block values holding
+        ``a`` (zeros elsewhere), and every block as a 2-D view of them."""
+        flat = np.zeros(self.bounds[-1], dtype=a.nzval.dtype)
+        flat[self.a_pos] = a.nzval
+        views = [flat[lo:hi].reshape(shape) for lo, hi, shape
+                 in zip(self.bounds, self.bounds[1:], self.shapes)]
+        return flat, (views[0::3], views[1::3], views[2::3])
+
+
+def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
+                     s_rows=None) -> BlockPlan:
+    """The plan for factoring matrices with ``a``'s pattern on ``sym`` /
+    ``part``.  ``s_rows`` overrides the row sets (block-pivoting stores
+    block-closed supersets of them)."""
+    if not sym.symmetrized:
+        raise ValueError("the block plan requires the symmetrized pattern")
+    n, ns, xsup = part.n, part.nsuper, part.xsup
+    supno = part.supno()
+    if s_rows is None:
+        s_rows = supernode_row_sets(sym, part)
+    cols = np.arange(n, dtype=np.int64)
+    w = np.diff(xsup)
+    m = np.array([s.size for s in s_rows], dtype=np.int64)
+    sptr = np.concatenate(([0], np.cumsum(m)))
+    # (supernode, row) of every S_K entry as one sorted key: the index of
+    # a key, less sptr[K], is that row's position in S_K (the sentinel
+    # keeps every lookup in range)
+    keys = np.concatenate((np.repeat(np.arange(ns), m) * n
+                           + np.concatenate([*s_rows, cols[:0]]), [ns * n]))
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.column_stack((w * w, m * w, w * m)).ravel())))
+    # flat position = base[K] + (row term)·stride + (column term), with
+    # the local offsets folded into the bases
+    # stored narrow where they fit: the index is most of a plan's bytes,
+    # and every resident solver and cache entry holds a plan
+    index = np.int32 if bounds[-1] < 2 ** 31 else np.int64
+    d_base = bounds[0:-1:3] - xsup[:-1] * w - xsup[:-1]
+    b_base = bounds[1::3] - sptr[:-1] * w - xsup[:-1]
+    r_base = bounds[2::3] - sptr[:-1] - xsup[:-1] * m
+
+    def position(i, j):
+        """Flat position of entries (i, j) — broadcast together — and
+        whether the block storage has that entry at all."""
+        ki, kj = supno[i], supno[j]
+        lower, upper = ki > kj, ki < kj
+        # below: row i of the column's supernode; right: column j of the
+        # row's.  (ki, kj stay as small as i, j when those broadcast.)
+        key = np.where(lower, kj * n + i, ki * n + j)
+        q = np.searchsorted(keys, key)
+        pos = np.where(lower, (b_base[kj] + j) + q * w[kj],
+                       np.where(upper, (r_base[ki] + i * m[ki]) + q,
+                                (d_base[ki] + i * w[ki]) + j))
+        return pos.astype(index), ~(lower | upper) | (keys[q] == key)
+
+    def pattern_position(rows, colptr, what):
+        pos, stored = position(rows, np.repeat(cols, np.diff(colptr)))
+        if not stored.all():
+            raise ValueError(f"{what} has entries outside the block pattern")
+        return pos
+
+    a_pos = pattern_position(a.rowind, a.colptr, "the matrix")
+    l_pos = pattern_position(sym.l_rowind, sym.l_colptr, "L")
+    # U is held by rows; its CSC form is what GESPFactors.u carries
+    u_colptr, u_rowind = transpose_pattern(sym.u_rowptr, sym.u_colind, n)
+    u_pos = pattern_position(u_rowind, u_colptr, "U")
+
+    targets, selection = [], []
+    for s in s_rows:
+        pos, stored = position(s[:, None], s[None, :])
+        keep = None if stored.all() else np.flatnonzero(stored).astype(index)
+        selection.append(keep)
+        targets.append(pos.ravel() if keep is None else pos.ravel()[keep])
+    # one allocation, per-supernode views: small arrays kept alive among
+    # the builder's freed temporaries would pin the heap they sit in
+    cuts = np.cumsum([t.size for t in targets])[:-1]
+    targets = np.split(np.concatenate([*targets, a_pos[:0]]), cuts)[:ns]
+
+    shapes = [shape for wk, mk in zip(w.tolist(), m.tolist())
+              for shape in ((wk, wk), (mk, wk), (wk, mk))]
+    return BlockPlan(sym=sym, part=part, s_rows=s_rows,
+                     bounds=bounds.tolist(), shapes=shapes, a_pos=a_pos,
+                     targets=targets, selection=selection, l_pos=l_pos,
+                     u_pos=u_pos, u_colptr=u_colptr, u_rowind=u_rowind)

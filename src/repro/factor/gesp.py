@@ -29,7 +29,7 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import norm1
 from repro.symbolic.fill import SymbolicLU, symbolic_lu
 
-__all__ = ["GESPFactors", "gesp_factor"]
+__all__ = ["GESPFactors", "gesp_factor", "tiny_pivot_threshold"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -74,6 +74,14 @@ class GESPFactors:
         if not np.any(mask):
             return 0.0
         return float(np.max(umax[mask] / amax[mask]))
+
+
+def tiny_pivot_threshold(a, scale=None):
+    """Step (3)'s replacement threshold ``scale·‖A‖₁`` (``scale`` alone
+    for a zero matrix); ``scale`` defaults to ``sqrt(eps)``."""
+    if scale is None:
+        scale = np.sqrt(_EPS)
+    return scale * (norm1(a) or 1.0)
 
 
 def _colmax(colptr, nzval, ncols):
@@ -155,13 +163,10 @@ def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
                 expected=sym.pattern_fingerprint, got=got,
                 where="gesp_factor (reused SymbolicLU)",
                 n=a.ncols, nnz=a.nnz)
-    if tiny_pivot_scale is None:
-        tiny_pivot_scale = np.sqrt(_EPS)
-    anorm = norm1(a)
-    thresh = tiny_pivot_scale * anorm if anorm > 0 else tiny_pivot_scale
+    thresh = tiny_pivot_threshold(a, tiny_pivot_scale)
 
     # U pattern by column (CSC view of the CSR pattern)
-    u_colptr, u_rowind = _transpose_pattern(sym.u_rowptr, sym.u_colind, n)
+    u_colptr, u_rowind = transpose_pattern(sym.u_rowptr, sym.u_colind, n)
 
     dtype = a.nzval.dtype
     l_colptr = sym.l_colptr
@@ -245,7 +250,7 @@ def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
                        kernel_backend=backend.name)
 
 
-def _transpose_pattern(rowptr, colind, n):
+def transpose_pattern(rowptr, colind, n):
     """CSR pattern -> CSC pattern (colptr, rowind), sorted rows."""
     colptr = np.zeros(n + 1, dtype=np.int64)
     np.add.at(colptr, colind + 1, 1)

@@ -19,10 +19,18 @@ structure is what gives supernodal codes their Mflop rate; TWOTONE's 2.4-
 column average supernode is why the paper's Table 5 shows it performing
 poorly.
 
-The dense block operations (diagonal LU, panel solves, GEMM + scatter)
-are routed through the pluggable kernel layer (:mod:`repro.kernels`);
-pass ``kernel="vectorized"`` (or set ``REPRO_KERNEL_BACKEND``) to run
-the LAPACK-backed panels.  :func:`factor_diagonal_block`,
+Every index the elimination needs — where A's nonzeros go, where each
+supernode's update is subtracted, where L and U are read back — comes
+from a :class:`~repro.factor.blockplan.BlockPlan` computed once per
+pattern, so :func:`eliminate`, the one numeric loop (shared with
+:mod:`repro.factor.blockpivot`), only moves numbers.  It is the serial
+driver's default engine; :func:`repro.factor.gesp.gesp_factor` is the
+column-by-column oracle it is tested against.
+
+The dense block operations (diagonal LU, panel solves, GEMM) are routed
+through the pluggable kernel layer (:mod:`repro.kernels`); pass
+``kernel="vectorized"`` (or set ``REPRO_KERNEL_BACKEND``) to run the
+LAPACK-backed panels.  :func:`factor_diagonal_block`,
 :func:`panel_solve_l` and :func:`panel_solve_u` remain as thin wrappers
 over the ``reference`` backend for compatibility.
 """
@@ -33,10 +41,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.factor.blockplan import (
+    BlockPlan,
+    build_block_plan,
+    supernode_row_sets,
+)
+from repro.factor.gesp import GESPFactors, tiny_pivot_threshold
 from repro.kernels import get_backend, kernel_counters, resolve_backend
 from repro.obs import add, annotate, trace
+from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import norm1
+from repro.sparse.ops import PatternMismatchError, pattern_fingerprint
 from repro.symbolic.fill import SymbolicLU, symbolic_lu_symmetrized
 from repro.symbolic.supernode import SupernodePartition, block_partition
 
@@ -47,10 +62,9 @@ __all__ = [
     "panel_solve_l",
     "panel_solve_u",
     "supernode_row_sets",
-    "scatter_a_to_blocks",
+    "eliminate",
+    "block_substitute",
 ]
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 # --------------------------------------------------------------------- #
@@ -94,64 +108,31 @@ def panel_solve_u(d, r):
 # serial supernodal factorization
 # --------------------------------------------------------------------- #
 
-def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
-    """``S_K`` for every supernode: the sorted global rows strictly below
-    the supernode that appear in any of its columns' L patterns.  With
-    the symmetrized pattern this equals the right-of-diagonal column set
-    of the supernode's U block row."""
-    ns = part.nsuper
-    out = []
-    for k in range(ns):
-        lo_col, hi_col = int(part.xsup[k]), int(part.xsup[k + 1])
-        rows = set()
-        for j in range(lo_col, hi_col):
-            lo, hi = sym.l_colptr[j], sym.l_colptr[j + 1]
-            r = sym.l_rowind[lo:hi]
-            rows.update(r[r >= hi_col].tolist())
-        out.append(np.array(sorted(rows), dtype=np.int64))
-    return out
+def eliminate(plan: BlockPlan, flat, blocks, backend, factor_diag):
+    """Paper Figure 8 over the block values ``flat`` and their views
+    ``blocks`` (:meth:`BlockPlan.load`), every index read from ``plan``.
 
-
-def scatter_a_to_blocks(a, supno, xsup, s_rows, diag, below, right):
-    """Scatter A's nonzeros into the packed supernodal block storage.
-
-    Batched per target supernode: entries are classified (diagonal block
-    / below panel / right panel) with whole-array mask arithmetic, grouped
-    by owner via one stable argsort, and placed with one ``searchsorted``
-    plus one fancy assignment per group — replacing the historical
-    per-nonzero Python loop.
+    ``factor_diag(k, d)`` factors diagonal block ``d`` of supernode ``k``
+    in place — the one step a pivoting policy decides: static pivoting
+    calls ``lu_nopivot``, :mod:`repro.factor.blockpivot` pivots inside
+    the block and swaps the affected rows of block row ``k``.
     """
-    n = a.ncols
-    colj = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.colptr))
-    rows = np.asarray(a.rowind, dtype=np.int64)
-    vals = a.nzval
-    ki = supno[rows]
-    kj = supno[colj]
-    dmask = ki == kj
-    lmask = (~dmask) & (rows > colj)
-    umask = ~(dmask | lmask)
-
-    def _by_owner(mask, owner):
-        idx = np.flatnonzero(mask)
-        if not idx.size:
-            return
-        kk = owner[idx]
-        order = np.argsort(kk, kind="stable")
-        idx = idx[order]
-        kk = kk[order]
-        cut = np.flatnonzero(kk[1:] != kk[:-1]) + 1
-        for gs, ge in zip(np.concatenate(([0], cut)),
-                          np.concatenate((cut, [idx.size]))):
-            yield int(kk[gs]), idx[gs:ge]
-
-    for k, sel in _by_owner(dmask, kj):
-        diag[k][rows[sel] - xsup[k], colj[sel] - xsup[k]] = vals[sel]
-    for k, sel in _by_owner(lmask, kj):
-        pos = np.searchsorted(s_rows[k], rows[sel])
-        below[k][pos, colj[sel] - xsup[k]] = vals[sel]
-    for k, sel in _by_owner(umask, ki):
-        pos = np.searchsorted(s_rows[k], colj[sel])
-        right[k][rows[sel] - xsup[k], pos] = vals[sel]
+    diag, below, right = blocks
+    for k, (tgt, keep) in enumerate(zip(plan.targets, plan.selection)):
+        d = diag[k]
+        factor_diag(k, d)
+        if not tgt.size:
+            continue
+        b = backend.trsm_upper(d, below[k])       # step (1): L(K+1:N, K)
+        r = backend.trsm_lower_unit(d, right[k])  # step (2): U(K, K+1:N)
+        # step (3): the |S_K|×|S_K| rank-w update; no two of its entries
+        # share a target, so one indexed subtract applies it.  Entries a
+        # relaxed supernode has no slot for are exactly zero and dropped.
+        upd = backend.gemm_update(b, r).ravel()
+        # (widened once here: numpy would widen the stored int32 targets
+        # again for the read and for the write)
+        flat[tgt.astype(np.intp, copy=False)] -= \
+            upd if keep is None else upd[keep]
 
 
 @dataclass
@@ -166,7 +147,10 @@ class SupernodalFactors:
     - ``right[K]`` — (w×|S|) panel of U(K, S_K).
 
     ``kernel_backend`` records which backend produced the factors; the
-    solve path defaults to the same backend.
+    solve path defaults to the same backend.  Factors computed here (not
+    gathered from the distributed layout) also carry their ``plan``, the
+    flat ``values`` the blocks are views of, and the tiny-pivot record
+    :class:`~repro.factor.gesp.GESPFactors` reports.
     """
 
     part: SupernodePartition
@@ -178,6 +162,10 @@ class SupernodalFactors:
     tiny_pivot_threshold: float
     flops: int
     kernel_backend: str = "reference"
+    plan: BlockPlan | None = None
+    values: np.ndarray | None = None
+    perturbed_columns: np.ndarray | None = None
+    pivot_deltas: np.ndarray | None = None
 
     @property
     def n(self):
@@ -192,44 +180,41 @@ class SupernodalFactors:
         """Expand to plain CSC (L unit-lower incl. diagonal, U upper) for
         interoperability with the serial solvers — explicit zeros of the
         dense blocks are dropped."""
-        n = self.n
-        from repro.sparse.coo import COOMatrix
+        n, xsup = self.n, self.part.xsup
+        rows, cols, vals = ([np.empty(0, dtype=t)]     # n = 0 has no blocks
+                            for t in (np.int64, np.int64, self.dtype))
+        for k, s in enumerate(self.s_rows):
+            c = np.arange(xsup[k], xsup[k + 1])
+            for block, r_idx, c_idx in ((self.diag[k], c, c),
+                                        (self.below[k], s, c),
+                                        (self.right[k], c, s)):
+                rows.append(np.repeat(r_idx, c_idx.size))
+                cols.append(np.tile(c_idx, r_idx.size))
+                vals.append(block.ravel())
+        r, c, v = (np.concatenate(x) for x in (rows, cols, vals))
+        keep = (v != 0.0) | (r == c)            # the diagonal always stays
+        unit = np.where(r == c, v.dtype.type(1), v)
+        return tuple(
+            CSCMatrix.from_coo(COOMatrix(n, n, r[t], c[t], x[t]),
+                               sum_duplicates=False)
+            for t, x in ((keep & (r >= c), unit), (keep & (r <= c), v)))
 
-        lr, lc, lv = [], [], []
-        ur, uc, uv = [], [], []
-        for k in range(self.part.nsuper):
-            lo = int(self.part.xsup[k])
-            w = int(self.part.xsup[k + 1]) - lo
-            d = self.diag[k]
-            for jj in range(w):
-                j = lo + jj
-                lr.append(j); lc.append(j); lv.append(1.0)
-                for ii in range(jj + 1, w):
-                    if d[ii, jj] != 0.0:
-                        lr.append(lo + ii); lc.append(j); lv.append(d[ii, jj])
-                for ii in range(jj + 1):
-                    if d[ii, jj] != 0.0 or ii == jj:
-                        ur.append(lo + ii); uc.append(j); uv.append(d[ii, jj])
-            s = self.s_rows[k]
-            b = self.below[k]
-            r = self.right[k]
-            for t, i in enumerate(s):
-                for jj in range(w):
-                    if b[t, jj] != 0.0:
-                        lr.append(int(i)); lc.append(lo + jj); lv.append(b[t, jj])
-                    if r[jj, t] != 0.0:
-                        ur.append(lo + jj); uc.append(int(i)); uv.append(r[jj, t])
-        # explicit dtype: the value lists mix python floats (unit
-        # diagonal) with array scalars, and np.array would promote a
-        # float32/complex factor to float64 otherwise
-        dtype = self.dtype
-        l = CSCMatrix.from_coo(COOMatrix(n, n, np.array(lr), np.array(lc),
-                                         np.array(lv, dtype=dtype)),
-                               sum_duplicates=False)
-        u = CSCMatrix.from_coo(COOMatrix(n, n, np.array(ur), np.array(uc),
-                                         np.array(uv, dtype=dtype)),
-                               sum_duplicates=False)
-        return l, u
+    def to_gesp_factors(self) -> GESPFactors:
+        """L and U on the static CSC pattern of the analysis (explicit
+        zeros kept), read out of the block values through the plan — what
+        the solve phase, pivot growth and Sherman-Morrison consume."""
+        plan, n = self.plan, self.n
+        lval = self.values[plan.l_pos]
+        lval[plan.sym.l_colptr[:-1]] = 1.0         # unit diagonal of L
+        l = CSCMatrix(n, n, plan.sym.l_colptr, plan.sym.l_rowind, lval,
+                      check=False)
+        u = CSCMatrix(n, n, plan.u_colptr, plan.u_rowind,
+                      self.values[plan.u_pos], check=False)
+        return GESPFactors(l=l, u=u, n_tiny_pivots=self.n_tiny_pivots,
+                           tiny_pivot_threshold=self.tiny_pivot_threshold,
+                           perturbed_columns=self.perturbed_columns,
+                           pivot_deltas=self.pivot_deltas, flops=self.flops,
+                           kernel_backend=self.kernel_backend)
 
     def solve(self, b, kernel=None):
         """x with L U x = b, block forward then block back substitution.
@@ -237,29 +222,35 @@ class SupernodalFactors:
         ``kernel`` selects the dense backend for the diagonal solves and
         block products; default is the backend that built the factors.
         """
-        backend = resolve_backend(
-            kernel if kernel is not None else self.kernel_backend)
         # solve in the wider of the factor and RHS dtypes (float64 floor:
         # fp32 factors against an fp64 RHS still substitute in fp64)
         x = np.array(b, dtype=np.result_type(self.dtype, np.asarray(b),
                                              np.float64), copy=True)
-        ns = self.part.nsuper
-        xsup = self.part.xsup
-        # forward: L y = b
-        for k in range(ns):
-            lo, hi = int(xsup[k]), int(xsup[k + 1])
-            backend.diag_solve_lower_unit(self.diag[k], x[lo:hi])
-            s = self.s_rows[k]
-            if s.size:
-                x[s] -= backend.gemm_update(self.below[k], x[lo:hi])
-        # back: U x = y
-        for k in range(ns - 1, -1, -1):
-            lo, hi = int(xsup[k]), int(xsup[k + 1])
-            s = self.s_rows[k]
-            if s.size:
-                x[lo:hi] -= backend.gemm_update(self.right[k], x[s])
-            backend.diag_solve_upper(self.diag[k], x[lo:hi])
-        return x
+        return block_substitute(self, x, kernel)
+
+
+def block_substitute(factors, x, kernel=None):
+    """Overwrite ``x`` with ``U⁻¹ L⁻¹ x`` for packed supernodal
+    ``factors``: block forward, then block back substitution."""
+    backend = resolve_backend(
+        kernel if kernel is not None else factors.kernel_backend)
+    xsup, s_rows = factors.part.xsup, factors.s_rows
+    ns = factors.part.nsuper
+    # forward: L y = b
+    for k in range(ns):
+        lo, hi = int(xsup[k]), int(xsup[k + 1])
+        backend.diag_solve_lower_unit(factors.diag[k], x[lo:hi])
+        s = s_rows[k]
+        if s.size:
+            x[s] -= backend.gemm_update(factors.below[k], x[lo:hi])
+    # back: U x = y
+    for k in range(ns - 1, -1, -1):
+        lo, hi = int(xsup[k]), int(xsup[k + 1])
+        s = s_rows[k]
+        if s.size:
+            x[lo:hi] -= backend.gemm_update(factors.right[k], x[s])
+        backend.diag_solve_upper(factors.diag[k], x[lo:hi])
+    return x
 
 
 def supernodal_factor(a: CSCMatrix,
@@ -268,19 +259,23 @@ def supernodal_factor(a: CSCMatrix,
                       max_block_size: int = 24,
                       replace_tiny_pivots: bool = True,
                       tiny_pivot_scale: float | None = None,
-                      kernel=None) -> SupernodalFactors:
+                      kernel=None,
+                      plan: BlockPlan | None = None) -> SupernodalFactors:
     """Blocked right-looking GESP factorization (paper Figure 8, serial).
 
     Numerically equivalent to :func:`repro.factor.gesp.gesp_factor` run on
     the symmetrized pattern — the tests assert exactly that.  ``kernel``
     selects the dense backend (name, instance, or ``None`` for the
-    environment/default resolution).
+    environment/default resolution).  ``plan`` is a
+    :class:`~repro.factor.blockplan.BlockPlan` built earlier for this
+    pattern (it then stands in for ``sym`` / ``part``); without one the
+    plan is built here, which is most of a first factorization's time.
     """
     backend = resolve_backend(kernel)
     with trace("factor/supernodal"), kernel_counters(backend):
         factors = _supernodal_factor(a, sym, part, max_block_size,
                                      replace_tiny_pivots, tiny_pivot_scale,
-                                     backend)
+                                     backend, plan)
         add("factor.flops", factors.flops)
         add("factor.tiny_pivots", factors.n_tiny_pivots)
         annotate(nsuper=factors.part.nsuper,
@@ -290,106 +285,44 @@ def supernodal_factor(a: CSCMatrix,
 
 
 def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
-                       tiny_pivot_scale, backend) -> SupernodalFactors:
+                       tiny_pivot_scale, backend, plan) -> SupernodalFactors:
     if a.nrows != a.ncols:
         raise ValueError("supernodal_factor requires a square matrix")
-    if sym is None:
-        sym = symbolic_lu_symmetrized(a)
-    if not sym.symmetrized:
-        raise ValueError("supernodal_factor requires the symmetrized pattern")
-    if part is None:
-        part = block_partition(sym, max_size=max_block_size)
-    if tiny_pivot_scale is None:
-        tiny_pivot_scale = np.sqrt(_EPS)
-    anorm = norm1(a)
-    thresh = (tiny_pivot_scale * anorm if anorm > 0 else tiny_pivot_scale) \
-        if replace_tiny_pivots else 0.0
+    if plan is None:
+        if sym is None:
+            sym = symbolic_lu_symmetrized(a)
+        if part is None:
+            part = block_partition(sym, max_size=max_block_size)
+        plan = build_block_plan(a, sym, part)
+    elif (got := pattern_fingerprint(a)) != plan.sym.pattern_fingerprint:
+        raise PatternMismatchError(    # a_pos would fill the wrong slots
+            plan.sym.pattern_fingerprint, got,
+            "supernodal_factor (reused BlockPlan)", a.ncols, a.nnz)
+    thresh = (tiny_pivot_threshold(a, tiny_pivot_scale)
+              if replace_tiny_pivots else 0.0)
 
-    ns = part.nsuper
-    xsup = part.xsup
-    supno = part.supno()
-    s_rows = supernode_row_sets(sym, part)
+    flat, (diag, below, right) = plan.load(a)
+    xsup = plan.part.xsup
+    perturbed, deltas = [], []
 
-    dtype = a.nzval.dtype
-    diag = [np.zeros((int(xsup[k + 1] - xsup[k]),) * 2, dtype=dtype)
-            for k in range(ns)]
-    below = [np.zeros((s_rows[k].size, int(xsup[k + 1] - xsup[k])),
-                      dtype=dtype)
-             for k in range(ns)]
-    right = [np.zeros((int(xsup[k + 1] - xsup[k]), s_rows[k].size),
-                      dtype=dtype)
-             for k in range(ns)]
+    def factor_diag(k, d):
+        entry = d.diagonal().copy()
+        for j in backend.lu_nopivot(d, thresh):
+            # the pivot the kernel replaced: replay column j's updates
+            # on the block's entry value, in the kernel's order
+            old = entry[j]
+            for t in range(j):
+                old = old - d[j, t] * d[t, j]
+            perturbed.append(xsup[k] + j)
+            deltas.append(d[j, j] - old)
 
-    scatter_a_to_blocks(a, supno, xsup, s_rows, diag, below, right)
-
-    # ---- right-looking elimination over supernodes ----
-    n_tiny = 0
     snap = backend.stats.snapshot()
-    for k in range(ns):
-        d = diag[k]
-        replaced = backend.lu_nopivot(d, thresh)
-        n_tiny += len(replaced)
-        s = s_rows[k]
-        if s.size == 0:
-            continue
-        b = backend.trsm_upper(d, below[k])       # step (1): L(K+1:N, K)
-        r = backend.trsm_lower_unit(d, right[k])  # step (2): U(K, K+1:N)
-        # step (3): rank-w update of the trailing blocks
-        upd = backend.gemm_update(b, r)           # |S| × |S| dense GEMM
-        # scatter-subtract into owner supernodes, column-supernode at a
-        # time.  s is sorted, so the rows of s owned by a supernode form
-        # one contiguous group; the rows landing in j_sup's diagonal
-        # block are exactly the group itself, rows below it are the
-        # later groups, rows above are the earlier ones.
-        tgt_sup = supno[s]
-        cut = np.flatnonzero(tgt_sup[1:] != tgt_sup[:-1]) + 1
-        bounds = np.concatenate(([0], cut, [s.size]))
-        groups = [(int(tgt_sup[bounds[g]]), int(bounds[g]),
-                   int(bounds[g + 1])) for g in range(bounds.size - 1)]
-        for gi, (j_sup, start, end) in enumerate(groups):
-            cols = s[start:end]            # global columns in supernode j_sup
-            cols_loc = cols - xsup[j_sup]
-            # rows inside the diagonal block of j_sup == this group
-            backend.scatter_sub(diag[j_sup], cols_loc, cols_loc, upd,
-                                src_rows=slice(start, end),
-                                src_cols=slice(start, end))
-            # rows below supernode j_sup -> its below panel.  With relaxed
-            # (amalgamated) supernodes a row of S_K may be absent from
-            # S_{j_sup}; the corresponding product entries are exactly zero
-            # (every term has an explicitly-zero factor), so they are
-            # masked out rather than scattered.
-            if end < s.size:
-                rr = s[end:]
-                tgt_rows = s_rows[j_sup]
-                pos = np.searchsorted(tgt_rows, rr)
-                valid = (pos < tgt_rows.size)
-                valid[valid] = tgt_rows[pos[valid]] == rr[valid]
-                if np.any(valid):
-                    backend.scatter_sub(below[j_sup], pos[valid], cols_loc,
-                                        upd,
-                                        src_rows=end + np.flatnonzero(valid),
-                                        src_cols=slice(start, end))
-            # columns *after* supernode j_sup land in U rows of this
-            # group's own supernode: U(j_sup, later columns).  One scatter
-            # covers every later group at once — each right[j_sup] element
-            # receives exactly one subtraction per source supernode K
-            # either way, so batching the disjoint column sets is
-            # bit-identical to scattering group by group.
-            if end < s.size:
-                cols_after = s[end:]
-                tgt_cols = s_rows[j_sup]
-                cpos = np.searchsorted(tgt_cols, cols_after)
-                cvalid = cpos < tgt_cols.size
-                cvalid[cvalid] = tgt_cols[cpos[cvalid]] == cols_after[cvalid]
-                if np.any(cvalid):
-                    backend.scatter_sub(right[j_sup], cols_loc, cpos[cvalid],
-                                        upd,
-                                        src_rows=slice(start, end),
-                                        src_cols=end + np.flatnonzero(cvalid))
-
-    flops = backend.stats.flops_since(snap)
-    return SupernodalFactors(part=part, s_rows=s_rows, diag=diag,
-                             below=below, right=right,
-                             n_tiny_pivots=n_tiny,
-                             tiny_pivot_threshold=thresh, flops=int(flops),
-                             kernel_backend=backend.name)
+    eliminate(plan, flat, (diag, below, right), backend, factor_diag)
+    return SupernodalFactors(
+        part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,
+        right=right, n_tiny_pivots=len(perturbed),
+        tiny_pivot_threshold=thresh,
+        flops=int(backend.stats.flops_since(snap)),
+        kernel_backend=backend.name, plan=plan, values=flat,
+        perturbed_columns=np.array(perturbed, dtype=np.int64),
+        pivot_deltas=np.array(deltas, dtype=flat.dtype))

@@ -14,10 +14,12 @@ Contract highlights (see docs/KERNELS.md for the full text):
 
 - Ops mutate their array arguments **in place** where the signature says
   so, exactly like the historical loops they replaced.
-- Every backend owns a :class:`KernelStats` accumulator; ops bump it
-  unconditionally (plain integer adds — cheap enough for the hot path).
-  Factorization wrappers snapshot the stats around a run and publish the
-  delta as the ``kernel.*`` counters and the ``factors.flops`` total.
+- Every backend owns one :class:`KernelStats` accumulator *per thread*;
+  ops bump it unconditionally (plain integer adds — cheap enough for
+  the hot path).  Factorization wrappers snapshot the stats around a run
+  and publish the delta as the ``kernel.*`` counters and the
+  ``factors.flops`` total; a factorization runs on one thread, so two
+  running at once never see each other's increments.
 - The ``reference`` backend reproduces the pre-refactor loops
   **bit for bit**; any new backend must match it to a few ulps
   (``tests/test_kernels.py`` enforces both).
@@ -25,6 +27,7 @@ Contract highlights (see docs/KERNELS.md for the full text):
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -66,7 +69,7 @@ def gemm_flops(m: int, k: int, n: int) -> int:
 
 @dataclass
 class KernelStats:
-    """Per-backend op/flop accumulator.
+    """Per-backend, per-thread op/flop accumulator.
 
     Plain integer fields bumped inside the ops; factorization wrappers
     snapshot before/after and publish the delta (``flops_since`` /
@@ -146,7 +149,17 @@ class KernelBackend(ABC):
     name: str = "abstract"
 
     def __init__(self):
-        self.stats = KernelStats()
+        self._local = threading.local()
+
+    @property
+    def stats(self) -> KernelStats:
+        """The calling thread's accumulator (backends are registered
+        singletons shared by every service worker thread)."""
+        try:
+            return self._local.stats
+        except AttributeError:
+            self._local.stats = stats = KernelStats()
+            return stats
 
     # ---- factorization kernels -------------------------------------- #
 

@@ -118,7 +118,7 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
     a, b:
         The original system.
     options:
-        Baseline GESP options for rung 1 (paper defaults when omitted).
+        Baseline GESP options for rung 1 (library defaults when omitted).
     target:
         Certification threshold on the componentwise backward error;
         ``sqrt(eps)`` by default — half precision, the accuracy the

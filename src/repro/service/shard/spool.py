@@ -1,16 +1,20 @@
 """Warm-start spool: PatternPlans persisted across shard restarts.
 
-A shard's value is its warmth — the ``PatternPlan``s (orderings +
-symbolic analysis) its patterns' first cold factorizations paid for.
+A shard's value is its warmth — the ``PatternPlan``s (orderings, value
+map, symbolic analysis, block schedule) its patterns' first cold
+factorizations paid for.
 A respawned or restarted shard would otherwise re-run ``DOFACT`` for
 every tenant; the spool makes that a disk read instead.
 
-Format (``spool/v1``): one file per plan under the spool directory,
+Format (``spool/v2``): one file per plan under the spool directory,
 
     <blake2b(plan.key)[:24]>.plan.pkl
 
-containing ``pickle({"schema": "spool/v1", "key": plan.key, "plan":
-plan})``.  The filename is a digest of the *plan key* (fingerprint plus
+containing ``pickle({"schema": "spool/v2", "key": plan.key, "plan":
+plan})``.  The schema names the *shape of a plan*: ``spool/v1`` files
+hold plans from before the value map and block schedule existed, which
+would unpickle into objects missing those attributes and fail at the
+first warm refactorization, so they take the wrong-schema skip path.  The filename is a digest of the *plan key* (fingerprint plus
 every plan-shaping option), so distinct option sets for one pattern
 spool side by side, exactly mirroring the cache keying.  Writes are
 atomic (tmp + rename) so a shard killed mid-write leaves either the old
@@ -37,7 +41,7 @@ from repro.obs import add
 
 __all__ = ["SpoolSkipWarning", "load_plans", "save_plans", "spool_path"]
 
-_SCHEMA = "spool/v1"
+_SCHEMA = "spool/v2"
 
 
 class SpoolSkipWarning(UserWarning):

@@ -27,6 +27,7 @@ from repro.sparse.ops import (
     permute_rows,
     permute_cols,
     permute_symmetric,
+    ValueMap,
     scale_rows,
     scale_cols,
     pattern_union_transpose,
@@ -55,6 +56,7 @@ __all__ = [
     "permute_rows",
     "permute_cols",
     "permute_symmetric",
+    "ValueMap",
     "scale_rows",
     "scale_cols",
     "pattern_union_transpose",

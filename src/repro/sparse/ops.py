@@ -22,6 +22,7 @@ __all__ = [
     "permute_rows",
     "permute_cols",
     "permute_symmetric",
+    "ValueMap",
     "scale_rows",
     "scale_cols",
     "pattern_union_transpose",
@@ -176,18 +177,11 @@ def permute_rows(a: CSCMatrix, perm):
     row ``i``).
     """
     perm = _check_perm(perm, a.nrows)
-    new_rowind = perm[a.rowind]
-    # restore sortedness within each column
-    colptr = a.colptr
-    rowind = new_rowind.copy()
-    nzval = a.nzval.copy()
-    for j in range(a.ncols):
-        lo, hi = colptr[j], colptr[j + 1]
-        if hi - lo > 1:
-            order = np.argsort(rowind[lo:hi], kind="stable")
-            rowind[lo:hi] = rowind[lo:hi][order]
-            nzval[lo:hi] = nzval[lo:hi][order]
-    return CSCMatrix(a.nrows, a.ncols, colptr.copy(), rowind, nzval, check=False)
+    rowind = perm[a.rowind]
+    cols = np.repeat(np.arange(a.ncols, dtype=np.int64), np.diff(a.colptr))
+    order = np.lexsort((rowind, cols))  # restore sortedness within columns
+    return CSCMatrix(a.nrows, a.ncols, a.colptr.copy(), rowind[order],
+                     a.nzval[order], check=False)
 
 
 def permute_cols(a: CSCMatrix, perm):
@@ -223,6 +217,43 @@ def permute_symmetric(a: CSCMatrix, perm):
     if a.nrows != a.ncols:
         raise ValueError("symmetric permutation requires a square matrix")
     return permute_rows(permute_cols(a, perm), perm)
+
+
+class ValueMap:
+    """``Pc·Pr·Dr·A·Dc·Pcᵀ`` for one pattern, ``perm_r`` and ``perm_c``,
+    as a gather.
+
+    Where each nonzero of A lands under the two permutations depends on
+    the pattern alone, so it is computed once: ``colptr`` / ``rowind``
+    are the result's static sorted pattern, ``src`` the position in
+    ``A.nzval`` of each of its nonzeros, and ``row`` / ``col`` that
+    nonzero's original coordinates (the subscripts its scalings are
+    looked up by).  :meth:`apply` then only moves numbers, and it
+    reproduces ``permute_symmetric(permute_rows(scale_cols(scale_rows(a,
+    dr), dc), perm_r), perm_c)`` bit for bit.
+    """
+
+    __slots__ = ("colptr", "rowind", "src", "row", "col")
+
+    def __init__(self, a: CSCMatrix, perm_r, perm_c):
+        if a.nrows != a.ncols:
+            raise ValueError("a value map requires a square matrix")
+        n = a.ncols
+        perm_r, perm_c = _check_perm(perm_r, n), _check_perm(perm_c, n)
+        col = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.colptr))
+        new_row, new_col = perm_c[perm_r[a.rowind]], perm_c[col]
+        self.src = np.lexsort((new_row, new_col))
+        self.row, self.col = a.rowind[self.src], col[self.src]
+        self.rowind = new_row[self.src]
+        self.colptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(new_col, minlength=n), out=self.colptr[1:])
+
+    def apply(self, a: CSCMatrix, dr, dc) -> CSCMatrix:
+        """The transformed matrix for ``a``'s current values."""
+        n = self.colptr.size - 1
+        return CSCMatrix(n, n, self.colptr, self.rowind,
+                         a.nzval[self.src] * dr[self.row] * dc[self.col],
+                         check=False)
 
 
 def scale_rows(a: CSCMatrix, d):

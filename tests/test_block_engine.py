@@ -1,0 +1,343 @@
+"""The serial default — value map + supernodal block engine — checked
+from outside and from inside.
+
+- from outside: on all 53 testbed matrices (plus the complex and the
+  ``factor_dtype="float32"`` systems other test modules build) the
+  default solver and the column-oracle configuration each agree with an
+  independent solver, ``scipy.sparse.linalg.splu``, within a bound scaled
+  by the condition of the system;
+- engine ≡ oracle: the block engine reproduces the column kernel on the
+  same symmetrized pattern, over the testbed and over a hypothesis sweep
+  of supernode shapes;
+- the plan's invariants: scatter targets in range, disjoint and forward
+  only; the value map equal to the permute/scale chain it replaces; the
+  L/U gather landing on the static pattern;
+- the trace: ``kernel.*`` counters present and exactly repeatable.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
+
+from repro.driver import GESPOptions, GESPSolver
+from repro.factor import gesp_factor, supernodal_factor
+from repro.factor.blockplan import build_block_plan
+from repro.matrices import testbed_53
+from repro.obs import Tracer
+from repro.sparse import CSCMatrix, PatternMismatchError, ValueMap
+from repro.sparse.ops import (
+    permute_rows,
+    permute_symmetric,
+    scale_cols,
+    scale_rows,
+)
+from repro.symbolic import (
+    block_partition,
+    symbolic_lu_symmetrized,
+    symbolic_lu_unsymmetric,
+)
+
+from test_complex import random_complex
+
+EPS = float(np.finfo(np.float64).eps)
+# the envelope tests/test_supernodal_factor.py holds the engine to
+ENVELOPE = dict(rtol=1e-5, atol=1e-9)
+
+
+@pytest.fixture(scope="module")
+def testbed():
+    """name -> (a, b, default-configuration solver), all 53 matrices."""
+    out = {}
+    for tm in testbed_53():
+        a = tm.build()
+        out[tm.name] = (a, a @ np.ones(a.ncols), GESPSolver(a, cache=False))
+    return out
+
+
+# --------------------------------------------------------------------- #
+# (i) an outside oracle
+# --------------------------------------------------------------------- #
+
+def splu_disagreement(a, b, x):
+    """``(‖x − x_ref‖∞, bound)`` against scipy's SuperLU (partial
+    pivoting, its own ordering).  From ``x − x_ref = A⁻¹(r_ref − r_x)``:
+    the bound is ``‖A⁻¹‖∞`` (Hager/Higham estimate, hence the factor 10)
+    times the two residual norms plus their rounding."""
+    n = a.ncols
+    mat = sp.csc_matrix((a.nzval, a.rowind, a.colptr), shape=(n, n))
+    lu = splu(mat)
+    x_ref = lu.solve(b)
+    inv_norm = onenormest(LinearOperator(      # ‖A⁻ᵀ‖₁ = ‖A⁻¹‖∞
+        (n, n), dtype=mat.dtype, matvec=lambda v: lu.solve(v, "T"),
+        rmatvec=lambda v: lu.solve(v.conj()).conj()))
+    res = sum(np.abs(b - mat @ v).max() for v in (x, x_ref))
+    rounding = n * EPS * (abs(mat) @ np.abs(x) + np.abs(b)).max()
+    return np.abs(x - x_ref).max(), 10.0 * inv_norm * (res + rounding)
+
+
+def test_testbed_agrees_with_splu_under_both_engines(testbed):
+    """Default (symmetrized analysis, block engine) and column oracle
+    (``paper_defaults``: exact fill, column kernel), all 53 matrices."""
+    for name, (a, b, default) in testbed.items():
+        oracle = GESPSolver(a, GESPOptions.paper_defaults(), cache=False)
+        assert oracle.symbolic.nnz_lu <= default.symbolic.nnz_lu
+        for label, solver in (("default", default), ("oracle", oracle)):
+            rep = solver.solve(b)
+            err, bound = splu_disagreement(a, b, rep.x)
+            assert err <= bound, (name, label, err, bound)
+            # every matrix certifies (the parent commit's column kernel
+            # certified 49: cfd07, fem01, aniso03 and gen02 stagnated at
+            # 1.05-1.18 eps, which repro.solve.refine now accepts)
+            assert rep.converged, (name, label, rep.berr / EPS)
+            assert rep.berr <= 2 * EPS, (name, label, rep.berr / EPS)
+
+
+@pytest.mark.parametrize("zero_diag", [False, True])
+@pytest.mark.parametrize("options", [GESPOptions(),
+                                     GESPOptions.paper_defaults()],
+                         ids=["default", "oracle"])
+def test_complex_system_agrees_with_splu(rng, options, zero_diag):
+    d = random_complex(rng, 30, zero_diag=zero_diag)
+    a = CSCMatrix.from_dense(d)
+    b = d @ (rng.standard_normal(30) + 1j * rng.standard_normal(30))
+    rep = GESPSolver(a, options, cache=False).solve(b)
+    assert rep.converged
+    err, bound = splu_disagreement(a, b, rep.x)
+    assert err <= bound
+
+
+@pytest.mark.parametrize("symbolic_method", ["symmetrized", "unsymmetric"])
+def test_fp32_factored_system_agrees_with_splu(symbolic_method):
+    rng = np.random.default_rng(3)
+    n = 30
+    d = np.diag(rng.uniform(1, 2, n)) + 0.1 * rng.standard_normal((n, n))
+    a = CSCMatrix.from_dense(d)
+    b = d @ np.ones(n)
+    solver = GESPSolver(a, GESPOptions(factor_dtype="float32",
+                                       symbolic_method=symbolic_method),
+                        cache=False)
+    assert solver.factors.u.nzval.dtype == np.float32
+    rep = solver.solve(b)
+    assert rep.converged
+    err, bound = splu_disagreement(a, b, rep.x)
+    assert err <= bound
+
+
+def test_paper_defaults_pin_the_section_2_configuration():
+    import dataclasses
+
+    paper, default = GESPOptions.paper_defaults(), GESPOptions()
+    differing = [f.name for f in dataclasses.fields(GESPOptions)
+                 if getattr(paper, f.name) != getattr(default, f.name)]
+    assert differing == ["symbolic_method"]
+    assert (paper.symbolic_method, default.symbolic_method) == \
+        ("unsymmetric", "symmetrized")
+    a = next(tm for tm in testbed_53() if tm.name == "circuit03").build()
+    s = GESPSolver(a, paper, cache=False)
+    assert s.symbolic.nnz_lu == symbolic_lu_unsymmetric(s.a_factored).nnz_lu
+    assert s.symbolic.nnz_lu < GESPSolver(a, cache=False).symbolic.nnz_lu
+
+
+# --------------------------------------------------------------------- #
+# (ii) block engine ≡ column kernel
+# --------------------------------------------------------------------- #
+
+def test_block_engine_matches_column_kernel_over_the_testbed(testbed):
+    for name, (a, b, solver) in testbed.items():
+        block = solver.factors
+        column = gesp_factor(solver.a_factored, sym=solver.symbolic)
+        assert block.l.rowind is solver.symbolic.l_rowind
+        assert np.array_equal(block.u.colptr, column.u.colptr), name
+        assert np.array_equal(block.u.rowind, column.u.rowind), name
+        assert np.allclose(block.l.nzval, column.l.nzval, **ENVELOPE), name
+        assert np.allclose(block.u.nzval, column.u.nzval, **ENVELOPE), name
+        assert block.n_tiny_pivots == column.n_tiny_pivots, name
+
+
+def _random_system(n, density, hole, seed):
+    """A random pattern on a strong diagonal with one ``hole`` in it: an
+    explicitly stored zero or a structurally absent entry (a pivot made
+    entirely of fill — or, where no update reaches it, a zero pivot for
+    step (3) to replace), or ``None``."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    np.fill_diagonal(mask, True)
+    d = np.where(mask, rng.standard_normal((n, n)), 0.0)
+    np.fill_diagonal(d, 3.0 + rng.random(n))
+    if hole is not None:
+        j = int(rng.integers(n))
+        d[j, j], mask[j, j] = 0.0, hole == "zero"
+    rows = np.nonzero(mask.T)[1]         # column-major, explicit zeros kept
+    colptr = np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
+    return CSCMatrix(n, n, colptr, rows, d.T[mask.T]), d
+
+
+shapes = dict(n=st.integers(1, 28), density=st.floats(0.05, 0.6),
+              hole=st.sampled_from([None, "zero", "absent"]),
+              max_block=st.integers(1, 24), relax=st.integers(0, 8),
+              seed=st.integers(0, 2 ** 16))
+
+
+@given(**shapes)
+@settings(max_examples=120, deadline=None)
+def test_block_engine_matches_column_kernel_property(n, density, hole,
+                                                     max_block, relax, seed):
+    """Relaxed (amalgamated) supernodes, widths 1…24, zero and
+    structurally zero diagonal entries: same tiny pivots, same factors,
+    and ``L U = A + Σ δ_j e_j e_jᵀ`` with the reported perturbations."""
+    a, d = _random_system(n, density, hole, seed)
+    sym = symbolic_lu_symmetrized(a)
+    part = block_partition(sym, max_size=max_block, relax_size=relax)
+    block = supernodal_factor(a, sym=sym, part=part).to_gesp_factors()
+    column = gesp_factor(a, sym=sym)
+    assert np.array_equal(block.perturbed_columns, column.perturbed_columns)
+    assert block.n_tiny_pivots == column.n_tiny_pivots <= 1
+    # a replaced pivot is ~1e-8·‖A‖ and entries after it grow to ~1e8:
+    # compare relative to the factors' own magnitude
+    lmat, umat = block.l.to_dense(), block.u.to_dense()
+    tol = dict(rtol=1e-5, atol=1e-9 * max(1.0, np.abs(lmat).max(),
+                                           np.abs(umat).max()))
+    assert np.allclose(block.l.nzval, column.l.nzval, **tol)
+    assert np.allclose(block.u.nzval, column.u.nzval, **tol)
+    assert np.allclose(block.pivot_deltas, column.pivot_deltas, **tol)
+    lumat = lmat @ umat
+    lumat[block.perturbed_columns, block.perturbed_columns] -= \
+        block.pivot_deltas
+    assert np.all(np.abs(lumat - d)
+                  <= 8 * n * EPS * (np.abs(lmat) @ np.abs(umat)))
+
+
+# --------------------------------------------------------------------- #
+# (iii) the plan's invariants
+# --------------------------------------------------------------------- #
+
+def _distinct(index, stamp):
+    """No value twice in ``index`` (a scratch array spares the sort)."""
+    order = np.arange(index.size)
+    stamp[index] = order
+    return np.array_equal(stamp[index], order)
+
+
+def _check_plan(plan):
+    size = plan.bounds[-1]
+    stamp = np.empty(size, dtype=np.int64)
+    for k, (tgt, keep) in enumerate(zip(plan.targets, plan.selection)):
+        m = plan.s_rows[k].size
+        assert tgt.size == (m * m if keep is None else keep.size)
+        if tgt.size:
+            # in range, aimed only at later supernodes' blocks, and no
+            # two entries of one update share a target (so one plain
+            # indexed subtract applies it)
+            assert plan.bounds[3 * (k + 1)] <= tgt.min() <= tgt.max() < size
+            assert _distinct(tgt, stamp)
+        if keep is not None:
+            assert 0 <= keep.min() and keep.max() < m * m
+    for pos in (plan.a_pos, plan.l_pos, plan.u_pos):
+        assert pos.size == 0 or (0 <= pos.min() and pos.max() < size)
+        assert _distinct(pos, stamp)
+
+
+def test_plan_invariants_over_the_testbed(testbed):
+    for name, (a, b, solver) in testbed.items():
+        _check_plan(solver._block_plan)
+
+
+@given(**shapes)
+@settings(max_examples=60, deadline=None)
+def test_plan_invariants_property(n, density, hole, max_block, relax, seed):
+    a, _ = _random_system(n, density, hole, seed)
+    sym = symbolic_lu_symmetrized(a)
+    part = block_partition(sym, max_size=max_block, relax_size=relax)
+    _check_plan(build_block_plan(a, sym, part))
+
+
+def test_plan_rejects_a_matrix_outside_its_pattern():
+    a = CSCMatrix.from_dense(np.eye(4))
+    other = np.eye(4)
+    other[3, 0] = 1.0
+    sym = symbolic_lu_symmetrized(a)
+    part = block_partition(sym)
+    with pytest.raises(ValueError, match="outside the block pattern"):
+        build_block_plan(CSCMatrix.from_dense(other), sym, part)
+    plan = build_block_plan(a, sym, part)
+    with pytest.raises(PatternMismatchError, match="reused BlockPlan"):
+        supernodal_factor(CSCMatrix.from_dense(other), plan=plan)
+    # ... and one with the same n and nnz: only the positions differ
+    moved = np.eye(4)[[1, 0, 2, 3]]
+    assert CSCMatrix.from_dense(moved).nnz == a.nnz
+    with pytest.raises(PatternMismatchError, match="reused BlockPlan"):
+        supernodal_factor(CSCMatrix.from_dense(moved), plan=plan)
+
+
+@given(n=st.integers(1, 30), density=st.floats(0.05, 0.8),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_value_map_equals_the_chain_it_replaces(n, density, seed):
+    rng = np.random.default_rng(seed)
+    a = CSCMatrix.from_dense(rng.standard_normal((n, n))
+                             * (rng.random((n, n)) < density))
+    perm_r, perm_c = rng.permutation(n), rng.permutation(n)
+    dr, dc = rng.uniform(0.1, 10.0, n), rng.uniform(0.1, 10.0, n)
+    chain = permute_symmetric(
+        permute_rows(scale_cols(scale_rows(a, dr), dc), perm_r), perm_c)
+    mapped = ValueMap(a, perm_r, perm_c).apply(a, dr, dc)
+    assert np.array_equal(mapped.colptr, chain.colptr)
+    assert np.array_equal(mapped.rowind, chain.rowind)
+    assert np.array_equal(mapped.nzval, chain.nzval)     # bit for bit
+
+
+def test_refactor_keeps_the_static_pattern_objects(testbed):
+    """A warm refactorization only moves numbers: ``a_factored`` and the
+    factors sit on the very same index arrays before and after."""
+    a, b, _ = testbed["cfd03"]
+    solver = GESPSolver(a, cache=False)
+    before = (solver.a_factored.rowind, solver.factors.l.rowind,
+              solver.factors.u.rowind, solver.factors.u.colptr)
+    old_values = solver.factors.u.nzval
+    a2 = CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind, a.nzval * 1.01,
+                   check=False)
+    solver.refactor(a2)
+    after = (solver.a_factored.rowind, solver.factors.l.rowind,
+             solver.factors.u.rowind, solver.factors.u.colptr)
+    assert all(x is y for x, y in zip(before, after))
+    assert solver.factors.u.nzval is not old_values
+    assert np.array_equal(solver.factors.l.rowind, solver.symbolic.l_rowind)
+    assert solver.solve(a2 @ np.ones(a.ncols)).berr <= 8 * EPS
+
+
+def test_column_kernel_still_runs_where_the_options_say(testbed):
+    a, b, default = testbed["chem01"]
+    assert default.tracer.root.find("factor/supernodal") is not None
+    for options in (GESPOptions(symbolic_method="unsymmetric"),
+                    GESPOptions(aggressive_pivot_replacement=True)):
+        solver = GESPSolver(a, options, cache=False)
+        assert solver.tracer.root.find("factor/gesp") is not None
+        assert solver.tracer.root.find("factor/supernodal") is None
+        assert solver.solve(b).berr <= 8 * EPS
+
+
+# --------------------------------------------------------------------- #
+# (iv) the trace
+# --------------------------------------------------------------------- #
+
+def test_default_trace_carries_exact_repeating_kernel_counters(testbed):
+    a, b, _ = testbed["cfd03"]
+    names = ("kernel.lu_calls", "kernel.trsm_calls", "kernel.gemm_calls",
+             "kernel.gemm_flops", "factor.flops")
+
+    def run():
+        tracer = Tracer()
+        solver = GESPSolver(a, tracer=tracer, cache=False)
+        solver.refactor(a)
+        counters = tracer.root.all_counters()
+        return [counters[name] for name in names], solver
+
+    first, solver = run()
+    assert all(value > 0 for value in first)
+    assert first == run()[0]
+    # one lu per supernode and factorization (cold + warm)
+    assert first[0] == 2 * solver._block_plan.part.nsuper
+    assert first[4] == 2 * solver.factors.flops

@@ -90,3 +90,20 @@ def test_bench_readme_names_every_declared_workload_and_metric():
     assert "caller.solve_s.kkt02" not in missing
     assert "cold_mix" not in missing
     assert "warm_newton" in missing
+
+
+def test_every_counter_is_spelled_by_the_module_the_catalog_names():
+    assert check_docs.stale_counter_emitters() == []
+
+
+def test_lint_catches_a_stale_counter_emitter():
+    from repro.obs.counters import CounterSpec
+
+    stale = check_docs.stale_counter_emitters([
+        CounterSpec("factor.flops", "flop",
+                    "repro/factor/gesp.py, repro/factor/gone.py", ""),
+        CounterSpec("factor.flops", "flop", "repro/sparse/ops.py", ""),
+    ])
+    # a module that does not exist, and one that never emits the name
+    assert stale == [("factor.flops", "repro/factor/gone.py"),
+                     ("factor.flops", "repro/sparse/ops.py")]

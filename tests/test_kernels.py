@@ -450,6 +450,53 @@ def test_kernel_counters_reach_tracer():
     assert c["kernel.gemm_flops"] < f.flops
 
 
+def test_kernel_stats_are_per_thread():
+    """Backends are registered singletons shared by every service worker
+    thread; their accumulator must not be.  Three threads (more than
+    this host has cores) factor three patterns at once, over and over,
+    under a shortened switch interval: every factorization must report
+    exactly the flops and ``kernel.*`` deltas it reports alone."""
+    import sys
+    import threading
+
+    from repro.factor.supernodal import supernodal_factor
+    from repro.matrices import matrix_by_name
+    from repro.obs import Tracer, use_tracer
+
+    def measure(a):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            f = supernodal_factor(a)
+        c = tracer.root.all_counters()
+        return (f.flops, c["factor.flops"], c["kernel.lu_calls"],
+                c["kernel.trsm_calls"], c["kernel.gemm_calls"],
+                c["kernel.gemm_flops"])
+
+    mats = [matrix_by_name(n).build() for n in ("cfd01", "chem01", "fem01")]
+    alone = [measure(a) for a in mats]
+    assert len(set(alone)) == 3          # three distinguishable workloads
+    seen = [[] for _ in mats]
+
+    def worker(i):
+        for _ in range(6):
+            seen[i].append(measure(mats[i]))
+
+    threads = [threading.Thread(target=worker, args=(i,))
+               for i in range(len(mats))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, expected in enumerate(alone):
+        assert seen[i] == [expected] * 6
+
+
 def test_backend_threads_through_plan_cache_key():
     from repro.driver import GESPOptions
     from repro.driver.factcache import serial_plan_key

@@ -50,7 +50,9 @@ def test_serial_solve_trace_has_all_stage_spans(a):
     assert tracer.root.find("rowperm").find("scaling/mc64") is not None
     assert tracer.root.find("colperm").find("ordering/colperm") is not None
     assert tracer.root.find("symbolic").find("symbolic/fill") is not None
-    assert tracer.root.find("factor").find("factor/gesp") is not None
+    # the default engine is the supernodal one; the column oracle
+    # (symbolic_method="unsymmetric") opens factor/gesp instead
+    assert tracer.root.find("factor").find("factor/supernodal") is not None
 
 
 def test_serial_solve_counters_are_consistent(a):

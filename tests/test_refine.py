@@ -132,3 +132,55 @@ def test_x0_used():
                                x0=np.array([1.0, 2.0, 3.0]))
     assert res.steps == 0
     assert res.berr <= EPS
+
+
+# --------------------------------------------------------------------- #
+# what "converged" means at a stagnation stop (decided in refine.py)
+# --------------------------------------------------------------------- #
+
+def _scripted_berr(monkeypatch, values):
+    """Make the next berr evaluations return ``values`` (in eps)."""
+    import repro.solve.refine as refine_mod
+
+    seq = iter(values)
+    monkeypatch.setattr(refine_mod, "componentwise_backward_error",
+                        lambda *a, **k: next(seq) * EPS)
+
+
+@pytest.mark.parametrize("history, converged, berr, steps", [
+    ([1.7, 1.09], True, 1.09, 1),      # stalled a hair above eps
+    ([1.9, 1.95], True, 1.9, 1),       # worse step rolled back, in slack
+    ([5.0, 3.0], False, 3.0, 1),       # stalled outside the slack
+    ([1.7, 0.9], True, 0.9, 1),        # the target itself
+    ([1.7], False, 1.7, 0),            # no slack without a stagnation stop
+])
+def test_stagnation_stop_within_slack_is_converged(monkeypatch, history,
+                                                   converged, berr, steps):
+    from repro.solve.refine import STAGNATION_SLACK
+
+    assert STAGNATION_SLACK == 2.0
+    _scripted_berr(monkeypatch, history)
+    a = CSCMatrix.from_dense(np.eye(2))
+    res = iterative_refinement(a, lambda r: np.zeros(2), np.ones(2),
+                               max_steps=len(history) - 1)
+    assert res.converged is converged
+    assert res.berr == berr * EPS and res.steps == steps
+
+
+def test_solve_multi_applies_the_same_slack_per_column(monkeypatch, rng):
+    """Joint refinement stalls with columns at 0.8, 1.2 and 3 eps: the
+    first two are certified, the third (and so the block) is not."""
+    from repro.driver import GESPSolver
+
+    d = random_nonsingular_dense(rng, 12, hidden_perm=False)
+    s = GESPSolver(CSCMatrix.from_dense(d), cache=False)
+    #                 first solve      after one correction
+    _scripted_berr(monkeypatch, [0.9, 1.5, 4.0, 0.8, 1.2, 3.0])
+    res = s.solve_multi(rng.standard_normal((12, 3)))
+    assert res.steps == 1 and not res.converged
+    assert res.col_converged.tolist() == [True, True, False]
+    assert res.berrs.tolist() == [0.8 * EPS, 1.2 * EPS, 3.0 * EPS]
+    _scripted_berr(monkeypatch, [0.9, 1.5, 1.9, 0.8, 1.2, 1.6])
+    res = s.solve_multi(rng.standard_normal((12, 3)))
+    assert res.converged and res.col_converged.all()
+    assert res.berr == 1.6 * EPS

@@ -217,6 +217,35 @@ def test_spool_skips_torn_and_foreign_files(tmp_path):
     assert "skipped 2 of 3" in msg
 
 
+def test_spool_v1_plans_are_skipped_not_half_loaded(tmp_path):
+    """A plan spooled before PatternPlan carried a value map and a block
+    schedule unpickles without those attributes; loading it would fail
+    at the first warm refactorization inside a shard.  Its schema tag
+    sends it down the skip path instead, and the pattern starts cold."""
+    import copy
+
+    from repro.driver import GESPOptions, GESPSolver
+
+    a = sparse_matrix(seed=9)
+    plan = _plans_for([a]).snapshot()[0]
+    old = copy.copy(plan)
+    del old.__dict__["value_map"], old.__dict__["block_plan"]
+    spool.spool_path(tmp_path, plan.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v1", "key": plan.key, "plan": old}))
+    assert not hasattr(pickle.loads(spool.spool_path(
+        tmp_path, plan.key).read_bytes())["plan"], "value_map")
+
+    fresh = FactorizationCache(maxsize=32)
+    with pytest.warns(spool.SpoolSkipWarning, match="spool/v1"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    assert len(fresh) == 0
+    warm = GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=fresh)
+    assert warm.solve(a @ np.ones(a.ncols)).converged
+    # what the current code spools is loadable by the current code
+    spool.save_plans(tmp_path, fresh.snapshot(), set())
+    assert spool.load_plans(tmp_path, FactorizationCache()) == 1
+
+
 def test_spool_clean_load_emits_no_warning(tmp_path, recwarn):
     cache = _plans_for([sparse_matrix(seed=9)])
     spool.save_plans(tmp_path, cache.snapshot(), set())

@@ -7,9 +7,15 @@ benchmark pins that with two measurements:
 
 - **warm burst** — 8 same-pattern requests submitted as one burst to a
   warm service (factors ready) versus the same 8 right-hand sides solved
-  sequentially through a warm ``GESPSolver``.  The acceptance floor is
-  2x throughput; the headroom over the floor is real batching gain, not
-  timer noise, because both sides take the best of several rounds.
+  sequentially through a warm ``GESPSolver``.  The whole burst must
+  coalesce into one ``solve_multi``, every coalesced ``x`` must equal its
+  sequential solve, and coalescing must never lose (floor 1.0x; both
+  sides take the best of several rounds).  The floor was 2x while a
+  sweep was a Python loop over columns — that ratio was interpreter
+  overhead amortised over eight vectors, and it went with the overhead
+  when the sweeps became a level schedule: both sides are 3-7x faster
+  and what coalescing still buys is one pass over the factors per
+  refinement step instead of eight.
 - **open loop** — a seeded arrival stream over a pattern mix driven
   through :func:`repro.service.run_open_loop` at a fixed rate,
   reporting p50/p99 latency, throughput, and the realized coalescing
@@ -42,7 +48,7 @@ from repro.service import (
     synthetic_workload,
 )
 
-SPEEDUP_FLOOR = 2.0
+SPEEDUP_FLOOR = 1.0
 BURST = 8
 SHARD_SCALING_FLOOR = 1.7
 SHARD_MIX = ("cfd01", "cfd03", "cfd05", "cfd06")
@@ -53,8 +59,9 @@ def warm_burst_comparison(name="cfd06", burst=BURST, rounds=5,
     """Warm 8-request burst through the service vs sequential solves.
 
     Returns a dict with both timings (best of ``rounds``), the speedup,
-    and the responses' batching metadata, asserted here so a regressed
-    run can never masquerade as a pass.
+    and the responses' batching metadata, asserted here — like the
+    agreement of every coalesced ``x`` with its sequential solve — so a
+    regressed run can never masquerade as a pass.
     """
     a = matrix_by_name(name).build()
     n = a.ncols
@@ -63,13 +70,12 @@ def warm_burst_comparison(name="cfd06", burst=BURST, rounds=5,
 
     # baseline: a warm solver answering the burst one request at a time
     solver = GESPSolver(a, cache=False)
-    solver.solve(b_set[0])
+    x_seq = [solver.solve(b).x for b in b_set]
     t_seq = min(_time_sequential(solver, b_set) for _ in range(rounds))
 
     cfg = ServiceConfig(max_workers=2, batch_window=0.001,
                         max_batch=burst)
-    t_service = None
-    widths = facts = None
+    timed, facts = [], None
     with SolveService(cfg, cache=False) as svc:
         svc.register_matrix(name, a)
         # warm the pattern state: the cold DOFACT happens here, outside
@@ -79,15 +85,19 @@ def warm_burst_comparison(name="cfd06", burst=BURST, rounds=5,
         for _ in range(rounds):
             dt, responses = _burst(svc, name, b_set)
             assert all(r.ok for r in responses)
+            for r, x in zip(responses, x_seq):
+                assert np.abs(r.x - x).max() <= 1e-12 * np.abs(x).max()
             facts = sorted({r.fact for r in responses})
             assert facts == ["FACTORED"], facts   # warm: no refactor
-            if t_service is None or dt < t_service:
-                # the reported width belongs to the reported timing: a
-                # round where a straggler missed the batch window (a
-                # 1-CPU scheduling artifact) is neither the best time
-                # nor the width claim
-                t_service = dt
-                widths = sorted({r.batch_width for r in responses})
+            # the reported width belongs to the reported timing, and a
+            # round where a straggler missed the batch window (a
+            # scheduling artifact) timed two batches, not the coalesced
+            # burst: it is reported only when no round coalesced.  (It
+            # used to lose on time alone; with a block solve this cheap
+            # a split round can be the fastest.)
+            widths = sorted({r.batch_width for r in responses})
+            timed.append((widths != [burst], dt, widths))
+    _, t_service, widths = min(timed)
 
     return {
         "matrix": name,

@@ -54,7 +54,7 @@ Schema ``bench_service/v1``::
       "matrix": "...", "n": ..., "nnz": ..., "burst": ..., "rounds": ...,
       "seed": ...,
       "sequential_seconds": ..., "service_seconds": ...,
-      "speedup": ..., "speedup_floor": 2.0,
+      "speedup": ..., "speedup_floor": 1.0,
       "open_loop": {"mix", "completed", "rejected", "expired", "failed",
                     "elapsed_seconds", "throughput_rps", "rate_rps",
                     "p50_latency_seconds", "p99_latency_seconds",

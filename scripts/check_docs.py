@@ -21,7 +21,11 @@ with ``PYTHONPATH=src python scripts/check_docs.py``):
    own PRs only), so the yardstick's documentation lists what it prints;
 6. every module a catalog entry's ``where`` names exists under ``src/``
    and contains that counter's name as a string literal, so the catalog
-   keeps pointing at the code that emits each counter when emitters move.
+   keeps pointing at the code that emits each counter when emitters move;
+7. the first column of the contract table in ``docs/KERNELS.md`` names
+   exactly the abstract methods of ``repro.kernels.KernelBackend``, so
+   the documented protocol cannot keep an op the code dropped (or miss
+   one it gained).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ SRC = REPO / "src" / "repro"
 DOCS = REPO / "docs"
 ARCHITECTURE = DOCS / "ARCHITECTURE.md"
 OBSERVABILITY = DOCS / "OBSERVABILITY.md"
+KERNELS = DOCS / "KERNELS.md"
 DOCS_INDEX = DOCS / "README.md"
 BENCHMARK = REPO / "BENCHMARK.json"
 BENCH_README = REPO / "bench" / "README.md"
@@ -155,6 +160,19 @@ def stale_counter_emitters(counters=None):
     return stale
 
 
+def kernel_table_drift(text=None):
+    """Ops the KERNELS.md contract table (rows ``| `op(...)` | ...``)
+    and ``KernelBackend.__abstractmethods__`` do not share, sorted."""
+    import re
+
+    from repro.kernels import KernelBackend
+
+    if text is None:
+        text = KERNELS.read_text(encoding="utf-8")
+    documented = set(re.findall(r"^\| `(\w+)\(", text, flags=re.M))
+    return sorted(documented ^ set(KernelBackend.__abstractmethods__))
+
+
 def main():
     status = 0
     if not ARCHITECTURE.is_file():
@@ -191,6 +209,10 @@ def main():
     for name, module in stale_counter_emitters():
         print(f"obs/counters.py: {name} is not emitted by src/{module} "
               "(missing module, or no such string literal in it)")
+        status = 1
+    for name in kernel_table_drift():
+        print(f"docs/KERNELS.md: contract table and KernelBackend "
+              f"disagree on {name}")
         status = 1
     if status == 0:
         print("docs lint: OK "

@@ -259,7 +259,8 @@ class GESPSolver(PatternSolver):
         return self.factors.solve(c)
 
     def solve_once(self, b):
-        """One direct solve through the factors (no refinement)."""
+        """One direct solve through the factors (no refinement); ``b``
+        is (n,) or a block (n, nrhs)."""
         return self._from_factored(
             self._solve_factored(self._to_factored(b)))
 
@@ -284,10 +285,10 @@ class GESPSolver(PatternSolver):
                     max_steps: int | None = None) -> MultiSolveResult:
         """Solve ``A X = B`` for a block of right-hand sides (n × nrhs).
 
-        Uses the blocked triangular kernels (one sweep over the factors
-        for all columns), with optional joint iterative refinement on the
-        worst column's componentwise backward error — the multiple-RHS
-        workload the paper's §5 discussion of solve algorithms anticipates.
+        One pass over the factors for all columns (:meth:`solve_once` on
+        the block), with optional joint iterative refinement on the worst
+        column's componentwise backward error — the multiple-RHS workload
+        the paper's §5 discussion of solve algorithms anticipates.
         Mirrors the single-RHS refinement loop of
         :func:`repro.solve.refine.iterative_refinement`: on stagnation
         the *better* iterate is kept (a worsening correction is rolled
@@ -302,11 +303,6 @@ class GESPSolver(PatternSolver):
             _residual_extended,
             componentwise_backward_error,
         )
-        from repro.solve.triangular import (
-            solve_lower_csc_multi,
-            solve_upper_csc_multi,
-        )
-
         if self.options.diag_block_pivoting > 0.0:
             raise NotImplementedError(
                 "multi-RHS solves are not wired for diagonal-block pivoting")
@@ -317,20 +313,6 @@ class GESPSolver(PatternSolver):
         do_refine = opts.refine if refine is None else refine
         cap = opts.refine_max_steps if max_steps is None else max_steps
         xp = opts.extra_precision_residual
-
-        def direct(bb):
-            if self._smw is not None:
-                # the Woodbury correction is defined per vector; the rank
-                # is tiny so per-column solves cost little extra
-                return np.column_stack([self.solve_once(bb[:, t])
-                                        for t in range(bb.shape[1])])
-            kern = self.options.kernel_backend
-            z = solve_upper_csc_multi(
-                self.factors.u,
-                solve_lower_csc_multi(self.factors.l, self._to_factored(bb),
-                                      unit_diagonal=True, kernel=kern),
-                kernel=kern)
-            return self._from_factored(z)
 
         def block_residual(xx):
             if xp:
@@ -353,7 +335,7 @@ class GESPSolver(PatternSolver):
                 x=x, berr=berr, steps=steps, converged=converged,
                 berrs=bv, col_converged=bv <= bar)
 
-        x = direct(b_block)
+        x = self.solve_once(b_block)
         bv = col_berrs(x)
         berr = float(np.max(bv)) if bv.size else 0.0
         steps = 0
@@ -364,7 +346,7 @@ class GESPSolver(PatternSolver):
             return result(x, bv, berr, 0, False)
         if do_refine:
             while berr > opts.refine_eps and steps < cap:
-                dx = direct(block_residual(x))
+                dx = self.solve_once(block_residual(x))
                 x = x + dx
                 steps += 1
                 new_bv = col_berrs(x)

@@ -15,7 +15,9 @@ pattern alone.  A :class:`BlockPlan` is that function, evaluated once:
   part when relaxed supernodes left some without a home
   (``selection``);
 - ``l_pos`` / ``u_pos`` — where the static CSC patterns of L and U read
-  their values back.
+  their values back;
+- ``solve`` — the level-set schedule both triangular sweeps run from
+  (:mod:`repro.factor.solveplan`).
 
 The numeric pass (:func:`repro.factor.supernodal.eliminate`) is then
 ``lu → trsm → trsm → gemm → one indexed subtract`` per supernode.  The
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.factor.gesp import transpose_pattern
+from repro.factor.solveplan import SolvePlan, build_solve_plan
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
@@ -66,6 +69,7 @@ class BlockPlan:
     u_pos: np.ndarray
     u_colptr: np.ndarray
     u_rowind: np.ndarray
+    solve: SolvePlan | None = None
 
     def load(self, a: CSCMatrix):
         """``(flat, (diag, below, right))``: the block values holding
@@ -81,12 +85,14 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
                      s_rows=None) -> BlockPlan:
     """The plan for factoring matrices with ``a``'s pattern on ``sym`` /
     ``part``.  ``s_rows`` overrides the row sets (block-pivoting stores
-    block-closed supersets of them)."""
+    block-closed supersets of them, and substitutes block by block — its
+    row swaps are in no pattern — so its plan carries no solve schedule)."""
     if not sym.symmetrized:
         raise ValueError("the block plan requires the symmetrized pattern")
     n, ns, xsup = part.n, part.nsuper, part.xsup
     supno = part.supno()
-    if s_rows is None:
+    scheduled = s_rows is None
+    if scheduled:
         s_rows = supernode_row_sets(sym, part)
     cols = np.arange(n, dtype=np.int64)
     w = np.diff(xsup)
@@ -150,4 +156,6 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     return BlockPlan(sym=sym, part=part, s_rows=s_rows,
                      bounds=bounds.tolist(), shapes=shapes, a_pos=a_pos,
                      targets=targets, selection=selection, l_pos=l_pos,
-                     u_pos=u_pos, u_colptr=u_colptr, u_rowind=u_rowind)
+                     u_pos=u_pos, u_colptr=u_colptr, u_rowind=u_rowind,
+                     solve=(build_solve_plan(xsup, supno, s_rows, m, sptr,
+                                             bounds) if scheduled else None))

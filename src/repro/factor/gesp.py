@@ -20,6 +20,7 @@ updates of all earlier columns whose U entry in this column is nonzero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -57,9 +58,16 @@ class GESPFactors:
     flops: int = 0
     # which kernel backend ran the SPA column updates
     kernel_backend: str = "reference"
+    # the block engine's level-set solve schedule bound to these values
+    # (repro.factor.solveplan); None for the column kernel's factors
+    sweeps: Callable | None = None
 
     def solve(self, b):
-        """x with L U x = b (no permutations — the driver handles those)."""
+        """x with L U x = b for b of shape (n,) or (n, nrhs) (no
+        permutations — the driver handles those): the static schedule
+        where the block engine left one, else column sweeps on l and u."""
+        if self.sweeps is not None:
+            return self.sweeps(b)
         from repro.solve.triangular import solve_lower_csc, solve_upper_csc
 
         y = solve_lower_csc(self.l, np.asarray(b), unit_diagonal=True)

@@ -38,6 +38,7 @@ over the ``reference`` backend for compatibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -202,8 +203,11 @@ class SupernodalFactors:
     def to_gesp_factors(self) -> GESPFactors:
         """L and U on the static CSC pattern of the analysis (explicit
         zeros kept), read out of the block values through the plan — what
-        the solve phase, pivot growth and Sherman-Morrison consume."""
+        pivot growth, transpose solves and the tests consume — and the
+        plan's solve schedule bound to this factorization's values."""
         plan, n = self.plan, self.n
+        sweeps = None if plan.solve is None else partial(
+            plan.solve.apply, plan.solve.values(self.values))
         lval = self.values[plan.l_pos]
         lval[plan.sym.l_colptr[:-1]] = 1.0         # unit diagonal of L
         l = CSCMatrix(n, n, plan.sym.l_colptr, plan.sym.l_rowind, lval,
@@ -214,7 +218,7 @@ class SupernodalFactors:
                            tiny_pivot_threshold=self.tiny_pivot_threshold,
                            perturbed_columns=self.perturbed_columns,
                            pivot_deltas=self.pivot_deltas, flops=self.flops,
-                           kernel_backend=self.kernel_backend)
+                           kernel_backend=self.kernel_backend, sweeps=sweeps)
 
     def solve(self, b, kernel=None):
         """x with L U x = b, block forward then block back substitution.

@@ -2,7 +2,7 @@
 
 One backend registry behind every dense block operation of the pipeline
 (diagonal-block LU, panel triangular solves, rank-b GEMM + scatter, SPA
-column updates, multi-RHS substitutions), with centralized flop
+column updates, diagonal-block substitutions), with centralized flop
 accounting.  See docs/KERNELS.md for the protocol and the guide to
 adding a backend.
 

@@ -142,7 +142,7 @@ class KernelBackend(ABC):
     In-place semantics follow the historical kernels: ``lu_*`` factor
     ``d`` in place, ``trsm_*`` overwrite the panel argument,
     ``diag_solve_*`` overwrite the RHS slice, ``scatter_sub`` subtracts
-    into the target block, ``csc_*_multi`` overwrite the RHS block.
+    into the target block.
     """
 
     #: registry name; subclasses override
@@ -226,17 +226,6 @@ class KernelBackend(ABC):
         """Solve ``U_kk y = x`` in place against the packed block's upper
         triangle (diagonal included); ``x`` is (w,) or (w, nrhs).
         Returns ``x``."""
-
-    @abstractmethod
-    def csc_lower_multi(self, colptr, rowind, nzval, x, unit_diagonal):
-        """Multi-RHS forward substitution on a CSC lower factor, in
-        place on ``x`` (n × nrhs); columns must lead with the diagonal.
-        Raises ``ZeroDivisionError`` on a missing diagonal."""
-
-    @abstractmethod
-    def csc_upper_multi(self, colptr, rowind, nzval, x):
-        """Multi-RHS back substitution on a CSC upper factor, in place
-        on ``x`` (n × nrhs); columns must end with the diagonal."""
 
     def __repr__(self):
         return f"<KernelBackend {self.name!r}>"

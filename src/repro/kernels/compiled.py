@@ -1,4 +1,4 @@
-"""The ``compiled`` backend: numba ``@njit`` loops for all 12 ops.
+"""The ``compiled`` backend: numba ``@njit`` loops for all 10 ops.
 
 The reference loops are transcribed into nopython-mode kernels —
 same elimination order, same update order — so results track the
@@ -237,48 +237,6 @@ def _diag_upper_2(d, x):  # pragma: no cover - jitted
             x[jj, c] = acc / d[jj, jj]
 
 
-@njit(cache=True)
-def _csc_lower_multi(colptr, rowind, nzval, x,
-                     unit_diagonal):  # pragma: no cover - jitted
-    n = x.shape[0]
-    nrhs = x.shape[1]
-    for j in range(n):
-        lo = colptr[j]
-        hi = colptr[j + 1]
-        if lo == hi or rowind[lo] != j:
-            return j
-        if not unit_diagonal:
-            p = nzval[lo]
-            for c in range(nrhs):
-                x[j, c] = x[j, c] / p
-        for idx in range(lo + 1, hi):
-            i = rowind[idx]
-            v = nzval[idx]
-            for c in range(nrhs):
-                x[i, c] -= v * x[j, c]
-    return -1
-
-
-@njit(cache=True)
-def _csc_upper_multi(colptr, rowind, nzval, x):  # pragma: no cover - jitted
-    n = x.shape[0]
-    nrhs = x.shape[1]
-    for j in range(n - 1, -1, -1):
-        lo = colptr[j]
-        hi = colptr[j + 1]
-        if lo == hi or rowind[hi - 1] != j:
-            return j
-        p = nzval[hi - 1]
-        for c in range(nrhs):
-            x[j, c] = x[j, c] / p
-        for idx in range(lo, hi - 1):
-            i = rowind[idx]
-            v = nzval[idx]
-            for c in range(nrhs):
-                x[i, c] -= v * x[j, c]
-    return -1
-
-
 # ---- the backend ----------------------------------------------------- #
 
 class CompiledBackend(KernelBackend):
@@ -392,22 +350,4 @@ class CompiledBackend(KernelBackend):
             _diag_upper_2(d, x)
             nrhs = x.shape[1]
         self.stats.solve_flops += d.shape[0] * d.shape[0] * nrhs
-        return x
-
-    def csc_lower_multi(self, colptr, rowind, nzval, x, unit_diagonal):
-        n = x.shape[0]
-        bad = _csc_lower_multi(colptr, rowind, nzval, x,
-                               bool(unit_diagonal))
-        if bad >= 0:
-            raise ZeroDivisionError(f"missing diagonal in L column {bad}")
-        self.stats.solve_flops += 2 * (colptr[-1] - n) * x.shape[1]
-        return x
-
-    def csc_upper_multi(self, colptr, rowind, nzval, x):
-        n = x.shape[0]
-        bad = _csc_upper_multi(colptr, rowind, nzval, x)
-        if bad >= 0:
-            raise ZeroDivisionError(f"missing diagonal in U column {bad}")
-        self.stats.solve_flops += 2 * (colptr[-1] - n) * x.shape[1] \
-            + n * x.shape[1]
         return x

@@ -2,11 +2,11 @@
 
 Every method body here is the pre-refactor kernel moved verbatim from
 its original call site (``factor/supernodal.py``, ``factor/blockpivot.py``,
-``pdgstrs/*``, ``solve/triangular.py``), with only the flop accounting
-added.  This backend is the default: all tier-1 numerical tests (and the
-``SAME_PATTERN`` bit-identical refactorization contract) run against it,
-so its arithmetic must never change.  New performance work goes into a
-*new* backend, compared against this one.
+``pdgstrs/*``), with only the flop accounting added.  This backend is
+the default: all tier-1 numerical tests (and the ``SAME_PATTERN``
+bit-identical refactorization contract) run against it, so its
+arithmetic must never change.  New performance work goes into a *new*
+backend, compared against this one.
 """
 
 from __future__ import annotations
@@ -157,30 +157,4 @@ class ReferenceBackend(KernelBackend):
             x[jj] /= d[jj, jj]
         nrhs = 1 if x.ndim == 1 else x.shape[1]
         self.stats.solve_flops += w * w * nrhs
-        return x
-
-    def csc_lower_multi(self, colptr, rowind, nzval, x, unit_diagonal):
-        n = x.shape[0]
-        for j in range(n):
-            lo, hi = colptr[j], colptr[j + 1]
-            if lo == hi or rowind[lo] != j:
-                raise ZeroDivisionError(f"missing diagonal in L column {j}")
-            if not unit_diagonal:
-                x[j, :] /= nzval[lo]
-            if hi > lo + 1:
-                x[rowind[lo + 1:hi], :] -= np.outer(nzval[lo + 1:hi], x[j, :])
-        self.stats.solve_flops += 2 * (colptr[-1] - n) * x.shape[1]
-        return x
-
-    def csc_upper_multi(self, colptr, rowind, nzval, x):
-        n = x.shape[0]
-        for j in range(n - 1, -1, -1):
-            lo, hi = colptr[j], colptr[j + 1]
-            if lo == hi or rowind[hi - 1] != j:
-                raise ZeroDivisionError(f"missing diagonal in U column {j}")
-            x[j, :] /= nzval[hi - 1]
-            if hi - 1 > lo:
-                x[rowind[lo:hi - 1], :] -= np.outer(nzval[lo:hi - 1], x[j, :])
-        self.stats.solve_flops += 2 * (colptr[-1] - n) * x.shape[1] \
-            + n * x.shape[1]
         return x

@@ -16,9 +16,9 @@ rank-b update.  This backend replaces both:
 - ``diag_solve_*`` for the supernodal solve path through the same LAPACK
   route.
 
-Everything else (LU of the diagonal block, GEMM, the SPA column ops,
-CSC multi-RHS sweeps) inherits the reference implementation — numpy
-already dispatches those to BLAS or they are memory-bound scatter loops.
+Everything else (LU of the diagonal block, GEMM, the SPA column ops)
+inherits the reference implementation — numpy already dispatches those
+to BLAS or they are memory-bound scatter loops.
 
 Numerics: LAPACK reorders the same floating-point sums the reference
 sweep performs, so results agree to a few ulps, not bit-for-bit;
@@ -27,19 +27,25 @@ sweep performs, so results agree to a few ulps, not bit-for-bit;
 
 from __future__ import annotations
 
+from importlib.util import find_spec
+
 import numpy as np
 
 from repro.kernels.base import _as_submatrix, trsm_flops
 from repro.kernels.reference import ReferenceBackend
 
-try:  # optional [perf] extra — never a hard dependency
-    from scipy.linalg import solve_triangular as _solve_triangular
-except ImportError:  # pragma: no cover - exercised on scipy-free installs
-    _solve_triangular = None
-
 __all__ = ["VectorizedBackend", "HAVE_SCIPY"]
 
-HAVE_SCIPY = _solve_triangular is not None
+# optional [perf] extra — never a hard dependency, and loaded by the first
+# LAPACK call only: scipy.linalg is 28 MiB resident in every worker process
+HAVE_SCIPY = find_spec("scipy") is not None
+
+
+def _solve_triangular(*args, **kwargs):
+    from scipy.linalg import solve_triangular
+
+    return solve_triangular(*args, check_finite=False, **kwargs)
+
 
 # Below these block widths the Python sweep beats the LAPACK call
 # overhead (measured on the cfd testbed; see benchmarks/bench_kernels.py).
@@ -54,13 +60,12 @@ class VectorizedBackend(ReferenceBackend):
 
     def trsm_upper(self, d, b):
         w = d.shape[0]
-        if _solve_triangular is None or w < _TRSM_CUTOFF or not b.size:
+        if not HAVE_SCIPY or w < _TRSM_CUTOFF or not b.size:
             return super().trsm_upper(d, b)
         # X · U = B  ⇔  Uᵀ Xᵀ = Bᵀ; trans="T" references only d's upper
         # triangle, so the packed L half is ignored exactly as the sweep
         # ignores it
-        b[...] = _solve_triangular(d, b.T, lower=False, trans="T",
-                                   check_finite=False).T
+        b[...] = _solve_triangular(d, b.T, lower=False, trans="T").T
         st = self.stats
         st.trsm_calls += 1
         st.trsm_flops += trsm_flops(w, b.shape[0])
@@ -68,10 +73,9 @@ class VectorizedBackend(ReferenceBackend):
 
     def trsm_lower_unit(self, d, r):
         w = d.shape[0]
-        if _solve_triangular is None or w < _TRSM_CUTOFF or not r.size:
+        if not HAVE_SCIPY or w < _TRSM_CUTOFF or not r.size:
             return super().trsm_lower_unit(d, r)
-        r[...] = _solve_triangular(d, r, lower=True, unit_diagonal=True,
-                                   check_finite=False)
+        r[...] = _solve_triangular(d, r, lower=True, unit_diagonal=True)
         st = self.stats
         st.trsm_calls += 1
         st.trsm_flops += trsm_flops(w, r.shape[1])
@@ -103,19 +107,18 @@ class VectorizedBackend(ReferenceBackend):
 
     def diag_solve_lower_unit(self, d, x):
         w = d.shape[0]
-        if _solve_triangular is None or w < _DIAG_SOLVE_CUTOFF:
+        if not HAVE_SCIPY or w < _DIAG_SOLVE_CUTOFF:
             return super().diag_solve_lower_unit(d, x)
-        x[...] = _solve_triangular(d, x, lower=True, unit_diagonal=True,
-                                   check_finite=False)
+        x[...] = _solve_triangular(d, x, lower=True, unit_diagonal=True)
         nrhs = 1 if x.ndim == 1 else x.shape[1]
         self.stats.solve_flops += w * w * nrhs
         return x
 
     def diag_solve_upper(self, d, x):
         w = d.shape[0]
-        if _solve_triangular is None or w < _DIAG_SOLVE_CUTOFF:
+        if not HAVE_SCIPY or w < _DIAG_SOLVE_CUTOFF:
             return super().diag_solve_upper(d, x)
-        x[...] = _solve_triangular(d, x, lower=False, check_finite=False)
+        x[...] = _solve_triangular(d, x, lower=False)
         nrhs = 1 if x.ndim == 1 else x.shape[1]
         self.stats.solve_flops += w * w * nrhs
         return x

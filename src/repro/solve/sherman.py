@@ -82,7 +82,8 @@ class ShermanMorrisonSolver:
         return self.cols.size
 
     def solve(self, b):
-        """x with ``A x = b`` where ``A = M - U Vᵀ`` (exact Woodbury)."""
+        """x with ``A x = b`` where ``A = M - U Vᵀ`` (exact Woodbury);
+        ``b`` is (n,) or, when ``solve_m`` takes blocks, (n, nrhs)."""
         b = np.asarray(b)
         y = np.asarray(self.solve_m(b))
         if self.cols.size == 0:
@@ -116,8 +117,8 @@ def _dense_lu_solve(lu_piv, b):
     k = a.shape[0]
     x = np.asarray(b)[piv].copy()
     for c in range(k):
-        x[c + 1:] -= a[c + 1:, c] * x[c]
+        x[c + 1:] -= np.multiply.outer(a[c + 1:, c], x[c])
     for c in range(k - 1, -1, -1):
         x[c] /= a[c, c]
-        x[:c] -= a[:c, c] * x[c]
+        x[:c] -= np.multiply.outer(a[:c, c], x[c])
     return x

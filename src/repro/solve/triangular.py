@@ -2,9 +2,12 @@
 
 Column-oriented substitution: after ``x[j]`` is known, column ``j``'s
 off-diagonal entries are scattered into the right-hand side — one NumPy
-gather/scatter per column, O(nnz) total.  The transpose solves iterate
-with dot products instead (used by the 1-norm condition estimator, which
-needs ``A^{-T}`` applications).
+gather/scatter per column, O(nnz) total, for one right-hand side (n,) or
+a block of them (n, nrhs).  These sweeps are the readable reference the
+block engine's level-set schedule (:mod:`repro.factor.solveplan`) is
+tested against, and the solve path of the column-kernel configurations.
+The transpose solves iterate with dot products instead (used by the
+1-norm condition estimator, which needs ``A^{-T}`` applications).
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ __all__ = [
     "solve_upper_csc",
     "solve_lower_t_csc",
     "solve_upper_t_csc",
-    "solve_lower_csc_multi",
-    "solve_upper_csc_multi",
 ]
 
 
@@ -28,15 +29,16 @@ def _check(a, b):
         raise ValueError("triangular solve requires a square matrix")
     b = np.array(b, dtype=np.result_type(a.nzval, np.asarray(b), np.float64),
                  copy=True)
-    if b.shape != (a.ncols,):
-        raise ValueError("right-hand side has wrong length")
+    if b.ndim not in (1, 2) or b.shape[0] != a.ncols:
+        raise ValueError("right-hand side must be (n,) or (n, nrhs)")
     return b
 
 
 def solve_lower_csc(l: CSCMatrix, b, unit_diagonal: bool = False):
     """x with L x = b; L's columns must have the diagonal entry first."""
     x = _check(l, b)
-    colptr, rowind, nzval = l.colptr, l.rowind, l.nzval
+    colptr, rowind = l.colptr, l.rowind
+    nzval = l.nzval if x.ndim == 1 else l.nzval[:, None]   # per row of x
     n = l.ncols
     for j in range(n):
         lo, hi = colptr[j], colptr[j + 1]
@@ -44,23 +46,24 @@ def solve_lower_csc(l: CSCMatrix, b, unit_diagonal: bool = False):
             raise ZeroDivisionError(f"missing diagonal in L column {j}")
         xj = x[j] if unit_diagonal else x[j] / nzval[lo]
         x[j] = xj
-        if xj != 0.0 and hi > lo + 1:
-            x[rowind[lo + 1:hi]] -= xj * nzval[lo + 1:hi]
+        if hi > lo + 1 and (x.ndim == 2 or xj != 0.0):
+            x[rowind[lo + 1:hi]] -= nzval[lo + 1:hi] * xj
     return x
 
 
 def solve_upper_csc(u: CSCMatrix, b):
     """x with U x = b; U's columns must have the diagonal entry last."""
     x = _check(u, b)
-    colptr, rowind, nzval = u.colptr, u.rowind, u.nzval
+    colptr, rowind = u.colptr, u.rowind
+    nzval = u.nzval if x.ndim == 1 else u.nzval[:, None]
     for j in range(u.ncols - 1, -1, -1):
         lo, hi = colptr[j], colptr[j + 1]
         if lo == hi or rowind[hi - 1] != j:
             raise ZeroDivisionError(f"missing diagonal in U column {j}")
         xj = x[j] / nzval[hi - 1]
         x[j] = xj
-        if xj != 0.0 and hi - 1 > lo:
-            x[rowind[lo:hi - 1]] -= xj * nzval[lo:hi - 1]
+        if hi - 1 > lo and (x.ndim == 2 or xj != 0.0):
+            x[rowind[lo:hi - 1]] -= nzval[lo:hi - 1] * xj
     return x
 
 
@@ -92,39 +95,3 @@ def solve_upper_t_csc(u: CSCMatrix, b):
             s -= nzval[lo:hi - 1] @ x[rowind[lo:hi - 1]]
         x[j] = s / nzval[hi - 1]
     return x
-
-
-def _check_multi(a, b):
-    if a.nrows != a.ncols:
-        raise ValueError("triangular solve requires a square matrix")
-    b = np.array(b, dtype=np.result_type(a.nzval, np.asarray(b), np.float64),
-                 copy=True)
-    if b.ndim != 2 or b.shape[0] != a.ncols:
-        raise ValueError("multi-RHS must be (n, nrhs)")
-    return b
-
-
-def solve_lower_csc_multi(l: CSCMatrix, b, unit_diagonal: bool = False,
-                          kernel=None):
-    """X with L X = B for a block of right-hand sides (n × nrhs).
-
-    One outer-product scatter per column amortizes the Python overhead
-    across all right-hand sides — the reason multiple-RHS solves are so
-    much cheaper per vector (the paper's closing remark on the number of
-    right-hand sides driving solve-algorithm choice).  ``kernel`` selects
-    the dense backend running the substitution sweep.
-    """
-    from repro.kernels import resolve_backend
-
-    x = _check_multi(l, b)
-    return resolve_backend(kernel).csc_lower_multi(
-        l.colptr, l.rowind, l.nzval, x, unit_diagonal)
-
-
-def solve_upper_csc_multi(u: CSCMatrix, b, kernel=None):
-    """X with U X = B for a block of right-hand sides (n × nrhs)."""
-    from repro.kernels import resolve_backend
-
-    x = _check_multi(u, b)
-    return resolve_backend(kernel).csc_upper_multi(
-        u.colptr, u.rowind, u.nzval, x)

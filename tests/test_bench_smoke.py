@@ -91,9 +91,12 @@ def test_service_burst_smoke():
         from bench_service import SPEEDUP_FLOOR, warm_burst_comparison
     finally:
         sys.path.pop(0)
-    comp = warm_burst_comparison(name="cfd06", burst=8, rounds=3)
+    # (every response ok, FACTORED, and equal to its sequential solve
+    # within 1e-12 is asserted inside)
+    # a round is ~20 ms (it was ~90): ten of them steady both minima
+    comp = warm_burst_comparison(name="cfd06", burst=8, rounds=10)
     assert comp["widths"] == [8]          # the whole burst coalesced
-    assert comp["speedup"] >= SPEEDUP_FLOOR, comp
+    assert comp["speedup"] >= SPEEDUP_FLOOR == 1.0, comp
 
 
 @needs_spawn
@@ -101,7 +104,7 @@ def test_bench_trajectory_service_schema(tmp_path):
     out = tmp_path / "BENCH_service.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_trajectory.py"),
-         "--bench", "service", "--rounds", "3", "--requests", "20",
+         "--bench", "service", "--rounds", "10", "--requests", "20",
          "--out", str(out)],
         capture_output=True, text=True,
         env={"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"})
@@ -109,7 +112,9 @@ def test_bench_trajectory_service_schema(tmp_path):
     rec = json.loads(out.read_text())
     assert rec["schema"] == "bench_service/v1"
     assert rec["burst"] == 8
-    assert rec["speedup"] >= rec["speedup_floor"] == 2.0
+    # 2.0 until PR 18: the ratio was per-column interpreter overhead
+    # amortised over the burst, and it went with the column loop
+    assert rec["speedup"] >= rec["speedup_floor"] == 1.0
     loop = rec["open_loop"]
     assert loop["completed"] == 20
     assert loop["failed"] == 0

@@ -107,3 +107,18 @@ def test_lint_catches_a_stale_counter_emitter():
     # a module that does not exist, and one that never emits the name
     assert stale == [("factor.flops", "repro/factor/gone.py"),
                      ("factor.flops", "repro/sparse/ops.py")]
+
+
+def test_kernels_md_contract_table_is_the_protocol():
+    from repro.kernels import KernelBackend
+
+    assert check_docs.kernel_table_drift() == []
+    ops = sorted(KernelBackend.__abstractmethods__)
+    assert len(ops) == 10
+    rows = [f"| `{op}(d, x)` | somewhere | something |" for op in ops]
+    assert check_docs.kernel_table_drift("\n".join(rows)) == []
+    # a row the protocol dropped, and an op the table never got
+    stale = rows + ["| `csc_lower_multi(...)` | multi-RHS | gone |"]
+    assert check_docs.kernel_table_drift("\n".join(stale)) == \
+        ["csc_lower_multi"]
+    assert check_docs.kernel_table_drift("\n".join(rows[1:])) == [ops[0]]

@@ -33,14 +33,16 @@ from repro.kernels import (
 )
 from repro.kernels.reference import ReferenceBackend
 from repro.kernels.vectorized import VectorizedBackend
+from repro.solve.triangular import solve_lower_csc, solve_upper_csc
+from repro.sparse import CSCMatrix
 
 EPS = float(np.finfo(np.float64).eps)
 
 
 # --------------------------------------------------------------------- #
 # the frozen pre-refactor loops — copied verbatim from the historical
-# call sites (factor/supernodal.py, factor/blockpivot.py, pdgstrs/*,
-# solve/triangular.py) at the commit before the kernel layer existed.
+# call sites (factor/supernodal.py, factor/blockpivot.py, pdgstrs/*)
+# at the commit before the kernel layer existed.
 # DO NOT "fix" or modernise these: they are the golden arithmetic the
 # reference backend promises to reproduce bit for bit.
 # --------------------------------------------------------------------- #
@@ -137,31 +139,6 @@ class GoldenBackend(KernelBackend):
             if jj + 1 < w:
                 x[jj] -= d[jj, jj + 1:] @ x[jj + 1:]
             x[jj] /= d[jj, jj]
-        return x
-
-    def csc_lower_multi(self, colptr, rowind, nzval, x, unit_diagonal):
-        n = x.shape[0]
-        for j in range(n):
-            lo, hi = colptr[j], colptr[j + 1]
-            if lo == hi or rowind[lo] != j:
-                raise ZeroDivisionError(f"missing diagonal in L column {j}")
-            if not unit_diagonal:
-                x[j, :] /= nzval[lo]
-            if hi > lo + 1:
-                x[rowind[lo + 1:hi], :] -= np.outer(nzval[lo + 1:hi],
-                                                    x[j, :])
-        return x
-
-    def csc_upper_multi(self, colptr, rowind, nzval, x):
-        n = x.shape[0]
-        for j in range(n - 1, -1, -1):
-            lo, hi = colptr[j], colptr[j + 1]
-            if lo == hi or rowind[hi - 1] != j:
-                raise ZeroDivisionError(f"missing diagonal in U column {j}")
-            x[j, :] /= nzval[hi - 1]
-            if hi - 1 > lo:
-                x[rowind[lo:hi - 1], :] -= np.outer(nzval[lo:hi - 1],
-                                                    x[j, :])
         return x
 
 
@@ -578,25 +555,10 @@ def _typed_block(rng, w, dtype):
     return d
 
 
-def _csc_from_dense(dense):
-    """CSC triple of a triangular dense matrix, rows ascending within
-    each column (diagonal first for L, last for U)."""
-    n = dense.shape[0]
-    colptr, rowind, nzval = [0], [], []
-    for j in range(n):
-        for i in np.nonzero(dense[:, j])[0]:
-            rowind.append(int(i))
-            nzval.append(dense[i, j])
-        colptr.append(len(rowind))
-    return (np.asarray(colptr, dtype=np.int64),
-            np.asarray(rowind, dtype=np.int64),
-            np.asarray(nzval, dtype=dense.dtype))
-
-
 @pytest.mark.parametrize("backend_name", sorted(available_backends()))
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 def test_every_op_preserves_dtype_and_matches_reference(backend_name, dtype):
-    """All 12 kernel ops keep their input dtype on every registered
+    """All 10 kernel ops keep their input dtype on every registered
     backend (the fp32-factor path depends on never silently upcasting)
     and agree with the reference backend to a few hundred ulps of the
     *working* dtype."""
@@ -663,17 +625,46 @@ def test_every_op_preserves_dtype_and_matches_reference(backend_name, dtype):
     check(be.diag_solve_upper(d0, x2.copy()),
           ref.diag_solve_upper(d0, x2.copy()))
 
-    ldense = np.tril(_typed_block(rng, w, dtype))        # csc multi-RHS
-    udense = np.triu(_typed_block(rng, w, dtype))
-    lp, li, lv = _csc_from_dense(ldense)
-    up, ui, uv = _csc_from_dense(udense)
-    xl0 = _typed(rng, (w, 2), dtype)
-    for unit in (False, True):
-        check(be.csc_lower_multi(lp, li, lv, xl0.copy(), unit),
-              ref.csc_lower_multi(lp, li, lv, xl0.copy(), unit))
-    xu0 = _typed(rng, (w, 2), dtype)
-    check(be.csc_upper_multi(up, ui, uv, xu0.copy()),
-          ref.csc_upper_multi(up, ui, uv, xu0.copy()))
+    # the CSC sweeps left the protocol: they take a block as they take
+    # a vector, in the wider of the factor dtype and float64
+    assert len(KernelBackend.__abstractmethods__) == 10
+    wide = np.result_type(dtype, np.float64)
+    for solve, tri in ((solve_lower_csc, np.tril), (solve_upper_csc, np.triu)):
+        mat = CSCMatrix.from_dense(tri(_typed_block(rng, w, dtype)))
+        xb = solve(mat, x2)
+        assert xb.dtype == wide and xb.shape == x2.shape
+        for t in range(m):
+            assert np.array_equal(xb[:, t], solve(mat, x2[:, t]))
+
+
+def test_scipy_linalg_loads_on_the_first_lapack_call_only():
+    """``import repro`` and a default solve leave ``scipy.linalg`` (28 MiB
+    resident) unloaded; the first ``vectorized`` panel solve imports it.
+    A fresh interpreter: this process has long since loaded scipy."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = """
+import sys
+import numpy as np
+import repro
+from repro.kernels import HAVE_SCIPY, get_backend
+
+d = np.diag(np.arange(2.0, 12.0)) + 0.1
+a = repro.CSCMatrix.from_dense(d)
+assert repro.GESPSolver(a, cache=False).solve(d @ np.ones(10)).converged
+assert "scipy.linalg" not in sys.modules, "loaded by the default path"
+assert HAVE_SCIPY
+get_backend("vectorized").trsm_upper(d, np.ones((3, 10)))
+assert "scipy.linalg" in sys.modules, "the LAPACK path never ran"
+"""
+    pytest.importorskip("scipy")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code], text=True,
+                          capture_output=True, timeout=120,
+                          env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"})
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_tiny_pivot_replacement_is_dtype_and_phase_preserving():

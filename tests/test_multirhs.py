@@ -1,15 +1,11 @@
-"""Multi right-hand-side solves (blocked triangular kernels + driver)."""
+"""Multi right-hand-side solves: the triangular sweeps on a block of
+right-hand sides (the same functions as for one) and the driver."""
 
 import numpy as np
 import pytest
 
 from repro.driver import GESPOptions, GESPSolver
-from repro.solve.triangular import (
-    solve_lower_csc,
-    solve_lower_csc_multi,
-    solve_upper_csc,
-    solve_upper_csc_multi,
-)
+from repro.solve.triangular import solve_lower_csc, solve_upper_csc
 from repro.sparse import CSCMatrix
 
 from conftest import random_nonsingular_dense, random_sparse_dense
@@ -22,9 +18,10 @@ def test_lower_multi_matches_single(rng):
     np.fill_diagonal(d, 2.0 + rng.random(10))
     a = CSCMatrix.from_dense(d)
     b = rng.standard_normal((10, 4))
-    x = solve_lower_csc_multi(a, b)
+    x = solve_lower_csc(a, b)
+    assert x.shape == b.shape
     for t in range(4):
-        assert np.allclose(x[:, t], solve_lower_csc(a, b[:, t]), atol=1e-12)
+        assert np.array_equal(x[:, t], solve_lower_csc(a, b[:, t]))
 
 
 def test_lower_multi_unit_diag(rng):
@@ -34,7 +31,7 @@ def test_lower_multi_unit_diag(rng):
     np.fill_diagonal(unit, 1.0)
     a = CSCMatrix.from_dense(d)
     b = rng.standard_normal((8, 3))
-    x = solve_lower_csc_multi(a, b, unit_diagonal=True)
+    x = solve_lower_csc(a, b, unit_diagonal=True)
     assert np.allclose(unit @ x, b, atol=1e-12)
 
 
@@ -43,23 +40,26 @@ def test_upper_multi_matches_single(rng):
     np.fill_diagonal(d, 2.0 + rng.random(10))
     a = CSCMatrix.from_dense(d)
     b = rng.standard_normal((10, 5))
-    x = solve_upper_csc_multi(a, b)
+    x = solve_upper_csc(a, b)
+    assert x.shape == b.shape
     for t in range(5):
-        assert np.allclose(x[:, t], solve_upper_csc(a, b[:, t]), atol=1e-12)
+        assert np.array_equal(x[:, t], solve_upper_csc(a, b[:, t]))
 
 
 def test_multi_shape_validation():
     a = CSCMatrix.identity(3)
+    assert solve_lower_csc(a, np.ones(3)).shape == (3,)      # one vector
+    assert solve_upper_csc(a, np.ones((3, 1))).shape == (3, 1)
     with pytest.raises(ValueError):
-        solve_lower_csc_multi(a, np.ones(3))  # 1-D rejected
+        solve_lower_csc(a, np.ones((3, 2, 2)))
     with pytest.raises(ValueError):
-        solve_upper_csc_multi(a, np.ones((4, 2)))
+        solve_upper_csc(a, np.ones((4, 2)))
 
 
 def test_multi_missing_diagonal():
     a = CSCMatrix.from_dense(np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ZeroDivisionError):
-        solve_lower_csc_multi(a, np.ones((2, 2)))
+        solve_lower_csc(a, np.ones((2, 2)))
 
 
 def test_driver_solve_multi(rng):

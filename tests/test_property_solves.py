@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.iterative import gmres, ilu0
 from repro.solve.triangular import (
     solve_lower_csc,
-    solve_lower_csc_multi,
     solve_upper_csc,
-    solve_upper_csc_multi,
     solve_lower_t_csc,
     solve_upper_t_csc,
 )
@@ -76,13 +74,11 @@ def test_multi_rhs_equals_column_solves(d, nrhs, bseed):
     al = CSCMatrix.from_dense(low)
     au = CSCMatrix.from_dense(up)
     b = np.random.default_rng(bseed).standard_normal((n, nrhs))
-    xl = solve_lower_csc_multi(al, b)
-    xu = solve_upper_csc_multi(au, b)
-    for t in range(nrhs):
-        assert np.allclose(xl[:, t], solve_lower_csc(al, b[:, t]),
-                           atol=1e-10 * max(1, np.abs(xl).max()))
-        assert np.allclose(xu[:, t], solve_upper_csc(au, b[:, t]),
-                           atol=1e-10 * max(1, np.abs(xu).max()))
+    xl = solve_lower_csc(al, b)
+    xu = solve_upper_csc(au, b)
+    for t in range(nrhs):       # elementwise arithmetic: bit for bit
+        assert np.array_equal(xl[:, t], solve_lower_csc(al, b[:, t]))
+        assert np.array_equal(xu[:, t], solve_upper_csc(au, b[:, t]))
 
 
 @given(st.integers(2, 10), st.integers(0, 10_000))

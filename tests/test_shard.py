@@ -246,6 +246,36 @@ def test_spool_v1_plans_are_skipped_not_half_loaded(tmp_path):
     assert spool.load_plans(tmp_path, FactorizationCache()) == 1
 
 
+def test_spool_v2_plans_are_skipped_not_half_loaded(tmp_path):
+    """A plan spooled before BlockPlan carried the solve schedule would
+    load, factor, and then quietly solve through the column sweeps.  Its
+    schema tag sends it down the skip path; the pattern starts cold and
+    comes back with a schedule."""
+    import copy
+
+    from repro.driver import GESPOptions, GESPSolver
+
+    a = sparse_matrix(seed=9)
+    plan = _plans_for([a]).snapshot()[0]
+    old = copy.copy(plan)
+    old.block_plan = copy.copy(plan.block_plan)
+    del old.block_plan.__dict__["solve"]
+    spool.spool_path(tmp_path, plan.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v2", "key": plan.key, "plan": old}))
+
+    fresh = FactorizationCache(maxsize=32)
+    with pytest.warns(spool.SpoolSkipWarning, match="spool/v2"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    assert len(fresh) == 0
+    warm = GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=fresh)
+    assert warm.factors.sweeps is not None
+    assert warm.solve(a @ np.ones(a.ncols)).converged
+    spool.save_plans(tmp_path, fresh.snapshot(), set())
+    reloaded = FactorizationCache()
+    assert spool.load_plans(tmp_path, reloaded) == 1
+    assert reloaded.snapshot()[0].block_plan.solve is not None
+
+
 def test_spool_clean_load_emits_no_warning(tmp_path, recwarn):
     cache = _plans_for([sparse_matrix(seed=9)])
     spool.save_plans(tmp_path, cache.snapshot(), set())

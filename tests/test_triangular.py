@@ -32,6 +32,9 @@ def test_lower(lower, rng):
     b = rng.standard_normal(12)
     x = solve_lower_csc(CSCMatrix.from_dense(lower), b)
     assert np.allclose(x, np.linalg.solve(lower, b), atol=1e-10)
+    block = rng.standard_normal((12, 3))        # (n, nrhs): same function
+    xb = solve_lower_csc(CSCMatrix.from_dense(lower), block)
+    assert np.allclose(xb, np.linalg.solve(lower, block), atol=1e-10)
 
 
 def test_lower_unit_diagonal(lower, rng):
@@ -47,6 +50,9 @@ def test_upper(upper, rng):
     b = rng.standard_normal(12)
     x = solve_upper_csc(CSCMatrix.from_dense(upper), b)
     assert np.allclose(x, np.linalg.solve(upper, b), atol=1e-10)
+    block = rng.standard_normal((12, 3))
+    xb = solve_upper_csc(CSCMatrix.from_dense(upper), block)
+    assert np.allclose(xb, np.linalg.solve(upper, block), atol=1e-10)
 
 
 def test_lower_transpose(lower, rng):
@@ -84,15 +90,16 @@ def test_missing_diagonal_raises():
 
 
 def test_input_not_mutated(lower):
-    b = np.ones(12)
-    b0 = b.copy()
-    solve_lower_csc(CSCMatrix.from_dense(lower), b)
-    assert np.array_equal(b, b0)
+    for b in (np.ones(12), np.ones((12, 2))):
+        b0 = b.copy()
+        solve_lower_csc(CSCMatrix.from_dense(lower), b)
+        assert np.array_equal(b, b0)
 
 
 def test_wrong_length_rhs(lower):
-    with pytest.raises(ValueError):
-        solve_lower_csc(CSCMatrix.from_dense(lower), np.ones(5))
+    for shape in (5, (5, 2), (12, 2, 2), ()):
+        with pytest.raises(ValueError):
+            solve_lower_csc(CSCMatrix.from_dense(lower), np.ones(shape))
 
 
 def test_rejects_rectangular():

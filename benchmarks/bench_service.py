@@ -154,9 +154,10 @@ def sharded_open_loop(names=SHARD_MIX, requests=48, rate=None,
 
     Returns one row per shard count plus the 1->N throughput scaling
     ratio and a ``bit_identical`` verdict against an in-process
-    reference service.  ``max_batch=1`` on every tier: joint block
-    refinement makes wide-batch low bits composition-dependent, and the
-    bit-identity claim needs per-request solves everywhere.
+    reference service.  ``max_batch=1`` on every tier, as when the
+    committed rows were recorded (the bit-identity claim no longer needs
+    it: refinement stops each column of a block on its own berr, and
+    tests/test_shard.py asserts identity with coalescing on).
 
     The scaling floor is a *tier* property — shards are processes, so
     speedup needs cores.  ``floor_enforced`` records whether this host

@@ -26,6 +26,11 @@ with ``PYTHONPATH=src python scripts/check_docs.py``):
    exactly the abstract methods of ``repro.kernels.KernelBackend``, so
    the documented protocol cannot keep an op the code dropped (or miss
    one it gained).
+
+A green run ends with one line, ``src: <modules> modules / <lines>
+lines`` — every ``*.py`` file under ``src/`` and every line in them, the
+way ROADMAP.md and the CHANGES.md entries count source size (``find src
+-name '*.py' | xargs cat | wc -l``) — so that number comes from one tool.
 """
 
 from __future__ import annotations
@@ -173,6 +178,14 @@ def kernel_table_drift(text=None):
     return sorted(documented ^ set(KernelBackend.__abstractmethods__))
 
 
+def src_size():
+    """``(modules, lines)``: the ``*.py`` files under ``src/`` and the
+    newlines in them (what ``find src -name '*.py' | xargs cat | wc -l``
+    prints)."""
+    files = list((REPO / "src").rglob("*.py"))
+    return len(files), sum(f.read_bytes().count(b"\n") for f in files)
+
+
 def main():
     status = 0
     if not ARCHITECTURE.is_file():
@@ -219,6 +232,7 @@ def main():
               f"({len(repro_packages())} packages, all counters "
               f"documented, {len(docs_files())} docs indexed, "
               f"{len(cli_flags())} CLI flags documented)")
+        print("src: {} modules / {} lines".format(*src_size()))
     return status
 
 

@@ -216,7 +216,7 @@ class DistributedGESPSolver(PatternSolver):
         """
         if self.factor_run is None:
             self.factorize()
-        with use_tracer(self.tracer), self.tracer.span("solve"):
+        with self._recording() as tracer, tracer.span("solve"):
             run = pdgstrs(self.dist,
                           self._to_factored(np.asarray(b, dtype=np.float64)),
                           machine=self.machine,
@@ -274,5 +274,5 @@ class DistributedGESPSolver(PatternSolver):
             return self._from_factored(
                 gathered.solve(c, kernel=self.options.kernel_backend))
 
-        with use_tracer(self.tracer), self.tracer.span("solve"):
+        with self._recording() as tracer, tracer.span("solve"):
             return self._solve_report(solve_once, b, refine)

@@ -46,11 +46,13 @@ from repro.driver.pipeline import PatternSolver, SolveReport
 from repro.factor.blockplan import build_block_plan
 from repro.factor.gesp import gesp_factor
 from repro.factor.supernodal import supernodal_factor
-from repro.obs import Tracer, annotate, use_tracer
-from repro.solve.errbound import forward_error_bound
+from repro.obs import Tracer, annotate, trace
+from repro.solve.errbound import condest_1norm, forward_error_bound
+from repro.solve.refine import refine_block
 from repro.solve.sherman import ShermanMorrisonSolver
 from repro.solve.triangular import solve_lower_t_csc, solve_upper_t_csc
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.ops import norm1
 from repro.symbolic.fill import symbolic_lu
 from repro.symbolic.supernode import block_partition
 
@@ -60,20 +62,20 @@ __all__ = ["GESPSolver", "SolveReport", "MultiSolveResult", "gesp_solve"]
 class MultiSolveResult(NamedTuple):
     """Outcome of :meth:`GESPSolver.solve_multi`.
 
-    ``converged`` distinguishes a certified block solve (worst-column
-    berr at or below the refinement target, or within
+    The per-column arrays are the result: ``berrs[t]`` is column t's
+    componentwise backward error for the returned iterate,
+    ``col_steps[t]`` the corrections computed for it and
+    ``col_converged[t]`` whether it is certified (berr at or below the
+    refinement target, or within
     :data:`repro.solve.refine.STAGNATION_SLACK` of it at a stagnation
-    stop) from stagnation above it — callers of the old 3-tuple could
-    not tell the two apart.
+    stop) — each exactly what :meth:`GESPSolver.solve` reports for that
+    right-hand side alone.  :mod:`repro.service` answers every batched
+    request from its own column and retries only the columns that lost.
 
-    ``berrs`` and ``col_converged`` carry the *per-column* picture:
-    ``berrs[t]`` is column t's componentwise backward error for the
-    returned iterate and ``col_converged[t]`` whether it met that bar.
-    The scalar ``berr``/``converged`` remain the worst-case aggregates
-    (``berr == berrs.max()``, ``converged == col_converged.all()``), so
-    existing callers are unaffected; :mod:`repro.service` uses the
-    arrays to certify each batched request individually and retry only
-    the columns that lost.
+    The scalars are the block's aggregates: ``berr == berrs.max()``,
+    ``converged == col_converged.all()`` and ``steps ==
+    col_steps.max()``, the number of sweeps over the factors the block
+    took after its first solve.
     """
 
     x: np.ndarray
@@ -82,6 +84,7 @@ class MultiSolveResult(NamedTuple):
     converged: bool
     berrs: np.ndarray | None = None
     col_converged: np.ndarray | None = None
+    col_steps: np.ndarray | None = None
 
 
 class GESPSolver(PatternSolver):
@@ -98,10 +101,11 @@ class GESPSolver(PatternSolver):
         to a cold factorization when nothing is cached).
     tracer:
         A :class:`repro.obs.Tracer` to record spans into.  When omitted,
-        the ambient tracer is used if one is installed (``use_tracer``);
-        otherwise a private tracer is created so the per-stage timings
-        remain available (the trace of a private tracer is reachable as
-        ``solver.tracer``).
+        the ambient tracer is used if one is installed (``use_tracer``).
+        A solver handed neither keeps the spans of its latest build in a
+        private tracer (reachable as ``solver.tracer``, so the per-stage
+        timings remain available) and records its solves into whatever
+        tracer is ambient on the calling thread.
     cache:
         The :class:`~repro.driver.factcache.FactorizationCache` to
         consult/seed.  Default: the process-wide
@@ -117,7 +121,8 @@ class GESPSolver(PatternSolver):
         The step-(1)/(2) transforms (destination-convention permutations
         and scale vectors).
     tracer:
-        The :class:`repro.obs.Tracer` the build and solve spans went to.
+        The :class:`repro.obs.Tracer` the build spans went to (and the
+        solve spans too, when the solver was handed one).
     timings:
         Backward-compat view over the stage spans: dict of per-phase
         seconds with keys ``equil``, ``rowperm``, ``colperm``,
@@ -260,7 +265,11 @@ class GESPSolver(PatternSolver):
 
     def solve_once(self, b):
         """One direct solve through the factors (no refinement); ``b``
-        is (n,) or a block (n, nrhs)."""
+        is (n,) or a block (n, nrhs).  A block of one column is solved as
+        the vector it is: same bits under every engine, no 2-D indexing."""
+        b = np.asarray(b)
+        if b.ndim == 2 and b.shape[1] == 1:
+            return self.solve_once(b[:, 0])[:, None]
         return self._from_factored(
             self._solve_factored(self._to_factored(b)))
 
@@ -272,10 +281,10 @@ class GESPSolver(PatternSolver):
         "by far the most expensive step after factorization ... we do this
         only when the user asks for it."
         """
-        with use_tracer(self.tracer), self.tracer.span("solve"):
+        with self._recording() as tracer, tracer.span("solve"):
             report = self._solve_report(self.solve_once, b, refine)
             if forward_error:
-                with self.tracer.span("errbound"):
+                with trace("errbound"):
                     report.forward_error_estimate = forward_error_bound(
                         self.a, self.solve_once, self.solve_transpose,
                         report.x, np.asarray(b))
@@ -286,87 +295,27 @@ class GESPSolver(PatternSolver):
         """Solve ``A X = B`` for a block of right-hand sides (n × nrhs).
 
         One pass over the factors for all columns (:meth:`solve_once` on
-        the block), with optional joint iterative refinement on the worst
-        column's componentwise backward error — the multiple-RHS workload
-        the paper's §5 discussion of solve algorithms anticipates.
-        Mirrors the single-RHS refinement loop of
-        :func:`repro.solve.refine.iterative_refinement`: on stagnation
-        the *better* iterate is kept (a worsening correction is rolled
-        back) and the returned :class:`MultiSolveResult` carries a
-        ``converged`` flag; ``opts.extra_precision_residual`` is honored
-        for the block residuals exactly like the single-RHS path.
-        Not available with diagonal-block pivoting (the packed supernodal
-        factors have their own solve).
+        the block), then the loop :meth:`solve` runs
+        (:func:`repro.solve.refine.refine_block`), one more pass per
+        sweep for the columns still being corrected — the multiple-RHS
+        workload of the paper's §5.  Every column stops by the paper's
+        rule on its own ``berr``: with the default engine column t is bit
+        for bit what ``solve(b_block[:, t])`` returns, whatever else is
+        in the block; where a dense block operation sits inside
+        :meth:`solve_once` (Woodbury correction, diagonal-block pivoting)
+        the columns agree to rounding and certify alike.
         """
-        from repro.solve.refine import (
-            STAGNATION_SLACK,
-            _residual_extended,
-            componentwise_backward_error,
-        )
-        if self.options.diag_block_pivoting > 0.0:
-            raise NotImplementedError(
-                "multi-RHS solves are not wired for diagonal-block pivoting")
         b_block = np.asarray(b_block)
         if b_block.ndim != 2 or b_block.shape[0] != self.a.ncols:
             raise ValueError("b_block must be (n, nrhs)")
-        opts = self.options
-        do_refine = opts.refine if refine is None else refine
-        cap = opts.refine_max_steps if max_steps is None else max_steps
-        xp = opts.extra_precision_residual
-
-        def block_residual(xx):
-            if xp:
-                return np.column_stack([
-                    _residual_extended(self.a, xx[:, t], b_block[:, t])
-                    for t in range(b_block.shape[1])])
-            from repro.sparse.ops import spmv
-
-            return np.column_stack([
-                b_block[:, t] - spmv(self.a, xx[:, t])
-                for t in range(b_block.shape[1])])
-
-        def col_berrs(xx):
-            return np.array([componentwise_backward_error(
-                self.a, xx[:, t], b_block[:, t], extra_precision=xp)
-                for t in range(b_block.shape[1])])
-
-        def result(x, bv, berr, steps, converged, bar=opts.refine_eps):
-            return MultiSolveResult(
-                x=x, berr=berr, steps=steps, converged=converged,
-                berrs=bv, col_converged=bv <= bar)
-
-        x = self.solve_once(b_block)
-        bv = col_berrs(x)
-        berr = float(np.max(bv)) if bv.size else 0.0
-        steps = 0
-        converged = bool(berr <= opts.refine_eps)
-        if do_refine and not np.isfinite(berr):
-            # non-finite berr cannot be refined away (see refine.py):
-            # fail fast instead of compounding garbage for cap steps
-            return result(x, bv, berr, 0, False)
-        if do_refine:
-            while berr > opts.refine_eps and steps < cap:
-                dx = self.solve_once(block_residual(x))
-                x = x + dx
-                steps += 1
-                new_bv = col_berrs(x)
-                new_berr = float(np.max(new_bv))
-                if new_berr <= opts.refine_eps:
-                    bv, berr = new_bv, new_berr
-                    converged = True
-                    break
-                if new_berr > berr / opts.refine_stagnation:
-                    # stagnation: keep the better iterate and stop (the
-                    # same rollback, and the same bar for a stagnation
-                    # stop, as the single-RHS path)
-                    if new_berr > berr:
-                        x = x - dx
-                    else:
-                        bv, berr = new_bv, new_berr
-                    bar = STAGNATION_SLACK * opts.refine_eps
-                    return result(x, bv, berr, steps, berr <= bar, bar)
-                bv, berr = new_bv, new_berr
-        return result(x, bv, berr, steps, converged)
+        with self._recording() as tracer, tracer.span("solve"):
+            x, berrs, steps, _, converged = refine_block(
+                self.a, self.solve_once, b_block,
+                **self._refinement(refine, max_steps))
+        return MultiSolveResult(
+            x=x, berr=float(berrs.max(initial=0.0)),
+            steps=int(steps.max(initial=0)), converged=bool(converged.all()),
+            berrs=berrs, col_converged=converged, col_steps=steps)
 
     def solve_transpose(self, b):
         """x with ``Aᵀ x = b`` through the same factors.
@@ -394,12 +343,8 @@ class GESPSolver(PatternSolver):
         """Hager-Higham estimate of ``κ₁(A) = ‖A‖₁ ‖A⁻¹‖₁`` through the
         factors (the LAPACK ``xGECON`` recipe; requires transpose solves,
         so unavailable with diagonal-block pivoting)."""
-        from repro.solve.errbound import condest_1norm
-        from repro.sparse.ops import norm1
-
-        n = self.a.ncols
-        inv_norm = condest_1norm(n, self.solve_once, self.solve_transpose)
-        return norm1(self.a) * inv_norm
+        return norm1(self.a) * condest_1norm(
+            self.a.ncols, self.solve_once, self.solve_transpose)
 
     def pivot_growth(self):
         """Reciprocal pivot growth of the factored matrix."""

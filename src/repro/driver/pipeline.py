@@ -21,7 +21,7 @@ then only move numbers.  This module is where that is written down, once:
 
 - :class:`PatternSolver` is the template both drivers instantiate:
   construction, :meth:`~PatternSolver.refactor`, the plan / cache /
-  tracer plumbing, the right-hand-side transform and the refine-or-not
+  tracer plumbing, the right-hand-side transform and the step-(4)
   :class:`SolveReport`.  :class:`~repro.driver.gesp_driver.GESPSolver`
   and :class:`~repro.driver.dist_driver.DistributedGESPSolver` supply
   only a plan key, a symbolic step and a numeric step.
@@ -43,10 +43,7 @@ from repro.ordering.colamd import column_ordering
 from repro.ordering.etree import etree_symmetric, postorder
 from repro.scaling.equilibrate import equilibrate
 from repro.scaling.mc64 import mc64
-from repro.solve.refine import (
-    componentwise_backward_error,
-    iterative_refinement,
-)
+from repro.solve.refine import iterative_refinement
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import (
     PatternMismatchError,
@@ -69,8 +66,12 @@ REUSE_FACTS = ("SAME_PATTERN", "SAME_PATTERN_SAME_ROWPERM")
 class SolveReport:
     """Everything a benchmark wants to know about one solve.
 
-    ``converged`` is :func:`repro.solve.refine.iterative_refinement`'s:
-    ``berr`` met ``options.refine_eps``, or refinement stagnated within
+    ``x``, ``berr``, ``refine_steps``, ``berr_history`` and
+    ``converged`` are :func:`repro.solve.refine.iterative_refinement`'s,
+    and a function of ``(A, b)`` alone — the same right-hand side gets
+    the same five whether it is solved by itself or as a column of a
+    ``solve_multi`` block.  ``converged``: ``berr`` met
+    ``options.refine_eps``, or refinement stagnated within
     :data:`~repro.solve.refine.STAGNATION_SLACK` of it.
     ``failure`` (a :class:`repro.recovery.health.FailureDiagnosis`) and
     ``recovery`` (a :class:`repro.recovery.ladder.RecoveryReport`) are
@@ -87,6 +88,12 @@ class SolveReport:
     forward_error_estimate: float | None = None
     failure: object | None = None
     recovery: object | None = None
+
+    @property
+    def steps(self):
+        """``refine_steps``, under the name
+        :class:`~repro.solve.refine.RefinementResult` gives it."""
+        return self.refine_steps
 
     @property
     def figure3_steps(self):
@@ -235,15 +242,15 @@ class PatternSolver:
             raise ValueError(
                 "fact='FACTORED' asserts the existing factors are current; "
                 "it is only valid on refactor(), not on construction")
-        if tracer is None:
-            ambient = get_tracer()
-            tracer = ambient if ambient.enabled else Tracer(name="gesp")
+        if tracer is None and get_tracer().enabled:
+            tracer = get_tracer()
         self.tracer = tracer
+        self._own_tracer = tracer is None
         self._cache = (FACTOR_CACHE if cache is None
                        else None if cache is False else cache)
         self._stage_spans = {}
         fingerprint = pattern_fingerprint(self.a)
-        with use_tracer(self.tracer):
+        with self._recording(build=True):
             plan = None
             if fact in REUSE_FACTS and self._cache is not None:
                 plan = self._cache.lookup(self._plan_key(fingerprint))
@@ -261,6 +268,28 @@ class PatternSolver:
         the pre-observability ad-hoc dict)."""
         return {name: span.duration
                 for name, span in self._stage_spans.items()}
+
+    @contextmanager
+    def _recording(self, build=False):
+        """Install, and yield, the tracer an operation records into.
+
+        A solver that was handed a tracer (the argument, or an enabled
+        ambient tracer at construction) records everything there.  One
+        that was not holds the spans of its *latest build only*: a build
+        starts a fresh private tracer — so ``tracer`` and ``timings``
+        describe the factorization now resident, and nothing accumulates
+        over the solver's lifetime — and a solve records into the calling
+        thread's ambient tracer (the no-op one unless the caller enabled
+        tracing), so threads sharing the solver share no span stack.
+        """
+        if not self._own_tracer:
+            tracer = self.tracer
+        elif build:
+            tracer = self.tracer = Tracer(name="gesp")
+        else:
+            tracer = get_tracer()
+        with use_tracer(tracer):
+            yield tracer
 
     @contextmanager
     def _stage(self, name, **attrs):
@@ -336,7 +365,8 @@ class PatternSolver:
             raise PatternMismatchError(
                 expected=self._fingerprint, got=fp,
                 where=f"{name}.refactor", n=a_new.ncols, nnz=a_new.nnz)
-        with use_tracer(self.tracer), self.tracer.span("refactor", fact=fact):
+        with self._recording(build=fact != "FACTORED") as tracer, \
+                tracer.span("refactor", fact=fact):
             if fact == "FACTORED":
                 # stale factors as a preconditioner: refinement on the
                 # new A absorbs the value drift (paper step (4))
@@ -385,25 +415,24 @@ class PatternSolver:
         ``x[i] = dc[i] · z[pc[i]]``."""
         return _per_row(self.dc, z) * z[self.perm_c]
 
+    def _refinement(self, refine, max_steps=None):
+        """Step (4)'s arguments from the options.  ``refine=False`` is a
+        cap of zero corrections: the first solve, certified like any
+        other iterate."""
+        opts = self.options
+        if not (opts.refine if refine is None else refine):
+            max_steps = 0
+        elif max_steps is None:
+            max_steps = opts.refine_max_steps
+        return dict(max_steps=max_steps, eps=opts.refine_eps,
+                    stagnation_factor=opts.refine_stagnation,
+                    extra_precision=opts.extra_precision_residual)
+
     def _solve_report(self, solve_once, b, refine) -> SolveReport:
         """Step (4): ``solve_once`` wrapped in iterative refinement on
-        the original ``A`` (or one direct solve when refinement is off)."""
-        opts = self.options
-        b = np.asarray(b)
-        if opts.refine if refine is None else refine:
-            res = iterative_refinement(
-                self.a, solve_once, b,
-                max_steps=opts.refine_max_steps, eps=opts.refine_eps,
-                stagnation_factor=opts.refine_stagnation,
-                extra_precision=opts.extra_precision_residual)
-            return SolveReport(x=res.x, berr=res.berr,
-                               refine_steps=res.steps,
-                               berr_history=res.berr_history,
-                               converged=res.converged)
-        x = solve_once(b)
-        berr = componentwise_backward_error(self.a, x, b)
-        # the unrefined path makes the same promise as the refined one:
-        # converged means berr met the target
-        return SolveReport(x=x, berr=berr, refine_steps=0,
-                           berr_history=[berr],
-                           converged=bool(berr <= opts.refine_eps))
+        the original ``A``."""
+        res = iterative_refinement(self.a, solve_once, b,
+                                   **self._refinement(refine))
+        return SolveReport(x=res.x, berr=res.berr, refine_steps=res.steps,
+                           berr_history=res.berr_history,
+                           converged=res.converged)

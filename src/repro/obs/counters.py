@@ -64,7 +64,8 @@ COUNTERS = (
         "refine.steps", "step",
         "repro/solve/refine.py",
         "Iterative-refinement corrections applied after the initial "
-        "solve (paper step (4)).  Note the paper's Figure 3 counts the "
+        "solve (paper step (4)); a multi-RHS block adds the sum over its "
+        "columns.  Note the paper's Figure 3 counts the "
         "initial solve's convergence check as one step, so its axis is "
         "this counter + 1 (RefinementResult.figure3_steps)."),
     CounterSpec(
@@ -213,13 +214,15 @@ COUNTERS = (
         "ladder."),
     CounterSpec(
         "service.tenant_requests", "request",
-        "repro/service/server.py, repro/service/shard/router.py",
+        "repro/service/server.py",
         "Requests submitted under a registered tenant (counted before "
         "quota/priority resolution; quota sheds are included here and "
-        "also counted by service.tenant_quota_shed)."),
+        "also counted by service.tenant_quota_shed).  Emitted by "
+        "TenantAdmission into whichever tier holds the tenant classes: "
+        "the in-process service, or the sharded router."),
     CounterSpec(
         "service.tenant_quota_shed", "request",
-        "repro/service/server.py, repro/service/shard/router.py",
+        "repro/service/server.py",
         "Requests shed at admission because the tenant's token-bucket "
         "quota was dry (the caller sees QuotaExceeded; the bucket is "
         "global per tenant, enforced at the router in the sharded "

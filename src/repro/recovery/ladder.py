@@ -54,6 +54,7 @@ from repro.recovery.health import (
     check_structure,
 )
 from repro.solve.refine import (
+    RefinementResult,
     componentwise_backward_error,
     iterative_refinement,
 )
@@ -129,7 +130,8 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
     opts = (options or GESPOptions()).validate()
     steps_cap = opts.refine_max_steps if max_refine_steps is None \
         else max_refine_steps
-    b = np.asarray(b, dtype=np.float64)
+    b = np.asarray(b)
+    b = b.astype(np.result_type(a.nzval, b, np.float64), copy=False)
     n = a.ncols
     report = RecoveryReport(target=target)
     best_x, best_berr = None, np.inf
@@ -203,7 +205,7 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
                     solver = GESPSolver(a, opts)
                     att.diagnoses.extend(_factor_health(solver, n))
                     res = solver.solve(b)
-                    if record(att, _as_refinement(res)):
+                    if record(att, res):
                         return finish()
                 except (ZeroDivisionError, FloatingPointError,
                         np.linalg.LinAlgError) as exc:
@@ -274,7 +276,7 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
                         fsolver = GESPSolver(a, fopts)
                         att.diagnoses.extend(_factor_health(fsolver, n))
                         res = fsolver.solve(b)
-                        if record(att, _as_refinement(res)):
+                        if record(att, res):
                             return finish()
                     except (ZeroDivisionError, FloatingPointError,
                             np.linalg.LinAlgError) as exc:
@@ -306,7 +308,7 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
                     rsolver = GESPSolver(a, ropts)
                     att.diagnoses.extend(_factor_health(rsolver, n))
                     res = rsolver.solve(b)
-                    if record(att, _as_refinement(res)):
+                    if record(att, res):
                         return finish()
                 except (ZeroDivisionError, FloatingPointError,
                         np.linalg.LinAlgError) as exc:
@@ -351,10 +353,10 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
                     kres = it.solve(b, method="gmres", tol=target,
                                     max_iter=min(500, 10 * n))
                     berr = componentwise_backward_error(a, kres.x, b)
-                    res = _Plain(x=kres.x, berr=berr,
-                                 steps=kres.iterations,
-                                 berr_history=[berr],
-                                 converged=kres.converged)
+                    res = RefinementResult(x=kres.x, berr=berr,
+                                           steps=kres.iterations,
+                                           berr_history=[berr],
+                                           converged=kres.converged)
                     if record(att, res):
                         return finish()
                 except (ZeroDivisionError, FloatingPointError,
@@ -365,23 +367,6 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
                     record(att)
 
         return finish()
-
-
-@dataclass
-class _Plain:
-    """Duck-typed RefinementResult for non-refinement rungs."""
-
-    x: np.ndarray
-    berr: float
-    steps: int
-    berr_history: list
-    converged: bool
-
-
-def _as_refinement(rep: SolveReport) -> _Plain:
-    return _Plain(x=rep.x, berr=rep.berr, steps=rep.refine_steps,
-                  berr_history=list(rep.berr_history),
-                  converged=rep.converged)
 
 
 def _factor_health(solver: GESPSolver, n: int):

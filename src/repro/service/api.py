@@ -236,7 +236,9 @@ class SolveRequest:
         :meth:`~repro.service.server.SolveService.register_matrix`
         (saves re-shipping the values with every request of a stream).
     b:
-        Right-hand side (length n).
+        Right-hand side (length n), real or complex; it is solved in the
+        wider of its own and the matrix's dtype (the sharded tier, whose
+        transport is float64, refuses complex systems at ``submit``).
     deadline:
         Seconds the caller will wait, measured from admission; ``None``
         waits forever.  A request still queued when its deadline passes

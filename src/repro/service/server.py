@@ -83,6 +83,64 @@ class _TenantState:
         self.counts = {"requests": 0, "quota_shed": 0, "displaced": 0}
 
 
+class TenantAdmission:
+    """The registered tenant classes and their admission rule, held by
+    whichever tier a request meets first — :class:`SolveService`, or the
+    sharded router in front of it — so a tenant's quota is charged once.
+    ``count`` is the owning service's counter sink."""
+
+    def __init__(self, count):
+        self._count = count
+        self._lock = threading.Lock()
+        self._tenants: dict[str, _TenantState] = {}
+
+    def register(self, spec):
+        name = str(getattr(spec, "name", "") or "")
+        if not name:
+            raise ValueError("tenant spec needs a non-empty name")
+        with self._lock:
+            self._tenants[name] = _TenantState(spec)
+
+    def admit(self, request: SolveRequest, now: float):
+        """Resolve the request's effective (priority, relative deadline)
+        from its tenant class and charge the class's quota bucket;
+        raises :class:`QuotaExceeded` when the bucket is dry."""
+        with self._lock:
+            tstate = self._tenants.get(request.tenant)
+            if tstate is None:       # no tenant, or an unregistered name
+                return int(request.priority or 0), request.deadline
+            tstate.counts["requests"] += 1
+            shed = (tstate.bucket is not None
+                    and not tstate.bucket.try_take(now))
+            tstate.counts["quota_shed"] += shed
+        self._count("service.tenant_requests", 1)
+        if shed:
+            self._count("service.tenant_quota_shed", 1)
+            raise QuotaExceeded(request.tenant, tstate.bucket.rate,
+                                tstate.bucket.burst)
+        priority, deadline = request.priority, request.deadline
+        if priority is None:
+            priority = getattr(tstate.spec, "priority", 0)
+        if deadline is None:
+            deadline = getattr(tstate.spec, "deadline", None)
+        return int(priority or 0), deadline
+
+    def displaced(self, tenant):
+        """A higher-priority arrival bumped one of ``tenant``'s queued
+        requests."""
+        self._count("service.tenant_displaced", 1)
+        with self._lock:
+            tstate = self._tenants.get(tenant)
+            if tstate is not None:
+                tstate.counts["displaced"] += 1
+
+    def counts(self) -> dict:
+        """``{tenant: {requests, quota_shed, displaced}}``."""
+        with self._lock:
+            return {name: dict(st.counts)
+                    for name, st in self._tenants.items()}
+
+
 class _PatternState:
     """Per-pattern mutable state: the solver and its current values."""
 
@@ -143,7 +201,7 @@ class SolveService:
         self._dispatcher: threading.Thread | None = None
         self._patterns: dict[tuple, _PatternState] = {}
         self._matrices: dict[str, CSCMatrix] = {}
-        self._tenants: dict[str, _TenantState] = {}
+        self._tenants = TenantAdmission(self._count)
         self._state_lock = threading.Lock()
         self._seq = 0
         self._started = False
@@ -236,11 +294,7 @@ class SolveService:
         :class:`~repro.service.api.QuotaExceeded` when the class's
         bucket runs dry.  Unregistered tenant names pass through with
         accounting only."""
-        name = str(getattr(spec, "name", "") or "")
-        if not name:
-            raise ValueError("tenant spec needs a non-empty name")
-        with self._state_lock:
-            self._tenants[name] = _TenantState(spec)
+        self._tenants.register(spec)
         return self
 
     def submit(self, request: SolveRequest) -> PendingSolve:
@@ -274,7 +328,7 @@ class SolveService:
         options = (request.options if request.options is not None
                    else self.config.options)
         now = _clock()
-        priority, deadline = self._admit_tenant(request, now)
+        priority, deadline = self._tenants.admit(request, now)
         entry = QueuedRequest(
             request=request, pending=PendingSolve(request), matrix=matrix,
             group_key=group_key(matrix, options), options=options,
@@ -294,35 +348,6 @@ class SolveService:
             self._reject_displaced(bumped, now)
         self._count("service.requests", 1)
         return entry.pending
-
-    def _admit_tenant(self, request: SolveRequest, now: float):
-        """Resolve the request's effective (priority, relative deadline)
-        from its tenant class and charge the class's quota bucket;
-        raises :class:`QuotaExceeded` when the bucket is dry."""
-        priority = request.priority
-        deadline = request.deadline
-        if request.tenant:
-            with self._state_lock:
-                tstate = self._tenants.get(request.tenant)
-                if tstate is not None:
-                    tstate.counts["requests"] += 1
-                    shed = (tstate.bucket is not None
-                            and not tstate.bucket.try_take(now))
-                    if shed:
-                        tstate.counts["quota_shed"] += 1
-            if tstate is not None:
-                self._count("service.tenant_requests", 1)
-                if shed:
-                    self._count("service.tenant_quota_shed", 1)
-                    raise QuotaExceeded(request.tenant,
-                                        tstate.bucket.rate,
-                                        tstate.bucket.burst)
-                spec = tstate.spec
-                if priority is None:
-                    priority = getattr(spec, "priority", 0)
-                if deadline is None:
-                    deadline = getattr(spec, "deadline", None)
-        return int(priority or 0), deadline
 
     # ------------------------------------------------------------------ #
     # dispatch (the single dispatcher thread)
@@ -395,7 +420,7 @@ class SolveService:
                     self._factor_failed(live, t0, exc)
                     self._merge_batch_trace(bt, batch, len(live), "FAILED")
                     return
-                responses = self._solve_batch(state.solver, live, fact)
+                responses = self._solve_batch(state.solver, live)
             self._count("service.batched", 1)
             self._count("service.coalesce_width", len(live))
             solve_seconds = _clock() - t0
@@ -443,13 +468,14 @@ class SolveService:
             return "SAME_PATTERN"
         return "FACTORED"
 
-    def _solve_batch(self, solver: GESPSolver, live: list[QueuedRequest],
-                     fact: str) -> list[SolveResponse]:
-        opts = live[0].options
-        if len(live) == 1 or opts.diag_block_pivoting > 0.0:
-            return [self._solve_single(solver, e) for e in live]
-        b_block = np.column_stack(
-            [np.asarray(e.request.b, dtype=np.float64) for e in live])
+    def _solve_batch(self, solver: GESPSolver,
+                     live: list[QueuedRequest]) -> list[SolveResponse]:
+        """One ``solve_multi`` for the batch, whatever its width; every
+        request is answered from its own column (whose iterate, berr and
+        step count do not depend on its batch-mates)."""
+        b_block = np.column_stack([e.request.b for e in live])
+        b_block = b_block.astype(
+            np.result_type(solver.a.nzval, b_block, np.float64), copy=False)
         try:
             res = solver.solve_multi(b_block)
         except Exception as exc:  # noqa: BLE001 — retried per request
@@ -458,29 +484,16 @@ class SolveService:
         for t, e in enumerate(live):
             report = SolveReport(
                 x=np.ascontiguousarray(res.x[:, t]),
-                berr=float(res.berrs[t]), refine_steps=res.steps,
+                berr=float(res.berrs[t]), refine_steps=int(res.col_steps[t]),
                 converged=bool(res.col_converged[t]))
             if report.converged or not self.config.recover:
                 responses.append(SolveResponse(
                     request_id=e.request.request_id, report=report))
             else:
-                # this column lost the joint refinement: retry it alone
-                # through the ladder while its batch-mates keep their
-                # certified block results
+                # this column was not certified: retry it alone through
+                # the ladder while its batch-mates keep their answers
                 responses.append(self._recover_entry(e))
         return responses
-
-    def _solve_single(self, solver: GESPSolver,
-                      e: QueuedRequest) -> SolveResponse:
-        try:
-            report = solver.solve(np.asarray(e.request.b,
-                                             dtype=np.float64))
-        except Exception as exc:  # noqa: BLE001 — retried below
-            return self._recover_or_error(e, exc)
-        if report.converged or not self.config.recover:
-            return SolveResponse(request_id=e.request.request_id,
-                                 report=report)
-        return self._recover_entry(e)
 
     def _recover_or_error(self, e: QueuedRequest,
                           exc: Exception) -> SolveResponse:
@@ -499,9 +512,7 @@ class SolveService:
         kwargs = {}
         if self.config.recover_target is not None:
             kwargs["target"] = self.config.recover_target
-        report = recover_solve(e.matrix, np.asarray(e.request.b,
-                                                    dtype=np.float64),
-                               options=opts, **kwargs)
+        report = recover_solve(e.matrix, e.request.b, options=opts, **kwargs)
         if report.converged:
             self._count("service.recovered", 1)
         return SolveResponse(request_id=e.request.request_id,
@@ -550,12 +561,7 @@ class SolveService:
         """A higher-priority arrival bumped ``e`` from the full queue:
         from its caller's view the queue was full, so it gets the same
         structured rejection an at-the-door shed would have."""
-        self._count("service.tenant_displaced", 1)
-        if e.tenant:
-            with self._state_lock:
-                tstate = self._tenants.get(e.tenant)
-                if tstate is not None:
-                    tstate.counts["displaced"] += 1
+        self._tenants.displaced(e.tenant)
         self._complete(e, SolveResponse(
             request_id=e.request.request_id,
             error=ServiceOverloaded(self._queue.capacity,
@@ -592,7 +598,7 @@ class SolveService:
         counters["queue_depth"] = len(self._queue)
         with self._state_lock:
             counters["patterns"] = len(self._patterns)
-            if self._tenants:
-                counters["tenants"] = {name: dict(st.counts)
-                                       for name, st in self._tenants.items()}
+        tenants = self._tenants.counts()
+        if tenants:
+            counters["tenants"] = tenants
         return counters

@@ -29,9 +29,9 @@ Responsibilities split three ways:
 
 Determinism: routing is a pure function of (fingerprint, shard set),
 and each request is solved by one inner ``SolveService`` under exactly
-the single-process semantics — with coalescing pinned off
-(``max_batch=1``) solutions are bit-identical to the in-process
-service, which tests/test_shard.py asserts.
+the single-process semantics — solutions are bit-identical to the
+in-process service, with coalescing on or off (an answer does not depend
+on its batch-mates), which tests/test_shard.py asserts.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import numpy as np
 from repro.obs import Span, Tracer, get_tracer
 from repro.service.api import (
     PendingSolve,
-    QuotaExceeded,
     ServiceClosed,
     ServiceConfig,
     ServiceError,
@@ -58,7 +57,7 @@ from repro.service.api import (
     SolveRequest,
     SolveResponse,
 )
-from repro.service.server import _TenantState
+from repro.service.server import TenantAdmission
 from repro.service.shard.messages import (
     DrainMsg,
     PauseMsg,
@@ -188,7 +187,7 @@ class ShardedSolveService:
         self._shards = [_Shard(i) for i in range(shards)]
         self._matrices: dict[str, CSCMatrix] = {}
         self._fingerprints: dict[str, str] = {}
-        self._tenants: dict[str, _TenantState] = {}
+        self._tenants = TenantAdmission(self._count)
 
         self._inflight: dict[str, _Inflight] = {}
         self._inflight_count = [0] * shards
@@ -368,41 +367,8 @@ class ShardedSolveService:
         so a tenant's provisioned rate means the same thing at any
         shard count.  Shards receive the already-resolved priority and
         remaining deadline plus the tenant name for accounting."""
-        name = str(getattr(spec, "name", "") or "")
-        if not name:
-            raise ValueError("tenant spec needs a non-empty name")
-        with self._state_lock:
-            self._tenants[name] = _TenantState(spec)
+        self._tenants.register(spec)
         return self
-
-    def _admit_tenant(self, request: SolveRequest):
-        """Mirror of :meth:`SolveService._admit_tenant` on the router's
-        global tenant state; returns (priority, relative deadline)."""
-        priority = request.priority
-        deadline = request.deadline
-        if request.tenant:
-            now = time.perf_counter()
-            with self._state_lock:
-                tstate = self._tenants.get(request.tenant)
-                if tstate is not None:
-                    tstate.counts["requests"] += 1
-                    shed = (tstate.bucket is not None
-                            and not tstate.bucket.try_take(now))
-                    if shed:
-                        tstate.counts["quota_shed"] += 1
-            if tstate is not None:
-                self._count("service.tenant_requests")
-                if shed:
-                    self._count("service.tenant_quota_shed")
-                    raise QuotaExceeded(request.tenant,
-                                        tstate.bucket.rate,
-                                        tstate.bucket.burst)
-                spec = tstate.spec
-                if priority is None:
-                    priority = getattr(spec, "priority", 0)
-                if deadline is None:
-                    deadline = getattr(spec, "deadline", None)
-        return int(priority or 0), deadline
 
     def _resolve_fingerprint(self, request: SolveRequest) -> str:
         if isinstance(request.matrix, str):
@@ -430,16 +396,25 @@ class ShardedSolveService:
 
         Raises :class:`ServiceOverloaded` (that shard's in-flight window
         is full — the rejection names the shard), :class:`ShardDied`
-        (routed to a shard in its respawn gap), or
-        :class:`ServiceClosed`.
+        (routed to a shard in its respawn gap),
+        :class:`ServiceClosed`, or ``TypeError`` for a complex system
+        (the tier's transport is float64).
         """
         with self._state_lock:
             if self._closing or not self._started:
                 raise ServiceClosed()
+            matrix = (self._matrices.get(request.matrix)
+                      if isinstance(request.matrix, str) else request.matrix)
         request.validate()
+        if np.iscomplexobj(request.b) or np.iscomplexobj(
+                getattr(matrix, "nzval", None)):
+            raise TypeError(
+                "the sharded tier is real-only (its shared-memory slab and "
+                "messages carry float64); complex systems are served by "
+                "the in-process SolveService")
         if not request.request_id:
             request.request_id = f"req-{next(self._seq)}"
-        priority, deadline = self._admit_tenant(request)
+        priority, deadline = self._tenants.admit(request, time.perf_counter())
         fingerprint = self._resolve_fingerprint(request)
 
         if self._hot.note(fingerprint) and self.shards > 1:
@@ -633,10 +608,9 @@ class ShardedSolveService:
         counters.setdefault("service.shard.replicated", 0)
         counters["shards"] = self.shards
         counters["replicated_patterns"] = len(self._replicas)
-        with self._state_lock:
-            if self._tenants:
-                counters["tenants"] = {name: dict(st.counts)
-                                       for name, st in self._tenants.items()}
+        tenants = self._tenants.counts()
+        if tenants:
+            counters["tenants"] = tenants
         with self._inflight_lock:
             counters["inflight"] = len(self._inflight)
         for shard in self._shards:

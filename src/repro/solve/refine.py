@@ -27,6 +27,14 @@ and on the testbed further corrections from such a stop wander between
 above ``eps`` rather than below is decided by summation order, not by
 the quality of the factors; the iterates, ``berr`` and the step count
 are the paper's rule's, unchanged.
+
+**The rule is written once**, in :func:`refine_block`, and applied to
+each column of an ``(n, k)`` block on its own: a column stops when *it*
+is certified, stagnates or turns non-finite, whatever its batch-mates
+are doing, so what a right-hand side gets back — iterate, ``berr``, step
+count — does not depend on which block it travelled in.
+:func:`iterative_refinement` is the width-1 view and
+:meth:`repro.driver.gesp_driver.GESPSolver.solve_multi` the block view.
 """
 
 from __future__ import annotations
@@ -45,11 +53,12 @@ __all__ = [
     "STAGNATION_SLACK",
     "componentwise_backward_error",
     "iterative_refinement",
+    "refine_block",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
 #: a stagnation stop within this factor of the target is converged
-#: (module docstring); ``GESPSolver.solve_multi`` applies the same bar
+#: (module docstring); read by :func:`refine_block` and nowhere else
 STAGNATION_SLACK = 2.0
 
 
@@ -62,21 +71,26 @@ def componentwise_backward_error(a: CSCMatrix, x, b, extra_precision=False):
     With ``extra_precision`` the residual is accumulated in ``longdouble``
     (the paper's §5 "judicious amount of extra precision" extension).
     """
-    x = np.asarray(x)
-    b = np.asarray(b)
+    return _evaluate(a, np.asarray(x), np.asarray(b), extra_precision)[1]
+
+
+def _evaluate(a, x, b, extra_precision):
+    """One iterate, evaluated once: ``(r, berr)`` — the residual
+    ``r = b - A x``, which is also the right-hand side of the next
+    correction, and the backward error it gives.  ``x`` and ``b`` are one
+    column: 1-D scatter-adds sum in the same order for a column of a
+    block as for the same vector solved alone."""
     if extra_precision:
         r = _residual_extended(a, x, b)
     else:
         r = b - spmv(a, x)
     denom = abs_matvec(a, x) + np.abs(b)
-    berr = 0.0
     zero = denom == 0.0
     if np.any(zero) and np.any(np.abs(r[zero]) > 0):
-        return np.inf
+        return r, np.inf
     nz = ~zero
-    if np.any(nz):
-        berr = float(np.max(np.abs(r[nz]) / denom[nz]))
-    return berr
+    berr = float(np.max(np.abs(r[nz]) / denom[nz])) if np.any(nz) else 0.0
+    return r, berr
 
 
 def _residual_extended(a: CSCMatrix, x, b):
@@ -123,7 +137,8 @@ def iterative_refinement(a: CSCMatrix, solve: Callable, b,
                          eps: float = _EPS,
                          stagnation_factor: float = 2.0,
                          extra_precision: bool = False) -> RefinementResult:
-    """Refine ``x`` with repeated ``x += solve(b - A x)``.
+    """Refine ``x`` with repeated ``x += solve(b - A x)`` — the width-1
+    view of :func:`refine_block` (``solve`` only ever sees vectors).
 
     Parameters
     ----------
@@ -137,7 +152,8 @@ def iterative_refinement(a: CSCMatrix, solve: Callable, b,
     x0:
         Starting point; ``solve(b)`` when omitted.
     max_steps:
-        Safety cap on refinement iterations.
+        Safety cap on refinement iterations; 0 evaluates the starting
+        point and corrects nothing (the unrefined certificate).
     eps:
         Convergence target for berr (machine epsilon by default).
     stagnation_factor:
@@ -145,54 +161,84 @@ def iterative_refinement(a: CSCMatrix, solve: Callable, b,
     extra_precision:
         Compute residuals in extended precision (§5 extension).
     """
+    x, berr, steps, history, converged = refine_block(
+        a, lambda r: np.asarray(solve(r[:, 0]))[:, None],
+        np.asarray(b)[:, None],
+        None if x0 is None else np.asarray(x0)[:, None],
+        max_steps, eps, stagnation_factor, extra_precision)
+    return RefinementResult(x=x[:, 0], berr=float(berr[0]),
+                            steps=int(steps[0]), berr_history=history[0],
+                            converged=bool(converged[0]))
+
+
+def refine_block(a: CSCMatrix, solve: Callable, b, x0=None,
+                 max_steps: int = 20, eps: float = _EPS,
+                 stagnation_factor: float = 2.0,
+                 extra_precision: bool = False):
+    """Step (4) for an ``(n, k)`` block ``b``: the paper's rule, applied
+    to each column on its own.
+
+    ``solve`` maps an ``(n, j)`` block of right-hand sides to approximate
+    solutions.  It runs once on ``b`` (unless ``x0`` gives the starting
+    block) and then once per sweep, on the residuals of the columns still
+    being refined.  A column leaves that set when its ``berr`` meets
+    ``eps``; when it stagnates (``berr > berr_prev / stagnation_factor``:
+    a correction that made it worse is dropped, for that column only, and
+    a stop within :data:`STAGNATION_SLACK` of ``eps`` counts as
+    converged); or at once when its ``berr`` is non-finite.  So where
+    ``solve`` treats the columns of a block independently, column *t*
+    comes back bit for bit as the same right-hand side refined alone.
+
+    Returns ``(x, berr, steps, history, converged)``: the ``(n, k)``
+    solutions and, per column, the berr of the returned iterate, the
+    corrections computed for it, the berr of every iterate it kept, and
+    whether it met its bar.  Runs inside a ``refine`` span that counts
+    ``refine.steps`` (summed over the columns) and logs one ``berr`` event
+    per history entry, column after column (``step`` restarts at 0).
+    """
     with trace("refine"):
-        res = _iterative_refinement(a, solve, b, x0, max_steps, eps,
-                                    stagnation_factor, extra_precision)
-        add("refine.steps", res.steps)
-        annotate(converged=res.converged, berr=res.berr)
-        for i, berr in enumerate(res.berr_history):
-            event("berr", step=i, berr=berr)
-        return res
-
-
-def _iterative_refinement(a, solve, b, x0, max_steps, eps,
-                          stagnation_factor, extra_precision):
-    b = np.asarray(b)
-    x = np.array(solve(b) if x0 is None else x0, copy=True)
-    berr = componentwise_backward_error(a, x, b, extra_precision=extra_precision)
-    history = [berr]
-    steps = 0
-    converged = berr <= eps
-    if not np.isfinite(berr):
+        b = np.asarray(b)
+        x = np.asarray(solve(b) if x0 is None else x0)
+        k = b.shape[1]
+        xs = [np.array(x[:, t]) for t in range(k)]
+        rs, berr = [None] * k, [None] * k
+        for t in range(k):
+            rs[t], berr[t] = _evaluate(a, xs[t], b[:, t], extra_precision)
+        history = [[v] for v in berr]
+        steps = np.zeros(k, dtype=np.int64)
+        bar = np.full(k, eps)
         # a non-finite backward error (overflowed solve, singular
         # factors) cannot be refined away — x + solve(r) only compounds
-        # the garbage, so fail fast instead of looping max_steps times
-        return RefinementResult(x=x, berr=berr, steps=0,
-                                berr_history=history, converged=False)
-    while berr > eps and steps < max_steps:
-        if extra_precision:
-            r = _residual_extended(a, x, b)
-        else:
-            r = b - spmv(a, x)
-        dx = np.asarray(solve(r))
-        x = x + dx
-        steps += 1
-        new_berr = componentwise_backward_error(a, x, b,
-                                                extra_precision=extra_precision)
-        history.append(new_berr)
-        if new_berr <= eps:
-            berr = new_berr
-            converged = True
-            break
-        if new_berr > berr / stagnation_factor:
-            # stagnation: keep the better iterate and stop
-            if new_berr > berr:
-                x = x - dx
-                history.pop()
-            else:
-                berr = new_berr
-            converged = berr <= STAGNATION_SLACK * eps
-            break
-        berr = new_berr
-    return RefinementResult(x=x, berr=berr, steps=steps,
-                            berr_history=history, converged=converged)
+        # the garbage — so such a column is never corrected
+        active = [t for t in range(k)
+                  if np.isfinite(berr[t]) and berr[t] > eps]
+        sweeps = 0
+        while active and sweeps < max_steps:
+            dx = np.asarray(solve(np.column_stack([rs[t] for t in active])))
+            sweeps += 1
+            steps[active] += 1
+            halving = []
+            for j, t in enumerate(active):
+                x_new = xs[t] + dx[:, j]
+                r_new, new = _evaluate(a, x_new, b[:, t], extra_precision)
+                stalled = new > eps and new > berr[t] / stagnation_factor
+                if not (stalled and new > berr[t]):
+                    # (a stalled correction that made things worse is
+                    # dropped: the column keeps its better iterate)
+                    xs[t], rs[t], berr[t] = x_new, r_new, new
+                    history[t].append(new)
+                if stalled:
+                    bar[t] = STAGNATION_SLACK * eps
+                elif new > eps:
+                    halving.append(t)
+            active = halving
+        berr = np.array(berr, dtype=np.float64)
+        converged = berr <= bar
+        add("refine.steps", int(steps.sum()))
+        annotate(converged=bool(converged.all()),
+                 berr=float(berr.max(initial=0.0)))
+        for column in history:
+            for i, value in enumerate(column):
+                event("berr", step=i, berr=value)
+        x = np.column_stack(xs) if k else x
+        return x, berr, steps, history, converged

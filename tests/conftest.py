@@ -11,6 +11,29 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture(scope="session")
+def testbed():
+    """name -> (a, b, default-configuration solver), all 53 matrices."""
+    from repro.driver import GESPSolver
+    from repro.matrices import testbed_53
+
+    out = {}
+    for tm in testbed_53():
+        a = tm.build()
+        out[tm.name] = (a, a @ np.ones(a.ncols), GESPSolver(a, cache=False))
+    return out
+
+
+@pytest.fixture(scope="session")
+def testbed_oracles(testbed):
+    """name -> column-oracle solver (``paper_defaults``: exact fill,
+    column kernel, column sweeps) of the same 53 matrices."""
+    from repro.driver import GESPOptions, GESPSolver
+
+    return {name: GESPSolver(a, GESPOptions.paper_defaults(), cache=False)
+            for name, (a, _, _) in testbed.items()}
+
+
 def random_sparse_dense(rng, n, m=None, density=0.3):
     """A random dense array with ~density nonzeros (helper, not fixture)."""
     m = n if m is None else m

@@ -47,16 +47,6 @@ EPS = float(np.finfo(np.float64).eps)
 ENVELOPE = dict(rtol=1e-5, atol=1e-9)
 
 
-@pytest.fixture(scope="module")
-def testbed():
-    """name -> (a, b, default-configuration solver), all 53 matrices."""
-    out = {}
-    for tm in testbed_53():
-        a = tm.build()
-        out[tm.name] = (a, a @ np.ones(a.ncols), GESPSolver(a, cache=False))
-    return out
-
-
 # --------------------------------------------------------------------- #
 # (i) an outside oracle
 # --------------------------------------------------------------------- #
@@ -78,11 +68,12 @@ def splu_disagreement(a, b, x):
     return np.abs(x - x_ref).max(), 10.0 * inv_norm * (res + rounding)
 
 
-def test_testbed_agrees_with_splu_under_both_engines(testbed):
+def test_testbed_agrees_with_splu_under_both_engines(testbed,
+                                                     testbed_oracles):
     """Default (symmetrized analysis, block engine) and column oracle
     (``paper_defaults``: exact fill, column kernel), all 53 matrices."""
     for name, (a, b, default) in testbed.items():
-        oracle = GESPSolver(a, GESPOptions.paper_defaults(), cache=False)
+        oracle = testbed_oracles[name]
         assert oracle.symbolic.nnz_lu <= default.symbolic.nnz_lu
         for label, solver in (("default", default), ("oracle", oracle)):
             rep = solver.solve(b)

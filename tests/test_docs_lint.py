@@ -32,6 +32,16 @@ def test_check_docs_cli_exit_status():
     assert check_docs.main() == 0
 
 
+def test_green_run_ends_with_the_source_size_line(capsys):
+    """The number every CHANGES.md entry quotes, from one tool."""
+    assert check_docs.main() == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    files = [p for p in (REPO / "src").rglob("*.py")]
+    lines = b"".join(p.read_bytes() for p in files).count(b"\n")
+    assert last == f"src: {len(files)} modules / {lines} lines"
+    assert len(files) > 90 and lines > 15_000
+
+
 def test_lint_catches_a_missing_package():
     # feed the linter a doc that omits a package: it must notice
     text = "\n".join(f"repro.{p}" for p in check_docs.repro_packages()[1:])

@@ -87,6 +87,58 @@ def test_untraced_solver_leaves_ambient_tracer_untouched(a):
     assert get_tracer() is NULL_TRACER
 
 
+def _reachable_spans(solver):
+    return sum(1 for _ in solver.tracer.root.walk())
+
+
+def test_untraced_solver_holds_the_spans_of_its_latest_build_only(a):
+    """A solver handed no tracer must not keep every span it ever opened
+    (a resident service solver lives for millions of requests)."""
+    solver = GESPSolver(a, cache=False)
+    assert set(solver.timings) == set(STAGES)
+    b = a @ np.ones(a.ncols)
+    seen = {}
+    for i in range(1, 201):
+        solver.refactor(a)
+        solver.solve(b)
+        solver.solve_multi(b[:, None])
+        if i in (5, 200):
+            seen[i] = _reachable_spans(solver)
+    assert seen[5] == seen[200]
+    assert set(solver.timings) == set(STAGES)
+    # what it holds describes the factorization now resident
+    refactor = solver.tracer.root.find("refactor")
+    assert refactor.find("factor/supernodal") is not None
+    assert solver.timings["factor"] == refactor.find("factor").duration
+    assert solver.tracer.root.find("solve") is None
+
+
+def test_untraced_solver_records_solves_into_the_callers_tracer(a):
+    solver = GESPSolver(a, cache=False)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        solver.solve(a @ np.ones(a.ncols))
+        solver.solve_multi(np.ones((a.ncols, 3)))
+    solves = tracer.root.find_all("solve")
+    assert len(solves) == 2
+    assert all(s.find("refine") is not None for s in solves)
+    assert tracer.root.find("factor") is None     # the build stayed private
+
+
+def test_untraced_distributed_solver_does_not_accumulate_spans(a):
+    solver = DistributedGESPSolver(a, nprocs=4, cache=False)
+    b = a @ np.ones(a.ncols)
+    seen = {}
+    for i in range(1, 9):
+        solver.refactor(a)
+        solver.factorize()
+        solver.solve_distributed(b)
+        solver.solve(b)
+        if i in (2, 8):
+            seen[i] = _reachable_spans(solver)
+    assert seen[2] == seen[8]
+
+
 def test_record_round_trips_a_real_solve(a):
     tracer = Tracer()
     with use_tracer(tracer):

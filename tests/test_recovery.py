@@ -296,6 +296,21 @@ def test_complex_matrices_ignore_factor_dtype():
     assert sv.factors.u.nzval.dtype == np.complex128
 
 
+def test_complex_right_hand_side_is_not_truncated():
+    """recover_solve used to cast b to float64 and solve A x = Re(b)."""
+    rng = np.random.default_rng(4)
+    n = 20
+    d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    d *= rng.random((n, n)) < 0.4
+    np.fill_diagonal(d, 4.0 + 1.0j)
+    a = CSCMatrix.from_dense(d)
+    b = d @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    rep = recover_solve(a, b)
+    assert rep.converged and rep.recovery.final_rung == "gesp"
+    assert np.abs(rep.x - GESPSolver(a, cache=False).solve(b).x).max() \
+        <= 1e-12
+
+
 def test_fp32_stagnation_escalates_to_refactor_fp64():
     """cond(A) ≈ 1e8 sits between the fp32 and fp64 certification
     ranges: fp32 factors stagnate above sqrt(eps) (even with extended-

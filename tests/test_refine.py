@@ -139,12 +139,14 @@ def test_x0_used():
 # --------------------------------------------------------------------- #
 
 def _scripted_berr(monkeypatch, values):
-    """Make the next berr evaluations return ``values`` (in eps)."""
+    """Make the loop's next iterate evaluations return ``values`` (in
+    eps) — it patches the one helper the loop evaluates iterates with."""
     import repro.solve.refine as refine_mod
 
     seq = iter(values)
-    monkeypatch.setattr(refine_mod, "componentwise_backward_error",
-                        lambda *a, **k: next(seq) * EPS)
+    monkeypatch.setattr(
+        refine_mod, "_evaluate",
+        lambda a, x, b, extra: (np.zeros_like(b), next(seq) * EPS))
 
 
 @pytest.mark.parametrize("history, converged, berr, steps", [
@@ -168,19 +170,21 @@ def test_stagnation_stop_within_slack_is_converged(monkeypatch, history,
 
 
 def test_solve_multi_applies_the_same_slack_per_column(monkeypatch, rng):
-    """Joint refinement stalls with columns at 0.8, 1.2 and 3 eps: the
-    first two are certified, the third (and so the block) is not."""
+    """Columns start at 0.9, 1.5 and 4 eps: the first is certified and
+    never evaluated again, the other two stall after one correction at
+    1.2 (inside the slack) and 3 eps (outside it)."""
     from repro.driver import GESPSolver
 
     d = random_nonsingular_dense(rng, 12, hidden_perm=False)
     s = GESPSolver(CSCMatrix.from_dense(d), cache=False)
-    #                 first solve      after one correction
-    _scripted_berr(monkeypatch, [0.9, 1.5, 4.0, 0.8, 1.2, 3.0])
+    #                 first solve      one correction of columns 1, 2
+    _scripted_berr(monkeypatch, [0.9, 1.5, 4.0, 1.2, 3.0])
     res = s.solve_multi(rng.standard_normal((12, 3)))
     assert res.steps == 1 and not res.converged
     assert res.col_converged.tolist() == [True, True, False]
-    assert res.berrs.tolist() == [0.8 * EPS, 1.2 * EPS, 3.0 * EPS]
-    _scripted_berr(monkeypatch, [0.9, 1.5, 1.9, 0.8, 1.2, 1.6])
+    assert res.berrs.tolist() == [0.9 * EPS, 1.2 * EPS, 3.0 * EPS]
+    assert res.col_steps.tolist() == [0, 1, 1]
+    _scripted_berr(monkeypatch, [0.9, 1.5, 1.9, 1.2, 1.6])
     res = s.solve_multi(rng.standard_normal((12, 3)))
     assert res.converged and res.col_converged.all()
     assert res.berr == 1.6 * EPS

@@ -94,6 +94,65 @@ def test_burst_coalesces_into_one_batch_and_matches_direct_solve(rng):
         np.testing.assert_array_equal(r.x, direct.x[:, t])
 
 
+@pytest.mark.parametrize("rounds", [(8,), (1, 7)], ids=["8", "1+7"])
+def test_burst_answers_equal_eight_sequential_solves(rng, rounds):
+    """A request's x, berr, step count and certificate are functions of
+    (A, b) alone: the same bits whether its burst was coalesced whole or
+    a straggler split it — the second round's seven race the batch
+    window, and however they end up batched the answers are the same."""
+    d = random_nonsingular_dense(rng, 30, density=0.4, hidden_perm=False)
+    a = CSCMatrix.from_dense(d)
+    rhs = [rng.standard_normal(30) for _ in range(8)]
+    solver = GESPSolver(a, cache=False)
+    want = [solver.solve(b) for b in rhs]
+    assert max(w.refine_steps for w in want) > min(
+        w.refine_steps for w in want)    # the block's columns differ
+
+    first = rounds[0]
+    svc = _service(auto_start=False, cache=False)
+    staged = [svc.submit(SolveRequest(matrix=a, b=b)) for b in rhs[:first]]
+    svc.start()
+    try:
+        responses = [p.result(30.0) for p in staged]
+        late = [svc.submit(SolveRequest(matrix=a, b=b)) for b in rhs[first:]]
+        responses += [p.result(30.0) for p in late]
+    finally:
+        svc.close()
+    assert all(r.batch_width == first for r in responses[:first])
+    for r, w in zip(responses, want):
+        assert r.ok
+        np.testing.assert_array_equal(r.x, w.x)
+        assert r.report.berr == w.berr
+        assert r.report.refine_steps == w.refine_steps
+        assert r.report.converged == w.converged
+
+
+def test_complex_system_alone_and_in_a_burst_is_not_truncated(rng):
+    """b used to be cast to float64 on the way in: the service answered
+    A x = Re(b), certified, with ok=True."""
+    n = 20
+    d = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4) \
+        + 1j * rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.2)
+    np.fill_diagonal(d, 4.0 + 1.0j)
+    a = CSCMatrix.from_dense(d)
+    rhs = [d @ (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+           for _ in range(5)]
+    solver = GESPSolver(a, cache=False)
+    svc = _service(auto_start=False, cache=False)
+    alone = svc.submit(SolveRequest(matrix=a, b=rhs[0]))
+    svc.start()
+    try:
+        responses = [alone.result(30.0)]
+        burst = [svc.submit(SolveRequest(matrix=a, b=b)) for b in rhs[1:]]
+        responses += [p.result(30.0) for p in burst]
+    finally:
+        svc.close()
+    assert responses[0].batch_width == 1
+    for r, b in zip(responses, rhs):
+        assert r.ok and np.iscomplexobj(r.x)
+        assert np.abs(r.x - solver.solve(b).x).max() <= 1e-12
+
+
 def test_cold_then_warm_then_refactor_fact_modes(rng):
     d = random_nonsingular_dense(rng, 25, density=0.4, hidden_perm=False)
     a = CSCMatrix.from_dense(d)

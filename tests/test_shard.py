@@ -299,18 +299,22 @@ def test_spool_path_is_content_addressed(tmp_path):
 # --------------------------------------------------------------------- #
 
 @needs_spawn
-def test_sharded_solutions_are_bit_identical_to_single_process():
+@pytest.mark.parametrize("coalescing", [
+    {}, dict(max_batch=8, batch_window=0.005)], ids=["singletons", "batched"])
+def test_sharded_solutions_are_bit_identical_to_single_process(coalescing):
+    """With coalescing on too: a column of a block is refined by its own
+    berr, so an answer does not depend on how either tier batched it."""
     mats = [sparse_matrix(seed=s) for s in range(4)]
     rng = np.random.default_rng(11)
     rhs = [rng.standard_normal(25) for _ in range(12)]
 
-    with SolveService(_cfg(), cache=FactorizationCache()) as svc:
+    with SolveService(_cfg(**coalescing), cache=FactorizationCache()) as svc:
         pend = [svc.submit(SolveRequest(matrix=mats[i % 4], b=rhs[i]))
                 for i in range(12)]
         ref = [p.result(60.0) for p in pend]
     assert all(r.ok for r in ref)
 
-    with ShardedSolveService(shards=2, config=_cfg()) as tier:
+    with ShardedSolveService(shards=2, config=_cfg(**coalescing)) as tier:
         pend = [tier.submit(SolveRequest(matrix=mats[i % 4], b=rhs[i]))
                 for i in range(12)]
         res = [p.result(120.0) for p in pend]
@@ -318,12 +322,31 @@ def test_sharded_solutions_are_bit_identical_to_single_process():
     for a, b in zip(ref, res):
         np.testing.assert_array_equal(a.x, b.x)
         assert a.report.berr == b.report.berr
+        assert a.report.refine_steps == b.report.refine_steps
     stats = tier.stats()
     assert stats["service.shard.requests"] == 12
     assert stats["service.shard.completed"] == 12
     assert stats["service.shard.deaths"] == 0
     # post-drain merge of the inner services' counters
     assert stats["service.requests"] == 12
+
+
+@needs_spawn
+def test_complex_system_is_rejected_at_submit_not_truncated():
+    """The tier's slab and messages carry float64: a complex matrix or
+    right-hand side is refused, as the distributed driver refuses one."""
+    a = sparse_matrix(seed=5)
+    ac = CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind,
+                   a.nzval * (1.0 + 0.5j), check=False)
+    with ShardedSolveService(shards=1, config=_cfg()) as tier:
+        tier.register_matrix("complex", ac)
+        for matrix, b in ((a, np.ones(25) * 1j), (ac, np.ones(25)),
+                          ("complex", np.ones(25))):
+            with pytest.raises(TypeError, match="real-only"):
+                tier.submit(SolveRequest(matrix=matrix, b=b))
+        assert tier.submit(SolveRequest(matrix=a, b=np.ones(25))) \
+            .result(60.0).ok
+    assert tier.stats()["service.shard.requests"] == 1
 
 
 @needs_spawn

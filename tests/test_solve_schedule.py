@@ -159,11 +159,9 @@ def _sweeps(factors, b):
                            solve_lower_csc(factors.l, b, unit_diagonal=True))
 
 
-def test_schedule_matches_the_column_sweeps_over_the_testbed():
+def test_schedule_matches_the_column_sweeps_over_the_testbed(testbed):
     worst = {}
-    for tm in testbed_53():
-        a = tm.build()
-        solver = GESPSolver(a, cache=False)
+    for name, (a, _, solver) in testbed.items():
         plan, at = solver._block_plan, solver.a_factored
         _check_schedule(plan)
         rng = np.random.default_rng(a.ncols)
@@ -184,13 +182,13 @@ def test_schedule_matches_the_column_sweeps_over_the_testbed():
             assert x.dtype == np.result_type(values.dtype, np.float64)
             want = _sweeps(factors, block)
             err = np.abs(x - want).max() / np.abs(want).max()
-            assert err <= 1e-8, (tm.name, label, err)
+            assert err <= 1e-8, (name, label, err)
             worst[label] = max(worst.get(label, 0.0), err)
             # one vector, a block of one, a block of eight: bit for bit
             for t in range(8):
                 single = factors.solve(block[:, t])
                 assert single.shape == (a.ncols,)
-                assert np.array_equal(single, x[:, t]), (tm.name, label, t)
+                assert np.array_equal(single, x[:, t]), (name, label, t)
             assert np.array_equal(factors.solve(block[:, :1]), x[:, :1])
     assert all(0.0 < err <= 1e-8 for err in worst.values()), worst
 
@@ -246,19 +244,20 @@ def test_nonfinite_block_reports_unconverged_not_an_exception():
 
 
 def test_two_threads_on_one_solver_get_the_single_thread_answers():
-    """``solve_once`` and ``solve_multi`` — what two service workers run
-    on one resident solver — read the schedule and its values and write
-    nothing shared.  (``GESPSolver.solve`` is not in this test: it records
-    spans into the solver's own Tracer, whose span stack is documented as
-    single-threaded in repro/obs/tracer.py.)"""
+    """``solve_once``, ``solve`` and ``solve_multi`` — what service
+    workers run on one resident solver — read the schedule and its values
+    and write nothing shared: a solver that was handed no tracer records
+    its solves into the calling thread's ambient tracer, not into a span
+    stack of its own."""
     a = next(tm for tm in testbed_53() if tm.name == "cfd03").build()
     solver = GESPSolver(a, cache=False)
     rng = np.random.default_rng(7)
     rhs = [rng.standard_normal((a.ncols, 4)) for _ in range(3)]
 
     def answers():
-        return [(solver.solve_once(b[:, 0]), solver.solve_multi(b).x)
-                for b in rhs]
+        return [(np.stack([solver.solve_once(b[:, 0]),
+                           solver.solve(b[:, 0]).x]),
+                 solver.solve_multi(b).x) for b in rhs]
 
     want = answers()
     got, errors = {}, []

@@ -25,7 +25,14 @@ with ``PYTHONPATH=src python scripts/check_docs.py``):
 7. the first column of the contract table in ``docs/KERNELS.md`` names
    exactly the abstract methods of ``repro.kernels.KernelBackend``, so
    the documented protocol cannot keep an op the code dropped (or miss
-   one it gained).
+   one it gained);
+8. no dangling file names: every ``BENCH_<name>.json``, every
+   ``bench_<name>.py`` (under ``benchmarks/`` or ``scripts/``), every
+   ``scripts/<name>.py`` and every backticked ``src/``, ``tests/``,
+   ``docs/``, ``bench/``, ``benchmarks/`` or ``examples/`` path named in
+   ``docs/*.md``, ``README.md``, ``EXPERIMENTS.md``, ``DESIGN.md`` or a
+   module under ``src/`` exists in the tree, so deleting or renaming a
+   file cannot leave its name behind in prose.
 
 A green run ends with one line, ``src: <modules> modules / <lines>
 lines`` — every ``*.py`` file under ``src/`` and every line in them, the
@@ -35,6 +42,7 @@ way ROADMAP.md and the CHANGES.md entries count source size (``find src
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 
@@ -168,14 +176,46 @@ def stale_counter_emitters(counters=None):
 def kernel_table_drift(text=None):
     """Ops the KERNELS.md contract table (rows ``| `op(...)` | ...``)
     and ``KernelBackend.__abstractmethods__`` do not share, sorted."""
-    import re
-
     from repro.kernels import KernelBackend
 
     if text is None:
         text = KERNELS.read_text(encoding="utf-8")
     documented = set(re.findall(r"^\| `(\w+)\(", text, flags=re.M))
     return sorted(documented ^ set(KernelBackend.__abstractmethods__))
+
+
+# (pattern, directories a match is resolved under) — check 8
+_FILE_NAMES = (
+    (re.compile(r"\bBENCH_\w+\.json\b"), ("",)),
+    (re.compile(r"\bbench_\w+\.py\b"), ("benchmarks", "scripts")),
+    (re.compile(r"\bscripts/\w+\.py\b"), ("",)),
+    (re.compile(r"`((?:src|tests|docs|bench|benchmarks|examples)/[\w./-]+)"
+                r"(?=`|::)"), ("",)),
+)
+
+
+def prose_sources():
+    """``{repo-relative name: text}`` of everything check 8 reads."""
+    files = [*sorted(DOCS.glob("*.md")), REPO / "README.md",
+             REPO / "EXPERIMENTS.md", REPO / "DESIGN.md",
+             *sorted((REPO / "src").rglob("*.py"))]
+    return {str(f.relative_to(REPO)): f.read_text(encoding="utf-8")
+            for f in files if f.is_file()}
+
+
+def dangling_file_names(texts=None):
+    """``(source, name)`` pairs: file names a prose source spells that
+    exist nowhere in the tree."""
+    if texts is None:
+        texts = prose_sources()
+    dangling = set()
+    for source, text in texts.items():
+        for pattern, roots in _FILE_NAMES:
+            for match in pattern.finditer(text):
+                name = match.group(match.lastindex or 0)
+                if not any((REPO / root / name).exists() for root in roots):
+                    dangling.add((source, name))
+    return sorted(dangling)
 
 
 def src_size():
@@ -226,6 +266,9 @@ def main():
     for name in kernel_table_drift():
         print(f"docs/KERNELS.md: contract table and KernelBackend "
               f"disagree on {name}")
+        status = 1
+    for source, name in dangling_file_names():
+        print(f"{source}: names {name}, which does not exist")
         status = 1
     if status == 0:
         print("docs lint: OK "

@@ -320,28 +320,44 @@ def cmd_iterative(args):
     return 0
 
 
+def _mix_items(matrices, n_requests, seed, rate):
+    """The synthetic ``serve`` stream as workload items: each request
+    draws one registered key of the mix (uniformly), then a fresh
+    standard-normal right-hand side, from one seeded generator — same
+    seed, same stream — arriving ``1/rate`` apart (all at once when
+    ``rate`` is unset).  Items name their matrix by key, so admission
+    stays cheap and the steady-state path is exercised."""
+    from repro.workload import WorkloadItem
+
+    rng = np.random.default_rng(seed)
+    keys = sorted(matrices)
+    items = []
+    for i in range(n_requests):
+        key = keys[int(rng.integers(len(keys)))]
+        items.append(WorkloadItem(
+            t_offset=i / rate if rate else 0.0, matrix=key,
+            b=rng.standard_normal(matrices[key].ncols)))
+    return items
+
+
 def cmd_serve(args):
     """``serve``: run the solve service — in-process, or the sharded
-    multi-process tier with ``--shards N`` — against a synthetic
-    open-loop client (docs/SERVICE.md, docs/SHARDING.md)."""
+    multi-process tier with ``--shards N`` — under an open-loop client
+    replaying a synthetic mix or a ``--workload`` scenario stream
+    (docs/SERVICE.md, docs/SHARDING.md, docs/WORKLOADS.md)."""
+    from repro.driver import GESPOptions
     from repro.matrices import matrix_by_name
-    from repro.service import (
-        ServiceConfig,
-        ShardedSolveService,
-        SolveService,
-        run_open_loop,
-        synthetic_workload,
+    from repro.service import ServiceConfig, ShardedSolveService, SolveService
+    from repro.workload import (
+        catalog_matrices,
+        generate_all,
+        load_tenants,
+        load_workload,
+        run_workload,
     )
 
-    workload_specs = tenant_specs = None
-    if args.workload:
-        from repro.workload import load_workload
-
-        workload_specs = load_workload(args.workload)
-    if args.tenants:
-        from repro.workload import load_tenants
-
-        tenant_specs = load_tenants(args.tenants)
+    workload_specs = load_workload(args.workload) if args.workload else None
+    tenant_specs = load_tenants(args.tenants) if args.tenants else None
     matrices = {}
     for name in args.matrices:
         try:
@@ -349,10 +365,7 @@ def cmd_serve(args):
         except KeyError:
             matrices[name] = _load(name)
     if args.catalog:
-        from repro.workload import catalog_matrices
-
         matrices.update(catalog_matrices(args.catalog))
-    from repro.driver import GESPOptions
 
     cfg = ServiceConfig(max_workers=args.workers,
                         queue_capacity=args.queue_capacity,
@@ -375,18 +388,18 @@ def cmd_serve(args):
             f"{s.scenario}({s.matrix}, {s.arrival}@{s.rate:g}/s"
             + (f", tenant {s.tenant}" if s.tenant else "") + ")"
             for s in workload_specs))
-        if tenant_specs:
-            print("tenants          : " + ", ".join(
-                f"{t.name}(prio {t.priority}"
-                + (f", {t.deadline:g}s tier" if t.deadline else "")
-                + (f", quota {t.quota_rps:g}/s" if t.quota_rps else "")
-                + ")" for t in tenant_specs))
     else:
         print(f"workload         : {args.requests} requests, "
               + (f"{args.rate:.0f}/s open loop" if args.rate
                  else "single burst")
               + (f", {args.deadline * 1e3:.0f}ms deadline"
                  if args.deadline is not None else ""))
+    if tenant_specs:
+        print("tenants          : " + ", ".join(
+            f"{t.name}(prio {t.priority}"
+            + (f", {t.deadline:g}s tier" if t.deadline else "")
+            + (f", quota {t.quota_rps:g}/s" if t.quota_rps else "")
+            + ")" for t in tenant_specs))
     if args.shards:
         service = ShardedSolveService(shards=args.shards, config=cfg,
                                       spool_dir=args.spool_dir,
@@ -398,33 +411,41 @@ def cmd_serve(args):
         for key, a in matrices.items():
             svc.register_matrix(key, a)
         if workload_specs is not None:
-            from repro.workload import generate_all, run_workload
-
             items = generate_all(workload_specs)
-            rep = run_workload(svc, items, tenants=tenant_specs,
-                               speed=args.speed)
         else:
-            workload = synthetic_workload(matrices, args.requests,
-                                          seed=args.seed)
-            res = run_open_loop(svc, workload, rate=args.rate,
-                                deadline=args.deadline)
+            items = _mix_items(matrices, args.requests, args.seed, args.rate)
+        rep = run_workload(svc, items, tenants=tenant_specs,
+                           speed=args.speed, deadline=args.deadline)
     # after close: the sharded tier merges its drained shards' inner
     # service.* counters into stats() (both services report post-close)
-    stats = svc.stats()
-    if workload_specs is not None:
-        return _print_workload_report(rep, stats)
-    s = res.summary()
+    return _print_serve_report(rep, svc.stats(), args)
+
+
+def _print_serve_report(rep, stats, args) -> int:
+    """The ``serve`` report: the per-tenant SLO table (the ``<all>`` row
+    alone for untenanted traffic), then the run's totals."""
+    print(f"{'tenant':<14} {'subm':>5} {'done':>5} {'shed':>5} {'disp':>5} "
+          f"{'exp':>4} {'p50(ms)':>8} {'p99(ms)':>8} {'dl-hit':>7} "
+          f"{'warm':>6}")
+    for row in rep.rows():
+        print(f"{row['tenant']:<14} {row['submitted']:>5} "
+              f"{row['completed']:>5} {row['quota_shed']:>5} "
+              f"{row['overloaded']:>5} {row['expired']:>4} "
+              f"{row['p50_latency_seconds'] * 1e3:>8.2f} "
+              f"{row['p99_latency_seconds'] * 1e3:>8.2f} "
+              f"{row['deadline_hit_rate']:>7.1%} "
+              f"{row['warm_hit_rate']:>6.1%}")
+    all_ = rep.overall
+    print(f"completed        : {all_.completed} certified "
+          f"({all_.quota_shed + all_.overloaded} shed, "
+          f"{all_.expired} expired, {all_.failed} failed)")
+    if rep.elapsed:
+        print(f"throughput       : {all_.completed / rep.elapsed:.1f} "
+              f"solves/s over {rep.elapsed:.2f}s")
     batches = stats.get("service.batched", 0)
-    width = stats.get("service.coalesce_width", 0)
-    print(f"completed        : {s['completed']} certified "
-          f"({s['rejected']} shed, {s['expired']} expired, "
-          f"{s['failed']} failed)")
-    print(f"throughput       : {s['throughput_rps']:.1f} solves/s")
-    print(f"latency          : p50 {s['p50_latency_seconds'] * 1e3:.2f}ms  "
-          f"p99 {s['p99_latency_seconds'] * 1e3:.2f}ms")
     if batches:
         print(f"coalescing       : {batches} batches, mean width "
-              f"{width / batches:.2f}")
+              f"{stats.get('service.coalesce_width', 0) / batches:.2f}")
     if stats.get("service.recovered"):
         print(f"recovered        : {stats['service.recovered']} requests "
               "via the recovery ladder")
@@ -441,31 +462,7 @@ def cmd_serve(args):
                   f"{stats.get('service.shard.spool_loaded', 0):.0f} plans "
                   f"loaded, {stats.get('service.shard.spool_saved', 0):.0f} "
                   "saved")
-    return 0 if s["failed"] == 0 else 1
-
-
-def _print_workload_report(rep, stats) -> int:
-    """Per-tenant SLO table for ``serve --workload`` (the row shape
-    mirrors BENCH_workload.json)."""
-    print(f"{'tenant':<14} {'subm':>5} {'done':>5} {'shed':>5} {'disp':>5} "
-          f"{'exp':>4} {'p50(ms)':>8} {'p99(ms)':>8} {'dl-hit':>7} "
-          f"{'warm':>6}")
-    for row in rep.rows():
-        print(f"{row['tenant']:<14} {row['submitted']:>5} "
-              f"{row['completed']:>5} {row['quota_shed']:>5} "
-              f"{row['overloaded']:>5} {row['expired']:>4} "
-              f"{row['p50_latency_seconds'] * 1e3:>8.2f} "
-              f"{row['p99_latency_seconds'] * 1e3:>8.2f} "
-              f"{row['deadline_hit_rate']:>7.1%} "
-              f"{row['warm_hit_rate']:>6.1%}")
-    batches = stats.get("service.batched", 0)
-    if batches:
-        print(f"coalescing       : {batches} batches, mean width "
-              f"{stats.get('service.coalesce_width', 0) / batches:.2f}")
-    print(f"elapsed          : {rep.elapsed:.2f}s "
-          f"({rep.overall.completed / rep.elapsed:.1f} solves/s)"
-          if rep.elapsed else "")
-    return 0 if rep.overall.failed == 0 else 1
+    return 0 if all_.failed == 0 else 1
 
 
 def cmd_ingest(args):
@@ -543,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache for a same-pattern plan instead of a cold "
                         "analysis (see docs/REFACTORIZATION.md)")
     p.add_argument("--kernel-backend", default=None, metavar="NAME",
-                   help="dense-kernel backend ('reference', 'vectorized', "
-                        "'compiled', ...); default: $REPRO_KERNEL_BACKEND, "
+                   help="dense-kernel backend ('reference' or "
+                        "'vectorized'); default: $REPRO_KERNEL_BACKEND, "
                         "then 'reference' (see docs/KERNELS.md)")
     p.add_argument("--executor", default=None,
                    choices=["sim", "process"],

@@ -7,8 +7,7 @@ simulator runs — unchanged — but with one OS worker process per rank,
 zero-copy (receivers map the sender's pages instead of unpickling a
 copy).  The event-loop simulator stays the deterministic oracle; this
 backend must produce bit-identical numeric results on the algorithms in
-this repo (the executor tests and ``benchmarks/bench_executor.py``
-assert exactly that).
+this repo (``tests/test_executor.py`` asserts exactly that).
 
 Semantics preserved from the simulator (parity table: docs/EXECUTOR.md):
 

@@ -186,7 +186,14 @@ class DistributedGESPSolver(PatternSolver):
         The communication schedule is derived once per sparsity pattern
         and reused across refactorizations (it depends only on the block
         structure, the DAG, and ``edag_prune``).
+
+        Idempotent: ``pdgstrf`` works in place, so once it has run the
+        block storage holds the factors of the resident values and a
+        repeat call returns that run (every value change goes through
+        :meth:`refactor`, whose numeric step clears ``factor_run``).
         """
+        if self.factor_run is not None:
+            return self.factor_run
         with use_tracer(self.tracer), self._stage("factor"):
             if self._schedule is None:
                 self._schedule = build_schedule(self.dist, self.dag,

@@ -39,7 +39,9 @@ class GESPOptions:
         FIDAPM11/JPWH_991/ORSIRR_1 want this *off*.
     col_perm:
         Step (2) ordering: ``"mmd_ata"`` (paper default),
-        ``"mmd_at_plus_a"``, ``"colamd"``, ``"nd_ata"``, or ``"natural"``.
+        ``"mmd_at_plus_a"``, ``"amd_ata"``, ``"amd_at_plus_a"``
+        (approximate minimum degree on the same two graphs),
+        ``"colamd"``, ``"nd_ata"``, or ``"natural"``.
     replace_tiny_pivots:
         Step (3) safeguard.  The paper notes EX11/RADFR1 want this off.
     tiny_pivot_scale:
@@ -90,10 +92,9 @@ class GESPOptions:
           (swap in new values and let refinement absorb the drift).
     kernel_backend:
         Dense-kernel backend name from :mod:`repro.kernels`
-        (``"reference"``, ``"vectorized"``, ``"compiled"``, or any
-        registered name); ``None`` defers to the
-        ``REPRO_KERNEL_BACKEND`` environment variable and finally the
-        bit-exact ``"reference"`` default.
+        (``"reference"``, ``"vectorized"``, or any registered name);
+        ``None`` defers to the ``REPRO_KERNEL_BACKEND`` environment
+        variable and finally the bit-exact ``"reference"`` default.
     executor:
         Runtime for the distributed rank programs (distributed driver
         only): ``"sim"`` (event-loop simulator, the deterministic

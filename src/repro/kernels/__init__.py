@@ -28,7 +28,6 @@ from repro.kernels.base import (
     lu_flops,
     trsm_flops,
 )
-from repro.kernels.compiled import HAVE_NUMBA, CompiledBackend
 from repro.kernels.reference import ReferenceBackend
 from repro.kernels.registry import (
     DEFAULT_BACKEND,
@@ -47,9 +46,7 @@ __all__ = [
     "UnknownBackendError",
     "ReferenceBackend",
     "VectorizedBackend",
-    "CompiledBackend",
     "HAVE_SCIPY",
-    "HAVE_NUMBA",
     "register_backend",
     "get_backend",
     "available_backends",

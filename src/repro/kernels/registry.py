@@ -94,11 +94,3 @@ def resolve_backend_name(selector=None) -> str:
 # unconditional
 register_backend(ReferenceBackend())
 register_backend(VectorizedBackend())
-
-# the compiled backend only exists when numba is importable (the
-# ``[compiled]`` extra); selecting "compiled" without it raises
-# UnknownBackendError listing only the backends that actually work
-from repro.kernels.compiled import HAVE_NUMBA, CompiledBackend  # noqa: E402
-
-if HAVE_NUMBA:
-    register_backend(CompiledBackend())

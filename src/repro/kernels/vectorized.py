@@ -48,7 +48,7 @@ def _solve_triangular(*args, **kwargs):
 
 
 # Below these block widths the Python sweep beats the LAPACK call
-# overhead (measured on the cfd testbed; see benchmarks/bench_kernels.py).
+# overhead (measured on the cfd testbed).
 _TRSM_CUTOFF = 3
 _DIAG_SOLVE_CUTOFF = 8
 

@@ -9,7 +9,7 @@ block-cyclic data structure as the factorization:
   outstanding; a subvector x(K) is solved by the diagonal process the
   moment its counters drain;
 - the *upper* solve mirrors it top-down (``umod``/``urecv``), with U
-  stored row-wise.
+  stored row-wise: the same rank program run in the other direction.
 
 Execution is fully asynchronous — each rank sits in a receive-any loop
 and reacts to whichever message (partial sum or solved subvector)
@@ -17,8 +17,7 @@ arrives, exactly the organization the paper credits for overlapping the
 solve's dominant communication with its thin computation.
 """
 
-from repro.pdgstrs.lsolve import pdgstrs_lower
-from repro.pdgstrs.usolve import pdgstrs_upper
 from repro.pdgstrs.driver import SolveRun, pdgstrs
+from repro.pdgstrs.trisolve import pdgstrs_lower, pdgstrs_upper
 
 __all__ = ["pdgstrs_lower", "pdgstrs_upper", "pdgstrs", "SolveRun"]

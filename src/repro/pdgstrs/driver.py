@@ -13,8 +13,7 @@ import numpy as np
 from repro.dmem.distribute import DistributedBlocks
 from repro.dmem.simulator import SimulationResult
 from repro.obs import add, trace
-from repro.pdgstrs.lsolve import pdgstrs_lower
-from repro.pdgstrs.usolve import pdgstrs_upper
+from repro.pdgstrs.trisolve import pdgstrs_lower, pdgstrs_upper
 
 __all__ = ["SolveRun", "pdgstrs"]
 

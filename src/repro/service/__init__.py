@@ -18,8 +18,7 @@ Module map:
 - :mod:`~repro.service.pool` — the worker thread pool
 - :mod:`~repro.service.server` — :class:`SolveService`, tying it all
   together
-- :mod:`~repro.service.client` — blocking client + synthetic load
-  generation
+- :mod:`~repro.service.client` — blocking client
 - :mod:`~repro.service.shard` — the sharded multi-process tier
   (:class:`ShardedSolveService`): pattern-affinity routing over N
   worker processes, each running its own ``SolveService``
@@ -41,13 +40,7 @@ from repro.service.api import (
     SolveResponse,
     default_workers,
 )
-from repro.service.client import (
-    ServiceClient,
-    SyntheticItem,
-    WorkloadResult,
-    run_open_loop,
-    synthetic_workload,
-)
+from repro.service.client import ServiceClient
 from repro.service.server import SolveService
 from repro.service.shard import ShardedSolveService
 
@@ -65,9 +58,5 @@ __all__ = [
     "SolveRequest",
     "SolveResponse",
     "SolveService",
-    "SyntheticItem",
-    "WorkloadResult",
     "default_workers",
-    "run_open_loop",
-    "synthetic_workload",
 ]

@@ -1,31 +1,17 @@
-"""Client-side conveniences: sync calls and synthetic load generation.
+"""Client-side convenience: blocking calls over the future-based API.
 
 :class:`ServiceClient` wraps a :class:`~repro.service.server.SolveService`
 in a blocking call-per-solve API for callers that do not want to manage
-futures.  The synthetic-workload helpers build deterministic open-loop
-request streams over a mix of registered patterns; they are shared by
-``python -m repro serve --synthetic`` and ``benchmarks/bench_service.py``
-so the CLI demo and the measured benchmark exercise literally the same
-code path.
+futures.  (Open-loop load generation lives in
+:func:`repro.workload.run_workload`, the one runner ``python -m repro
+serve`` drives in both of its modes.)
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from repro.service.api import SolveRequest, SolveResponse
 
-import numpy as np
-
-from repro.service.api import ServiceOverloaded, SolveRequest, SolveResponse
-from repro.sparse.csc import CSCMatrix
-
-__all__ = [
-    "ServiceClient",
-    "SyntheticItem",
-    "WorkloadResult",
-    "run_open_loop",
-    "synthetic_workload",
-]
+__all__ = ["ServiceClient"]
 
 
 class ServiceClient:
@@ -54,125 +40,3 @@ class ServiceClient:
         back-to-back so same-pattern requests can coalesce)."""
         pending = [self.service.submit(r) for r in requests]
         return [p.result(timeout) for p in pending]
-
-
-@dataclass
-class SyntheticItem:
-    """One synthetic request: which registered matrix, which rhs."""
-
-    key: str
-    b: np.ndarray
-
-
-@dataclass
-class WorkloadResult:
-    """Outcome of :func:`run_open_loop`.
-
-    ``latencies`` holds per-request seconds from submission to response
-    for requests that produced a solve; ``rejected`` counts admission
-    sheds (:class:`ServiceOverloaded`), ``expired`` counts
-    deadline evictions, ``failed`` counts responses that were neither
-    (errors or uncertified reports).
-    """
-
-    responses: list = field(default_factory=list)
-    latencies: list = field(default_factory=list)
-    rejected: int = 0
-    expired: int = 0
-    failed: int = 0
-    elapsed: float = 0.0
-
-    @property
-    def completed(self) -> int:
-        return len(self.latencies)
-
-    @property
-    def throughput(self) -> float:
-        """Certified solves per second over the whole run."""
-        return self.completed / self.elapsed if self.elapsed > 0 else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Latency percentile in seconds (0 when nothing completed)."""
-        if not self.latencies:
-            return 0.0
-        return float(np.percentile(np.asarray(self.latencies), q))
-
-    def summary(self) -> dict:
-        return {
-            "completed": self.completed,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "failed": self.failed,
-            "elapsed_seconds": self.elapsed,
-            "throughput_rps": self.throughput,
-            "p50_latency_seconds": self.percentile(50),
-            "p99_latency_seconds": self.percentile(99),
-        }
-
-
-def synthetic_workload(matrices: dict[str, CSCMatrix], n_requests: int,
-                       seed: int = 0) -> list[SyntheticItem]:
-    """A deterministic request stream over a pattern mix.
-
-    Each request picks one of ``matrices`` (uniformly, seeded) and a
-    fresh random right-hand side.  Same seed → same stream, so benchmark
-    runs are comparable across revisions.
-    """
-    if not matrices:
-        raise ValueError("need at least one matrix in the mix")
-    rng = np.random.default_rng(seed)
-    keys = sorted(matrices)
-    items = []
-    for _ in range(n_requests):
-        key = keys[int(rng.integers(len(keys)))]
-        n = matrices[key].ncols
-        items.append(SyntheticItem(key=key,
-                                   b=rng.standard_normal(n)))
-    return items
-
-
-def run_open_loop(service, workload: list[SyntheticItem],
-                  rate: float | None = None,
-                  deadline: float | None = None,
-                  timeout: float = 120.0) -> WorkloadResult:
-    """Drive ``service`` with ``workload`` at a fixed arrival rate.
-
-    Open loop: arrivals are scheduled at ``1/rate`` spacing regardless
-    of completions (``rate=None`` submits the whole stream back-to-back,
-    the pure-burst case).  Matrices are referenced by registered key, so
-    admission stays cheap and the steady-state path is exercised.
-    """
-    from repro.service.api import DeadlineExceeded
-
-    result = WorkloadResult()
-    pending = []
-    t_start = time.perf_counter()
-    interval = (1.0 / rate) if rate else 0.0
-    for i, item in enumerate(workload):
-        if interval:
-            t_arrival = t_start + i * interval
-            delay = t_arrival - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-        try:
-            p = service.submit(SolveRequest(matrix=item.key, b=item.b,
-                                            deadline=deadline))
-        except ServiceOverloaded:
-            result.rejected += 1
-            continue
-        pending.append(p)
-    for p in pending:
-        resp = p.result(timeout)
-        result.responses.append(resp)
-        if isinstance(resp.error, DeadlineExceeded):
-            result.expired += 1
-        elif resp.ok:
-            # service-side latency (admission → batch completed): the
-            # collection loop above reads futures long after they fire,
-            # so wall time here would overstate early completions
-            result.latencies.append(resp.queued_seconds
-                                    + resp.solve_seconds)
-        else:
-            result.failed += 1
-    result.elapsed = time.perf_counter() - t_start
-    return result

@@ -144,7 +144,8 @@ class WorkloadItem:
     """One generated request: a drifted matrix, an RHS, a timestamp."""
 
     t_offset: float                    # seconds from stream start
-    matrix: CSCMatrix                  # pattern fixed, values drifted
+    matrix: CSCMatrix | str            # pattern fixed, values drifted
+                                       # (or a registered pattern key)
     b: np.ndarray
     scenario: str = ""
     tenant: str = ""

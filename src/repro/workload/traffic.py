@@ -86,7 +86,7 @@ class TenantReport:
         return float(np.percentile(np.asarray(self.latencies), q))
 
     def row(self) -> dict:
-        """The flat dict shape ``BENCH_workload.json`` records."""
+        """One flat report row (what ``serve`` prints per tenant)."""
         return {
             "tenant": self.tenant,
             "deadline": self.deadline,
@@ -123,6 +123,7 @@ class WorkloadReport:
 
 
 def run_workload(service, items, *, tenants=None, speed: float = 1.0,
+                 deadline: float | None = None,
                  timeout: float = 300.0) -> WorkloadReport:
     """Replay ``items`` against ``service`` open-loop.
 
@@ -139,6 +140,9 @@ def run_workload(service, items, *, tenants=None, speed: float = 1.0,
     speed:
         Replay speed-up: item offsets are divided by this, so
         ``speed=10`` compresses a 10-second trace into one second.
+    deadline:
+        Explicit per-request deadline (seconds) stamped on every
+        request; ``None`` leaves it to the tenant's deadline tier.
     timeout:
         Per-future collection timeout (seconds).
     """
@@ -169,6 +173,7 @@ def run_workload(service, items, *, tenants=None, speed: float = 1.0,
             tr.submitted += 1
         try:
             p = service.submit(SolveRequest(matrix=item.matrix, b=item.b,
+                                            deadline=deadline,
                                             tenant=item.tenant))
         except QuotaExceeded:
             for tr in trs:

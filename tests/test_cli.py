@@ -120,6 +120,27 @@ def test_serve_open_loop_with_mtx_file(mtx_file, capsys):
     assert "open loop" in out
 
 
+def test_serve_seed_keeps_its_stream():
+    """``--seed S`` names a stream: per request one draw of the pattern
+    key, then of the right-hand side.  The keys and the checksum were
+    taken from the synthetic client at PR 19, before ``serve`` fed the
+    mix to ``run_workload`` as workload items."""
+    import hashlib
+
+    from repro.__main__ import _mix_items
+    from repro.matrices import matrix_by_name
+
+    mix = {k: matrix_by_name(k).build() for k in ("cfd03", "cfd01")}
+    items = _mix_items(mix, 6, seed=3, rate=500.0)
+    assert [it.matrix for it in items] == ["cfd03", "cfd01", "cfd01",
+                                           "cfd03", "cfd01", "cfd03"]
+    digest = hashlib.sha1(b"".join(it.b.tobytes() for it in items))
+    assert digest.hexdigest() == "dcaf652f6ba835de414f542e59bf9bea30cf7464"
+    assert [it.t_offset for it in items] == [i / 500.0 for i in range(6)]
+    assert {it.tenant for it in items} == {""}       # stats() unchanged
+    assert all(it.t_offset == 0.0 for it in _mix_items(mix, 3, 3, None))
+
+
 def test_serve_trace_carries_service_span(capsys):
     assert main(["--trace", "serve", "cfd01", "--requests", "8",
                  "--workers", "2"]) == 0

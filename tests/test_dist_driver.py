@@ -65,6 +65,41 @@ def test_factorize_idempotent_entry(rng):
     assert np.abs(out.x - 1.0).max() < 1e-6
 
 
+def test_second_factorize_does_not_factor_the_factors():
+    """pdgstrf works in place: a repeat ``factorize()`` must return the
+    resident run, not eliminate L\\U as if it were A (cfd03 on a 2x2
+    grid came back off by 429, silently), nor grow an untraced solver's
+    build tracer by one ``factor`` tree per call."""
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd03").build()
+    b = a @ np.ones(a.ncols)
+    s = DistributedGESPSolver(a, nprocs=4, cache=False)
+    run = s.factorize()
+    x1 = s.solve_distributed(b).x
+    spans = sum(1 for _ in s.tracer.root.walk())
+    again = s.factorize()
+    x2 = s.solve_distributed(b).x
+    assert x1.tobytes() == x2.tobytes()
+    assert np.abs(x2 - 1.0).max() < 1e-10
+    assert again is run
+    assert sum(1 for _ in s.tracer.root.walk()) == spans
+
+
+def test_refactor_then_factorize_refactors():
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd03").build()
+    a2 = CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind, 1.5 * a.nzval)
+    b = a @ np.ones(a.ncols)
+    s = DistributedGESPSolver(a, nprocs=4, cache=False)
+    run = s.factorize()
+    s.refactor(a2)
+    assert s.factor_run is None
+    assert s.factorize() is not run
+    assert np.abs(s.solve_distributed(b).x - 1.0 / 1.5).max() < 1e-10
+
+
 def test_block_size_respected(rng):
     d = laplace2d_dense(8)
     s = DistributedGESPSolver(CSCMatrix.from_dense(d), nprocs=4,

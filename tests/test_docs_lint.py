@@ -1,7 +1,6 @@
 """Docs stay in sync with the code: run scripts/check_docs.py as a test."""
 
 import importlib.util
-import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -132,3 +131,21 @@ def test_kernels_md_contract_table_is_the_protocol():
     assert check_docs.kernel_table_drift("\n".join(stale)) == \
         ["csc_lower_multi"]
     assert check_docs.kernel_table_drift("\n".join(rows[1:])) == [ops[0]]
+
+
+def test_no_dangling_file_names():
+    assert check_docs.dangling_file_names() == []
+
+
+def test_lint_catches_a_dangling_file_name():
+    text = ("the seeded trajectory of `scripts/bench_trajectory.py` and "
+            "``benchmarks/bench_gone.py`` write BENCH_gone.json; see "
+            "`tests/test_docs_lint.py::test_no_dangling_file_names`, "
+            "`docs/KERNELS.md`, bench_orderings.py and `src/repro/*.py`")
+    assert check_docs.dangling_file_names({"X.md": text}) == [
+        ("X.md", "BENCH_gone.json"),
+        ("X.md", "bench_gone.py"),
+        ("X.md", "bench_trajectory.py"),
+        ("X.md", "benchmarks/bench_gone.py"),
+        ("X.md", "scripts/bench_trajectory.py"),
+    ]

@@ -501,21 +501,6 @@ def test_env_blank_or_whitespace_falls_back_to_default(monkeypatch):
     assert resolve_backend_name(None) == "vectorized"
 
 
-def test_compiled_backend_registration_matches_numba_availability():
-    from repro.kernels.compiled import HAVE_NUMBA, CompiledBackend
-
-    if HAVE_NUMBA:
-        assert "compiled" in available_backends()
-        assert get_backend("compiled").name == "compiled"
-    else:
-        assert "compiled" not in available_backends()
-        with pytest.raises(RuntimeError, match="numba"):
-            CompiledBackend()
-        # selecting it by name reports the structured unknown-name error
-        with pytest.raises(UnknownBackendError):
-            get_backend("compiled")
-
-
 def test_factor_dtype_threads_through_plan_cache_key():
     from repro.driver import GESPOptions
     from repro.driver.factcache import serial_plan_key

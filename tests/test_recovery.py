@@ -7,7 +7,6 @@ with the escalation path recorded in the report and the trace.
 """
 
 import numpy as np
-import pytest
 
 from repro import CSCMatrix, GESPOptions, GESPSolver, recover_solve
 from repro.obs import Tracer, use_tracer

@@ -232,6 +232,57 @@ def test_run_workload_report_accounting():
     assert rep.overall.warm_hit_rate > 0.5  # only the first batch is cold
 
 
+# the two SLO floors a production story needs, on seeded streams
+# (docs/WORKLOADS.md); replayed at 4x like the rows EXPERIMENTS.md quotes
+SLO_SEED = 20260808
+
+
+def _slo_service():
+    return SolveService(ServiceConfig(max_workers=2, batch_window=0.002,
+                                      max_batch=16))
+
+
+def test_bursty_transient_stream_is_answered_from_warm_state():
+    """Newton iterations arriving a time step at a time: at least 90 %
+    of completed solves reuse the pattern's analysis (never a repeat
+    ``DOFACT``), and none fails."""
+    items = generate(ScenarioSpec(
+        scenario="transient_circuit", matrix="circuit01", steps=15,
+        arrival="bursty", rate=150.0, tenant="sim", seed=SLO_SEED))
+    with _slo_service() as svc:
+        rep = run_workload(svc, items, tenants=[TenantSpec(name="sim")],
+                           speed=4.0)
+    assert rep.overall.completed == len(items) == 45
+    assert rep.overall.failed == 0
+    assert rep.overall.warm_hit_rate >= 0.90, rep.rows()
+
+
+def test_interactive_tier_keeps_its_deadlines_while_batch_is_shed():
+    """Tenant isolation: the priority-10, 5-second-tier tenant keeps a
+    >= 99 % deadline hit-rate, unshed, while a batch tenant arriving far
+    above its 50/s token bucket is shed by quota."""
+    tenants = [
+        TenantSpec(name="interactive", priority=10, deadline=5.0),
+        TenantSpec(name="batch", priority=0, quota_rps=50.0,
+                   quota_burst=5.0),
+    ]
+    items = generate_all([
+        ScenarioSpec(scenario="transient_circuit", matrix="circuit01",
+                     steps=12, arrival="poisson", rate=150.0,
+                     tenant="interactive", seed=SLO_SEED),
+        # the flooder: a fresh Newton iterate per request
+        ScenarioSpec(scenario="newton_drift", matrix="circuit02",
+                     newton_iters=60, arrival="poisson", rate=2000.0,
+                     tenant="batch", seed=SLO_SEED + 1),
+    ])
+    with _slo_service() as svc:
+        rep = run_workload(svc, items, tenants=tenants, speed=4.0)
+    inter, batch = rep.tenant("interactive"), rep.tenant("batch")
+    assert inter.failed == 0 and inter.quota_shed == 0, rep.rows()
+    assert batch.quota_shed > 0, rep.rows()    # the quota really shed load
+    assert inter.deadline_hit_rate >= 0.99, rep.rows()
+
+
 def test_tenant_deadline_tier_fills_missing_deadline():
     a = matrix_by_name("circuit01").build()
     cfg = ServiceConfig(max_workers=1)

@@ -424,6 +424,8 @@ def cmd_serve(args):
 def _print_serve_report(rep, stats, args) -> int:
     """The ``serve`` report: the per-tenant SLO table (the ``<all>`` row
     alone for untenanted traffic), then the run's totals."""
+    from repro.service.server import FACT_COUNTERS
+
     print(f"{'tenant':<14} {'subm':>5} {'done':>5} {'shed':>5} {'disp':>5} "
           f"{'exp':>4} {'p50(ms)':>8} {'p99(ms)':>8} {'dl-hit':>7} "
           f"{'warm':>6}")
@@ -446,8 +448,15 @@ def _print_serve_report(rep, stats, args) -> int:
     if batches:
         print(f"coalescing       : {batches} batches, mean width "
               f"{stats.get('service.coalesce_width', 0) / batches:.2f}")
+    modes = [(fact, stats.get(name, 0))
+             for fact, name in FACT_COUNTERS.items()]
+    answered = sum(count for _, count in modes)
+    if answered:
+        print("fact modes       : " + ", ".join(
+            f"{fact} {count / answered:.0%}" for fact, count in modes if count)
+            + f"; {stats.get('service.reanchored', 0):.0f} re-anchored")
     if stats.get("service.recovered"):
-        print(f"recovered        : {stats['service.recovered']} requests "
+        print(f"recovered        : {stats['service.recovered']:.0f} requests "
               "via the recovery ladder")
     if args.shards:
         print(f"shard routing    : "
@@ -604,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: submit everything as one burst)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker threads (default: $REPRO_SERVICE_WORKERS, "
-                        "then min(4, cpus))")
+                        "then 1)")
     p.add_argument("--queue-capacity", type=int, default=256,
                    help="admission-queue bound; a full queue sheds load")
     p.add_argument("--batch-window", type=float, default=0.002,

@@ -210,8 +210,38 @@ COUNTERS = (
         "service.recovered", "solve",
         "repro/service/server.py",
         "Batch members whose block solve failed or did not converge "
-        "and that were then certified individually by the recovery "
-        "ladder."),
+        "— after a re-anchor, where the anchor was stale — and that "
+        "were then certified individually by the recovery ladder."),
+    CounterSpec(
+        "service.reanchored", "pattern",
+        "repro/service/server.py",
+        "Re-anchors: a batch had a column its berr certificate rejected "
+        "on an anchor (perm_r, Dr, Dc, perm_c, value map) matched on "
+        "other values, so the pattern was re-matched on the batch's "
+        "values by one SAME_PATTERN refactorization and those columns "
+        "solved again.  0 on a healthy stream; each one costs an MC64 "
+        "pass, plus a cold analysis when factor.reuse_misses moved too."),
+    CounterSpec(
+        "service.fact_dofact", "request",
+        "repro/service/server.py",
+        "Answers (responses carrying a report) produced by a cold "
+        "factorization: SolveResponse.fact == 'DOFACT'."),
+    CounterSpec(
+        "service.fact_same_rowperm", "request",
+        "repro/service/server.py",
+        "Answers produced by the warm path — new values refactored on "
+        "the pattern's anchor, no equilibration or matching: "
+        "SolveResponse.fact == 'SAME_PATTERN_SAME_ROWPERM'."),
+    CounterSpec(
+        "service.fact_same_pattern", "request",
+        "repro/service/server.py",
+        "Answers solved again after a re-anchor: SolveResponse.fact == "
+        "'SAME_PATTERN' (see service.reanchored)."),
+    CounterSpec(
+        "service.fact_factored", "request",
+        "repro/service/server.py",
+        "Answers produced from resident factors of the same values, "
+        "nothing refactored: SolveResponse.fact == 'FACTORED'."),
     CounterSpec(
         "service.tenant_requests", "request",
         "repro/service/server.py",

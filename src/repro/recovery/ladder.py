@@ -29,6 +29,10 @@ certified or the options are exhausted:
 7. ``gmres_ilu`` — ILU(0)-preconditioned GMRES, the iterative
    alternative of the paper's introduction, as the last resort.
 
+Handed a ``resident`` solver (the solve service does, under the pattern's
+lock), rung 1 is ``warm`` — a solve on the factorization already in
+memory — and the cold ``gesp`` pipeline moves behind ``refactor``.
+
 Every rung attempt is recorded in a :class:`RungAttempt` (what ran, what
 triggered it, what berr it reached) inside the returned report's
 ``recovery`` field, traced under ``recovery/<rung>`` spans, and counted
@@ -38,6 +42,7 @@ never silent.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -102,8 +107,9 @@ class RecoveryReport:
 
 
 def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
-                  target: float = DEFAULT_TARGET,
-                  max_refine_steps: int | None = None) -> SolveReport:
+                  target: float | None = None,
+                  max_refine_steps: int | None = None,
+                  resident: GESPSolver | None = None) -> SolveReport:
     """Solve ``A x = b``, escalating through the recovery ladder.
 
     Returns a :class:`repro.driver.gesp_driver.SolveReport` whose
@@ -122,12 +128,19 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
         Baseline GESP options for rung 1 (library defaults when omitted).
     target:
         Certification threshold on the componentwise backward error;
-        ``sqrt(eps)`` by default — half precision, the accuracy the
+        ``sqrt(eps)`` when omitted — half precision, the accuracy the
         tiny-pivot perturbation itself guarantees is recoverable.
     max_refine_steps:
         Refinement cap per rung (the options' cap when omitted).
+    resident:
+        A solver already factored on ``a`` (the solve service's pattern
+        state).  The ladder then opens on it — rung ``warm``, which
+        builds nothing — runs rungs 2-3 on its factors without changing
+        them, and tries the cold ``gesp`` pipeline last among the GESP
+        rungs, after ``refactor``.
     """
     opts = (options or GESPOptions()).validate()
+    target = DEFAULT_TARGET if target is None else target
     steps_cap = opts.refine_max_steps if max_refine_steps is None \
         else max_refine_steps
     b = np.asarray(b)
@@ -159,13 +172,12 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
         return att.certified
 
     def finish():
-        certified = report.rungs and report.rungs[-1].certified
-        report.certified = bool(certified)
-        report.final_rung = report.rungs[-1].rung if report.rungs else None
+        last = report.rungs[-1]        # the gate alone records one
+        report.certified, report.final_rung = last.certified, last.rung
         annotate(certified=report.certified, final_rung=report.final_rung,
                  rungs=report.path)
         if report.certified:
-            if report.final_rung != "gesp":
+            if len(report.rungs) > 1:
                 add("recovery.rescues", 1)
             failure = None
         else:
@@ -179,6 +191,70 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
             berr_history=best_hist, converged=report.certified,
             failure=failure, recovery=report)
 
+    def attempt(rung, body, detail="", what=""):
+        """Run ``body(att) -> result`` as one rung under its span; a
+        numerical breakdown inside it is a diagnosis, not an error.
+        Returns True when the rung certified."""
+        nonlocal trigger
+        with trace(f"recovery/{rung}"):
+            att = RungAttempt(rung=rung, triggered_by=trigger, detail=detail)
+            try:
+                res = body(att)
+            except (ZeroDivisionError, FloatingPointError,
+                    np.linalg.LinAlgError) as exc:
+                att.diagnoses.append(FailureDiagnosis(
+                    FailureKind.NUMERICAL_SINGULARITY, what + str(exc)))
+                trigger = FailureKind.NUMERICAL_SINGULARITY
+                res = None
+            return record(att, res)
+
+    def refine_with(solve_once, x0=None):
+        return iterative_refinement(
+            a, solve_once, b, x0=x0, max_steps=steps_cap,
+            eps=opts.refine_eps, stagnation_factor=opts.refine_stagnation,
+            extra_precision=True)
+
+    def build_and_solve(ropts):
+        """A rung that is a whole pipeline under its own options."""
+        def body(att):
+            rsolver = GESPSolver(a, ropts)
+            att.diagnoses.extend(_factor_health(rsolver, n))
+            return rsolver.solve(b)
+        return body
+
+    def baseline(att):
+        nonlocal solver
+        # a resident factorization of ``a`` is rung 1 as it stands: no
+        # analysis, no numeric factorization
+        candidate = resident if resident is not None else GESPSolver(a, opts)
+        att.diagnoses.extend(_factor_health(candidate, n))
+        res = candidate.solve(b)
+        solver = candidate
+        return res
+
+    def woodbury(att):
+        # on a copy: a resident solver keeps answering as it was factored.
+        # A singular capacitance matrix (raised here) means the
+        # *unperturbed* system is singular — strong evidence, recorded
+        corrected = copy.copy(solver)
+        corrected.enable_woodbury()
+        return refine_with(corrected.solve_once)
+
+    def gepp(att):
+        from repro.factor.gepp import gepp_factor
+
+        return refine_with(gepp_factor(a).solve)
+
+    def gmres_ilu(att):
+        from repro.iterative.precon_driver import PreconditionedSolver
+
+        kres = PreconditionedSolver(a).solve(
+            b, method="gmres", tol=target, max_iter=min(500, 10 * n))
+        berr = componentwise_backward_error(a, kres.x, b)
+        return RefinementResult(x=kres.x, berr=berr, steps=kres.iterations,
+                                berr_history=[berr],
+                                converged=kres.converged)
+
     with trace("recovery"):
         # ---- gate: structural singularity is unrecoverable ------------ #
         diag = check_structure(a)
@@ -186,186 +262,57 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
             att = RungAttempt(rung="gesp", detail="rejected before "
                               "factorization: " + diag.detail)
             att.diagnoses.append(diag)
-            report.rungs.append(att)
-            add("recovery.attempts", 1)
-            event("rung", rung="gesp", triggered_by="",
-                  berr=None, certified=False)
-            best_berr = np.inf
+            record(att)
             return finish()
 
         # non-finite intermediates are data here, not errors: health
         # checks classify them deterministically
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-
-            # ---- rung 1: the baseline GESP pipeline ------------------- #
             solver = None
-            with trace("recovery/gesp"):
-                att = RungAttempt(rung="gesp")
-                try:
-                    solver = GESPSolver(a, opts)
-                    att.diagnoses.extend(_factor_health(solver, n))
-                    res = solver.solve(b)
-                    if record(att, res):
-                        return finish()
-                except (ZeroDivisionError, FloatingPointError,
-                        np.linalg.LinAlgError) as exc:
-                    att.diagnoses.append(FailureDiagnosis(
-                        FailureKind.NUMERICAL_SINGULARITY, str(exc)))
-                    trigger = FailureKind.NUMERICAL_SINGULARITY
-                    record(att)
-                    solver = None
-
+            if attempt("gesp" if resident is None else "warm", baseline):
+                return finish()
             usable = solver is not None and not any(
                 d.kind == FailureKind.NONFINITE_FACTORS
                 for d in report.rungs[0].diagnoses)
-
-            # ---- rung 2: extended-precision refinement ---------------- #
-            if usable:
-                with trace("recovery/extra_precision"):
-                    att = RungAttempt(rung="extra_precision",
-                                      triggered_by=trigger)
-                    res = iterative_refinement(
-                        a, solver.solve_once, b, x0=best_x,
-                        max_steps=steps_cap, eps=opts.refine_eps,
-                        stagnation_factor=opts.refine_stagnation,
-                        extra_precision=True)
-                    if record(att, res):
-                        return finish()
-
-            # ---- rung 3: Woodbury correction of perturbed pivots ------ #
-            if usable and solver.factors.perturbed_columns.size:
-                with trace("recovery/smw"):
-                    att = RungAttempt(
-                        rung="smw", triggered_by=trigger,
-                        detail=f"rank-{solver.factors.perturbed_columns.size}"
-                               " Woodbury correction")
-                    try:
-                        solver.enable_woodbury()
-                        res = iterative_refinement(
-                            a, solver.solve_once, b,
-                            max_steps=steps_cap, eps=opts.refine_eps,
-                            stagnation_factor=opts.refine_stagnation,
-                            extra_precision=True)
-                        if record(att, res):
-                            return finish()
-                    except (ZeroDivisionError, FloatingPointError,
-                            np.linalg.LinAlgError) as exc:
-                        # a singular capacitance matrix means the
-                        # *unperturbed* system is singular — strong
-                        # evidence, worth recording before moving on
-                        att.diagnoses.append(FailureDiagnosis(
-                            FailureKind.NUMERICAL_SINGULARITY, str(exc)))
-                        trigger = FailureKind.NUMERICAL_SINGULARITY
-                        record(att)
-
-            # ---- rung 4: redo a single-precision factorization in
-            # double (mixed-precision escapes only) ---------------------- #
-            if opts.factor_dtype == "float32":
-                with trace("recovery/refactor_fp64"):
-                    att = RungAttempt(
-                        rung="refactor_fp64", triggered_by=trigger,
-                        detail="fp32 factors not certifiable: refactor in "
-                               "float64 with the same pivot policy")
-                    try:
-                        # extra_precision_residual: rung 2 already
-                        # escalated the residual precision — the full-
-                        # precision rebuild keeps that, like rung 5 does
-                        fopts = dataclasses.replace(
-                            opts, factor_dtype="float64", fact="DOFACT",
-                            extra_precision_residual=True)
-                        fsolver = GESPSolver(a, fopts)
-                        att.diagnoses.extend(_factor_health(fsolver, n))
-                        res = fsolver.solve(b)
-                        if record(att, res):
-                            return finish()
-                    except (ZeroDivisionError, FloatingPointError,
-                            np.linalg.LinAlgError) as exc:
-                        att.diagnoses.append(FailureDiagnosis(
-                            FailureKind.NUMERICAL_SINGULARITY, str(exc)))
-                        trigger = FailureKind.NUMERICAL_SINGULARITY
-                        record(att)
-
-            # ---- rung 5: refactor with the aggressive policy ---------- #
-            with trace("recovery/refactor"):
-                att = RungAttempt(
-                    rung="refactor", triggered_by=trigger,
+            if usable and attempt(
+                    "extra_precision",
+                    lambda att: refine_with(solver.solve_once, best_x)):
+                return finish()
+            n_perturbed = solver.factors.perturbed_columns.size if usable else 0
+            if n_perturbed and attempt(
+                    "smw", woodbury,
+                    detail=f"rank-{n_perturbed} Woodbury correction"):
+                return finish()
+            # every rebuild below is a real cold factorization
+            # (fact="DOFACT"), never a reuse-plan shortcut of the analysis
+            # that just failed, with the residual precision rung 2 already
+            # escalated to; once the fp32 rung failed or was skipped, every
+            # later rebuild factors in double
+            rebuild = dataclasses.replace(
+                opts, factor_dtype="float64", fact="DOFACT",
+                extra_precision_residual=True)
+            if opts.factor_dtype == "float32" and attempt(
+                    "refactor_fp64", build_and_solve(rebuild),
+                    detail="fp32 factors not certifiable: refactor in "
+                           "float64 with the same pivot policy"):
+                return finish()
+            if attempt("refactor", build_and_solve(dataclasses.replace(
+                    rebuild, replace_tiny_pivots=True,
+                    aggressive_pivot_replacement=True,
+                    diag_block_pivoting=0.0)),
                     detail="aggressive column-max pivot replacement + "
-                           "extended-precision refinement")
-                try:
-                    # fact="DOFACT": the recovery rebuild must be a real
-                    # cold factorization, never a reuse-plan shortcut of
-                    # the analysis that just failed
-                    # factor_dtype="float64": once the fp32 rung failed
-                    # (or was skipped), every later rebuild runs at full
-                    # precision
-                    ropts = dataclasses.replace(
-                        opts, replace_tiny_pivots=True,
-                        aggressive_pivot_replacement=True,
-                        diag_block_pivoting=0.0,
-                        extra_precision_residual=True,
-                        factor_dtype="float64",
-                        fact="DOFACT")
-                    rsolver = GESPSolver(a, ropts)
-                    att.diagnoses.extend(_factor_health(rsolver, n))
-                    res = rsolver.solve(b)
-                    if record(att, res):
-                        return finish()
-                except (ZeroDivisionError, FloatingPointError,
-                        np.linalg.LinAlgError) as exc:
-                    att.diagnoses.append(FailureDiagnosis(
-                        FailureKind.NUMERICAL_SINGULARITY, str(exc)))
-                    trigger = FailureKind.NUMERICAL_SINGULARITY
-                    record(att)
-
-            # ---- rung 6: partial pivoting (GEPP) ---------------------- #
-            with trace("recovery/gepp"):
-                att = RungAttempt(rung="gepp", triggered_by=trigger,
-                                  detail="Gilbert-Peierls partial pivoting")
-                try:
-                    from repro.factor.gepp import gepp_factor
-
-                    factors = gepp_factor(a)
-                    res = iterative_refinement(
-                        a, factors.solve, b, max_steps=steps_cap,
-                        eps=opts.refine_eps,
-                        stagnation_factor=opts.refine_stagnation,
-                        extra_precision=True)
-                    if record(att, res):
-                        return finish()
-                except (ZeroDivisionError, FloatingPointError,
-                        np.linalg.LinAlgError) as exc:
-                    att.diagnoses.append(FailureDiagnosis(
-                        FailureKind.NUMERICAL_SINGULARITY,
-                        f"partial pivoting failed: {exc}"))
-                    trigger = FailureKind.NUMERICAL_SINGULARITY
-                    record(att)
-
-            # ---- rung 7: preconditioned GMRES ------------------------- #
-            with trace("recovery/gmres_ilu"):
-                att = RungAttempt(rung="gmres_ilu", triggered_by=trigger,
-                                  detail="ILU(0)-preconditioned GMRES")
-                try:
-                    from repro.iterative.precon_driver import (
-                        PreconditionedSolver,
-                    )
-
-                    it = PreconditionedSolver(a)
-                    kres = it.solve(b, method="gmres", tol=target,
-                                    max_iter=min(500, 10 * n))
-                    berr = componentwise_backward_error(a, kres.x, b)
-                    res = RefinementResult(x=kres.x, berr=berr,
-                                           steps=kres.iterations,
-                                           berr_history=[berr],
-                                           converged=kres.converged)
-                    if record(att, res):
-                        return finish()
-                except (ZeroDivisionError, FloatingPointError,
-                        np.linalg.LinAlgError) as exc:
-                    att.diagnoses.append(FailureDiagnosis(
-                        FailureKind.NUMERICAL_SINGULARITY,
-                        f"ILU/GMRES failed: {exc}"))
-                    record(att)
-
+                           "extended-precision refinement"):
+                return finish()
+            # the cold pipeline comes last among the GESP rungs when the
+            # ladder opened on a resident factorization
+            if resident is not None and attempt(
+                    "gesp", build_and_solve(opts)):
+                return finish()
+            if attempt("gepp", gepp, what="partial pivoting failed: ",
+                       detail="Gilbert-Peierls partial pivoting"):
+                return finish()
+            attempt("gmres_ilu", gmres_ilu, what="ILU/GMRES failed: ",
+                    detail="ILU(0)-preconditioned GMRES")
         return finish()
 
 

@@ -49,7 +49,12 @@ DEFAULT_MAX_BATCH = 32             # nrhs cap of one coalesced block solve
 
 
 def default_workers() -> int:
-    """Worker-pool width: ``$REPRO_SERVICE_WORKERS``, else min(4, cpus)."""
+    """Worker-pool width: ``$REPRO_SERVICE_WORKERS``, else one.
+
+    One numeric worker: a batch is hundreds of short numpy calls, so
+    two workers in one process trade the GIL instead of overlapping
+    (measured on ``svc_newton``: slower with more); in-process
+    concurrency is the shard tier's job (docs/SERVICE.md)."""
     env = os.environ.get("REPRO_SERVICE_WORKERS", "").strip()
     if env:
         workers = int(env)
@@ -57,7 +62,7 @@ def default_workers() -> int:
             raise ValueError(
                 f"REPRO_SERVICE_WORKERS must be >= 1, got {workers}")
         return workers
-    return min(4, os.cpu_count() or 1)
+    return 1
 
 
 class ServiceError(RuntimeError):
@@ -175,7 +180,8 @@ class ServiceConfig:
     ----------
     max_workers:
         Worker threads executing batches; ``None`` defers to
-        ``$REPRO_SERVICE_WORKERS`` and finally ``min(4, cpus)``.
+        ``$REPRO_SERVICE_WORKERS`` and finally one (see
+        :func:`default_workers`).
     queue_capacity:
         Bound on queued (admitted, not yet dispatched) requests; a full
         queue sheds load with :class:`ServiceOverloaded`.
@@ -310,7 +316,10 @@ class SolveResponse:
     report: object | None = None
     error: ServiceError | None = None
     batch_width: int = 1
-    fact: str = ""                    # DOFACT / SAME_PATTERN / FACTORED
+    # the mode that produced the answer: DOFACT (cold), FACTORED (same
+    # values), SAME_PATTERN_SAME_ROWPERM (new values on the pattern's
+    # anchor) or SAME_PATTERN (solved again after a re-anchor)
+    fact: str = ""
     recovered: bool = False           # certified by the per-request ladder
     queued_seconds: float = 0.0
     solve_seconds: float = 0.0

@@ -15,8 +15,8 @@ as one tuple:
 key, so "coalescible" and "plan-cache compatible" can never drift apart;
 the values signature (a blake2b of the nonzero values) splits same-
 pattern-different-values requests into separate batches that still share
-the cached plan through ``SAME_PATTERN`` refactorization — they ride the
-fast path, just not the same block solve.  The third component covers
+the pattern's anchor through ``SAME_PATTERN_SAME_ROWPERM``
+refactorization — the warm path, just not the same block solve.  The third component covers
 every ``GESPOptions`` field that changes the numeric answer without
 shaping the plan: the pivot-replacement policy (which changes the
 factors) and the refinement controls (which change what "converged"
@@ -84,10 +84,10 @@ class Batch:
 
     All members have the same matrix (pattern *and* values) and the
     same plan-shaping *and* numeric options, so the worker runs one
-    factorization — cold for a pattern the service has not seen,
-    ``SAME_PATTERN`` when a solver exists with stale values or a stale
-    pivot policy, no refactorization at all when both match — and one
-    ``solve_multi`` over the stacked right-hand sides.
+    factorization — cold for a pattern the service has not seen, on the
+    pattern's anchor (``SAME_PATTERN_SAME_ROWPERM``) when a solver exists
+    with other values or another pivot policy, none at all when both
+    match — and one ``solve_multi`` over the stacked right-hand sides.
     """
 
     key: tuple

@@ -13,20 +13,35 @@ Request lifecycle (docs/SERVICE.md has the full walkthrough)::
          │               stays armed under overload
          ▼
     WorkerPool ── per batch, under that pattern's lock:
-         │          cold pattern   → DOFACT factorization, plan published
-         │          stale values   → SAME_PATTERN refactorization
-         │          same values    → factors reused as-is (FACTORED)
-         │        then ONE multi-RHS solve for the whole batch
+         │          cold pattern → DOFACT: the whole pipeline; its transforms,
+         │                         structures and value map become the
+         │                         pattern's *anchor*; plan published
+         │          new values   → SAME_PATTERN_SAME_ROWPERM: the anchor
+         │                         moves the numbers, step (3) re-runs — no
+         │                         equilibration, no MC64
+         │          same values  → factors reused as-is (FACTORED)
+         │        then ONE multi-RHS solve for the whole batch; a column its
+         │        berr certificate rejects on an anchor matched on other
+         │        values → one re-anchor (a SAME_PATTERN refactorization),
+         │        then that column is solved again
          ▼
-    per-request SolveReport — members whose column did not certify are
-    retried individually through the repro.recovery ladder; every
-    future completes exactly once.
+    per-request SolveReport — members still uncertified are retried
+    individually through the repro.recovery ladder, opened on the
+    resident factors; every future completes exactly once.
+
+So a warm answer is a function of ``(A, b, anchor)``: certified or flagged
+like every answer, but from factors scaled and permuted for the values
+the pattern was last matched on (docs/REFACTORIZATION.md).
 
 Threading model: the caller's thread runs admission (including the
 pattern fingerprint), the single dispatcher thread runs policy, worker
-threads run numerics.  Each pattern has its own lock, so distinct
-patterns factor in parallel while same-pattern batches serialize on
-their shared solver.  The ambient tracer is per-thread
+threads run numerics.  Each pattern has its own lock, so same-pattern
+batches serialize on their shared solver.  The default is *one* numeric
+worker (:func:`repro.service.api.default_workers`): the block engine and
+the solve sweeps are hundreds of short numpy calls, so two workers trade
+the GIL instead of overlapping — parallel numerics are the shard tier's
+job — and the cost is that a cold analysis on one pattern delays warm
+requests on another.  The ambient tracer is per-thread
 (:mod:`repro.obs.tracer`): each traced batch collects into a private
 tracer whose finished span tree is merged under the service span, and
 ``service.*`` counters are written under one lock — a concurrent run
@@ -65,9 +80,27 @@ from repro.service.pool import WorkerPool
 from repro.service.queue import AdmissionQueue, QueuedRequest, TokenBucket
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["SolveService"]
+__all__ = ["FACT_COUNTERS", "SolveService"]
 
 _clock = time.perf_counter
+
+# SolveResponse.fact -> the counter of answers that mode produced
+FACT_COUNTERS = {
+    "DOFACT": "service.fact_dofact",
+    "SAME_PATTERN_SAME_ROWPERM": "service.fact_same_rowperm",
+    "SAME_PATTERN": "service.fact_same_pattern",
+    "FACTORED": "service.fact_factored",
+}
+
+
+def _column_reports(solver: GESPSolver, b_block) -> list[SolveReport]:
+    """``solver.solve_multi(b_block)`` as one report per column."""
+    res = solver.solve_multi(b_block)
+    return [SolveReport(x=np.ascontiguousarray(res.x[:, t]),
+                        berr=float(res.berrs[t]),
+                        refine_steps=int(res.col_steps[t]),
+                        converged=bool(res.col_converged[t]))
+            for t in range(b_block.shape[1])]
 
 
 class _TenantState:
@@ -142,14 +175,18 @@ class TenantAdmission:
 
 
 class _PatternState:
-    """Per-pattern mutable state: the solver and its current values."""
+    """Per-pattern mutable state: the solver — whose ``perm_r``, ``Dr``,
+    ``Dc``, ``perm_c``, symbolic structures and value map are the
+    pattern's anchor — the values its factors are of, and the values the
+    anchor was matched on."""
 
-    __slots__ = ("lock", "solver", "values_sig")
+    __slots__ = ("lock", "solver", "values_sig", "anchor_sig")
 
     def __init__(self):
         self.lock = threading.Lock()
         self.solver: GESPSolver | None = None
         self.values_sig: str | None = None
+        self.anchor_sig: str | None = None
 
 
 class SolveService:
@@ -195,7 +232,11 @@ class SolveService:
         self._tracer = tracer
         self._span: Span | None = None
         self._obs_lock = threading.Lock()
-        self._counters: dict[str, float] = {}
+        # what every stats() answers, zero included: how each answer was
+        # produced and what the warm path had to repair
+        self._counters: dict[str, float] = dict.fromkeys(
+            (*FACT_COUNTERS.values(), "service.reanchored",
+             "service.recovered"), 0)
         self._queue = AdmissionQueue(self.config.queue_capacity)
         self._pool: WorkerPool | None = None
         self._dispatcher: threading.Thread | None = None
@@ -382,55 +423,66 @@ class SolveService:
                 if len(entries) < hold_cap:
                     entries += self._queue.drain_nowait(
                         hold_cap - len(entries))
-            now = _clock()
-            live = []
-            for e in entries:
-                if e.expired(now):
-                    self._reject_expired(e, now)
-                else:
-                    live.append(e)
-            for batch in coalesce(live, cfg.max_batch):
+            for batch in coalesce(self._unexpired(entries), cfg.max_batch):
                 self._pool.submit(self._run_batch, batch)
 
     # ------------------------------------------------------------------ #
     # batch execution (worker threads)
     # ------------------------------------------------------------------ #
 
-    def _run_batch(self, batch: Batch):
+    def _unexpired(self, entries: list[QueuedRequest]):
+        """``entries`` minus those past their deadline, which are
+        rejected here — unsolved — with ``DeadlineExceeded``."""
         now = _clock()
         live = []
-        for e in batch.entries:
+        for e in entries:
             if e.expired(now):
                 self._reject_expired(e, now)
             else:
                 live.append(e)
+        return live
+
+    def _run_batch(self, batch: Batch):
+        live = self._unexpired(batch.entries)
         if not live:
             return
-        tracing = self._span is not None
-        bt = Tracer(name="service/batch") if tracing else None
-        with (use_tracer(bt) if tracing else nullcontext()):
+        bt = Tracer(name="service/batch") if self._span is not None else None
+        with (use_tracer(bt) if bt is not None else nullcontext()):
             t0 = _clock()
             state = self._pattern_state(batch.plan_key)
             with state.lock:
                 try:
                     fact = self._ensure_factored(state, batch)
                 except Exception as exc:  # noqa: BLE001 — classified below
-                    state.solver = None
+                    # a factorization that raises leaves the previous one
+                    # fully in place (PatternSolver): keep the solver and
+                    # its anchor, forget only which values it holds
                     state.values_sig = None
-                    self._factor_failed(live, t0, exc)
-                    self._merge_batch_trace(bt, batch, len(live), "FAILED")
-                    return
-                responses = self._solve_batch(state.solver, live)
-            self._count("service.batched", 1)
-            self._count("service.coalesce_width", len(live))
+                    fact = "FAILED"
+                    responses = [self._recover_or_error(e, exc)
+                                 for e in live]
+                else:
+                    responses = self._solve_batch(state, batch, live, fact)
+                    self._count("service.batched", 1)
+                    self._count("service.coalesce_width", len(live))
             solve_seconds = _clock() - t0
             for e, resp in zip(live, responses):
                 resp.batch_width = len(live)
-                resp.fact = fact
                 resp.queued_seconds = t0 - e.t_enqueued
                 resp.solve_seconds = solve_seconds
+                if resp.error is None:
+                    self._count(FACT_COUNTERS[resp.fact], 1)
                 self._complete(e, resp)
-        self._merge_batch_trace(bt, batch, len(live), fact)
+        if bt is not None:
+            # only a re-anchor answers under SAME_PATTERN
+            reanchored = any(r.fact == "SAME_PATTERN" for r in responses)
+            root = bt.finish()
+            root.attrs.update(width=len(live), reanchored=reanchored,
+                              fact="SAME_PATTERN" if reanchored else fact,
+                              pattern=batch.pattern_fingerprint[:12],
+                              values=batch.values_sig[:12])
+            with self._obs_lock:
+                self._span.children.append(root)
 
     def _ensure_factored(self, state: _PatternState, batch: Batch) -> str:
         """Bring the pattern's solver up to date with the batch's values
@@ -448,7 +500,7 @@ class SolveService:
             state.solver = GESPSolver(batch.matrix, create,
                                       cache=self._cache)
             state.solver.options = opts   # stable comparisons below
-            state.values_sig = batch.values_sig
+            state.values_sig = state.anchor_sig = batch.values_sig
             return "DOFACT"
         prev = state.solver.options
         if prev != opts:
@@ -461,72 +513,79 @@ class SolveService:
         if (state.values_sig != batch.values_sig
                 or factor_options_key(prev) != factor_options_key(opts)):
             # new values, or a pivot policy the current factors were not
-            # computed under: re-run the numeric kernels through the
-            # SAME_PATTERN fast path
-            state.solver.refactor(batch.matrix, fact="SAME_PATTERN")
+            # computed under: the paper's warm path — steps (1)-(2) stay
+            # the anchor's, only the numbers move and step (3) re-runs
+            state.solver.refactor(batch.matrix,
+                                  fact="SAME_PATTERN_SAME_ROWPERM")
             state.values_sig = batch.values_sig
-            return "SAME_PATTERN"
+            return "SAME_PATTERN_SAME_ROWPERM"
         return "FACTORED"
 
-    def _solve_batch(self, solver: GESPSolver,
-                     live: list[QueuedRequest]) -> list[SolveResponse]:
+    def _solve_batch(self, state: _PatternState, batch: Batch, live: list,
+                     fact: str) -> list[SolveResponse]:
         """One ``solve_multi`` for the batch, whatever its width; every
         request is answered from its own column (whose iterate, berr and
-        step count do not depend on its batch-mates)."""
+        step count do not depend on its batch-mates).  Columns that do
+        not certify on an anchor matched on other values are solved
+        again after one re-anchor; what is uncertified then is retried
+        alone through the ladder while its batch-mates keep their
+        answers."""
+        solver = state.solver
         b_block = np.column_stack([e.request.b for e in live])
         b_block = b_block.astype(
             np.result_type(solver.a.nzval, b_block, np.float64), copy=False)
         try:
-            res = solver.solve_multi(b_block)
+            reports = _column_reports(solver, b_block)
         except Exception as exc:  # noqa: BLE001 — retried per request
-            return [self._recover_or_error(e, exc) for e in live]
-        responses = []
-        for t, e in enumerate(live):
-            report = SolveReport(
-                x=np.ascontiguousarray(res.x[:, t]),
-                berr=float(res.berrs[t]), refine_steps=int(res.col_steps[t]),
-                converged=bool(res.col_converged[t]))
-            if report.converged or not self.config.recover:
-                responses.append(SolveResponse(
-                    request_id=e.request.request_id, report=report))
-            else:
-                # this column was not certified: retry it alone through
-                # the ladder while its batch-mates keep their answers
-                responses.append(self._recover_entry(e))
-        return responses
+            return [self._recover_or_error(e, exc, fact) for e in live]
+        facts = [fact] * len(live)
+        lost = [t for t, r in enumerate(reports) if not r.converged]
+        if lost and state.anchor_sig != batch.values_sig:
+            # the certificate failed on an anchor matched on other values:
+            # re-match on these (SAME_PATTERN keeps the ordering when the
+            # matching did not move, runs a cold analysis when it did, and
+            # republishes the plan) and solve the lost columns again
+            try:
+                solver.refactor(batch.matrix, fact="SAME_PATTERN")
+                state.anchor_sig = batch.values_sig
+                self._count("service.reanchored", 1)
+                for t, report in zip(lost, _column_reports(
+                        solver, b_block[:, lost])):
+                    reports[t], facts[t] = report, "SAME_PATTERN"
+            except Exception:  # noqa: BLE001 — left to the ladder
+                pass
+        return [
+            SolveResponse(request_id=e.request.request_id, report=report,
+                          fact=mode)
+            if report.converged or not self.config.recover
+            else self._recover_entry(e, mode, solver)
+            for e, report, mode in zip(live, reports, facts)]
 
-    def _recover_or_error(self, e: QueuedRequest,
-                          exc: Exception) -> SolveResponse:
+    def _recover_or_error(self, e: QueuedRequest, exc: Exception,
+                          fact: str = "DOFACT") -> SolveResponse:
+        """The shared factorization or block solve died: the member
+        retries alone, through the ladder's own cold pipeline."""
         if self.config.recover:
-            return self._recover_entry(e)
+            return self._recover_entry(e, fact)
         return SolveResponse(
-            request_id=e.request.request_id,
+            request_id=e.request.request_id, fact=fact,
             error=ServiceError(f"solve failed: {exc!r} (recovery "
                                "disabled by ServiceConfig.recover)"))
 
-    def _recover_entry(self, e: QueuedRequest) -> SolveResponse:
-        """Escalate one request through the recovery ladder."""
+    def _recover_entry(self, e: QueuedRequest, fact: str,
+                       resident: GESPSolver | None = None) -> SolveResponse:
+        """Escalate one request through the recovery ladder, opened on
+        the pattern's ``resident`` factors when they are usable."""
         from repro.recovery import recover_solve
 
-        opts = dataclasses.replace(e.options, fact="DOFACT")
-        kwargs = {}
-        if self.config.recover_target is not None:
-            kwargs["target"] = self.config.recover_target
-        report = recover_solve(e.matrix, e.request.b, options=opts, **kwargs)
+        report = recover_solve(
+            e.matrix, e.request.b, resident=resident,
+            options=dataclasses.replace(e.options, fact="DOFACT"),
+            target=self.config.recover_target)
         if report.converged:
             self._count("service.recovered", 1)
-        return SolveResponse(request_id=e.request.request_id,
+        return SolveResponse(request_id=e.request.request_id, fact=fact,
                              report=report, recovered=report.converged)
-
-    def _factor_failed(self, live, t0, exc):
-        """The shared factorization died: every member retries alone."""
-        for e in live:
-            resp = self._recover_or_error(e, exc)
-            resp.batch_width = len(live)
-            resp.fact = "DOFACT"
-            resp.queued_seconds = t0 - e.t_enqueued
-            resp.solve_seconds = _clock() - t0
-            self._complete(e, resp)
 
     def _batch_crashed(self, job, exc):
         """Worker-pool last resort: a bug escaped _run_batch — futures
@@ -545,10 +604,7 @@ class SolveService:
 
     def _pattern_state(self, plan_key: tuple) -> _PatternState:
         with self._state_lock:
-            state = self._patterns.get(plan_key)
-            if state is None:
-                state = self._patterns[plan_key] = _PatternState()
-            return state
+            return self._patterns.setdefault(plan_key, _PatternState())
 
     def _reject_expired(self, e: QueuedRequest, now: float):
         self._count("service.deadline_expired", 1)
@@ -577,18 +633,6 @@ class SolveService:
             if self._span is not None:
                 c = self._span.counters
                 c[name] = c.get(name, 0) + value
-
-    def _merge_batch_trace(self, bt: Tracer | None, batch: Batch,
-                           width: int, fact: str):
-        if bt is None:
-            return
-        root = bt.finish()
-        root.attrs.update(width=width, fact=fact,
-                          pattern=batch.pattern_fingerprint[:12],
-                          values=batch.values_sig[:12])
-        with self._obs_lock:
-            if self._span is not None:
-                self._span.children.append(root)
 
     def stats(self) -> dict:
         """Snapshot of the service counters plus queue/pattern gauges

@@ -8,19 +8,23 @@ into explicit, *bit-reproducible* workloads: a
 :class:`ScenarioSpec` names a testbed pattern, a drift model and an
 arrival process; :func:`generate` expands it into a timestamped stream
 of :class:`WorkloadItem`\\ s whose matrices share one pattern while the
-values drift per step — exactly what exercises ``SAME_PATTERN``
-refactorization, the :class:`~repro.driver.factcache.FactorizationCache`
+values drift per step — exactly what exercises warm refactorization on a
+pattern's anchor, the :class:`~repro.driver.factcache.FactorizationCache`
 and the service's coalescing the way real users would.
 
 Scenario catalog (docs/WORKLOADS.md):
 
 - ``transient_circuit`` — time-stepping MNA: values drift between
   steps, Newton iterations *within* a step share values (step solves
-  coalesce / hit ``FACTORED``; step boundaries hit ``SAME_PATTERN``);
+  coalesce / hit ``FACTORED``; step boundaries refactor warm,
+  ``SAME_PATTERN_SAME_ROWPERM``);
 - ``pseudo_transient_cfd`` — pseudo-transient continuation: per-step
   drift decays geometrically as the iteration approaches steady state;
 - ``newton_drift`` — a full Newton solve per request: values drift on
-  *every* solve, the pure ``SAME_PATTERN`` stress case.
+  *every* solve, the pure warm-refactorization stress case (at the
+  default 8 % per iterate the MC64 matching of the values moves every
+  few iterates; the service keeps the pattern's anchor and lets the berr
+  certificate say when that stops being good enough — docs/SERVICE.md).
 
 Determinism contract: everything derives from ``spec.seed`` through
 one ``numpy`` Generator — same spec ⇒ byte-identical stream

@@ -10,7 +10,8 @@ request with its tenant, and folds the responses into a
 :class:`WorkloadReport` with the numbers an SLO conversation needs
 per tenant: p50/p99 service latency, deadline hit-rate, quota sheds,
 displacements, and the warm-reuse hit-rate that is the paper's whole
-point (``SAME_PATTERN``/``FACTORED`` responses over completed ones).
+point (responses whose ``fact`` is in :data:`WARM_FACTS` — anything but
+a cold ``DOFACT`` — over completed ones).
 
 Works against both the in-process
 :class:`~repro.service.server.SolveService` and the sharded

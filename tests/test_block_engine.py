@@ -5,7 +5,9 @@ from outside and from inside.
   ``factor_dtype="float32"`` systems other test modules build) the
   default solver and the column-oracle configuration each agree with an
   independent solver, ``scipy.sparse.linalg.splu``, within a bound scaled
-  by the condition of the system;
+  by the condition of the system — and so do the answers the solve
+  service and the sharded tier give from a pattern's *anchor*, 16+
+  drifted Newton iterates after it was matched, and after a re-anchor;
 - engine ≡ oracle: the block engine reproduces the column kernel on the
   same symmetrized pattern, over the testbed and over a hypothesis sweep
   of supernode shapes;
@@ -115,6 +117,49 @@ def test_fp32_factored_system_agrees_with_splu(symbolic_method):
     assert rep.converged
     err, bound = splu_disagreement(a, b, rep.x)
     assert err <= bound
+
+
+@pytest.mark.parametrize("tier", ["service", "shards"])
+def test_warm_service_answers_agree_with_splu(tier):
+    """The service's warm path answers from transforms matched on other
+    values (docs/REFACTORIZATION.md): hold what it returns 16-19 drifted
+    iterates later (scenario default, 8 % per iterate) on cfd06 and
+    resv02, and the answer a re-anchor produces, to the same outside
+    bound — through the in-process service and through two shards."""
+    from repro.service import (
+        ServiceConfig,
+        ShardedSolveService,
+        SolveRequest,
+        SolveService,
+    )
+    from repro.workload import ScenarioSpec, generate
+
+    from test_service import _stale_anchor_pair
+
+    # (requests of one pattern in order, first index checked, its mode)
+    cases = [([(it.matrix, it.b) for it in generate(ScenarioSpec(
+        scenario="newton_drift", matrix=pattern, newton_iters=20,
+        arrival="burst", seed=3))], 16, "SAME_PATTERN_SAME_ROWPERM")
+        for pattern in ("cfd06", "resv02")]
+    anchor, moved = _stale_anchor_pair()
+    ones = np.ones(anchor.ncols)
+    cases.append(([(anchor, anchor @ ones), (moved, moved @ ones)], 1,
+                  "SAME_PATTERN"))
+    config = ServiceConfig(max_batch=1, batch_window=0.0)
+    service = (SolveService(config, cache=False) if tier == "service"
+               else ShardedSolveService(shards=2, config=config))
+    with service as svc:
+        pending = [[svc.submit(SolveRequest(matrix=a, b=b))
+                    for a, b in stream] for stream, _, _ in cases]
+        responses = [[p.result(120.0) for p in row] for row in pending]
+    for (stream, first, fact), row in zip(cases, responses):
+        assert all(r.ok and not r.recovered for r in row)
+        for (a, b), r in list(zip(stream, row))[first:]:
+            assert r.fact == fact
+            err, bound = splu_disagreement(a, b, r.x)
+            assert err <= bound, (tier, fact, err, bound)
+            assert r.report.berr <= 2 * EPS
+    assert svc.stats()["service.reanchored"] == 1
 
 
 def test_paper_defaults_pin_the_section_2_configuration():

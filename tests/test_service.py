@@ -28,6 +28,7 @@ from repro.service import (
 )
 
 from conftest import random_nonsingular_dense
+from test_refactor import _two_matchings
 
 SQRT_EPS = float(np.sqrt(np.finfo(np.float64).eps))
 
@@ -164,8 +165,12 @@ def test_cold_then_warm_then_refactor_fact_modes(rng):
         warm = client.solve(a, 2.0 * np.ones(25))
         refa = client.solve(a_new, np.ones(25))
     assert (cold.fact, warm.fact, refa.fact) == \
-        ("DOFACT", "FACTORED", "SAME_PATTERN")
+        ("DOFACT", "FACTORED", "SAME_PATTERN_SAME_ROWPERM")
     assert cold.ok and warm.ok and refa.ok
+    stats = svc.stats()
+    assert (stats["service.fact_dofact"], stats["service.fact_factored"],
+            stats["service.fact_same_rowperm"]) == (1, 1, 1)
+    assert stats["service.reanchored"] == 0
 
 
 def test_same_pattern_different_values_do_not_share_a_block_solve(rng):
@@ -184,8 +189,8 @@ def test_same_pattern_different_values_do_not_share_a_block_solve(rng):
     assert r1.ok and r2.ok
     assert r1.batch_width == 1 and r2.batch_width == 1
     # the two batches shared the pattern state: one factored cold, the
-    # other rode SAME_PATTERN (order depends on worker scheduling)
-    assert {r1.fact, r2.fact} == {"DOFACT", "SAME_PATTERN"}
+    # other rode the first's anchor (order depends on worker scheduling)
+    assert {r1.fact, r2.fact} == {"DOFACT", "SAME_PATTERN_SAME_ROWPERM"}
     assert svc.stats()["service.batched"] == 2
 
 
@@ -236,7 +241,175 @@ def test_factor_option_change_forces_refactor_not_reuse(rng):
         svc.close()
     assert r1.ok and r2.ok
     assert r1.batch_width == 1 and r2.batch_width == 1
-    assert {r1.fact, r2.fact} == {"DOFACT", "SAME_PATTERN"}
+    assert {r1.fact, r2.fact} == {"DOFACT", "SAME_PATTERN_SAME_ROWPERM"}
+
+
+# --------------------------------------------------------------------- #
+# the anchor: steps (1)-(2) once per pattern, repaired when berr says so
+# --------------------------------------------------------------------- #
+
+def _rescaled(a, factor):
+    return CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind,
+                     a.nzval * factor, check=False)
+
+
+def _stale_anchor_pair():
+    """``_two_matchings`` pushed until the stale anchor really fails: the
+    entries the first matrix was matched on (its diagonal) shrink to
+    1e-13 in the second, so static pivots on the old matching are all
+    replaced and refinement cannot certify."""
+    a, a2 = _two_matchings()
+    d2 = a2.to_dense()
+    idx = np.arange(a.ncols)
+    d2[idx, idx] = 1e-13
+    moved = CSCMatrix.from_dense(d2)
+    stale = GESPSolver(a, cache=False).refactor(moved)
+    assert not stale.solve(moved @ np.ones(a.ncols)).converged
+    return a, moved
+
+
+def test_moved_matching_is_reanchored_once_and_next_request_is_warm():
+    a, moved = _stale_anchor_pair()
+    n = a.ncols
+    tracer = Tracer()
+    with use_tracer(tracer):
+        svc = _service(cache=False)
+    with svc:
+        client = ServiceClient(svc)
+        cold = client.solve(a, a @ np.ones(n))
+        repaired = client.solve(moved, moved @ np.ones(n))
+        again = client.solve(moved, moved @ np.arange(1.0, n + 1))
+        drifted = client.solve(_rescaled(moved, 1.0001), np.ones(n))
+        new_rhs = client.solve(_rescaled(moved, 1.0001), 2.0 * np.ones(n))
+    responses = [cold, repaired, again, drifted, new_rhs]
+    assert all(r.ok and not r.recovered for r in responses)
+    assert [r.fact for r in responses] == [
+        "DOFACT", "SAME_PATTERN", "FACTORED", "SAME_PATTERN_SAME_ROWPERM",
+        "FACTORED"]
+    np.testing.assert_allclose(repaired.x, np.ones(n), rtol=1e-8)
+    # a stale anchor costs one re-anchor, not one ladder run per request:
+    # the drifted follow-up certified against the *new* anchor
+    stats = svc.stats()
+    assert stats["service.reanchored"] == 1
+    assert stats["service.fact_same_pattern"] == 1
+    assert stats["service.recovered"] == 0
+    # the matching did move: the re-anchor ran one cold analysis, and
+    # nothing else on this pattern re-matched
+    tracer.finish()
+    service = tracer.root.find("service")
+    assert service.all_counters()["factor.reuse_misses"] == 1
+    batches = [c for c in service.children if c.name == "service/batch"]
+    assert [b.attrs["reanchored"] for b in batches] == [
+        False, True, False, False, False]
+    assert batches[1].attrs["fact"] == "SAME_PATTERN"
+    # spans of later refactorizations are appended to the first batch's
+    # tree (the solver records into the tracer it was built under)
+    matched = [(r.attrs["fact"], s.attrs.get("reused", False))
+               for r in service.walk() if r.name == "refactor"
+               for s in r.children if s.name == "rowperm"]
+    assert matched == [("SAME_PATTERN_SAME_ROWPERM", True),
+                       ("SAME_PATTERN", False),
+                       ("SAME_PATTERN_SAME_ROWPERM", True)]
+
+
+def test_uncertified_factored_column_takes_the_reanchor_path(monkeypatch, rng):
+    """Stale anchor, same values as the resident factors, and a column
+    the certificate rejects: re-anchored like a refactored batch, not
+    handed to the ladder with the pattern state left as it was."""
+    d = random_nonsingular_dense(rng, 20, density=0.5, hidden_perm=False)
+    a = CSCMatrix.from_dense(d)
+    a_new = _rescaled(a, 1.0001)
+    original = GESPSolver.solve_multi
+    armed = []
+
+    def lying_once(self, b_block, **kw):
+        res = original(self, b_block, **kw)
+        if armed:
+            armed.clear()
+            res = res._replace(
+                col_converged=np.zeros_like(res.col_converged))
+        return res
+
+    monkeypatch.setattr(GESPSolver, "solve_multi", lying_once)
+    with _service(cache=False) as svc:
+        client = ServiceClient(svc)
+        assert client.solve(a, np.ones(20)).fact == "DOFACT"
+        assert client.solve(a_new, np.ones(20)).fact == \
+            "SAME_PATTERN_SAME_ROWPERM"
+        armed.append(True)
+        lost = client.solve(a_new, 2.0 * np.ones(20))
+        after = client.solve(a_new, 3.0 * np.ones(20))
+        # the anchor is now a_new's: a lost column there goes to the
+        # ladder, which opens on the resident factors
+        armed.append(True)
+        laddered = client.solve(a_new, 4.0 * np.ones(20))
+    assert lost.ok and lost.fact == "SAME_PATTERN" and not lost.recovered
+    assert after.ok and after.fact == "FACTORED"
+    assert laddered.ok and laddered.recovered and laddered.fact == "FACTORED"
+    assert laddered.report.recovery.path == ["warm"]
+    stats = svc.stats()
+    assert stats["service.reanchored"] == 1
+    assert stats["service.recovered"] == 1
+
+
+def test_failed_refactor_keeps_the_pattern_state(monkeypatch, rng):
+    """A refactorization that raises leaves the previous one in place
+    (PatternSolver), so the pattern's next request is warm, not cold."""
+    d = random_nonsingular_dense(rng, 20, density=0.5, hidden_perm=False)
+    a = CSCMatrix.from_dense(d)
+    original = GESPSolver.refactor
+    failing = []
+
+    def refactor(self, a_new, fact=None):
+        if failing:
+            failing.clear()
+            raise RuntimeError("injected refactorization failure")
+        return original(self, a_new, fact)
+
+    monkeypatch.setattr(GESPSolver, "refactor", refactor)
+    with _service(cache=False) as svc:
+        client = ServiceClient(svc)
+        first = client.solve(a, np.ones(20))
+        failing.append(True)
+        second = client.solve(_rescaled(a, 1.0001), np.ones(20))
+        third = client.solve(_rescaled(a, 1.0002), np.ones(20))
+        fourth = client.solve(_rescaled(a, 1.0002), 2.0 * np.ones(20))
+    assert first.ok and first.fact == "DOFACT"
+    assert second.ok and second.recovered      # retried alone, cold
+    assert second.report.recovery.path[0] == "gesp"
+    assert third.ok and third.fact == "SAME_PATTERN_SAME_ROWPERM"
+    assert fourth.ok and fourth.fact == "FACTORED"
+    assert svc.stats()["patterns"] == 1
+
+
+def test_default_drift_newton_streams_stay_on_their_anchor():
+    """32 Newton iterates per pattern at the scenario's default 8 % per
+    iterate: the matching drifts, the anchor holds — no request
+    re-matches, none needs the ladder."""
+    from repro.workload import ScenarioSpec, generate
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        svc = _service(cache=False)
+    with svc:
+        client = ServiceClient(svc)
+        for pattern in ("cfd06", "resv02"):
+            items = generate(ScenarioSpec(
+                scenario="newton_drift", matrix=pattern, newton_iters=32,
+                arrival="burst", seed=7))
+            responses = [client.solve(it.matrix, it.b, timeout=60.0)
+                         for it in items]
+            assert all(r.ok and not r.recovered for r in responses)
+            assert [r.fact for r in responses] == \
+                ["DOFACT"] + ["SAME_PATTERN_SAME_ROWPERM"] * 31
+    stats = svc.stats()
+    assert stats["service.reanchored"] == 0
+    assert stats["service.recovered"] == 0
+    assert stats["service.fact_same_rowperm"] == 62
+    tracer.finish()
+    counters = tracer.root.find("service").all_counters()
+    assert counters.get("factor.reuse_misses", 0) == 0
+    assert counters["factor.reuse_hits"] == 62
 
 
 # --------------------------------------------------------------------- #
@@ -368,8 +541,9 @@ def test_poisoned_member_recovers_while_batch_mates_succeed():
     assert bad_resp.recovered
     assert bad_resp.report.berr <= SQRT_EPS
     assert bad_resp.report.recovery is not None
-    assert bad_resp.report.recovery.path[0] == "gesp"
-    assert bad_resp.report.recovery.final_rung != "gesp"
+    # ... on a ladder opened on the pattern's resident factors
+    assert bad_resp.report.recovery.path[0] == "warm"
+    assert bad_resp.report.recovery.final_rung != "warm"
     assert svc.stats()["service.recovered"] == 1
 
 

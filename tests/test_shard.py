@@ -332,6 +332,54 @@ def test_sharded_solutions_are_bit_identical_to_single_process(coalescing):
 
 
 @needs_spawn
+def test_sharded_newton_streams_are_bit_identical_to_single_process():
+    """A warm answer is a function of (A, b, anchor), and the anchor of
+    the pattern's request order: the same per-pattern order through
+    either tier gives the same bits, berr, step counts and modes — a
+    re-anchor included."""
+    from test_service import _rescaled, _stale_anchor_pair
+
+    rng = np.random.default_rng(13)
+    streams = []
+    for seed in (0, 1):
+        a = sparse_matrix(seed=seed)
+        stream = [a]
+        for _ in range(7):               # 8 % per iterate, compounding
+            stream.append(CSCMatrix(
+                a.nrows, a.ncols, a.colptr, a.rowind,
+                stream[-1].nzval * (1 + 0.08 * rng.standard_normal(a.nnz)),
+                check=False))
+        streams.append(stream)
+    anchor, moved = _stale_anchor_pair()
+    streams.append([anchor, moved, moved, _rescaled(moved, 1.0001)])
+    requests = [(a, rng.standard_normal(a.ncols))
+                for step in range(8) for stream in streams
+                for a in stream[step:step + 1]]
+
+    def run(service):
+        with service as svc:
+            pend = [svc.submit(SolveRequest(matrix=a, b=b))
+                    for a, b in requests]
+            return [p.result(120.0) for p in pend], svc
+
+    ref, svc = run(SolveService(_cfg(), cache=FactorizationCache()))
+    res, tier = run(ShardedSolveService(shards=2, config=_cfg()))
+    assert all(r.ok and not r.recovered for r in ref)
+    assert {r.fact for r in ref} == {
+        "DOFACT", "SAME_PATTERN_SAME_ROWPERM", "SAME_PATTERN", "FACTORED"}
+    for a, b in zip(ref, res):
+        assert b.ok, b.error
+        np.testing.assert_array_equal(a.x, b.x)
+        assert a.report.berr == b.report.berr
+        assert a.report.refine_steps == b.report.refine_steps
+        assert (a.fact, a.recovered) == (b.fact, b.recovered)
+    for key in ("service.reanchored", "service.fact_same_rowperm",
+                "service.fact_same_pattern", "service.fact_factored"):
+        assert tier.stats()[key] == svc.stats()[key], key
+    assert svc.stats()["service.reanchored"] == 1
+
+
+@needs_spawn
 def test_complex_system_is_rejected_at_submit_not_truncated():
     """The tier's slab and messages carry float64: a complex matrix or
     right-hand side is refused, as the distributed driver refuses one."""

@@ -22,10 +22,10 @@ with ``PYTHONPATH=src python scripts/check_docs.py``):
 6. every module a catalog entry's ``where`` names exists under ``src/``
    and contains that counter's name as a string literal, so the catalog
    keeps pointing at the code that emits each counter when emitters move;
-7. the first column of the contract table in ``docs/KERNELS.md`` names
-   exactly the abstract methods of ``repro.kernels.KernelBackend``, so
-   the documented protocol cannot keep an op the code dropped (or miss
-   one it gained);
+7. the first column of the ops table in ``docs/KERNELS.md`` names
+   exactly the dense ops ``repro.kernels`` exports (``kernels.OPS``), so
+   the documented list cannot keep an op the code dropped (or miss one
+   it gained);
 8. no dangling file names: every ``BENCH_<name>.json``, every
    ``bench_<name>.py`` (under ``benchmarks/`` or ``scripts/``), every
    ``scripts/<name>.py`` and every backticked ``src/``, ``tests/``,
@@ -174,14 +174,14 @@ def stale_counter_emitters(counters=None):
 
 
 def kernel_table_drift(text=None):
-    """Ops the KERNELS.md contract table (rows ``| `op(...)` | ...``)
-    and ``KernelBackend.__abstractmethods__`` do not share, sorted."""
-    from repro.kernels import KernelBackend
+    """Ops the KERNELS.md table (rows ``| `op(...)` | ...``) and
+    ``repro.kernels.OPS`` do not share, sorted."""
+    from repro.kernels import OPS
 
     if text is None:
         text = KERNELS.read_text(encoding="utf-8")
     documented = set(re.findall(r"^\| `(\w+)\(", text, flags=re.M))
-    return sorted(documented ^ set(KernelBackend.__abstractmethods__))
+    return sorted(documented ^ set(OPS))
 
 
 # (pattern, directories a match is resolved under) — check 8
@@ -264,7 +264,7 @@ def main():
               "(missing module, or no such string literal in it)")
         status = 1
     for name in kernel_table_drift():
-        print(f"docs/KERNELS.md: contract table and KernelBackend "
+        print(f"docs/KERNELS.md: ops table and repro.kernels.OPS "
               f"disagree on {name}")
         status = 1
     for source, name in dangling_file_names():

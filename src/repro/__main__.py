@@ -75,7 +75,6 @@ def cmd_solve(args):
         replace_tiny_pivots=not args.no_pivot_replacement,
         extra_precision_residual=args.extra_precision,
         fact=args.fact,
-        kernel_backend=args.kernel_backend,
         executor=args.executor,
         factor_dtype=args.factor_dtype,
     )
@@ -280,8 +279,7 @@ def cmd_scaling(args):
     a = _load_or_testbed(args.matrix)
     b = a @ np.ones(a.ncols)
     machine = MachineModel.scaled_t3e()
-    opts = GESPOptions(symbolic_method="symmetrized",
-                       kernel_backend=args.kernel_backend)
+    opts = GESPOptions(symbolic_method="symmetrized")
     t = Table(f"Simulated scaling: {args.matrix} (n={a.ncols})",
               ["P", "grid", "factor(ms)", "Mflops", "solve(ms)", "B",
                "comm%"])
@@ -372,7 +370,6 @@ def cmd_serve(args):
                         batch_window=args.batch_window,
                         max_batch=args.max_batch,
                         options=GESPOptions(
-                            kernel_backend=args.kernel_backend,
                             factor_dtype=args.factor_dtype))
     print(f"service          : {cfg.workers} workers, queue "
           f"{cfg.queue_capacity}, batch window {cfg.batch_window * 1e3:.1f}ms,"
@@ -548,10 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pattern-reuse mode: consult the factorization "
                         "cache for a same-pattern plan instead of a cold "
                         "analysis (see docs/REFACTORIZATION.md)")
-    p.add_argument("--kernel-backend", default=None, metavar="NAME",
-                   help="dense-kernel backend ('reference' or "
-                        "'vectorized'); default: $REPRO_KERNEL_BACKEND, "
-                        "then 'reference' (see docs/KERNELS.md)")
     p.add_argument("--executor", default=None,
                    choices=["sim", "process"],
                    help="runtime for the distributed phases (--nprocs > 1): "
@@ -584,8 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--procs", type=int, nargs="+", default=[1, 4, 16, 64])
     p.add_argument("--max-block-size", type=int, default=24)
-    p.add_argument("--kernel-backend", default=None, metavar="NAME",
-                   help="dense-kernel backend name (see docs/KERNELS.md)")
     p.set_defaults(fn=cmd_scaling)
 
     p = sub.add_parser("iterative",
@@ -639,9 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replicate a pattern onto a second shard once "
                         "it sustains this request rate (default: no "
                         "replication)")
-    p.add_argument("--kernel-backend", default=None, metavar="NAME",
-                   help="dense-kernel backend for the service's default "
-                        "solve options (see docs/KERNELS.md)")
     p.add_argument("--factor-dtype", default="float64",
                    choices=["float64", "float32"],
                    help="numeric factorization precision for the "

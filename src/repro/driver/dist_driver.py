@@ -210,7 +210,6 @@ class DistributedGESPSolver(PatternSolver):
                 recv_timeout=self.recv_timeout,
                 recv_retries=self.recv_retries,
                 schedule=self._schedule,
-                kernel=self.options.kernel_backend,
                 executor=self.executor)
         return self.factor_run
 
@@ -230,7 +229,6 @@ class DistributedGESPSolver(PatternSolver):
                           fault_plan=self.fault_plan,
                           recv_timeout=self.recv_timeout,
                           recv_retries=self.recv_retries,
-                          kernel=self.options.kernel_backend,
                           executor=self.executor)
             x = self._from_factored(run.x)
         return SolveRun(x=x, lower=run.lower, upper=run.upper)
@@ -278,8 +276,7 @@ class DistributedGESPSolver(PatternSolver):
 
         def solve_once(rhs):
             c = self._to_factored(np.asarray(rhs, dtype=np.float64))
-            return self._from_factored(
-                gathered.solve(c, kernel=self.options.kernel_backend))
+            return self._from_factored(gathered.solve(c))
 
         with self._recording() as tracer, tracer.span("solve"):
             return self._solve_report(solve_once, b, refine)

@@ -185,12 +185,9 @@ def get_factorization_cache() -> FactorizationCache:
 def serial_plan_key(fingerprint: str, opts) -> tuple:
     """Cache key for the serial :class:`~repro.driver.GESPSolver` —
     the fingerprint plus every option that shapes the plan."""
-    from repro.kernels import resolve_backend_name
-
     return ("serial", fingerprint, opts.equilibrate, opts.row_perm,
             opts.scale_diagonal, opts.col_perm, opts.symbolic_method,
-            opts.factor_dtype,
-            resolve_backend_name(opts.kernel_backend))
+            opts.factor_dtype)
 
 
 def dist_plan_key(fingerprint: str, opts, grid, max_block_size: int,
@@ -198,11 +195,8 @@ def dist_plan_key(fingerprint: str, opts, grid, max_block_size: int,
                   edag_prune: bool) -> tuple:
     """Cache key for the distributed driver: the serial fields plus
     everything that shapes the partition, layout, and schedule."""
-    from repro.kernels import resolve_backend_name
-
     return ("dist", fingerprint, opts.equilibrate, opts.row_perm,
             opts.scale_diagonal, opts.col_perm,
             grid.nprow, grid.npcol, int(max_block_size), int(relax_size),
             float(dense_tail_threshold), bool(edag_prune),
-            opts.factor_dtype,
-            resolve_backend_name(opts.kernel_backend))
+            opts.factor_dtype)

@@ -192,14 +192,12 @@ class GESPSolver(PatternSolver):
                     a, sym=sym_s,
                     pivot_threshold=opts.diag_block_pivoting,
                     replace_tiny_pivots=opts.replace_tiny_pivots,
-                    tiny_pivot_scale=opts.tiny_pivot_scale,
-                    kernel=opts.kernel_backend)
+                    tiny_pivot_scale=opts.tiny_pivot_scale)
             elif self._block_engine(sym):
                 factors = supernodal_factor(
                     a, plan=structures["_block_plan"],
                     replace_tiny_pivots=opts.replace_tiny_pivots,
-                    tiny_pivot_scale=opts.tiny_pivot_scale,
-                    kernel=opts.kernel_backend).to_gesp_factors()
+                    tiny_pivot_scale=opts.tiny_pivot_scale).to_gesp_factors()
             else:
                 # the readable oracle: exact unsymmetric fill, or the
                 # column_max replacement policy
@@ -209,8 +207,7 @@ class GESPSolver(PatternSolver):
                     a, sym=sym,
                     replace_tiny_pivots=opts.replace_tiny_pivots,
                     tiny_pivot_scale=opts.tiny_pivot_scale,
-                    pivot_policy=policy,
-                    kernel=opts.kernel_backend)
+                    pivot_policy=policy)
 
             # Sherman-Morrison-Woodbury wrapper when the aggressive
             # policy actually perturbed something (rebuilt on every

@@ -90,11 +90,6 @@ class GESPOptions:
         - ``"FACTORED"`` — the existing factors are up to date; only
           valid on :meth:`~repro.driver.gesp_driver.GESPSolver.refactor`
           (swap in new values and let refinement absorb the drift).
-    kernel_backend:
-        Dense-kernel backend name from :mod:`repro.kernels`
-        (``"reference"``, ``"vectorized"``, or any registered name);
-        ``None`` defers to the ``REPRO_KERNEL_BACKEND`` environment
-        variable and finally the bit-exact ``"reference"`` default.
     executor:
         Runtime for the distributed rank programs (distributed driver
         only): ``"sim"`` (event-loop simulator, the deterministic
@@ -131,7 +126,6 @@ class GESPOptions:
     extra_precision_residual: bool = False
     diag_block_pivoting: float = 0.0
     fact: str = "DOFACT"
-    kernel_backend: str | None = None
     executor: str | None = None
     factor_dtype: str = "float64"
 
@@ -139,12 +133,6 @@ class GESPOptions:
         if self.factor_dtype not in ("float64", "float32"):
             raise ValueError(f"unknown factor_dtype {self.factor_dtype!r} "
                              "(expected 'float64' or 'float32')")
-        if self.kernel_backend is not None:
-            # raises the structured UnknownBackendError (a ValueError)
-            # listing the registered names
-            from repro.kernels import get_backend
-
-            get_backend(self.kernel_backend)
         if self.executor is not None:
             from repro.dmem.executor import EXECUTOR_NAMES, UnknownExecutorError
 

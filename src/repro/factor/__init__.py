@@ -16,16 +16,9 @@
 
 from repro.factor.gesp import GESPFactors, gesp_factor
 from repro.factor.gepp import GEPPFactors, gepp_factor
-from repro.factor.supernodal import (
-    SupernodalFactors,
-    supernodal_factor,
-    factor_diagonal_block,
-    panel_solve_l,
-    panel_solve_u,
-)
+from repro.factor.supernodal import SupernodalFactors, supernodal_factor
 from repro.factor.blockpivot import (
     BlockPivotedFactors,
-    factor_diagonal_block_pivoted,
     supernodal_factor_block_pivoting,
 )
 
@@ -36,10 +29,6 @@ __all__ = [
     "gepp_factor",
     "SupernodalFactors",
     "supernodal_factor",
-    "factor_diagonal_block",
-    "panel_solve_l",
-    "panel_solve_u",
     "BlockPivotedFactors",
-    "factor_diagonal_block_pivoted",
     "supernodal_factor_block_pivoting",
 ]

@@ -22,9 +22,8 @@ the paper considers this extension compatible with static pivoting.
 owning process row; the paper leaves that, like this whole technique, as
 future work.)
 
-Dense block math routes through :mod:`repro.kernels`;
-:func:`factor_diagonal_block_pivoted` remains as a thin wrapper over the
-``reference`` backend's ``lu_partial``.
+The dense block math is :mod:`repro.kernels` (``lu_partial`` factors
+the diagonal block).
 """
 
 from __future__ import annotations
@@ -33,32 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.factor.blockplan import build_block_plan, supernode_row_sets
 from repro.factor.gesp import tiny_pivot_threshold
 from repro.factor.supernodal import block_substitute, eliminate
-from repro.kernels import get_backend, kernel_counters, resolve_backend
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU, symbolic_lu_symmetrized
 from repro.symbolic.supernode import SupernodePartition, block_partition
 
-__all__ = ["BlockPivotedFactors", "factor_diagonal_block_pivoted",
-           "supernodal_factor_block_pivoting"]
-
-
-def factor_diagonal_block_pivoted(d, thresh, pivot_threshold=1.0):
-    """In-place LU of a dense block with threshold partial pivoting.
-
-    At step ``k`` the pivot row is the diagonal when
-    ``|d_kk| >= pivot_threshold * max|d_{k:,k}|``, otherwise the largest
-    remaining entry in the column (rows are swapped in place).  Tiny-pivot
-    replacement still applies after the exchange (a whole zero column can
-    occur).  Returns ``(piv, replaced)`` where ``piv[k]`` is the original
-    local index of the row now in position ``k``.
-
-    Thin wrapper over the ``reference`` backend's ``lu_partial``.
-    """
-    return get_backend("reference").lu_partial(
-        d, thresh, pivot_threshold=pivot_threshold)
+__all__ = ["BlockPivotedFactors", "supernodal_factor_block_pivoting"]
 
 
 @dataclass
@@ -78,7 +60,6 @@ class BlockPivotedFactors:
     piv: list
     n_tiny_pivots: int
     tiny_pivot_threshold: float
-    kernel_backend: str = "reference"
 
     @property
     def n(self):
@@ -97,9 +78,9 @@ class BlockPivotedFactors:
             out[lo:hi] = out[lo:hi][self.piv[k]]
         return out
 
-    def solve(self, b, kernel=None):
+    def solve(self, b):
         """x with ``A x = b`` (applies P, then the block substitutions)."""
-        return block_substitute(self, self.apply_row_perm(b), kernel)
+        return block_substitute(self, self.apply_row_perm(b))
 
     def max_l_magnitude(self):
         """max |L| entry — bounded by 1/pivot_threshold within blocks when
@@ -121,8 +102,7 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
                                      relax_size: int = 0,
                                      pivot_threshold: float = 1.0,
                                      replace_tiny_pivots: bool = True,
-                                     tiny_pivot_scale: float | None = None,
-                                     kernel=None
+                                     tiny_pivot_scale: float | None = None
                                      ) -> BlockPivotedFactors:
     """Right-looking supernodal LU with within-block partial pivoting.
 
@@ -144,7 +124,6 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
     if not (0.0 < pivot_threshold <= 1.0):
         raise ValueError("pivot_threshold must be in (0, 1]")
 
-    backend = resolve_backend(kernel)
     ns = part.nsuper
     xsup = part.xsup
     supno = part.supno()
@@ -181,7 +160,7 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
     replaced = []
 
     def factor_diag(k, d):
-        pk, tiny = backend.lu_partial(
+        pk, tiny = kernels.lu_partial(
             d, thresh, pivot_threshold=pivot_threshold)
         piv[k] = pk
         replaced.extend(tiny)
@@ -199,12 +178,10 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
                 below[k_src][lo_s:hi_s, :] = \
                     below[k_src][lo_s:hi_s, :][pk, :]
 
-    with kernel_counters(backend):
-        eliminate(plan, flat, (diag, below, right), backend,
-                  factor_diag)
+    with kernels.kernel_counters():
+        eliminate(plan, flat, (diag, below, right), factor_diag)
 
     return BlockPivotedFactors(part=part, s_rows=s_rows, diag=diag,
                                below=below, right=right, piv=piv,
                                n_tiny_pivots=len(replaced),
-                               tiny_pivot_threshold=thresh,
-                               kernel_backend=backend.name)
+                               tiny_pivot_threshold=thresh)

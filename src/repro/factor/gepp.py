@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels import resolve_backend
+from repro import kernels
+from repro.factor.gesp import col_scale, spa_axpy
 from repro.sparse.csc import CSCMatrix
 
 __all__ = ["GEPPFactors", "gepp_factor"]
@@ -51,8 +52,7 @@ class GEPPFactors:
 
 
 def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
-                prefer_diagonal: bool = False,
-                kernel=None) -> GEPPFactors:
+                prefer_diagonal: bool = False) -> GEPPFactors:
     """Factor ``P A = L U`` by Gilbert-Peierls with partial pivoting.
 
     Parameters
@@ -89,8 +89,8 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
 
     dtype = a.nzval.dtype
     spa = np.zeros(n, dtype=dtype)
-    backend = resolve_backend(kernel)
-    snap = backend.stats.snapshot()
+    stats = kernels.stats()
+    snap = stats.snapshot()
 
     # adjacency of current L for the DFS: l_cols_rows[k] lists original rows
     for j in range(n):
@@ -139,7 +139,7 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
             if xk != 0.0:
                 rows = l_cols_rows[k]
                 vals = l_cols_vals[k]
-                backend.spa_axpy(spa, rows, vals, xk)
+                spa_axpy(spa, rows, vals, xk)
 
         # ---- pivot selection among non-pivotal rows in the reach ----
         cand = [v for v in visited if pinv[v] < 0]
@@ -182,7 +182,7 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
         lrows = [v for v in visited if pinv[v] < 0 and spa[v] != 0.0]
         lrows_arr = np.asarray(lrows, dtype=np.int64)
         l_cols_rows.append(lrows_arr)
-        l_cols_vals.append(backend.col_scale(spa[lrows_arr], pivot_val)
+        l_cols_vals.append(col_scale(spa[lrows_arr], pivot_val)
                            .astype(dtype, copy=False))
 
         # clear SPA
@@ -212,4 +212,4 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
     l = CSCMatrix(n, n, l_colptr, l_rowind, l_nzval, check=False)
     u = CSCMatrix(n, n, u_colptr, u_rowind, u_nzval, check=False)
     return GEPPFactors(l=l, u=u, perm_r=perm_r.copy(),
-                       flops=int(backend.stats.flops_since(snap)))
+                       flops=int(stats.flops_since(snap)))

@@ -24,13 +24,14 @@ from typing import Callable
 
 import numpy as np
 
-from repro.kernels import kernel_counters, resolve_backend
+from repro import kernels
 from repro.obs import add, annotate, trace
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import norm1
 from repro.symbolic.fill import SymbolicLU, symbolic_lu
 
-__all__ = ["GESPFactors", "gesp_factor", "tiny_pivot_threshold"]
+__all__ = ["GESPFactors", "gesp_factor", "tiny_pivot_threshold",
+           "spa_axpy", "col_scale"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -56,8 +57,6 @@ class GESPFactors:
     pivot_deltas: np.ndarray = field(default_factory=lambda: np.empty(0, np.float64))
     # flop count actually executed (static pattern, incl. stored zeros)
     flops: int = 0
-    # which kernel backend ran the SPA column updates
-    kernel_backend: str = "reference"
     # the block engine's level-set solve schedule bound to these values
     # (repro.factor.solveplan); None for the column kernel's factors
     sweeps: Callable | None = None
@@ -105,12 +104,27 @@ def _colmax(colptr, nzval, ncols):
     return out
 
 
+def spa_axpy(spa, rows, vals, xk):
+    """``spa[rows] -= xk * vals`` — one left-looking column update (also
+    :mod:`repro.factor.gepp`'s); 2 flops per entry."""
+    spa[rows] -= xk * vals
+    kernels.stats().axpy_flops += 2 * len(rows)
+
+
+def col_scale(vals, pivot):
+    """``vals / pivot`` elementwise, a new array in ``vals``' dtype (the
+    L-column gather scale); 1 flop per entry."""
+    kernels.stats().axpy_flops += len(vals)
+    # cast the pivot down first so a wider scalar (e.g. a float64
+    # pivot against a float32 column) cannot upcast the result
+    return vals / vals.dtype.type(pivot)
+
+
 def gesp_factor(a: CSCMatrix, sym: SymbolicLU | None = None,
                 replace_tiny_pivots: bool = True,
                 tiny_pivot_scale: float | None = None,
                 symbolic_method: str = "unsymmetric",
-                pivot_policy: str = "sqrt_eps",
-                kernel=None) -> GESPFactors:
+                pivot_policy: str = "sqrt_eps") -> GESPFactors:
     """Factor ``A = L U`` with diagonal pivots on the static pattern.
 
     Parameters
@@ -139,21 +153,19 @@ def gesp_factor(a: CSCMatrix, sym: SymbolicLU | None = None,
     ZeroDivisionError
         On an exactly zero pivot when ``replace_tiny_pivots`` is off.
     """
-    backend = resolve_backend(kernel)
     with trace("factor/gesp", pivot_policy=pivot_policy), \
-            kernel_counters(backend):
+            kernels.kernel_counters():
         factors = _gesp_factor(a, sym, replace_tiny_pivots,
                                tiny_pivot_scale, symbolic_method,
-                               pivot_policy, backend)
+                               pivot_policy)
         add("factor.flops", factors.flops)
         add("factor.tiny_pivots", factors.n_tiny_pivots)
-        annotate(tiny_pivot_threshold=factors.tiny_pivot_threshold,
-                 kernel_backend=backend.name)
+        annotate(tiny_pivot_threshold=factors.tiny_pivot_threshold)
         return factors
 
 
 def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
-                 symbolic_method, pivot_policy, backend) -> GESPFactors:
+                 symbolic_method, pivot_policy) -> GESPFactors:
     if a.nrows != a.ncols:
         raise ValueError("gesp_factor requires a square matrix")
     n = a.ncols
@@ -186,7 +198,8 @@ def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
         raise ValueError(f"unknown pivot_policy {pivot_policy!r}")
 
     spa = np.zeros(n, dtype=dtype)
-    snap = backend.stats.snapshot()
+    stats = kernels.stats()
+    snap = stats.snapshot()
     n_tiny = 0
     perturbed = []
     deltas = []
@@ -206,7 +219,7 @@ def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
                 llo, lhi = l_colptr[k], l_colptr[k + 1]
                 # skip the unit diagonal at position llo
                 rows = l_rowind[llo + 1:lhi]
-                backend.spa_axpy(spa, rows, lval[llo + 1:lhi], xk)
+                spa_axpy(spa, rows, lval[llo + 1:lhi], xk)
         # pivot
         pivot = spa[j]
         if replace_tiny_pivots:
@@ -240,7 +253,7 @@ def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
         lrows = l_rowind[llo:lhi]
         vals = spa[lrows]
         vals[0] = 1.0                      # unit diagonal of L
-        vals[1:] = backend.col_scale(vals[1:], pivot)  # L(i,j) = x_i / u_jj
+        vals[1:] = col_scale(vals[1:], pivot)  # L(i,j) = x_i / u_jj
         lval[llo:lhi] = vals
 
         # clear the SPA entries we touched (original + fill)
@@ -254,8 +267,7 @@ def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
                        tiny_pivot_threshold=thresh,
                        perturbed_columns=np.array(perturbed, dtype=np.int64),
                        pivot_deltas=np.array(deltas, dtype=dtype),
-                       flops=int(backend.stats.flops_since(snap)),
-                       kernel_backend=backend.name)
+                       flops=int(stats.flops_since(snap)))
 
 
 def transpose_pattern(rowptr, colind, n):

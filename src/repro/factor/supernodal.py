@@ -27,12 +27,8 @@ pattern, so :func:`eliminate`, the one numeric loop (shared with
 driver's default engine; :func:`repro.factor.gesp.gesp_factor` is the
 column-by-column oracle it is tested against.
 
-The dense block operations (diagonal LU, panel solves, GEMM) are routed
-through the pluggable kernel layer (:mod:`repro.kernels`); pass
-``kernel="vectorized"`` (or set ``REPRO_KERNEL_BACKEND``) to run the
-LAPACK-backed panels.  :func:`factor_diagonal_block`,
-:func:`panel_solve_l` and :func:`panel_solve_u` remain as thin wrappers
-over the ``reference`` backend for compatibility.
+The dense block operations (diagonal LU, panel solves, GEMM) are the
+functions of :mod:`repro.kernels`, reached through the module.
 """
 
 from __future__ import annotations
@@ -42,13 +38,13 @@ from functools import partial
 
 import numpy as np
 
+from repro import kernels
 from repro.factor.blockplan import (
     BlockPlan,
     build_block_plan,
     supernode_row_sets,
 )
 from repro.factor.gesp import GESPFactors, tiny_pivot_threshold
-from repro.kernels import get_backend, kernel_counters, resolve_backend
 from repro.obs import add, annotate, trace
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
@@ -59,9 +55,6 @@ from repro.symbolic.supernode import SupernodePartition, block_partition
 __all__ = [
     "SupernodalFactors",
     "supernodal_factor",
-    "factor_diagonal_block",
-    "panel_solve_l",
-    "panel_solve_u",
     "supernode_row_sets",
     "eliminate",
     "block_substitute",
@@ -69,47 +62,10 @@ __all__ = [
 
 
 # --------------------------------------------------------------------- #
-# compatibility wrappers over the reference kernel backend
-# --------------------------------------------------------------------- #
-
-def factor_diagonal_block(d, thresh):
-    """In-place LU without pivoting of a dense diagonal block.
-
-    ``d`` becomes the packed factor: strictly-lower part holds L (unit
-    diagonal implicit), upper triangle holds U.  Pivots smaller than
-    ``thresh`` are replaced by ``±thresh`` (GESP step (3)); pass
-    ``thresh=0`` to disable replacement (then a zero pivot raises).
-
-    Returns the list of local pivot indices that were replaced.
-
-    Thin wrapper over the ``reference`` backend's ``lu_nopivot``.
-    """
-    return get_backend("reference").lu_nopivot(d, thresh)
-
-
-def panel_solve_l(d, b):
-    """L panel: solve ``X · U_kk = B`` in place (B: rows × w).
-
-    ``d`` is the packed diagonal factor; only its upper triangle (U_kk)
-    is referenced.  Thin wrapper over the ``reference`` backend.
-    """
-    return get_backend("reference").trsm_upper(d, b)
-
-
-def panel_solve_u(d, r):
-    """U panel: solve ``L_kk · X = R`` in place (R: w × cols).
-
-    Only the strictly-lower triangle of ``d`` (unit L_kk) is referenced.
-    Thin wrapper over the ``reference`` backend.
-    """
-    return get_backend("reference").trsm_lower_unit(d, r)
-
-
-# --------------------------------------------------------------------- #
 # serial supernodal factorization
 # --------------------------------------------------------------------- #
 
-def eliminate(plan: BlockPlan, flat, blocks, backend, factor_diag):
+def eliminate(plan: BlockPlan, flat, blocks, factor_diag):
     """Paper Figure 8 over the block values ``flat`` and their views
     ``blocks`` (:meth:`BlockPlan.load`), every index read from ``plan``.
 
@@ -124,12 +80,12 @@ def eliminate(plan: BlockPlan, flat, blocks, backend, factor_diag):
         factor_diag(k, d)
         if not tgt.size:
             continue
-        b = backend.trsm_upper(d, below[k])       # step (1): L(K+1:N, K)
-        r = backend.trsm_lower_unit(d, right[k])  # step (2): U(K, K+1:N)
+        b = kernels.trsm_upper(d, below[k])       # step (1): L(K+1:N, K)
+        r = kernels.trsm_lower_unit(d, right[k])  # step (2): U(K, K+1:N)
         # step (3): the |S_K|×|S_K| rank-w update; no two of its entries
         # share a target, so one indexed subtract applies it.  Entries a
         # relaxed supernode has no slot for are exactly zero and dropped.
-        upd = backend.gemm_update(b, r).ravel()
+        upd = kernels.gemm_update(b, r).ravel()
         # (widened once here: numpy would widen the stored int32 targets
         # again for the read and for the write)
         flat[tgt.astype(np.intp, copy=False)] -= \
@@ -147,11 +103,10 @@ class SupernodalFactors:
     - ``below[K]`` — (|S|×w) panel of L(S_K, K);
     - ``right[K]`` — (w×|S|) panel of U(K, S_K).
 
-    ``kernel_backend`` records which backend produced the factors; the
-    solve path defaults to the same backend.  Factors computed here (not
-    gathered from the distributed layout) also carry their ``plan``, the
-    flat ``values`` the blocks are views of, and the tiny-pivot record
-    :class:`~repro.factor.gesp.GESPFactors` reports.
+    Factors computed here (not gathered from the distributed layout)
+    also carry their ``plan``, the flat ``values`` the blocks are views
+    of, and the tiny-pivot record :class:`~repro.factor.gesp.GESPFactors`
+    reports.
     """
 
     part: SupernodePartition
@@ -162,7 +117,6 @@ class SupernodalFactors:
     n_tiny_pivots: int
     tiny_pivot_threshold: float
     flops: int
-    kernel_backend: str = "reference"
     plan: BlockPlan | None = None
     values: np.ndarray | None = None
     perturbed_columns: np.ndarray | None = None
@@ -218,42 +172,36 @@ class SupernodalFactors:
                            tiny_pivot_threshold=self.tiny_pivot_threshold,
                            perturbed_columns=self.perturbed_columns,
                            pivot_deltas=self.pivot_deltas, flops=self.flops,
-                           kernel_backend=self.kernel_backend, sweeps=sweeps)
+                           sweeps=sweeps)
 
-    def solve(self, b, kernel=None):
-        """x with L U x = b, block forward then block back substitution.
-
-        ``kernel`` selects the dense backend for the diagonal solves and
-        block products; default is the backend that built the factors.
-        """
+    def solve(self, b):
+        """x with L U x = b, block forward then block back substitution."""
         # solve in the wider of the factor and RHS dtypes (float64 floor:
         # fp32 factors against an fp64 RHS still substitute in fp64)
         x = np.array(b, dtype=np.result_type(self.dtype, np.asarray(b),
                                              np.float64), copy=True)
-        return block_substitute(self, x, kernel)
+        return block_substitute(self, x)
 
 
-def block_substitute(factors, x, kernel=None):
+def block_substitute(factors, x):
     """Overwrite ``x`` with ``U⁻¹ L⁻¹ x`` for packed supernodal
     ``factors``: block forward, then block back substitution."""
-    backend = resolve_backend(
-        kernel if kernel is not None else factors.kernel_backend)
     xsup, s_rows = factors.part.xsup, factors.s_rows
     ns = factors.part.nsuper
     # forward: L y = b
     for k in range(ns):
         lo, hi = int(xsup[k]), int(xsup[k + 1])
-        backend.diag_solve_lower_unit(factors.diag[k], x[lo:hi])
+        kernels.diag_solve_lower_unit(factors.diag[k], x[lo:hi])
         s = s_rows[k]
         if s.size:
-            x[s] -= backend.gemm_update(factors.below[k], x[lo:hi])
+            x[s] -= kernels.gemm_update(factors.below[k], x[lo:hi])
     # back: U x = y
     for k in range(ns - 1, -1, -1):
         lo, hi = int(xsup[k]), int(xsup[k + 1])
         s = s_rows[k]
         if s.size:
-            x[lo:hi] -= backend.gemm_update(factors.right[k], x[s])
-        backend.diag_solve_upper(factors.diag[k], x[lo:hi])
+            x[lo:hi] -= kernels.gemm_update(factors.right[k], x[s])
+        kernels.diag_solve_upper(factors.diag[k], x[lo:hi])
     return x
 
 
@@ -263,33 +211,28 @@ def supernodal_factor(a: CSCMatrix,
                       max_block_size: int = 24,
                       replace_tiny_pivots: bool = True,
                       tiny_pivot_scale: float | None = None,
-                      kernel=None,
                       plan: BlockPlan | None = None) -> SupernodalFactors:
     """Blocked right-looking GESP factorization (paper Figure 8, serial).
 
     Numerically equivalent to :func:`repro.factor.gesp.gesp_factor` run on
-    the symmetrized pattern — the tests assert exactly that.  ``kernel``
-    selects the dense backend (name, instance, or ``None`` for the
-    environment/default resolution).  ``plan`` is a
+    the symmetrized pattern — the tests assert exactly that.  ``plan`` is a
     :class:`~repro.factor.blockplan.BlockPlan` built earlier for this
     pattern (it then stands in for ``sym`` / ``part``); without one the
     plan is built here, which is most of a first factorization's time.
     """
-    backend = resolve_backend(kernel)
-    with trace("factor/supernodal"), kernel_counters(backend):
+    with trace("factor/supernodal"), kernels.kernel_counters():
         factors = _supernodal_factor(a, sym, part, max_block_size,
                                      replace_tiny_pivots, tiny_pivot_scale,
-                                     backend, plan)
+                                     plan)
         add("factor.flops", factors.flops)
         add("factor.tiny_pivots", factors.n_tiny_pivots)
         annotate(nsuper=factors.part.nsuper,
-                 tiny_pivot_threshold=factors.tiny_pivot_threshold,
-                 kernel_backend=backend.name)
+                 tiny_pivot_threshold=factors.tiny_pivot_threshold)
         return factors
 
 
 def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
-                       tiny_pivot_scale, backend, plan) -> SupernodalFactors:
+                       tiny_pivot_scale, plan) -> SupernodalFactors:
     if a.nrows != a.ncols:
         raise ValueError("supernodal_factor requires a square matrix")
     if plan is None:
@@ -311,7 +254,7 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     def factor_diag(k, d):
         entry = d.diagonal().copy()
-        for j in backend.lu_nopivot(d, thresh):
+        for j in kernels.lu_nopivot(d, thresh):
             # the pivot the kernel replaced: replay column j's updates
             # on the block's entry value, in the kernel's order
             old = entry[j]
@@ -320,13 +263,13 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
             perturbed.append(xsup[k] + j)
             deltas.append(d[j, j] - old)
 
-    snap = backend.stats.snapshot()
-    eliminate(plan, flat, (diag, below, right), backend, factor_diag)
+    stats = kernels.stats()
+    snap = stats.snapshot()
+    eliminate(plan, flat, (diag, below, right), factor_diag)
     return SupernodalFactors(
         part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,
         right=right, n_tiny_pivots=len(perturbed),
         tiny_pivot_threshold=thresh,
-        flops=int(backend.stats.flops_since(snap)),
-        kernel_backend=backend.name, plan=plan, values=flat,
+        flops=int(stats.flops_since(snap)), plan=plan, values=flat,
         perturbed_columns=np.array(perturbed, dtype=np.int64),
         pivot_deltas=np.array(deltas, dtype=flat.dtype))

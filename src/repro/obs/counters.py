@@ -139,24 +139,22 @@ COUNTERS = (
         "process executor."),
     CounterSpec(
         "kernel.lu_calls", "call",
-        "repro/kernels/base.py",
-        "Dense diagonal-block LU factorizations executed by the active "
-        "kernel backend (lu_nopivot + lu_partial): a KernelStats delta, "
-        "published by the kernel_counters context around each "
-        "factorization."),
+        "repro/kernels.py",
+        "Dense diagonal-block LU factorizations executed (lu_nopivot + "
+        "lu_partial): a KernelStats delta, published by the "
+        "kernel_counters context around each factorization."),
     CounterSpec(
         "kernel.trsm_calls", "call",
-        "repro/kernels/base.py",
-        "Dense triangular panel solves executed by the active kernel "
-        "backend (trsm_upper + trsm_lower_unit)."),
+        "repro/kernels.py",
+        "Dense triangular panel solves executed (trsm_upper + "
+        "trsm_lower_unit)."),
     CounterSpec(
         "kernel.gemm_calls", "call",
-        "repro/kernels/base.py",
-        "Dense rank-b update products (gemm_update) executed by the "
-        "active kernel backend."),
+        "repro/kernels.py",
+        "Dense rank-b update products (gemm_update) executed."),
     CounterSpec(
         "kernel.gemm_flops", "flop",
-        "repro/kernels/base.py",
+        "repro/kernels.py",
         "Flops of the gemm_update products alone (2·m·k·n per call) — "
         "the Schur-complement share of factor.flops."),
     CounterSpec(

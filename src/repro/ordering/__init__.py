@@ -12,8 +12,7 @@ structure of ``AᵀA`` (the SuperLU default), and notes nested dissection on
 - :mod:`~repro.ordering.colamd` — column orderings for unsymmetric LU:
   minimum degree on ``AᵀA`` (explicit or implicit) with dense-row stripping;
 - :mod:`~repro.ordering.nd` — nested dissection by level-structure
-  bisection (George), with minimum-degree leaf ordering;
-- :mod:`~repro.ordering.rcm` — reverse Cuthill-McKee (profile reduction).
+  bisection (George), with minimum-degree leaf ordering.
 
 All permutations use the SuperLU destination convention: ``perm[v]`` is the
 new position of vertex ``v``.
@@ -29,7 +28,6 @@ from repro.ordering.mmd import minimum_degree
 from repro.ordering.amd import approximate_minimum_degree
 from repro.ordering.colamd import column_ordering
 from repro.ordering.nd import nested_dissection
-from repro.ordering.rcm import reverse_cuthill_mckee
 
 __all__ = [
     "etree_symmetric",
@@ -40,5 +38,4 @@ __all__ = [
     "approximate_minimum_degree",
     "column_ordering",
     "nested_dissection",
-    "reverse_cuthill_mckee",
 ]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import kernels
 from repro.dmem.comm import Compute, Send, recv_with_retry
 from repro.dmem.distribute import DistributedBlocks
 from repro.dmem.executor import RankJob, resolve_executor
@@ -32,13 +33,6 @@ from repro.dmem.simulator import SimulationResult
 # the testbed's scale, so it only ever fires when the machine stalls
 DEFAULT_RECV_TIMEOUT = 1.0
 DEFAULT_RECV_RETRIES = 2
-from repro.kernels import (
-    gemm_flops,
-    kernel_counters,
-    lu_flops,
-    resolve_backend,
-    trsm_flops,
-)
 from repro.obs import add, annotate, trace
 from repro.symbolic.edag import BlockDAG
 
@@ -86,7 +80,6 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
             recv_timeout: float | None = None,
             recv_retries: int = DEFAULT_RECV_RETRIES,
             schedule: dict | None = None,
-            kernel=None,
             executor=None) -> FactorizationRun:
     """Factor the distributed matrix in place (values in ``dist`` become
     the L and U factors).
@@ -120,10 +113,6 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         passes it to every refactorization, which is exactly the
         amortization the paper's static-pivoting design enables.
         Computed here when omitted.
-    kernel:
-        Dense-kernel backend selector (name, instance, or ``None`` for
-        the ``REPRO_KERNEL_BACKEND``/default resolution); every rank's
-        dense block math routes through it.
     executor:
         Rank-program runtime: an executor instance, ``"sim"`` /
         ``"process"``, or ``None`` for the ``REPRO_DMEM_EXECUTOR`` /
@@ -133,7 +122,6 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         bit-identical to the simulator.
     """
     machine = machine or MachineModel()
-    backend = resolve_backend(kernel)
     exec_ = resolve_executor(executor)
     if tiny_pivot_scale is None:
         tiny_pivot_scale = float(np.sqrt(np.finfo(np.float64).eps))
@@ -143,19 +131,16 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         recv_timeout = DEFAULT_RECV_TIMEOUT
 
     with trace("factor/pdgstrf", pipeline=pipeline, edag_prune=edag_prune), \
-            kernel_counters(backend):
+            kernels.kernel_counters():
         sched = schedule if schedule is not None \
             else build_schedule(dist, dag, edag_prune)
         job = RankJob(
             nranks=dist.grid.size,
             factory=_rank_program,
-            # the kernel travels by *name*: backend instances need not
-            # pickle, and in-process the registry hands back the same
-            # singleton so kernel_counters keeps tallying
             kwargs=dict(dist=dist, dag=dag, thresh=thresh,
                         pipeline=pipeline, edag_prune=edag_prune,
                         sched=sched, recv_timeout=recv_timeout,
-                        recv_retries=recv_retries, kernel=backend.name),
+                        recv_retries=recv_retries),
             collect=_collect_factor_state)
         sim = exec_.run(job, machine=machine, fault_plan=fault_plan)
         if sim.collected is not None:
@@ -168,7 +153,7 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         add("factor.tiny_pivots", n_tiny)
         annotate(elapsed=sim.elapsed, wall_seconds=sim.wall_seconds,
                  nprocs=dist.grid.size, executor=exec_.name,
-                 nsuper=dag.nsuper, kernel_backend=backend.name)
+                 nsuper=dag.nsuper)
     dist.n_tiny_pivots = n_tiny
     dist.tiny_pivot_threshold = thresh
     return FactorizationRun(dist=dist, sim=sim, n_tiny_pivots=n_tiny,
@@ -243,10 +228,8 @@ def build_schedule(dist, dag, edag_prune):
 
 def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
                   pipeline, edag_prune, sched,
-                  recv_timeout=None, recv_retries=DEFAULT_RECV_RETRIES,
-                  kernel=None):
+                  recv_timeout=None, recv_retries=DEFAULT_RECV_RETRIES):
     """The SPMD program of one rank (a generator for the simulator)."""
-    backend = resolve_backend(kernel)
     grid = dist.grid
     pr, pc = grid.coords(rank)
     nprow, npcol = grid.nprow, grid.npcol
@@ -272,9 +255,9 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         my_l = need_l_all[k][pr] if pc == kc else []
         if pr == kr and pc == kc:
             d = dist.diag[rank][k]
-            replaced = backend.lu_nopivot(d, thresh)
+            replaced = kernels.lu_nopivot(d, thresh)
             n_tiny += len(replaced)
-            yield Compute(flops=lu_flops(w), width=w)
+            yield Compute(flops=kernels.lu_flops(w), width=w)
             # send the packed diagonal down the column (for L panels)...
             for pr2 in sched["diag_l_dests"][k]:
                 yield Send(dest=grid.rank(pr2, kc), tag=_tag(k, _DIAG_L),
@@ -296,8 +279,8 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             nbytes = 0
             for i_blk in my_l:
                 b = dist.lblk[rank][(i_blk, k)]
-                backend.trsm_upper(dloc, b)
-                flops += trsm_flops(w, b.shape[0])
+                kernels.trsm_upper(dloc, b)
+                flops += kernels.trsm_flops(w, b.shape[0])
                 nbytes += b.nbytes + dist.l_rows_by_block[k][i_blk].nbytes
                 panel.append((i_blk, b))
             yield Compute(flops=flops, width=w)
@@ -328,8 +311,8 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         nbytes = 0
         for j_blk in my_u:
             u = dist.ublk[rank][(k, j_blk)]
-            backend.trsm_lower_unit(dloc, u)
-            flops += trsm_flops(w, u.shape[1])
+            kernels.trsm_lower_unit(dloc, u)
+            flops += kernels.trsm_flops(w, u.shape[1])
             nbytes += u.nbytes + dist.u_cols_by_block[k][j_blk].nbytes
             panel.append((j_blk, u))
         yield Compute(flops=flops, width=w)
@@ -377,14 +360,14 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         w = dist.width(k)
         rows = dist.l_rows_by_block[k][i_blk]   # global rows of L(I,K)
         cols = dist.u_cols_by_block[k][j_blk]   # global cols of U(K,J)
-        upd = backend.gemm_update(lmat, umat)
+        upd = kernels.gemm_update(lmat, umat)
         # With relaxed supernodes an (i, j) pair of S_K x S_K may be absent
         # from the target block's index set; those product entries are
         # exactly zero (each term has an explicitly-zero factor) and are
         # masked out — same reasoning as the serial kernel.
         if i_blk == j_blk:
             tgt = dist.diag[rank][i_blk]
-            backend.scatter_sub(tgt, rows - xsup[i_blk],
+            kernels.scatter_sub(tgt, rows - xsup[i_blk],
                                 cols - xsup[j_blk], upd)
         elif i_blk > j_blk:
             tgt = dist.lblk[rank][(i_blk, j_blk)]
@@ -393,7 +376,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             valid = pos < tgt_rows.size
             valid[valid] = tgt_rows[pos[valid]] == rows[valid]
             if np.any(valid):
-                backend.scatter_sub(tgt, pos[valid], cols - xsup[j_blk],
+                kernels.scatter_sub(tgt, pos[valid], cols - xsup[j_blk],
                                     upd, src_rows=valid)
         else:
             tgt = dist.ublk[rank][(i_blk, j_blk)]
@@ -402,9 +385,9 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             valid = pos < tgt_cols.size
             valid[valid] = tgt_cols[pos[valid]] == cols[valid]
             if np.any(valid):
-                backend.scatter_sub(tgt, rows - xsup[i_blk], pos[valid],
+                kernels.scatter_sub(tgt, rows - xsup[i_blk], pos[valid],
                                     upd, src_cols=valid)
-        return gemm_flops(rows.size, w, cols.size)
+        return kernels.gemm_flops(rows.size, w, cols.size)
 
     def apply_batch(k, pairs, ldata, udata):
         """All of this rank's (I,J) updates for iteration k, one Compute."""

@@ -70,7 +70,7 @@ class SolveRun:
 
 def pdgstrs(dist: DistributedBlocks, b, machine=None,
             fault_plan=None, recv_timeout=None, recv_retries=2,
-            kernel=None, executor=None) -> SolveRun:
+            executor=None) -> SolveRun:
     """Solve ``L U x = b`` on the factored distributed blocks.
 
     ``executor`` selects the runtime both substitutions run on
@@ -83,13 +83,13 @@ def pdgstrs(dist: DistributedBlocks, b, machine=None,
                                    fault_plan=fault_plan,
                                    recv_timeout=recv_timeout,
                                    recv_retries=recv_retries,
-                                   kernel=kernel, executor=executor)
+                                   executor=executor)
         with trace("solve/upper"):
             x, up = pdgstrs_upper(dist, y, machine=machine,
                                   fault_plan=fault_plan,
                                   recv_timeout=recv_timeout,
                                   recv_retries=recv_retries,
-                                  kernel=kernel, executor=executor)
+                                  executor=executor)
         run = SolveRun(x=x, lower=low, upper=up)
         add("solve.flops", run.total_flops)
         return run

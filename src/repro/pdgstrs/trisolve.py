@@ -50,8 +50,8 @@ from repro.dmem.comm import (
     Send,
     recv_with_retry,
 )
+from repro import kernels
 from repro.dmem.distribute import DistributedBlocks
-from repro.kernels import resolve_backend
 
 __all__ = ["pdgstrs_lower", "pdgstrs_upper"]
 
@@ -92,9 +92,8 @@ def _structure_maps(dist: DistributedBlocks, direction: _Direction):
 
 
 def _run(direction, dist, b, machine, fault_plan, recv_timeout,
-         recv_retries, kernel, executor):
+         recv_retries, executor):
     from repro.dmem.executor import RankJob, resolve_executor
-    from repro.kernels import resolve_backend_name
     from repro.pdgstrf.factor2d import DEFAULT_RECV_TIMEOUT
 
     if recv_timeout is None and fault_plan is not None:
@@ -105,8 +104,7 @@ def _run(direction, dist, b, machine, fault_plan, recv_timeout,
                   kwargs=dict(dist=dist, b=b, direction=direction,
                               contrib=contrib, consumers=consumers,
                               recv_timeout=recv_timeout,
-                              recv_retries=recv_retries,
-                              kernel=resolve_backend_name(kernel)))
+                              recv_retries=recv_retries))
     sim = resolve_executor(executor).run(job, machine=machine,
                                          fault_plan=fault_plan)
     x = np.empty(b.shape)
@@ -119,7 +117,7 @@ def _run(direction, dist, b, machine, fault_plan, recv_timeout,
 
 def pdgstrs_lower(dist: DistributedBlocks, b, machine=None,
                   fault_plan=None, recv_timeout=None, recv_retries=2,
-                  kernel=None, executor=None):
+                  executor=None):
     """Run the lower solve; returns ``(y, SimulationResult)``.
 
     ``b`` may be a vector (n,) or a block of right-hand sides (n, nrhs) —
@@ -128,34 +126,32 @@ def pdgstrs_lower(dist: DistributedBlocks, b, machine=None,
     closing discussion anticipates).  ``recv_timeout`` (simulated
     seconds; defaulted when a ``fault_plan`` is set) arms the receives
     with bounded-retry timeouts for running against an unreliable
-    machine; ``kernel`` selects the dense backend for the diagonal
-    solves and block products; ``executor`` selects the runtime
+    machine; ``executor`` selects the runtime
     (``"sim"``/``"process"``/instance, see
     :func:`repro.dmem.executor.resolve_executor`); the canonical-order
     accumulation makes the result bit-identical across executors.
     """
     return _run(_LOWER, dist, b, machine, fault_plan, recv_timeout,
-                recv_retries, kernel, executor)
+                recv_retries, executor)
 
 
 def pdgstrs_upper(dist: DistributedBlocks, y, machine=None,
                   fault_plan=None, recv_timeout=None, recv_retries=2,
-                  kernel=None, executor=None):
+                  executor=None):
     """Run the upper solve; returns ``(x, SimulationResult)``.
 
     Same arguments and guarantees as :func:`pdgstrs_lower`.
     """
     return _run(_UPPER, dist, y, machine, fault_plan, recv_timeout,
-                recv_retries, kernel, executor)
+                recv_retries, executor)
 
 
 def _rank_solve(rank, dist: DistributedBlocks, b, direction, contrib,
-                consumers, recv_timeout=None, recv_retries=2, kernel=None):
+                consumers, recv_timeout=None, recv_retries=2):
     """One rank of either substitution.  Returns ``{K: x_K}`` for the
     supernodes whose diagonal process this rank is."""
-    backend = resolve_backend(kernel)
-    diag_solve = getattr(backend, direction.diag_solve)
-    gemm_update = backend.gemm_update
+    diag_solve = getattr(kernels, direction.diag_solve)
+    gemm_update = kernels.gemm_update
     blocks = getattr(dist, direction.blocks)[rank]
     width_axis = direction.width_axis
     lower = direction == _LOWER

@@ -38,6 +38,7 @@ from repro.service.api import (
     ShardDied,
     SolveRequest,
     SolveResponse,
+    UnknownMatrixError,
     default_workers,
 )
 from repro.service.client import ServiceClient
@@ -58,5 +59,6 @@ __all__ = [
     "SolveRequest",
     "SolveResponse",
     "SolveService",
+    "UnknownMatrixError",
     "default_workers",
 ]

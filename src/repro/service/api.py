@@ -40,6 +40,7 @@ __all__ = [
     "ShardDied",
     "SolveRequest",
     "SolveResponse",
+    "UnknownMatrixError",
     "default_workers",
 ]
 
@@ -141,6 +142,24 @@ class QuotaExceeded(ServiceError):
         # keep the structured fields across pickling (see
         # ServiceOverloaded) — quota sheds cross the shard boundary
         return (self.__class__, (self.tenant, self.rate, self.burst))
+
+
+class UnknownMatrixError(ServiceError, KeyError):
+    """A request named a matrix ``key`` nothing is registered under.
+
+    Raised by ``submit`` of either tier, before anything is queued or
+    allocated (also a ``KeyError``: the lookup it reports is one).
+    """
+
+    def __init__(self, key: str):
+        self.key = key
+        super().__init__(f"matrix key {key!r} is not registered; call "
+                         "register_matrix first")
+
+    __str__ = ServiceError.__str__     # KeyError's would repr the message
+
+    def __reduce__(self):
+        return (self.__class__, (self.key,))
 
 
 class ServiceClosed(ServiceError):
@@ -299,6 +318,24 @@ class SolveRequest:
         if self.options is not None:
             self.options.validate()
         return self
+
+    def resolve_matrix(self, registered: dict) -> CSCMatrix:
+        """The matrix this (validated) request is about: its own, or the
+        one ``registered`` under its key.  The keyed half of
+        :meth:`validate`, which both service tiers run at ``submit``
+        before a queue or a slab is touched: an unknown key raises
+        :class:`UnknownMatrixError`, a ``b`` of the wrong length
+        ``ValueError``."""
+        if not isinstance(self.matrix, str):
+            return self.matrix
+        matrix = registered.get(self.matrix)
+        if matrix is None:
+            raise UnknownMatrixError(self.matrix)
+        n = np.asarray(self.b).shape[0]
+        if n != matrix.ncols:
+            raise ValueError(f"b has length {n} but matrix {self.matrix!r} "
+                             f"has order {matrix.ncols}")
+        return matrix
 
 
 @dataclass

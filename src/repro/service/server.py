@@ -343,25 +343,17 @@ class SolveService:
 
         Raises :class:`ServiceOverloaded` (queue full — the request was
         shed), :class:`QuotaExceeded` (the request's tenant is out of
-        quota) or :class:`ServiceClosed`; a successfully admitted
+        quota), :class:`ServiceClosed`, or — for a keyed request —
+        :class:`~repro.service.api.UnknownMatrixError` / ``ValueError``
+        (:meth:`SolveRequest.resolve_matrix`); a successfully admitted
         request always completes its future, with a report or a
         structured error.
         """
         if self._closing:
             raise ServiceClosed()
         request.validate()
-        matrix = request.matrix
-        if isinstance(matrix, str):
-            with self._state_lock:
-                if matrix not in self._matrices:
-                    raise KeyError(
-                        f"no matrix registered under {matrix!r}; call "
-                        "register_matrix first")
-                matrix = self._matrices[matrix]
-            if np.asarray(request.b).shape[0] != matrix.ncols:
-                raise ValueError(
-                    f"b has length {np.asarray(request.b).shape[0]} but "
-                    f"matrix {request.matrix!r} has order {matrix.ncols}")
+        with self._state_lock:
+            matrix = request.resolve_matrix(self._matrices)
         if not request.request_id:
             with self._state_lock:
                 self._seq += 1

@@ -372,12 +372,8 @@ class ShardedSolveService:
 
     def _resolve_fingerprint(self, request: SolveRequest) -> str:
         if isinstance(request.matrix, str):
-            with self._state_lock:
-                fp = self._fingerprints.get(request.matrix)
-            if fp is None:
-                raise ServiceError(
-                    f"matrix key {request.matrix!r} is not registered")
-            return fp
+            with self._state_lock:     # submit checked the key is known
+                return self._fingerprints[request.matrix]
         return pattern_fingerprint(request.matrix)
 
     def _pick_shard(self, fingerprint: str) -> int:
@@ -397,17 +393,18 @@ class ShardedSolveService:
         Raises :class:`ServiceOverloaded` (that shard's in-flight window
         is full — the rejection names the shard), :class:`ShardDied`
         (routed to a shard in its respawn gap),
-        :class:`ServiceClosed`, or ``TypeError`` for a complex system
-        (the tier's transport is float64).
+        :class:`ServiceClosed`, ``TypeError`` for a complex system
+        (the tier's transport is float64), or — for a keyed request —
+        :class:`~repro.service.api.UnknownMatrixError` / ``ValueError``
+        (:meth:`SolveRequest.resolve_matrix`), before a slab exists.
         """
         with self._state_lock:
             if self._closing or not self._started:
                 raise ServiceClosed()
-            matrix = (self._matrices.get(request.matrix)
-                      if isinstance(request.matrix, str) else request.matrix)
         request.validate()
-        if np.iscomplexobj(request.b) or np.iscomplexobj(
-                getattr(matrix, "nzval", None)):
+        with self._state_lock:
+            matrix = request.resolve_matrix(self._matrices)
+        if np.iscomplexobj(request.b) or np.iscomplexobj(matrix.nzval):
             raise TypeError(
                 "the sharded tier is real-only (its shared-memory slab and "
                 "messages carry float64); complex systems are served by "

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.factor import supernodal_factor
-from repro.factor.blockpivot import (
-    factor_diagonal_block_pivoted,
-    supernodal_factor_block_pivoting,
-)
+from repro.factor.blockpivot import supernodal_factor_block_pivoting
+from repro.kernels import lu_partial
 from repro.solve import iterative_refinement
 from repro.sparse import CSCMatrix
 
@@ -19,7 +17,7 @@ def test_kernel_pa_equals_lu(rng):
         w = int(rng.integers(1, 9))
         d = rng.standard_normal((w, w))
         ref = d.copy()
-        piv, replaced = factor_diagonal_block_pivoted(d, thresh=0.0)
+        piv, replaced = lu_partial(d, thresh=0.0)
         l = np.tril(d, -1) + np.eye(w)
         u = np.triu(d)
         pm = np.zeros((w, w))
@@ -31,11 +29,11 @@ def test_kernel_pa_equals_lu(rng):
 def test_kernel_threshold_pivoting(rng):
     d = np.array([[0.1, 1.0], [1.0, 1.0]])
     # threshold 0.05: diagonal qualifies, no swap
-    piv, _ = factor_diagonal_block_pivoted(d.copy(), thresh=0.0,
+    piv, _ = lu_partial(d.copy(), thresh=0.0,
                                            pivot_threshold=0.05)
     assert piv.tolist() == [0, 1]
     # threshold 1.0: classic partial pivoting, swap
-    piv, _ = factor_diagonal_block_pivoted(d.copy(), thresh=0.0,
+    piv, _ = lu_partial(d.copy(), thresh=0.0,
                                            pivot_threshold=1.0)
     assert piv.tolist() == [1, 0]
 
@@ -44,7 +42,7 @@ def test_kernel_tiny_pivot_replacement():
     # a singular block: no pivot candidate anywhere in the first column
     d = np.zeros((2, 2))
     d[0, 1] = 1.0
-    piv, replaced = factor_diagonal_block_pivoted(d, thresh=1e-8)
+    piv, replaced = lu_partial(d, thresh=1e-8)
     assert len(replaced) >= 1
     assert abs(d[0, 0]) == pytest.approx(1e-8)
 
@@ -52,7 +50,7 @@ def test_kernel_tiny_pivot_replacement():
 def test_kernel_zero_raises_without_threshold():
     d = np.zeros((2, 2))
     with pytest.raises(ZeroDivisionError):
-        factor_diagonal_block_pivoted(d, thresh=0.0)
+        lu_partial(d, thresh=0.0)
 
 
 @pytest.mark.parametrize("max_block", [2, 4, 8])

@@ -1,4 +1,4 @@
-"""Unit tests for fill-reducing orderings (MMD, column orderings, ND, RCM)."""
+"""Unit tests for fill-reducing orderings (MMD, column orderings, ND)."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from repro.ordering import (
     column_ordering,
     minimum_degree,
     nested_dissection,
-    reverse_cuthill_mckee,
 )
 from repro.sparse import CSCMatrix, permute_symmetric
 
@@ -99,36 +98,6 @@ def test_nested_dissection_permutation(rng):
         a = CSCMatrix.from_dense(d.astype(float))
         p = nested_dissection(a)
         assert sorted(p.tolist()) == list(range(n))
-
-
-def test_rcm_reduces_bandwidth():
-    # a randomly permuted band matrix: RCM should recover a small bandwidth
-    rng = np.random.default_rng(0)
-    n = 40
-    d = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(max(0, i - 2), min(n, i + 3)):
-            d[i, j] = True
-    p = rng.permutation(n)
-    dp = d[np.ix_(p, p)]
-    a = CSCMatrix.from_dense(dp.astype(float))
-    perm = reverse_cuthill_mckee(a)
-    reordered = permute_symmetric(a, perm).to_dense() != 0
-    i, j = np.nonzero(reordered)
-    bw = np.abs(i - j).max()
-    i0, j0 = np.nonzero(dp)
-    assert bw <= np.abs(i0 - j0).max()
-    assert bw <= 6
-
-
-def test_rcm_permutation_on_forest():
-    # disconnected graph: two components
-    d = np.zeros((6, 6))
-    d[0, 1] = d[1, 0] = 1.0
-    d[3, 4] = d[4, 3] = 1.0
-    a = CSCMatrix.from_dense(d)
-    p = reverse_cuthill_mckee(a)
-    assert sorted(p.tolist()) == list(range(6))
 
 
 @pytest.mark.parametrize("method", ["mmd_ata", "mmd_at_plus_a", "colamd",

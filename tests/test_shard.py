@@ -33,6 +33,7 @@ from repro.service import (
     ShardedSolveService,
     SolveRequest,
     SolveService,
+    UnknownMatrixError,
 )
 from repro.service.shard import routing, spool
 from repro.service.shard.messages import ShmSlab, SubmitMsg, shm_available
@@ -276,6 +277,33 @@ def test_spool_v2_plans_are_skipped_not_half_loaded(tmp_path):
     assert reloaded.snapshot()[0].block_plan.solve is not None
 
 
+def test_spool_v3_plans_under_a_dead_key_are_skipped_not_counted_warm(
+        tmp_path):
+    """Until the kernel-backend knob went, plan keys ended in the backend
+    name.  A v3 file is a whole plan under a key nothing looks up any
+    more: loading it would report a warm start that every first request
+    still pays cold for.  The schema tag skips it, loudly."""
+    import copy
+
+    from repro.obs import Tracer, use_tracer
+
+    plan = _plans_for([sparse_matrix(seed=9)]).snapshot()[0]
+    assert plan.key[-1] == "float64"           # no trailing backend name
+    old = copy.copy(plan)
+    old.key = plan.key + ("reference",)
+    spool.spool_path(tmp_path, old.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v3", "key": old.key, "plan": old}))
+
+    fresh = FactorizationCache(maxsize=32)
+    tracer = Tracer()
+    with use_tracer(tracer), \
+            pytest.warns(spool.SpoolSkipWarning, match="spool/v3"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    tracer.finish()
+    assert len(fresh) == 0
+    assert tracer.root.all_counters()["spool.load_skipped"] == 1
+
+
 def test_spool_clean_load_emits_no_warning(tmp_path, recwarn):
     cache = _plans_for([sparse_matrix(seed=9)])
     spool.save_plans(tmp_path, cache.snapshot(), set())
@@ -407,6 +435,33 @@ def test_registered_matrix_key_routes_and_solves():
         with pytest.raises(Exception, match="not registered"):
             tier.submit(SolveRequest(matrix="nope", b=b))
     assert r.ok
+
+
+@needs_spawn
+@pytest.mark.parametrize("tier", ["service", "shards"])
+def test_keyed_request_is_checked_at_submit_on_both_tiers(tier):
+    """An unknown matrix key and a ``b`` of the wrong length are refused
+    by ``submit`` itself, with the same errors on both tiers, before a
+    queue, a quota token or a slab is touched — not shipped to a shard
+    and handed back as a failed future."""
+    a = sparse_matrix(seed=5)
+    service = (SolveService(_cfg(), cache=False) if tier == "service"
+               else ShardedSolveService(shards=2, config=_cfg()))
+    with service as svc:
+        svc.register_matrix("jac", a)
+        with pytest.raises(UnknownMatrixError, match="not registered") as exc:
+            svc.submit(SolveRequest(matrix="nope", b=np.ones(25)))
+        assert isinstance(exc.value, KeyError) and exc.value.key == "nope"
+        assert str(exc.value).startswith("matrix key 'nope'")
+        assert pickle.loads(pickle.dumps(exc.value)).key == "nope"
+        with pytest.raises(ValueError, match="b has length 3 .* order 25"):
+            svc.submit(SolveRequest(matrix="jac", b=np.ones(3)))
+        assert svc.submit(SolveRequest(matrix="jac", b=a @ np.ones(25))) \
+            .result(60.0).ok
+        stats = svc.stats()
+    admitted = ("service.requests" if tier == "service"
+                else "service.shard.requests")
+    assert stats[admitted] == 1                # the refused two never got in
 
 
 @needs_spawn

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from repro.factor import gesp_factor, supernodal_factor
-from repro.factor.supernodal import (
-    factor_diagonal_block,
-    panel_solve_l,
-    panel_solve_u,
-    supernode_row_sets,
-)
+from repro.factor.supernodal import supernode_row_sets
+from repro.kernels import lu_nopivot, trsm_lower_unit, trsm_upper
 from repro.sparse import CSCMatrix
 from repro.symbolic import block_partition, symbolic_lu_symmetrized
 
@@ -19,7 +15,7 @@ from conftest import laplace2d_dense, random_nonsingular_dense
 def test_factor_diagonal_block_matches_dense(rng):
     d = rng.standard_normal((6, 6)) + 6 * np.eye(6)
     ref = d.copy()
-    replaced = factor_diagonal_block(d, thresh=1e-12)
+    replaced = lu_nopivot(d, thresh=1e-12)
     assert replaced == []
     l = np.tril(d, -1) + np.eye(6)
     u = np.triu(d)
@@ -28,7 +24,7 @@ def test_factor_diagonal_block_matches_dense(rng):
 
 def test_factor_diagonal_block_tiny_pivot():
     d = np.array([[1.0, 2.0], [0.5, 1.0]])  # pivot 2 becomes exactly 0
-    replaced = factor_diagonal_block(d, thresh=1e-8)
+    replaced = lu_nopivot(d, thresh=1e-8)
     assert replaced == [1]
     assert abs(d[1, 1]) == pytest.approx(1e-8)
 
@@ -36,28 +32,28 @@ def test_factor_diagonal_block_tiny_pivot():
 def test_factor_diagonal_block_zero_raises():
     d = np.array([[1.0, 2.0], [0.5, 1.0]])
     with pytest.raises(ZeroDivisionError):
-        factor_diagonal_block(d, thresh=0.0)
+        lu_nopivot(d, thresh=0.0)
 
 
 def test_panel_solve_l(rng):
     w = 5
     d = rng.standard_normal((w, w)) + w * np.eye(w)
-    factor_diagonal_block(d, thresh=0.0)
+    lu_nopivot(d, thresh=0.0)
     u = np.triu(d)
     b = rng.standard_normal((7, w))
     ref = b @ np.linalg.inv(u)
-    panel_solve_l(d, b)
+    trsm_upper(d, b)
     assert np.allclose(b, ref, atol=1e-9)
 
 
 def test_panel_solve_u(rng):
     w = 5
     d = rng.standard_normal((w, w)) + w * np.eye(w)
-    factor_diagonal_block(d, thresh=0.0)
+    lu_nopivot(d, thresh=0.0)
     l = np.tril(d, -1) + np.eye(w)
     r = rng.standard_normal((w, 8))
     ref = np.linalg.solve(l, r)
-    panel_solve_u(d, r)
+    trsm_lower_unit(d, r)
     assert np.allclose(r, ref, atol=1e-9)
 
 

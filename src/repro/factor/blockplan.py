@@ -17,27 +17,33 @@ pattern alone.  A :class:`BlockPlan` is that function, evaluated once:
 - ``l_pos`` / ``u_pos`` — where the static CSC patterns of L and U read
   their values back;
 - ``solve`` — the level-set schedule both triangular sweeps run from
-  (:mod:`repro.factor.solveplan`).
+  (:mod:`repro.factor.solveplan`);
+- ``runs`` — the elimination order cut into ``(k0, k1, run)``: consecutive
+  width-1 supernodes none of whose ``S_K`` reaches into another are
+  eliminated together from one :class:`Run` of index arrays.
 
 The numeric pass (:func:`repro.factor.supernodal.eliminate`) is then
-``lu → trsm → trsm → gemm → one indexed subtract`` per supernode.  The
-index costs ``Σ|S_K|²`` integers, stored ``int32`` while the flat array
-is shorter than 2³¹ (docs/REFACTORIZATION.md has the bytes).
+``lu → trsm → trsm → gemm → one indexed subtract`` per supernode, or one
+divide, one product and one indexed subtract per batched run.  The index
+costs ``Σ|S_K|²`` integers (thrice for a batched member), stored ``int32``
+while the flat array is shorter than 2³¹ (docs/REFACTORIZATION.md).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.factor.gesp import transpose_pattern
-from repro.factor.solveplan import SolvePlan, build_solve_plan
+from repro.factor.solveplan import SolvePlan, _runs, build_solve_plan
+from repro.kernels import KernelStats
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
 
-__all__ = ["BlockPlan", "build_block_plan", "supernode_row_sets"]
+__all__ = ["BlockPlan", "Run", "build_block_plan", "supernode_row_sets"]
 
 
 def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
@@ -51,6 +57,17 @@ def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
     keys = np.unique(k[below] * n + sym.l_rowind[below])
     cuts = np.cumsum(np.bincount(keys // n, minlength=ns))[:-1]
     return np.split(keys % n, cuts)[:ns]
+
+
+class Run(NamedTuple):
+    """One batched stretch of width-1 supernodes, as flat positions."""
+    dpos: np.ndarray        # the members' pivots
+    bpos: np.ndarray        # their below-panel entries L(S_K, K) ...
+    bpiv: np.ndarray        # ... and the pivot each is divided by
+    lpos: np.ndarray        # per update entry (i, j) of a member K: L(i, K)
+    upos: np.ndarray        # ... and U(K, j), whose product it is
+    tgt: np.ndarray         # ... and its target, in member order
+    counts: KernelStats     # what the members' kernel calls would count
 
 
 @dataclass
@@ -69,6 +86,7 @@ class BlockPlan:
     u_pos: np.ndarray
     u_colptr: np.ndarray
     u_rowind: np.ndarray
+    runs: list          # [(k0, k1, Run | None)] tiling 0 … nsuper in order
     solve: SolvePlan | None = None
 
     def load(self, a: CSCMatrix):
@@ -101,8 +119,8 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     # (supernode, row) of every S_K entry as one sorted key: the index of
     # a key, less sptr[K], is that row's position in S_K (the sentinel
     # keeps every lookup in range)
-    keys = np.concatenate((np.repeat(np.arange(ns), m) * n
-                           + np.concatenate([*s_rows, cols[:0]]), [ns * n]))
+    ks, s_all = np.repeat(cols[:ns], m), np.concatenate([*s_rows, cols[:0]])
+    keys = np.concatenate((ks * n + s_all, [ns * n]))
     bounds = np.concatenate(
         ([0], np.cumsum(np.column_stack((w * w, m * w, w * m)).ravel())))
     # flat position = base[K] + (row term)·stride + (column term), with
@@ -148,8 +166,12 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
         targets.append(pos.ravel() if keep is None else pos.ravel()[keep])
     # one allocation, per-supernode views: small arrays kept alive among
     # the builder's freed temporaries would pin the heap they sit in
-    cuts = np.cumsum([t.size for t in targets])[:-1]
-    targets = np.split(np.concatenate([*targets, a_pos[:0]]), cuts)[:ns]
+    tptr = np.concatenate(([0], np.cumsum([t.size for t in targets])))
+    every = np.concatenate([*targets, a_pos[:0]])
+    targets = np.split(every, tptr[1:-1])[:ns]
+    blk = supno[s_all]
+    pair = np.flatnonzero(np.diff(ks * ns + blk, prepend=-1))
+    reach = ks[pair], blk[pair]     # K reaches into block I, K ascending
 
     shapes = [shape for wk, mk in zip(w.tolist(), m.tolist())
               for shape in ((wk, wk), (mk, wk), (wk, mk))]
@@ -157,5 +179,49 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
                      bounds=bounds.tolist(), shapes=shapes, a_pos=a_pos,
                      targets=targets, selection=selection, l_pos=l_pos,
                      u_pos=u_pos, u_colptr=u_colptr, u_rowind=u_rowind,
-                     solve=(build_solve_plan(xsup, supno, s_rows, m, sptr,
-                                             bounds) if scheduled else None))
+                     runs=(_build_runs(w, m, bounds, reach, every, tptr, index)
+                           if scheduled else [(0, ns, None)]),
+                     solve=(build_solve_plan(xsup, supno, ks, s_all, m, sptr,
+                                             bounds, reach)
+                            if scheduled else None))
+
+
+def _build_runs(w, m, bounds, reach, every, tptr, index):
+    """Cut the elimination order into runs ``(k0, k1, run)``: a maximal
+    stretch of consecutive one-column supernodes (every update entry
+    stored) none of which reaches into another is batched — its arrays
+    views of one allocation per field, ``tgt`` of ``every`` (all targets,
+    K's from ``tptr[K]``) — and any other supernode is alone (``None``)."""
+    plain = (w == 1) & (np.diff(tptr) == m * m)
+    last = np.full(m.size, -1)
+    last[reach[1]] = reach[0]           # the latest K that reaches into I
+    first, k0 = [], 0
+    for k, (ok, dep) in enumerate(zip(plain.tolist(), last.tolist())):
+        if not ok or dep >= k0 or k == k0:      # k cannot join the run at k0
+            first.append(k)
+            k0 = k if ok else k + 1
+    size = np.diff(np.array(first + [m.size]))
+    batched = size > 1
+    mem = np.flatnonzero(np.repeat(batched, size))      # batched members
+    mk, t = m[mem], m[mem] ** 2
+    aptr, mptr, eptr = (np.concatenate(([0], np.cumsum(c))).tolist()
+                        for c in (size * batched, mk, t))
+    e, width = _runs(0 * t, t), np.repeat(mk, t)
+    dpos, bpos, bpiv, lpos, upos = (x.astype(index) for x in (
+        bounds[3 * mem], _runs(bounds[3 * mem + 1], mk),
+        np.repeat(bounds[3 * mem], mk),
+        np.repeat(bounds[3 * mem + 1], t) + e // width,
+        np.repeat(bounds[3 * mem + 2], t) + e % width))
+    # KernelStats per member: lu (0 flops); 2 trsm (mk each), gemm (2·mk²)
+    one, panel = np.ones_like(mk), mk > 0
+    calls = np.column_stack((one, 0 * one, 2 * panel, 2 * mk, panel, 2 * t))
+    runs = []
+    for k0, n, a in zip(first, size.tolist(), aptr):
+        run, b = None, a + n
+        if n > 1:
+            ma, mb, ea, eb = mptr[a], mptr[b], eptr[a], eptr[b]
+            run = Run(dpos[a:b], bpos[ma:mb], bpiv[ma:mb], lpos[ea:eb],
+                      upos[ea:eb], every[tptr[k0]:tptr[k0 + n]],
+                      KernelStats(*calls[a:b].sum(0).tolist()))
+        runs.append((k0, k0 + n, run))
+    return runs

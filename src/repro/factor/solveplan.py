@@ -138,20 +138,17 @@ class SolvePlan:
         return x
 
 
-def build_solve_plan(xsup, sn, s_rows, m, sptr, bounds) -> SolvePlan:
+def build_solve_plan(xsup, sn, ks, s_all, m, sptr, bounds, reach) -> SolvePlan:
     """The schedule for the partition ``xsup`` (``sn``: supernode of every
-    row of ``x``) with row sets ``s_rows`` (sizes ``m``, offsets ``sptr``)
-    on the block storage laid out by ``bounds`` (3·nsuper + 1 offsets).
-    Array-shaped but for one integer pass over the (supernode, block
-    row) pairs."""
+    row of ``x``) with the row sets' entries ``s_all`` (supernodes ``ks``,
+    sizes ``m``, offsets ``sptr``) on the block storage laid out by
+    ``bounds`` (3·nsuper + 1 offsets).  Array-shaped but for one integer
+    pass over ``reach``, the (supernode, block row) pairs, ascending."""
     ns, n = xsup.size - 1, int(xsup[-1])
     w = np.diff(xsup)
-    s_all = np.concatenate([*s_rows, xsup[:0]])
-    ks = np.repeat(np.arange(ns), m)         # supernode of every S_K entry
     blk = sn[s_all]
-    pair = np.flatnonzero(np.diff(ks * ns + blk, prepend=-1))
     level = [0] * ns
-    for k, i in zip(ks[pair].tolist(), blk[pair].tolist()):
+    for k, i in zip(reach[0].tolist(), reach[1].tolist()):
         if level[i] <= level[k]:             # k ascending: level[k] final
             level[i] = level[k] + 1
     level = np.array(level, dtype=np.int64)

@@ -65,31 +65,58 @@ __all__ = [
 # serial supernodal factorization
 # --------------------------------------------------------------------- #
 
-def eliminate(plan: BlockPlan, flat, blocks, factor_diag):
+def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0):
     """Paper Figure 8 over the block values ``flat`` and their views
-    ``blocks`` (:meth:`BlockPlan.load`), every index read from ``plan``.
+    ``blocks`` (:meth:`BlockPlan.load`), every index read from ``plan``,
+    one stretch ``(k0, k1, run)`` of ``plan.runs`` after another.
 
     ``factor_diag(k, d)`` factors diagonal block ``d`` of supernode ``k``
     in place — the one step a pivoting policy decides: static pivoting
     calls ``lu_nopivot``, :mod:`repro.factor.blockpivot` pivots inside
     the block and swaps the affected rows of block row ``k``.
+
+    A batched run (``run`` not ``None``; block-pivoting plans have none)
+    eliminates its width-1 supernodes ``k0 … k1−1`` together and is the
+    loop below over them, bit for bit.  A 1×1 LU is empty: ``factor_diag``
+    only matters to a pivot not above ``thresh`` (the tiny-pivot
+    threshold, 0 without replacement), and such a member is handed to it
+    as if alone, to be replaced and recorded or refused.  ``trsm_upper``
+    on one pivot is one divide per panel entry, ``trsm_lower_unit`` the
+    identity, a (m×1)(1×m) product one multiplication per entry.  No
+    member's ``S_K`` holds another, so they read and write disjoint
+    blocks, and ``subtract.at`` applies the updates in member order, also
+    where two share a target: every entry still receives its updates in
+    ascending supernode order.  The members' kernel calls are counted
+    from the run's totals.  Complex values take the loop: BLAS rounds a
+    complex product differently from an elementwise multiply.
     """
     diag, below, right = blocks
-    for k, (tgt, keep) in enumerate(zip(plan.targets, plan.selection)):
-        d = diag[k]
-        factor_diag(k, d)
-        if not tgt.size:
+    targets, selection, stats = plan.targets, plan.selection, kernels.stats()
+    for k0, k1, run in plan.runs:
+        if run is not None and flat.dtype.kind != "c":
+            dpos, bpos, bpiv, lpos, upos, tgt, counts = run
+            for j in (~(abs(flat.take(dpos)) > thresh)).nonzero()[0].tolist():
+                factor_diag(k0 + j, diag[k0 + j])
+                stats.lu_calls -= 1             # counts has it too
+            if tgt.size:
+                flat[bpos] /= flat.take(bpiv)
+                np.subtract.at(flat, tgt, flat.take(lpos) * flat.take(upos))
+            stats.add(counts)
             continue
-        b = kernels.trsm_upper(d, below[k])       # step (1): L(K+1:N, K)
-        r = kernels.trsm_lower_unit(d, right[k])  # step (2): U(K, K+1:N)
-        # step (3): the |S_K|×|S_K| rank-w update; no two of its entries
-        # share a target, so one indexed subtract applies it.  Entries a
-        # relaxed supernode has no slot for are exactly zero and dropped.
-        upd = kernels.gemm_update(b, r).ravel()
-        # (widened once here: numpy would widen the stored int32 targets
-        # again for the read and for the write)
-        flat[tgt.astype(np.intp, copy=False)] -= \
-            upd if keep is None else upd[keep]
+        for k in range(k0, k1):
+            d, tgt, keep = diag[k], targets[k], selection[k]
+            factor_diag(k, d)
+            if not tgt.size:
+                continue
+            b = kernels.trsm_upper(d, below[k])       # step (1): L(K+1:N, K)
+            r = kernels.trsm_lower_unit(d, right[k])  # step (2): U(K, K+1:N)
+            # step (3): the |S_K|×|S_K| rank-w update; no two of its entries
+            # share a target, so one indexed subtract applies it.  Entries a
+            # relaxed supernode has no slot for are exactly zero and dropped.
+            upd = kernels.gemm_update(b, r).ravel()
+            # (widened once: numpy would widen int32 targets to read and write)
+            flat[tgt.astype(np.intp, copy=False)] -= \
+                upd if keep is None else upd[keep]
 
 
 @dataclass
@@ -265,7 +292,7 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     stats = kernels.stats()
     snap = stats.snapshot()
-    eliminate(plan, flat, (diag, below, right), factor_diag)
+    eliminate(plan, flat, (diag, below, right), factor_diag, thresh)
     return SupernodalFactors(
         part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,
         right=right, n_tiny_pivots=len(perturbed),

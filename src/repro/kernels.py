@@ -90,6 +90,13 @@ class KernelStats:
     axpy_flops: int = 0
     solve_flops: int = 0
 
+    def add(self, other: "KernelStats"):
+        """Count ``other``'s calls and flops too — the static totals of
+        a batched run (:class:`repro.factor.blockplan.Run`), whose
+        width-1 rounds run as array lines, not as calls."""
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
     def snapshot(self) -> "KernelStats":
         """A copy, for a later ``flops_since``/``counter_delta``."""
         return replace(self)

@@ -61,13 +61,12 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"
     # quotient-graph state
     elems = [set() for _ in range(n)]   # elements adjacent to variable v
     elem_list = {}                      # element id -> set of variables
-    weight = np.ones(n, dtype=np.int64)  # supervariable sizes
-    alive = np.ones(n, dtype=bool)
+    # plain lists: the loops below read them one element at a time, and
+    # a numpy scalar read costs several times a list's
+    weight = [1] * n                    # supervariable sizes
     members = {v: [v] for v in range(n)}  # supervariable members, in order
-    degree = np.array([sum(1 for _ in adj[v]) for v in range(n)], dtype=np.int64)
     # weighted external degree
-    for v in range(n):
-        degree[v] = sum(weight[u] for u in adj[v])
+    degree = [sum(map(weight.__getitem__, adj[v])) for v in range(n)]
 
     perm = np.empty(n, dtype=np.int64)
     next_pos = 0
@@ -82,7 +81,7 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"
         return r
 
     while remaining:
-        dmin = min(degree[v] for v in remaining)
+        dmin = min(map(degree.__getitem__, remaining))
         cands = sorted(v for v in remaining if degree[v] == dmin)
         if not multiple:
             cands = cands[:1]
@@ -112,7 +111,6 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"
             for m in members[p]:
                 perm[m] = next_pos
                 next_pos += 1
-            alive[p] = False
             remaining.discard(p)
             adj[p].clear()
             elems[p].clear()
@@ -121,7 +119,7 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"
         # exact degree recomputation for touched variables
         reaches = {v: reach(v) & remaining for v in touched}
         for v in touched:
-            degree[v] = int(sum(weight[u] for u in reaches[v]))
+            degree[v] = sum(map(weight.__getitem__, reaches[v]))
         # supervariable (indistinguishable node) detection among touched
         sig = {}
         for v in sorted(touched):
@@ -132,7 +130,6 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"
                 members[u].extend(members[v])
                 weight[u] += weight[v]
                 remaining.discard(v)
-                alive[v] = False
                 for w in reaches[v]:
                     adj[w].discard(v)
                 for e in list(elems[v]):
@@ -143,7 +140,8 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"
                 # degrees of common neighbours shrink by nothing (weights
                 # moved, not removed) except v no longer counts itself;
                 # recompute u's degree
-                degree[u] = int(sum(weight[w] for w in (reach(u) & remaining)))
+                degree[u] = sum(map(weight.__getitem__,
+                                    reach(u) & remaining))
             else:
                 sig[key] = v
     return perm

@@ -6,11 +6,11 @@ factorizations paid for.
 A respawned or restarted shard would otherwise re-run ``DOFACT`` for
 every tenant; the spool makes that a disk read instead.
 
-Format (``spool/v4``): one file per plan under the spool directory,
+Format (``spool/v5``): one file per plan under the spool directory,
 
     <blake2b(plan.key)[:24]>.plan.pkl
 
-containing ``pickle({"schema": "spool/v4", "key": plan.key, "plan":
+containing ``pickle({"schema": "spool/v5", "key": plan.key, "plan":
 plan})``.  The schema names the *shape of a plan and of its key*:
 ``spool/v1`` files hold plans from before the value map and block
 schedule existed and ``spool/v2`` files plans whose block schedule has
@@ -18,8 +18,10 @@ no solve schedule; they would unpickle into objects missing those
 attributes (and fail at the first warm refactorization, or solve through
 the column sweeps).  ``spool/v3`` plans are whole but keyed with a
 trailing kernel-backend name no lookup carries any more: loaded, they
-would count as warm and never be found.  All three take the
-wrong-schema skip path.  The filename is a digest of the
+would count as warm and never be found.  ``spool/v4`` plans have a block
+schedule without ``runs`` and would fail inside the first request's
+numeric pass.  All four take the wrong-schema skip path.  The filename
+is a digest of the
 *plan key* (fingerprint plus every plan-shaping option), so distinct
 option sets for one pattern spool side by side, exactly mirroring the
 cache keying.  Writes are
@@ -47,7 +49,7 @@ from repro.obs import add
 
 __all__ = ["SpoolSkipWarning", "load_plans", "save_plans", "spool_path"]
 
-_SCHEMA = "spool/v4"
+_SCHEMA = "spool/v5"
 
 
 class SpoolSkipWarning(UserWarning):

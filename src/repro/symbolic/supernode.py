@@ -61,10 +61,8 @@ class SupernodePartition:
 
     def supno(self):
         """Map column -> supernode index."""
-        out = np.empty(self.n, dtype=np.int64)
-        for s in range(self.nsuper):
-            out[self.xsup[s]:self.xsup[s + 1]] = s
-        return out
+        return np.repeat(np.arange(self.nsuper, dtype=np.int64),
+                         np.diff(self.xsup))
 
     def mean_size(self):
         """Average supernode size in columns (TWOTONE's is ~2.4 in the paper)."""

@@ -1,0 +1,333 @@
+"""Runs of independent width-1 supernodes are eliminated together
+(:func:`repro.factor.blockplan.build_block_plan` cuts the elimination
+order into runs, :func:`repro.factor.supernodal.eliminate` walks them).
+
+Promises enforced here:
+
+1. the batched schedule ≡ the schedule with every supernode taken alone
+   — the loop as it was before batching — in ``values``, ``flops``,
+   ``n_tiny_pivots``, ``perturbed_columns`` and ``pivot_deltas``, over a
+   hypothesis sweep of patterns × {float32, float64, complex128};
+2. a tiny pivot *inside* a batched run is replaced and recorded as it
+   was alone (sign kept; phase kept for complex), two members of a run
+   that update one entry apply their updates in supernode order, and a
+   zero pivot inside a run with replacement off raises
+   ``ZeroDivisionError`` and leaves a solver's previous factors intact;
+3. the run builder's invariants: runs tile the elimination order, their
+   members are width-1, independent and maximal, block-pivoting plans
+   have none, the index is ``int32`` views of one allocation per field;
+4. the ``kernel.*`` counters of one factorization of cfd06 / kkt02 are
+   the values recorded before batching (their calls are counted from the
+   plan's static totals).
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
+from repro.driver import GESPOptions, GESPSolver
+from repro.factor import supernodal_factor
+from repro.factor.blockplan import build_block_plan, supernode_row_sets
+from repro.matrices import matrix_by_name
+from repro.obs import Tracer
+from repro.sparse import CSCMatrix
+from repro.symbolic import block_partition, symbolic_lu_symmetrized
+
+from test_block_engine import _random_system, shapes
+
+EPS = float(np.finfo(np.float64).eps)
+
+
+def _plan(a, **partition):
+    sym = symbolic_lu_symmetrized(a)
+    return build_block_plan(a, sym, block_partition(sym, **partition))
+
+
+def _alone(plan):
+    """``plan`` with every supernode a run of its own."""
+    return replace(plan, runs=[(0, plan.part.nsuper, None)])
+
+
+def _batched(plan):
+    return [(k0, k1, run) for k0, k1, run in plan.runs if run is not None]
+
+
+def _assert_same_factorization(f, g):
+    assert f.values.dtype == g.values.dtype
+    assert np.array_equal(f.values, g.values)
+    assert f.flops == g.flops
+    assert f.n_tiny_pivots == g.n_tiny_pivots
+    assert np.array_equal(f.perturbed_columns, g.perturbed_columns)
+    assert f.pivot_deltas.dtype == g.pivot_deltas.dtype
+    assert np.array_equal(f.pivot_deltas, g.pivot_deltas)
+
+
+def _with_values(a, nzval):
+    return CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind, nzval,
+                     check=False)
+
+
+def _arrow(leaves, dtype=np.float64):
+    """``leaves`` columns that each couple only to the last two.  The
+    last leaf joins the corner's supernode; the others are one batched
+    run whose members all update the same 2×2 corner."""
+    n = leaves + 2
+    d = np.zeros((n, n), dtype=dtype)
+    rng = np.random.default_rng(leaves)
+    d[-2:, :] = rng.standard_normal((2, n))
+    d[:, -2:] = rng.standard_normal((n, 2))
+    d[np.arange(n), np.arange(n)] = 4.0 + np.arange(n)
+    if np.issubdtype(dtype, np.complexfloating):
+        d = d * np.exp(1j * rng.random((n, n)))
+    return d
+
+
+def _csc_keeping(d, mask):
+    """``d`` as CSC storing exactly ``mask`` (explicit zeros kept)."""
+    rows = np.nonzero(mask.T)[1]
+    colptr = np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
+    return CSCMatrix(d.shape[0], d.shape[1], colptr, rows, d.T[mask.T])
+
+
+# --------------------------------------------------------------------- #
+# 1. batched ≡ every supernode alone
+# --------------------------------------------------------------------- #
+
+@given(dtype=st.sampled_from([np.float32, np.float64, np.complex128]),
+       **shapes)
+@settings(max_examples=150, deadline=None)
+def test_batched_schedule_equals_the_sequential_loop_property(
+        dtype, n, density, hole, max_block, relax, seed):
+    a, _ = _random_system(n, density, hole, seed)
+    values = a.nzval.astype(dtype)
+    if dtype is np.complex128:
+        values = values * np.exp(1j * np.random.default_rng(seed).random(
+            values.size))
+    a = _with_values(a, values)
+    plan = _plan(a, max_size=max_block, relax_size=relax)
+    for scale in (None, 1e-3):      # the paper's threshold, and a busy one
+        _assert_same_factorization(
+            supernodal_factor(a, plan=plan, tiny_pivot_scale=scale),
+            supernodal_factor(a, plan=_alone(plan), tiny_pivot_scale=scale))
+
+
+def test_batched_schedule_equals_the_sequential_loop_on_the_testbed(testbed):
+    """All 53 matrices as step (3) sees them, and byte for byte."""
+    batched = 0
+    for name, (_, _, solver) in testbed.items():
+        a, plan = solver.a_factored, solver._block_plan
+        batched += len(_batched(plan))
+        f = supernodal_factor(a, plan=plan)
+        g = supernodal_factor(a, plan=_alone(plan))
+        _assert_same_factorization(f, g)
+        assert f.values.tobytes() == g.values.tobytes(), name
+    assert batched > 53
+
+
+# --------------------------------------------------------------------- #
+# 2. tiny pivots, shared targets and zero pivots inside a run
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+def test_tiny_pivots_inside_a_run_are_replaced_as_alone(dtype):
+    d = _arrow(6, dtype)
+    mask = d != 0
+    phase = np.exp(0.7j) if dtype is np.complex128 else 1.0
+    d[1, 1], d[2, 2], d[4, 4] = 0.0, -1e-30 * phase, 1e-30 * phase
+    a = _csc_keeping(d, mask)
+    plan = _plan(a)
+    (k0, k1, run), = _batched(plan)
+    assert (k0, k1) == (0, 5) and plan.part.nsuper == 6
+    f = supernodal_factor(a, plan=plan)
+    _assert_same_factorization(f, supernodal_factor(a, plan=_alone(plan)))
+    assert f.perturbed_columns.tolist() == [1, 2, 4]
+    assert f.values.dtype == f.pivot_deltas.dtype == dtype
+    t = f.tiny_pivot_threshold
+    new = f.values[run.dpos[[1, 2, 4]]]
+    # ±thresh with the old pivot's sign (phase), +thresh for a zero one
+    assert np.allclose(new, np.array([1, -phase, phase]) * t, rtol=1e-6)
+    assert np.allclose(f.pivot_deltas, new - d[[1, 2, 4], [1, 2, 4]])
+    # ... and L U = A + Σ δ_j e_j e_jᵀ still holds with them
+    l, u = (m.to_dense() for m in f.to_csc_factors())
+    d[f.perturbed_columns, f.perturbed_columns] += f.pivot_deltas
+    eps = float(np.finfo(dtype).eps)
+    assert np.all(np.abs(l @ u - d) <= 64 * eps * (np.abs(l) @ np.abs(u)))
+
+
+def test_members_sharing_a_target_update_it_in_supernode_order():
+    d = _arrow(9)
+    a = CSCMatrix.from_dense(d)
+    plan = _plan(a)
+    (k0, k1, run), = _batched(plan)
+    assert (k0, k1) == (0, 8)
+    # every member updates the same four corner entries
+    assert run.tgt.size == 8 * 4 and np.unique(run.tgt).size == 4
+    f = supernodal_factor(a, plan=plan)
+    _assert_same_factorization(f, supernodal_factor(a, plan=_alone(plan)))
+    # the last block as the sequential loop leaves it: one subtraction
+    # per leaf, in order (a sum in any other order differs in the last
+    # bits), then its own LU
+    last = d[8:, 8:].copy()
+    for k in range(8):
+        last -= np.outer(d[8:, k] / d[k, k], d[k, 8:])
+    kernels.lu_nopivot(last, 0.0)
+    assert np.array_equal(f.diag[-1], last)
+
+
+def test_zero_pivot_inside_a_run_without_replacement_raises():
+    d = _arrow(6)
+    mask = d != 0
+    d[3, 3] = 0.0
+    a = _csc_keeping(d, mask)
+    plan = _plan(a)
+    assert _batched(plan)[0][:2] == (0, 5)
+    for p in (plan, _alone(plan)):
+        with pytest.raises(ZeroDivisionError, match="zero pivot"):
+            supernodal_factor(a, plan=p, replace_tiny_pivots=False)
+    f = supernodal_factor(a, plan=plan)           # replaced when allowed
+    assert f.perturbed_columns.tolist() == [3]
+
+
+def test_failed_batched_refactor_leaves_solver_intact():
+    """A zero pivot inside a batched run, replacement off: the
+    refactorization raises and the solver still answers for the matrix
+    it held."""
+    a = matrix_by_name("cfd03").build()
+    s = GESPSolver(a, GESPOptions(replace_tiny_pivots=False), cache=False)
+    k0, k1, _ = max(_batched(s._block_plan), key=lambda r: r[1] - r[0])
+    k = (k0 + k1) // 2                  # a pivot in the middle of the run
+    col = int(np.flatnonzero(s.perm_c == s._block_plan.part.xsup[k])[0])
+    row = int(np.flatnonzero(s.perm_r == col)[0])
+    nzval = a.nzval.copy()
+    lo, hi = a.colptr[col], a.colptr[col + 1]
+    at = lo + int(np.flatnonzero(a.rowind[lo:hi] == row)[0])
+    nzval[at] = 0.0
+    before = s.factors
+    with pytest.raises(ZeroDivisionError, match="zero pivot"):
+        s.refactor(_with_values(a, nzval))
+    assert s.a is a and s.factors is before
+    rep = s.solve(a @ np.ones(a.ncols))
+    assert rep.converged and rep.berr <= 8 * EPS
+
+
+# --------------------------------------------------------------------- #
+# 3. the run builder
+# --------------------------------------------------------------------- #
+
+def _check_runs(plan):
+    ns, xsup = plan.part.nsuper, plan.part.xsup
+    width = np.diff(xsup)
+    assert [k0 for k0, _, _ in plan.runs] == \
+        [0, *(k1 for _, k1, _ in plan.runs)][:-1]       # they tile, in order
+    assert (plan.runs[-1][1] if plan.runs else 0) == ns
+    supno = plan.part.supno()
+    for k0, k1, run in plan.runs:
+        assert k1 > k0
+        if run is None:
+            continue
+        members = np.arange(k0, k1)
+        assert k1 - k0 > 1 and (width[members] == 1).all()
+        assert all(plan.selection[k] is None for k in members)
+        reached = supno[np.concatenate([plan.s_rows[k] for k in members])]
+        assert not np.isin(reached, members).any()      # independent
+        # maximal: the next supernode could not have joined
+        if k1 < ns and width[k1] == 1 and plan.selection[k1] is None:
+            assert k1 in reached
+        m = np.array([plan.s_rows[k].size for k in members])
+        assert np.array_equal(run.dpos, np.array(plan.bounds)[3 * members])
+        assert run.bpos.size == run.bpiv.size == m.sum()
+        assert run.lpos.size == run.upos.size == run.tgt.size == (m * m).sum()
+        assert np.array_equal(run.tgt, np.concatenate(
+            [plan.targets[k] for k in members]))
+        for index in run[:6]:
+            assert index.dtype == np.int32
+        assert run.tgt.base is plan.targets[0].base     # no second copy
+        assert run.counts.lu_calls == k1 - k0
+        assert run.counts.gemm_calls == np.count_nonzero(m)
+        assert run.counts.trsm_calls == 2 * run.counts.gemm_calls
+        assert run.counts.trsm_flops == 2 * m.sum()
+        assert run.counts.gemm_flops == 2 * (m * m).sum()
+        assert run.counts.lu_flops == 0
+    # two stand-alone width-1 neighbours: the first reaches the second
+    for (k0, k1, r0), (_, _, r1) in zip(plan.runs, plan.runs[1:]):
+        if r0 is None and r1 is None and k1 - k0 == 1 \
+                and width[k0] == width[k1] == 1 \
+                and plan.selection[k0] is plan.selection[k1] is None:
+            assert k1 in supno[plan.s_rows[k0]]
+
+
+def test_run_invariants_over_the_testbed(testbed):
+    for name, (_, _, solver) in testbed.items():
+        _check_runs(solver._block_plan)
+
+
+@given(**shapes)
+@settings(max_examples=60, deadline=None)
+def test_run_invariants_property(n, density, hole, max_block, relax, seed):
+    a, _ = _random_system(n, density, hole, seed)
+    _check_runs(_plan(a, max_size=max_block, relax_size=relax))
+
+
+def test_the_bench_patterns_batch_what_was_sized(testbed):
+    """Loop iterations / supernodes batched, as docs/REFACTORIZATION.md
+    tabulates them."""
+    for name, nsuper, iterations, batched in (
+            ("cfd06", 612, 251, 419), ("resv02", 248, 109, 168),
+            ("hb02", 424, 65, 383), ("circuit03", 261, 41, 237),
+            ("kkt02", 40, 28, 17)):
+        plan = testbed[name][2]._block_plan
+        runs = _batched(plan)
+        inside = sum(k1 - k0 for k0, k1, _ in runs)
+        assert (plan.part.nsuper, nsuper - inside + len(runs), inside) == \
+            (nsuper, iterations, batched), name
+
+
+def test_block_pivoting_plans_have_no_batched_run():
+    a = matrix_by_name("cfd03").build()
+    sym = symbolic_lu_symmetrized(a)
+    part = block_partition(sym)
+    plan = build_block_plan(a, sym, part,
+                            s_rows=supernode_row_sets(sym, part))
+    assert plan.runs == [(0, part.nsuper, None)] and plan.solve is None
+
+
+def test_empty_and_diagonal_matrices():
+    plan = _plan(CSCMatrix.from_dense(np.zeros((0, 0))))
+    assert plan.runs == []
+    a = CSCMatrix.from_dense(np.diag([2.0, 0.0, -4.0, 5.0]))
+    plan = _plan(_csc_keeping(a.to_dense(), np.eye(4, dtype=bool)))
+    (k0, k1, run), = plan.runs          # one run, nothing to update
+    assert (k0, k1, run.tgt.size) == (0, 4, 0)
+    f = supernodal_factor(_csc_keeping(a.to_dense(), np.eye(4, dtype=bool)),
+                          plan=plan)
+    assert f.perturbed_columns.tolist() == [1] and f.flops == 0
+
+
+# --------------------------------------------------------------------- #
+# 4. the counters kept their values and their meaning
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("name,lu,trsm,gemm,gemm_flops,flops", [
+    ("cfd06", 612, 1222, 611, 589_974, 924_724),
+    ("kkt02", 40, 78, 39, 8_289_486, 9_453_614)])
+def test_kernel_counters_of_one_factorization_are_the_recorded_ones(
+        name, lu, trsm, gemm, gemm_flops, flops):
+    """Recorded at the commit before batching.  The traced
+    ``warm_newton`` pass (96 cfd06 + 32 kkt02 factorizations) read
+    60 032 / 119 808 / 59 904 / 321 901 056."""
+    a = matrix_by_name(name).build()
+    tracer = Tracer()
+    solver = GESPSolver(a, tracer=tracer, cache=False)
+    cold = dict(tracer.root.all_counters())
+    solver.refactor(a)
+    warm = tracer.root.all_counters()
+    names = ("kernel.lu_calls", "kernel.trsm_calls", "kernel.gemm_calls",
+             "kernel.gemm_flops", "factor.flops")
+    assert [cold[c] for c in names] == [lu, trsm, gemm, gemm_flops, flops]
+    assert [warm[c] - cold[c] for c in names] == \
+        [lu, trsm, gemm, gemm_flops, flops]
+

@@ -214,23 +214,38 @@ def test_reference_scatter_spa_bit_identical_to_golden():
     assert np.array_equal(col_scale(vals, 3.7), golden_col_scale(vals, 3.7))
 
 
-@pytest.mark.parametrize("name", ["cfd01", "circuit01", "hb01"])
+@pytest.mark.parametrize("name", ["cfd01", "circuit01", "hb01", "cfd02"])
 def test_reference_factorization_bit_identical_on_testbed(name, monkeypatch):
     """Whole supernodal factorizations and block substitutions through
-    the frozen loops and through the ops produce identical bits."""
+    the frozen loops and through the ops produce identical bits — the
+    frozen side over the schedule with every supernode taken alone (the
+    loop as it was before runs of width-1 supernodes were eliminated
+    together), the ops over the batched schedule."""
+    from dataclasses import replace
+
+    from repro.driver import GESPSolver
     from repro.factor.supernodal import supernodal_factor
     from repro.matrices import matrix_by_name
 
-    a = matrix_by_name(name).build()
+    # the matrix step (3) sees — scaled, matched, ordered — and its plan
+    solver = GESPSolver(matrix_by_name(name).build(), cache=False)
+    a, plan = solver.a_factored, solver._block_plan
     b = a @ np.ones(a.ncols)
-    f_ref = supernodal_factor(a)
+    batched = sum(k1 - k0 for k0, k1, run in plan.runs if run is not None)
+    assert batched > plan.part.nsuper // 4      # there is something to prove
+    f_ref = supernodal_factor(a, plan=plan)
     x_ref = f_ref.solve(b)
     assert f_ref.flops > 0
+    alone = replace(plan, runs=[(0, plan.part.nsuper, None)])
     with monkeypatch.context() as patch:
         _swap_in_golden(patch)
-        f_gold = supernodal_factor(a)
+        f_gold = supernodal_factor(a, plan=alone)
         x_gold = f_gold.solve(b)
-    assert f_gold.flops == 0            # the frozen loops really ran
+    # the frozen loops really ran, every call of them: a batched run
+    # would have counted its members' flops from the plan
+    assert f_gold.flops == 0
+    assert supernodal_factor(a, plan=alone).flops == f_ref.flops
+    assert np.array_equal(f_ref.values, f_gold.values)
     for k in range(len(f_ref.diag)):
         assert np.array_equal(f_ref.diag[k], f_gold.diag[k])
         assert np.array_equal(f_ref.below[k], f_gold.below[k])

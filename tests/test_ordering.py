@@ -82,6 +82,41 @@ def test_mmd_dense_matrix():
     assert sorted(p.tolist()) == list(range(6))
 
 
+# blake2b-8 of minimum_degree's permutation (int64 bytes) on the pattern
+# of AᵀA and of Aᵀ+A, recorded at the commit before ``weight`` / ``degree``
+# became plain lists: a faster loop must not move a single tie-break
+MMD_DIGESTS = {
+    "cfd06": ("2ede1c994019a23d", "13c41b5b8a1eb918"),
+    "circuit03": ("3a12230c7ef5ba00", "4f517b96e8eab778"),
+    "fem05": ("c84a57d67e66aac8", "7585218b48ffb3cd"),
+    "chem06": ("5890b50ac3ab9f98", "c8e1460123ed6d79"),
+    "resv02": ("e0d44279748d47e1", "edb7853269ffef71"),
+    "hb02": ("0c25095a1f77cbce", "fb19010e45f92465"),
+    "kkt01": ("39104b9c922af27a", "da8f10aa46113022"),
+    "kkt02": ("2a09ac94bbc55a40", "7aeac3e61bd1170b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MMD_DIGESTS))
+def test_mmd_permutation_is_the_recorded_one(name):
+    import hashlib
+
+    from repro.matrices import matrix_by_name
+    from repro.ordering.colamd import pattern_ata, pattern_union_transpose
+
+    a = matrix_by_name(name).build()
+    graphs = (pattern_ata(a, dense_col_tol=max(16, a.ncols // 2)),
+              pattern_union_transpose(a))
+    got = tuple(hashlib.blake2b(minimum_degree(g).astype(np.int64).tobytes(),
+                                digest_size=8).hexdigest() for g in graphs)
+    assert got == MMD_DIGESTS[name]
+    if name == "cfd06":                 # ... and single elimination
+        single = tuple(hashlib.blake2b(
+            minimum_degree(g, multiple=False).astype(np.int64).tobytes(),
+            digest_size=8).hexdigest() for g in graphs)
+        assert single == ("248438efc5532999", "f5f661c59732f180")
+
+
 def test_nested_dissection_reduces_fill():
     a = CSCMatrix.from_dense(laplace2d_dense(10))
     n = a.ncols

@@ -304,6 +304,42 @@ def test_spool_v3_plans_under_a_dead_key_are_skipped_not_counted_warm(
     assert tracer.root.all_counters()["spool.load_skipped"] == 1
 
 
+def test_spool_v4_plans_without_runs_are_skipped_not_half_loaded(tmp_path):
+    """A plan spooled before BlockPlan carried the run schedule unpickles
+    without ``runs`` and would fail inside the first request's numeric
+    pass.  Its schema tag sends it down the skip path, loudly; the
+    pattern starts cold and comes back with its runs."""
+    import copy
+
+    from repro.driver import GESPOptions, GESPSolver
+    from repro.obs import Tracer, use_tracer
+
+    a = sparse_matrix(seed=9)
+    plan = _plans_for([a]).snapshot()[0]
+    old = copy.copy(plan)
+    old.block_plan = copy.copy(plan.block_plan)
+    del old.block_plan.__dict__["runs"]
+    spool.spool_path(tmp_path, plan.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v4", "key": plan.key, "plan": old}))
+    assert not hasattr(pickle.loads(spool.spool_path(
+        tmp_path, plan.key).read_bytes())["plan"].block_plan, "runs")
+
+    fresh = FactorizationCache(maxsize=32)
+    tracer = Tracer()
+    with use_tracer(tracer), \
+            pytest.warns(spool.SpoolSkipWarning, match="spool/v4"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    tracer.finish()
+    assert len(fresh) == 0
+    assert tracer.root.all_counters()["spool.load_skipped"] == 1
+    warm = GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=fresh)
+    assert warm.solve(a @ np.ones(a.ncols)).converged
+    spool.save_plans(tmp_path, fresh.snapshot(), set())
+    reloaded = FactorizationCache()
+    assert spool.load_plans(tmp_path, reloaded) == 1
+    assert reloaded.snapshot()[0].block_plan.runs
+
+
 def test_spool_clean_load_emits_no_warning(tmp_path, recwarn):
     cache = _plans_for([sparse_matrix(seed=9)])
     spool.save_plans(tmp_path, cache.snapshot(), set())

@@ -2,7 +2,8 @@
 """Docs lint: keep the docs/ tree honest.
 
 Checks (run in the test suite via tests/test_docs_lint.py, or directly
-with ``PYTHONPATH=src python scripts/check_docs.py``):
+with ``python scripts/check_docs.py`` — the script puts its own ``src/``
+on ``sys.path``):
 
 1. every package under ``src/repro/`` — including nested subpackages —
    is mentioned in ``docs/ARCHITECTURE.md`` (as ``repro.<dotted name>``),
@@ -34,19 +35,27 @@ with ``PYTHONPATH=src python scripts/check_docs.py``):
    module under ``src/`` exists in the tree, so deleting or renaming a
    file cannot leave its name behind in prose.
 
-A green run ends with one line, ``src: <modules> modules / <lines>
+A green run ends with two lines.  ``knobs: <GESPOptions fields> /
+<ServiceConfig fields> / <CLI flags> / <REPRO_* variables>`` counts
+everything a user can set (the variables are the string literals under
+``src/`` that are exactly a ``REPRO_<NAME>``, so a name in prose or a
+docstring does not count).  Last, ``src: <modules> modules / <lines>
 lines`` — every ``*.py`` file under ``src/`` and every line in them, the
 way ROADMAP.md and the CHANGES.md entries count source size (``find src
--name '*.py' | xargs cat | wc -l``) — so that number comes from one tool.
+-name '*.py' | xargs cat | wc -l``).  ROADMAP's re-counted numbers come
+from these two lines, not from hand.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+if str(REPO / "src") not in sys.path:
+    sys.path.insert(0, str(REPO / "src"))
 SRC = REPO / "src" / "repro"
 DOCS = REPO / "docs"
 ARCHITECTURE = DOCS / "ARCHITECTURE.md"
@@ -226,6 +235,28 @@ def src_size():
     return len(files), sum(f.read_bytes().count(b"\n") for f in files)
 
 
+def env_variables():
+    """Every ``REPRO_<NAME>`` that is a whole string literal somewhere
+    under ``src/`` — how an environment variable has to be spelt to be
+    read."""
+    quoted = re.compile(r"""(["'])(REPRO_[A-Z0-9_]+)\1""")
+    return sorted({match.group(2)
+                   for path in (REPO / "src").rglob("*.py")
+                   for match in quoted.finditer(
+                       path.read_text(encoding="utf-8"))})
+
+
+def knob_counts():
+    """``(GESPOptions fields, ServiceConfig fields, CLI flags, REPRO_*
+    variables)``: every value a user can set."""
+    from repro.driver.options import GESPOptions
+    from repro.service.api import ServiceConfig
+
+    return (len(dataclasses.fields(GESPOptions)),
+            len(dataclasses.fields(ServiceConfig)),
+            len(cli_flags()), len(env_variables()))
+
+
 def main():
     status = 0
     if not ARCHITECTURE.is_file():
@@ -275,6 +306,7 @@ def main():
               f"({len(repro_packages())} packages, all counters "
               f"documented, {len(docs_files())} docs indexed, "
               f"{len(cli_flags())} CLI flags documented)")
+        print("knobs: {} / {} / {} / {}".format(*knob_counts()))
         print("src: {} modules / {} lines".format(*src_size()))
     return status
 

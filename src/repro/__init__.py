@@ -39,8 +39,8 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.matrices`  — testbed generators and suites
 - :mod:`repro.analysis`  — metrics and table rendering
 - :mod:`repro.obs`       — tracing spans, counters, JSON run records
-- :mod:`repro.service`   — concurrent solve service: batching,
-  same-pattern coalescing, worker pool, backpressure
+- :mod:`repro.service`   — concurrent solve service: bounded
+  admission queue, same-pattern coalescing, one service thread
 
 Tracing a solve (see docs/OBSERVABILITY.md)::
 

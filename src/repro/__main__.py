@@ -365,15 +365,13 @@ def cmd_serve(args):
     if args.catalog:
         matrices.update(catalog_matrices(args.catalog))
 
-    cfg = ServiceConfig(max_workers=args.workers,
-                        queue_capacity=args.queue_capacity,
+    cfg = ServiceConfig(queue_capacity=args.queue_capacity,
                         batch_window=args.batch_window,
                         max_batch=args.max_batch,
                         options=GESPOptions(
                             factor_dtype=args.factor_dtype))
-    print(f"service          : {cfg.workers} workers, queue "
-          f"{cfg.queue_capacity}, batch window {cfg.batch_window * 1e3:.1f}ms,"
-          f" max batch {cfg.max_batch}")
+    print(f"service          : queue {cfg.queue_capacity}, batch window "
+          f"{cfg.batch_window * 1e3:.1f}ms, max batch {cfg.max_batch}")
     if args.shards:
         print(f"sharded tier     : {args.shards} shard processes"
               + (f", spool {args.spool_dir}" if args.spool_dir else "")
@@ -602,15 +600,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=None, metavar="RPS",
                    help="open-loop arrival rate in requests/second "
                         "(default: submit everything as one burst)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: $REPRO_SERVICE_WORKERS, "
-                        "then 1)")
     p.add_argument("--queue-capacity", type=int, default=256,
                    help="admission-queue bound; a full queue sheds load")
     p.add_argument("--batch-window", type=float, default=0.002,
                    metavar="SECONDS",
-                   help="coalescing window after the first queued request "
-                        "(default: 0.002)")
+                   help="coalescing window a request is given from its "
+                        "admission (default: 0.002)")
     p.add_argument("--max-batch", type=int, default=32,
                    help="widest multi-RHS block per batch (default: 32)")
     p.add_argument("--deadline", type=float, default=None, metavar="SECONDS",

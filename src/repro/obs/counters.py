@@ -183,7 +183,7 @@ COUNTERS = (
     CounterSpec(
         "service.batched", "batch",
         "repro/service/server.py",
-        "Coalesced batches executed by the worker pool (each batch is "
+        "Coalesced batches the service thread executed (each batch is "
         "one factorization — cold or same-pattern — plus one multi-RHS "
         "solve)."),
     CounterSpec(

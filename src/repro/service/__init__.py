@@ -4,9 +4,9 @@ Static pivoting's economics (one symbolic analysis, many numeric
 factorizations — paper §1) only pay off when many solves actually share
 the work.  This package is the serving layer that makes that happen for
 *concurrent* callers: requests are admitted through a bounded queue
-(backpressure), coalesced by pattern into multi-RHS block solves,
-executed on a worker pool, and individually certified — with failed
-members retried through the :mod:`repro.recovery` ladder.
+(backpressure), coalesced by pattern into multi-RHS block solves run by
+one service thread, and individually certified — with failed members
+retried through the :mod:`repro.recovery` ladder.
 
 Module map:
 
@@ -15,7 +15,6 @@ Module map:
 - :mod:`~repro.service.queue` — bounded admission queue: deadline
   eviction, tenant priority ordering, token-bucket quota
 - :mod:`~repro.service.batcher` — same-pattern coalescing into batches
-- :mod:`~repro.service.pool` — the worker thread pool
 - :mod:`~repro.service.server` — :class:`SolveService`, tying it all
   together
 - :mod:`~repro.service.client` — blocking client
@@ -39,7 +38,6 @@ from repro.service.api import (
     SolveRequest,
     SolveResponse,
     UnknownMatrixError,
-    default_workers,
 )
 from repro.service.client import ServiceClient
 from repro.service.server import SolveService
@@ -60,5 +58,4 @@ __all__ = [
     "SolveResponse",
     "SolveService",
     "UnknownMatrixError",
-    "default_workers",
 ]

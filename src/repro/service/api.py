@@ -17,7 +17,6 @@ unboundedly and nothing fails silently.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 
@@ -41,29 +40,11 @@ __all__ = [
     "SolveRequest",
     "SolveResponse",
     "UnknownMatrixError",
-    "default_workers",
 ]
 
 DEFAULT_QUEUE_CAPACITY = 256
 DEFAULT_BATCH_WINDOW = 0.002       # seconds a burst is given to coalesce
 DEFAULT_MAX_BATCH = 32             # nrhs cap of one coalesced block solve
-
-
-def default_workers() -> int:
-    """Worker-pool width: ``$REPRO_SERVICE_WORKERS``, else one.
-
-    One numeric worker: a batch is hundreds of short numpy calls, so
-    two workers in one process trade the GIL instead of overlapping
-    (measured on ``svc_newton``: slower with more); in-process
-    concurrency is the shard tier's job (docs/SERVICE.md)."""
-    env = os.environ.get("REPRO_SERVICE_WORKERS", "").strip()
-    if env:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError(
-                f"REPRO_SERVICE_WORKERS must be >= 1, got {workers}")
-        return workers
-    return 1
 
 
 class ServiceError(RuntimeError):
@@ -197,16 +178,13 @@ class ServiceConfig:
 
     Attributes
     ----------
-    max_workers:
-        Worker threads executing batches; ``None`` defers to
-        ``$REPRO_SERVICE_WORKERS`` and finally one (see
-        :func:`default_workers`).
     queue_capacity:
-        Bound on queued (admitted, not yet dispatched) requests; a full
+        Bound on queued (admitted, not yet batched) requests; a full
         queue sheds load with :class:`ServiceOverloaded`.
     batch_window:
-        Seconds the dispatcher waits after the first queued request for
-        burst-mates to arrive before coalescing (0 disables the wait).
+        Seconds a request is given, from its admission, for burst-mates
+        to arrive before it is coalesced (0 disables the wait; time
+        spent queued behind a running batch counts).
     max_batch:
         Widest multi-RHS block one batch may solve; wider same-pattern
         groups split into several batches.
@@ -222,7 +200,6 @@ class ServiceConfig:
         ladder's default (``sqrt(eps)``).
     """
 
-    max_workers: int | None = None
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     batch_window: float = DEFAULT_BATCH_WINDOW
     max_batch: int = DEFAULT_MAX_BATCH
@@ -231,8 +208,6 @@ class ServiceConfig:
     recover_target: float | None = None
 
     def validate(self) -> "ServiceConfig":
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.batch_window < 0:
@@ -241,12 +216,6 @@ class ServiceConfig:
             raise ValueError("max_batch must be >= 1")
         self.options.validate()
         return self
-
-    @property
-    def workers(self) -> int:
-        """The resolved worker count (``max_workers`` or the default)."""
-        return self.max_workers if self.max_workers is not None \
-            else default_workers()
 
 
 @dataclass
@@ -421,8 +390,9 @@ class PendingSolve:
         fn(self._response)
 
     def _complete(self, response: SolveResponse):
-        # locked, not a bare is_set() check: two completion paths can
-        # race (worker completion vs. the pool's crash hook) and a
+        # locked, not a bare is_set() check: add_done_callback runs on
+        # another thread than the completion, and a member the serve
+        # loop's crash guard completes may already have its answer — a
         # waiter must never observe the response change under it
         with self._lock:
             if self._done.is_set():      # first completion wins

@@ -33,7 +33,12 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.service.api import PendingSolve, ServiceOverloaded, SolveRequest
+from repro.service.api import (
+    PendingSolve,
+    ServiceClosed,
+    ServiceOverloaded,
+    SolveRequest,
+)
 
 __all__ = ["AdmissionQueue", "OfferOutcome", "QueuedRequest", "TokenBucket"]
 
@@ -126,10 +131,9 @@ class _State:
 class AdmissionQueue:
     """Priority queue of :class:`QueuedRequest` bounded at ``capacity``.
 
-    Thread-safe.  Producers call :meth:`offer`; the single dispatcher
-    thread blocks in :meth:`drain`.  ``close()`` wakes the dispatcher
-    and makes further offers raise (the server converts that into
-    :class:`~repro.service.api.ServiceClosed` before calling).
+    Thread-safe.  Producers call :meth:`offer`; the one service thread
+    blocks in :meth:`drain`.  ``close()`` wakes it and makes further
+    offers raise :class:`~repro.service.api.ServiceClosed`.
     """
 
     def __init__(self, capacity: int):
@@ -151,7 +155,8 @@ class AdmissionQueue:
             return self._state.closed
 
     def offer(self, entry: QueuedRequest, now: float) -> OfferOutcome:
-        """Admit ``entry`` or raise :class:`ServiceOverloaded`.
+        """Admit ``entry`` or raise :class:`ServiceOverloaded`
+        (:class:`~repro.service.api.ServiceClosed` after :meth:`close`).
 
         Returns an :class:`OfferOutcome` with the already-expired
         entries evicted to make room and the lower-priority entry
@@ -161,7 +166,7 @@ class AdmissionQueue:
         """
         with self._nonempty:
             if self._state.closed:
-                raise RuntimeError("queue is closed")
+                raise ServiceClosed()
             expired: list = []
             displaced: list = []
             heap = self._state.heap
@@ -211,7 +216,7 @@ class AdmissionQueue:
         return [heapq.heappop(heap)[2] for _ in range(n)]
 
     def close(self):
-        """Stop admission and wake the dispatcher (idempotent).  Entries
+        """Stop admission and wake the service thread (idempotent).  Entries
         still queued remain drainable so the server can reject or finish
         them explicitly."""
         with self._nonempty:

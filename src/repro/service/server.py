@@ -1,4 +1,4 @@
-"""The concurrent solve service: admission → coalescing → worker pool.
+"""The concurrent solve service: admission → coalescing → block solve.
 
 Request lifecycle (docs/SERVICE.md has the full walkthrough)::
 
@@ -6,13 +6,14 @@ Request lifecycle (docs/SERVICE.md has the full walkthrough)::
          │                      when full, expired entries evicted with
          │                      DeadlineExceeded to make room)
          ▼
-    dispatcher thread ── waits batch_window for burst-mates, then
-         │               coalesces by (plan key, values signature,
-         │               numeric options); holds at most
-         │               workers·max_batch entries so backpressure
-         │               stays armed under overload
+    service thread ── takes at most max_batch entries, best priority
+         │            first; sleeps what is left of batch_window for the
+         │            oldest of them, then coalesces by (plan key, values
+         │            signature, numeric options).  Everything else waits
+         │            in the queue — bounded, priority-ordered,
+         │            displaceable — while the batches below run
          ▼
-    WorkerPool ── per batch, under that pattern's lock:
+    per batch, on that same thread:
          │          cold pattern → DOFACT: the whole pipeline; its transforms,
          │                         structures and value map become the
          │                         pattern's *anchor*; plan published
@@ -33,19 +34,17 @@ So a warm answer is a function of ``(A, b, anchor)``: certified or flagged
 like every answer, but from factors scaled and permuted for the values
 the pattern was last matched on (docs/REFACTORIZATION.md).
 
-Threading model: the caller's thread runs admission (including the
-pattern fingerprint), the single dispatcher thread runs policy, worker
-threads run numerics.  Each pattern has its own lock, so same-pattern
-batches serialize on their shared solver.  The default is *one* numeric
-worker (:func:`repro.service.api.default_workers`): the block engine and
-the solve sweeps are hundreds of short numpy calls, so two workers trade
-the GIL instead of overlapping — parallel numerics are the shard tier's
-job — and the cost is that a cold analysis on one pattern delays warm
-requests on another.  The ambient tracer is per-thread
-(:mod:`repro.obs.tracer`): each traced batch collects into a private
-tracer whose finished span tree is merged under the service span, and
-``service.*`` counters are written under one lock — a concurrent run
-yields one coherent trace.
+Threading model: caller threads admit (including the pattern
+fingerprint); one service thread batches and solves.  The block engine
+and the solve sweeps are hundreds of short numpy calls, so two threads
+of numerics trade the GIL instead of overlapping (measured:
+docs/SERVICE.md) — parallel numerics are the shard tier's job — and the
+cost is that a cold analysis on one pattern delays warm requests on
+another.  The ambient tracer is per-thread (:mod:`repro.obs.tracer`):
+each traced batch collects into a private tracer whose finished span
+tree is merged under the service span, and ``service.*`` counters are
+written under one lock, since callers count admissions while the
+service thread counts answers.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from repro.service.batcher import (
     factor_options_key,
     group_key,
 )
-from repro.service.pool import WorkerPool
 from repro.service.queue import AdmissionQueue, QueuedRequest, TokenBucket
 from repro.sparse.csc import CSCMatrix
 
@@ -180,10 +178,9 @@ class _PatternState:
     pattern's anchor — the values its factors are of, and the values the
     anchor was matched on."""
 
-    __slots__ = ("lock", "solver", "values_sig", "anchor_sig")
+    __slots__ = ("solver", "values_sig", "anchor_sig")
 
     def __init__(self):
-        self.lock = threading.Lock()
         self.solver: GESPSolver | None = None
         self.values_sig: str | None = None
         self.anchor_sig: str | None = None
@@ -206,8 +203,8 @@ class SolveService:
         every batch's span tree) to; defaults to the ambient tracer of
         the constructing thread when one is installed.
     auto_start:
-        Start the dispatcher and worker pool immediately (pass False to
-        stage requests first — tests use this to make queue behavior
+        Start the service thread immediately (pass False to stage
+        requests first — tests use this to make queue behavior
         deterministic — then call :meth:`start`).
 
     Usage::
@@ -238,8 +235,7 @@ class SolveService:
             (*FACT_COUNTERS.values(), "service.reanchored",
              "service.recovered"), 0)
         self._queue = AdmissionQueue(self.config.queue_capacity)
-        self._pool: WorkerPool | None = None
-        self._dispatcher: threading.Thread | None = None
+        self._thread: threading.Thread | None = None
         self._patterns: dict[tuple, _PatternState] = {}
         self._matrices: dict[str, CSCMatrix] = {}
         self._tenants = TenantAdmission(self._count)
@@ -255,7 +251,7 @@ class SolveService:
     # ------------------------------------------------------------------ #
 
     def start(self):
-        """Start the worker pool and dispatcher (idempotent)."""
+        """Start the service thread (idempotent)."""
         with self._state_lock:
             if self._started:
                 return self
@@ -264,35 +260,30 @@ class SolveService:
             self._started = True
         if self._tracer is not None and self._span is None:
             span = Span("service", t_start=self._tracer.clock())
-            span.attrs.update(workers=self.config.workers,
-                              queue_capacity=self.config.queue_capacity,
+            span.attrs.update(queue_capacity=self.config.queue_capacity,
                               batch_window=self.config.batch_window,
                               max_batch=self.config.max_batch)
             with self._obs_lock:
                 self._span = span
                 span.counters.update(self._counters)
             self._tracer.current.children.append(span)
-        self._pool = WorkerPool(self.config.workers,
-                                on_error=self._batch_crashed)
-        self._dispatcher = threading.Thread(target=self._dispatch_loop,
-                                            name="repro-service-dispatch",
-                                            daemon=True)
-        self._dispatcher.start()
+        self._thread = threading.Thread(target=self._serve_loop,
+                                        name="repro-service", daemon=True)
+        self._thread.start()
         return self
 
     def close(self):
         """Graceful shutdown: stop admission, finish everything queued,
-        join the workers (idempotent).  Requests still queued when the
-        service was never started are rejected with ``ServiceClosed``."""
+        join the service thread (idempotent).  Requests still queued
+        when the service was never started are rejected with
+        ``ServiceClosed``."""
         with self._state_lock:
             if self._closing:
                 return
             self._closing = True
         self._queue.close()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
+        if self._thread is not None:
+            self._thread.join()
         for entry in self._queue.drain_nowait():
             self._complete(entry, SolveResponse(
                 request_id=entry.request.request_id,
@@ -373,8 +364,6 @@ class SolveService:
         except ServiceOverloaded:
             self._count("service.rejected_overload", 1)
             raise
-        except RuntimeError:
-            raise ServiceClosed() from None
         for stale in outcome.expired:
             self._reject_expired(stale, now)
         for bumped in outcome.displaced:
@@ -383,44 +372,42 @@ class SolveService:
         return entry.pending
 
     # ------------------------------------------------------------------ #
-    # dispatch (the single dispatcher thread)
+    # batching and solving (the one service thread)
     # ------------------------------------------------------------------ #
 
-    def _dispatch_loop(self):
+    def _serve_loop(self):
         cfg = self.config
-        # the dispatcher never holds more than one round of work per
-        # worker: anything beyond stays in the *bounded* queue, where a
-        # full queue sheds new submissions with ServiceOverloaded —
-        # absorbing without a cap would turn sustained overload into
-        # unbounded dispatcher-local memory and disarm backpressure
-        hold_cap = cfg.workers * cfg.max_batch
         while True:
-            entries = self._queue.drain(timeout=0.05, max_items=hold_cap)
+            # one round is at most one block solve's worth of entries:
+            # the rest stays in the bounded queue, where a later
+            # higher-priority arrival can still overtake or displace it
+            # and a full queue sheds new submissions
+            entries = self._queue.drain(max_items=cfg.max_batch)
             if not entries:
                 if self._queue.closed:
                     return
                 continue
-            if cfg.batch_window > 0 and len(entries) < hold_cap:
+            if cfg.batch_window > 0 and len(entries) < cfg.max_batch:
                 # give the rest of a burst time to arrive: this wait is
-                # what turns N concurrent submits into one block solve
-                time.sleep(cfg.batch_window)
-                entries += self._queue.drain_nowait(hold_cap - len(entries))
-            # adaptive batching under load: while every worker is busy,
-            # nothing dispatched now could start anyway — keep absorbing
-            # arrivals (up to hold_cap) so a backlog coalesces into wide
-            # block solves instead of a convoy of singletons
-            while (self._pool.pending >= cfg.workers
-                   and not self._queue.closed):
-                time.sleep(cfg.batch_window or 0.0005)
-                if len(entries) < hold_cap:
+                # what turns N concurrent submits into one block solve.
+                # Entries that queued behind the previous round have had
+                # their window already, so a backlog is served at once
+                waited = _clock() - min(e.t_enqueued for e in entries)
+                if waited < cfg.batch_window:
+                    time.sleep(cfg.batch_window - waited)
                     entries += self._queue.drain_nowait(
-                        hold_cap - len(entries))
+                        cfg.max_batch - len(entries))
             for batch in coalesce(self._unexpired(entries), cfg.max_batch):
-                self._pool.submit(self._run_batch, batch)
-
-    # ------------------------------------------------------------------ #
-    # batch execution (worker threads)
-    # ------------------------------------------------------------------ #
+                try:
+                    self._run_batch(batch)
+                except BaseException as exc:  # noqa: BLE001 — last resort
+                    # a bug escaped _run_batch: its members' futures must
+                    # still complete, and this thread must outlive it
+                    for e in batch.entries:
+                        self._complete(e, SolveResponse(
+                            request_id=e.request.request_id,
+                            error=ServiceError(
+                                f"internal service error: {exc!r}")))
 
     def _unexpired(self, entries: list[QueuedRequest]):
         """``entries`` minus those past their deadline, which are
@@ -442,21 +429,19 @@ class SolveService:
         with (use_tracer(bt) if bt is not None else nullcontext()):
             t0 = _clock()
             state = self._pattern_state(batch.plan_key)
-            with state.lock:
-                try:
-                    fact = self._ensure_factored(state, batch)
-                except Exception as exc:  # noqa: BLE001 — classified below
-                    # a factorization that raises leaves the previous one
-                    # fully in place (PatternSolver): keep the solver and
-                    # its anchor, forget only which values it holds
-                    state.values_sig = None
-                    fact = "FAILED"
-                    responses = [self._recover_or_error(e, exc)
-                                 for e in live]
-                else:
-                    responses = self._solve_batch(state, batch, live, fact)
-                    self._count("service.batched", 1)
-                    self._count("service.coalesce_width", len(live))
+            try:
+                fact = self._ensure_factored(state, batch)
+            except Exception as exc:  # noqa: BLE001 — classified below
+                # a factorization that raises leaves the previous one
+                # fully in place (PatternSolver): keep the solver and
+                # its anchor, forget only which values it holds
+                state.values_sig = None
+                fact = "FAILED"
+                responses = [self._recover_or_error(e, exc) for e in live]
+            else:
+                responses = self._solve_batch(state, batch, live, fact)
+                self._count("service.batched", 1)
+                self._count("service.coalesce_width", len(live))
             solve_seconds = _clock() - t0
             for e, resp in zip(live, responses):
                 resp.batch_width = len(live)
@@ -578,17 +563,6 @@ class SolveService:
             self._count("service.recovered", 1)
         return SolveResponse(request_id=e.request.request_id, fact=fact,
                              report=report, recovered=report.converged)
-
-    def _batch_crashed(self, job, exc):
-        """Worker-pool last resort: a bug escaped _run_batch — futures
-        must still complete (with an internal-error ServiceError)."""
-        fn, args = job
-        batch = args[0] if args else None
-        if isinstance(batch, Batch):
-            for e in batch.entries:
-                self._complete(e, SolveResponse(
-                    request_id=e.request.request_id,
-                    error=ServiceError(f"internal service error: {exc!r}")))
 
     # ------------------------------------------------------------------ #
     # plumbing

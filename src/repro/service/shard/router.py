@@ -86,7 +86,7 @@ class _Shard:
 
     __slots__ = ("id", "lock", "process", "request_q", "ready", "drained",
                  "stats", "draining", "dead", "spool_loaded", "routed",
-                 "pid")
+                 "completed", "pid")
 
     def __init__(self, shard_id: int):
         self.id = shard_id
@@ -100,6 +100,7 @@ class _Shard:
         self.dead = False
         self.spool_loaded = 0
         self.routed = 0
+        self.completed = 0             # answers pumped back to callers
         self.pid = None
 
 
@@ -505,6 +506,7 @@ class ShardedSolveService:
             response.report.x = np.array(entry.slab.view_x(entry.seg))
         self._release_segment(entry)
         self._count("service.shard.completed")
+        self._shards[entry.shard_id].completed += 1    # pump thread only
         entry.pending._complete(response)
 
     def _release_segment(self, entry: _Inflight):
@@ -627,13 +629,12 @@ class ShardedSolveService:
             child = Span(f"shard[{shard.id}]", t_start=self._span.t_start)
             child.t_end = clock
             child.attrs.update(routed=shard.routed,
+                               completed=shard.completed,
                                spool_loaded=shard.spool_loaded)
             if shard.stats is not None:
                 child.attrs.update(
                     cache_hits=shard.stats.cache_hits,
                     cache_misses=shard.stats.cache_misses,
-                    spool_saved=shard.stats.spool_saved,
-                    completed=shard.stats.counters.get(
-                        "service.completed", 0))
+                    spool_saved=shard.stats.spool_saved)
             self._span.children.append(child)
         self._span.t_end = clock

@@ -104,7 +104,7 @@ def test_iterative_compare(capsys):
 
 
 def test_serve_burst(capsys):
-    assert main(["serve", "cfd01", "--requests", "12", "--workers", "2",
+    assert main(["serve", "cfd01", "--requests", "12",
                  "--batch-window", "0.005"]) == 0
     out = capsys.readouterr().out
     assert "12 certified" in out
@@ -114,7 +114,7 @@ def test_serve_burst(capsys):
 
 def test_serve_open_loop_with_mtx_file(mtx_file, capsys):
     assert main(["serve", mtx_file, "--requests", "6", "--rate", "500",
-                 "--workers", "2", "--seed", "3"]) == 0
+                 "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "6 certified" in out
     assert "open loop" in out
@@ -142,8 +142,7 @@ def test_serve_seed_keeps_its_stream():
 
 
 def test_serve_trace_carries_service_span(capsys):
-    assert main(["--trace", "serve", "cfd01", "--requests", "8",
-                 "--workers", "2"]) == 0
+    assert main(["--trace", "serve", "cfd01", "--requests", "8"]) == 0
     out = capsys.readouterr().out
     assert "service.requests" in out
     assert "service.coalesce_width" in out

@@ -1,6 +1,7 @@
 """Docs stay in sync with the code: run scripts/check_docs.py as a test."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,9 +33,13 @@ def test_check_docs_cli_exit_status():
 
 
 def test_green_run_ends_with_the_source_size_line(capsys):
-    """The number every CHANGES.md entry quotes, from one tool."""
+    """The numbers ROADMAP.md and every CHANGES.md entry quote, from one
+    tool: what a user can set, then the source size."""
     assert check_docs.main() == 0
-    last = capsys.readouterr().out.splitlines()[-1]
+    knobs, last = capsys.readouterr().out.splitlines()[-2:]
+    assert re.fullmatch(r"knobs: \d+ / \d+ / \d+ / 1", knobs)
+    # a name in prose or a docstring is not a variable the code reads
+    assert check_docs.env_variables() == ["REPRO_DMEM_EXECUTOR"]
     files = [p for p in (REPO / "src").rglob("*.py")]
     lines = b"".join(p.read_bytes() for p in files).count(b"\n")
     assert last == f"src: {len(files)} modules / {lines} lines"

@@ -22,6 +22,7 @@ from repro.service import (
     ServiceClient,
     ServiceClosed,
     ServiceConfig,
+    ServiceError,
     ServiceOverloaded,
     SolveRequest,
     SolveService,
@@ -55,9 +56,8 @@ def healthy_dense(n=40, seed=1):
 
 
 def _service(**kw):
-    kw.setdefault("max_workers", 2)
     kw.setdefault("batch_window", 0.005)
-    cfg_keys = ("max_workers", "queue_capacity", "batch_window", "max_batch",
+    cfg_keys = ("queue_capacity", "batch_window", "max_batch",
                 "options", "recover", "recover_target")
     cfg = ServiceConfig(**{k: kw.pop(k) for k in cfg_keys if k in kw})
     return SolveService(cfg, **kw)
@@ -429,40 +429,162 @@ def test_full_queue_rejects_with_service_overloaded(rng):
     svc.close()
 
 
-def test_overload_sheds_even_while_workers_are_busy(monkeypatch, rng):
-    """The dispatcher's absorb loop must not drain the bounded queue
-    into unbounded local state while the pool is saturated: with every
-    worker blocked, the queue fills and submit() sheds load."""
-    a = CSCMatrix.from_dense(healthy_dense(10))
-    gate = threading.Event()
+def _gate_run_batch(monkeypatch):
+    """Hold the service thread at the start of every ``_run_batch`` until
+    ``gate`` opens; ``running`` is set once a batch is being held and
+    ``served`` lists request ids in the order batches were started."""
+    gate, running, served = threading.Event(), threading.Event(), []
     original = SolveService._run_batch
 
     def gated_run_batch(self, batch):
+        served.extend(e.request.request_id for e in batch.entries)
+        running.set()
         gate.wait(60.0)
         original(self, batch)
 
     monkeypatch.setattr(SolveService, "_run_batch", gated_run_batch)
-    svc = _service(max_workers=1, max_batch=1, queue_capacity=2,
-                   batch_window=0.0, cache=False)
+    return gate, running, served
+
+
+def _submit(svc, a, request_id, priority=None):
+    return svc.submit(SolveRequest(matrix=a, b=np.ones(a.ncols),
+                                   request_id=request_id,
+                                   priority=priority))
+
+
+def test_overload_sheds_while_a_batch_is_running(monkeypatch, rng):
+    """Admitted-but-unanswered work is bounded by the running batch plus
+    ``queue_capacity``: the service thread takes nothing out of the
+    bounded queue while it solves, so the queue fills and submit()
+    sheds load."""
+    a = CSCMatrix.from_dense(healthy_dense(10))
+    gate, running, _ = _gate_run_batch(monkeypatch)
+    svc = _service(max_batch=1, queue_capacity=2, batch_window=0.0,
+                   cache=False)
     try:
-        pending = []
-        # one batch blocks the only worker; the dispatcher may hold at
-        # most workers*max_batch = 1 more entry
-        for _ in range(2):
-            pending.append(svc.submit(SolveRequest(matrix=a,
-                                                   b=np.ones(10))))
-            time.sleep(0.3)              # let the dispatcher pick it up
+        pending = [_submit(svc, a, "running")]
+        assert running.wait(30.0)        # the one batch is on the thread
         # the next two fill the bounded queue ...
-        for _ in range(2):
-            pending.append(svc.submit(SolveRequest(matrix=a,
-                                                   b=np.ones(10))))
+        pending += [_submit(svc, a, f"queued-{i}") for i in range(2)]
+        assert svc.stats()["queue_depth"] == 2
         # ... so sustained overload is shed at admission, not absorbed
         with pytest.raises(ServiceOverloaded):
-            svc.submit(SolveRequest(matrix=a, b=np.ones(10)))
+            _submit(svc, a, "shed")
         assert svc.stats()["service.rejected_overload"] == 1
         gate.set()
         responses = [p.result(60.0) for p in pending]
         assert all(r.ok for r in responses)
+    finally:
+        gate.set()
+        svc.close()
+
+
+def test_priority_arrival_overtakes_backlog_behind_a_running_batch(
+        monkeypatch, rng):
+    """Backlog waits in the priority queue and nowhere else, so an
+    arrival that outranks it is served next."""
+    a = CSCMatrix.from_dense(healthy_dense(10))
+    gate, running, served = _gate_run_batch(monkeypatch)
+    svc = _service(max_batch=1, batch_window=0.0, cache=False)
+    try:
+        pending = [_submit(svc, a, "A", priority=0)]
+        assert running.wait(30.0)
+        pending.append(_submit(svc, a, "B", priority=0))
+        time.sleep(0.2)      # time for anything that prefetches B to do so
+        pending.append(_submit(svc, a, "C", priority=5))
+        gate.set()
+        assert all(p.result(60.0).ok for p in pending)
+    finally:
+        gate.set()
+        svc.close()
+    assert served == ["A", "C", "B"]
+
+
+def test_priority_arrival_displaces_backlog_behind_a_running_batch(
+        monkeypatch, rng):
+    """... and against a full queue it displaces the newest of the
+    lowest-priority backlog, which is told the queue was full."""
+    a = CSCMatrix.from_dense(healthy_dense(10))
+    gate, running, served = _gate_run_batch(monkeypatch)
+    svc = _service(max_batch=1, queue_capacity=2, batch_window=0.0,
+                   cache=False)
+    try:
+        first = _submit(svc, a, "A", priority=0)
+        assert running.wait(30.0)
+        kept = _submit(svc, a, "B", priority=0)
+        time.sleep(0.2)      # time for anything that prefetches B to do so
+        bumped = _submit(svc, a, "C", priority=0)     # the queue is full
+        vip = _submit(svc, a, "D", priority=5)
+        assert isinstance(bumped.result(5.0).error, ServiceOverloaded)
+        assert svc.stats()["service.tenant_displaced"] == 1
+        gate.set()
+        assert all(p.result(60.0).ok for p in (first, kept, vip))
+    finally:
+        gate.set()
+        svc.close()
+    assert served == ["A", "D", "B"]
+
+
+def test_escaped_batch_bug_fails_its_members_and_the_service_keeps_serving(
+        monkeypatch, rng):
+    """A bug escaping ``_run_batch`` must strand no future and must not
+    take the one service thread with it."""
+    a = CSCMatrix.from_dense(healthy_dense(10))
+    original = SolveService._run_batch
+    bugs = [ZeroDivisionError("batch bug")]
+
+    def buggy_once(self, batch):
+        if bugs:
+            raise bugs.pop()
+        original(self, batch)
+
+    monkeypatch.setattr(SolveService, "_run_batch", buggy_once)
+    svc = _service(auto_start=False, cache=False)
+    members = [_submit(svc, a, f"m{i}") for i in range(3)]
+    svc.start()
+    try:
+        for p in members:
+            resp = p.result(30.0)
+            assert type(resp.error) is ServiceError
+            assert "internal service error" in str(resp.error)
+            assert "batch bug" in str(resp.error)
+        assert _submit(svc, a, "next").result(30.0).ok
+    finally:
+        svc.close()
+
+
+def test_batch_window_is_measured_from_the_oldest_entry(monkeypatch, rng):
+    """A fresh lone entry waits out the window and coalesces with a
+    burst-mate arriving inside it; an entry that already waited the
+    window behind a running batch is served without a further sleep."""
+    from types import SimpleNamespace
+
+    from repro.service import server
+
+    window = 0.5
+    sleeps = []                          # every sleep of the service thread
+
+    def recording_sleep(seconds):
+        sleeps.append(seconds)
+        time.sleep(seconds)
+
+    monkeypatch.setattr(server, "time", SimpleNamespace(sleep=recording_sleep))
+    a = CSCMatrix.from_dense(healthy_dense(10))
+    gate, running, served = _gate_run_batch(monkeypatch)
+    svc = _service(batch_window=window, cache=False)
+    try:
+        burst = [_submit(svc, a, "first")]
+        time.sleep(0.05)                 # well inside the window
+        burst.append(_submit(svc, a, "mate"))
+        assert running.wait(30.0)
+        assert served == ["first", "mate"]
+        assert len(sleeps) == 1 and 0 < sleeps[0] <= window
+        late = _submit(svc, a, "late")
+        time.sleep(window + 0.05)        # its window passes in the queue
+        gate.set()
+        assert late.result(30.0).batch_width == 1
+        assert [p.result(30.0).batch_width for p in burst] == [2, 2]
+        assert len(sleeps) == 1          # no second sleep for "late"
     finally:
         gate.set()
         svc.close()
@@ -621,6 +743,20 @@ def test_closed_service_rejects_submissions_and_completes_queued(rng):
     svc.close()                          # idempotent
 
 
+def test_started_service_owns_exactly_one_thread(rng):
+    a = CSCMatrix.from_dense(healthy_dense(10))
+    before = set(threading.enumerate())
+    svc = _service(auto_start=False, cache=False)
+    assert set(threading.enumerate()) == before
+    svc.start()
+    owned = set(threading.enumerate()) - before
+    assert len(owned) == 1
+    assert svc.submit(SolveRequest(matrix=a, b=np.ones(10))).result(30.0).ok
+    assert set(threading.enumerate()) - before == owned
+    svc.close()
+    assert set(threading.enumerate()) == before
+
+
 def test_concurrent_submitters_all_get_their_own_answer(rng):
     """Many threads hammering submit concurrently: every caller gets a
     certified response to *its* right-hand side."""
@@ -632,7 +768,7 @@ def test_concurrent_submitters_all_get_their_own_answer(rng):
     results = {}
     lock = threading.Lock()
 
-    with _service(max_workers=4, cache=False) as svc:
+    with _service(cache=False) as svc:
         svc.register_matrix("m", a)
         client = ServiceClient(svc)
 

@@ -1,7 +1,7 @@
 """Unit tests of the service building blocks (repro.service.*).
 
 The server's end-to-end behavior is tested in test_service.py; here the
-queue, batcher, pool, and config/api surfaces are pinned in isolation so
+queue, batcher, and config/api surfaces are pinned in isolation so
 a concurrency failure in the integration tests points at the right
 layer.
 """
@@ -14,10 +14,10 @@ import pytest
 
 from repro.service.api import (
     PendingSolve,
+    ServiceClosed,
     ServiceConfig,
     ServiceOverloaded,
     SolveRequest,
-    default_workers,
 )
 from repro.service.batcher import (
     Batch,
@@ -27,7 +27,6 @@ from repro.service.batcher import (
     solve_options_key,
     values_signature,
 )
-from repro.service.pool import WorkerPool
 from repro.service.queue import AdmissionQueue, QueuedRequest, TokenBucket
 from repro.driver.options import GESPOptions
 from repro.sparse import CSCMatrix
@@ -107,7 +106,7 @@ def test_queue_close_wakes_drain_and_blocks_offer():
     t.join(timeout=5.0)
     assert results == [[]]
     assert q.closed
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ServiceClosed):      # the structured type itself
         q.offer(_entry(), now=0.0)
     q.close()                               # idempotent
 
@@ -238,79 +237,8 @@ def test_coalesce_rejects_bad_max_batch():
 
 
 # --------------------------------------------------------------------- #
-# WorkerPool
-# --------------------------------------------------------------------- #
-
-def test_pool_runs_jobs_and_waits_idle():
-    pool = WorkerPool(max_workers=3)
-    done = []
-    lock = threading.Lock()
-
-    def job(i):
-        with lock:
-            done.append(i)
-
-    for i in range(20):
-        pool.submit(job, i)
-    assert pool.wait_idle(timeout=10.0)
-    assert sorted(done) == list(range(20))
-    pool.shutdown()
-    assert pool.failures == []
-
-
-def test_pool_error_hook_receives_job_and_exception():
-    seen = []
-    pool = WorkerPool(max_workers=1, on_error=lambda job, exc:
-                      seen.append((job[1], type(exc))))
-
-    def boom(tag):
-        raise ValueError(tag)
-
-    pool.submit(boom, "x")
-    assert pool.wait_idle(timeout=10.0)
-    pool.shutdown()
-    assert seen == [(("x",), ValueError)]
-    assert pool.failures == []          # the hook handled it
-
-
-def test_pool_crashing_hook_lands_in_failures():
-    def bad_hook(job, exc):
-        raise RuntimeError("hook bug")
-
-    pool = WorkerPool(max_workers=1, on_error=bad_hook)
-    pool.submit(lambda: (_ for _ in ()).throw(ValueError("job bug")))
-    assert pool.wait_idle(timeout=10.0)
-    pool.shutdown()
-    assert len(pool.failures) == 1
-
-
-def test_pool_shutdown_rejects_new_work_but_finishes_queued():
-    pool = WorkerPool(max_workers=1)
-    gate = threading.Event()
-    ran = []
-    pool.submit(gate.wait, 10.0)
-    pool.submit(ran.append, 1)
-    gate.set()
-    pool.shutdown(wait=True)
-    assert ran == [1]
-    with pytest.raises(RuntimeError):
-        pool.submit(ran.append, 2)
-
-
-# --------------------------------------------------------------------- #
 # config / api
 # --------------------------------------------------------------------- #
-
-def test_default_workers_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVICE_WORKERS", "7")
-    assert default_workers() == 7
-    assert ServiceConfig().workers == 7
-    monkeypatch.setenv("REPRO_SERVICE_WORKERS", "0")
-    with pytest.raises(ValueError):
-        default_workers()
-    monkeypatch.delenv("REPRO_SERVICE_WORKERS")
-    assert default_workers() == 1      # one numeric worker (docs/SERVICE.md)
-
 
 def test_service_config_validation():
     with pytest.raises(ValueError):
@@ -319,8 +247,6 @@ def test_service_config_validation():
         ServiceConfig(batch_window=-1.0).validate()
     with pytest.raises(ValueError):
         ServiceConfig(max_batch=0).validate()
-    with pytest.raises(ValueError):
-        ServiceConfig(max_workers=0).validate()
 
 
 def test_solve_request_validation(rng):

@@ -60,7 +60,6 @@ def sparse_matrix(n=25, seed=0, density=0.3):
 
 
 def _cfg(**kw):
-    kw.setdefault("max_workers", 1)
     kw.setdefault("batch_window", 0.0)
     kw.setdefault("max_batch", 1)
     return ServiceConfig(**kw)
@@ -519,6 +518,24 @@ def test_overload_is_isolated_to_one_shard():
         # once the pause ends the held requests complete normally
         assert all(p.result(120.0).ok for p in held)
     assert tier.stats()["service.shard.rejected_overload"] == 1
+
+
+@needs_spawn
+def test_shard_spans_count_their_own_completions():
+    from repro.obs import Tracer
+
+    a0, a1 = _matrix_routed_to(0), _matrix_routed_to(1)
+    tracer = Tracer()
+    with ShardedSolveService(shards=2, config=_cfg(),
+                             tracer=tracer) as tier:
+        pend = [tier.submit(SolveRequest(matrix=a, b=np.ones(25)))
+                for a in (a0, a0, a1)]
+        assert all(p.result(120.0).ok for p in pend)
+    tracer.finish()
+    spans = [tracer.root.find(f"shard[{i}]") for i in range(2)]
+    assert [s.attrs["routed"] for s in spans] == [2, 1]
+    assert [s.attrs["completed"] for s in spans] == [2, 1]
+    assert tier.stats()["service.shard.completed"] == 3
 
 
 @needs_spawn

@@ -155,10 +155,9 @@ def test_parse_tenants_document():
 # --------------------------------------------------------------------- #
 
 def test_quota_sheds_with_structured_error():
-    cfg = ServiceConfig(max_workers=1)
     a = matrix_by_name("circuit01").build()
     b = np.ones(a.ncols)
-    with SolveService(cfg) as svc:
+    with SolveService() as svc:
         svc.register_tenant(TenantSpec(name="metered", quota_rps=1e-6,
                                        quota_burst=1.0))
         first = svc.submit(SolveRequest(matrix=a, b=b, tenant="metered"))
@@ -177,8 +176,7 @@ def test_flooder_does_not_starve_high_priority_tenant():
     displace queued flood, are never shed, and all certify in time."""
     flood_matrix = matrix_by_name("circuit02").build()
     vip_matrix = matrix_by_name("circuit01").build()
-    cfg = ServiceConfig(max_workers=1, queue_capacity=4, max_batch=1,
-                        batch_window=0.0)
+    cfg = ServiceConfig(queue_capacity=4, max_batch=1, batch_window=0.0)
     with SolveService(cfg) as svc:
         svc.register_tenant(TenantSpec(name="flood", priority=0))
         svc.register_tenant(TenantSpec(name="vip", priority=10,
@@ -216,7 +214,7 @@ def test_flooder_does_not_starve_high_priority_tenant():
 def test_run_workload_report_accounting():
     items = generate(ScenarioSpec(scenario="transient_circuit", steps=5,
                                   arrival="burst", tenant="t", seed=11))
-    cfg = ServiceConfig(max_workers=2, batch_window=0.002, max_batch=16)
+    cfg = ServiceConfig(batch_window=0.002, max_batch=16)
     with SolveService(cfg) as svc:
         rep = run_workload(svc, items, tenants=[TenantSpec(name="t")],
                            speed=10.0)
@@ -238,8 +236,7 @@ SLO_SEED = 20260808
 
 
 def _slo_service():
-    return SolveService(ServiceConfig(max_workers=2, batch_window=0.002,
-                                      max_batch=16))
+    return SolveService(ServiceConfig(batch_window=0.002, max_batch=16))
 
 
 def test_bursty_transient_stream_is_answered_from_warm_state():
@@ -285,8 +282,7 @@ def test_interactive_tier_keeps_its_deadlines_while_batch_is_shed():
 
 def test_tenant_deadline_tier_fills_missing_deadline():
     a = matrix_by_name("circuit01").build()
-    cfg = ServiceConfig(max_workers=1)
-    with SolveService(cfg) as svc:
+    with SolveService() as svc:
         svc.register_tenant(TenantSpec(name="tier", deadline=45.0))
         resp = svc.submit(SolveRequest(matrix=a, b=np.ones(a.ncols),
                                        tenant="tier")).result(60.0)
@@ -396,7 +392,6 @@ def test_cli_ingest_and_workload_serve(collection_dir, tmp_path, capsys):
         "schema": "tenants/v1",
         "tenants": [{"name": "sim", "priority": 1}]}))
     assert main(["serve", "--workload", str(wl), "--tenants", str(tn),
-                 "--catalog", str(cat), "--speed", "50",
-                 "--workers", "2"]) == 0
+                 "--catalog", str(cat), "--speed", "50"]) == 0
     out = capsys.readouterr().out
     assert "sim" in out and "dl-hit" in out

@@ -13,6 +13,13 @@ the storage mirrors the paper's:
   triangles stored ("we store zeros from U in the upper triangle of the
   diagonal block").
 
+Static pivoting fixes all of that before a number moves (§3.1), so the
+layout is evaluated once, as the serial
+:class:`~repro.factor.blockplan.BlockPlan` is: a rank's value arrays are
+views at fixed offsets into its one float64 *store*,
+:meth:`DistributedBlocks.slots` maps entries (i, j) to (rank, offset),
+and a refactorization (:func:`refill_values`) is one gather per rank.
+
 The symbolic information (partition, row sets, block index lists) is
 replicated on every rank, exactly as the paper runs its symbolic phase:
 "we start with a copy of the entire matrix on each processor, and run
@@ -21,17 +28,31 @@ steps (1) and (2) independently on each processor".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.dmem.grid import ProcessGrid
 from repro.factor.supernodal import supernode_row_sets
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.ops import PatternMismatchError, pattern_fingerprint
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
 
-__all__ = ["DistributedBlocks", "distribute_matrix", "refill_values"]
+__all__ = ["DistributedBlocks", "Offsets", "block_layout",
+           "distribute_matrix", "refill_values"]
+
+
+class Offsets(NamedTuple):
+    """Where every block starts in its owner's store.  A *group* is the
+    rows of ``S_K`` in one block I: the index set of L(I, K) and U(K, I)."""
+    diag: np.ndarray        # per supernode K: the offset of D_K
+    col: np.ndarray         # per group: its supernode K ...
+    row: np.ndarray         # ... the block I its rows fall in ...
+    size: np.ndarray        # ... how many rows ...
+    lower: np.ndarray       # ... the offset of L(I, K) ...
+    upper: np.ndarray       # ... and of U(K, I)
 
 
 @dataclass
@@ -54,9 +75,20 @@ class DistributedBlocks:
         sorted global rows of block (I, K) (a grouping of ``s_rows[K]``).
     u_cols_by_block:
         Same for U's block columns.
+    offsets, lookup, stores:
+        The offset table, its per-entry form :meth:`slots` searches, and
+        ``stores[rank]``, every block ``rank`` owns.
+    src, pos, fingerprint:
+        Per rank, which nonzeros of the matrix laid out it holds and their
+        store offsets; that matrix's pattern fingerprint.
     diag, lblk, ublk:
-        Per-rank dicts of dense value arrays:
-        ``diag[rank][K]``, ``lblk[rank][(I, K)]``, ``ublk[rank][(K, J)]``.
+        Per-rank dicts of store views: ``diag[rank][K]``,
+        ``lblk[rank][(I, K)]``, ``ublk[rank][(K, J)]``.
+    local_index, owners:
+        For :mod:`repro.pdgstrs`: ``local_index[K][I]``, the rows of group
+        (K, I) counted from block I's first; ``owners[name] = (by_row,
+        by_col)``, the ranks (sorted tuples) owning an ``"lblk"`` /
+        ``"ublk"`` block in each block row / block column.
     """
 
     grid: ProcessGrid
@@ -65,11 +97,58 @@ class DistributedBlocks:
     s_rows: list
     l_rows_by_block: list
     u_cols_by_block: list
-    diag: list
-    lblk: list
-    ublk: list
+    offsets: Offsets
+    lookup: tuple
+    stores: list
+    src: list
+    pos: list
+    fingerprint: str
     n_tiny_pivots: int = 0
     tiny_pivot_threshold: float = 0.0
+
+    _DERIVED = ("diag", "lblk", "ublk", "local_index", "owners")
+
+    def __post_init__(self):
+        self._bind()
+
+    def _bind(self):
+        """Derive the block views and solve maps from stores and offsets
+        (also after unpickling: pickle ships no copy per view)."""
+        p, xsup = self.grid.size, self.part.xsup
+        w = np.diff(xsup).tolist()
+        self.diag, self.lblk, self.ublk = ([{} for _ in range(p)]
+                                           for _ in range(3))
+
+        def view(rank, lo, shape):
+            return self.stores[rank][lo:lo + shape[0] * shape[1]].reshape(shape)
+
+        for k, lo in enumerate(self.offsets.diag.tolist()):
+            r = self.grid.owner(k, k)
+            self.diag[r][k] = view(r, lo, (w[k], w[k]))
+        self.local_index = [{} for _ in w]
+        for k, i, m, lo, uo in zip(*(a.tolist() for a in self.offsets[1:])):
+            r = self.grid.owner(i, k)
+            self.lblk[r][(i, k)] = view(r, lo, (m, w[k]))
+            r = self.grid.owner(k, i)
+            self.ublk[r][(k, i)] = view(r, uo, (w[k], m))
+            self.local_index[k][i] = self.l_rows_by_block[k][i] - xsup[i]
+        self.owners = {}
+        for name in ("lblk", "ublk"):
+            by_row, by_col = [set() for _ in w], [set() for _ in w]
+            for r, blocks in enumerate(getattr(self, name)):
+                for i, j in blocks:
+                    by_row[i].add(r)
+                    by_col[j].add(r)
+            self.owners[name] = tuple([tuple(sorted(ranks)) for ranks in side]
+                                      for side in (by_row, by_col))
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items()
+                if k not in self._DERIVED}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._bind()
 
     @property
     def nsuper(self):
@@ -82,183 +161,156 @@ class DistributedBlocks:
     def width(self, k):
         return int(self.part.xsup[k + 1] - self.part.xsup[k])
 
-    def owner_diag(self, k):
-        return self.grid.owner(k, k)
-
     # ------------------------------------------------------------------ #
+
+    def slots(self, i, j):
+        """``(rank, offset, stored)`` of entries ``(i, j)`` (broadcast
+        arrays): whose store holds each, where, and whether the layout
+        has it at all — the twin of ``build_block_plan``'s position map."""
+        keys, at_lower, at_upper, wide, at_diag, w = self.lookup
+        ki, kj = self.supno[i], self.supno[j]
+        lower, upper = ki > kj, ki < kj
+        # below: row i of the column's S_K; right: column j of the row's
+        key = np.where(lower, kj * self.n + i, ki * self.n + j)
+        q = np.searchsorted(keys, key)
+        pos = np.where(lower, at_lower[q] + j,
+                       np.where(upper, at_upper[q] + i * wide[q],
+                                at_diag[ki] + i * w[ki] + j))
+        stored = ~(lower | upper) | (keys[q] == key)
+        return self.grid.owner(ki, kj), pos, stored
 
     def local_bytes(self, rank):
         """Bytes of numeric storage on one rank (for memory accounting)."""
-        total = sum(v.nbytes for v in self.diag[rank].values())
-        total += sum(v.nbytes for v in self.lblk[rank].values())
-        total += sum(v.nbytes for v in self.ublk[rank].values())
-        return total
+        return self.stores[rank].nbytes
 
     def gather_to_supernodal(self):
         """Reassemble a :class:`~repro.factor.supernodal.SupernodalFactors`
         from the distributed blocks (test/verification path)."""
         from repro.factor.supernodal import SupernodalFactors
 
-        ns = self.nsuper
-        xsup = self.part.xsup
-        diag = []
-        below = []
-        right = []
-        for k in range(ns):
+        diag, below, right = [], [], []
+        for k, groups in enumerate(self.l_rows_by_block):
             w = self.width(k)
-            diag.append(self.diag[self.owner_diag(k)][k].copy())
-            s = self.s_rows[k]
-            b = np.zeros((s.size, w))
-            r = np.zeros((w, s.size))
-            for i_blk, rows in self.l_rows_by_block[k].items():
-                rank = self.grid.owner(i_blk, k)
-                pos = np.searchsorted(s, rows)
-                b[pos, :] = self.lblk[rank][(i_blk, k)]
-            for j_blk, cols in self.u_cols_by_block[k].items():
-                rank = self.grid.owner(k, j_blk)
-                pos = np.searchsorted(s, cols)
-                r[:, pos] = self.ublk[rank][(k, j_blk)]
-            below.append(b)
-            right.append(r)
+            diag.append(self.diag[self.grid.owner(k, k)][k].copy())
+            below.append(np.concatenate([np.zeros((0, w))] + [
+                self.lblk[self.grid.owner(i, k)][(i, k)] for i in groups]))
+            right.append(np.concatenate([np.zeros((w, 0))] + [
+                self.ublk[self.grid.owner(k, i)][(k, i)] for i in groups],
+                axis=1))
         return SupernodalFactors(
             part=self.part, s_rows=self.s_rows, diag=diag, below=below,
             right=right, n_tiny_pivots=self.n_tiny_pivots,
             tiny_pivot_threshold=self.tiny_pivot_threshold, flops=0)
 
 
-def distribute_matrix(a: CSCMatrix, sym: SymbolicLU,
-                      part: SupernodePartition,
-                      grid: ProcessGrid, *,
-                      check_pattern: bool = True) -> DistributedBlocks:
-    """Scatter A's values into the 2-D block-cyclic supernodal storage.
-
-    The value arrays are allocated over the *static* fill pattern (zeros
-    where A has no entry), so the subsequent factorization never
-    reallocates — the property static pivoting buys (paper §3.1).
-
-    ``check_pattern=False`` skips the fingerprint guard for callers that
-    allocate the layout from a structure-only placeholder and fill the
-    values elsewhere (``repro.dmem.redistribute``).
-    """
+def block_layout(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
+                 grid: ProcessGrid) -> DistributedBlocks:
+    """The 2-D block-cyclic layout of ``a``'s pattern, every value zero
+    (``a``'s values are not read).  Storage covers the *static* fill
+    pattern, so the factorization never reallocates (paper §3.1)."""
     if not sym.symmetrized:
         raise ValueError("the distributed layout requires the symmetrized pattern")
     if part.n != a.ncols:
         raise ValueError("partition does not match the matrix")
-    if check_pattern:
-        _check_pattern(a, sym, where="distribute_matrix")
+    fingerprint = _check_pattern(a, sym.pattern_fingerprint,
+                                 where="distribute_matrix")
     if np.iscomplexobj(a.nzval):
-        raise TypeError("the distributed path is real-only (float64); "
-                        "complex systems are supported by the serial "
-                        "GESPSolver")
-    ns = part.nsuper
-    xsup = part.xsup
-    supno = part.supno()
+        raise TypeError("the distributed path is real-only (float64); complex "
+                        "systems are supported by the serial GESPSolver")
+    ns, xsup, supno, w = part.nsuper, part.xsup, part.supno(), part.sizes()
     s_rows = supernode_row_sets(sym, part)
-
-    l_rows_by_block = []
-    u_cols_by_block = []
-    for k in range(ns):
-        s = s_rows[k]
-        groups = {}
-        if s.size:
-            blocks = supno[s]
-            start = 0
-            while start < s.size:
-                b = int(blocks[start])
-                end = start
-                while end < s.size and blocks[end] == b:
-                    end += 1
-                groups[b] = s[start:end].copy()
-                start = end
-        l_rows_by_block.append(groups)
-        # symmetrized pattern: U's column groups equal L's row groups
-        u_cols_by_block.append(groups)
-
-    p = grid.size
-    diag = [dict() for _ in range(p)]
-    lblk = [dict() for _ in range(p)]
-    ublk = [dict() for _ in range(p)]
-    for k in range(ns):
-        w = int(xsup[k + 1] - xsup[k])
-        diag[grid.owner(k, k)][k] = np.zeros((w, w))
-        for i_blk, rows in l_rows_by_block[k].items():
-            lblk[grid.owner(i_blk, k)][(i_blk, k)] = np.zeros((rows.size, w))
-        for j_blk, cols in u_cols_by_block[k].items():
-            ublk[grid.owner(k, j_blk)][(k, j_blk)] = np.zeros((w, cols.size))
+    ks = np.repeat(np.arange(ns), [s.size for s in s_rows])
+    s_all = np.concatenate([*s_rows, xsup[:0]])
+    # groups: where (supernode, block of the row) changes along S_0, S_1 …
+    cut = np.flatnonzero(np.diff(ks * ns + supno[s_all], prepend=-1))
+    col, row = ks[cut], supno[s_all[cut]]
+    size = np.diff(np.append(cut, s_all.size))
+    l_rows_by_block = [{} for _ in range(ns)]
+    for k, i, rows in zip(col.tolist(), row.tolist(), np.split(s_all, cut[1:])):
+        l_rows_by_block[k][i] = rows
+    # every block in the order K: D_K, L(·, K), U(K, ·); each rank's
+    # store holds its blocks in that order, back to back
+    k, g = np.arange(ns), np.arange(col.size)
+    owner = np.concatenate((grid.owner(k, k), grid.owner(row, col),
+                            grid.owner(col, row)))
+    nvals = np.concatenate((w * w, size * w[col], size * w[col]))
+    by_rank = np.lexsort((np.concatenate((k, g, g)),
+                          np.repeat([0, 1, 2], [ns, g.size, g.size]),
+                          np.concatenate((k, col, col)), owner))
+    totals = np.bincount(owner, weights=nvals, minlength=grid.size).astype(np.int64)
+    offset = np.empty_like(nvals)
+    offset[by_rank] = np.cumsum(nvals[by_rank]) - nvals[by_rank] \
+        - (np.cumsum(totals) - totals)[owner[by_rank]]
+    offsets = Offsets(offset[:ns], col, row, size, *np.split(offset[ns:], 2))
+    # slots' lookup: (supernode, row) of every S_K entry as one sorted key,
+    # and the offset terms of its L and U blocks (a sentinel ends each)
+    in_g = np.repeat(g, size)
+    local = np.arange(s_all.size) - np.repeat(cut, size)
+    lookup = tuple(np.append(x, end) for x, end in (
+        (ks * part.n + s_all, ns * part.n),
+        (offsets.lower[in_g] + local * w[ks] - xsup[ks], 0),
+        (offsets.upper[in_g] + local - xsup[ks] * size[in_g], 0),
+        (size[in_g], 0))) + (offsets.diag - xsup[:-1] * (w + 1), w)
 
     dist = DistributedBlocks(
         grid=grid, part=part, supno=supno, s_rows=s_rows,
-        l_rows_by_block=l_rows_by_block, u_cols_by_block=u_cols_by_block,
-        diag=diag, lblk=lblk, ublk=ublk)
-    _scatter_values(dist, a)
+        l_rows_by_block=l_rows_by_block,
+        # symmetrized pattern: U's column groups equal L's row groups
+        u_cols_by_block=l_rows_by_block, offsets=offsets, lookup=lookup,
+        stores=[np.zeros(t) for t in totals.tolist()], src=[], pos=[],
+        fingerprint=fingerprint)
+    # where each nonzero of the matrix lands, grouped by rank
+    rank, pos, stored = dist.slots(
+        a.rowind, np.repeat(np.arange(a.ncols), np.diff(a.colptr)))
+    if not stored.all():
+        raise ValueError("the matrix has entries outside the block pattern")
+    index = np.int32 if max(a.nnz, *totals.tolist()) < 2 ** 31 else np.int64
+    by_rank = np.argsort(rank, kind="stable")
+    cuts = np.cumsum(np.bincount(rank, minlength=grid.size))[:-1]
+    dist.src = np.split(by_rank.astype(index), cuts)
+    dist.pos = np.split(pos[by_rank].astype(index), cuts)
     return dist
 
 
-def _check_pattern(a: CSCMatrix, sym: SymbolicLU, where: str):
-    """Guard a structure-reuse path: A must match sym's pattern."""
-    if sym.pattern_fingerprint is None:
-        return
-    from repro.sparse.ops import PatternMismatchError, pattern_fingerprint
+def distribute_matrix(a: CSCMatrix, sym: SymbolicLU,
+                      part: SupernodePartition,
+                      grid: ProcessGrid) -> DistributedBlocks:
+    """Lay ``a``'s pattern out over the grid (:func:`block_layout`) and
+    move its values in."""
+    return _fill(block_layout(a, sym, part, grid), a)
 
+
+def _check_pattern(a: CSCMatrix, *expected, where: str):
+    """Guard a structure-reuse path: A's fingerprint must equal every
+    ``expected`` one that is not None.  Returns A's."""
     got = pattern_fingerprint(a)
-    if got != sym.pattern_fingerprint:
-        raise PatternMismatchError(
-            expected=sym.pattern_fingerprint, got=got, where=where,
-            n=a.ncols, nnz=a.nnz)
+    for fp in expected:
+        if fp is not None and got != fp:
+            raise PatternMismatchError(expected=fp, got=got, where=where,
+                                       n=a.ncols, nnz=a.nnz)
+    return got
 
 
-def _scatter_values(dist: DistributedBlocks, a: CSCMatrix):
-    """Scatter A's values into the (already allocated) block storage —
-    the same traversal as the serial supernodal kernel."""
-    grid = dist.grid
-    supno = dist.supno
-    xsup = dist.part.xsup
-    diag, lblk, ublk = dist.diag, dist.lblk, dist.ublk
-    l_rows_by_block = dist.l_rows_by_block
-    u_cols_by_block = dist.u_cols_by_block
-    for j in range(a.ncols):
-        kj = int(supno[j])
-        jloc = j - int(xsup[kj])
-        lo, hi = a.colptr[j], a.colptr[j + 1]
-        for t in range(lo, hi):
-            i = int(a.rowind[t])
-            v = a.nzval[t]
-            ki = int(supno[i])
-            if ki == kj:
-                diag[grid.owner(kj, kj)][kj][i - xsup[kj], jloc] = v
-            elif i > j:
-                rows = l_rows_by_block[kj][ki]
-                pos = int(np.searchsorted(rows, i))
-                lblk[grid.owner(ki, kj)][(ki, kj)][pos, jloc] = v
-            else:
-                cols = u_cols_by_block[ki][kj]
-                pos = int(np.searchsorted(cols, j))
-                ublk[grid.owner(ki, kj)][(ki, kj)][i - xsup[ki], pos] = v
+def _fill(dist: DistributedBlocks, a: CSCMatrix) -> DistributedBlocks:
+    """Every store zeroed, then ``a``'s values gathered into place."""
+    for store, src, pos in zip(dist.stores, dist.src, dist.pos):
+        store.fill(0.0)
+        store[pos] = a.nzval[src]
+    dist.n_tiny_pivots = 0
+    dist.tiny_pivot_threshold = 0.0
+    return dist
 
 
 def refill_values(dist: DistributedBlocks, a: CSCMatrix,
                   sym: SymbolicLU | None = None) -> DistributedBlocks:
-    """Re-scatter new values into an existing distribution — the
-    ``SamePattern`` fast path of the distributed pipeline.
-
-    Reuses every structural artifact of :func:`distribute_matrix` (block
-    row sets, ownership map, allocated value arrays): the arrays are
-    zeroed in place and A's values scattered again, so a refactorization
-    never re-derives or reallocates the layout.  When ``sym`` carries a
-    pattern fingerprint the new matrix is checked against it first
-    (:class:`~repro.sparse.ops.PatternMismatchError` on mismatch).
-    """
-    if dist.part.n != a.ncols:
-        raise ValueError("distribution does not match the matrix")
+    """Move new values into an existing distribution in place — the
+    ``SamePattern`` fast path: each store zeroed and filled by one gather,
+    nothing re-derived or reallocated.  ``a`` must have the pattern the
+    layout was built for, and ``sym``'s when given
+    (:class:`~repro.sparse.ops.PatternMismatchError` otherwise)."""
     if np.iscomplexobj(a.nzval):
         raise TypeError("the distributed path is real-only (float64)")
-    if sym is not None:
-        _check_pattern(a, sym, where="refill_values")
-    for store in (dist.diag, dist.lblk, dist.ublk):
-        for rank_blocks in store:
-            for v in rank_blocks.values():
-                v[...] = 0.0
-    _scatter_values(dist, a)
-    dist.n_tiny_pivots = 0
-    dist.tiny_pivot_threshold = 0.0
-    return dist
+    _check_pattern(a, dist.fingerprint,
+                   None if sym is None else sym.pattern_fingerprint,
+                   where="refill_values")
+    return _fill(dist, a)

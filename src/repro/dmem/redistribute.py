@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dmem.comm import Compute, Recv, Send
-from repro.dmem.distribute import DistributedBlocks, distribute_matrix
+from repro.dmem.distribute import block_layout
 from repro.dmem.grid import ProcessGrid
 from repro.dmem.machine import MachineModel
 from repro.dmem.simulator import SimulationResult, simulate
@@ -86,53 +86,28 @@ def redistribute(dinput: DistributedInput, sym: SymbolicLU,
     if grid.size != dinput.nranks:
         raise ValueError("grid size must match the input's rank count")
     machine = machine or MachineModel()
-    supno = part.supno()
+    # the layout of the replicated symbolic phase's input pattern; the
+    # values arrive by message and each lands through the layout's one
+    # position map
+    dist = block_layout(dinput.to_csc(), sym, part, grid)
 
-    # target layout built empty, then filled from received triplets (the
-    # placeholder has no values to scatter, so the fingerprint guard
-    # does not apply)
-    empty = CSCMatrix.empty(dinput.n, dinput.n)
-    dist = distribute_matrix(empty, sym, part, grid, check_pattern=False)
-    xsup = part.xsup
-
-    def owner_of(i, j):
-        return grid.owner(int(supno[i]), int(supno[j]))
-
-    def place(rank, i, j, v):
-        ki, kj = int(supno[i]), int(supno[j])
-        if ki == kj:
-            dist.diag[rank][ki][i - xsup[ki], j - xsup[kj]] = v
-        elif i > j:
-            rows = dist.l_rows_by_block[kj][ki]
-            dist.lblk[rank][(ki, kj)][int(np.searchsorted(rows, i)),
-                                      j - xsup[kj]] = v
-        else:
-            cols = dist.u_cols_by_block[ki][kj]
-            dist.ublk[rank][(ki, kj)][i - xsup[ki],
-                                      int(np.searchsorted(cols, j))] = v
+    def place(rank, rows, cols, vals):
+        dist.stores[rank][dist.slots(rows, cols)[1]] = vals
 
     # Who-sends-to-whom is precomputed from replicated metadata (the
     # symbolic phase is replicated in the paper too), so receivers know
     # exactly which messages to post for; the *data* still travels
     # through the simulator and is charged to the clock.
+    dests = [dist.slots(rows, cols)[0] for rows, cols, _ in dinput.triplets]
     senders_to = [[] for _ in range(grid.size)]
-    for r in range(grid.size):
-        rows, cols, _ = dinput.triplets[r]
-        if rows.size == 0:
-            continue
-        dests = {owner_of(i, j) for i, j in zip(rows.tolist(), cols.tolist())}
-        for d in dests:
+    for r, dest in enumerate(dests):
+        for d in np.unique(dest).tolist():
             if d != r:
                 senders_to[d].append(r)
 
     def rank_program_simple(rank):
         rows, cols, vals = dinput.triplets[rank]
-        if rows.size:
-            dest = np.array([owner_of(i, j)
-                             for i, j in zip(rows.tolist(), cols.tolist())],
-                            dtype=np.int64)
-        else:
-            dest = np.empty(0, dtype=np.int64)
+        dest = dests[rank]
         yield Compute(flops=3.0 * max(1, rows.size), width=32)
         for d in range(grid.size):
             sel = dest == d
@@ -140,9 +115,7 @@ def redistribute(dinput: DistributedInput, sym: SymbolicLU,
             if cnt == 0:
                 continue
             if d == rank:
-                for i, j, v in zip(rows[sel].tolist(), cols[sel].tolist(),
-                                   vals[sel]):
-                    place(rank, i, j, v)
+                place(rank, rows[sel], cols[sel], vals[sel])
             else:
                 yield Send(dest=d, tag=rank,
                            payload=(rows[sel], cols[sel], vals[sel]),
@@ -151,8 +124,7 @@ def redistribute(dinput: DistributedInput, sym: SymbolicLU,
             m = yield Recv(source=src, tag=src)
             ri, ci, vi = m.payload
             yield Compute(flops=3.0 * ri.size, width=32)
-            for i, j, v in zip(ri.tolist(), ci.tolist(), vi):
-                place(rank, i, j, v)
+            place(rank, ri, ci, vi)
         return None
 
     sim = simulate([rank_program_simple(r) for r in range(grid.size)],

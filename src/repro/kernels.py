@@ -39,8 +39,7 @@ import numpy as np
 #: the dense ops — the first column of docs/KERNELS.md's table (docs
 #: lint 7 holds the two together)
 OPS = ("lu_nopivot", "lu_partial", "trsm_upper", "trsm_lower_unit",
-       "gemm_update", "scatter_sub", "diag_solve_lower_unit",
-       "diag_solve_upper")
+       "gemm_update", "diag_solve_lower_unit", "diag_solve_upper")
 
 __all__ = ["OPS", "KernelStats", "stats", "kernel_counters",
            "lu_flops", "trsm_flops", "gemm_flops", *OPS]
@@ -262,37 +261,6 @@ def gemm_update(l, u):
     st.gemm_flops += gemm_flops(l.shape[0], l.shape[1],
                                 1 if u.ndim == 1 else u.shape[1])
     return l @ u
-
-
-def scatter_sub(tgt, rows, cols, src, src_rows=None, src_cols=None):
-    """``tgt[rows × cols] -= src[src_rows × src_cols]`` where ``rows`` /
-    ``cols`` are integer index arrays into ``tgt`` and ``src_rows`` /
-    ``src_cols`` (optional index/bool arrays or slices) select the
-    matching submatrix of ``src``.  The masked scatter-subtract of
-    Figure 8 step (3)."""
-    if src_rows is not None:
-        src = src[src_rows]
-    if src_cols is not None:
-        src = src[:, src_cols]
-    if not tgt.flags.c_contiguous:
-        tgt[np.ix_(rows, cols)] -= src
-        return
-    # one fancy index on the raveled target instead of np.ix_'s two
-    # outer-product index arrays: the same subtractions, bit for bit,
-    # and the measured hot spot of pdgstrf.  The 2-D flat-index array
-    # keeps src's shape, so src is never ravelled or copied; single-row
-    # and single-column scatters (most calls on the cfd testbed:
-    # width-1 supernodes) take a 1-D index and skip the outer sum.
-    w = tgt.shape[1]
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    out = tgt.reshape(-1)
-    if rows.size == 1:
-        out[rows[0] * w + cols] -= src[0]
-    elif cols.size == 1:
-        out[rows * w + cols[0]] -= src[:, 0]
-    else:
-        out[rows[:, None] * w + cols] -= src
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,9 @@ Every rank runs :func:`_rank_program` — a faithful SPMD rendering of
 paper Figure 8 over the storage of :mod:`repro.dmem.distribute` — inside
 the discrete-event simulator.  Numerics are identical to the serial
 supernodal kernel (same block operations, same update order per block),
-so the tests can require exact agreement.
+so the tests can require exact agreement.  A pass looks no index up:
+:func:`build_schedule` (once per pattern) holds each rank's update
+targets as store offsets — step (3) is gemms and one indexed subtract.
 
 Message protocol per iteration K (tags encode ``4*K + kind``):
 
@@ -18,6 +20,7 @@ Message protocol per iteration K (tags encode ``4*K + kind``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +121,7 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         ``"process"``, or ``None`` for the ``REPRO_DMEM_EXECUTOR`` /
         simulator default (:func:`repro.dmem.executor.resolve_executor`).
         The process executor runs one worker per rank and ships each
-        rank's factored blocks back into ``dist``; results are
+        rank's store back into ``dist``'s, in place; results are
         bit-identical to the simulator.
     """
     machine = machine or MachineModel()
@@ -145,9 +148,10 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         sim = exec_.run(job, machine=machine, fault_plan=fault_plan)
         if sim.collected is not None:
             # executors whose workers do not share memory with the
-            # caller ship each rank's factored blocks home explicitly
-            for r, state in enumerate(sim.collected):
-                dist.diag[r], dist.lblk[r], dist.ublk[r] = state
+            # caller ship each rank's store home explicitly; it is
+            # copied in place, so every block view stays valid
+            for store, state in zip(dist.stores, sim.collected):
+                store[...] = state
         n_tiny = sum(sim.returns)
         add("factor.flops", sim.total_flops)
         add("factor.tiny_pivots", n_tiny)
@@ -163,30 +167,90 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
 # --------------------------------------------------------------------- #
 
 def _collect_factor_state(rank, dist, **_kwargs):
-    """RankJob.collect hook: rank ``rank``'s share of the factors.
+    """RankJob.collect hook: rank ``rank``'s store — every block it owns.
 
     Runs in whatever process executed the rank program; the parent
-    merges the returned triple back into its own ``dist``.
+    copies it into its own store in place, under the block views.
     """
-    return (dist.diag[rank], dist.lblk[rank], dist.ublk[rank])
+    return dist.stores[rank]
+
+
+class UpdateTargets(NamedTuple):
+    """Every rank's trailing updates as store offsets: batch
+    ``b = batch[K, rank]`` (-1: none) sends its products' entries with a
+    home — ``sel[b]`` of them when not all — to ``tgt[start:end]``, where
+    ``(start, end, cut, *flops) = meta[b]``: the look-ahead pairs' ``cut``
+    entries first, and the flops of those pairs and of the rest."""
+    tgt: np.ndarray
+    batch: np.ndarray
+    meta: np.ndarray
+    sel: dict
+
+
+def _update_pairs(k, rows, cols):
+    """A rank's (I, J) pairs of iteration ``k`` in the order it takes
+    them: the look-ahead group J = K+1 first, then the rest."""
+    ahead = [(i, k + 1) for i in rows] if cols[:1] == [k + 1] else []
+    return ahead + [(i, j) for i in rows for j in cols if j != k + 1]
+
+
+def _update_targets(dist, need_l, need_u):
+    """Every target from the layout's one position map,
+    :meth:`DistributedBlocks.slots`.  With relaxed or merged supernodes an
+    (i, j) of ``S_K × S_K`` may have no home in its target block; the
+    product entry is exactly zero (each term has an explicitly-zero
+    factor) and the batch leaves it out."""
+    grid, index = dist.grid, dist.pos[0].dtype          # the layout's width
+    batch = np.full((dist.nsuper, grid.size), -1, dtype=np.int32)
+    tgt, meta, sel, end = [], [], {}, 0
+    for k, s in enumerate(dist.s_rows):
+        _, where, stored = dist.slots(s[:, None], s[None, :])
+        groups, w = dist.l_rows_by_block[k], dist.width(k)
+        ends = np.cumsum([rows.size for rows in groups.values()]).tolist()
+        span = {i: slice(e - rows.size, e)
+                for (i, rows), e in zip(groups.items(), ends)}
+        for pr, rows in enumerate(need_l[k]):
+            for pc, cols in enumerate(need_u[k]):
+                if not (rows and cols):
+                    continue
+                pairs = _update_pairs(k, rows, cols)
+                t, h = (np.concatenate([a[span[i], span[j]].ravel()
+                                        for i, j in pairs])
+                        for a in (where, stored))
+                flops = [kernels.gemm_flops(groups[i].size, w, groups[j].size)
+                         for i, j in pairs]
+                ahead = sum(j == k + 1 for _, j in pairs)
+                # the look-ahead pairs' entries come first in t and h
+                n_ahead = sum(groups[i].size * groups[j].size
+                              for i, j in pairs[:ahead])
+                if not h.all():
+                    sel[len(meta)] = np.flatnonzero(h).astype(index)
+                batch[k, grid.rank(pr, pc)] = len(meta)
+                tgt.append(t[h])
+                meta.append((end, end + tgt[-1].size, int(h[:n_ahead].sum()),
+                             sum(flops[:ahead]), sum(flops[ahead:])))
+                end += tgt[-1].size
+    return UpdateTargets(
+        np.concatenate([*tgt, np.zeros(0, np.int64)]).astype(index), batch,
+        np.array(meta, dtype=np.int64).reshape(-1, 5), sel)
 
 
 def build_schedule(dist, dag, edag_prune):
-    """Precompute the per-iteration communication schedule once.
+    """Precompute the per-iteration communication and update schedule.
 
     Every rank derives identical sets from the replicated symbolic data;
     computing them once (instead of per rank per iteration) removes the
     dominant Python overhead from the simulation (profiling-guided — see
     the repo guides' "no optimization without measuring").  The result
-    depends only on the block structure, the DAG, and ``edag_prune`` —
-    never on values — so it is cached per sparsity pattern and reused
-    across refactorizations (docs/REFACTORIZATION.md).
+    depends only on the block structure, the layout, the DAG, and
+    ``edag_prune`` — never on values — so it is cached per sparsity
+    pattern and reused across refactorizations (docs/REFACTORIZATION.md).
+    ``updates`` holds every rank's update targets
+    (:class:`UpdateTargets`), so a pass only multiplies and subtracts.
     """
     grid = dist.grid
     nprow, npcol = grid.nprow, grid.npcol
     ns = dag.nsuper
-    lb_below = []
-    ub_right = []
     need_l = []       # need_l[k][pr] -> list of block rows
     need_u = []       # need_u[k][pc] -> list of block cols
     l_dests = []      # destination process columns for L panels
@@ -194,36 +258,23 @@ def build_schedule(dist, dag, edag_prune):
     diag_l_dests = []
     diag_u_dests = []
     for k in range(ns):
-        lb = dag.l_blocks[k]
-        lb = lb[lb > k]
-        ub = dag.u_blocks[k]
-        ub = ub[ub > k]
-        lb_below.append(lb)
-        ub_right.append(ub)
-        nl = [[] for _ in range(nprow)]
-        for i in lb.tolist():
-            nl[i % nprow].append(i)
-        nu = [[] for _ in range(npcol)]
-        for j in ub.tolist():
-            nu[j % npcol].append(j)
-        need_l.append(nl)
-        need_u.append(nu)
-        kr, kc = k % nprow, k % npcol
-        if edag_prune:
-            cols = {j % npcol for j in ub.tolist()}
-            rows = {i % nprow for i in lb.tolist()}
-        else:
-            cols = set(range(npcol))
-            rows = set(range(nprow))
-        cols.discard(kc)
-        rows.discard(kr)
-        l_dests.append(sorted(cols))
-        u_dests.append(sorted(rows))
-        diag_l_dests.append(sorted({i % nprow for i in lb.tolist()} - {kr}))
-        diag_u_dests.append(sorted({j % npcol for j in ub.tolist()} - {kc}))
-    return dict(lb_below=lb_below, ub_right=ub_right, need_l=need_l,
-                need_u=need_u, l_dests=l_dests, u_dests=u_dests,
-                diag_l_dests=diag_l_dests, diag_u_dests=diag_u_dests)
+        lb, ub = dag.l_blocks[k], dag.u_blocks[k]
+        lb, ub = lb[lb > k], ub[ub > k]
+        need_l.append([lb[lb % nprow == r].tolist() for r in range(nprow)])
+        need_u.append([ub[ub % npcol == c].tolist() for c in range(npcol)])
+        # the process rows / columns holding a block below / right of K
+        rows = set((lb % nprow).tolist()) - {k % nprow}
+        cols = set((ub % npcol).tolist()) - {k % npcol}
+        diag_l_dests.append(sorted(rows))
+        diag_u_dests.append(sorted(cols))
+        l_dests.append(sorted(cols) if edag_prune
+                       else [c for c in range(npcol) if c != k % npcol])
+        u_dests.append(sorted(rows) if edag_prune
+                       else [r for r in range(nprow) if r != k % nprow])
+    return dict(need_l=need_l, need_u=need_u, l_dests=l_dests,
+                u_dests=u_dests, diag_l_dests=diag_l_dests,
+                diag_u_dests=diag_u_dests,
+                updates=_update_targets(dist, need_l, need_u))
 
 
 def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
@@ -234,7 +285,6 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
     pr, pc = grid.coords(rank)
     nprow, npcol = grid.nprow, grid.npcol
     ns = dag.nsuper
-    xsup = dist.part.xsup
     n_tiny = 0
     need_l_all = sched["need_l"]
     need_u_all = sched["need_u"]
@@ -350,55 +400,40 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             m = yield from recv(grid.rank(kr, pc), _tag(k, _U_PANEL),
                                 f"pdgstrf update u_panel k={k}")
             upanel = m.payload
-        ldict = dict(lpanel)
-        udict = dict(upanel)
-        return ({i: ldict[i] for i in need_l}, {j: udict[j] for j in need_u})
+        return dict(lpanel), dict(upanel)
 
-    def apply_update(k, lmat, umat, i_blk, j_blk):
-        """A(I,J) -= L(I,K) @ U(K,J), scattered through the index sets.
-        Returns the flop count; the caller batches the Compute yield."""
-        w = dist.width(k)
-        rows = dist.l_rows_by_block[k][i_blk]   # global rows of L(I,K)
-        cols = dist.u_cols_by_block[k][j_blk]   # global cols of U(K,J)
-        upd = kernels.gemm_update(lmat, umat)
-        # With relaxed supernodes an (i, j) pair of S_K x S_K may be absent
-        # from the target block's index set; those product entries are
-        # exactly zero (each term has an explicitly-zero factor) and are
-        # masked out — same reasoning as the serial kernel.
-        if i_blk == j_blk:
-            tgt = dist.diag[rank][i_blk]
-            kernels.scatter_sub(tgt, rows - xsup[i_blk],
-                                cols - xsup[j_blk], upd)
-        elif i_blk > j_blk:
-            tgt = dist.lblk[rank][(i_blk, j_blk)]
-            tgt_rows = dist.l_rows_by_block[j_blk][i_blk]
-            pos = np.searchsorted(tgt_rows, rows)
-            valid = pos < tgt_rows.size
-            valid[valid] = tgt_rows[pos[valid]] == rows[valid]
-            if np.any(valid):
-                kernels.scatter_sub(tgt, pos[valid], cols - xsup[j_blk],
-                                    upd, src_rows=valid)
-        else:
-            tgt = dist.ublk[rank][(i_blk, j_blk)]
-            tgt_cols = dist.u_cols_by_block[i_blk][j_blk]
-            pos = np.searchsorted(tgt_cols, cols)
-            valid = pos < tgt_cols.size
-            valid[valid] = tgt_cols[pos[valid]] == cols[valid]
-            if np.any(valid):
-                kernels.scatter_sub(tgt, rows - xsup[i_blk], pos[valid],
-                                    upd, src_cols=valid)
-        return kernels.gemm_flops(rows.size, w, cols.size)
-
-    def apply_batch(k, pairs, ldata, udata):
-        """All of this rank's (I,J) updates for iteration k, one Compute."""
-        flops = 0
-        for (i, j) in pairs:
-            flops += apply_update(k, ldata[i], udata[j], i, j)
-        if flops:
-            yield Compute(flops=flops, width=dist.width(k))
+    def update(k, ldata, udata, lookahead):
+        """A(I,J) -= L(I,K) @ U(K,J) for this rank's pairs: a gemm each,
+        one subtract through the schedule's targets, one Compute — or, with
+        ``lookahead``, the J = K+1 pairs' subtract and Compute, step 1 of
+        iteration K+1, then the rest's (the gemms read only panels K)."""
+        targets = sched["updates"]
+        b = int(targets.batch[k, rank])
+        start, end, cut, *flops = targets.meta[b].tolist()
+        tgt = targets.tgt[start:end]
+        upd = [kernels.gemm_update(ldata[i], udata[j]).ravel()
+               for i, j in _update_pairs(k, need_l_all[k][pr],
+                                         need_u_all[k][pc])]
+        upd = np.concatenate(upd) if len(upd) > 1 else upd[0]
+        if b in targets.sel:
+            upd = upd[targets.sel[b]]
+        if not lookahead:
+            store[tgt] -= upd
+            yield Compute(flops=sum(flops), width=dist.width(k))
+            return
+        store[tgt[:cut]] -= upd[:cut]
+        if flops[0]:
+            yield Compute(flops=flops[0], width=dist.width(k))
+        if not step1_done[k + 1]:
+            yield from step1(k + 1)
+            step1_done[k + 1] = True
+        store[tgt[cut:]] -= upd[cut:]
+        if flops[1]:
+            yield Compute(flops=flops[1], width=dist.width(k))
 
     # -------------------- main loop ------------------------------------ #
 
+    store = dist.stores[rank]
     step1_done = [False] * ns
     for k in range(ns):
         if not step1_done[k]:
@@ -408,18 +443,6 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         panels = yield from obtain_panels(k)
         if panels is None:
             continue
-        ldata, udata = panels
-        pairs = [(i, j) for i in ldata for j in udata]
-        if pipeline and k + 1 < ns and (k + 1) % npcol == pc:
-            # lookahead: update blocks in column K+1 first, then run
-            # step 1 of iteration K+1 early, then finish the update
-            first = [(i, j) for (i, j) in pairs if j == k + 1]
-            rest = [(i, j) for (i, j) in pairs if j != k + 1]
-            yield from apply_batch(k, first, ldata, udata)
-            if not step1_done[k + 1]:
-                yield from step1(k + 1)
-                step1_done[k + 1] = True
-            yield from apply_batch(k, rest, ldata, udata)
-        else:
-            yield from apply_batch(k, pairs, ldata, udata)
+        yield from update(k, *panels, lookahead=pipeline and k + 1 < ns
+                          and (k + 1) % npcol == pc)
     return n_tiny

@@ -76,21 +76,6 @@ _LOWER = _Direction("lower", "lblk", "diag_solve_lower_unit", False, 1)
 _UPPER = _Direction("upper", "ublk", "diag_solve_upper", True, 0)
 
 
-def _structure_maps(dist: DistributedBlocks, direction: _Direction):
-    """``contrib[K]``: the ranks owning a block (K, J) — the processes
-    whose partial sums K's solve must wait for; ``consumers[J]``: the
-    ranks owning a block (K, J) — where a solved x(J) must go.  One pass
-    over the block structure (every block sits at its owner), shared by
-    all ranks."""
-    contrib = [set() for _ in range(dist.nsuper)]
-    consumers = [set() for _ in range(dist.nsuper)]
-    for rank, blocks in enumerate(getattr(dist, direction.blocks)):
-        for k_blk, j_blk in blocks:
-            contrib[k_blk].add(rank)
-            consumers[j_blk].add(rank)
-    return contrib, consumers
-
-
 def _run(direction, dist, b, machine, fault_plan, recv_timeout,
          recv_retries, executor):
     from repro.dmem.executor import RankJob, resolve_executor
@@ -99,10 +84,8 @@ def _run(direction, dist, b, machine, fault_plan, recv_timeout,
     if recv_timeout is None and fault_plan is not None:
         recv_timeout = DEFAULT_RECV_TIMEOUT
     b = np.asarray(b, dtype=np.float64)
-    contrib, consumers = _structure_maps(dist, direction)
     job = RankJob(nranks=dist.grid.size, factory=_rank_solve,
                   kwargs=dict(dist=dist, b=b, direction=direction,
-                              contrib=contrib, consumers=consumers,
                               recv_timeout=recv_timeout,
                               recv_retries=recv_retries))
     sim = resolve_executor(executor).run(job, machine=machine,
@@ -146,8 +129,8 @@ def pdgstrs_upper(dist: DistributedBlocks, y, machine=None,
                 recv_retries, executor)
 
 
-def _rank_solve(rank, dist: DistributedBlocks, b, direction, contrib,
-                consumers, recv_timeout=None, recv_retries=2):
+def _rank_solve(rank, dist: DistributedBlocks, b, direction,
+                recv_timeout=None, recv_retries=2):
     """One rank of either substitution.  Returns ``{K: x_K}`` for the
     supernodes whose diagonal process this rank is."""
     diag_solve = getattr(kernels, direction.diag_solve)
@@ -157,6 +140,9 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction, contrib,
     lower = direction == _LOWER
     grid = dist.grid
     xsup = dist.part.xsup
+    local_index = dist.local_index
+    # owners of a block (K, J): K's partial-sum senders, x(J)'s readers
+    contrib, consumers = dist.owners[direction.blocks]
     b = np.asarray(b, dtype=np.float64)
 
     nrhs = 1 if b.ndim == 1 else b.shape[1]
@@ -181,9 +167,8 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction, contrib,
     recv = {}
     n_sum_expected = 0
     for k in my_diag:
-        remote = len(contrib[k] - {rank})
-        n_sum_expected += remote
-        recv[k] = remote + (1 if rank in contrib[k] else 0)
+        recv[k] = len(contrib[k])
+        n_sum_expected += recv[k] - (rank in contrib[k])
     acc = {k: b[xsup[k]:xsup[k + 1]].copy() for k in my_diag}
     # parts[K] = {rank: partial sum} — each contributing rank delivers
     # exactly one lsum(K) (this rank's own under its own rank id), so the
@@ -219,7 +204,7 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction, contrib,
         yield Compute(flops=w * w * nrhs, width=w)
         solved[k] = x
         # x(K) goes down process column K mod npcol to the (·,K) owners
-        for dst in sorted(consumers[k] - {rank}):
+        for dst in [d for d in consumers[k] if d != rank]:
             yield Send(dest=dst, tag=2 * k + _TAG_X, payload=x,
                        nbytes=x.nbytes)
         yield from apply_x(k, x)
@@ -231,12 +216,11 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction, contrib,
             # reads all of x(J) and adds into a subset of K's rows, a U
             # block reads a subset of x(J) and adds into all of K's rows
             if lower:
-                put = dist.l_rows_by_block[j][k_blk] - xsup[k_blk]
+                put = local_index[j][k_blk]
                 contribution = gemm_update(blk, xj)
             else:
                 put = _ALL
-                contribution = gemm_update(
-                    blk, xj[dist.u_cols_by_block[k_blk][j] - xsup[j]])
+                contribution = gemm_update(blk, xj[local_index[k_blk][j]])
             yield Compute(flops=2 * blk.shape[0] * blk.shape[1] * nrhs,
                           width=blk.shape[width_axis])
             pending.setdefault(k_blk, {})[j] = (put, contribution)

@@ -128,7 +128,7 @@ def test_kernels_md_contract_table_is_the_protocol():
 
     assert check_docs.kernel_table_drift() == []
     ops = sorted(kernels.OPS)
-    assert len(ops) == 8 and all(callable(getattr(kernels, op)) for op in ops)
+    assert len(ops) == 7 and all(callable(getattr(kernels, op)) for op in ops)
     rows = [f"| `{op}(d, x)` | somewhere | something |" for op in ops]
     assert check_docs.kernel_table_drift("\n".join(rows)) == []
     # a row the module dropped, and an op the table never got

@@ -150,6 +150,24 @@ def test_fault_plan_pickle_roundtrip():
         assert out.message_fate(*key) == plan.message_fate(*key)
 
 
+def test_distributed_blocks_pickle_rebuilds_views_of_the_stores():
+    """Pickling ships each rank's store and the offset table once; every
+    block comes back a view of its rank's store, so what a rank program
+    writes through a block is what ``collect`` ships home."""
+    a = matrix_by_name("cfd02").build()
+    sym = symbolic_lu_symmetrized(a)
+    part = block_partition(sym, max_size=8)
+    dist = distribute_matrix(a, sym, part, best_grid(4))
+    out = pickle.loads(pickle.dumps(dist))
+    assert blocks_equal(dist, out)
+    views = [(blk, store) for r, store in enumerate(out.stores)
+             for blocks in (out.diag[r], out.lblk[r], out.ublk[r])
+             for blk in blocks.values()]
+    assert len(views) == part.nsuper + 2 * out.offsets.col.size
+    assert all(np.shares_memory(blk, store) for blk, store in views)
+    assert not np.shares_memory(out.stores[0], dist.stores[0])
+
+
 def test_comm_timeout_error_pickle_keeps_diagnosis():
     err = CommTimeoutError(source=2, tag=5, timeout=0.5, attempts=3,
                            where="unit test")
@@ -336,6 +354,33 @@ def test_distributed_driver_process_executor():
             reports[ex] = solver.solve(b)
     assert reports["sim"].converged and reports["process"].converged
     assert np.array_equal(reports["sim"].x, reports["process"].x)
+
+
+def test_process_refactor_rounds_bit_identical_to_sim():
+    """refactor → factorize → solve_distributed, twice, on a cfd06
+    Newton stream: the process executor copies each rank's store home
+    into the resident one, so the second refill reaches the blocks the
+    second factorization reads — ``x`` is the simulator's, bit for bit,
+    in both rounds."""
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.workload import ScenarioSpec, generate
+
+    stream = generate(ScenarioSpec(scenario="newton_drift", matrix="cfd06",
+                                   newton_iters=3, newton_drift=0.01,
+                                   seed=1))
+    xs = {}
+    with hard_timeout(300):
+        for ex in ("sim", "process"):
+            ds = DistributedGESPSolver(stream[0].matrix, nprocs=2,
+                                       executor=ex, cache=False)
+            xs[ex] = []
+            for item in stream[1:3]:
+                ds.refactor(item.matrix)
+                ds.factorize()
+                xs[ex].append(ds.solve_distributed(item.b).x)
+    assert not np.array_equal(*xs["sim"])        # the values did move
+    for x_sim, x_proc in zip(xs["sim"], xs["process"]):
+        assert np.array_equal(x_sim, x_proc)
 
 
 def test_driver_executor_kwarg_overrides_options():

@@ -8,11 +8,9 @@ Promises enforced here:
    hypothesis update pipeline, and through whole factorizations on
    testbed matrices (the engines reach an op through the module, so a
    golden run is ``monkeypatch.setattr(kernels, name, golden)``);
-2. ``scatter_sub``'s flat-index body performs exactly the frozen
-   ``np.ix_`` subtractions, whatever the shape, mask, dtype or layout;
-3. ops keep their dtype and the tiny-pivot replacement its phase;
-4. flops are counted once, inside the op, per thread;
-5. there is one implementation and nothing selects another: no option,
+2. ops keep their dtype and the tiny-pivot replacement its phase;
+3. flops are counted once, inside the op, per thread;
+4. there is one implementation and nothing selects another: no option,
    no flag, and no scipy in ``sys.modules`` after any default solve.
 """
 
@@ -104,6 +102,8 @@ def golden_gemm_update(l, u):
     return l @ u
 
 
+# not an op any more: the engines do step (3) as one subtract through
+# offsets precomputed in their plans; this is what that must equal
 def golden_scatter_sub(tgt, rows, cols, src, src_rows=None,
                 src_cols=None):
     if src_rows is not None:
@@ -196,14 +196,6 @@ def test_reference_trsm_bit_identical_to_golden(w, m):
 
 def test_reference_scatter_spa_bit_identical_to_golden():
     rng = np.random.default_rng(3)
-    tgt0 = rng.standard_normal((30, 20))
-    src = rng.standard_normal((12, 9))
-    rows = rng.choice(30, size=12, replace=False)
-    cols = rng.choice(20, size=9, replace=False)
-    tr, tg = tgt0.copy(), tgt0.copy()
-    kernels.scatter_sub(tr, rows, cols, src)
-    golden_scatter_sub(tg, rows, cols, src)
-    assert np.array_equal(tr, tg)
     spa0 = rng.standard_normal(50)
     srows = rng.choice(50, size=17, replace=False)
     vals = rng.standard_normal(17)
@@ -270,10 +262,6 @@ def test_reference_gesp_bit_identical_on_testbed(monkeypatch):
     assert np.array_equal(f_ref.u.nzval, f_gold.u.nzval)
 
 
-# --------------------------------------------------------------------- #
-# 2. scatter_sub: the flat-index body is the frozen np.ix_ subtract
-# --------------------------------------------------------------------- #
-
 DTYPES = [np.float32, np.float64, np.complex128]
 
 
@@ -284,63 +272,16 @@ def _typed(rng, shape, dtype):
     return np.ascontiguousarray(a.astype(dtype))
 
 
-@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
-def test_scatter_sub_is_the_frozen_ix_subtract(dtype):
-    """The flat raveled-index scatter performs the exact subtractions of
-    ``tgt[np.ix_(rows, cols)] -= src``, so it is bit-identical, not just
-    close: one row, one column, general, ``src_rows`` / ``src_cols``-
-    masked (index arrays, boolean masks, one axis only), each into a
-    C-contiguous target and — through the ``np.ix_`` fallback — into
-    Fortran-ordered and strided ones."""
-    rng = np.random.default_rng(5)
-    tgt0 = _typed(rng, (40, 25), dtype)
-    src = _typed(rng, (31, 40), dtype)
-    mask_r = np.zeros(31, dtype=bool)
-    mask_r[rng.choice(31, size=14, replace=False)] = True
-    mask_c = np.zeros(40, dtype=bool)
-    mask_c[rng.choice(40, size=11, replace=False)] = True
-    # label -> (src_rows, src_cols); None takes the whole axis of `sub`
-    cases = {
-        "one row": (src[:1, :11], None, None),
-        "one column": (src[:14, 3:4], None, None),
-        "general": (src[2:16, 5:16], None, None),
-        "index-masked": (src, np.flatnonzero(mask_r), np.flatnonzero(mask_c)),
-        "bool-masked": (src, mask_r, mask_c),
-        "rows masked only": (src[:, :11], mask_r, None),
-        "cols masked only": (src[:14], None, mask_c),
-    }
-
-    def strided(t):
-        wide = np.zeros((t.shape[0], 2 * t.shape[1]), dtype=t.dtype)
-        wide[:, ::2] = t
-        return wide[:, ::2]
-
-    for label, (sub, src_rows, src_cols) in cases.items():
-        nr = sub.shape[0] if src_rows is None else 14
-        nc = sub.shape[1] if src_cols is None else 11
-        rows = rng.choice(40, size=nr, replace=False)
-        cols = rng.choice(25, size=nc, replace=False)
-        gold = tgt0.copy()
-        golden_scatter_sub(gold, rows, cols, sub, src_rows=src_rows,
-                           src_cols=src_cols)
-        assert not np.array_equal(gold, tgt0), label
-        for layout in (np.ascontiguousarray, np.asfortranarray, strided):
-            tgt = layout(tgt0.copy())
-            kernels.scatter_sub(tgt, rows, cols, sub, src_rows=src_rows,
-                                src_cols=src_cols)
-            assert tgt.dtype == np.dtype(dtype), label
-            assert np.array_equal(tgt, gold), (label, layout.__name__)
-
-
 # --------------------------------------------------------------------- #
-# 3. hypothesis: random supernode shapes, w ∈ 1..24, |S| ∈ 0..64
+# 2. hypothesis: random supernode shapes, w ∈ 1..24, |S| ∈ 0..64
 # --------------------------------------------------------------------- #
 
 @given(w=st.integers(1, 24), s_size=st.integers(0, 64),
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=60, deadline=None)
 def test_update_pipeline_property(w, s_size, seed):
-    """One Figure-8 step — panel solve, GEMM, masked scatter — is bit
+    """One Figure-8 step — panel solve, GEMM, and the subtract through
+    precomputed flat offsets that pdgstrf and ``eliminate`` do — is bit
     for bit the frozen loops for every supernode width and update-set
     size."""
     rng = np.random.default_rng(seed)
@@ -356,7 +297,8 @@ def test_update_pipeline_property(w, s_size, seed):
     assert np.array_equal(upd_g, upd_k)
     tg, tk = tgt0.copy(), tgt0.copy()
     golden_scatter_sub(tg, rows, cols, upd_g)
-    kernels.scatter_sub(tk, rows, cols, upd_k)
+    tk.reshape(-1)[(rows[:, None] * tk.shape[1] + cols).ravel()] -= \
+        upd_k.ravel()
     assert np.array_equal(tg, tk)
     d = _block(rng, w)
     b0 = rng.standard_normal((s_size, w))
@@ -365,7 +307,7 @@ def test_update_pipeline_property(w, s_size, seed):
 
 
 # --------------------------------------------------------------------- #
-# 4. accounting
+# 3. accounting
 # --------------------------------------------------------------------- #
 
 def test_flop_formulas_and_stats():
@@ -478,7 +420,7 @@ def test_options_validate_rejects_unknown_factor_dtype():
 
 
 # --------------------------------------------------------------------- #
-# 5. dtype preservation: every op
+# 4. dtype preservation: every op
 # --------------------------------------------------------------------- #
 
 def _typed_block(rng, w, dtype):
@@ -529,15 +471,6 @@ def test_every_op_preserves_dtype_and_matches_golden(dtype):
     u = _typed(rng, (w, m), dtype)
     check(kernels.gemm_update(l, u), golden_gemm_update(l, u))
 
-    tgt0 = _typed(rng, (3 * w, 2 * m), dtype)            # scatter_sub
-    src = _typed(rng, (w, m), dtype)
-    rows = rng.choice(3 * w, size=w, replace=False)
-    cols = rng.choice(2 * m, size=m, replace=False)
-    tk, tg = tgt0.copy(), tgt0.copy()
-    kernels.scatter_sub(tk, rows, cols, src)
-    golden_scatter_sub(tg, rows, cols, src)
-    check(tk, tg)
-
     spa0 = _typed(rng, (4 * w,), dtype)                  # spa_axpy
     srows = rng.choice(4 * w, size=w, replace=False)
     vals = _typed(rng, (w,), dtype)
@@ -558,7 +491,7 @@ def test_every_op_preserves_dtype_and_matches_golden(dtype):
 
     # the CSC sweeps are not ops: they take a block as they take a
     # vector, in the wider of the factor dtype and float64
-    assert len(kernels.OPS) == 8 and set(kernels.OPS) == set(GOLDEN_OPS)
+    assert len(kernels.OPS) == 7 and set(kernels.OPS) == set(GOLDEN_OPS)
     wide = np.result_type(dtype, np.float64)
     for solve, tri in ((solve_lower_csc, np.tril), (solve_upper_csc, np.triu)):
         mat = CSCMatrix.from_dense(tri(_typed_block(rng, w, dtype)))
@@ -569,7 +502,7 @@ def test_every_op_preserves_dtype_and_matches_golden(dtype):
 
 
 # --------------------------------------------------------------------- #
-# 6. one implementation, nothing to select, no scipy
+# 5. one implementation, nothing to select, no scipy
 # --------------------------------------------------------------------- #
 
 def test_no_solve_path_imports_scipy():

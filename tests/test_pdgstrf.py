@@ -128,3 +128,31 @@ def test_solve_through_distributed_factors(rng):
     sf = dist.gather_to_supernodal()
     x = rng.standard_normal(45)
     assert np.allclose(sf.solve(d @ x), x, atol=1e-6)
+
+
+def test_dense_tail_updates_select_the_entries_that_have_a_home():
+    """§5's switch-to-dense merges trailing supernodes across etree
+    branches; split again for the grid, some ``S_K × S_K`` entries have
+    no slot in their target — on fem04 whole target blocks are missing.
+    Those products are exactly zero: the schedule's batches select the
+    entries that have a home (the masked update really runs), and the
+    factors agree with the serial engine's.  (The per-pair scatter this
+    replaced looked the missing block up and raised ``KeyError``.)"""
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("fem04").build()
+    ds = DistributedGESPSolver(a, nprocs=4, dense_tail_threshold=0.2,
+                               cache=False)
+    ds.factorize()
+    targets = ds._schedule["updates"]
+    assert targets.sel                           # partial selections exist
+    for b, sel in targets.sel.items():
+        start, end, cut, *_ = targets.meta[b].tolist()
+        assert sel.size == end - start           # one target per selected
+        assert np.all(np.diff(sel) > 0)          # entry, in product order
+        assert 0 <= cut <= sel.size
+    ref = supernodal_factor(ds.a_factored, sym=ds.symbolic, part=ds.part)
+    factors_equal(ds.dist.gather_to_supernodal(), ref)
+    rep = ds.solve(a @ np.ones(a.ncols))
+    assert rep.converged

@@ -315,6 +315,41 @@ def test_refill_values_rejects_wrong_pattern(rng):
         refill_values(dist, _other_pattern(a, rng), sym)
 
 
+def test_refill_values_checks_the_layout_pattern_with_and_without_sym():
+    """The layout remembers the pattern it was built for, so a refill is
+    checked even when no ``sym`` is passed.  Unchecked, an entry outside
+    the fill pattern — (7, 0) of cfd06's factored matrix — went into a
+    neighbouring slot of L(·, 0), and a one-gather refill would take any
+    matrix with the same nnz.  Nothing is written on a mismatch."""
+    from repro.dmem import refill_values
+    from repro.matrices import matrix_by_name
+    from repro.symbolic.fill import symbolic_lu_symmetrized
+
+    s = DistributedGESPSolver(matrix_by_name("cfd06").build(), nprocs=4,
+                              cache=False)
+    at, dist = s.a_factored, s.dist
+    i, j = np.array([7]), np.array([0])
+    assert not dist.slots(i, j)[2].any()          # (7, 0) has no slot
+    col0 = at.rowind[:at.colptr[1]].tolist()
+    t = int(np.searchsorted(col0, 7))
+    extra = CSCMatrix(at.nrows, at.ncols, at.colptr + (at.colptr > 0),
+                      np.insert(at.rowind, t, 7), np.insert(at.nzval, t, 123.0))
+    rows0 = sorted(col0[:-1] + [7])               # same nnz: one entry moved
+    moved = CSCMatrix(at.nrows, at.ncols, at.colptr,
+                      np.concatenate((rows0, at.rowind[len(col0):])),
+                      at.nzval)
+    before = [store.copy() for store in dist.stores]
+    for bad in (extra, moved):
+        for sym in (None, s.symbolic):
+            with pytest.raises(PatternMismatchError):
+                refill_values(dist, bad, sym)
+    # a passed sym is still honoured: the right matrix, a foreign sym
+    with pytest.raises(PatternMismatchError):
+        refill_values(dist, at, symbolic_lu_symmetrized(extra))
+    assert all(np.array_equal(x, y) for x, y in zip(before, dist.stores))
+    refill_values(dist, at)                       # the right pattern: fine
+
+
 def test_dist_refactor_pattern_mismatch(rng):
     a, _ = _pair(rng, n=30)
     s = DistributedGESPSolver(a, nprocs=4, cache=False)

@@ -45,6 +45,7 @@ from repro.dmem.simulator import (
     BlockedRank,
     DeadlockError,
     RankStats,
+    ReplayDivergenceError,
     SimulationResult,
     simulate,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "BlockedRank",
     "DeadlockError",
     "RankStats",
+    "ReplayDivergenceError",
     "SimulationResult",
     "simulate",
     "DistributedBlocks",

@@ -84,11 +84,18 @@ class DistributedBlocks:
     diag, lblk, ublk:
         Per-rank dicts of store views: ``diag[rank][K]``,
         ``lblk[rank][(I, K)]``, ``ublk[rank][(K, J)]``.
-    local_index, owners:
-        For :mod:`repro.pdgstrs`: ``local_index[K][I]``, the rows of group
+    widths, local_index, owners, solve_start:
+        ``widths[K]``, supernode K's width (a list).
+        For :mod:`repro.pdgstrs`, ``local_index[K][I]``: the rows of group
         (K, I) counted from block I's first; ``owners[name] = (by_row,
         by_col)``, the ranks (sorted tuples) owning an ``"lblk"`` /
-        ``"ublk"`` block in each block row / block column.
+        ``"ublk"`` block in each block row / block column;
+        ``solve_start[name][rank] = (by J the block rows K of its (K, J)
+        blocks, its blocks per row K, partial sums due per diagonal K,
+        messages to receive)``, where that rank's solve starts.
+    recordings:
+        The simulator executor's recorded runs on this layout (never
+        pickled).
     """
 
     grid: ProcessGrid
@@ -106,7 +113,8 @@ class DistributedBlocks:
     n_tiny_pivots: int = 0
     tiny_pivot_threshold: float = 0.0
 
-    _DERIVED = ("diag", "lblk", "ublk", "local_index", "owners")
+    _DERIVED = ("widths", "diag", "lblk", "ublk", "local_index", "owners",
+                "solve_start", "recordings")
 
     def __post_init__(self):
         self._bind()
@@ -115,7 +123,8 @@ class DistributedBlocks:
         """Derive the block views and solve maps from stores and offsets
         (also after unpickling: pickle ships no copy per view)."""
         p, xsup = self.grid.size, self.part.xsup
-        w = np.diff(xsup).tolist()
+        w = self.widths = np.diff(xsup).tolist()
+        self.recordings = {}
         self.diag, self.lblk, self.ublk = ([{} for _ in range(p)]
                                            for _ in range(3))
 
@@ -141,6 +150,19 @@ class DistributedBlocks:
                     by_col[j].add(r)
             self.owners[name] = tuple([tuple(sorted(ranks)) for ranks in side]
                                       for side in (by_row, by_col))
+        self.solve_start = {name: [self._solve_start(name, r) for r in range(p)]
+                            for name in ("lblk", "ublk")}
+
+    def _solve_start(self, name, rank):
+        contrib = self.owners[name][0]
+        my_blocks, mod = {}, {}
+        for k, j in sorted(getattr(self, name)[rank]):
+            my_blocks.setdefault(j, []).append(k)
+            mod[k] = mod.get(k, 0) + 1
+        recv = {k: len(contrib[k]) for k in self.diag[rank]}
+        expected = sum(self.grid.owner(j, j) != rank for j in my_blocks) \
+            + sum(n - (rank in contrib[k]) for k, n in recv.items())
+        return my_blocks, mod, recv, expected
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items()
@@ -157,9 +179,6 @@ class DistributedBlocks:
     @property
     def n(self):
         return self.part.n
-
-    def width(self, k):
-        return int(self.part.xsup[k + 1] - self.part.xsup[k])
 
     # ------------------------------------------------------------------ #
 
@@ -190,7 +209,7 @@ class DistributedBlocks:
 
         diag, below, right = [], [], []
         for k, groups in enumerate(self.l_rows_by_block):
-            w = self.width(k)
+            w = self.widths[k]
             diag.append(self.diag[self.grid.owner(k, k)][k].copy())
             below.append(np.concatenate([np.zeros((0, w))] + [
                 self.lblk[self.grid.owner(i, k)][(i, k)] for i in groups]))

@@ -33,7 +33,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.dmem.simulator import simulate
+from repro.dmem.machine import MachineModel
+from repro.dmem.simulator import Recording, replay, simulate
 
 __all__ = ["ENV_EXECUTOR", "EXECUTOR_NAMES", "RankJob",
            "SimulatorExecutor", "UnknownExecutorError", "resolve_executor"]
@@ -81,12 +82,18 @@ class RankJob:
         home (:attr:`SimulationResult.collected`); the in-process
         simulator skips it (mutations are already visible) and leaves
         ``collected`` as None.
+    key:
+        With ``factory``, the machine and the layout ``kwargs["dist"]``,
+        all the run's events depend on: the simulator executor records a
+        keyed reliable run on the layout and replays the key's later
+        runs.  None (the default; any job arming timeouts) simulates.
     """
 
     nranks: int
     factory: Callable[..., Any]
     kwargs: dict = field(default_factory=dict)
     collect: Callable[..., Any] | None = None
+    key: Any = None
 
     def build_program(self, rank):
         return self.factory(rank, **self.kwargs)
@@ -102,7 +109,9 @@ class SimulatorExecutor:
 
     Deterministic, single-process, simulated clock — the oracle every
     other executor is bit-compared against.  ``collect`` is not run:
-    rank programs mutate caller memory in place.
+    rank programs mutate caller memory in place.  A keyed job with no
+    fault plan is simulated once per layout and replayed after that;
+    the recordings live on the layout and are never pickled.
     """
 
     name = "sim"
@@ -112,8 +121,18 @@ class SimulatorExecutor:
 
     def run(self, job: RankJob, machine=None, fault_plan=None):
         programs = [job.build_program(r) for r in range(job.nranks)]
-        return simulate(programs, machine=machine,
-                        max_events=self.max_events, fault_plan=fault_plan)
+        if job.key is None or fault_plan is not None:
+            return simulate(programs, machine=machine,
+                            max_events=self.max_events, fault_plan=fault_plan)
+        machine = machine or MachineModel()
+        recordings = job.kwargs["dist"].recordings
+        key = (job.factory, job.key, machine)
+        if key in recordings:
+            return replay(programs, recordings[key])
+        rec = Recording()
+        sim = simulate(programs, machine, self.max_events, recording=rec)
+        recordings[key] = rec
+        return sim
 
 
 def resolve_executor(spec=None):

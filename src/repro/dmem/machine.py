@@ -47,11 +47,6 @@ class MachineModel:
         return count * self.alpha + self.beta * float(nbytes)
 
     @classmethod
-    def t3e_900(cls) -> "MachineModel":
-        """The default calibration (alias, for readable benchmarks)."""
-        return cls()
-
-    @classmethod
     def fast_network(cls) -> "MachineModel":
         """An idealized network (α, β → 0) — isolates load imbalance."""
         return cls(alpha=0.0, beta=0.0, send_overhead=0.0)

@@ -46,6 +46,7 @@ import time
 import traceback
 import weakref
 from dataclasses import dataclass
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -65,14 +66,9 @@ from repro.dmem.simulator import (
     DeadlockError,
     RankStats,
     SimulationResult,
+    report_run,
 )
-from repro.obs import add, annotate, get_tracer, trace
-
-try:  # multiprocessing.shared_memory needs Python >= 3.8
-    from multiprocessing import shared_memory
-    _HAVE_SHM = True
-except ImportError:  # pragma: no cover - baked-in toolchain has it
-    _HAVE_SHM = False
+from repro.obs import add, trace
 
 
 class _NoTracking:
@@ -344,7 +340,7 @@ class _Transport:
         arrays = []
         tree = _pack_tree(op.payload, arrays)
         total = sum(a.nbytes for a in arrays)
-        if _HAVE_SHM and arrays and total >= self.cfg.shm_threshold:
+        if arrays and total >= self.cfg.shm_threshold:
             self.n_segments += 1
             name = f"{SHM_PREFIX}{self.run_id}r{self.rank}n{self.n_segments}"
             descs = _share_arrays(arrays, name)
@@ -581,31 +577,13 @@ class ProcessExecutor:
     def run(self, job, machine=None, fault_plan=None):
         """Execute ``job``; returns a ``SimulationResult`` whose per-rank
         times are real wall-clock measurements."""
-        with trace("dmem/execute"):
+        with trace("dmem/execute", executor=self.name,
+                   start_method=self.start_method):
             t0 = time.perf_counter()
-            result = self._run(job, machine, fault_plan)
-            result.wall_seconds = time.perf_counter() - t0
-            if get_tracer().enabled:
-                add("dmem.msgs_sent", result.total_messages)
-                add("dmem.bytes_sent", result.total_bytes)
-                add("dmem.wait_time",
-                    sum(s.blocked_time for s in result.stats))
-                add("dmem.compute_time",
-                    sum(s.compute_time for s in result.stats))
-                add("dmem.wall_seconds", result.wall_seconds)
-                add("dmem.shm_msgs",
-                    sum(s.shm_msgs for s in result.stats))
-                add("dmem.shm_bytes",
-                    sum(s.shm_bytes for s in result.stats))
-                if fault_plan is not None or result.total_recv_timeouts:
-                    add("dmem.msgs_dropped", result.total_dropped)
-                    add("dmem.msgs_duplicated", result.total_duplicated)
-                    add("dmem.recv_timeouts", result.total_recv_timeouts)
-                annotate(executor=self.name,
-                         nranks=job.nranks,
-                         elapsed=result.elapsed,
-                         wall_seconds=result.wall_seconds,
-                         start_method=self.start_method)
+            result = report_run(self._run(job, machine, fault_plan), t0,
+                                fault_plan)
+            add("dmem.shm_msgs", sum(s.shm_msgs for s in result.stats))
+            add("dmem.shm_bytes", sum(s.shm_bytes for s in result.stats))
             return result
 
     def _run(self, job, machine, fault_plan):
@@ -679,8 +657,6 @@ class ProcessExecutor:
 
     @staticmethod
     def _cleanup_shm(shm_names, run_id):
-        if not _HAVE_SHM:
-            return
         for name in shm_names:
             _unlink_segment(name)
         # segments created by workers that died before reporting

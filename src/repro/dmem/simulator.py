@@ -29,11 +29,16 @@ Failure modes are first-class (docs/ROBUSTNESS.md):
   :class:`~repro.dmem.comm.CommTimeoutError`\\ s rather than hangs;
 - a true deadlock (no timeouts armed) raises :class:`DeadlockError`
   carrying the full per-rank blocked state in ``.blocked``.
+
+A reliable run can fill a :class:`Recording` that :func:`replay` drives
+the same programs along later, with no clock, matching or per-event
+stats: under static pivoting no event depends on a value (paper §3).
 """
 
 from __future__ import annotations
 
 import time
+from copy import deepcopy
 from dataclasses import dataclass, field
 
 from repro.dmem.comm import (
@@ -49,8 +54,8 @@ from repro.dmem.comm import (
 from repro.dmem.machine import MachineModel
 from repro.obs import add, annotate, get_tracer, trace
 
-__all__ = ["BlockedRank", "DeadlockError", "RankStats", "SimulationResult",
-           "simulate"]
+__all__ = ["BlockedRank", "DeadlockError", "RankStats", "Recording",
+           "ReplayDivergenceError", "SimulationResult", "replay", "simulate"]
 
 # blocked_by_kind key used for waiting time that ended in a fired timeout
 TIMEOUT_KIND = "timeout"
@@ -90,6 +95,15 @@ class DeadlockError(RuntimeError):
             message = (f"{message}: {len(self.blocked)} rank(s) blocked — "
                        + "; ".join(str(b) for b in self.blocked))
         super().__init__(message)
+
+
+class ReplayDivergenceError(RuntimeError):
+    """A replayed run did not do what its :class:`Recording` says: rank
+    ``rank`` received, sent or computed otherwise (``reason``)."""
+
+    def __init__(self, rank, reason):
+        self.rank, self.reason = rank, reason
+        super().__init__(f"rank {rank} diverged from its recording: {reason}")
 
 
 @dataclass
@@ -199,9 +213,20 @@ class SimulationResult:
         return self.total_flops / self.elapsed / 1e6
 
 
+@dataclass
+class Recording:
+    """What :func:`replay` needs of one reliable :func:`simulate` run:
+    per rank, the ``(source, source's send index)`` of the message each
+    of its receives took, in order; the run's stats and elapsed time."""
+
+    received: list = field(default_factory=list)
+    stats: list = field(default_factory=list)
+    elapsed: float = 0.0
+
+
 def simulate(programs, machine: MachineModel | None = None,
-             max_events: int = 50_000_000,
-             fault_plan=None) -> SimulationResult:
+             max_events: int = 50_000_000, fault_plan=None,
+             recording: Recording | None = None) -> SimulationResult:
     """Run rank generators to completion under the machine model.
 
     Parameters
@@ -216,6 +241,8 @@ def simulate(programs, machine: MachineModel | None = None,
     fault_plan:
         A :class:`~repro.dmem.faults.FaultPlan` injecting deterministic
         message/compute faults; ``None`` simulates a reliable machine.
+    recording:
+        An empty :class:`Recording` a reliable run fills for :func:`replay`.
 
     When a tracer is live, a ``dmem/simulate`` span is emitted carrying
     the aggregate message/byte/wait counters plus a ``per_rank``
@@ -226,45 +253,120 @@ def simulate(programs, machine: MachineModel | None = None,
     """
     with trace("dmem/simulate"):
         t0 = time.perf_counter()
-        result = _simulate(programs, machine, max_events, fault_plan)
-        result.wall_seconds = time.perf_counter() - t0
-        if get_tracer().enabled:
-            add("dmem.msgs_sent", result.total_messages)
-            add("dmem.bytes_sent", result.total_bytes)
-            add("dmem.wait_time", sum(s.blocked_time for s in result.stats))
-            add("dmem.compute_time",
-                sum(s.compute_time for s in result.stats))
-            add("dmem.wall_seconds", result.wall_seconds)
-            if fault_plan is not None or result.total_recv_timeouts:
-                add("dmem.msgs_dropped", result.total_dropped)
-                add("dmem.msgs_duplicated", result.total_duplicated)
-                add("dmem.recv_timeouts", result.total_recv_timeouts)
-            annotate(
-                elapsed=result.elapsed,
-                wall_seconds=result.wall_seconds,
-                nranks=len(result.stats),
-                per_rank=[{
-                    "rank": s.rank,
-                    "time": s.time,
-                    "wall_seconds": s.wall_seconds,
-                    "compute_time": s.compute_time,
-                    "blocked_time": s.blocked_time,
-                    "send_time": s.send_time,
-                    "flops": s.flops,
-                    "msgs_sent": s.msgs_sent,
-                    "msgs_received": s.msgs_received,
-                    "bytes_sent": s.bytes_sent,
-                    "bytes_received": s.bytes_received,
-                    "msgs_dropped": s.msgs_dropped,
-                    "msgs_duplicated": s.msgs_duplicated,
-                    "recv_timeouts": s.recv_timeouts,
-                    "blocked_by_kind": {str(k): v for k, v
-                                        in s.blocked_by_kind.items()},
-                } for s in result.stats])
-        return result
+        received = None if recording is None else [[] for _ in programs]
+        result = _simulate(programs, machine, max_events, fault_plan, received)
+        if recording is not None:
+            recording.received, recording.elapsed = received, result.elapsed
+            recording.stats = deepcopy(result.stats)
+        return report_run(result, t0, fault_plan)
 
 
-def _simulate(programs, machine, max_events, fault_plan) -> SimulationResult:
+def replay(programs, recording: Recording) -> SimulationResult:
+    """Run ``programs`` again along ``recording``, the record of a
+    :func:`simulate` run of programs that send, compute and receive the
+    same.  Each receive takes its recorded message once the sender has
+    sent it.  The result has the recorded clocks (fresh stats copies),
+    this run's ``returns`` and ``wall_seconds``, and the span and
+    counters of :func:`simulate` plus ``replayed=True``.  A message
+    whose source or tag the receive does not match, or a rank whose
+    receives, messages, bytes or flops differ from the record, raises
+    :class:`ReplayDivergenceError`; a stall, :class:`DeadlockError`.
+    """
+    with trace("dmem/simulate", replayed=True):
+        t0 = time.perf_counter()
+        return report_run(_replay(programs, recording), t0, None)
+
+
+def report_run(result, t0, fault_plan):
+    """Stamp ``result``'s wall seconds since ``t0``; emit its ``dmem.*``
+    counters and attributes on the open span (any executor's run)."""
+    result.wall_seconds = time.perf_counter() - t0
+    if get_tracer().enabled:
+        stats = result.stats
+        add("dmem.msgs_sent", result.total_messages)
+        add("dmem.bytes_sent", result.total_bytes)
+        add("dmem.wait_time", sum(s.blocked_time for s in stats))
+        add("dmem.compute_time", sum(s.compute_time for s in stats))
+        add("dmem.wall_seconds", result.wall_seconds)
+        if fault_plan is not None or result.total_recv_timeouts:
+            add("dmem.msgs_dropped", result.total_dropped)
+            add("dmem.msgs_duplicated", result.total_duplicated)
+            add("dmem.recv_timeouts", result.total_recv_timeouts)
+        annotate(elapsed=result.elapsed, wall_seconds=result.wall_seconds,
+                 nranks=len(stats), per_rank=[{
+                     **vars(s), "blocked_by_kind": {
+                         str(k): v for k, v in s.blocked_by_kind.items()}}
+                     for s in stats])
+    return result
+
+
+def _replay(programs, rec) -> SimulationResult:
+    nranks = len(programs)
+    returns, waiting, alive = [None] * nranks, [None] * nranks, [True] * nranks
+    mail, seq = {}, 0          # (source, send index) -> Message
+    sent, took = [0] * nranks, [0] * nranks      # sends, receives made
+    counts = [[0, 0, 0.0] for _ in range(nranks)]   # messages, bytes, flops
+    while any(alive):
+        progressed = False
+        for r, gen in enumerate(programs):
+            log, count, m = rec.received[r], counts[r], None
+            while alive[r]:
+                if (op := waiting[r]) is not None:
+                    if took[r] == len(log):
+                        raise ReplayDivergenceError(
+                            r, "a receive the recording lacks")
+                    if (m := mail.pop(log[took[r]], None)) is None:
+                        break
+                    took[r] += 1
+                    if op.source not in (ANY_SOURCE, m.source) \
+                            or op.tag not in (ANY_TAG, m.tag):
+                        raise ReplayDivergenceError(
+                            r, f"receive (src={op.source}, tag={op.tag}) "
+                               f"got (src={m.source}, tag={m.tag})")
+                    waiting[r] = None
+                progressed = True
+                try:
+                    op = gen.send(m)
+                except StopIteration as stop:
+                    alive[r], returns[r] = False, stop.value
+                    break
+                m = None
+                if isinstance(op, Compute):
+                    count[2] += op.flops
+                elif isinstance(op, Send):
+                    if not (0 <= op.dest < nranks):
+                        raise ValueError(
+                            f"rank {r} sent to invalid rank {op.dest}")
+                    count[0] += op.count
+                    count[1] += op.nbytes
+                    seq += 1
+                    mail[(r, sent[r])] = Message(
+                        source=r, tag=op.tag, payload=op.payload,
+                        nbytes=op.nbytes, msg_id=seq)
+                    sent[r] += 1
+                elif isinstance(op, Recv):
+                    waiting[r] = op
+                else:
+                    raise TypeError(f"rank {r} yielded unknown op {op!r}")
+        if not progressed:
+            raise DeadlockError("replay stalled", blocked=[
+                BlockedRank(rank=r, source=op.source, tag=op.tag,
+                            clock=float("nan"))
+                for r, op in enumerate(waiting) if op is not None])
+    for r, s in enumerate(rec.stats):
+        did = [took[r], *counts[r]]
+        want = [len(rec.received[r]), s.msgs_sent, s.bytes_sent, s.flops]
+        if did != want:
+            raise ReplayDivergenceError(
+                r, f"receives, messages, bytes, flops {did}; recorded {want}")
+    if mail:
+        raise ReplayDivergenceError(min(mail)[0], "a send no receive took")
+    return SimulationResult(stats=deepcopy(rec.stats), elapsed=rec.elapsed,
+                            returns=returns)
+
+
+def _simulate(programs, machine, max_events, fault_plan,
+              received) -> SimulationResult:
     machine = machine or MachineModel()
     nranks = len(programs)
     gens = list(programs)
@@ -281,6 +383,8 @@ def _simulate(programs, machine, max_events, fault_plan) -> SimulationResult:
     alive = [True] * nranks
     # deterministic FIFO sequencing per (src, dst, tag)
     seq_counter = 0
+    # per-rank Send op index: with the rank, a message's recorded name
+    sends = [0] * nranks
     # per-rank Compute op index (keys the fault plan's jitter stream)
     compute_idx = [0] * nranks
     # mutable countdowns for the plan's surgical drop rules
@@ -329,6 +433,8 @@ def _simulate(programs, machine, max_events, fault_plan) -> SimulationResult:
         clock[r] = t_ready
         stats[r].msgs_received += getattr(m, "_count", 1)
         stats[r].bytes_received += m.nbytes
+        if received is not None:
+            received[r].append((m.source, m._send))
         return m
 
     def fire_timeout(r, op, deadline):
@@ -368,6 +474,7 @@ def _simulate(programs, machine, max_events, fault_plan) -> SimulationResult:
             raise ValueError(f"rank {r} sent to invalid rank {op.dest}")
         seq_counter += 1
         seq = seq_counter
+        index, sends[r] = sends[r], sends[r] + 1
         copies, delay_factor = 1, 0.0
         if fault_plan is not None:
             dropped = False
@@ -399,6 +506,7 @@ def _simulate(programs, machine, max_events, fault_plan) -> SimulationResult:
                 stats[r].msgs_duplicated += op.count
             m._seq = seq_counter if c > 0 else seq
             m._count = op.count
+            m._send = index
             mailbox[op.dest].append(m)
 
     events = 0

@@ -190,7 +190,8 @@ class DistributedGESPSolver(PatternSolver):
         Idempotent: ``pdgstrf`` works in place, so once it has run the
         block storage holds the factors of the resident values and a
         repeat call returns that run (every value change goes through
-        :meth:`refactor`, whose numeric step clears ``factor_run``).
+        :meth:`refactor`, whose numeric step clears ``factor_run``); one
+        that raises refills the storage with them.
         """
         if self.factor_run is not None:
             return self.factor_run
@@ -201,16 +202,23 @@ class DistributedGESPSolver(PatternSolver):
                 self._publish_plan()
             else:
                 annotate(schedule_reused=True)
-            self.factor_run = pdgstrf(
-                self.dist, self.dag, anorm=self.anorm, machine=self.machine,
-                pipeline=self.pipeline, edag_prune=self.edag_prune,
-                replace_tiny_pivots=self.options.replace_tiny_pivots,
-                tiny_pivot_scale=self.options.tiny_pivot_scale,
-                fault_plan=self.fault_plan,
-                recv_timeout=self.recv_timeout,
-                recv_retries=self.recv_retries,
-                schedule=self._schedule,
-                executor=self.executor)
+            try:
+                self.factor_run = pdgstrf(
+                    self.dist, self.dag, anorm=self.anorm,
+                    machine=self.machine, pipeline=self.pipeline,
+                    edag_prune=self.edag_prune,
+                    replace_tiny_pivots=self.options.replace_tiny_pivots,
+                    tiny_pivot_scale=self.options.tiny_pivot_scale,
+                    fault_plan=self.fault_plan,
+                    recv_timeout=self.recv_timeout,
+                    recv_retries=self.recv_retries,
+                    schedule=self._schedule,
+                    executor=self.executor)
+            except BaseException:
+                # the stores are half factored: put the resident values
+                # back (one gather), so a retry factors A, not debris
+                refill_values(self.dist, self.a_factored)
+                raise
         return self.factor_run
 
     def solve_distributed(self, b) -> SolveRun:

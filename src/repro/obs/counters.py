@@ -122,10 +122,10 @@ COUNTERS = (
         "once)."),
     CounterSpec(
         "dmem.wall_seconds", "second (wall)",
-        "repro/dmem/simulator.py, repro/dmem/procexec.py",
+        "repro/dmem/simulator.py",
         "Real host wall-clock seconds for one executor run, distinct "
-        "from the simulated clock: the simulator's event loop time, or "
-        "the process executor's spawn-to-join time."),
+        "from the simulated clock: the simulator's event loop (or "
+        "replay) time, or the process executor's spawn-to-join time."),
     CounterSpec(
         "dmem.shm_msgs", "message",
         "repro/dmem/procexec.py",

@@ -30,16 +30,16 @@ from repro.dmem.distribute import DistributedBlocks
 from repro.dmem.executor import RankJob, resolve_executor
 from repro.dmem.machine import MachineModel
 from repro.dmem.simulator import SimulationResult
+from repro.obs import add, annotate, trace
+from repro.symbolic.edag import BlockDAG
+
+__all__ = ["FactorizationRun", "build_schedule", "pdgstrf"]
 
 # default per-attempt receive timeout (simulated seconds) when fault
 # injection is active: orders of magnitude above any legitimate wait at
 # the testbed's scale, so it only ever fires when the machine stalls
 DEFAULT_RECV_TIMEOUT = 1.0
 DEFAULT_RECV_RETRIES = 2
-from repro.obs import add, annotate, trace
-from repro.symbolic.edag import BlockDAG
-
-__all__ = ["FactorizationRun", "build_schedule", "pdgstrf"]
 
 _DIAG_L, _DIAG_U, _L_PANEL, _U_PANEL = 0, 1, 2, 3
 
@@ -122,7 +122,8 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         simulator default (:func:`repro.dmem.executor.resolve_executor`).
         The process executor runs one worker per rank and ships each
         rank's store back into ``dist``'s, in place; results are
-        bit-identical to the simulator.
+        bit-identical to the simulator, which with no fault plan and no
+        timeout replays its first run on the layout (docs/EXECUTOR.md).
     """
     machine = machine or MachineModel()
     exec_ = resolve_executor(executor)
@@ -144,7 +145,8 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
                         pipeline=pipeline, edag_prune=edag_prune,
                         sched=sched, recv_timeout=recv_timeout,
                         recv_retries=recv_retries),
-            collect=_collect_factor_state)
+            collect=_collect_factor_state,
+            key=None if recv_timeout is not None else (pipeline, edag_prune))
         sim = exec_.run(job, machine=machine, fault_plan=fault_plan)
         if sim.collected is not None:
             # executors whose workers do not share memory with the
@@ -205,7 +207,7 @@ def _update_targets(dist, need_l, need_u):
     tgt, meta, sel, end = [], [], {}, 0
     for k, s in enumerate(dist.s_rows):
         _, where, stored = dist.slots(s[:, None], s[None, :])
-        groups, w = dist.l_rows_by_block[k], dist.width(k)
+        groups, w = dist.l_rows_by_block[k], dist.widths[k]
         ends = np.cumsum([rows.size for rows in groups.values()]).tolist()
         span = {i: slice(e - rows.size, e)
                 for (i, rows), e in zip(groups.items(), ends)}
@@ -301,7 +303,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         """Factor L(K:N, K): diagonal factor + L panel solves + sends."""
         nonlocal n_tiny
         kr, kc = k % nprow, k % npcol
-        w = dist.width(k)
+        w = dist.widths[k]
         my_l = need_l_all[k][pr] if pc == kc else []
         if pr == kr and pc == kc:
             d = dist.diag[rank][k]
@@ -344,7 +346,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
 
     def step2(k):
         kr, kc = k % nprow, k % npcol
-        w = dist.width(k)
+        w = dist.widths[k]
         if pr != kr:
             return
         my_u = need_u_all[k][pc]
@@ -419,17 +421,17 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             upd = upd[targets.sel[b]]
         if not lookahead:
             store[tgt] -= upd
-            yield Compute(flops=sum(flops), width=dist.width(k))
+            yield Compute(flops=sum(flops), width=dist.widths[k])
             return
         store[tgt[:cut]] -= upd[:cut]
         if flops[0]:
-            yield Compute(flops=flops[0], width=dist.width(k))
+            yield Compute(flops=flops[0], width=dist.widths[k])
         if not step1_done[k + 1]:
             yield from step1(k + 1)
             step1_done[k + 1] = True
         store[tgt[cut:]] -= upd[cut:]
         if flops[1]:
-            yield Compute(flops=flops[1], width=dist.width(k))
+            yield Compute(flops=flops[1], width=dist.widths[k])
 
     # -------------------- main loop ------------------------------------ #
 

@@ -87,7 +87,10 @@ def _run(direction, dist, b, machine, fault_plan, recv_timeout,
     job = RankJob(nranks=dist.grid.size, factory=_rank_solve,
                   kwargs=dict(dist=dist, b=b, direction=direction,
                               recv_timeout=recv_timeout,
-                              recv_retries=recv_retries))
+                              recv_retries=recv_retries),
+                  # nrhs sets the bytes, and so the ANY_SOURCE order
+                  key=None if recv_timeout is not None
+                  else (direction.name, b.shape))
     sim = resolve_executor(executor).run(job, machine=machine,
                                          fault_plan=fault_plan)
     x = np.empty(b.shape)
@@ -141,8 +144,8 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     grid = dist.grid
     xsup = dist.part.xsup
     local_index = dist.local_index
-    # owners of a block (K, J): K's partial-sum senders, x(J)'s readers
-    contrib, consumers = dist.owners[direction.blocks]
+    # owners of a block (·, J): x(J)'s readers
+    consumers = dist.owners[direction.blocks][1]
     b = np.asarray(b, dtype=np.float64)
 
     nrhs = 1 if b.ndim == 1 else b.shape[1]
@@ -150,33 +153,22 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     def zeros_block(w):
         return np.zeros(w) if b.ndim == 1 else np.zeros((w, nrhs))
 
-    # my_blocks[J] = block rows K of my (K, J) blocks, ascending
-    my_blocks = {}
-    mod = {}
-    for (k_blk, j_blk) in blocks:
-        my_blocks.setdefault(j_blk, []).append(k_blk)
-        mod[k_blk] = mod.get(k_blk, 0) + 1
-    for v in my_blocks.values():
-        v.sort()
+    # my_blocks[J] = block rows K of my (K, J) blocks, ascending; the
+    # counters and message total are the layout's, once per pattern
+    my_blocks, mod, recv, remaining = dist.solve_start[direction.blocks][rank]
+    mod, recv = dict(mod), dict(recv)
     # pending[K] = {J: (rows of lsum(K), block(K,J)·x(J))} — block
     # updates buffered until mod[K] hits zero, then reduced in sorted-J
     # order (canonical, arrival-independent)
     pending = {}
 
     my_diag = sorted(dist.diag[rank].keys(), reverse=direction.descending)
-    recv = {}
-    n_sum_expected = 0
-    for k in my_diag:
-        recv[k] = len(contrib[k])
-        n_sum_expected += recv[k] - (rank in contrib[k])
     acc = {k: b[xsup[k]:xsup[k + 1]].copy() for k in my_diag}
     # parts[K] = {rank: partial sum} — each contributing rank delivers
     # exactly one lsum(K) (this rank's own under its own rank id), so the
     # keys are unique; reduced in sorted-rank order at solve time
     parts = {k: {} for k in my_diag}
     solved = {}
-    # distinct J with owned (·,J) blocks whose diagonal process is remote
-    n_x_expected = sum(1 for j in my_blocks if grid.owner(j, j) != rank)
 
     # ---- local cascade helpers --------------------------------------- #
 
@@ -195,7 +187,7 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     def maybe_solve(k):
         if k in solved or recv[k] != 0:
             return
-        w = dist.width(k)
+        w = dist.widths[k]
         x = acc[k]
         for src in sorted(parts[k]):
             x -= parts[k][src]
@@ -226,7 +218,7 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
             pending.setdefault(k_blk, {})[j] = (put, contribution)
             mod[k_blk] -= 1
             if mod[k_blk] == 0:
-                vec = zeros_block(dist.width(k_blk))
+                vec = zeros_block(dist.widths[k_blk])
                 contribs = pending.pop(k_blk)
                 for jj in sorted(contribs):
                     idx, c = contribs[jj]
@@ -241,7 +233,6 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     # injected transport duplicates share the original's msg_id — apply
     # each logical message once (the loop is not otherwise idempotent)
     seen = set()
-    remaining = n_x_expected + n_sum_expected
     while remaining > 0:
         m = yield from recv_with_retry(              # line (*) of Fig. 9
             source=ANY_SOURCE, tag=ANY_TAG,

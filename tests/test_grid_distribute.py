@@ -125,7 +125,7 @@ def test_local_bytes_total(rng):
     total = sum(dist.local_bytes(r) for r in range(dist.grid.size))
     expected = 0
     for k in range(part.nsuper):
-        w = dist.width(k)
+        w = dist.widths[k]
         s = dist.s_rows[k].size
         expected += (w * w + 2 * s * w) * 8
     assert total == expected

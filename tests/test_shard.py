@@ -14,6 +14,7 @@ failing in-flight requests with structured ShardDied and respawning,
 overload isolated to one shard, and a warm start from the spool.
 """
 
+import gc
 import multiprocessing as mp
 import os
 import pickle
@@ -47,6 +48,15 @@ except ValueError:                     # pragma: no cover - exotic platform
 
 needs_spawn = pytest.mark.skipif(
     not _HAVE_SPAWN, reason="multiprocessing spawn context unavailable")
+
+
+@pytest.fixture(autouse=True)
+def _collect_first():
+    """Collect earlier tests' garbage before a test starts the tier's
+    threads and processes: a cyclic collection that ran inside
+    ``ShardedSolveService._spawn`` while a response pump was polling has
+    crashed full tier-1 runs with a segfault (root cause still open)."""
+    gc.collect()
 
 
 def sparse_matrix(n=25, seed=0, density=0.3):

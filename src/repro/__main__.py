@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["sim", "process"],
                    help="runtime for the distributed phases (--nprocs > 1): "
                         "'sim' (event-loop simulator) or 'process' (one "
-                        "real worker process per rank, shared-memory "
+                        "real worker process per rank, pickled "
                         "payloads); default: $REPRO_DMEM_EXECUTOR, then "
                         "'sim' (see docs/EXECUTOR.md)")
     p.add_argument("--factor-dtype", default="float64",

@@ -18,7 +18,7 @@ measurements of Tables 3-5.
 - :mod:`~repro.dmem.executor` — the pluggable runtime seam
   (:class:`RankJob`, :func:`resolve_executor`): the simulator is one
   executor, :mod:`~repro.dmem.procexec`'s real per-rank worker
-  processes (shared-memory payload transfer) another, bit-identical
+  processes (payloads pickled through queues) another, bit-identical
   to it (docs/EXECUTOR.md);
 - :mod:`~repro.dmem.faults` — seeded, deterministic fault injection
   (message drop/duplication/delay, rank slowdown, compute jitter);

@@ -153,8 +153,8 @@ class CommTimeoutError(RuntimeError):
         What the receive was waiting for (``-1`` = ANY).
     timeout, attempts:
         The per-attempt timeout and how many attempts were made before
-        giving up (simulated seconds on the simulator; wall seconds —
-        scaled by ``timeout_scale`` — on the process executor).
+        giving up (simulated seconds on the simulator; the same number
+        read as wall seconds on the process executor).
     where:
         Free-form protocol location, e.g. ``"pdgstrf step1 k=3"``.
     clock:

@@ -16,8 +16,8 @@ extracts the seam between *program* and *runtime*:
   ``run(job, machine=None, fault_plan=None) -> SimulationResult``
   method.  :class:`SimulatorExecutor` wraps the event-loop simulator
   (the deterministic oracle); :class:`repro.dmem.procexec.ProcessExecutor`
-  runs one real worker process per rank over ``multiprocessing`` queues
-  with shared-memory payload transfer.
+  runs one real worker process per rank over ``multiprocessing`` queues,
+  every payload pickled.
 
 Executor selection precedence (:func:`resolve_executor`): an explicit
 instance or name > the ``REPRO_DMEM_EXECUTOR`` environment variable >

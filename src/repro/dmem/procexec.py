@@ -1,13 +1,12 @@
 """Real multi-process execution of virtual-MPI rank programs.
 
 :class:`ProcessExecutor` runs the *same* generator programs the
-simulator runs — unchanged — but with one OS worker process per rank,
-``multiprocessing`` queues as the wire, and
-``multiprocessing.shared_memory`` segments carrying large numpy payloads
-zero-copy (receivers map the sender's pages instead of unpickling a
-copy).  The event-loop simulator stays the deterministic oracle; this
-backend must produce bit-identical numeric results on the algorithms in
-this repo (``tests/test_executor.py`` asserts exactly that).
+simulator runs — unchanged — but with one OS worker process per rank
+and ``multiprocessing`` queues as the wire: every payload is pickled
+through its destination's queue.  The event-loop simulator stays the
+deterministic oracle; this backend must produce bit-identical numeric
+results on the algorithms in this repo (``tests/test_executor.py``
+asserts exactly that).
 
 Semantics preserved from the simulator (parity table: docs/EXECUTOR.md):
 
@@ -16,13 +15,16 @@ Semantics preserved from the simulator (parity table: docs/EXECUTOR.md):
 - ``ANY_SOURCE``/``ANY_TAG`` earliest-arrival matching: the per-worker
   mailbox keeps messages in dequeue order and delivers the first match;
 - ``Recv(timeout=T)`` resumes the program with a ``Timeout`` sentinel
-  when no match arrived within ``T * timeout_scale`` *wall* seconds, so
+  when no match arrived within ``T`` *wall* seconds, so
   ``recv_with_retry`` raises the same structured ``CommTimeoutError``;
 - a seeded :class:`~repro.dmem.faults.FaultPlan` maps onto real queues:
   surgical ``DropRule``\\ s and probabilistic fates are applied at the
   send site, duplicates share the original's ``msg_id`` for receiver
   dedup, delays defer delivery eligibility, and ``rank_slowdown``
-  becomes real (bounded) sleep.
+  becomes real (bounded) sleep;
+- received ndarray leaves are read-only, which enforces the ``Send``
+  contract ("rank programs must not mutate a buffer after sending it")
+  from the receiving side too.
 
 Failure handling is deterministic where the simulator's is: the first
 rank to exhaust its receive retries sets a shared stop event; ranks
@@ -32,21 +34,20 @@ no deadline abort immediately (producing ``blocked`` snapshots), and
 the parent re-raises the lowest-ranked ``CommTimeoutError`` enriched
 with the blocked-rank snapshot — the same diagnosis shape
 ``repro.recovery.health.diagnose_comm_failure`` reads from simulator
-failures.  A run that makes no progress at all is cut off by the
+failures.  A worker that raises anything else — or returns a result
+that does not pickle — is a :class:`WorkerCrashError` carrying its
+traceback.  A run that makes no progress at all is cut off by the
 ``run_timeout`` watchdog and raised as ``DeadlockError`` instead of
 hanging the caller.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
+import multiprocessing as mp
+import pickle
 import queue as queue_mod
 import time
 import traceback
-import weakref
-from dataclasses import dataclass
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -68,55 +69,19 @@ from repro.dmem.simulator import (
     SimulationResult,
     report_run,
 )
-from repro.obs import add, trace
+from repro.obs import trace
 
+__all__ = ["ProcessExecutor", "WorkerCrashError"]
 
-class _NoTracking:
-    """Stand-in for the resource tracker during SharedMemory construction.
-
-    Segment lifetime here is managed explicitly by name (the parent
-    unlinks after every worker exits), but Python < 3.13 registers every
-    POSIX SharedMemory — attach included — with the per-process resource
-    tracker, whose name cache is a *set* shared across the forked
-    process tree: balanced register/unregister pairs from creator,
-    receiver, and parent collapse and then KeyError inside the tracker.
-    Suppressing registration entirely (the documented workaround until
-    ``track=False`` exists) keeps the tracker silent and correct.
-    """
-
-    @staticmethod
-    def register(name, rtype):
-        pass
-
-    @staticmethod
-    def unregister(name, rtype):
-        pass
-
-    @staticmethod
-    def ensure_running():
-        pass
-
-
-@contextlib.contextmanager
-def _untracked():
-    """Run SharedMemory construction/unlink without tracker traffic."""
-    saved = shared_memory.resource_tracker
-    shared_memory.resource_tracker = _NoTracking
-    try:
-        yield
-    finally:
-        shared_memory.resource_tracker = saved
-
-
-def _open_shm(**kwargs):
-    with _untracked():
-        return shared_memory.SharedMemory(**kwargs)
-
-__all__ = ["ProcessExecutor", "WorkerCrashError", "SHM_PREFIX"]
-
-# every segment name starts with this + the run id, so leaked segments
-# are attributable and the parent can sweep them after a hard kill
-SHM_PREFIX = "reprox"
+# fork where the platform has it (workers inherit the job's arrays
+# copy-on-write — nothing to pickle on the way in), else spawn
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+# worker queue-poll granularity (wall seconds): bounds how fast a blocked
+# receive reacts to the stop event and to its own deadline
+_POLL_INTERVAL = 0.002
+# cap (wall seconds) on the real sleep a fault plan's rank_slowdown /
+# jitter may add per Compute op
+_MAX_FAULT_SLEEP = 0.05
 
 
 class WorkerCrashError(RuntimeError):
@@ -144,103 +109,18 @@ class _Aborted(Exception):
         super().__init__("aborted by stop event")
 
 
-@dataclass(frozen=True)
-class _ExecConfig:
-    """Per-run knobs shipped to every worker."""
-
-    timeout_scale: float
-    poll_interval: float
-    shm_threshold: int
-    max_fault_sleep: float
-
-
-# --------------------------------------------------------------------- #
-# payload packing: numpy leaves ride shared memory, the rest pickles
-# --------------------------------------------------------------------- #
-
-def _aligned(nbytes):
-    return (int(nbytes) + 63) & ~63
-
-
-def _pack_tree(obj, arrays):
-    """Strip ndarray leaves out of a payload, leaving placeholders."""
+def _read_only(obj):
+    """Freeze the ndarray leaves of a received payload (tuples, lists
+    and dicts are walked; anything else is returned as it came)."""
     if isinstance(obj, np.ndarray):
-        arrays.append(obj)
-        return ("a", len(arrays) - 1)
-    if isinstance(obj, tuple):
-        return ("t", tuple(_pack_tree(v, arrays) for v in obj))
-    if isinstance(obj, list):
-        return ("l", [_pack_tree(v, arrays) for v in obj])
-    if isinstance(obj, dict):
-        return ("d", {k: _pack_tree(v, arrays) for k, v in obj.items()})
-    return ("p", obj)
-
-
-def _unpack_tree(node, arrays):
-    kind, val = node
-    if kind == "a":
-        return arrays[val]
-    if kind == "t":
-        return tuple(_unpack_tree(v, arrays) for v in val)
-    if kind == "l":
-        return [_unpack_tree(v, arrays) for v in val]
-    if kind == "d":
-        return {k: _unpack_tree(v, arrays) for k, v in val.items()}
-    return val
-
-
-def _share_arrays(arrays, name):
-    """Copy ``arrays`` into one new shared-memory segment.
-
-    Layout: each array C-contiguous at a 64-byte-aligned offset;
-    returns the ``[(offset, shape, dtype_str), ...]`` descriptors.  The
-    segment is unregistered from the resource tracker and its handle
-    closed before returning — lifetime is name-based (receivers attach
-    by name; the parent unlinks after all workers exit), so a sender
-    holds no file descriptor per in-flight message.
-    """
-    total = sum(_aligned(a.nbytes) for a in arrays)
-    seg = _open_shm(create=True, size=max(total, 1), name=name)
-    descs = []
-    offset = 0
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        view = np.ndarray(a.shape, dtype=a.dtype, buffer=seg.buf,
-                          offset=offset)
-        view[...] = a
-        del view          # release the buffer export so close() succeeds
-        descs.append((offset, a.shape, a.dtype.str))
-        offset += _aligned(a.nbytes)
-    seg.close()
-    return descs
-
-
-def _map_arrays(seg, descs):
-    """Read-only views over a shared segment written by _share_arrays.
-
-    Read-only enforces the Send contract ("rank programs must not
-    mutate a buffer after sending it") from the receiving side too.
-    """
-    out = []
-    for offset, shape, dtype in descs:
-        view = np.ndarray(tuple(shape), dtype=np.dtype(dtype),
-                          buffer=seg.buf, offset=offset)
-        view.flags.writeable = False
-        out.append(view)
-    return out
-
-
-def _unlink_segment(name):
-    try:
-        seg = _open_shm(name=name)
-    except (FileNotFoundError, OSError, ValueError):
-        return
-    try:
-        with _untracked():
-            seg.close()
-            seg.unlink()
-    except FileNotFoundError:
-        pass
+        obj.flags.writeable = False
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            _read_only(v)
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            _read_only(v)
+    return obj
 
 
 # --------------------------------------------------------------------- #
@@ -252,17 +132,15 @@ class _Transport:
 
     Wire record per physical message (one queue item)::
 
-        (source, tag, nbytes, count, msg_id, seq, deliver_after, enc)
+        (source, tag, nbytes, count, msg_id, seq, deliver_after, payload)
 
-    where ``enc`` is ``("shm", segment_name, descs, tree)`` or
-    ``("inl", arrays, tree)`` — ``tree`` being the payload with ndarray
-    leaves replaced by placeholders.  ``deliver_after`` (monotonic wall
-    seconds, comparable across processes on Linux) implements fault-plan
-    delivery delays; messages are invisible to matching before it.
+    ``deliver_after`` (monotonic wall seconds, comparable across
+    processes on Linux) implements fault-plan delivery delays; messages
+    are invisible to matching before it.
     """
 
     def __init__(self, rank, nranks, queues, stop, fault_plan, machine,
-                 cfg, run_id, t_start, stats):
+                 t_start, stats):
         self.rank = rank
         self.nranks = nranks
         self.queues = queues
@@ -270,18 +148,10 @@ class _Transport:
         self.stop = stop
         self.fault_plan = fault_plan
         self.machine = machine
-        self.cfg = cfg
-        self.run_id = run_id
         self.t_start = t_start
         self.stats = stats
         self.mailbox = []        # wire records in dequeue order
         self.seq = 0             # per-sender send sequence
-        self.n_segments = 0
-        self.created = []        # names of segments this rank created
-        # name -> (SharedMemory, [weakrefs to handed-out views]); an
-        # attachment is closed once every view over it is dead, so the
-        # worker's open-fd count tracks live payloads, not message count
-        self.attached = {}
         self.rule_counts = ([rule.count for rule in fault_plan.drop_rules]
                             if fault_plan is not None else [])
 
@@ -321,7 +191,6 @@ class _Transport:
             stats.msgs_dropped += op.count
             stats.send_time += time.monotonic() - t0
             return
-        enc = self._encode(op)
         msg_id = (self.rank << 32) | seq
         transfer = self.machine.transfer_time(op.nbytes, op.count)
         deliver_after = 0.0
@@ -333,52 +202,12 @@ class _Transport:
                 stats.msgs_duplicated += op.count
             self.queues[op.dest].put(
                 (self.rank, op.tag, op.nbytes, op.count, msg_id,
-                 self.seq, deliver_after, enc))
+                 self.seq, deliver_after, op.payload))
         stats.send_time += time.monotonic() - t0
 
-    def _encode(self, op):
-        arrays = []
-        tree = _pack_tree(op.payload, arrays)
-        total = sum(a.nbytes for a in arrays)
-        if arrays and total >= self.cfg.shm_threshold:
-            self.n_segments += 1
-            name = f"{SHM_PREFIX}{self.run_id}r{self.rank}n{self.n_segments}"
-            descs = _share_arrays(arrays, name)
-            self.created.append(name)
-            self.stats.shm_msgs += op.count
-            self.stats.shm_bytes += total
-            return ("shm", name, descs, tree)
-        return ("inl", arrays, tree)
-
-    def _attach(self, name):
-        entry = self.attached.get(name)
-        if entry is None:
-            entry = self.attached[name] = (_open_shm(name=name), [])
-        return entry
-
-    def _gc_attached(self):
-        """Close attachments whose payload views have all died."""
-        for name, (seg, refs) in list(self.attached.items()):
-            if all(r() is None for r in refs):
-                try:
-                    seg.close()
-                except BufferError:
-                    continue
-                del self.attached[name]
-
     def _decode(self, rec):
-        source, tag, nbytes, count, msg_id, seq, _after, enc = rec
-        if enc[0] == "shm":
-            _kind, name, descs, tree = enc
-            if len(self.attached) > 32:
-                self._gc_attached()
-            seg, refs = self._attach(name)
-            arrays = _map_arrays(seg, descs)
-            refs.extend(weakref.ref(a) for a in arrays)
-        else:
-            _kind, arrays, tree = enc
-        m = Message(source=source, tag=tag,
-                    payload=_unpack_tree(tree, arrays),
+        source, tag, nbytes, count, msg_id, seq, _after, payload = rec
+        m = Message(source=source, tag=tag, payload=_read_only(payload),
                     nbytes=nbytes,
                     arrival=time.monotonic() - self.t_start,
                     msg_id=msg_id)
@@ -411,8 +240,7 @@ class _Transport:
         """Blocking receive; returns a Message or a Timeout sentinel."""
         t0 = time.monotonic()
         stats = self.stats
-        deadline = (t0 + op.timeout * self.cfg.timeout_scale
-                    if op.timeout is not None else None)
+        deadline = t0 + op.timeout if op.timeout is not None else None
         self._drain()
         while True:
             now = time.monotonic()
@@ -440,7 +268,7 @@ class _Transport:
                 # and has no deadline of its own to run out
                 raise _Aborted(op.source, op.tag,
                                time.monotonic() - self.t_start)
-            wait_for = self.cfg.poll_interval
+            wait_for = _POLL_INTERVAL
             if deadline is not None:
                 wait_for = min(wait_for, max(deadline - now, 0.0))
             try:
@@ -448,16 +276,8 @@ class _Transport:
             except queue_mod.Empty:
                 pass
 
-    def close(self):
-        for seg, _refs in self.attached.values():
-            try:
-                seg.close()
-            except Exception:
-                pass
-        self.attached.clear()
 
-
-def _drive(rank, gen, transport, stats, machine, fault_plan, cfg):
+def _drive(rank, gen, transport, stats, machine, fault_plan):
     """Run one rank generator against the real transport."""
     compute_idx = 0
     resume = None
@@ -481,8 +301,7 @@ def _drive(rank, gen, transport, stats, machine, fault_plan, cfg):
                     model_dt = op.seconds + (
                         machine.compute_time(op.flops, op.width)
                         if op.flops else 0.0)
-                    extra = min((scale - 1.0) * model_dt,
-                                cfg.max_fault_sleep)
+                    extra = min((scale - 1.0) * model_dt, _MAX_FAULT_SLEEP)
                     if extra > 0.0:
                         time.sleep(extra)
                         stats.compute_time += extra
@@ -494,16 +313,15 @@ def _drive(rank, gen, transport, stats, machine, fault_plan, cfg):
             raise TypeError(f"rank {rank} yielded unknown op {op!r}")
 
 
-def _worker_main(rank, job, machine, fault_plan, queues, result_q, stop,
-                 cfg, run_id):
+def _worker_main(rank, job, machine, fault_plan, queues, result_q, stop):
     t_start = time.monotonic()
     stats = RankStats(rank=rank)
     transport = _Transport(rank, job.nranks, queues, stop, fault_plan,
-                           machine, cfg, run_id, t_start, stats)
+                           machine, t_start, stats)
     status, extra = "done", None
     try:
         gen = job.build_program(rank)
-        ret = _drive(rank, gen, transport, stats, machine, fault_plan, cfg)
+        ret = _drive(rank, gen, transport, stats, machine, fault_plan)
         extra = (ret, job.collect_state(rank))
     except CommTimeoutError as err:
         stop.set()
@@ -517,10 +335,15 @@ def _worker_main(rank, job, machine, fault_plan, queues, result_q, stop,
         stop.set()
         status, extra = "error", traceback.format_exc()
     stats.time = stats.wall_seconds = time.monotonic() - t_start
+    # pickled here, not on the queue's feeder thread: a result that does
+    # not pickle becomes this rank's crash report instead of a record the
+    # feeder drops and the watchdog later misreads as a deadlock
     try:
-        result_q.put((status, rank, stats, extra, list(transport.created)))
-    finally:
-        transport.close()
+        record = pickle.dumps((status, rank, stats, extra))
+    except Exception:
+        stop.set()
+        record = pickle.dumps(("error", rank, stats, traceback.format_exc()))
+    result_q.put(record)
 
 
 # --------------------------------------------------------------------- #
@@ -530,84 +353,42 @@ def _worker_main(rank, job, machine, fault_plan, queues, result_q, stop,
 class ProcessExecutor:
     """Run a :class:`~repro.dmem.executor.RankJob` on real processes.
 
-    Parameters
-    ----------
-    timeout_scale:
-        Multiplier turning a program's ``Recv(timeout=T)`` (written in
-        simulated seconds) into ``T * timeout_scale`` wall seconds.
-    run_timeout:
-        Hard watchdog (wall seconds) on the whole run: if any rank has
-        not reported by then, the stop event fires, stragglers are
-        terminated, and the run raises ``DeadlockError`` — a deadlocked
-        protocol fails fast instead of hanging the caller.
-    shm_threshold:
-        Payloads whose ndarray leaves total at least this many bytes
-        ride a shared-memory segment; smaller ones pickle inline
-        through the queue (segment setup costs more than a small copy).
-    poll_interval:
-        Worker queue-poll granularity (wall seconds); bounds stop-event
-        and timeout-deadline reaction latency.
-    max_fault_sleep:
-        Cap (wall seconds) on the real sleep a fault plan's
-        ``rank_slowdown``/jitter may add per Compute op.
-    start_method:
-        ``multiprocessing`` start method; default ``fork`` where
-        available (workers inherit the job's arrays copy-on-write —
-        nothing to pickle on the way in), else ``spawn``.
+    ``run_timeout`` is a hard watchdog (wall seconds) on the whole run:
+    if any rank has not reported by then, the stop event fires,
+    stragglers are terminated, and the run raises ``DeadlockError`` — a
+    deadlocked protocol fails fast instead of hanging the caller.
     """
 
     name = "process"
 
-    def __init__(self, timeout_scale=1.0, run_timeout=300.0,
-                 shm_threshold=1 << 14, poll_interval=0.002,
-                 max_fault_sleep=0.05, start_method=None):
-        import multiprocessing as mp
-
-        self.timeout_scale = float(timeout_scale)
+    def __init__(self, run_timeout=300.0):
         self.run_timeout = float(run_timeout)
-        self.shm_threshold = int(shm_threshold)
-        self.poll_interval = float(poll_interval)
-        self.max_fault_sleep = float(max_fault_sleep)
-        if start_method is None:
-            start_method = ("fork" if "fork" in mp.get_all_start_methods()
-                            else "spawn")
-        self.start_method = start_method
-        self._mp = mp
 
     def run(self, job, machine=None, fault_plan=None):
         """Execute ``job``; returns a ``SimulationResult`` whose per-rank
         times are real wall-clock measurements."""
         with trace("dmem/execute", executor=self.name,
-                   start_method=self.start_method):
+                   start_method=_START_METHOD):
             t0 = time.perf_counter()
-            result = report_run(self._run(job, machine, fault_plan), t0,
-                                fault_plan)
-            add("dmem.shm_msgs", sum(s.shm_msgs for s in result.stats))
-            add("dmem.shm_bytes", sum(s.shm_bytes for s in result.stats))
-            return result
+            return report_run(self._run(job, machine, fault_plan), t0,
+                              fault_plan)
 
     def _run(self, job, machine, fault_plan):
         from repro.dmem.machine import MachineModel
 
         machine = machine or MachineModel()
-        ctx = self._mp.get_context(self.start_method)
-        cfg = _ExecConfig(timeout_scale=self.timeout_scale,
-                          poll_interval=self.poll_interval,
-                          shm_threshold=self.shm_threshold,
-                          max_fault_sleep=self.max_fault_sleep)
-        run_id = f"{os.getpid():x}x{time.monotonic_ns() & 0xffffffff:x}"
+        ctx = mp.get_context(_START_METHOD)
         queues = [ctx.Queue() for _ in range(job.nranks)]
         result_q = ctx.Queue()
         stop = ctx.Event()
         procs = [
             ctx.Process(target=_worker_main,
                         args=(rank, job, machine, fault_plan, queues,
-                              result_q, stop, cfg, run_id),
+                              result_q, stop),
                         daemon=True)
             for rank in range(job.nranks)
         ]
         records = {}
-        shm_names = []
         timed_out = False
         try:
             for p in procs:
@@ -621,7 +402,7 @@ class ProcessExecutor:
                     # their blocked snapshots, then give up on the rest
                     timed_out = True
                     stop.set()
-                    grace = now + max(10 * self.poll_interval, 1.0)
+                    grace = now + 1.0
                 if grace is not None and now >= grace:
                     break
                 try:
@@ -634,8 +415,8 @@ class ProcessExecutor:
                             break
                     else:
                         continue
+                rec = pickle.loads(rec)
                 records[rec[1]] = rec
-                shm_names.extend(rec[4])
                 if rec[0] in ("comm_timeout", "error"):
                     # let the surviving ranks run out their retries /
                     # abort; the loop keeps collecting their records
@@ -648,7 +429,6 @@ class ProcessExecutor:
                 if p.is_alive():
                     p.terminate()
                     p.join(timeout=2.0)
-            self._cleanup_shm(shm_names, run_id)
             for q in queues + [result_q]:
                 q.cancel_join_thread()
                 q.close()
@@ -656,29 +436,16 @@ class ProcessExecutor:
         return self._interpret(job, records, timed_out)
 
     @staticmethod
-    def _cleanup_shm(shm_names, run_id):
-        for name in shm_names:
-            _unlink_segment(name)
-        # segments created by workers that died before reporting
-        try:
-            leaked = [n for n in os.listdir("/dev/shm")
-                      if n.startswith(f"{SHM_PREFIX}{run_id}")]
-        except OSError:
-            return
-        for name in leaked:
-            _unlink_segment(name)
-
-    @staticmethod
     def _interpret(job, records, timed_out):
         crashed = [records[r] for r in sorted(records)
                    if records[r][0] == "error"]
         if crashed:
-            _status, rank, _stats, tb, _names = crashed[0]
+            _status, rank, _stats, tb = crashed[0]
             raise WorkerCrashError(rank, tb)
 
         blocked = []
         for r in sorted(records):
-            status, rank, stats, extra, _names = records[r]
+            status, rank, stats, extra = records[r]
             if status == "aborted":
                 source, tag, clock = extra
                 blocked.append(BlockedRank(rank=rank, source=source,

@@ -130,10 +130,9 @@ class RankStats:
     msgs_dropped: int = 0       # this rank's sends lost in transit
     msgs_duplicated: int = 0    # this rank's sends delivered twice
     recv_timeouts: int = 0      # Recv deadlines that fired on this rank
-    # process-executor payload accounting: sends this rank moved through
-    # a shared-memory segment instead of inline pickling (simulator: 0)
+    # always 0: every executor's payloads are pickled or passed by
+    # reference; the field stays because bench/workloads.py reads it
     shm_msgs: int = 0
-    shm_bytes: int = 0
     # blocked time attributed to the tag *kind* of the message that ended
     # the wait (tag mod 4 for the factorization protocol) — the per-cause
     # idle breakdown the paper extracted from the Apprentice tool ("idle

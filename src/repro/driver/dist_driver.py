@@ -93,7 +93,7 @@ class DistributedGESPSolver(PatternSolver):
     executor:
         Runtime for the distributed phases: ``"sim"`` (event-loop
         simulator), ``"process"`` (one real worker process per rank over
-        ``multiprocessing`` queues with shared-memory payloads), an
+        ``multiprocessing`` queues, payloads pickled), an
         executor instance, or ``None`` — which falls back to
         ``options.executor``, then the ``REPRO_DMEM_EXECUTOR``
         environment variable, then ``"sim"``.  Factors and solutions are

@@ -94,7 +94,7 @@ class GESPOptions:
         Runtime for the distributed rank programs (distributed driver
         only): ``"sim"`` (event-loop simulator, the deterministic
         oracle), ``"process"`` (one real worker process per rank,
-        shared-memory payload transfer), or ``None`` to defer to the
+        payloads pickled through queues), or ``None`` to defer to the
         ``REPRO_DMEM_EXECUTOR`` environment variable and finally
         ``"sim"``.  Both produce bit-identical factors and solutions
         (docs/EXECUTOR.md).

@@ -127,17 +127,6 @@ COUNTERS = (
         "from the simulated clock: the simulator's event loop (or "
         "replay) time, or the process executor's spawn-to-join time."),
     CounterSpec(
-        "dmem.shm_msgs", "message",
-        "repro/dmem/procexec.py",
-        "Messages whose payload traveled through a POSIX shared-memory "
-        "segment instead of being pickled inline (process executor "
-        "only; payloads at or above the shm threshold)."),
-    CounterSpec(
-        "dmem.shm_bytes", "byte",
-        "repro/dmem/procexec.py",
-        "Payload bytes moved through shared-memory segments by the "
-        "process executor."),
-    CounterSpec(
         "kernel.lu_calls", "call",
         "repro/kernels.py",
         "Dense diagonal-block LU factorizations executed (lu_nopivot + "

@@ -292,7 +292,7 @@ class SolveRequest:
         """The matrix this (validated) request is about: its own, or the
         one ``registered`` under its key.  The keyed half of
         :meth:`validate`, which both service tiers run at ``submit``
-        before a queue or a slab is touched: an unknown key raises
+        before a queue or a message is touched: an unknown key raises
         :class:`UnknownMatrixError`, a ``b`` of the wrong length
         ``ValueError``."""
         if not isinstance(self.matrix, str):

@@ -5,8 +5,8 @@
 
 - :mod:`.routing` — rendezvous (HRW) pattern-affinity hashing and the
   hot-pattern replication tracker;
-- :mod:`.messages` — the picklable control messages and the
-  shared-memory slab transport for RHS/solution arrays;
+- :mod:`.messages` — the picklable messages that carry requests (RHS
+  included) in and responses (solutions included) back;
 - :mod:`.spool` — warm-start persistence of ``PatternPlan``s;
 - :mod:`.worker` — the spawn entry point: one inner ``SolveService``
   per process;
@@ -14,7 +14,6 @@
   tier (same surface as ``SolveService``).
 """
 
-from repro.service.shard.messages import shm_available
 from repro.service.shard.router import ShardedSolveService
 from repro.service.shard.routing import (
     HotPatternTracker,
@@ -30,6 +29,5 @@ __all__ = [
     "rendezvous_rank",
     "route",
     "save_plans",
-    "shm_available",
     "spool_path",
 ]

@@ -1,34 +1,9 @@
-"""Control messages and the shared-memory array transport.
+"""The messages that cross the router <-> shard process boundary.
 
-Everything that crosses the router <-> shard process boundary is one of
-the small picklable dataclasses below, sent over ``multiprocessing``
-queues.  Control stays in pickles; *bulk numeric payload* (the RHS in,
-the solution out) rides a ``multiprocessing.shared_memory`` block so a
-request's arrays are written once by the router and mapped — not
-copied — into the worker's address space, where the shard's coalescer
-stacks them into multi-RHS blocks.
-
-Shared-memory lifecycle (docs/SHARDING.md has the full contract):
-
-- the **router allocates** one block per request, sized ``2n`` float64:
-  ``[0:n]`` carries b in, ``[n:2n]`` carries x back;
-- the **worker attaches**, views b zero-copy for the solve, writes x
-  into the back half, and closes its mapping;
-- the **router unlinks** after reading x — creator owns the segment's
-  lifetime, always, so a dead worker can never leak or double-free it.
-
-On Python < 3.13 ``SharedMemory`` registers segments with the
-``resource_tracker`` on *attach* as well as create.  That is benign
-here — ``multiprocessing`` spawn children share the parent's tracker
-process (the tracker fd rides the spawn preparation data), the
-tracker's cache is a set, and the router's ``unlink`` issues the single
-matching unregister.  The worker must *not* unregister the name itself:
-that would strip the router's registration and make the final unlink
-complain about an unknown resource.
-
-``attach_b`` / ``read_x`` degrade to inline ndarrays when a message was
-built with ``use_shm=False`` (or shared memory is unavailable on the
-platform), so every consumer handles exactly one shape of message.
+Everything is one of the small picklable dataclasses below, sent over
+``multiprocessing`` queues: a request's matrix (or its registered key)
+and its right-hand side ``b`` travel inside its :class:`SubmitMsg`, and
+the solution comes back inside the :class:`ResultMsg`'s response.
 """
 
 from __future__ import annotations
@@ -36,63 +11,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-try:
-    from multiprocessing import shared_memory as _shm
-except ImportError:                    # pragma: no cover - exotic platform
-    _shm = None
-
 __all__ = [
     "DrainMsg",
     "PauseMsg",
     "ReadyMsg",
     "RegisterMsg",
     "ResultMsg",
-    "ShmSlab",
     "StatsMsg",
     "SubmitMsg",
-    "shm_available",
 ]
-
-
-def shm_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` is usable here."""
-    return _shm is not None
-
-
-@dataclass
-class ShmSlab:
-    """Descriptor of one request's shared block: name + vector length."""
-
-    name: str
-    n: int
-
-    @classmethod
-    def create(cls, b: np.ndarray) -> tuple["ShmSlab", "_shm.SharedMemory"]:
-        """Router side: allocate ``2n`` doubles, write b into the front.
-
-        Returns the descriptor to ship and the live segment the router
-        must keep (to read x from, then close+unlink).
-        """
-        b = np.asarray(b, dtype=np.float64)
-        seg = _shm.SharedMemory(create=True, size=2 * b.nbytes or 16)
-        np.ndarray(b.shape, dtype=np.float64, buffer=seg.buf)[:] = b
-        return cls(name=seg.name, n=b.shape[0]), seg
-
-    def attach(self) -> "_shm.SharedMemory":
-        """Worker side: map the router's segment (the router owns
-        unlinking — see the module docstring)."""
-        return _shm.SharedMemory(name=self.name)
-
-    def view_b(self, seg) -> np.ndarray:
-        """The RHS vector as a zero-copy view into ``seg``."""
-        return np.ndarray((self.n,), dtype=np.float64, buffer=seg.buf)
-
-    def view_x(self, seg) -> np.ndarray:
-        """The solution slot as a zero-copy view into ``seg``."""
-        return np.ndarray((self.n,), dtype=np.float64, buffer=seg.buf,
-                          offset=self.n * 8)
 
 
 # --------------------------------------------------------------------- #
@@ -123,8 +50,7 @@ class SubmitMsg:
     router_id: str                     # tier-unique completion key
     request_id: str                    # caller-visible id, echoed back
     matrix: object                     # registered key (str) or CSCMatrix
-    slab: ShmSlab | None = None        # b/x via shared memory ...
-    b_inline: object = None            # ... or inline when shm is off
+    b: object = None                   # float64 right-hand side
     options: object = None             # GESPOptions or None
     deadline_remaining: float | None = None
     t_sent_wall: float = field(default_factory=time.time)
@@ -170,17 +96,12 @@ class ReadyMsg:
 
 @dataclass
 class ResultMsg:
-    """One completed request.
-
-    ``response`` is the inner service's :class:`SolveResponse` with
-    ``report.x`` stripped when ``x_in_shm`` — the solution travelled
-    through the request's shared block instead of the pickle stream.
-    """
+    """One completed request: the inner service's
+    :class:`SolveResponse`, solution included."""
 
     shard_id: int
     router_id: str
     response: object
-    x_in_shm: bool = False
 
 
 @dataclass

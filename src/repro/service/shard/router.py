@@ -17,11 +17,10 @@ Responsibilities split three ways:
   route (HRW top rank, or the less-loaded replica for hot patterns),
   enforce per-shard admission (bounded in-flight window — a full shard
   sheds with :class:`ServiceOverloaded` carrying the shard id while the
-  others keep admitting), allocate the request's shared-memory slab,
-  and ship a :class:`SubmitMsg`;
+  others keep admitting), and ship a :class:`SubmitMsg` carrying the
+  request's matrix (or key) and right-hand side;
 - the **response pump** thread: drains the single shared response
-  queue, copies solutions out of slabs, releases segments (the router
-  created them, the router unlinks them), and completes futures;
+  queue and completes futures with the responses, solutions inside;
 - the **monitor** thread: watches worker liveness; a dead shard has its
   in-flight requests failed with :class:`ShardDied` (structured — a
   crash is an answer, never a hang) and is respawned with its matrix
@@ -37,6 +36,7 @@ on its batch-mates), which tests/test_shard.py asserts.
 from __future__ import annotations
 
 import itertools
+import pickle
 import threading
 import time
 from dataclasses import replace as _dc_replace
@@ -64,10 +64,8 @@ from repro.service.shard.messages import (
     ReadyMsg,
     RegisterMsg,
     ResultMsg,
-    ShmSlab,
     StatsMsg,
     SubmitMsg,
-    shm_available,
 )
 from repro.service.shard.routing import (
     HotPatternTracker,
@@ -107,12 +105,10 @@ class _Shard:
 class _Inflight:
     """One routed request the router still owes an answer for."""
 
-    __slots__ = ("pending", "slab", "seg", "shard_id")
+    __slots__ = ("pending", "shard_id")
 
-    def __init__(self, pending, slab, seg, shard_id):
+    def __init__(self, pending, shard_id):
         self.pending = pending
-        self.slab = slab
-        self.seg = seg
         self.shard_id = shard_id
 
 
@@ -141,10 +137,6 @@ class ShardedSolveService:
         per second gets a second warm shard (its HRW runner-up) and
         subsequent requests go to the less-loaded replica.  ``None``
         (default) disables replication.
-    use_shared_memory:
-        Ship RHS/solution arrays via ``multiprocessing.shared_memory``
-        slabs (default: wherever available); ``False`` inlines them in
-        the pickled messages.
     respawn:
         Respawn dead shards (default True; tests disable to observe).
     cache_size:
@@ -154,7 +146,7 @@ class ShardedSolveService:
     def __init__(self, shards: int = 2, config: ServiceConfig | None = None,
                  per_shard_capacity: int | None = None,
                  spool_dir=None, hot_rps: float | None = None,
-                 use_shared_memory: bool | None = None, respawn: bool = True,
+                 respawn: bool = True,
                  cache_size: int = 128, tracer: Tracer | None = None,
                  start_timeout: float = 120.0, auto_start: bool = True):
         if shards < 1:
@@ -169,9 +161,6 @@ class ShardedSolveService:
         self.respawn = respawn
         self.cache_size = int(cache_size)
         self.start_timeout = float(start_timeout)
-        if use_shared_memory is None:
-            use_shared_memory = shm_available()
-        self.use_shared_memory = bool(use_shared_memory)
         if tracer is None:
             ambient = get_tracer()
             tracer = ambient if ambient.enabled else None
@@ -232,7 +221,6 @@ class ShardedSolveService:
             span = Span("service/shards", t_start=self._tracer.clock())
             span.attrs.update(shards=self.shards,
                               per_shard_capacity=self.per_shard_capacity,
-                              shared_memory=self.use_shared_memory,
                               spool=self.spool_dir or "")
             self._span = span
             self._tracer.current.children.append(span)
@@ -328,7 +316,6 @@ class ShardedSolveService:
             self._inflight.clear()
             self._inflight_count = [0] * self.shards
         for _rid, entry in leftovers:
-            self._release_segment(entry)
             entry.pending._complete(SolveResponse(
                 request_id=entry.pending.request.request_id,
                 error=ShardDied(entry.shard_id, None)))
@@ -397,7 +384,7 @@ class ShardedSolveService:
         :class:`ServiceClosed`, ``TypeError`` for a complex system
         (the tier's transport is float64), or — for a keyed request —
         :class:`~repro.service.api.UnknownMatrixError` / ``ValueError``
-        (:meth:`SolveRequest.resolve_matrix`), before a slab exists.
+        (:meth:`SolveRequest.resolve_matrix`), before a message exists.
         """
         with self._state_lock:
             if self._closing or not self._started:
@@ -407,9 +394,9 @@ class ShardedSolveService:
             matrix = request.resolve_matrix(self._matrices)
         if np.iscomplexobj(request.b) or np.iscomplexobj(matrix.nzval):
             raise TypeError(
-                "the sharded tier is real-only (its shared-memory slab and "
-                "messages carry float64); complex systems are served by "
-                "the in-process SolveService")
+                "the sharded tier is real-only (its messages carry "
+                "float64); complex systems are served by the in-process "
+                "SolveService")
         if not request.request_id:
             request.request_id = f"req-{next(self._seq)}"
         priority, deadline = self._tenants.admit(request, time.perf_counter())
@@ -431,19 +418,14 @@ class ShardedSolveService:
                                         self._inflight_count[sid],
                                         shard=sid)
             self._inflight_count[sid] += 1
-            entry = _Inflight(pending, None, None, sid)
+            entry = _Inflight(pending, sid)
             self._inflight[router_id] = entry
 
         try:
-            b = np.ascontiguousarray(request.b, dtype=np.float64)
-            slab = seg = None
-            if self.use_shared_memory:
-                slab, seg = ShmSlab.create(b)
-                entry.slab, entry.seg = slab, seg
             msg = SubmitMsg(
                 router_id=router_id, request_id=request.request_id,
-                matrix=request.matrix, slab=slab,
-                b_inline=None if slab is not None else b,
+                matrix=request.matrix,
+                b=np.ascontiguousarray(request.b, dtype=np.float64),
                 options=request.options,
                 deadline_remaining=deadline,
                 tenant=request.tenant, priority=priority)
@@ -455,7 +437,6 @@ class ShardedSolveService:
             with self._inflight_lock:
                 if self._inflight.pop(router_id, None) is not None:
                     self._inflight_count[sid] -= 1
-            self._release_segment(entry)
             raise
         with self._obs_lock:
             self._counters["service.shard.requests"] = \
@@ -470,7 +451,7 @@ class ShardedSolveService:
     def _pump_loop(self):
         while True:
             try:
-                msg = self._response_q.get(timeout=0.1)
+                msg = pickle.loads(self._response_q.get(timeout=0.1))
             except Empty:
                 if self._pump_stop.is_set():
                     return
@@ -498,26 +479,11 @@ class ShardedSolveService:
                 self._inflight_count[entry.shard_id] -= 1
         if entry is None:
             # already failed by the monitor (its shard was declared dead
-            # while this answer was in the pipe); its segment is gone
+            # while this answer was in the pipe)
             return
-        response = msg.response
-        if msg.x_in_shm and entry.seg is not None \
-                and response.report is not None:
-            response.report.x = np.array(entry.slab.view_x(entry.seg))
-        self._release_segment(entry)
         self._count("service.shard.completed")
         self._shards[entry.shard_id].completed += 1    # pump thread only
-        entry.pending._complete(response)
-
-    def _release_segment(self, entry: _Inflight):
-        if entry.seg is None:
-            return
-        try:
-            entry.seg.close()
-            entry.seg.unlink()         # the router created it: it unlinks
-        except Exception:              # pragma: no cover - already gone
-            pass
-        entry.seg = None
+        entry.pending._complete(msg.response)
 
     # ------------------------------------------------------------------ #
     # liveness monitor
@@ -557,7 +523,6 @@ class ShardedSolveService:
                 del self._inflight[rid]
             self._inflight_count[shard.id] = 0
         for _rid, entry in victims:
-            self._release_segment(entry)
             entry.pending._complete(SolveResponse(
                 request_id=entry.pending.request.request_id,
                 error=ShardDied(shard.id, exitcode)))

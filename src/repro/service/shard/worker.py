@@ -10,13 +10,15 @@ boundary is pure transport; every serving semantic lives in the inner
 service, so the sharded tier and the single-process service can never
 drift apart behaviorally.
 
-Request flow: the receive loop admits :class:`SubmitMsg`s into the
-inner service (RHS mapped zero-copy out of the router's shared-memory
-slab) and completion callbacks — running on the inner service's worker
-threads — write the solution back into the slab and push a
-:class:`ResultMsg`.  The receive loop therefore never blocks on
-numerics and keeps absorbing a burst while earlier requests factor,
-which is what lets the inner dispatcher coalesce across the pipe.
+Request flow: the receive loop admits :class:`SubmitMsg`s (matrix and
+RHS inside the message) into the inner service, and completion
+callbacks — running on the inner service's thread — push a
+:class:`ResultMsg` with the solution inside the response.  Every message
+to the router is pickled before it is put, so a response that does not
+pickle is answered with a structured error instead of being dropped on
+the queue's feeder thread.  The receive loop never blocks on numerics
+and keeps absorbing a burst while earlier requests factor, which is
+what lets the inner service coalesce across the pipe.
 
 Warm start: with a spool directory, plans are preloaded into the cache
 before the first request (a respawned shard skips ``DOFACT`` for every
@@ -27,6 +29,7 @@ each completion and again at drain.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 import time
 
@@ -72,9 +75,8 @@ class _ShardWorker:
     # ------------------------------------------------------------------ #
 
     def run(self):
-        self.response_q.put(ReadyMsg(shard_id=self.shard_id,
-                                     pid=os.getpid(),
-                                     spool_loaded=self.spool_loaded))
+        self._put(ReadyMsg(shard_id=self.shard_id, pid=os.getpid(),
+                           spool_loaded=self.spool_loaded))
         while True:
             msg = self.request_q.get()
             if isinstance(msg, SubmitMsg):
@@ -88,80 +90,66 @@ class _ShardWorker:
         self.service.close()           # finishes everything admitted
         self._sync_spool()
         cs = self.cache.stats()
-        self.response_q.put(StatsMsg(
+        self._put(StatsMsg(
             shard_id=self.shard_id, counters=self.service.stats(),
             cache_hits=cs.hits, cache_misses=cs.misses,
             spool_saved=self.spool_saved))
 
+    def _put(self, msg):
+        self.response_q.put(pickle.dumps(msg))
+
     # ------------------------------------------------------------------ #
 
     def _submit(self, msg: SubmitMsg):
-        seg = None
         try:
-            if msg.slab is not None:
-                seg = msg.slab.attach()
-                b = msg.slab.view_b(seg)
-            else:
-                b = msg.b_inline
             remaining = msg.remaining_deadline()
             if remaining is not None and remaining <= 0.0:
                 # the budget died in the pipe: expire, never solve late
-                self._respond(msg, seg, SolveResponse(
+                self._respond(msg, SolveResponse(
                     request_id=msg.request_id,
                     error=DeadlineExceeded(
                         msg.deadline_remaining,
                         time.time() - msg.t_sent_wall)))
                 return
             request = SolveRequest(
-                matrix=msg.matrix, b=b, deadline=remaining,
+                matrix=msg.matrix, b=msg.b, deadline=remaining,
                 options=msg.options, request_id=msg.request_id,
                 tenant=msg.tenant, priority=msg.priority)
             pending = self.service.submit(request)
         except ServiceOverloaded as exc:
-            self._respond(msg, seg, SolveResponse(
+            self._respond(msg, SolveResponse(
                 request_id=msg.request_id,
                 error=ServiceOverloaded(exc.capacity, exc.pending,
                                         shard=self.shard_id)))
             return
         except ServiceError as exc:
-            self._respond(msg, seg, SolveResponse(
+            self._respond(msg, SolveResponse(
                 request_id=msg.request_id, error=exc))
             return
         except Exception as exc:       # noqa: BLE001 — must answer
-            self._respond(msg, seg, SolveResponse(
+            self._respond(msg, SolveResponse(
                 request_id=msg.request_id,
                 error=ServiceError(f"shard admission failed: {exc!r}")))
             return
         pending.add_done_callback(
-            lambda response: self._respond(msg, seg, response))
+            lambda response: self._respond(msg, response))
 
-    def _respond(self, msg: SubmitMsg, seg, response: SolveResponse):
-        """Ship one response (on the completing thread): write x into
-        the slab, release our mapping, push the control message."""
-        x_in_shm = False
-        if seg is not None:
-            try:
-                report = response.report
-                if report is not None and getattr(report, "x", None) \
-                        is not None:
-                    msg.slab.view_x(seg)[:] = report.x
-                    report.x = None    # rides the slab, not the pickle
-                    x_in_shm = True
-            finally:
-                seg.close()
+    def _respond(self, msg: SubmitMsg, response: SolveResponse):
+        """Ship one response (on the completing thread), pickled once,
+        here, so a failure to serialize still answers the caller."""
         try:
-            self.response_q.put(ResultMsg(
+            blob = pickle.dumps(ResultMsg(
                 shard_id=self.shard_id, router_id=msg.router_id,
-                response=response, x_in_shm=x_in_shm))
+                response=response))
         except Exception as exc:       # noqa: BLE001 — unpicklable payload
-            self.response_q.put(ResultMsg(
+            blob = pickle.dumps(ResultMsg(
                 shard_id=self.shard_id, router_id=msg.router_id,
                 response=SolveResponse(
                     request_id=msg.request_id,
                     error=ServiceError(
                         f"shard {self.shard_id} could not serialize the "
-                        f"response: {exc!r}")),
-                x_in_shm=False))
+                        f"response: {exc!r}"))))
+        self.response_q.put(blob)
         if self.spool_dir is not None:
             self._sync_spool()
 

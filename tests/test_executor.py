@@ -1,8 +1,8 @@
 """The executor layer: process executor bit-compared against the
 simulator oracle (docs/EXECUTOR.md).
 
-Covers the protocol seam (RankJob/resolve_executor), the
-shared-memory and inline payload paths, wire-format pickling
+Covers the protocol seam (RankJob/resolve_executor), the pickled
+payload path and its read-only receives, wire-format pickling
 (Message/FaultPlan across a real multiprocessing queue), fault-injection
 parity (same structured CommTimeoutError diagnosis on both backends),
 deadlock fast-fail, and the pdgstrf/pdgstrs bit-identity contract over
@@ -14,10 +14,12 @@ deadlocked run fails in seconds instead of hanging the suite.
 """
 
 import contextlib
+import gc
 import multiprocessing as mp
 import os
 import pickle
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -183,29 +185,45 @@ def test_comm_timeout_error_pickle_keeps_diagnosis():
 # transport paths
 # --------------------------------------------------------------------- #
 
-def _ring_program(rank, nranks, width):
+def _ring_program(rank, nranks, width, writer=None):
     """Each rank sends an array to (rank+1) % nranks and returns what it
-    receives — enough to exercise the payload paths end to end."""
+    receives — enough to exercise the payload path end to end.  Rank
+    ``writer`` breaks the Send contract by writing into what it got."""
     data = np.full(width, float(rank))
     yield Send(dest=(rank + 1) % nranks, tag=7, payload=data,
                nbytes=data.nbytes)
     m = yield Recv(source=(rank - 1) % nranks, tag=7)
+    if rank == writer:
+        m.payload[0] = -1.0
     yield Compute(flops=10.0)
     return float(np.asarray(m.payload)[0])
 
 
-@pytest.mark.parametrize("threshold,expect_shm", [(0, True), (1 << 30, False)])
-def test_process_payload_paths(threshold, expect_shm):
+def test_process_ring():
     with hard_timeout(60):
-        ex = ProcessExecutor(shm_threshold=threshold, run_timeout=30.0)
+        ex = ProcessExecutor(run_timeout=30.0)
         job = RankJob(nranks=3, factory=_ring_program,
                       kwargs=dict(nranks=3, width=64))
         res = ex.run(job)
     assert res.returns == [2.0, 0.0, 1.0]
-    shm_msgs = sum(s.shm_msgs for s in res.stats)
-    assert (shm_msgs > 0) == expect_shm
     assert all(s.wall_seconds > 0 for s in res.stats)
     assert res.wall_seconds > 0
+
+
+def test_process_receives_are_read_only():
+    """A 64-element payload is far below any size a transport might
+    special-case; it still arrives read-only, so the receiver that writes
+    into it crashes, named."""
+    from repro.dmem.procexec import WorkerCrashError
+
+    with hard_timeout(60):
+        ex = ProcessExecutor(run_timeout=30.0)
+        job = RankJob(nranks=3, factory=_ring_program,
+                      kwargs=dict(nranks=3, width=64, writer=1))
+        with pytest.raises(WorkerCrashError) as ei:
+            ex.run(job)
+    assert ei.value.rank == 1
+    assert "read-only" in ei.value.details
 
 
 def test_sim_executor_matches_simulate():
@@ -298,6 +316,35 @@ def test_worker_crash_carries_traceback():
                            kwargs=dict(nranks=2)))
     assert ei.value.rank == 1
     assert "boom in worker" in str(ei.value)
+
+
+def _result_program(rank, nranks, unpicklable_return):
+    yield Compute(flops=1.0)
+    if unpicklable_return and rank == 1:
+        return lambda: rank
+    return rank
+
+
+def _unpicklable_collect(rank, nranks, unpicklable_return):
+    return (lambda: rank) if rank == 1 else rank
+
+
+@pytest.mark.parametrize("where", ["return", "collect"])
+def test_unpicklable_rank_result_is_a_worker_crash(where):
+    """A rank result that cannot travel home is that rank's crash, with
+    the pickling traceback — not a watchdog deadlock naming it missing."""
+    from repro.dmem.procexec import WorkerCrashError
+
+    job = RankJob(nranks=2, factory=_result_program,
+                  kwargs=dict(nranks=2,
+                              unpicklable_return=where == "return"),
+                  collect=_unpicklable_collect if where == "collect"
+                  else None)
+    with hard_timeout(60):
+        with pytest.raises(WorkerCrashError) as ei:
+            ProcessExecutor(run_timeout=30.0).run(job)
+    assert ei.value.rank == 1
+    assert "pickle" in ei.value.details
 
 
 # --------------------------------------------------------------------- #
@@ -397,16 +444,32 @@ def test_driver_executor_kwarg_overrides_options():
     assert solver2.executor == "process"
 
 
-def test_no_shm_segments_leaked():
-    """Every run must unlink its /dev/shm segments (name prefix sweep)."""
-    from repro.dmem.procexec import SHM_PREFIX
+def _shm_listing():
+    gc.collect()      # spawn-context queues unlink their semaphores on GC
+    return sorted(os.listdir("/dev/shm"))
 
-    shm_dir = "/dev/shm"
-    if not os.path.isdir(shm_dir):            # pragma: no cover
+
+def test_no_shm_segments_leaked():
+    """Both process boundaries — a process-executor factorize + solve and
+    a 2-shard service — leave /dev/shm exactly as they found it."""
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.service import ServiceConfig, ShardedSolveService, SolveRequest
+
+    if not os.path.isdir("/dev/shm"):         # pragma: no cover
         pytest.skip("no /dev/shm on this platform")
-    with hard_timeout(60):
-        ex = ProcessExecutor(shm_threshold=0, run_timeout=30.0)
-        ex.run(RankJob(nranks=3, factory=_ring_program,
-                       kwargs=dict(nranks=3, width=256)))
-    leaked = [f for f in os.listdir(shm_dir) if f.startswith(SHM_PREFIX)]
-    assert leaked == []
+    a = matrix_by_name("cfd01").build()
+    b = a @ np.ones(a.ncols)
+    before = _shm_listing()
+    with hard_timeout(240):
+        solver = DistributedGESPSolver(a, nprocs=2, executor="process",
+                                       cache=False)
+        assert solver.solve(b).converged
+        with ShardedSolveService(shards=2, config=ServiceConfig()) as tier:
+            assert tier.submit(SolveRequest(matrix=a, b=b)).result(120.0).ok
+    del solver, tier
+    # a collected queue's feeder thread lets go of its semaphores as it
+    # exits, just after the collection that stopped it
+    deadline = time.monotonic() + 10.0
+    while _shm_listing() != before and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _shm_listing() == before

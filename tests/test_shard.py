@@ -1,10 +1,10 @@
 """The sharded serving tier (repro.service.shard).
 
 Process-spawning tests keep the fleet small (2 shards, n≈25 matrices)
-and skip cleanly where the multiprocessing spawn context or shared
-memory is unavailable.  The pure pieces — rendezvous routing, the hot
-tracker, spool persistence, message/error pickling — are tested
-without processes.
+and skip cleanly where the multiprocessing spawn context is
+unavailable.  The pure pieces — rendezvous routing, the hot tracker,
+spool persistence, message/error pickling, a worker's responses — are
+tested without processes.
 
 The acceptance behaviors from the issue are all here: routing
 determinism, bit-identical solutions vs the single-process service
@@ -29,15 +29,17 @@ from repro.driver.factcache import FactorizationCache
 from repro.service import (
     DeadlineExceeded,
     ServiceConfig,
+    ServiceError,
     ServiceOverloaded,
     ShardDied,
     ShardedSolveService,
     SolveRequest,
+    SolveResponse,
     SolveService,
     UnknownMatrixError,
 )
 from repro.service.shard import routing, spool
-from repro.service.shard.messages import ShmSlab, SubmitMsg, shm_available
+from repro.service.shard.messages import SubmitMsg
 from repro.sparse.ops import pattern_fingerprint
 
 try:
@@ -139,7 +141,7 @@ def test_hot_tracker_disabled_by_default():
 
 
 # --------------------------------------------------------------------- #
-# messages: pickling, deadlines in transit, the shm slab
+# messages: pickling, deadlines in transit, unpicklable answers
 # --------------------------------------------------------------------- #
 
 def test_structured_errors_survive_pickling():
@@ -165,20 +167,34 @@ def test_transit_time_is_charged_against_the_deadline():
     assert nolimit.remaining_deadline() is None
 
 
-@pytest.mark.skipif(not shm_available(), reason="no shared memory here")
-def test_shm_slab_roundtrip():
-    b = np.arange(7, dtype=np.float64)
-    slab, seg = ShmSlab.create(b)
+class _UnpicklableError(ServiceError):
+    def __reduce__(self):
+        raise TypeError("this error does not pickle")
+
+
+@needs_spawn
+def test_unpicklable_response_is_answered_with_a_structured_error():
+    """``Queue.put`` pickles on a feeder thread, where a failure is only
+    printed; the worker pickles first, so the caller still gets an
+    answer naming the shard."""
+    from repro.service.shard.worker import _ShardWorker
+
+    response_q = mp.get_context("spawn").Queue()
+    worker = _ShardWorker(3, _cfg(), request_q=None, response_q=response_q)
     try:
-        other = slab.attach()          # same process stands in for a worker
-        np.testing.assert_array_equal(slab.view_b(other), b)
-        slab.view_x(other)[:] = 2.0 * b
-        other.close()
-        np.testing.assert_array_equal(slab.view_x(seg), 2.0 * b)
-        np.testing.assert_array_equal(slab.view_b(seg), b)  # b untouched
+        worker._respond(
+            SubmitMsg(router_id="r-7", request_id="q", matrix="m"),
+            SolveResponse(request_id="q", error=_UnpicklableError("x")))
+        msg = pickle.loads(response_q.get(timeout=10.0))
     finally:
-        seg.close()
-        seg.unlink()
+        worker.service.close()
+        response_q.close()
+        response_q.join_thread()
+    assert (msg.shard_id, msg.router_id) == (3, "r-7")
+    error = msg.response.error
+    assert type(error) is ServiceError
+    assert "shard 3 could not serialize the response" in str(error)
+    assert msg.response.request_id == "q"
 
 
 # --------------------------------------------------------------------- #
@@ -454,7 +470,7 @@ def test_sharded_newton_streams_are_bit_identical_to_single_process():
 
 @needs_spawn
 def test_complex_system_is_rejected_at_submit_not_truncated():
-    """The tier's slab and messages carry float64: a complex matrix or
+    """The tier's messages carry float64: a complex matrix or
     right-hand side is refused, as the distributed driver refuses one."""
     a = sparse_matrix(seed=5)
     ac = CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind,
@@ -487,7 +503,7 @@ def test_registered_matrix_key_routes_and_solves():
 def test_keyed_request_is_checked_at_submit_on_both_tiers(tier):
     """An unknown matrix key and a ``b`` of the wrong length are refused
     by ``submit`` itself, with the same errors on both tiers, before a
-    queue, a quota token or a slab is touched — not shipped to a shard
+    queue or a quota token is touched — not shipped to a shard
     and handed back as a failed future."""
     a = sparse_matrix(seed=5)
     service = (SolveService(_cfg(), cache=False) if tier == "service"

@@ -1,18 +1,10 @@
-"""Minimum degree ordering on a symmetric pattern.
-
-A quotient-graph implementation in the style of Liu's Multiple Minimum
-Degree (MMD) [Liu 1985, ref. 23 of the paper]: element absorption keeps
-memory at O(nnz); *supervariables* (indistinguishable nodes) are merged so
-they are eliminated together (mass elimination); and *multiple
-elimination* optionally eliminates a maximal independent set of
-minimum-degree nodes per degree update round.
-
-External (weighted) degrees are recomputed exactly after each elimination
-— this is the classical exact-degree MMD rather than AMD's approximate
-bound, which keeps the implementation verifiable against brute force.
-"""
+"""Minimum degree ordering on a symmetric pattern: Liu's Multiple Minimum
+Degree (MMD) [Liu 1985, ref. 23 of the paper] with exact external degrees,
+on a bitset quotient graph (see :func:`minimum_degree`)."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -20,9 +12,26 @@ from repro.sparse.csc import CSCMatrix
 
 __all__ = ["minimum_degree"]
 
+_DONE = np.iinfo(np.int64).max  # degree of an eliminated or merged variable
 
-def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"):
+
+def minimum_degree(a: CSCMatrix, multiple: bool = True):
     """Minimum degree permutation of a symmetric-pattern sparse matrix.
+
+    Element absorption keeps memory at O(nnz); *supervariables*
+    (indistinguishable nodes, keyed on ``reach(v) ∪ {v}``) are eliminated
+    together; external (weighted) degrees are recomputed exactly after each
+    round — the classical exact-degree MMD, not AMD's approximate bound.
+    Ties go to the lowest index.
+
+    The quotient graph is Python-int bitsets: bit ``u`` of ``adj[v]`` is an
+    original edge no element implies yet, bit ``u`` of ``evars[e]`` puts
+    variable ``u`` in element ``e``.  ``reach(v)`` is a few big-int ORs, a
+    weighted degree one ``bit_count`` per weight bit-plane, a supervariable
+    key the int itself.  Live elements and pruned adjacency only ever hold
+    *remaining* variables (a pivot absorbs every element it is in; a merged
+    variable leaves its elements and neighbours), so no reach is
+    intersected with the remaining set.
 
     Parameters
     ----------
@@ -33,115 +42,121 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True, tie_break: str = "index"
         Use Liu's multiple elimination: per round, eliminate a maximal set
         of pairwise non-adjacent minimum-degree supervariables before any
         degree update.
-    tie_break:
-        ``"index"`` (deterministic, lowest index first) — the only
-        implemented rule; exposed for API clarity.
 
     Returns
     -------
     perm : int64[n]
         Destination permutation: vertex ``v`` is eliminated at position
-        ``perm[v]``.  Apply with
-        :func:`repro.sparse.ops.permute_symmetric`.
+        ``perm[v]``.  Apply with :func:`repro.sparse.ops.permute_symmetric`.
     """
     if a.nrows != a.ncols:
         raise ValueError("minimum_degree requires a square matrix")
-    if tie_break != "index":
-        raise ValueError("only 'index' tie-breaking is implemented")
     n = a.ncols
-
-    # ---- build symmetric adjacency sets (no self loops) ----
-    adj = [set() for _ in range(n)]
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.colptr))
-    for i, j in zip(a.rowind.tolist(), cols.tolist()):
-        if i != j:
-            adj[i].add(j)
-            adj[j].add(i)
-
-    # quotient-graph state
-    elems = [set() for _ in range(n)]   # elements adjacent to variable v
-    elem_list = {}                      # element id -> set of variables
-    # plain lists: the loops below read them one element at a time, and
-    # a numpy scalar read costs several times a list's
+    adj = _adjacency(a)
+    elems = [set() for _ in range(n)]   # live elements adjacent to v
+    evars = [0] * n                     # element id (its pivot) -> variables
     weight = [1] * n                    # supervariable sizes
-    members = {v: [v] for v in range(n)}  # supervariable members, in order
-    # weighted external degree
-    degree = [sum(map(weight.__getitem__, adj[v])) for v in range(n)]
-
-    perm = np.empty(n, dtype=np.int64)
-    next_pos = 0
-    remaining = set(range(n))
+    members = [[v] for v in range(n)]   # supervariable members, in order
+    extra = []                          # bit-planes of weight[u] - 1
+    degree = np.array([r.bit_count() for r in adj] + [_DONE], dtype=np.int64)
+    order = []                          # variables in elimination order
 
     def reach(v):
         """Variables reachable from v through original edges and elements."""
-        r = set(adj[v])
+        r = adj[v]
         for e in elems[v]:
-            r |= elem_list[e]
-        r.discard(v)
-        return r
+            r |= evars[e]
+        return r & ~(1 << v)
 
-    while remaining:
-        dmin = min(map(degree.__getitem__, remaining))
-        cands = sorted(v for v in remaining if degree[v] == dmin)
-        if not multiple:
-            cands = cands[:1]
+    def wdeg(r, count):
+        """Weighted size of bitset ``r``, which has ``count`` bits."""
+        for k, plane in enumerate(extra):
+            count += (r & plane).bit_count() << k
+        return count
+
+    while (dmin := degree.min()) != _DONE:
+        cands = np.flatnonzero(degree == dmin).tolist()
         # maximal independent subset of the candidates (greedy, index order)
-        chosen = []
-        blocked = set()
-        for v in cands:
-            if v in blocked:
-                continue
-            chosen.append(v)
-            blocked |= reach(v)
-        touched = set()
+        chosen = cands[:1]
+        if multiple:
+            chosen, blocked = [], 0
+            for v in cands:
+                if not blocked >> v & 1:
+                    chosen.append(v)
+                    blocked |= reach(v)
+        touched = 0
         for p in chosen:
-            lp = reach(p) & remaining
-            # create the new element; absorb p's old elements
-            eid = p  # reuse the pivot's index as the element id
-            for e in list(elems[p]):
-                elem_list.pop(e, None)
-            elem_list[eid] = set(lp)
-            for v in lp:
-                adj[v].discard(p)
-                adj[v] -= lp          # edges inside the clique are implied
-                dead = {e for e in elems[v] if e not in elem_list}
-                elems[v] -= dead
-                elems[v].add(eid)
-            # number p (and its merged members)
-            for m in members[p]:
-                perm[m] = next_pos
-                next_pos += 1
-            remaining.discard(p)
-            adj[p].clear()
-            elems[p].clear()
+            # the new element (id p) absorbs p's old elements
+            lp, absorbed = reach(p), elems[p]
+            for e in absorbed:
+                evars[e] = 0
+            evars[p] = lp
+            keep = ~(lp | 1 << p)   # edges inside the clique are implied
+            for v in _ones(lp):
+                adj[v] &= keep
+                elems[v] -= absorbed
+                elems[v].add(p)
+            order += members[p]     # p and its merged members
+            degree[p], adj[p], elems[p] = _DONE, 0, set()
             touched |= lp
-        touched &= remaining
         # exact degree recomputation for touched variables
-        reaches = {v: reach(v) & remaining for v in touched}
-        for v in touched:
-            degree[v] = sum(map(weight.__getitem__, reaches[v]))
-        # supervariable (indistinguishable node) detection among touched
-        sig = {}
-        for v in sorted(touched):
-            key = (frozenset(reaches[v] | {v}),)
-            if key in sig:
-                u = sig[key]  # representative
-                # merge v into u: eliminate together later
-                members[u].extend(members[v])
-                weight[u] += weight[v]
-                remaining.discard(v)
-                for w in reaches[v]:
-                    adj[w].discard(v)
-                for e in list(elems[v]):
-                    if e in elem_list:
-                        elem_list[e].discard(v)
-                adj[v].clear()
-                elems[v].clear()
-                # degrees of common neighbours shrink by nothing (weights
-                # moved, not removed) except v no longer counts itself;
-                # recompute u's degree
-                degree[u] = sum(map(weight.__getitem__,
-                                    reach(u) & remaining))
-            else:
-                sig[key] = v
-    return perm
+        vs = _ones(touched)
+        reaches = [reach(v) for v in vs]
+        counts = [r.bit_count() for r in reaches]
+        degree[vs] = degs = [wdeg(r, c) for r, c in zip(reaches, counts)]
+        # supervariable (indistinguishable node) detection: only variables
+        # whose (|reach|, weighted size) collide can share reach(v) ∪ {v}
+        sizes = [(c, d + weight[v]) for v, c, d in zip(vs, counts, degs)]
+        clash, sig = Counter(sizes), {}
+        for v, r, s in zip(vs, reaches, sizes):
+            if clash[s] < 2 or (u := sig.setdefault(r | 1 << v, v)) == v:
+                continue
+            # merge v into representative u: eliminate together later
+            members[u] += members[v]
+            flips = (weight[u] - 1) ^ (weight[u] + weight[v] - 1)
+            weight[u] += weight[v]
+            extra += [0] * (flips.bit_length() - len(extra))
+            for k in _ones(flips):
+                extra[k] ^= 1 << u
+            drop = ~(1 << v)
+            for w in _ones(adj[v]):
+                adj[w] &= drop
+            for e in elems[v]:
+                evars[e] &= drop
+            degree[v], adj[v], elems[v] = _DONE, 0, set()
+            r = reach(u)
+            degree[u] = wdeg(r, r.bit_count())
+    return np.argsort(np.array(order, dtype=np.int64))   # position of each v
+
+
+def _ones(x):
+    """Indices of the set bits of the int ``x``, ascending."""
+    if x.bit_count() > 32:              # numpy's fixed cost pays off
+        b = np.frombuffer(x.to_bytes((x.bit_length() + 7) // 8, "little"),
+                          np.uint8)
+        return np.unpackbits(b, bitorder="little").nonzero()[0].tolist()
+    out = []
+    while x:
+        out.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return out
+
+
+def _adjacency(a):
+    """Bitsets of the pattern of A + Aᵀ, no self loops, ≤ 1 MiB at a time."""
+    n, nb = a.ncols, (a.ncols + 8) // 8
+    col = np.repeat(np.arange(n), np.diff(a.colptr))
+    src = np.concatenate([col, a.rowind])     # the pattern and its transpose
+    order = np.argsort(src)
+    src, dst = src[order], np.concatenate([a.rowind, col])[order]
+    ptr = np.searchsorted(src, np.arange(n + 1))
+    step = max(1, (1 << 17) // nb)            # columns per ≤ 1 MiB of bools
+    adj = []
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        bits = np.zeros((hi - lo, nb * 8), dtype=bool)
+        bits[src[ptr[lo]:ptr[hi]] - lo, dst[ptr[lo]:ptr[hi]]] = True
+        bits[np.arange(hi - lo), np.arange(lo, hi)] = False
+        adj += [int.from_bytes(row.tobytes(), "little")
+                for row in np.packbits(bits, axis=1, bitorder="little")]
+    return adj

@@ -196,16 +196,10 @@ def permute_cols(a: CSCMatrix, perm):
     counts = np.diff(a.colptr)[inv]
     colptr = np.zeros(a.ncols + 1, dtype=np.int64)
     np.cumsum(counts, out=colptr[1:])
-    nnz = a.nnz
-    rowind = np.empty(nnz, dtype=np.int64)
-    nzval = np.empty(nnz, dtype=a.nzval.dtype)
-    for jnew in range(a.ncols):
-        jold = inv[jnew]
-        lo, hi = a.colptr[jold], a.colptr[jold + 1]
-        dlo = colptr[jnew]
-        rowind[dlo:dlo + hi - lo] = a.rowind[lo:hi]
-        nzval[dlo:dlo + hi - lo] = a.nzval[lo:hi]
-    return CSCMatrix(a.nrows, a.ncols, colptr, rowind, nzval, check=False)
+    # slot s of new column j reads slot s - colptr[j] + a.colptr[inv[j]]
+    src = np.arange(a.nnz) + np.repeat(a.colptr[inv] - colptr[:-1], counts)
+    return CSCMatrix(a.nrows, a.ncols, colptr, a.rowind[src], a.nzval[src],
+                     check=False)
 
 
 def permute_symmetric(a: CSCMatrix, perm):
@@ -313,31 +307,22 @@ def pattern_ata(a: CSCMatrix, dense_col_tol=None):
     """
     n = a.ncols
     at = a.transpose()  # rows of A, compressed
-    rows_cols = []
-    cols_cols = []
-    dense_rows = None
-    if dense_col_tol is not None:
-        dense_rows = np.nonzero(np.diff(at.colptr) > dense_col_tol)[0]
-        dense_rows = set(dense_rows.tolist())
-    for i in range(at.ncols):
-        lo, hi = at.colptr[i], at.colptr[i + 1]
-        if dense_rows is not None and i in dense_rows:
-            continue
-        cols_in_row = at.rowind[lo:hi]
-        k = cols_in_row.size
-        if k == 0:
-            continue
-        # every pair (j1, j2) with a_ij1, a_ij2 nonzero produces an entry
-        rows_cols.append(np.repeat(cols_in_row, k))
-        cols_cols.append(np.tile(cols_in_row, k))
+    k = np.diff(at.colptr)
+    kept = k > 0 if dense_col_tol is None else (k > 0) & (k <= dense_col_tol)
+    k, start = k[kept], at.colptr[:-1][kept]
+    # every pair (j1, j2) with a_ij1, a_ij2 nonzero produces an entry,
+    # row by row and j1-major within a row
+    sq = k * k
+    if not sq.sum():
+        return CSCMatrix.empty(n, n)
+    row = np.repeat(np.arange(k.size), sq)
+    t = np.arange(row.size) - np.repeat(np.cumsum(sq) - sq, sq)
+    k, start = k[row], start[row]
+    r = at.rowind[start + t // k]
+    c = at.rowind[start + t % k]
     from repro.sparse.coo import COOMatrix
 
-    if not rows_cols:
-        return CSCMatrix.empty(n, n)
-    r = np.concatenate(rows_cols)
-    c = np.concatenate(cols_cols)
-    coo = COOMatrix(n, n, r, c, np.ones(r.size))
-    return CSCMatrix.from_coo(coo)
+    return CSCMatrix.from_coo(COOMatrix(n, n, r, c, np.ones(r.size)))
 
 
 def structural_symmetry(a: CSCMatrix):

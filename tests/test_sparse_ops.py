@@ -187,6 +187,68 @@ def test_pattern_ata_dense_row_stripped():
     assert full.nnz > stripped.nnz
 
 
+# the frozen per-row loop — copied verbatim from the historical
+# ``pattern_ata``.  DO NOT "fix" or modernise it: the one-pass index
+# expansion must hand ``from_coo`` the same pairs in the same order
+def golden_pattern_ata(a, dense_col_tol=None):
+    from repro.sparse.coo import COOMatrix
+
+    n = a.ncols
+    at = a.transpose()  # rows of A, compressed
+    rows_cols = []
+    cols_cols = []
+    dense_rows = None
+    if dense_col_tol is not None:
+        dense_rows = np.nonzero(np.diff(at.colptr) > dense_col_tol)[0]
+        dense_rows = set(dense_rows.tolist())
+    for i in range(at.ncols):
+        lo, hi = at.colptr[i], at.colptr[i + 1]
+        if dense_rows is not None and i in dense_rows:
+            continue
+        cols_in_row = at.rowind[lo:hi]
+        k = cols_in_row.size
+        if k == 0:
+            continue
+        # every pair (j1, j2) with a_ij1, a_ij2 nonzero produces an entry
+        rows_cols.append(np.repeat(cols_in_row, k))
+        cols_cols.append(np.tile(cols_in_row, k))
+    if not rows_cols:
+        return CSCMatrix.empty(n, n)
+    r = np.concatenate(rows_cols)
+    c = np.concatenate(cols_cols)
+    coo = COOMatrix(n, n, r, c, np.ones(r.size))
+    return CSCMatrix.from_coo(coo)
+
+
+def _assert_same_csc(got, want):
+    assert got.shape == want.shape
+    for field in ("colptr", "rowind", "nzval"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert g.dtype == w.dtype and np.array_equal(g, w), field
+
+
+def test_pattern_ata_matches_the_frozen_loop_on_the_testbed():
+    from repro.matrices import testbed_53
+
+    for m in testbed_53():
+        a = m.build()
+        for tol in (None, max(16, a.ncols // 2), 4):
+            _assert_same_csc(pattern_ata(a, dense_col_tol=tol),
+                             golden_pattern_ata(a, dense_col_tol=tol))
+
+
+@pytest.mark.parametrize("d", [
+    np.zeros((0, 0)),
+    np.ones((5, 5)),                      # every row dense under tol 3
+    np.array([[1.0, 0, 2], [0, 0, 0], [0, 3, 0], [0, 0, 0]]),  # empty rows
+], ids=["n0", "all_rows_dense", "empty_rows"])
+@pytest.mark.parametrize("tol", [None, 3])
+def test_pattern_ata_edge_cases_match_the_frozen_loop(d, tol):
+    a = CSCMatrix.from_dense(d)
+    _assert_same_csc(pattern_ata(a, dense_col_tol=tol),
+                     golden_pattern_ata(a, dense_col_tol=tol))
+
+
 def test_structural_symmetry():
     sym = CSCMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert structural_symmetry(sym) == 1.0

@@ -7,15 +7,15 @@ degree column ordering algorithm ... which is faster and requires less
 memory since it does not explicitly form AᵀA.  We can also use nested
 dissection on AᵀA or Aᵀ+A."
 
-Measured: fill nnz(L+U) and ordering wall time for every implemented
-method over three matrices of different character; every fill-reducing
-method must beat the natural ordering, and the Aᵀ+A variants must avoid
-the memory blow-up of forming AᵀA (tracked via the product's nnz).
+Measured: fill nnz(L+U) and ordering wall time for the three ``col_perm``
+values over three matrices of different character; minimum degree on
+either graph must beat the natural ordering, and the Aᵀ+A variant must
+avoid the memory blow-up of forming AᵀA (tracked via the product's nnz).
+AMD, a COLAMD-style loop and nested dissection were measured once and
+retired (EXPERIMENTS.md §2.1).
 """
 
 import time
-
-import numpy as np
 
 from conftest import save_table
 from repro.analysis import Table
@@ -24,8 +24,7 @@ from repro.ordering import column_ordering
 from repro.sparse.ops import pattern_ata, pattern_union_transpose, permute_symmetric
 from repro.symbolic import symbolic_lu_symmetrized
 
-METHODS = ["natural", "mmd_ata", "mmd_at_plus_a", "amd_ata",
-           "amd_at_plus_a", "colamd", "nd_ata"]
+METHODS = ["natural", "mmd_ata", "mmd_at_plus_a"]
 MATRICES = ["cfd05", "chem04", "circuit05"]
 
 
@@ -46,21 +45,16 @@ def bench_orderings(benchmark):
         t.add(*row)
     save_table("orderings", t)
 
-    # on the PDE and circuit matrices every fill-reducing method wins;
+    # on the PDE and circuit matrices minimum degree wins on either graph;
     # the staged chemical flowsheet is already near-optimally ordered
     # (block tridiagonal), so there we only require "no blow-up"
     for name in ("cfd05", "circuit05"):
         nat = fills[(name, "natural")]
-        for m in METHODS:
-            if m == "natural":
-                continue
+        for m in METHODS[1:]:
             assert fills[(name, m)] < nat, (name, m)
     nat = fills[("chem04", "natural")]
     for m in METHODS:
         assert fills[("chem04", m)] <= 2.0 * nat, m
-    # AMD stays in MMD's quality class everywhere
-    for name in MATRICES:
-        assert fills[(name, "amd_ata")] <= 1.4 * fills[(name, "mmd_ata")]
 
     # the memory argument: nnz(AᵀA) >> nnz(Aᵀ+A) for matrices with
     # denser rows — the reason the paper wants to avoid forming AᵀA
@@ -68,5 +62,5 @@ def bench_orderings(benchmark):
     assert pattern_ata(a).nnz > pattern_union_transpose(a).nnz
 
     a = matrix_by_name("cfd05").build()
-    benchmark.pedantic(lambda: column_ordering(a, "amd_at_plus_a"),
+    benchmark.pedantic(lambda: column_ordering(a, "mmd_at_plus_a"),
                        rounds=1, iterations=1)

@@ -26,7 +26,7 @@ Distributed (simulated P-processor machine)::
 Package map (see DESIGN.md for the full inventory):
 
 - :mod:`repro.sparse`    — CSC/CSR/COO formats, ops, HB/MM I/O
-- :mod:`repro.ordering`  — minimum degree, COLAMD-style, ND, etrees
+- :mod:`repro.ordering`  — minimum degree on AᵀA or Aᵀ+A, etrees
 - :mod:`repro.scaling`   — equilibration, MC64 matchings & scaling
 - :mod:`repro.symbolic`  — static fill, supernodes, elimination DAGs
 - :mod:`repro.factor`    — GESP / GEPP / supernodal numeric kernels

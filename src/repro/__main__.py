@@ -501,6 +501,8 @@ def cmd_testbed(args):
 def build_parser() -> argparse.ArgumentParser:
     """The full CLI parser (separate from :func:`main` so tooling —
     scripts/check_docs.py's flag lint — can enumerate every flag)."""
+    from repro.ordering import COL_PERMS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="GESP: sparse Gaussian elimination with static pivoting")
@@ -521,9 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row-perm", default="mc64_product",
                    choices=["mc64_product", "mc64_bottleneck",
                             "mc64_cardinality", "none"])
-    p.add_argument("--col-perm", default="mmd_ata",
-                   choices=["mmd_ata", "mmd_at_plus_a", "amd_ata",
-                            "amd_at_plus_a", "colamd", "nd_ata", "natural"])
+    p.add_argument("--col-perm", default="mmd_ata", choices=COL_PERMS)
     p.add_argument("--no-scaling", action="store_true")
     p.add_argument("--no-pivot-replacement", action="store_true")
     p.add_argument("--extra-precision", action="store_true")

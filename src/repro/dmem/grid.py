@@ -41,23 +41,6 @@ class ProcessGrid:
         """Rank owning block (I, J) under the cyclic mapping."""
         return self.rank(i_block % self.nprow, j_block % self.npcol)
 
-    def row_ranks(self, prow: int):
-        """All ranks in process row ``prow`` (they share block rows)."""
-        return [self.rank(prow, c) for c in range(self.npcol)]
-
-    def col_ranks(self, pcol: int):
-        """All ranks in process column ``pcol`` (they share block cols)."""
-        return [self.rank(r, pcol) for r in range(self.nprow)]
-
-    def my_block_rows(self, rank: int, nblocks: int):
-        """Block-row indices owned by ``rank``."""
-        pr, _ = self.coords(rank)
-        return list(range(pr, nblocks, self.nprow))
-
-    def my_block_cols(self, rank: int, nblocks: int):
-        pc = self.coords(rank)[1]
-        return list(range(pc, nblocks, self.npcol))
-
 
 def best_grid(p: int) -> ProcessGrid:
     """The most-square factorization of P with ``nprow <= npcol``.

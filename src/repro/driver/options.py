@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.ordering import COL_PERMS
+
 __all__ = ["GESPOptions"]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -38,10 +40,9 @@ class GESPOptions:
         Use the MC64 dual scalings Dr, Dc (job=5).  The paper notes
         FIDAPM11/JPWH_991/ORSIRR_1 want this *off*.
     col_perm:
-        Step (2) ordering: ``"mmd_ata"`` (paper default),
-        ``"mmd_at_plus_a"``, ``"amd_ata"``, ``"amd_at_plus_a"``
-        (approximate minimum degree on the same two graphs),
-        ``"colamd"``, ``"nd_ata"``, or ``"natural"``.
+        Step (2) ordering, one of :data:`repro.ordering.COL_PERMS`:
+        ``"mmd_ata"`` (paper default: minimum degree on AᵀA),
+        ``"mmd_at_plus_a"`` (minimum degree on Aᵀ+A) or ``"natural"``.
     replace_tiny_pivots:
         Step (3) safeguard.  The paper notes EX11/RADFR1 want this off.
     tiny_pivot_scale:
@@ -145,10 +146,9 @@ class GESPOptions:
         if self.row_perm not in ("mc64_product", "mc64_bottleneck",
                                  "mc64_cardinality", "none"):
             raise ValueError(f"unknown row_perm {self.row_perm!r}")
-        if self.col_perm not in ("mmd_ata", "mmd_at_plus_a", "amd_ata",
-                                 "amd_at_plus_a", "colamd", "nd_ata",
-                                 "natural"):
-            raise ValueError(f"unknown col_perm {self.col_perm!r}")
+        if self.col_perm not in COL_PERMS:
+            raise ValueError(f"unknown col_perm {self.col_perm!r} "
+                             f"(expected one of {', '.join(COL_PERMS)})")
         if self.symbolic_method not in ("unsymmetric", "symmetrized"):
             raise ValueError(f"unknown symbolic_method {self.symbolic_method!r}")
         if not (0.0 <= self.diag_block_pivoting <= 1.0):

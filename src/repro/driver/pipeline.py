@@ -39,8 +39,8 @@ import numpy as np
 
 from repro.driver.factcache import FACTOR_CACHE, PatternPlan
 from repro.obs import Tracer, add, annotate, get_tracer, trace, use_tracer
-from repro.ordering.colamd import column_ordering
 from repro.ordering.etree import etree_symmetric, postorder
+from repro.ordering.mmd import column_ordering
 from repro.scaling.equilibrate import equilibrate
 from repro.scaling.mc64 import mc64
 from repro.solve.refine import iterative_refinement
@@ -144,10 +144,7 @@ def _order_columns(a, col_perm, etree_postorder):
     pattern's elimination tree into it — it makes supernode chains
     index-contiguous without changing fill (an equivalent reordering),
     which the block-cyclic layout needs."""
-    if col_perm == "natural":
-        perm_c = np.arange(a.ncols, dtype=np.int64)
-    else:
-        perm_c = column_ordering(a, method=col_perm)
+    perm_c = column_ordering(a, method=col_perm)
     if etree_postorder:
         post = postorder(etree_symmetric(pattern_union_transpose(
             permute_symmetric(a, perm_c))))

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["etree_symmetric", "column_etree", "postorder", "tree_depths"]
+__all__ = ["etree_symmetric", "column_etree", "postorder"]
 
 
 def etree_symmetric(a: CSCMatrix):
@@ -74,9 +74,10 @@ def postorder(parent):
     """A postordering of the forest given by ``parent``.
 
     Returns ``post`` with ``post[k]`` = position of node ``k`` in the
-    postorder (destination convention).  Children are visited in index
-    order; iterative DFS so deep trees (tridiagonal matrices give paths)
-    do not overflow the Python stack.
+    postorder (destination convention).  Children are visited in
+    descending index order (the last child pushed onto the stack is
+    visited first); iterative DFS so deep trees (tridiagonal matrices
+    give paths) do not overflow the Python stack.
     """
     parent = np.asarray(parent, dtype=np.int64)
     n = parent.size
@@ -113,24 +114,3 @@ def postorder(parent):
     if count != n:
         raise ValueError("parent array does not describe a forest")
     return post
-
-
-def tree_depths(parent):
-    """Depth of every node (roots have depth 0); bounds the critical path
-    of the triangular solves."""
-    parent = np.asarray(parent, dtype=np.int64)
-    n = parent.size
-    depth = np.full(n, -1, dtype=np.int64)
-    for v in range(n):
-        if depth[v] >= 0:
-            continue
-        path = []
-        u = v
-        while u != -1 and depth[u] < 0:
-            path.append(u)
-            u = parent[u]
-        base = depth[u] if u != -1 else -1
-        for w in reversed(path):
-            base += 1
-            depth[w] = base
-    return depth

@@ -1,6 +1,8 @@
 """Minimum degree ordering on a symmetric pattern: Liu's Multiple Minimum
 Degree (MMD) [Liu 1985, ref. 23 of the paper] with exact external degrees,
-on a bitset quotient graph (see :func:`minimum_degree`)."""
+on a bitset quotient graph (see :func:`minimum_degree`), and GESP step
+(2)'s column ordering, which runs it on the pattern of AᵀA or Aᵀ+A (see
+:func:`column_ordering`)."""
 
 from __future__ import annotations
 
@@ -8,11 +10,45 @@ from collections import Counter
 
 import numpy as np
 
+from repro.obs import trace
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.ops import pattern_ata, pattern_union_transpose
 
-__all__ = ["minimum_degree"]
+__all__ = ["COL_PERMS", "column_ordering", "minimum_degree"]
 
+#: every ``col_perm`` value: minimum degree on the pattern of AᵀA (the
+#: paper's ``Pc`` and the default) or of Aᵀ+A, and the identity
+COL_PERMS = ("mmd_ata", "mmd_at_plus_a", "natural")
+#: a row of A with more than this share of n entries (and more than 16)
+#: is left out of AᵀA, which it would make nearly dense (COLAMD practice)
+DENSE_ROW_FRAC = 0.5
 _DONE = np.iinfo(np.int64).max  # degree of an eliminated or merged variable
+
+
+def column_ordering(a: CSCMatrix, method: str = "mmd_ata"):
+    """Fill-reducing column permutation for LU on ``A`` (GESP step (2)).
+
+    ``method`` is one of :data:`COL_PERMS`: ``"mmd_ata"`` orders the
+    pattern of AᵀA, ``"mmd_at_plus_a"`` the cheaper pattern of Aᵀ+A (the
+    SuperLU_DIST default for GESP, since step (1) already fixed the
+    diagonal), and ``"natural"`` keeps the given order.  Returns a
+    destination permutation ``perm_c`` (column ``j`` of ``A`` moves to
+    position ``perm_c[j]``).  In GESP it is applied *symmetrically* (rows
+    and columns) so the step-(1) diagonal survives.
+    """
+    if method not in COL_PERMS:
+        raise ValueError(f"unknown column ordering {method!r} (expected "
+                         f"one of {', '.join(COL_PERMS)})")
+    if a.nrows != a.ncols:
+        raise ValueError("column_ordering requires a square matrix")
+    n = a.ncols
+    if method == "natural" or n == 0:
+        return np.arange(n, dtype=np.int64)
+    with trace("ordering/colperm", method=method):
+        if method == "mmd_at_plus_a":
+            return minimum_degree(pattern_union_transpose(a))
+        dense = max(16, int(DENSE_ROW_FRAC * n))
+        return minimum_degree(pattern_ata(a, dense_col_tol=dense))
 
 
 def minimum_degree(a: CSCMatrix, multiple: bool = True):

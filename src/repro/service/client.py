@@ -33,10 +33,3 @@ class ServiceClient:
         pending = self.service.submit(SolveRequest(
             matrix=matrix, b=b, deadline=deadline, options=options))
         return pending.result(timeout)
-
-    def solve_all(self, requests: list[SolveRequest],
-                  timeout: float | None = None) -> list[SolveResponse]:
-        """Submit a burst, then collect every response (submission is
-        back-to-back so same-pattern requests can coalesce)."""
-        pending = [self.service.submit(r) for r in requests]
-        return [p.result(timeout) for p in pending]

@@ -24,7 +24,6 @@ from repro.solve.refine import (
 )
 from repro.solve.errbound import condest_1norm, forward_error_bound
 from repro.solve.sherman import ShermanMorrisonSolver
-from repro.solve.selective import SelectiveInversionSolver
 
 __all__ = [
     "solve_lower_csc",
@@ -37,5 +36,4 @@ __all__ = [
     "condest_1norm",
     "forward_error_bound",
     "ShermanMorrisonSolver",
-    "SelectiveInversionSolver",
 ]

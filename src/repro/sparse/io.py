@@ -103,15 +103,6 @@ def write_matrix_market(a: CSCMatrix, path, comment=None):
 # Harwell-Boeing (RUA — real unsymmetric assembled)
 # --------------------------------------------------------------------- #
 
-def _parse_fixed(line, width, count, conv):
-    out = []
-    for k in range(count):
-        tok = line[k * width:(k + 1) * width].strip()
-        if tok:
-            out.append(conv(tok))
-    return out
-
-
 def read_harwell_boeing(path_or_lines):
     """Read an assembled real Harwell-Boeing (RUA/RSA) file into CSC.
 

@@ -290,8 +290,8 @@ def add(a: CSCMatrix, b: CSCMatrix, alpha=1.0, beta=1.0):
 def pattern_union_transpose(a: CSCMatrix):
     """The structure of A + A^T (values: a_ij + a_ji) as CSC.
 
-    Minimum degree and nested dissection in GESP step (2) may run on this
-    symmetrized structure (the SuperLU_DIST default for GESP).
+    Minimum degree in GESP step (2) may run on this symmetrized structure
+    (the SuperLU_DIST default for GESP).
     """
     return add(a, a.transpose())
 

@@ -85,9 +85,17 @@ def test_testbed_listing(capsys):
     assert "cfd01" in out and "TWOTONEa" in out
 
 
-def test_unknown_command():
+def test_unknown_command(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+    # the four retired orderings are unknown --col-perm choices
+    for retired in ("amd_ata", "amd_at_plus_a", "colamd", "nd_ata"):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "cfd01", "--col-perm", retired])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(name in err
+                   for name in ("mmd_ata", "mmd_at_plus_a", "natural"))
 
 
 def test_iterative_command(capsys):

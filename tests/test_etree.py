@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ordering import column_etree, etree_symmetric, postorder, tree_depths
+from repro.ordering import column_etree, etree_symmetric, postorder
 from repro.sparse import CSCMatrix
 
 from conftest import laplace2d_dense
@@ -85,14 +85,3 @@ def test_postorder_path_tree_no_recursion_limit():
 def test_postorder_rejects_cycle():
     with pytest.raises(ValueError):
         postorder(np.array([1, 0], dtype=np.int64))
-
-
-def test_tree_depths():
-    parent = np.array([2, 2, 4, 4, -1], dtype=np.int64)
-    d = tree_depths(parent)
-    assert d.tolist() == [2, 2, 1, 1, 0]
-
-
-def test_tree_depths_forest():
-    parent = np.array([-1, 0, -1], dtype=np.int64)
-    assert tree_depths(parent).tolist() == [0, 1, 0]

@@ -45,18 +45,6 @@ def test_grid_owner_cyclic():
     assert g.owner(5, 7) == g.rank(1, 1)
 
 
-def test_grid_row_col_ranks():
-    g = ProcessGrid(2, 3)
-    assert g.row_ranks(1) == [3, 4, 5]
-    assert g.col_ranks(2) == [2, 5]
-
-
-def test_my_blocks():
-    g = ProcessGrid(2, 2)
-    assert g.my_block_rows(0, 5) == [0, 2, 4]
-    assert g.my_block_cols(1, 5) == [1, 3]
-
-
 def test_coords_out_of_range():
     with pytest.raises(ValueError):
         ProcessGrid(2, 2).coords(4)

@@ -157,31 +157,3 @@ def test_condest_real(rng):
     truth = np.linalg.norm(d, 1) * np.linalg.norm(np.linalg.inv(d), 1)
     assert est <= truth * 1.1
     assert est >= truth / 20.0
-
-
-def test_selective_inversion_matches_substitution(rng):
-    from repro.factor import supernodal_factor
-    from repro.solve.selective import SelectiveInversionSolver
-
-    d = random_nonsingular_dense(rng, 35, hidden_perm=False)
-    a = CSCMatrix.from_dense(d)
-    sf = supernodal_factor(a, max_block_size=5)
-    inv = SelectiveInversionSolver(sf)
-    b = d @ np.ones(35)
-    assert np.allclose(inv.solve(b), sf.solve(b), atol=1e-8)
-    assert inv.preprocessing_flops > 0
-    seq_sub, seq_inv = inv.block_sequential_depth()
-    assert seq_inv < seq_sub  # the critical-path win
-
-
-def test_selective_inversion_multirhs(rng):
-    from repro.factor import supernodal_factor
-    from repro.solve.selective import SelectiveInversionSolver
-
-    d = random_nonsingular_dense(rng, 25, hidden_perm=False)
-    a = CSCMatrix.from_dense(d)
-    sf = supernodal_factor(a, max_block_size=4)
-    inv = SelectiveInversionSolver(sf)
-    x_true = rng.standard_normal((25, 6))
-    x = inv.solve(d @ x_true)
-    assert np.abs(x - x_true).max() < 1e-6

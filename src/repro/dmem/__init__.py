@@ -4,11 +4,15 @@ The paper's Section 3 experiments ran on a 512-node Cray T3E-900 under
 MPI.  This package substitutes a *simulated* distributed-memory machine
 (see DESIGN.md §2): every rank is a Python generator executing the real
 SPMD algorithm on real local data, yielding communication operations to a
-deterministic discrete-event scheduler.  Numerical results are therefore
-exact (they are bit-compared against the serial factorization in the
-tests), while per-rank clocks driven by a latency/bandwidth/flop-rate
-machine model produce the timing, load-balance and communication-fraction
-measurements of Tables 3-5.
+deterministic discrete-event scheduler.  Numerical results are a
+function of the inputs alone: the simulator, the process executor and
+the simulator's replay agree bit for bit.  They are *not* the serial
+factorization's bits — the distributed kernel runs the same block
+operations on rank panels, other operand shapes — and are held to it
+within a tolerance and to the scipy ``splu`` oracle's bound in the tests.
+Per-rank clocks driven by a latency/bandwidth/flop-rate machine model
+produce the timing, load-balance and communication-fraction measurements
+of Tables 3-5.
 
 - :mod:`~repro.dmem.comm` — the message-passing interface: ``Send``,
   ``Recv`` (with ANY_SOURCE/ANY_TAG and optional timeouts), ``Compute``

@@ -9,6 +9,9 @@ the storage mirrors the paper's:
   ``len(rows) × width`` value array — the index[]/nzval[] pair;
 - for each owned block (K, J) of U right of the diagonal: the nonzero
   column subset and a ``width × len(cols)`` value array;
+- a rank's blocks of one supernode K form two *panels* (SuperLU_DIST's
+  ``Lnzval_bc_ptr``): L(·, K) stacked in one ``Σ rows × width`` array,
+  U(K, ·) side by side in one ``width × Σ cols`` array, each block a slice;
 - diagonal blocks (K, K): the full ``width × width`` square, both
   triangles stored ("we store zeros from U in the upper triangle of the
   diagonal block").
@@ -52,7 +55,11 @@ class Offsets(NamedTuple):
     row: np.ndarray         # ... the block I its rows fall in ...
     size: np.ndarray        # ... how many rows ...
     lower: np.ndarray       # ... the offset of L(I, K) ...
-    upper: np.ndarray       # ... and of U(K, I)
+    upper: np.ndarray       # ... and of U(K, I)'s first entry ...
+    top: np.ndarray         # ... L(I, K)'s first row in its rank's panel ...
+    left: np.ndarray        # ... U(K, I)'s first column in its panel ...
+    tall: np.ndarray        # ... the rows of that L(·, K) panel ...
+    wide: np.ndarray        # ... and the columns of that U(K, ·) panel
 
 
 @dataclass
@@ -72,18 +79,18 @@ class DistributedBlocks:
         columns right of K, the pattern being symmetrized).
     l_rows_by_block:
         ``l_rows_by_block[K]`` — dict mapping block-row index I to the
-        sorted global rows of block (I, K) (a grouping of ``s_rows[K]``).
-    u_cols_by_block:
-        Same for U's block columns.
+        sorted global rows of block (I, K) (a grouping of ``s_rows[K]``),
+        and, the pattern being symmetrized, the columns of block (K, I).
     offsets, lookup, stores:
         The offset table, its per-entry form :meth:`slots` searches, and
         ``stores[rank]``, every block ``rank`` owns.
     src, pos, fingerprint:
         Per rank, which nonzeros of the matrix laid out it holds and their
         store offsets; that matrix's pattern fingerprint.
-    diag, lblk, ublk:
-        Per-rank dicts of store views: ``diag[rank][K]``,
-        ``lblk[rank][(I, K)]``, ``ublk[rank][(K, J)]``.
+    diag, lpanel, upanel, lblk, ublk:
+        Per-rank dicts of store views: ``diag[rank][K]``, the panels
+        ``lpanel[rank][K]`` and ``upanel[rank][K]``, and their slices
+        ``lblk[rank][(I, K)]`` and ``ublk[rank][(K, J)]``.
     widths, local_index, owners, solve_start:
         ``widths[K]``, supernode K's width (a list).
         For :mod:`repro.pdgstrs`, ``local_index[K][I]``: the rows of group
@@ -103,7 +110,6 @@ class DistributedBlocks:
     supno: np.ndarray
     s_rows: list
     l_rows_by_block: list
-    u_cols_by_block: list
     offsets: Offsets
     lookup: tuple
     stores: list
@@ -113,8 +119,8 @@ class DistributedBlocks:
     n_tiny_pivots: int = 0
     tiny_pivot_threshold: float = 0.0
 
-    _DERIVED = ("widths", "diag", "lblk", "ublk", "local_index", "owners",
-                "solve_start", "recordings")
+    _DERIVED = ("widths", "diag", "lpanel", "upanel", "lblk", "ublk",
+                "local_index", "owners", "solve_start", "recordings")
 
     def __post_init__(self):
         self._bind()
@@ -125,8 +131,8 @@ class DistributedBlocks:
         p, xsup = self.grid.size, self.part.xsup
         w = self.widths = np.diff(xsup).tolist()
         self.recordings = {}
-        self.diag, self.lblk, self.ublk = ([{} for _ in range(p)]
-                                           for _ in range(3))
+        self.diag, self.lpanel, self.upanel, self.lblk, self.ublk = (
+            [{} for _ in range(p)] for _ in range(5))
 
         def view(rank, lo, shape):
             return self.stores[rank][lo:lo + shape[0] * shape[1]].reshape(shape)
@@ -135,11 +141,16 @@ class DistributedBlocks:
             r = self.grid.owner(k, k)
             self.diag[r][k] = view(r, lo, (w[k], w[k]))
         self.local_index = [{} for _ in w]
-        for k, i, m, lo, uo in zip(*(a.tolist() for a in self.offsets[1:])):
+        for k, i, m, lo, uo, top, left, tall, wide in zip(
+                *(a.tolist() for a in self.offsets[1:])):
             r = self.grid.owner(i, k)
-            self.lblk[r][(i, k)] = view(r, lo, (m, w[k]))
+            if not top:
+                self.lpanel[r][k] = view(r, lo, (tall, w[k]))
+            self.lblk[r][(i, k)] = self.lpanel[r][k][top:top + m]
             r = self.grid.owner(k, i)
-            self.ublk[r][(k, i)] = view(r, uo, (w[k], m))
+            if not left:
+                self.upanel[r][k] = view(r, uo, (w[k], wide))
+            self.ublk[r][(k, i)] = self.upanel[r][k][:, left:left + m]
             self.local_index[k][i] = self.l_rows_by_block[k][i] - xsup[i]
         self.owners = {}
         for name in ("lblk", "ublk"):
@@ -248,7 +259,8 @@ def block_layout(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     for k, i, rows in zip(col.tolist(), row.tolist(), np.split(s_all, cut[1:])):
         l_rows_by_block[k][i] = rows
     # every block in the order K: D_K, L(·, K), U(K, ·); each rank's
-    # store holds its blocks in that order, back to back
+    # store holds its blocks in that order, back to back, so its L(·, K)
+    # blocks are one C-ordered panel and its U(K, ·) blocks fill one too
     k, g = np.arange(ns), np.arange(col.size)
     owner = np.concatenate((grid.owner(k, k), grid.owner(row, col),
                             grid.owner(col, row)))
@@ -260,7 +272,12 @@ def block_layout(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     offset = np.empty_like(nvals)
     offset[by_rank] = np.cumsum(nvals[by_rank]) - nvals[by_rank] \
         - (np.cumsum(totals) - totals)[owner[by_rank]]
-    offsets = Offsets(offset[:ns], col, row, size, *np.split(offset[ns:], 2))
+    tall, top = _panels(owner[ns:ns + g.size] * ns + col, size)
+    wide, left = _panels(owner[ns + g.size:] * ns + col, size)
+    # U(K, I) starts ``left`` columns into its panel, not ``left`` blocks
+    offsets = Offsets(offset[:ns], col, row, size, offset[ns:ns + g.size],
+                      offset[ns + g.size:] - (w[col] - 1) * left, top, left,
+                      tall, wide)
     # slots' lookup: (supernode, row) of every S_K entry as one sorted key,
     # and the offset terms of its L and U blocks (a sentinel ends each)
     in_g = np.repeat(g, size)
@@ -268,14 +285,12 @@ def block_layout(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     lookup = tuple(np.append(x, end) for x, end in (
         (ks * part.n + s_all, ns * part.n),
         (offsets.lower[in_g] + local * w[ks] - xsup[ks], 0),
-        (offsets.upper[in_g] + local - xsup[ks] * size[in_g], 0),
-        (size[in_g], 0))) + (offsets.diag - xsup[:-1] * (w + 1), w)
+        (offsets.upper[in_g] + local - xsup[ks] * wide[in_g], 0),
+        (wide[in_g], 0))) + (offsets.diag - xsup[:-1] * (w + 1), w)
 
     dist = DistributedBlocks(
         grid=grid, part=part, supno=supno, s_rows=s_rows,
-        l_rows_by_block=l_rows_by_block,
-        # symmetrized pattern: U's column groups equal L's row groups
-        u_cols_by_block=l_rows_by_block, offsets=offsets, lookup=lookup,
+        l_rows_by_block=l_rows_by_block, offsets=offsets, lookup=lookup,
         stores=[np.zeros(t) for t in totals.tolist()], src=[], pos=[],
         fingerprint=fingerprint)
     # where each nonzero of the matrix lands, grouped by rank
@@ -289,6 +304,16 @@ def block_layout(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     dist.src = np.split(by_rank.astype(index), cuts)
     dist.pos = np.split(pos[by_rank].astype(index), cuts)
     return dist
+
+
+def _panels(key, size):
+    """Per group, the total ``size`` of the groups sharing its ``key`` (a
+    panel: one rank's blocks of one supernode) and the part before it."""
+    order = np.argsort(key, kind="stable")
+    before, ordered = np.empty_like(size), key[order]
+    before[order] = np.cumsum(size[order]) - size[order]
+    before -= before[order][np.searchsorted(ordered, key)]
+    return np.bincount(key, weights=size).astype(size.dtype)[key], before
 
 
 def distribute_matrix(a: CSCMatrix, sym: SymbolicLU,

@@ -186,7 +186,7 @@ def lu_nopivot(d, thresh):
             raise ZeroDivisionError("zero pivot in diagonal block")
         if k + 1 < w:
             d[k + 1:, k] /= p
-            d[k + 1:, k + 1:] -= np.outer(d[k + 1:, k], d[k, k + 1:])
+            d[k + 1:, k + 1:] -= d[k + 1:, k, None] * d[k, None, k + 1:]
     st = stats()
     st.lu_calls += 1
     st.lu_flops += lu_flops(w)
@@ -219,7 +219,7 @@ def lu_partial(d, thresh, pivot_threshold=1.0):
             raise ZeroDivisionError("zero pivot in diagonal block")
         if k + 1 < w:
             d[k + 1:, k] /= pval
-            d[k + 1:, k + 1:] -= np.outer(d[k + 1:, k], d[k, k + 1:])
+            d[k + 1:, k + 1:] -= d[k + 1:, k, None] * d[k, None, k + 1:]
     st = stats()
     st.lu_calls += 1
     st.lu_flops += lu_flops(w)

@@ -2,11 +2,13 @@
 
 Every rank runs :func:`_rank_program` — a faithful SPMD rendering of
 paper Figure 8 over the storage of :mod:`repro.dmem.distribute` — inside
-the discrete-event simulator.  Numerics are identical to the serial
-supernodal kernel (same block operations, same update order per block),
-so the tests can require exact agreement.  A pass looks no index up:
-:func:`build_schedule` (once per pattern) holds each rank's update
-targets as store offsets — step (3) is gemms and one indexed subtract.
+an executor, on rank panels (:mod:`repro.dmem.distribute`): per
+iteration one ``trsm`` on a rank's L(·,K) panel, one on its U(K,·) panel
+and one GEMM of the two panels it holds or received, subtracted through
+store offsets :func:`build_schedule` lays out once per pattern.  The
+simulator, the process executor and the replay agree bit for bit; the
+serial kernel does the same block operations on other operand shapes, so
+the two agree to rounding (a tolerance and the ``splu`` oracle in tests).
 
 Message protocol per iteration K (tags encode ``4*K + kind``):
 
@@ -179,21 +181,16 @@ def _collect_factor_state(rank, dist, **_kwargs):
 
 class UpdateTargets(NamedTuple):
     """Every rank's trailing updates as store offsets: batch
-    ``b = batch[K, rank]`` (-1: none) sends its products' entries with a
+    ``b = batch[K, rank]`` (-1: none) is the product of the rank's L and
+    U panels, taken as its first ``split`` columns (the look-ahead block
+    J = K+1), then the rest, each row-major.  It sends the entries with a
     home — ``sel[b]`` of them when not all — to ``tgt[start:end]``, where
-    ``(start, end, cut, *flops) = meta[b]``: the look-ahead pairs' ``cut``
-    entries first, and the flops of those pairs and of the rest."""
+    ``(start, end, cut, split, *flops) = meta[b]``: the look-ahead
+    columns' ``cut`` entries first, and the flops of those and the rest."""
     tgt: np.ndarray
     batch: np.ndarray
     meta: np.ndarray
     sel: dict
-
-
-def _update_pairs(k, rows, cols):
-    """A rank's (I, J) pairs of iteration ``k`` in the order it takes
-    them: the look-ahead group J = K+1 first, then the rest."""
-    ahead = [(i, k + 1) for i in rows] if cols[:1] == [k + 1] else []
-    return ahead + [(i, j) for i in rows for j in cols if j != k + 1]
 
 
 def _update_targets(dist, need_l, need_u):
@@ -207,34 +204,29 @@ def _update_targets(dist, need_l, need_u):
     tgt, meta, sel, end = [], [], {}, 0
     for k, s in enumerate(dist.s_rows):
         _, where, stored = dist.slots(s[:, None], s[None, :])
-        groups, w = dist.l_rows_by_block[k], dist.widths[k]
-        ends = np.cumsum([rows.size for rows in groups.values()]).tolist()
-        span = {i: slice(e - rows.size, e)
-                for (i, rows), e in zip(groups.items(), ends)}
+        block, w = dist.supno[s], dist.widths[k]
         for pr, rows in enumerate(need_l[k]):
             for pc, cols in enumerate(need_u[k]):
                 if not (rows and cols):
                     continue
-                pairs = _update_pairs(k, rows, cols)
-                t, h = (np.concatenate([a[span[i], span[j]].ravel()
-                                        for i, j in pairs])
-                        for a in (where, stored))
-                flops = [kernels.gemm_flops(groups[i].size, w, groups[j].size)
-                         for i, j in pairs]
-                ahead = sum(j == k + 1 for _, j in pairs)
-                # the look-ahead pairs' entries come first in t and h
-                n_ahead = sum(groups[i].size * groups[j].size
-                              for i, j in pairs[:ahead])
+                # the panels' rows and columns of S_K; J = K+1 leads if any
+                r = np.flatnonzero(block % grid.nprow == pr)[:, None]
+                c = np.flatnonzero(block % grid.npcol == pc)
+                split = np.count_nonzero(block[c] == k + 1)
+                t, h = (np.concatenate((a[r, c[:split]], a[r, c[split:]]),
+                                       axis=None) for a in (where, stored))
                 if not h.all():
                     sel[len(meta)] = np.flatnonzero(h).astype(index)
                 batch[k, grid.rank(pr, pc)] = len(meta)
                 tgt.append(t[h])
-                meta.append((end, end + tgt[-1].size, int(h[:n_ahead].sum()),
-                             sum(flops[:ahead]), sum(flops[ahead:])))
+                meta.append((end, end + tgt[-1].size,
+                             int(h[:r.size * split].sum()), split,
+                             kernels.gemm_flops(r.size, w, split),
+                             kernels.gemm_flops(r.size, w, c.size - split)))
                 end += tgt[-1].size
     return UpdateTargets(
         np.concatenate([*tgt, np.zeros(0, np.int64)]).astype(index), batch,
-        np.array(meta, dtype=np.int64).reshape(-1, 5), sel)
+        np.array(meta, dtype=np.int64).reshape(-1, 6), sel)
 
 
 def build_schedule(dist, dag, edag_prune):
@@ -319,25 +311,19 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
                 yield Send(dest=grid.rank(kr, pc2), tag=_tag(k, _DIAG_U),
                            payload=d, nbytes=d.nbytes)
             dloc = d
-        elif pc == kc and my_l:
-            m = yield from recv(grid.rank(kr, kc), _tag(k, _DIAG_L),
-                                f"pdgstrf step1 diag_l k={k}")
-            dloc = m.payload
-        else:
-            dloc = None
-        if pc == kc and my_l:
-            panel = []
-            flops = 0
-            nbytes = 0
-            for i_blk in my_l:
-                b = dist.lblk[rank][(i_blk, k)]
-                kernels.trsm_upper(dloc, b)
-                flops += kernels.trsm_flops(w, b.shape[0])
-                nbytes += b.nbytes + dist.l_rows_by_block[k][i_blk].nbytes
-                panel.append((i_blk, b))
-            yield Compute(flops=flops, width=w)
+        elif my_l:
+            dloc = (yield from recv(grid.rank(kr, kc), _tag(k, _DIAG_L),
+                                    f"pdgstrf step1 diag_l k={k}")).payload
+        if my_l:
+            panel = dist.lpanel[rank][k]
+            kernels.trsm_upper(dloc, panel)
+            # one panel call counts as the schedule's per-block calls, in
+            # bulk as a batched run does (docs/KERNELS.md); flops add up
+            kernels.stats().trsm_calls += len(my_l) - 1
+            yield Compute(flops=kernels.trsm_flops(w, panel.shape[0]), width=w)
             # rowwise sends: one logical message (index[] + nzval[]) per
             # destination process column
+            nbytes = panel.nbytes + panel.shape[0] * index_bytes
             for pc2 in sched["l_dests"][k]:
                 yield Send(dest=grid.rank(pr, pc2), tag=_tag(k, _L_PANEL),
                            payload=panel, nbytes=nbytes, count=2)
@@ -352,22 +338,14 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         my_u = need_u_all[k][pc]
         if not my_u:
             return
-        if pc == kc:
-            dloc = dist.diag[rank][k]
-        else:
-            m = yield from recv(grid.rank(kr, kc), _tag(k, _DIAG_U),
-                                f"pdgstrf step2 diag_u k={k}")
-            dloc = m.payload
-        panel = []
-        flops = 0
-        nbytes = 0
-        for j_blk in my_u:
-            u = dist.ublk[rank][(k, j_blk)]
-            kernels.trsm_lower_unit(dloc, u)
-            flops += kernels.trsm_flops(w, u.shape[1])
-            nbytes += u.nbytes + dist.u_cols_by_block[k][j_blk].nbytes
-            panel.append((j_blk, u))
-        yield Compute(flops=flops, width=w)
+        dloc = dist.diag[rank][k] if pc == kc else (yield from recv(
+            grid.rank(kr, kc), _tag(k, _DIAG_U),
+            f"pdgstrf step2 diag_u k={k}")).payload
+        panel = dist.upanel[rank][k]
+        kernels.trsm_lower_unit(dloc, panel)
+        kernels.stats().trsm_calls += len(my_u) - 1
+        yield Compute(flops=kernels.trsm_flops(w, panel.shape[1]), width=w)
+        nbytes = panel.nbytes + panel.shape[1] * index_bytes
         for pr2 in sched["u_dests"][k]:
             yield Send(dest=grid.rank(pr2, pc), tag=_tag(k, _U_PANEL),
                        payload=panel, nbytes=nbytes, count=2)
@@ -375,7 +353,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
     # -------------------- step 3: trailing update ---------------------- #
 
     def obtain_panels(k):
-        """Get the L and U panel data this rank's updates need."""
+        """Get the L and U panels this rank's updates need."""
         kr, kc = k % nprow, k % npcol
         need_l = need_l_all[k][pr]
         need_u = need_u_all[k][pc]
@@ -390,52 +368,48 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
                     yield from recv(grid.rank(kr, pc), _tag(k, _U_PANEL),
                                     f"pdgstrf drain u_panel k={k}")
             return None
-        if pc == kc:
-            lpanel = [(i, dist.lblk[rank][(i, k)]) for i in need_l]
-        else:
-            m = yield from recv(grid.rank(pr, kc), _tag(k, _L_PANEL),
-                                f"pdgstrf update l_panel k={k}")
-            lpanel = m.payload
-        if pr == kr:
-            upanel = [(j, dist.ublk[rank][(k, j)]) for j in need_u]
-        else:
-            m = yield from recv(grid.rank(kr, pc), _tag(k, _U_PANEL),
-                                f"pdgstrf update u_panel k={k}")
-            upanel = m.payload
-        return dict(lpanel), dict(upanel)
+        lpanel = dist.lpanel[rank][k] if pc == kc else (yield from recv(
+            grid.rank(pr, kc), _tag(k, _L_PANEL),
+            f"pdgstrf update l_panel k={k}")).payload
+        upanel = dist.upanel[rank][k] if pr == kr else (yield from recv(
+            grid.rank(kr, pc), _tag(k, _U_PANEL),
+            f"pdgstrf update u_panel k={k}")).payload
+        return lpanel, upanel
 
-    def update(k, ldata, udata, lookahead):
-        """A(I,J) -= L(I,K) @ U(K,J) for this rank's pairs: a gemm each,
-        one subtract through the schedule's targets, one Compute — or, with
-        ``lookahead``, the J = K+1 pairs' subtract and Compute, step 1 of
-        iteration K+1, then the rest's (the gemms read only panels K)."""
+    def update(k, lpanel, upanel, lookahead):
+        """A(I,J) -= L(I,K) @ U(K,J) for this rank's pairs: one gemm of
+        its panels, one subtract through the schedule's targets, one
+        Compute — or, with ``lookahead``, the J = K+1 columns' subtract and
+        Compute, step 1 of iteration K+1, then the rest's (the gemm read
+        only panels K)."""
         targets = sched["updates"]
         b = int(targets.batch[k, rank])
-        start, end, cut, *flops = targets.meta[b].tolist()
+        start, end, cut, split, *flops = targets.meta[b].tolist()
         tgt = targets.tgt[start:end]
-        upd = [kernels.gemm_update(ldata[i], udata[j]).ravel()
-               for i, j in _update_pairs(k, need_l_all[k][pr],
-                                         need_u_all[k][pc])]
-        upd = np.concatenate(upd) if len(upd) > 1 else upd[0]
+        upd = kernels.gemm_update(lpanel, upanel)
+        kernels.stats().gemm_calls += \
+            len(need_l_all[k][pr]) * len(need_u_all[k][pc]) - 1
+        upd = np.concatenate((upd[:, :split], upd[:, split:]), axis=None) \
+            if split else upd.ravel()
         if b in targets.sel:
             upd = upd[targets.sel[b]]
-        if not lookahead:
-            store[tgt] -= upd
+        if lookahead:
+            store[tgt[:cut]] -= upd[:cut]
+            if flops[0]:
+                yield Compute(flops=flops[0], width=dist.widths[k])
+            if not step1_done[k + 1]:
+                yield from step1(k + 1)
+                step1_done[k + 1] = True
+            tgt, upd, flops = tgt[cut:], upd[cut:], flops[1:]
+        store[tgt] -= upd
+        if sum(flops) or not lookahead:
             yield Compute(flops=sum(flops), width=dist.widths[k])
-            return
-        store[tgt[:cut]] -= upd[:cut]
-        if flops[0]:
-            yield Compute(flops=flops[0], width=dist.widths[k])
-        if not step1_done[k + 1]:
-            yield from step1(k + 1)
-            step1_done[k + 1] = True
-        store[tgt[cut:]] -= upd[cut:]
-        if flops[1]:
-            yield Compute(flops=flops[1], width=dist.widths[k])
 
     # -------------------- main loop ------------------------------------ #
 
     store = dist.stores[rank]
+    # a panel message's index[]: the panel's global rows (columns)
+    index_bytes = dist.s_rows[0].itemsize if ns else 0
     step1_done = [False] * ns
     for k in range(ns):
         if not step1_done[k]:

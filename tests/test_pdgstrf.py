@@ -156,3 +156,25 @@ def test_dense_tail_updates_select_the_entries_that_have_a_home():
     factors_equal(ds.dist.gather_to_supernodal(), ref)
     rep = ds.solve(a @ np.ones(a.ncols))
     assert rep.converged
+
+
+def test_cfd06_counts_and_clock_hold():
+    """One cfd06 factorization on a 2×2 grid, pinned.  The ``kernel.*``
+    counters count the schedule's per-block operations — a rank-panel
+    call adds its blocks in bulk (docs/KERNELS.md) — and the flops,
+    messages, bytes and simulated clock are the message protocol's."""
+    from repro import kernels
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd06").build()
+    ds = DistributedGESPSolver(a, nprocs=4, executor="sim", cache=False)
+    st = kernels.stats()
+    snap = st.snapshot()
+    run = ds.factorize()
+    assert st.counter_delta(snap) == {
+        "kernel.lu_calls": 247, "kernel.trsm_calls": 1890,
+        "kernel.gemm_calls": 3899, "kernel.gemm_flops": 630358}
+    assert run.sim.total_flops == 1017924
+    assert (run.sim.total_messages, run.sim.total_bytes) == (2380, 403520)
+    assert run.elapsed == 0.009894351703002334

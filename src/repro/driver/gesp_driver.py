@@ -161,7 +161,8 @@ class GESPSolver(PatternSolver):
                else symbolic_lu(at, method=self.options.symbolic_method))
         block_plan = plan.block_plan if plan is not None else None
         if block_plan is None and self._block_engine(sym):
-            block_plan = build_block_plan(at, sym, block_partition(sym))
+            with trace("symbolic/plan"):
+                block_plan = build_block_plan(at, sym, block_partition(sym))
         return dict(symbolic=sym, _block_plan=block_plan,
                     _sym_blockpivot=(plan.sym_blockpivot
                                      if plan is not None else None))

@@ -55,8 +55,10 @@ def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
     k = np.repeat(part.supno(), np.diff(sym.l_colptr))
     below = sym.l_rowind >= part.xsup[k + 1]
     keys = np.unique(k[below] * n + sym.l_rowind[below])
-    cuts = np.cumsum(np.bincount(keys // n, minlength=ns))[:-1]
-    return np.split(keys % n, cuts)[:ns]
+    cuts = np.concatenate(([0], np.cumsum(np.bincount(keys // n,
+                                                      minlength=ns)))).tolist()
+    rows = keys % n
+    return [rows[lo:hi] for lo, hi in zip(cuts, cuts[1:ns + 1])]
 
 
 class Run(NamedTuple):
@@ -132,46 +134,36 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     b_base = bounds[1::3] - sptr[:-1] * w - xsup[:-1]
     r_base = bounds[2::3] - sptr[:-1] - xsup[:-1] * m
 
-    def position(i, j):
-        """Flat position of entries (i, j) — broadcast together — and
-        whether the block storage has that entry at all."""
+    def position(rows, colptr, what):
+        """Flat position of every entry (i, j) of a CSC pattern."""
+        i, j = rows, np.repeat(cols, np.diff(colptr))
         ki, kj = supno[i], supno[j]
         lower, upper = ki > kj, ki < kj
         # below: row i of the column's supernode; right: column j of the
-        # row's.  (ki, kj stay as small as i, j when those broadcast.)
+        # row's
         key = np.where(lower, kj * n + i, ki * n + j)
         q = np.searchsorted(keys, key)
-        pos = np.where(lower, (b_base[kj] + j) + q * w[kj],
-                       np.where(upper, (r_base[ki] + i * m[ki]) + q,
-                                (d_base[ki] + i * w[ki]) + j))
-        return pos.astype(index), ~(lower | upper) | (keys[q] == key)
-
-    def pattern_position(rows, colptr, what):
-        pos, stored = position(rows, np.repeat(cols, np.diff(colptr)))
-        if not stored.all():
+        if not (keys[q] == key)[lower | upper].all():
             raise ValueError(f"{what} has entries outside the block pattern")
-        return pos
+        return np.where(lower, (b_base[kj] + j) + q * w[kj],
+                        np.where(upper, (r_base[ki] + i * m[ki]) + q,
+                                 (d_base[ki] + i * w[ki]) + j)).astype(index)
 
-    a_pos = pattern_position(a.rowind, a.colptr, "the matrix")
-    l_pos = pattern_position(sym.l_rowind, sym.l_colptr, "L")
+    a_pos = position(a.rowind, a.colptr, "the matrix")
+    l_pos = position(sym.l_rowind, sym.l_colptr, "L")
     # U is held by rows; its CSC form is what GESPFactors.u carries
     u_colptr, u_rowind = transpose_pattern(sym.u_rowptr, sym.u_colind, n)
-    u_pos = pattern_position(u_rowind, u_colptr, "U")
+    u_pos = position(u_rowind, u_colptr, "U")
 
-    targets, selection = [], []
-    for s in s_rows:
-        pos, stored = position(s[:, None], s[None, :])
-        keep = None if stored.all() else np.flatnonzero(stored).astype(index)
-        selection.append(keep)
-        targets.append(pos.ravel() if keep is None else pos.ravel()[keep])
-    # one allocation, per-supernode views: small arrays kept alive among
-    # the builder's freed temporaries would pin the heap they sit in
-    tptr = np.concatenate(([0], np.cumsum([t.size for t in targets])))
-    every = np.concatenate([*targets, a_pos[:0]])
-    targets = np.split(every, tptr[1:-1])[:ns]
     blk = supno[s_all]
     pair = np.flatnonzero(np.diff(ks * ns + blk, prepend=-1))
     reach = ks[pair], blk[pair]     # K reaches into block I, K ascending
+    every, tptr, selection = _update_targets(
+        n, xsup, w, m, sptr, bounds, keys, s_all, pair, reach, index)
+    # per-supernode views of one allocation: small arrays kept alive among
+    # the builder's freed temporaries would pin the heap they sit in
+    tcut = tptr.tolist()
+    targets = [every[lo:hi] for lo, hi in zip(tcut, tcut[1:])]
 
     shapes = [shape for wk, mk in zip(w.tolist(), m.tolist())
               for shape in ((wk, wk), (mk, wk), (wk, mk))]
@@ -184,6 +176,82 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
                      solve=(build_solve_plan(xsup, supno, ks, s_all, m, sptr,
                                              bounds, reach)
                             if scheduled else None))
+
+
+#: the update targets are built about this many grid entries at a time
+_CHUNK = 1 << 15
+
+
+def _update_targets(n, xsup, w, m, sptr, bounds, keys, s_all, pair, reach,
+                    index):
+    """``(every, tptr, selection)``: every supernode's update targets (K's
+    from ``tptr[K]``) and which grid entries they keep, in array passes
+    over chunks of about ``_CHUNK`` grid entries.
+
+    S_K falls into blocks, one per supernode it reaches into: block p
+    (``reach`` holds its K and I) runs from ``pair[p]`` to the next, and
+    its *tail* is the rest of S_K.  Row i of block I and column j of S_K
+    update D_I at (i, j) when j is in block I too, the below panel
+    L(S_J, J) at (i's place in S_J, j) when j is in an earlier block J,
+    and the right panel U(I, S_I) at (i, j's place in S_I) when j is in
+    the tail.  So one search of each tail entry against S_I serves both
+    panels, and a grid row is a few segments of one base each plus one
+    gather from ``[S_K | places of the tail]``."""
+    pk, pi = reach
+    ns = m.size
+    end = np.append(pair[1:], s_all.size)
+    tail = sptr[pk + 1] - end
+    first = np.searchsorted(pk, np.arange(ns + 1))      # K's first block
+    block = np.repeat(np.arange(pair.size), end - pair)
+    gptr = np.concatenate(([0], np.cumsum(m * m)))
+    every, ok = np.empty(gptr[-1], index), None
+    cuts = np.flatnonzero(np.diff(gptr[:-1] // _CHUNK, prepend=-1)).tolist()
+    for k0, k1 in zip(cuts, cuts[1:] + [ns]):
+        a0, a1, p0, p1 = sptr[k0], sptr[k1], first[k0], first[k1]
+        if a0 == a1:
+            continue
+        tl = tail[p0:p1]
+        toff = np.cumsum(tl) - tl
+        key = np.repeat(pi[p0:p1] * n, tl) + s_all[_runs(end[p0:p1], tl)]
+        q = np.searchsorted(keys, key)
+        found = keys[q] == key
+        q -= np.repeat(sptr[pi[p0:p1]], tl)
+        # each row: its block b (in supernode I), K's earlier blocks e
+        b = block[a0:a1]
+        k, i, rows = pk[b], pi[b], s_all[a0:a1]
+        nlow = b - first[k]
+        e = _runs(first[k], nlow)
+        j, at = pi[e], toff[e - p0] - end[e] + np.repeat(np.arange(a0, a1),
+                                                          nlow)
+        # segments row by row: below panels, then D_I, then U(I, S_I)
+        sd = np.cumsum(nlow + 2) - 2
+        sl = _runs(sd - nlow, nlow)
+        base, size = np.empty((2, sd[-1] + 2), np.int64)
+        base[sl] = bounds[3 * j + 1] - xsup[j] + q[at] * w[j]
+        base[sd] = bounds[3 * i] + (rows - xsup[i]) * w[i] - xsup[i]
+        base[sd + 1] = bounds[3 * i + 2] + (rows - xsup[i]) * m[i]
+        size[sl], size[sd] = end[e] - pair[e], end[b] - pair[b]
+        size[sd + 1] = tail[b]
+        # columns row by row: S_K up to the row's block end, then the tail
+        col = _runs(np.ravel((sptr[k] - a0, a1 - a0 + toff[b - p0]), "F"),
+                    np.ravel((end[b] - sptr[k], tail[b]), "F"))
+        every[gptr[k0]:gptr[k1]] = (np.repeat(base, size)
+                                    + np.concatenate((rows, q))[col])
+        if not found.all():     # some update entries have no home
+            ok = np.ones(gptr[-1], bool) if ok is None else ok
+            seg = np.ones(base.size, bool)
+            seg[sl] = found[at]
+            ok[gptr[k0]:gptr[k1]] = np.repeat(seg, size) & np.concatenate(
+                (np.ones(a1 - a0, bool), found))[col]
+    if ok is None:
+        return every, gptr, [None] * ns
+    kept = np.flatnonzero(ok)
+    k = np.searchsorted(gptr, kept, side="right") - 1
+    count = np.bincount(k, minlength=ns)
+    local = np.split((kept - gptr[k]).astype(index), np.cumsum(count)[:-1])
+    selection = [None if c == full else sel for c, full, sel
+                 in zip(count.tolist(), np.diff(gptr).tolist(), local)]
+    return every[kept], np.concatenate(([0], np.cumsum(count))), selection
 
 
 def _build_runs(w, m, bounds, reach, every, tptr, index):

@@ -139,8 +139,9 @@ class _SpanContext:
     def __enter__(self):
         tr = self._tracer
         span = Span(self._name, tr.clock(), self._attrs)
-        tr._stack[-1].children.append(span)
-        tr._stack.append(span)
+        stack = tr._stack
+        stack[-1].children.append(span)
+        stack.append(span)
         self._span = span
         return span
 
@@ -159,7 +160,11 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collecting tracer: a root span plus an open-span stack.
+    """Collecting tracer: a root span plus one open-span stack per thread.
+
+    Every thread that records into the tracer opens its spans under the
+    root on a stack of its own, so two threads sharing one tracer each
+    leave a well-nested subtree (spans of different threads never nest).
 
     Parameters
     ----------
@@ -175,7 +180,16 @@ class Tracer:
     def __init__(self, name="run", clock=time.perf_counter):
         self.clock = clock
         self.root = Span(name, self.clock())
-        self._stack = [self.root]
+        self._local = threading.local()
+
+    @property
+    def _stack(self):
+        """The calling thread's open spans, the root at the bottom."""
+        try:
+            return self._local.stack
+        except AttributeError:
+            self._local.stack = [self.root]
+            return self._local.stack
 
     @property
     def current(self):
@@ -261,12 +275,11 @@ class NullTracer:
 
 NULL_TRACER = NullTracer()
 
-# The ambient tracer is *per-thread*: a Tracer's span stack is not
-# thread-safe, so a tracer installed by one thread must never be visible
-# to instrumentation running on another (repro.service worker threads
-# factor concurrently; each batch gets its own tracer and the results
-# are merged under a lock — see repro/service/server.py).  Threads that
-# never called set_tracer see the shared NULL_TRACER.
+# The ambient tracer is *per-thread*: instrumentation on one thread
+# records into the tracer that thread installed, never into another's
+# (each service batch gets its own tracer and the results are merged
+# under a lock — see repro/service/server.py).  Threads that never
+# called set_tracer see the shared NULL_TRACER.
 _local = threading.local()
 
 

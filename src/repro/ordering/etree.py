@@ -27,11 +27,10 @@ def etree_symmetric(a: CSCMatrix):
     its pattern has been symmetrized first.
     """
     n = a.ncols
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    colptr, rowind = a.colptr.tolist(), a.rowind.tolist()
+    parent, ancestor = [-1] * n, [-1] * n
     for k in range(n):
-        lo, hi = a.colptr[k], a.colptr[k + 1]
-        for i in a.rowind[lo:hi]:
+        for i in rowind[colptr[k]:colptr[k + 1]]:
             # walk from i up to the current root, compressing the path
             while i != -1 and i < k:
                 inext = ancestor[i]
@@ -39,7 +38,7 @@ def etree_symmetric(a: CSCMatrix):
                 if inext == -1:
                     parent[i] = k
                 i = inext
-    return parent
+    return np.array(parent, dtype=np.int64)
 
 
 def column_etree(a: CSCMatrix):
@@ -51,13 +50,12 @@ def column_etree(a: CSCMatrix):
     row-by-row via the CSC structure of ``Aᵀ``.
     """
     n = a.ncols
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
+    colptr, rowind = a.colptr.tolist(), a.rowind.tolist()
+    parent, ancestor = [-1] * n, [-1] * n
     # prev_col[i]: the previous column seen with a nonzero in row i
-    prev_col = np.full(a.nrows, -1, dtype=np.int64)
+    prev_col = [-1] * a.nrows
     for k in range(n):
-        lo, hi = a.colptr[k], a.colptr[k + 1]
-        for i in a.rowind[lo:hi]:
+        for i in rowind[colptr[k]:colptr[k + 1]]:
             # the clique edge is (prev_col[i], k)
             r = prev_col[i]
             prev_col[i] = k
@@ -67,7 +65,7 @@ def column_etree(a: CSCMatrix):
                 if rnext == -1:
                     parent[r] = k
                 r = rnext
-    return parent
+    return np.array(parent, dtype=np.int64)
 
 
 def postorder(parent):
@@ -79,18 +77,17 @@ def postorder(parent):
     visited first); iterative DFS so deep trees (tridiagonal matrices
     give paths) do not overflow the Python stack.
     """
-    parent = np.asarray(parent, dtype=np.int64)
-    n = parent.size
+    parent = np.asarray(parent, dtype=np.int64).tolist()
+    n = len(parent)
     # build child lists (first_child / next_sibling), reversed so that
     # pushing onto a stack yields ascending-index visitation
-    first_child = np.full(n, -1, dtype=np.int64)
-    next_sibling = np.full(n, -1, dtype=np.int64)
+    first_child, next_sibling = [-1] * n, [-1] * n
     for v in range(n - 1, -1, -1):
         p = parent[v]
         if p >= 0:
             next_sibling[v] = first_child[p]
             first_child[p] = v
-    post = np.empty(n, dtype=np.int64)
+    post = [0] * n
     count = 0
     for root in range(n):
         if parent[root] >= 0:
@@ -105,12 +102,10 @@ def postorder(parent):
                 while c >= 0:
                     stack.append(c)
                     c = next_sibling[c]
-                # note: children pushed in ascending order means the *last*
-                # pushed is visited first; acceptable for any valid postorder
             else:
                 stack.pop()
                 post[v] = count
                 count += 1
     if count != n:
         raise ValueError("parent array does not describe a forest")
-    return post
+    return np.array(post, dtype=np.int64)

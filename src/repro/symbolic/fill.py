@@ -122,6 +122,13 @@ def symbolic_lu(a: CSCMatrix, method: str = "unsymmetric") -> SymbolicLU:
     raise ValueError(f"unknown symbolic method {method!r}")
 
 
+def _stack(parts):
+    """``(ptr, index)``: the compressed form of a list of index arrays."""
+    ptr = np.zeros(len(parts) + 1, dtype=np.int64)
+    ptr[1:] = np.cumsum([p.size for p in parts])
+    return ptr, np.concatenate([*parts, ptr[:0]])
+
+
 def _record_fill(sym: SymbolicLU):
     """Emit the symbolic counters (only computed when a tracer is live)."""
     if get_tracer().enabled:
@@ -161,8 +168,6 @@ def _symbolic_lu_unsymmetric(a: CSCMatrix) -> SymbolicLU:
             r = np.sort(np.append(r, i))
         rows.append(r.astype(np.int64))
 
-    # column patterns of L accumulate as we eliminate
-    l_cols = [[] for _ in range(n)]  # below-diagonal rows per column
     # active column membership: for each column k, the rows i>k currently
     # holding an entry in column k.  Maintained lazily: when row i gains a
     # fill entry in column k we append it.
@@ -186,32 +191,20 @@ def _symbolic_lu_unsymmetric(a: CSCMatrix) -> SymbolicLU:
                         if c < i:
                             col_members[c].append(i)
                     rows[i] = merged
-        # L column k = {k} ∪ members (those still listing k, all > k)
-        l_cols[k] = col_members[k]
 
-    l_colptr = np.zeros(n + 1, dtype=np.int64)
-    u_rowptr = np.zeros(n + 1, dtype=np.int64)
-    l_rowind_parts = []
-    u_colind_parts = []
-    for k in range(n):
-        below = np.array(sorted(set(l_cols[k])), dtype=np.int64)
-        l_rowind_parts.append(np.concatenate([[k], below]))
-        l_colptr[k + 1] = l_colptr[k] + below.size + 1
-    for i in range(n):
-        ri = rows[i]
-        tail = ri[np.searchsorted(ri, i):]
-        if tail.size == 0 or tail[0] != i:
-            tail = np.concatenate([[i], tail])
-        u_colind_parts.append(tail)
-        u_rowptr[i + 1] = u_rowptr[i] + tail.size
+    # L column k = {k} ∪ the rows still listing k (all > k; a row joins a
+    # column's list only before that column is eliminated); U row i is
+    # the part of row i's pattern from i on
+    l_colptr, l_rowind = _stack([np.array([k, *sorted(set(rows_k))],
+                                          dtype=np.int64)
+                                 for k, rows_k in enumerate(col_members)])
+    u_rowptr, u_colind = _stack([r[np.searchsorted(r, i):]
+                                 for i, r in enumerate(rows)])
     from repro.ordering.etree import column_etree
 
     return SymbolicLU(
-        n=n,
-        l_colptr=l_colptr,
-        l_rowind=np.concatenate(l_rowind_parts) if n else np.empty(0, np.int64),
-        u_rowptr=u_rowptr,
-        u_colind=np.concatenate(u_colind_parts) if n else np.empty(0, np.int64),
+        n=n, l_colptr=l_colptr, l_rowind=l_rowind, u_rowptr=u_rowptr,
+        u_colind=u_colind,
         etree=column_etree(a),
         symmetrized=False,
     )
@@ -240,34 +233,31 @@ def _symbolic_lu_symmetrized(a: CSCMatrix) -> SymbolicLU:
     from repro.ordering.etree import etree_symmetric
 
     parent = etree_symmetric(sym)
-    children = [[] for _ in range(n)]
-    for v in range(n):
-        if parent[v] >= 0:
-            children[parent[v]].append(v)
+    # the lower triangle of A+Aᵀ with every diagonal, column by column
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym.colptr))
+    lower = sym.rowind >= cols
+    keys = np.unique(np.concatenate((cols[lower] * n + sym.rowind[lower],
+                                     np.arange(n, dtype=np.int64) * (n + 1))))
+    ptr = np.searchsorted(keys, np.arange(n + 1) * n).tolist()
+    rows = keys - np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(ptr))
 
-    col_pat = [None] * n  # sorted arrays of rows >= k
-    for k in range(n):
-        lo, hi = sym.colptr[k], sym.colptr[k + 1]
-        rk = sym.rowind[lo:hi]
-        base = rk[rk >= k]
-        if base.size == 0 or base[0] != k:
-            base = np.concatenate([[k], base]).astype(np.int64)
-        pats = [base]
-        for c in children[k]:
-            pc = col_pat[c]
-            pats.append(pc[pc >= k])  # drop rows < k (only c itself qualifies)
-        if len(pats) > 1:
-            merged = pats[0]
-            for p in pats[1:]:
-                merged = np.union1d(merged, p)
-            col_pat[k] = merged.astype(np.int64)
-        else:
-            col_pat[k] = base.astype(np.int64)
+    # column k's pattern is [k, p, …] with p its etree parent, so all of
+    # it but k goes into column p: merged once, when p is reached
+    col_pat, tails = [], [[] for _ in range(n)]
+    for k, p in enumerate(parent.tolist()):
+        pat = rows[ptr[k]:ptr[k + 1]]
+        if tails[k]:
+            pat = np.concatenate([pat, *tails[k]])
+            pat.sort()
+            first = np.empty(pat.size, bool)
+            first[0] = True
+            np.not_equal(pat[1:], pat[:-1], out=first[1:])
+            pat = pat[first]
+        if p >= 0:
+            tails[p].append(pat[1:])
+        col_pat.append(pat)
 
-    l_colptr = np.zeros(n + 1, dtype=np.int64)
-    for k in range(n):
-        l_colptr[k + 1] = l_colptr[k] + col_pat[k].size
-    l_rowind = np.concatenate(col_pat) if n else np.empty(0, np.int64)
+    l_colptr, l_rowind = _stack(col_pat)
     # U pattern = transpose of L pattern (CSR of U == CSC of L, reinterpreted)
     return SymbolicLU(
         n=n,

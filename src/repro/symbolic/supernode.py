@@ -81,15 +81,10 @@ def find_supernodes(sym: SymbolicLU) -> SupernodePartition:
     n = sym.n
     if n == 0:
         return SupernodePartition(np.zeros(1, dtype=np.int64))
-    counts = np.diff(sym.l_colptr)
-    parent = sym.etree
-    starts = [0]
-    for j in range(1, n):
-        same = parent[j - 1] == j and counts[j] == counts[j - 1] - 1
-        if not same:
-            starts.append(j)
-    xsup = np.array(starts + [n], dtype=np.int64)
-    return SupernodePartition(xsup)
+    counts, parent = np.diff(sym.l_colptr), sym.etree
+    joins = (parent[:-1] == np.arange(1, n)) & (counts[1:] == counts[:-1] - 1)
+    return SupernodePartition(np.concatenate(
+        ([0], np.flatnonzero(~joins) + 1, [n])).astype(np.int64))
 
 
 def relax_supernodes(sym: SymbolicLU, part: SupernodePartition,
@@ -103,21 +98,16 @@ def relax_supernodes(sym: SymbolicLU, part: SupernodePartition,
     stays at most ``relax_size``.  The merged supernode stores a few
     explicit zeros; the numeric kernel treats them as values.
     """
-    parent = sym.etree
-    xsup = part.xsup
-    merged = [int(xsup[0])]
-    s = 0
+    parent, xsup = sym.etree.tolist(), part.xsup.tolist()
+    merged, s = [xsup[0]], 0
     while s < part.nsuper:
-        lo = xsup[s]
-        hi = xsup[s + 1]
         t = s
         # extend while the next supernode is the etree parent chain
         while (t + 1 < part.nsuper
                and parent[xsup[t + 1] - 1] == xsup[t + 1]
-               and xsup[t + 2] - lo <= relax_size):
+               and xsup[t + 2] - xsup[s] <= relax_size):
             t += 1
-            hi = xsup[t + 1]
-        merged.append(int(hi))
+        merged.append(xsup[t + 1])
         s = t + 1
     return SupernodePartition(np.array(merged, dtype=np.int64))
 
@@ -131,21 +121,14 @@ def split_supernodes(part: SupernodePartition, max_size: int = 24) -> SupernodeP
     """
     if max_size < 1:
         raise ValueError("max_size must be positive")
-    pieces = [0]
-    for s in range(part.nsuper):
-        lo, hi = int(part.xsup[s]), int(part.xsup[s + 1])
-        width = hi - lo
-        if width <= max_size:
-            pieces.append(hi)
-            continue
-        nchunk = -(-width // max_size)  # ceil
-        base = width // nchunk
-        extra = width % nchunk
-        pos = lo
-        for c in range(nchunk):
-            pos += base + (1 if c < extra else 0)
-            pieces.append(pos)
-    return SupernodePartition(np.array(pieces, dtype=np.int64))
+    width = np.diff(part.xsup)
+    nchunk = np.maximum(-(-width // max_size), 1)   # ceil, one at least
+    # chunk c of a supernode is width // nchunk wide, plus one if c is
+    # below width % nchunk
+    owner = np.repeat(np.arange(width.size), nchunk)
+    c = np.arange(owner.size) - np.repeat(np.cumsum(nchunk) - nchunk, nchunk)
+    size = width[owner] // nchunk[owner] + (c < width[owner] % nchunk[owner])
+    return SupernodePartition(np.concatenate(([0], np.cumsum(size))))
 
 
 def merge_dense_tail(sym: SymbolicLU, part: SupernodePartition,

@@ -1,6 +1,8 @@
 """Unit tests for repro.obs: spans, counters, records, report."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +93,56 @@ def test_find_and_find_all():
     assert t.root.find("leaf") is not None
     assert len(t.root.find_all("leaf")) == 2
     assert t.root.find("missing") is None
+
+
+def _assert_well_nested(span):
+    """Every span of the subtree closed, and inside its parent's interval."""
+    for child in span.children:
+        assert child.t_end is not None
+        assert span.t_start <= child.t_start <= child.t_end <= span.t_end
+        _assert_well_nested(child)
+
+
+def test_threads_sharing_a_traced_solver_keep_their_own_span_stacks():
+    from repro.driver import GESPSolver
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd01").build()
+    b = a @ np.ones(a.ncols)
+    tracer = Tracer()
+    solver = GESPSolver(a, tracer=tracer, cache=False)
+    builds = len(tracer.root.children)
+    nthreads, rounds, errors = 4, 25, []
+
+    def work():
+        try:
+            for _ in range(rounds):
+                report = solver.solve(b)
+                assert report.converged and np.allclose(report.x, 1.0)
+        except Exception as exc:        # noqa: BLE001 — reported below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(nthreads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    # each solve is a top-level span of its own: none opened inside
+    # another thread's, every one closed and well nested
+    solves = tracer.root.children[builds:]
+    assert [s.name for s in solves] == ["solve"] * (nthreads * rounds)
+    for span in solves:
+        assert span.t_end is not None
+        assert span.find_all("solve") == [span]
+        _assert_well_nested(span)
+    assert tracer.current is tracer.root
 
 
 # ------------------------------------------------------------------ #

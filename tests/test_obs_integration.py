@@ -50,6 +50,10 @@ def test_serial_solve_trace_has_all_stage_spans(a):
     assert tracer.root.find("rowperm").find("scaling/mc64") is not None
     assert tracer.root.find("colperm").find("ordering/colperm") is not None
     assert tracer.root.find("symbolic").find("symbolic/fill") is not None
+    # the block engine's partition and static schedule are a span of
+    # their own beside the fill
+    assert [s.name for s in tracer.root.find("symbolic").children] \
+        == ["symbolic/fill", "symbolic/plan"]
     # the default engine is the supernodal one; the column oracle
     # (symbolic_method="unsymmetric") opens factor/gesp instead
     assert tracer.root.find("factor").find("factor/supernodal") is not None

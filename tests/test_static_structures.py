@@ -1,0 +1,575 @@
+"""First contact's static structures are built by array passes, bit for
+bit the per-column and per-supernode loops they replaced.
+
+The structures: the symmetrized fill (``SymbolicLU``), the elimination
+tree and its postorder, the column etree, the supernode partition
+(fundamental, relaxed, split) and every field of the
+:class:`~repro.factor.blockplan.BlockPlan`.  Identity is pinned two ways:
+
+1. digests of every array (values, dtype and shape) on the 53 testbed
+   matrices and the 8 large analogs, as the default pipeline analyses
+   them — recorded from the loops;
+2. frozen copies of those loops, compared array for array on a
+   hypothesis sweep that includes relaxed and dense-tail partitions,
+   block-pivoting's block-closed row sets and random supersets of the
+   row sets, so that some supernodes keep only part of their update
+   grid (``selection`` is not ``None``).
+"""
+
+import dataclasses
+import hashlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.factor.blockpivot as blockpivot
+from repro.driver import GESPOptions
+from repro.driver.pipeline import preprocess
+from repro.factor.blockplan import build_block_plan, supernode_row_sets
+from repro.matrices import matrix_by_name
+from repro.ordering.etree import column_etree, etree_symmetric, postorder
+from repro.sparse.ops import pattern_union_transpose
+from repro.symbolic import (
+    block_partition,
+    find_supernodes,
+    merge_dense_tail,
+    relax_supernodes,
+    split_supernodes,
+    symbolic_lu_symmetrized,
+    symbolic_lu_unsymmetric,
+)
+
+from test_block_engine import _random_system
+
+
+def _digest(*objs):
+    """blake2b of arrays (dtype, shape, bytes), sequences, dataclasses
+    and scalars, walked in order."""
+    h = hashlib.blake2b(digest_size=8)
+
+    def feed(x):
+        if isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode())
+            h.update(np.ascontiguousarray(x).tobytes())
+        elif isinstance(x, (list, tuple)):
+            h.update(f"[{len(x)}".encode())
+            for y in x:
+                feed(y)
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                feed(getattr(x, f.name))
+        elif isinstance(x, (int, np.integer)):
+            h.update(f"i{int(x)}".encode())
+        else:
+            h.update(repr(x).encode())
+
+    for obj in objs:
+        feed(obj)
+    return h.hexdigest()
+
+
+def _plan_digest(plan):
+    return _digest(plan.part.xsup, plan.bounds, plan.shapes, plan.a_pos,
+                   plan.l_pos, plan.u_pos, plan.targets, plan.selection,
+                   plan.runs, plan.solve)
+
+
+def _structures(name):
+    """(fill, partition, plan, relaxed partition + plan, trees) digests
+    of ``name`` as the default serial pipeline analyses it."""
+    a = matrix_by_name(name).build()
+    at = preprocess(a, GESPOptions())[0]
+    sym = symbolic_lu_symmetrized(at)
+    part = block_partition(sym)
+    return (_digest(sym.l_colptr, sym.l_rowind, sym.u_rowptr, sym.u_colind,
+                    sym.etree),
+            _digest(part.xsup),
+            _plan_digest(build_block_plan(at, sym, part)),
+            _plan_digest(build_block_plan(
+                at, sym, block_partition(sym, relax_size=8))),
+            _digest(postorder(sym.etree), column_etree(a), column_etree(at)))
+
+
+# recorded from the per-column fill, the numpy-scalar tree walks, the
+# per-column supernode test and the per-supernode target loop
+STRUCTURE_DIGESTS = {
+    "cfd01": ("4b0b323ede4e1b9e", "0b7dd806812eb334", "ba72a7f83aaf6e85",
+              "2b42f1cc8d4527f0", "53e6f67d5ac7e102"),
+    "cfd02": ("1e56b989504ab1e5", "f3b0e385908f1309", "d44f8f86db869fe9",
+              "47197887753b258b", "a9b33327421388cc"),
+    "cfd03": ("28fc66a4c0fef163", "616ec28c1a103697", "7fb5980b52e132a5",
+              "5e79fcea9022bcfa", "e98310c3b768a3a5"),
+    "cfd04": ("7a3b57f931ab5e31", "ac07ad4ff39539f2", "3e6c814f42334f09",
+              "6272aec983aca765", "4cfc6cb47695eb85"),
+    "cfd05": ("be650ec6e7fb32b8", "8e56257fbb2cbc4d", "f0ebbf89acab8079",
+              "aede2156eeff5de3", "c526ea18e3bd958a"),
+    "cfd06": ("050d7307a77972f2", "05b3d326e053f00a", "48565b4e748c4c2d",
+              "e8b61d2294202c06", "3cd7a7347b54c626"),
+    "cfd07": ("28fc66a4c0fef163", "616ec28c1a103697", "7fb5980b52e132a5",
+              "5e79fcea9022bcfa", "e98310c3b768a3a5"),
+    "cfd08": ("154ac6f477f8479e", "64828788306ce82d", "71815bb15e8c3632",
+              "a0a97b0b9eafb6d7", "17be5d92d45f936e"),
+    "device01": ("4b0b323ede4e1b9e", "0b7dd806812eb334", "ba72a7f83aaf6e85",
+                 "2b42f1cc8d4527f0", "53e6f67d5ac7e102"),
+    "device02": ("1e56b989504ab1e5", "f3b0e385908f1309", "d44f8f86db869fe9",
+                 "47197887753b258b", "a9b33327421388cc"),
+    "device03": ("28fc66a4c0fef163", "616ec28c1a103697", "7fb5980b52e132a5",
+                 "5e79fcea9022bcfa", "e98310c3b768a3a5"),
+    "device04": ("7a3b57f931ab5e31", "ac07ad4ff39539f2", "3e6c814f42334f09",
+                 "6272aec983aca765", "4cfc6cb47695eb85"),
+    "device05": ("be650ec6e7fb32b8", "8e56257fbb2cbc4d", "f0ebbf89acab8079",
+                 "aede2156eeff5de3", "c526ea18e3bd958a"),
+    "circuit01": ("640fbb6d28a9d844", "b2cb8592b2cf51df", "30195f4971ec909f",
+                  "2fd63605cff136a2", "40d4b5d9ed1a4d92"),
+    "circuit02": ("ae0abe1aa11677e2", "861921573fbd71c0", "f51f922979d7c436",
+                  "976aa94d10fa0fa6", "431778e092b104e2"),
+    "circuit03": ("23f42d60a4281915", "8510330aa6674427", "2628b38c027c8c2e",
+                  "f816f8e6292d365a", "6976d149e5ad95d1"),
+    "circuit04": ("bef873e4629605f2", "4d294c79f077baca", "f6aab82f8ea865c3",
+                  "ff683fe0c3841100", "d5322185588d135e"),
+    "circuit05": ("d4b692c2779cc2b9", "e9f4722e94c47f57", "17796990bca03e64",
+                  "64dbc61b377b5750", "6671a63684475044"),
+    "circuit06": ("d0ce294ab2c18d9c", "9bb2ca6086896487", "0d60e14ad5d5aa14",
+                  "8d7d5ea1e5f16b93", "b646c61a6afd4e7c"),
+    "hb01": ("eb3fbab742fbe48b", "06480f21da0b8df6", "5e720162f6c1c51c",
+             "04eb243daf5423fb", "2d351eb9a2dfedd4"),
+    "hb02": ("0748304062da0b5e", "2d11774e42de181c", "f08af56e5f4733d5",
+             "15177722fff850fb", "2d22c27891ea1f84"),
+    "fem01": ("57d630eb6d5f121d", "a485a693118a2867", "bf346e92cd274692",
+              "fbf4eee590c963a0", "7d7e901db3b3391b"),
+    "fem02": ("35e09215a8a59eee", "697aac096292dcd5", "9069a13ec2ab8a06",
+              "5f5069c42ee79828", "9c644c3583147c71"),
+    "fem03": ("ebc1634ef968cf63", "3c0432a2d4a5160b", "f6232e578253f1f0",
+              "05d282f17375c1e3", "93a46c1240425bbf"),
+    "fem04": ("9b843a839445d871", "0f77d4c0ed01fabc", "fb357a0636370e9d",
+              "9d8e08b215ddddee", "b171646d849a1064"),
+    "fem05": ("c7ed7a5f71a1e06b", "771180a33623d136", "218894588c8a79a6",
+              "6be39399fe5f268a", "0c14131c1168d2b0"),
+    "fem06": ("b4b3742afd9a196a", "0a42e6524b036a98", "2a95b1bd3353760e",
+              "2a51508c202b51a8", "a87c0b068c79a184"),
+    "chem01": ("f7c589c6798e4ab9", "78fedf88db1bca6b", "ccacd3e79cd9db2c",
+               "880fff40d64ef883", "00abc055aca05293"),
+    "chem02": ("efe27a0fbd18c202", "454cdeb31d478fac", "8750d1ca19ab1ff1",
+               "f15ab1ad7ed90bd9", "dbeb2d4e7afae3d9"),
+    "chem03": ("58f139b603212ae7", "1e74b952fb66f8ad", "b3a0b723f5b15f60",
+               "8c210e63c73c5de5", "395fec76548826bc"),
+    "chem04": ("d4c41e4a5ac8fcc2", "476ceb05fe1b464c", "c6fb5558f17fbe99",
+               "1c530fd4654544ce", "967d18652c438957"),
+    "chem05": ("e135e6ab69fb2380", "4e2a96c1700eb1e7", "9248ba9929aad37c",
+               "9af535826794b080", "2c9e94ac1f4a3067"),
+    "chem06": ("5c3bed15d54ac4ac", "3d7335303e6fefcf", "f7795878a422deab",
+               "cf0860b66078d656", "f4dc48dbcfddcc63"),
+    "resv01": ("3c57d60c75ad856b", "8caf2ed6ee19fcb8", "b2186d07de3f289a",
+               "d8c50b8634436472", "292a72a19b001503"),
+    "resv02": ("2c71589acc18fd68", "fc3097d0e82d9424", "f25cb7ff025f5ef3",
+               "595c87d933671fd9", "7883d31c555629ef"),
+    "resv03": ("83e15e41277463d1", "3044c5681363d42a", "673ff03a49d3d2f4",
+               "13bdef3a9b4665fd", "cd0887439d8b5b9f"),
+    "resv04": ("39a33ab67f462df4", "db29d6896bed7ddc", "e4d69962bb8b7d16",
+               "61cc8f9ff22dea14", "20bf669020442d46"),
+    "kkt01": ("ed766e63154a5b0d", "87f39d460c387d9c", "22a6033e36710192",
+              "7f02eae09ed3df16", "2e4c725fadce2180"),
+    "kkt02": ("d833038598b5bdba", "0faaa43477642302", "c34ffb6808712af2",
+              "34c90c9692b1cf76", "6bab08cc645907d9"),
+    "kkt03": ("0c27febdba9587d2", "604c63b46c261ece", "6dac6df5b0176f91",
+              "ecadb3aa53ae0382", "b2608aeafdd13d2f"),
+    "kkt04": ("038f947ba9aff66e", "2eb0b7a4372a7de6", "8fe4d29e35ff5e69",
+              "ce21dcce6e3e4bdc", "7e9d0f24e1ff7e86"),
+    "aniso01": ("2865760234e8e596", "0198156317517675", "7a85958d4c5c7142",
+                "0ba8077067fb6d79", "1d5c2e818c42d70c"),
+    "aniso02": ("2865760234e8e596", "0198156317517675", "7a85958d4c5c7142",
+                "0ba8077067fb6d79", "1d5c2e818c42d70c"),
+    "aniso03": ("2865760234e8e596", "0198156317517675", "7a85958d4c5c7142",
+                "0ba8077067fb6d79", "1d5c2e818c42d70c"),
+    "gen01": ("ce3508f31e7b707c", "4b5c214090f3a51a", "cdc4b5ffbbfe2a1b",
+              "01d8e965b1b1b80f", "98c637ab78e0c3ac"),
+    "gen02": ("4b8315a575e14083", "4baee73ebf591f77", "9c7e6463b28b71cb",
+              "613e348f6c73967a", "87c13987f6e578af"),
+    "gen03": ("e7bb927f6be3a0b4", "be420e62ac070946", "03e11618050bb7fc",
+              "6b2c698e494f3607", "6f4f693ebb749aa9"),
+    "gen04": ("cca366c0bd849add", "2bcb030fc8836c32", "0dd51dad61be68c2",
+              "b55afeaa015113f0", "83efc21f381eab87"),
+    "gen05": ("2d80903f5e6db490", "932689fede4b53f2", "4b8bdbe3144b9d2b",
+              "9abddc8da3520303", "449807d7b220e54a"),
+    "gen06": ("cf844b35f0243f99", "f94c9d160a1fe54c", "30edebf00d1fa0ef",
+              "05c0b417aefb0297", "62357787956151b9"),
+    "gen07": ("d808fabd8144e18b", "a161698e4f519d85", "f9dabafa74b6a084",
+              "c7d2854d07fee651", "1e0a6610146f2108"),
+    "gen08": ("7cd8a4a03e2bbc0e", "b2d9082d55821045", "9af4b2b5dea73c18",
+              "591ae881dc42468b", "aa6231a41e149913"),
+    "gen09": ("975f8158b6dbc2ae", "20a65da25d734f11", "b48546a0c85cd88a",
+              "97f85b0a33f356e6", "bc40b8fed84aa724"),
+    "AF23560a": ("3c68d95ff8208cd2", "28542631e4f53336", "86ed28c356eba1be",
+                 "a6f0fbf0d4016782", "052251e6435297f8"),
+    "BBMATa": ("dccc565370439532", "d6cf54b348ee0e68", "a51c8f98d2de3a78",
+               "969bf46924f42f6a", "3e0043a8e7f68af5"),
+    "ECL32a": ("93817a7504802a8c", "151708d91549b2c5", "cdbd2197347cef52",
+               "9375bcdcf266134a", "d647226314708525"),
+    "EX11a": ("2c12bb46c548fbc3", "cd63f977505668c6", "b5c50188c6356497",
+              "a6cbef54bd58c287", "eb094fa14d96ddc6"),
+    "FIDAPM11a": ("707022a172010e2c", "9ec7cf1b6c9208dd", "23780038ed24a219",
+                  "acc6e4644b6f979c", "c3d12ca3846f4645"),
+    "RDIST1a": ("1f36f0bbdcbeb6bc", "c74cdeccb23e6293", "52e1479dfbb8fdd9",
+                "d3cf03c2674b41b7", "5f5b4fd23a5c8e62"),
+    "TWOTONEa": ("a8dedca59e5b1fa7", "42ede169ae394d0e", "c4affc1219a1b26f",
+                 "b3548f6149731f6f", "9795317aa66eb5dc"),
+    "WANG4a": ("e10e16736109cccc", "ef426daf4f19b630", "8ddb2206bef68c44",
+               "d825d75c45879890", "58d0caab8c1c50af"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_DIGESTS))
+def test_static_structures_are_the_recorded_ones(name):
+    assert _structures(name) == STRUCTURE_DIGESTS[name]
+
+
+# --------------------------------------------------------------------- #
+# the loops, frozen — copied verbatim from the historical builders.  DO
+# NOT "fix" or modernise them: they are the reference
+# --------------------------------------------------------------------- #
+
+def golden_etree_symmetric(a):
+    n = a.ncols
+    parent = np.full(n, -1, dtype=np.int64)
+    ancestor = np.full(n, -1, dtype=np.int64)
+    for k in range(n):
+        lo, hi = a.colptr[k], a.colptr[k + 1]
+        for i in a.rowind[lo:hi]:
+            # walk from i up to the current root, compressing the path
+            while i != -1 and i < k:
+                inext = ancestor[i]
+                ancestor[i] = k
+                if inext == -1:
+                    parent[i] = k
+                i = inext
+    return parent
+
+
+def golden_column_etree(a):
+    n = a.ncols
+    parent = np.full(n, -1, dtype=np.int64)
+    ancestor = np.full(n, -1, dtype=np.int64)
+    # prev_col[i]: the previous column seen with a nonzero in row i
+    prev_col = np.full(a.nrows, -1, dtype=np.int64)
+    for k in range(n):
+        lo, hi = a.colptr[k], a.colptr[k + 1]
+        for i in a.rowind[lo:hi]:
+            # the clique edge is (prev_col[i], k)
+            r = prev_col[i]
+            prev_col[i] = k
+            while r != -1 and r < k:
+                rnext = ancestor[r]
+                ancestor[r] = k
+                if rnext == -1:
+                    parent[r] = k
+                r = rnext
+    return parent
+
+
+def golden_postorder(parent):
+    parent = np.asarray(parent, dtype=np.int64)
+    n = parent.size
+    first_child = np.full(n, -1, dtype=np.int64)
+    next_sibling = np.full(n, -1, dtype=np.int64)
+    for v in range(n - 1, -1, -1):
+        p = parent[v]
+        if p >= 0:
+            next_sibling[v] = first_child[p]
+            first_child[p] = v
+    post = np.empty(n, dtype=np.int64)
+    count = 0
+    for root in range(n):
+        if parent[root] >= 0:
+            continue
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            c = first_child[v]
+            if c >= 0:
+                first_child[v] = -1  # mark children as queued
+                while c >= 0:
+                    stack.append(c)
+                    c = next_sibling[c]
+            else:
+                stack.pop()
+                post[v] = count
+                count += 1
+    if count != n:
+        raise ValueError("parent array does not describe a forest")
+    return post
+
+
+def golden_symmetrized_fill(a):
+    """``(l_colptr, l_rowind, etree)`` of the symmetrized analysis."""
+    n = a.ncols
+    sym = pattern_union_transpose(a)
+    parent = golden_etree_symmetric(sym)
+    children = [[] for _ in range(n)]
+    for v in range(n):
+        if parent[v] >= 0:
+            children[parent[v]].append(v)
+
+    col_pat = [None] * n  # sorted arrays of rows >= k
+    for k in range(n):
+        lo, hi = sym.colptr[k], sym.colptr[k + 1]
+        rk = sym.rowind[lo:hi]
+        base = rk[rk >= k]
+        if base.size == 0 or base[0] != k:
+            base = np.concatenate([[k], base]).astype(np.int64)
+        pats = [base]
+        for c in children[k]:
+            pc = col_pat[c]
+            pats.append(pc[pc >= k])  # drop rows < k (only c itself qualifies)
+        if len(pats) > 1:
+            merged = pats[0]
+            for p in pats[1:]:
+                merged = np.union1d(merged, p)
+            col_pat[k] = merged.astype(np.int64)
+        else:
+            col_pat[k] = base.astype(np.int64)
+
+    l_colptr = np.zeros(n + 1, dtype=np.int64)
+    for k in range(n):
+        l_colptr[k + 1] = l_colptr[k] + col_pat[k].size
+    l_rowind = np.concatenate(col_pat) if n else np.empty(0, np.int64)
+    return l_colptr, l_rowind, parent
+
+
+def golden_unsymmetric_fill(a):
+    """``(l_colptr, l_rowind, u_rowptr, u_colind)`` of the exact analysis."""
+    n = a.ncols
+    at = a.transpose()
+    rows = []
+    for i in range(n):
+        lo, hi = at.colptr[i], at.colptr[i + 1]
+        r = at.rowind[lo:hi]
+        if not np.any(r == i):
+            r = np.sort(np.append(r, i))
+        rows.append(r.astype(np.int64))
+    l_cols = [[] for _ in range(n)]
+    col_members = [[] for _ in range(n)]
+    for i in range(n):
+        for k in rows[i]:
+            if k < i:
+                col_members[k].append(i)
+    for k in range(n):
+        rk = rows[k]
+        tail = rk[np.searchsorted(rk, k + 1):]
+        if tail.size:
+            for i in col_members[k]:
+                ri = rows[i]
+                merged = np.union1d(ri, tail)
+                if merged.size != ri.size:
+                    new = np.setdiff1d(merged, ri, assume_unique=True)
+                    for c in new:
+                        if c < i:
+                            col_members[c].append(i)
+                    rows[i] = merged
+        l_cols[k] = col_members[k]
+    l_colptr = np.zeros(n + 1, dtype=np.int64)
+    u_rowptr = np.zeros(n + 1, dtype=np.int64)
+    l_rowind_parts = []
+    u_colind_parts = []
+    for k in range(n):
+        below = np.array(sorted(set(l_cols[k])), dtype=np.int64)
+        l_rowind_parts.append(np.concatenate([[k], below]))
+        l_colptr[k + 1] = l_colptr[k] + below.size + 1
+    for i in range(n):
+        ri = rows[i]
+        tail = ri[np.searchsorted(ri, i):]
+        if tail.size == 0 or tail[0] != i:
+            tail = np.concatenate([[i], tail])
+        u_colind_parts.append(tail)
+        u_rowptr[i + 1] = u_rowptr[i] + tail.size
+    return (l_colptr,
+            np.concatenate(l_rowind_parts) if n else np.empty(0, np.int64),
+            u_rowptr,
+            np.concatenate(u_colind_parts) if n else np.empty(0, np.int64))
+
+
+def golden_find_supernodes(sym):
+    n = sym.n
+    if n == 0:
+        return np.zeros(1, dtype=np.int64)
+    counts = np.diff(sym.l_colptr)
+    parent = sym.etree
+    starts = [0]
+    for j in range(1, n):
+        same = parent[j - 1] == j and counts[j] == counts[j - 1] - 1
+        if not same:
+            starts.append(j)
+    return np.array(starts + [n], dtype=np.int64)
+
+
+def golden_relax_supernodes(sym, xsup, relax_size):
+    parent = sym.etree
+    nsuper = xsup.size - 1
+    merged = [int(xsup[0])]
+    s = 0
+    while s < nsuper:
+        lo = xsup[s]
+        hi = xsup[s + 1]
+        t = s
+        while (t + 1 < nsuper
+               and parent[xsup[t + 1] - 1] == xsup[t + 1]
+               and xsup[t + 2] - lo <= relax_size):
+            t += 1
+            hi = xsup[t + 1]
+        merged.append(int(hi))
+        s = t + 1
+    return np.array(merged, dtype=np.int64)
+
+
+def golden_split_supernodes(xsup, max_size):
+    pieces = [0]
+    for s in range(xsup.size - 1):
+        lo, hi = int(xsup[s]), int(xsup[s + 1])
+        width = hi - lo
+        if width <= max_size:
+            pieces.append(hi)
+            continue
+        nchunk = -(-width // max_size)  # ceil
+        base = width // nchunk
+        extra = width % nchunk
+        pos = lo
+        for c in range(nchunk):
+            pos += base + (1 if c < extra else 0)
+            pieces.append(pos)
+    return np.array(pieces, dtype=np.int64)
+
+
+def golden_targets(part, s_rows):
+    """``(targets, selection)``: the per-supernode position loop."""
+    n, ns, xsup = part.n, part.nsuper, part.xsup
+    supno = part.supno()
+    cols = np.arange(n, dtype=np.int64)
+    w = np.diff(xsup)
+    m = np.array([s.size for s in s_rows], dtype=np.int64)
+    sptr = np.concatenate(([0], np.cumsum(m)))
+    ks, s_all = np.repeat(cols[:ns], m), np.concatenate([*s_rows, cols[:0]])
+    keys = np.concatenate((ks * n + s_all, [ns * n]))
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.column_stack((w * w, m * w, w * m)).ravel())))
+    index = np.int32 if bounds[-1] < 2 ** 31 else np.int64
+    d_base = bounds[0:-1:3] - xsup[:-1] * w - xsup[:-1]
+    b_base = bounds[1::3] - sptr[:-1] * w - xsup[:-1]
+    r_base = bounds[2::3] - sptr[:-1] - xsup[:-1] * m
+
+    def position(i, j):
+        ki, kj = supno[i], supno[j]
+        lower, upper = ki > kj, ki < kj
+        key = np.where(lower, kj * n + i, ki * n + j)
+        q = np.searchsorted(keys, key)
+        pos = np.where(lower, (b_base[kj] + j) + q * w[kj],
+                       np.where(upper, (r_base[ki] + i * m[ki]) + q,
+                                (d_base[ki] + i * w[ki]) + j))
+        return pos.astype(index), ~(lower | upper) | (keys[q] == key)
+
+    targets, selection = [], []
+    for s in s_rows:
+        pos, stored = position(s[:, None], s[None, :])
+        keep = None if stored.all() else np.flatnonzero(stored).astype(index)
+        selection.append(keep)
+        targets.append(pos.ravel() if keep is None else pos.ravel()[keep])
+    return targets, selection
+
+
+# --------------------------------------------------------------------- #
+# the array passes against the loops
+# --------------------------------------------------------------------- #
+
+def _same(x, y):
+    return (x.dtype == y.dtype and x.shape == y.shape
+            and np.array_equal(x, y))
+
+
+def _assert_targets_match(plan):
+    targets, selection = golden_targets(plan.part, plan.s_rows)
+    assert len(plan.targets) == len(targets) == plan.part.nsuper
+    for got, want in zip(plan.targets, targets):
+        assert _same(got, want)
+    for got, want in zip(plan.selection, selection):
+        assert (got is None) == (want is None)
+        assert got is None or _same(got, want)
+
+
+def _superset(part, s_rows, rng):
+    """Each row set with up to two random rows below its supernode added."""
+    n, out = part.n, []
+    for k, s in enumerate(s_rows):
+        below = np.arange(part.xsup[k + 1], n)
+        extra = rng.choice(below, size=min(2, below.size), replace=False)
+        out.append(np.union1d(s, extra).astype(np.int64))
+    return out
+
+
+@given(n=st.integers(1, 30), density=st.floats(0.03, 0.5),
+       hole=st.sampled_from([None, "zero", "absent"]),
+       max_block=st.integers(1, 8), relax=st.integers(0, 8),
+       tail=st.sampled_from([None, 0.2, 0.6]), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_array_passes_match_the_frozen_loops_property(
+        n, density, hole, max_block, relax, tail, seed):
+    a, _ = _random_system(n, density, hole, seed)
+    rng = np.random.default_rng(seed)
+    # fill, trees
+    sym = symbolic_lu_symmetrized(a)
+    l_colptr, l_rowind, parent = golden_symmetrized_fill(a)
+    for got, want in ((sym.l_colptr, l_colptr), (sym.l_rowind, l_rowind),
+                      (sym.etree, parent), (sym.u_rowptr, l_colptr),
+                      (sym.u_colind, l_rowind)):
+        assert _same(got, want)
+    s = pattern_union_transpose(a)
+    assert _same(etree_symmetric(s), golden_etree_symmetric(s))
+    assert _same(column_etree(a), golden_column_etree(a))
+    assert _same(postorder(sym.etree), golden_postorder(sym.etree))
+    exact = symbolic_lu_unsymmetric(a)
+    for got, want in zip((exact.l_colptr, exact.l_rowind, exact.u_rowptr,
+                          exact.u_colind), golden_unsymmetric_fill(a)):
+        assert _same(got, want)
+    # partitions
+    fundamental = find_supernodes(sym)
+    assert _same(fundamental.xsup, golden_find_supernodes(sym))
+    relaxed = relax_supernodes(sym, fundamental, relax_size=relax)
+    assert _same(relaxed.xsup,
+                 golden_relax_supernodes(sym, fundamental.xsup, relax))
+    part = split_supernodes(relaxed, max_size=max_block)
+    assert _same(part.xsup, golden_split_supernodes(relaxed.xsup, max_block))
+    if tail is not None:
+        part = split_supernodes(merge_dense_tail(sym, fundamental, tail),
+                                max_size=max_block)
+    # plans: the partition's own row sets, a random superset of them ...
+    _assert_targets_match(build_block_plan(a, sym, part))
+    superset = _superset(part, supernode_row_sets(sym, part), rng)
+    _assert_targets_match(build_block_plan(a, sym, part, s_rows=superset))
+    # ... and block pivoting's block-closed row sets
+    plans = []
+
+    def spy(*args, **kwargs):
+        plans.append(build_block_plan(*args, **kwargs))
+        return plans[-1]
+
+    with mock.patch.object(blockpivot, "build_block_plan", spy):
+        blockpivot.supernodal_factor_block_pivoting(
+            a, max_block_size=max_block, relax_size=relax)
+    _assert_targets_match(plans[0])
+
+
+def test_partial_update_grids_match_the_frozen_loop():
+    """The property's partial grids exist: a dense tail merged across
+    etree branches (fem04 as the distributed driver partitions it) and
+    row-set supersets leave update entries with no home, and the kept
+    ones match the loop's."""
+    a = preprocess(matrix_by_name("fem04").build(), GESPOptions())[0]
+    sym = symbolic_lu_symmetrized(a)
+    part = split_supernodes(merge_dense_tail(
+        sym, relax_supernodes(sym, find_supernodes(sym)), 0.2), max_size=24)
+    superset = _superset(part, supernode_row_sets(sym, part),
+                         np.random.default_rng(0))
+    for plan in (build_block_plan(a, sym, part),
+                 build_block_plan(a, sym, part, s_rows=superset)):
+        assert any(keep is not None for keep in plan.selection)
+        _assert_targets_match(plan)

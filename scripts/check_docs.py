@@ -15,8 +15,10 @@ on ``sys.path``):
    index, so a new doc cannot be orphaned;
 4. every ``--flag`` of every ``python -m repro`` command (enumerated
    from the real parser, ``repro.__main__.build_parser``) is mentioned
-   in at least one doc under ``docs/``, so the CLI surface and its
-   documentation cannot drift apart;
+   in at least one doc under ``docs/``, and every ``--flag`` in the
+   first column of a ``docs/README.md`` flag table is one the parser
+   accepts, so the CLI surface and its documentation cannot drift apart
+   in either direction;
 5. every workload and metric ``BENCHMARK.json`` declares is named in
    ``bench/README.md`` (read-only here: the benchmark is changed by its
    own PRs only), so the yardstick's documentation lists what it prints;
@@ -143,6 +145,17 @@ def undocumented_flags(text=None):
         text = "\n".join(p.read_text(encoding="utf-8")
                          for p in sorted(DOCS.glob("*.md")))
     return [flag for flag in cli_flags() if flag not in text]
+
+
+def stale_flag_rows(text=None):
+    """Flags the first column of a docs/README.md table row names that
+    the parser does not accept, sorted."""
+    if text is None:
+        text = DOCS_INDEX.read_text(encoding="utf-8")
+    documented = {flag
+                  for cell in re.findall(r"^\|([^|\n]*)\|", text, flags=re.M)
+                  for flag in re.findall(r"`(--[\w-]+)", cell)}
+    return sorted(documented - set(cli_flags()))
 
 
 def undocumented_bench_names(text=None):
@@ -282,6 +295,10 @@ def main():
             status = 1
     for flag in undocumented_flags():
         print(f"docs/: CLI flag {flag} not documented in any doc")
+        status = 1
+    for flag in stale_flag_rows():
+        print(f"docs/README.md: flag table names {flag}, which the CLI "
+              "does not accept")
         status = 1
     if not BENCH_README.is_file():
         print(f"missing: {BENCH_README}")

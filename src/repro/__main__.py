@@ -374,9 +374,7 @@ def cmd_serve(args):
           f"{cfg.batch_window * 1e3:.1f}ms, max batch {cfg.max_batch}")
     if args.shards:
         print(f"sharded tier     : {args.shards} shard processes"
-              + (f", spool {args.spool_dir}" if args.spool_dir else "")
-              + (f", replicate above {args.hot_rps:.0f} req/s"
-                 if args.hot_rps else ""))
+              + (f", spool {args.spool_dir}" if args.spool_dir else ""))
     print(f"pattern mix      : {', '.join(f'{k} (n={a.ncols})' for k, a in sorted(matrices.items()))}")
     if workload_specs is not None:
         print("workload spec    : " + ", ".join(
@@ -398,7 +396,6 @@ def cmd_serve(args):
     if args.shards:
         service = ShardedSolveService(shards=args.shards, config=cfg,
                                       spool_dir=args.spool_dir,
-                                      hot_rps=args.hot_rps,
                                       auto_start=False)
     else:
         service = SolveService(cfg)
@@ -458,9 +455,7 @@ def _print_serve_report(rep, stats, args) -> int:
               f"{stats.get('service.shard.requests', 0):.0f} routed, "
               f"{stats.get('service.shard.rejected_overload', 0):.0f} shed, "
               f"{stats.get('service.shard.deaths', 0):.0f} deaths / "
-              f"{stats.get('service.shard.respawns', 0):.0f} respawns, "
-              f"{stats.get('service.shard.replicated', 0):.0f} patterns "
-              "replicated")
+              f"{stats.get('service.shard.respawns', 0):.0f} respawns")
         if args.spool_dir:
             print(f"warm-start spool : "
                   f"{stats.get('service.shard.spool_loaded', 0):.0f} plans "
@@ -621,10 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="warm-start spool directory for the sharded "
                         "tier: PatternPlans persist here so restarted "
                         "shards skip the cold DOFACT analysis")
-    p.add_argument("--hot-rps", type=float, default=None, metavar="RPS",
-                   help="replicate a pattern onto a second shard once "
-                        "it sustains this request rate (default: no "
-                        "replication)")
     p.add_argument("--factor-dtype", default="float64",
                    choices=["float64", "float32"],
                    help="numeric factorization precision for the "

@@ -235,8 +235,8 @@ COUNTERS = (
         "Requests submitted under a registered tenant (counted before "
         "quota/priority resolution; quota sheds are included here and "
         "also counted by service.tenant_quota_shed).  Emitted by "
-        "TenantAdmission into whichever tier holds the tenant classes: "
-        "the in-process service, or the sharded router."),
+        "the FrontDoor of whichever tier a request meets first: the "
+        "in-process service, or the sharded router."),
     CounterSpec(
         "service.tenant_quota_shed", "request",
         "repro/service/server.py",
@@ -279,11 +279,6 @@ COUNTERS = (
         "repro/service/shard/router.py",
         "Dead worker processes respawned by the monitor (registered "
         "matrices are replayed; the spool makes the respawn warm)."),
-    CounterSpec(
-        "service.shard.replicated", "pattern",
-        "repro/service/shard/router.py",
-        "Hot patterns replicated onto their second-ranked HRW shard "
-        "after sustaining the hot_rps request rate."),
     CounterSpec(
         "service.shard.spool_loaded", "plan",
         "repro/service/shard/router.py",

@@ -78,7 +78,7 @@ from repro.service.batcher import (
 from repro.service.queue import AdmissionQueue, QueuedRequest, TokenBucket
 from repro.sparse.csc import CSCMatrix
 
-__all__ = ["FACT_COUNTERS", "SolveService"]
+__all__ = ["FACT_COUNTERS", "FrontDoor", "SolveService"]
 
 _clock = time.perf_counter
 
@@ -114,23 +114,66 @@ class _TenantState:
         self.counts = {"requests": 0, "quota_shed": 0, "displaced": 0}
 
 
-class TenantAdmission:
-    """The registered tenant classes and their admission rule, held by
-    whichever tier a request meets first — :class:`SolveService`, or the
-    sharded router in front of it — so a tenant's quota is charged once.
-    ``count`` is the owning service's counter sink."""
+class FrontDoor:
+    """What a request meets first, on either tier — :class:`SolveService`,
+    or the sharded router in front of one per shard: the registered
+    matrices and tenant classes, the checks ``submit`` runs before a
+    queue or a message is touched, and the tier's counters.  A tenant's
+    quota is charged here, so once, whichever tier holds the door.
 
-    def __init__(self, count):
-        self._count = count
+    ``counters`` names the counters every ``stats()`` reports, zero
+    included.  A span handed to :meth:`attach` mirrors every count from
+    then on."""
+
+    def __init__(self, counters=()):
         self._lock = threading.Lock()
+        self._matrices: dict[str, CSCMatrix] = {}
         self._tenants: dict[str, _TenantState] = {}
+        self._seq = 0
+        self.closed = False
+        self._counters: dict[str, float] = dict.fromkeys(counters, 0)
+        self._span: Span | None = None
 
-    def register(self, spec):
+    def close(self) -> bool:
+        """Admit and register nothing more; False if already closed."""
+        with self._lock:
+            was_closed, self.closed = self.closed, True
+        return not was_closed
+
+    def register_matrix(self, key: str, a: CSCMatrix):
+        if not isinstance(a, CSCMatrix) or a.nrows != a.ncols:
+            raise ValueError("register_matrix requires a square CSCMatrix")
+        with self._lock:
+            if self.closed:
+                raise ServiceClosed()
+            self._matrices[key] = a
+
+    def matrices(self) -> list[tuple[str, CSCMatrix]]:
+        """The registry's ``(key, matrix)`` pairs, oldest first."""
+        with self._lock:
+            return list(self._matrices.items())
+
+    def register_tenant(self, spec):
         name = str(getattr(spec, "name", "") or "")
         if not name:
             raise ValueError("tenant spec needs a non-empty name")
         with self._lock:
             self._tenants[name] = _TenantState(spec)
+
+    def resolve(self, request: SolveRequest) -> CSCMatrix:
+        """Check ``request`` (:meth:`SolveRequest.validate`, then the
+        registry for a keyed one), give it an id if it has none, and
+        return its matrix.  Raises :class:`ServiceClosed`, ``TypeError``,
+        ``ValueError`` or :class:`~repro.service.api.UnknownMatrixError`."""
+        if self.closed:
+            raise ServiceClosed()
+        request.validate()
+        with self._lock:
+            matrix = request.resolve_matrix(self._matrices)
+            if not request.request_id:
+                self._seq += 1
+                request.request_id = f"req-{self._seq}"
+        return matrix
 
     def admit(self, request: SolveRequest, now: float):
         """Resolve the request's effective (priority, relative deadline)
@@ -144,9 +187,9 @@ class TenantAdmission:
             shed = (tstate.bucket is not None
                     and not tstate.bucket.try_take(now))
             tstate.counts["quota_shed"] += shed
-        self._count("service.tenant_requests", 1)
+        self.count("service.tenant_requests")
         if shed:
-            self._count("service.tenant_quota_shed", 1)
+            self.count("service.tenant_quota_shed")
             raise QuotaExceeded(request.tenant, tstate.bucket.rate,
                                 tstate.bucket.burst)
         priority, deadline = request.priority, request.deadline
@@ -159,17 +202,35 @@ class TenantAdmission:
     def displaced(self, tenant):
         """A higher-priority arrival bumped one of ``tenant``'s queued
         requests."""
-        self._count("service.tenant_displaced", 1)
+        self.count("service.tenant_displaced")
         with self._lock:
             tstate = self._tenants.get(tenant)
             if tstate is not None:
                 tstate.counts["displaced"] += 1
 
-    def counts(self) -> dict:
-        """``{tenant: {requests, quota_shed, displaced}}``."""
+    def attach(self, span: Span):
+        """Mirror the counters into ``span``, the ones so far included."""
         with self._lock:
-            return {name: dict(st.counts)
-                    for name, st in self._tenants.items()}
+            self._span = span
+            span.counters.update(self._counters)
+
+    def count(self, name: str, value=1):
+        with self._lock:
+            self._counters[name] = self._counters.get(name, 0) + value
+            if self._span is not None:
+                c = self._span.counters
+                c[name] = c.get(name, 0) + value
+
+    def stats(self) -> dict:
+        """The counters, plus ``tenants``:
+        ``{tenant: {requests, quota_shed, displaced}}`` once a class is
+        registered."""
+        with self._lock:
+            counters = dict(self._counters)
+            if self._tenants:
+                counters["tenants"] = {name: dict(st.counts)
+                                       for name, st in self._tenants.items()}
+        return counters
 
 
 class _PatternState:
@@ -228,21 +289,16 @@ class SolveService:
             tracer = ambient if ambient.enabled else None
         self._tracer = tracer
         self._span: Span | None = None
-        self._obs_lock = threading.Lock()
+        self._obs_lock = threading.Lock()     # the span's children
         # what every stats() answers, zero included: how each answer was
         # produced and what the warm path had to repair
-        self._counters: dict[str, float] = dict.fromkeys(
-            (*FACT_COUNTERS.values(), "service.reanchored",
-             "service.recovered"), 0)
+        self._door = FrontDoor((*FACT_COUNTERS.values(),
+                                "service.reanchored", "service.recovered"))
         self._queue = AdmissionQueue(self.config.queue_capacity)
         self._thread: threading.Thread | None = None
         self._patterns: dict[tuple, _PatternState] = {}
-        self._matrices: dict[str, CSCMatrix] = {}
-        self._tenants = TenantAdmission(self._count)
         self._state_lock = threading.Lock()
-        self._seq = 0
         self._started = False
-        self._closing = False
         if auto_start:
             self.start()
 
@@ -255,7 +311,7 @@ class SolveService:
         with self._state_lock:
             if self._started:
                 return self
-            if self._closing:
+            if self._door.closed:
                 raise ServiceClosed("cannot start a closed service")
             self._started = True
         if self._tracer is not None and self._span is None:
@@ -263,9 +319,8 @@ class SolveService:
             span.attrs.update(queue_capacity=self.config.queue_capacity,
                               batch_window=self.config.batch_window,
                               max_batch=self.config.max_batch)
-            with self._obs_lock:
-                self._span = span
-                span.counters.update(self._counters)
+            self._span = span
+            self._door.attach(span)
             self._tracer.current.children.append(span)
         self._thread = threading.Thread(target=self._serve_loop,
                                         name="repro-service", daemon=True)
@@ -277,15 +332,13 @@ class SolveService:
         join the service thread (idempotent).  Requests still queued
         when the service was never started are rejected with
         ``ServiceClosed``."""
-        with self._state_lock:
-            if self._closing:
-                return
-            self._closing = True
+        if not self._door.close():
+            return
         self._queue.close()
         if self._thread is not None:
             self._thread.join()
         for entry in self._queue.drain_nowait():
-            self._complete(entry, SolveResponse(
+            entry.pending._complete(SolveResponse(
                 request_id=entry.request.request_id,
                 error=ServiceClosed("service closed before the request "
                                     "was dispatched")))
@@ -305,11 +358,9 @@ class SolveService:
 
     def register_matrix(self, key: str, a: CSCMatrix):
         """Register ``a`` under ``key`` so requests can reference it by
-        name instead of shipping the values each time."""
-        if not isinstance(a, CSCMatrix) or a.nrows != a.ncols:
-            raise ValueError("register_matrix requires a square CSCMatrix")
-        with self._state_lock:
-            self._matrices[key] = a
+        name instead of shipping the values each time.  Raises
+        :class:`ServiceClosed` once the service is closed."""
+        self._door.register_matrix(key, a)
         return self
 
     def register_tenant(self, spec):
@@ -326,7 +377,7 @@ class SolveService:
         :class:`~repro.service.api.QuotaExceeded` when the class's
         bucket runs dry.  Unregistered tenant names pass through with
         accounting only."""
-        self._tenants.register(spec)
+        self._door.register_tenant(spec)
         return self
 
     def submit(self, request: SolveRequest) -> PendingSolve:
@@ -340,19 +391,11 @@ class SolveService:
         request always completes its future, with a report or a
         structured error.
         """
-        if self._closing:
-            raise ServiceClosed()
-        request.validate()
-        with self._state_lock:
-            matrix = request.resolve_matrix(self._matrices)
-        if not request.request_id:
-            with self._state_lock:
-                self._seq += 1
-                request.request_id = f"req-{self._seq}"
+        matrix = self._door.resolve(request)
         options = (request.options if request.options is not None
                    else self.config.options)
         now = _clock()
-        priority, deadline = self._tenants.admit(request, now)
+        priority, deadline = self._door.admit(request, now)
         entry = QueuedRequest(
             request=request, pending=PendingSolve(request), matrix=matrix,
             group_key=group_key(matrix, options), options=options,
@@ -362,13 +405,13 @@ class SolveService:
         try:
             outcome = self._queue.offer(entry, now)
         except ServiceOverloaded:
-            self._count("service.rejected_overload", 1)
+            self._door.count("service.rejected_overload")
             raise
         for stale in outcome.expired:
             self._reject_expired(stale, now)
         for bumped in outcome.displaced:
             self._reject_displaced(bumped, now)
-        self._count("service.requests", 1)
+        self._door.count("service.requests")
         return entry.pending
 
     # ------------------------------------------------------------------ #
@@ -404,7 +447,7 @@ class SolveService:
                     # a bug escaped _run_batch: its members' futures must
                     # still complete, and this thread must outlive it
                     for e in batch.entries:
-                        self._complete(e, SolveResponse(
+                        e.pending._complete(SolveResponse(
                             request_id=e.request.request_id,
                             error=ServiceError(
                                 f"internal service error: {exc!r}")))
@@ -440,16 +483,16 @@ class SolveService:
                 responses = [self._recover_or_error(e, exc) for e in live]
             else:
                 responses = self._solve_batch(state, batch, live, fact)
-                self._count("service.batched", 1)
-                self._count("service.coalesce_width", len(live))
+                self._door.count("service.batched")
+                self._door.count("service.coalesce_width", len(live))
             solve_seconds = _clock() - t0
             for e, resp in zip(live, responses):
                 resp.batch_width = len(live)
                 resp.queued_seconds = t0 - e.t_enqueued
                 resp.solve_seconds = solve_seconds
                 if resp.error is None:
-                    self._count(FACT_COUNTERS[resp.fact], 1)
-                self._complete(e, resp)
+                    self._door.count(FACT_COUNTERS[resp.fact])
+                e.pending._complete(resp)
         if bt is not None:
             # only a re-anchor answers under SAME_PATTERN
             reanchored = any(r.fact == "SAME_PATTERN" for r in responses)
@@ -525,7 +568,7 @@ class SolveService:
             try:
                 solver.refactor(batch.matrix, fact="SAME_PATTERN")
                 state.anchor_sig = batch.values_sig
-                self._count("service.reanchored", 1)
+                self._door.count("service.reanchored")
                 for t, report in zip(lost, _column_reports(
                         solver, b_block[:, lost])):
                     reports[t], facts[t] = report, "SAME_PATTERN"
@@ -560,7 +603,7 @@ class SolveService:
             options=dataclasses.replace(e.options, fact="DOFACT"),
             target=self.config.recover_target)
         if report.converged:
-            self._count("service.recovered", 1)
+            self._door.count("service.recovered")
         return SolveResponse(request_id=e.request.request_id, fact=fact,
                              report=report, recovered=report.converged)
 
@@ -573,8 +616,8 @@ class SolveService:
             return self._patterns.setdefault(plan_key, _PatternState())
 
     def _reject_expired(self, e: QueuedRequest, now: float):
-        self._count("service.deadline_expired", 1)
-        self._complete(e, SolveResponse(
+        self._door.count("service.deadline_expired")
+        e.pending._complete(SolveResponse(
             request_id=e.request.request_id,
             error=DeadlineExceeded(e.request.deadline, e.waited(now)),
             queued_seconds=e.waited(now)))
@@ -583,32 +626,18 @@ class SolveService:
         """A higher-priority arrival bumped ``e`` from the full queue:
         from its caller's view the queue was full, so it gets the same
         structured rejection an at-the-door shed would have."""
-        self._tenants.displaced(e.tenant)
-        self._complete(e, SolveResponse(
+        self._door.displaced(e.tenant)
+        e.pending._complete(SolveResponse(
             request_id=e.request.request_id,
             error=ServiceOverloaded(self._queue.capacity,
                                     self._queue.capacity),
             queued_seconds=e.waited(now)))
 
-    def _complete(self, e: QueuedRequest, response: SolveResponse):
-        e.pending._complete(response)
-
-    def _count(self, name: str, value=1):
-        with self._obs_lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-            if self._span is not None:
-                c = self._span.counters
-                c[name] = c.get(name, 0) + value
-
     def stats(self) -> dict:
         """Snapshot of the service counters plus queue/pattern gauges
         (available with or without a tracer)."""
-        with self._obs_lock:
-            counters = dict(self._counters)
+        counters = self._door.stats()
         counters["queue_depth"] = len(self._queue)
         with self._state_lock:
             counters["patterns"] = len(self._patterns)
-        tenants = self._tenants.counts()
-        if tenants:
-            counters["tenants"] = tenants
         return counters

@@ -3,8 +3,8 @@
 ``repro.service.shard`` layers an N-process tier over the in-process
 :class:`~repro.service.server.SolveService`:
 
-- :mod:`.routing` — rendezvous (HRW) pattern-affinity hashing and the
-  hot-pattern replication tracker;
+- :mod:`.routing` — rendezvous (HRW) pattern-affinity hashing: one
+  shard per pattern;
 - :mod:`.messages` — the picklable messages that carry requests (RHS
   included) in and responses (solutions included) back;
 - :mod:`.spool` — warm-start persistence of ``PatternPlan``s;
@@ -15,15 +15,10 @@
 """
 
 from repro.service.shard.router import ShardedSolveService
-from repro.service.shard.routing import (
-    HotPatternTracker,
-    rendezvous_rank,
-    route,
-)
+from repro.service.shard.routing import rendezvous_rank, route
 from repro.service.shard.spool import load_plans, save_plans, spool_path
 
 __all__ = [
-    "HotPatternTracker",
     "ShardedSolveService",
     "load_plans",
     "rendezvous_rank",

@@ -13,9 +13,11 @@ warm working sets and the tier scales with patterns, not with luck.
 
 Responsibilities split three ways:
 
-- **caller threads** (``submit``): resolve the pattern fingerprint,
-  route (HRW top rank, or the less-loaded replica for hot patterns),
-  enforce per-shard admission (bounded in-flight window — a full shard
+- **caller threads** (``submit``): pass the front door the in-process
+  service uses (:class:`~repro.service.server.FrontDoor`: request
+  checks, registry, tenant quota, counters), route by the pattern
+  fingerprint (the HRW top rank — one shard per pattern), enforce the
+  shard's in-flight window (``config.queue_capacity`` — a full shard
   sheds with :class:`ServiceOverloaded` carrying the shard id while the
   others keep admitting), and ship a :class:`SubmitMsg` carrying the
   request's matrix (or key) and right-hand side;
@@ -23,11 +25,15 @@ Responsibilities split three ways:
   queue and completes futures with the responses, solutions inside;
 - the **monitor** thread: watches worker liveness; a dead shard has its
   in-flight requests failed with :class:`ShardDied` (structured — a
-  crash is an answer, never a hang) and is respawned with its matrix
-  registry replayed; the spool directory makes the respawn warm.
+  crash is an answer, never a hang) and is respawned; the spool
+  directory makes the respawn warm.
+
+Every spawn, the first included, replays the matrix registry before any
+request can reach the shard.  Every queue the tier opens is closed and
+its feeder joined by the tier, never left to the garbage collector.
 
 Determinism: routing is a pure function of (fingerprint, shard set),
-and each request is solved by one inner ``SolveService`` under exactly
+and each pattern is served by one inner ``SolveService`` under exactly
 the single-process semantics — solutions are bit-identical to the
 in-process service, with coalescing on or off (an answer does not depend
 on its batch-mates), which tests/test_shard.py asserts.
@@ -39,7 +45,6 @@ import itertools
 import pickle
 import threading
 import time
-from dataclasses import replace as _dc_replace
 from queue import Empty
 
 import multiprocessing as mp
@@ -57,7 +62,7 @@ from repro.service.api import (
     SolveRequest,
     SolveResponse,
 )
-from repro.service.server import TenantAdmission
+from repro.service.server import FrontDoor
 from repro.service.shard.messages import (
     DrainMsg,
     PauseMsg,
@@ -67,16 +72,34 @@ from repro.service.shard.messages import (
     StatsMsg,
     SubmitMsg,
 )
-from repro.service.shard.routing import (
-    HotPatternTracker,
-    rendezvous_rank,
-    route,
-)
+from repro.service.shard.routing import route
 from repro.service.shard.worker import shard_main
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import pattern_fingerprint
 
 __all__ = ["ShardedSolveService"]
+
+# seconds a shard gets to come up, and to drain at close
+_START_TIMEOUT = 120.0
+
+# what every stats() answers, zero included
+_COUNTERS = ("service.shard.requests", "service.shard.completed",
+             "service.shard.rejected_overload", "service.shard.deaths",
+             "service.shard.respawns")
+
+
+def _retire(q):
+    """Close ``q`` and join its feeder thread now, rather than leave both
+    to a garbage collection at an arbitrary point.  The process that read
+    it is gone, so what it left unread is drained first: a feeder must
+    never block on a full pipe."""
+    try:
+        while True:
+            q.get(timeout=0.05)
+    except (Empty, EOFError, OSError):
+        pass
+    q.close()
+    q.join_thread()
 
 
 class _Shard:
@@ -102,16 +125,6 @@ class _Shard:
         self.pid = None
 
 
-class _Inflight:
-    """One routed request the router still owes an answer for."""
-
-    __slots__ = ("pending", "shard_id")
-
-    def __init__(self, pending, shard_id):
-        self.pending = pending
-        self.shard_id = shard_id
-
-
 class ShardedSolveService:
     """N-process serving tier with pattern-affinity routing.
 
@@ -120,79 +133,50 @@ class ShardedSolveService:
     shards:
         Worker process count (>= 1).
     config:
-        The inner per-shard :class:`ServiceConfig` (each worker runs a
-        full ``SolveService`` with these knobs; its ``queue_capacity``
-        is overridden by ``per_shard_capacity``).
-    per_shard_capacity:
-        Bound on requests in flight to one shard (admitted by the
-        router, not yet answered); a full shard rejects with
-        :class:`ServiceOverloaded` (carrying ``shard``) while the other
-        shards keep admitting.  Defaults to ``config.queue_capacity``.
+        The :class:`ServiceConfig` every worker's inner ``SolveService``
+        runs with.  Its ``queue_capacity`` also bounds the requests in
+        flight to one shard (admitted by the router, not yet answered):
+        a full shard rejects with :class:`ServiceOverloaded` (carrying
+        ``shard``) while the other shards keep admitting.
     spool_dir:
         Warm-start spool directory shared by all shards (see
         :mod:`repro.service.shard.spool`); ``None`` disables
         persistence.
-    hot_rps:
-        Replication threshold: a pattern sustaining this many requests
-        per second gets a second warm shard (its HRW runner-up) and
-        subsequent requests go to the less-loaded replica.  ``None``
-        (default) disables replication.
-    respawn:
-        Respawn dead shards (default True; tests disable to observe).
-    cache_size:
-        Each shard's private :class:`FactorizationCache` capacity.
+    tracer:
+        A :class:`repro.obs.Tracer` to attach the ``service/shards``
+        span to; defaults to the ambient tracer of the constructing
+        thread when one is installed.
+    auto_start:
+        Spawn the shards immediately (pass False to register matrices
+        and tenants first, then call :meth:`start`).
     """
 
     def __init__(self, shards: int = 2, config: ServiceConfig | None = None,
-                 per_shard_capacity: int | None = None,
-                 spool_dir=None, hot_rps: float | None = None,
-                 respawn: bool = True,
-                 cache_size: int = 128, tracer: Tracer | None = None,
-                 start_timeout: float = 120.0, auto_start: bool = True):
+                 spool_dir=None, tracer: Tracer | None = None,
+                 auto_start: bool = True):
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.config = (config or ServiceConfig()).validate()
-        if per_shard_capacity is None:
-            per_shard_capacity = self.config.queue_capacity
-        if per_shard_capacity < 1:
-            raise ValueError("per_shard_capacity must be >= 1")
-        self.per_shard_capacity = int(per_shard_capacity)
         self.spool_dir = str(spool_dir) if spool_dir is not None else None
-        self.respawn = respawn
-        self.cache_size = int(cache_size)
-        self.start_timeout = float(start_timeout)
         if tracer is None:
             ambient = get_tracer()
             tracer = ambient if ambient.enabled else None
         self._tracer = tracer
         self._span: Span | None = None
 
-        # the config each worker process runs its inner service with:
-        # its admission bound mirrors the router's per-shard window
-        self._worker_config = _dc_replace(
-            self.config, queue_capacity=self.per_shard_capacity)
-
         self._ctx = mp.get_context("spawn")
         self._response_q = None
         self._shards = [_Shard(i) for i in range(shards)]
-        self._matrices: dict[str, CSCMatrix] = {}
-        self._fingerprints: dict[str, str] = {}
-        self._tenants = TenantAdmission(self._count)
+        self._door = FrontDoor(_COUNTERS)
 
-        self._inflight: dict[str, _Inflight] = {}
+        # router id -> (PendingSolve, shard id): the answers still owed
+        self._inflight: dict[str, tuple[PendingSolve, int]] = {}
         self._inflight_count = [0] * shards
         self._inflight_lock = threading.Lock()
 
-        self._hot = HotPatternTracker(hot_rps=hot_rps)
-        self._replicas: dict[str, list[int]] = {}
-
-        self._obs_lock = threading.Lock()
-        self._counters: dict[str, float] = {}
         self._seq = itertools.count()
         self._state_lock = threading.Lock()
         self._started = False
-        self._closing = False
-        self._closed = False
         self._pump_stop = threading.Event()
         self._monitor_stop = threading.Event()
         self._pump = None
@@ -212,7 +196,7 @@ class ShardedSolveService:
         """Spawn the worker processes and wait until every shard's
         inner service is up (idempotent)."""
         with self._state_lock:
-            if self._closing:
+            if self._door.closed:
                 raise ServiceClosed()
             if self._started:
                 return self
@@ -220,7 +204,7 @@ class ShardedSolveService:
         if self._tracer is not None:
             span = Span("service/shards", t_start=self._tracer.clock())
             span.attrs.update(shards=self.shards,
-                              per_shard_capacity=self.per_shard_capacity,
+                              queue_capacity=self.config.queue_capacity,
                               spool=self.spool_dir or "")
             self._span = span
             self._tracer.current.children.append(span)
@@ -231,46 +215,45 @@ class ShardedSolveService:
         for shard in self._shards:
             self._spawn(shard)
         for shard in self._shards:
-            if not shard.ready.wait(self.start_timeout):
+            if not shard.ready.wait(_START_TIMEOUT):
                 self.close()
                 raise ServiceError(
                     f"shard {shard.id} did not come up within "
-                    f"{self.start_timeout:.0f}s")
+                    f"{_START_TIMEOUT:.0f}s")
         self._monitor = threading.Thread(target=self._monitor_loop,
                                          name="repro-shard-monitor",
                                          daemon=True)
         self._monitor.start()
         return self
 
-    def _spawn(self, shard: _Shard, replay: bool = False):
-        """Start (or restart) one worker process.  Registered matrices
-        are replayed into the fresh request queue before the process is
-        published, so a respawned shard sees them before any request."""
+    def _spawn(self, shard: _Shard):
+        """Start (or restart) one worker process on a fresh request
+        queue.  The registry is replayed into it under the shard's lock,
+        the lock ``register_matrix`` broadcasts under, so the worker
+        holds every registered matrix before any request reaches it.
+        The queue a respawn replaces is retired."""
         request_q = self._ctx.Queue()
-        if replay:
-            with self._state_lock:
-                registry = list(self._matrices.items())
-            for key, a in registry:
-                request_q.put(RegisterMsg(key=key, matrix=a))
         process = self._ctx.Process(
             target=shard_main,
-            args=(shard.id, self._worker_config, request_q,
-                  self._response_q, self.spool_dir, self.cache_size),
+            args=(shard.id, self.config, request_q, self._response_q,
+                  self.spool_dir),
             name=f"repro-shard-{shard.id}", daemon=True)
         shard.ready.clear()
-        process.start()
         with shard.lock:
-            shard.request_q = request_q
+            for key, a in self._door.matrices():
+                request_q.put(RegisterMsg(key=key, matrix=a))
+            process.start()
+            old_q, shard.request_q = shard.request_q, request_q
             shard.process = process
             shard.dead = False
+        if old_q is not None:
+            _retire(old_q)
 
     def close(self):
         """Graceful drain: every shard finishes what it accepted, spools
         its plans, reports final stats, and exits (idempotent)."""
-        with self._state_lock:
-            if self._closing:
-                return
-            self._closing = True
+        if not self._door.close():
+            return
         self._monitor_stop.set()
         if self._monitor is not None:
             self._monitor.join()
@@ -282,43 +265,32 @@ class ShardedSolveService:
         for shard in self._shards:
             if shard.process is None:
                 continue
-            shard.process.join(timeout=self.start_timeout)
+            shard.process.join(timeout=_START_TIMEOUT)
             if shard.process.is_alive():   # pragma: no cover - stuck shard
                 shard.process.terminate()
                 shard.process.join(timeout=5.0)
             if not shard.drained.is_set():
                 # died (or was killed) mid-drain: its in-flight requests
                 # get the structured failure, not a hang
-                self._fail_shard_inflight(shard, shard.process.exitcode)
+                self._fail_inflight(shard.id, shard.process.exitcode)
         # let the pump absorb every already-sent result, then stop it
-        deadline = 5.0
-        while deadline > 0 and self._live_inflight():
+        deadline = time.monotonic() + 5.0
+        while self._inflight and time.monotonic() < deadline:
             time.sleep(0.05)
-            deadline -= 0.05
         self._pump_stop.set()
         if self._pump is not None:
             self._pump.join()
-        self._drain_leftovers()
+        for shard in self._shards:
+            with shard.lock:
+                request_q, shard.request_q = shard.request_q, None
+            if request_q is not None:
+                _retire(request_q)
+        if self._response_q is not None:
+            _retire(self._response_q)
+        # anything still unanswered belongs to a shard that vanished
+        self._fail_inflight()
         if self._span is not None:
             self._finish_span()
-        with self._state_lock:
-            self._closed = True
-
-    def _live_inflight(self) -> int:
-        with self._inflight_lock:
-            return len(self._inflight)
-
-    def _drain_leftovers(self):
-        """Complete anything still unanswered after the drain (a shard
-        that vanished without trace) — the tier never hangs a caller."""
-        with self._inflight_lock:
-            leftovers = list(self._inflight.items())
-            self._inflight.clear()
-            self._inflight_count = [0] * self.shards
-        for _rid, entry in leftovers:
-            entry.pending._complete(SolveResponse(
-                request_id=entry.pending.request.request_id,
-                error=ShardDied(entry.shard_id, None)))
 
     def __enter__(self):
         return self.start()
@@ -332,20 +304,16 @@ class ShardedSolveService:
     # ------------------------------------------------------------------ #
 
     def register_matrix(self, key: str, a: CSCMatrix):
-        """Register ``a`` under ``key`` on *every* shard (replicas of a
-        hot pattern must already hold the matrix when traffic shifts)."""
-        if not isinstance(a, CSCMatrix) or a.nrows != a.ncols:
-            raise ValueError("register_matrix requires a square CSCMatrix")
-        with self._state_lock:
-            if self._closing:
-                raise ServiceClosed()
-            self._matrices[key] = a
-            self._fingerprints[key] = pattern_fingerprint(a)
+        """Register ``a`` under ``key`` on every shard (a shard spawned
+        later gets it with the registry's replay).  Raises
+        :class:`ServiceClosed` once the tier is closed."""
+        self._door.register_matrix(key, a)
         msg = RegisterMsg(key=key, matrix=a)
         for shard in self._shards:
             with shard.lock:
                 if not shard.dead and shard.request_q is not None:
                     shard.request_q.put(msg)
+        return self
 
     def register_tenant(self, spec):
         """Register a tenant SLO class tier-wide.
@@ -355,25 +323,8 @@ class ShardedSolveService:
         so a tenant's provisioned rate means the same thing at any
         shard count.  Shards receive the already-resolved priority and
         remaining deadline plus the tenant name for accounting."""
-        self._tenants.register(spec)
+        self._door.register_tenant(spec)
         return self
-
-    def _resolve_fingerprint(self, request: SolveRequest) -> str:
-        if isinstance(request.matrix, str):
-            with self._state_lock:     # submit checked the key is known
-                return self._fingerprints[request.matrix]
-        return pattern_fingerprint(request.matrix)
-
-    def _pick_shard(self, fingerprint: str) -> int:
-        ids = range(self.shards)
-        replicas = self._replicas.get(fingerprint)
-        if replicas:
-            # hot pattern: less-loaded replica, HRW rank breaking ties
-            with self._inflight_lock:
-                return min(replicas,
-                           key=lambda s: (self._inflight_count[s],
-                                          replicas.index(s)))
-        return route(fingerprint, ids)
 
     def submit(self, request: SolveRequest) -> PendingSolve:
         """Route one request to its pattern's shard; returns the future.
@@ -386,40 +337,28 @@ class ShardedSolveService:
         :class:`~repro.service.api.UnknownMatrixError` / ``ValueError``
         (:meth:`SolveRequest.resolve_matrix`), before a message exists.
         """
-        with self._state_lock:
-            if self._closing or not self._started:
-                raise ServiceClosed()
-        request.validate()
-        with self._state_lock:
-            matrix = request.resolve_matrix(self._matrices)
+        if not self._started:
+            raise ServiceClosed()
+        matrix = self._door.resolve(request)
         if np.iscomplexobj(request.b) or np.iscomplexobj(matrix.nzval):
             raise TypeError(
                 "the sharded tier is real-only (its messages carry "
                 "float64); complex systems are served by the in-process "
                 "SolveService")
-        if not request.request_id:
-            request.request_id = f"req-{next(self._seq)}"
-        priority, deadline = self._tenants.admit(request, time.perf_counter())
-        fingerprint = self._resolve_fingerprint(request)
-
-        if self._hot.note(fingerprint) and self.shards > 1:
-            ranked = rendezvous_rank(fingerprint, range(self.shards))
-            self._replicas[fingerprint] = ranked[:2]
-            self._count("service.shard.replicated")
-        sid = self._pick_shard(fingerprint)
+        priority, deadline = self._door.admit(request, time.perf_counter())
+        sid = route(pattern_fingerprint(matrix), range(self.shards))
         shard = self._shards[sid]
 
         router_id = f"r-{next(self._seq)}"
         pending = PendingSolve(request)
+        capacity = self.config.queue_capacity
         with self._inflight_lock:
-            if self._inflight_count[sid] >= self.per_shard_capacity:
-                self._count("service.shard.rejected_overload")
-                raise ServiceOverloaded(self.per_shard_capacity,
-                                        self._inflight_count[sid],
+            if self._inflight_count[sid] >= capacity:
+                self._door.count("service.shard.rejected_overload")
+                raise ServiceOverloaded(capacity, self._inflight_count[sid],
                                         shard=sid)
             self._inflight_count[sid] += 1
-            entry = _Inflight(pending, sid)
-            self._inflight[router_id] = entry
+            self._inflight[router_id] = (pending, sid)
 
         try:
             msg = SubmitMsg(
@@ -432,16 +371,16 @@ class ShardedSolveService:
             with shard.lock:
                 if shard.dead:
                     raise ShardDied(sid, None)
+                if shard.request_q is None:    # retired by close()
+                    raise ServiceClosed()
                 shard.request_q.put(msg)
+                shard.routed += 1
         except BaseException:
             with self._inflight_lock:
                 if self._inflight.pop(router_id, None) is not None:
                     self._inflight_count[sid] -= 1
             raise
-        with self._obs_lock:
-            self._counters["service.shard.requests"] = \
-                self._counters.get("service.shard.requests", 0) + 1
-            shard.routed += 1
+        self._door.count("service.shard.requests")
         return pending
 
     # ------------------------------------------------------------------ #
@@ -464,26 +403,26 @@ class ShardedSolveService:
                 shard = self._shards[msg.shard_id]
                 shard.spool_loaded = msg.spool_loaded
                 shard.pid = msg.pid
-                self._count("service.shard.spool_loaded", msg.spool_loaded)
+                self._door.count("service.shard.spool_loaded", msg.spool_loaded)
                 shard.ready.set()
             elif isinstance(msg, StatsMsg):
                 shard = self._shards[msg.shard_id]
                 shard.stats = msg
-                self._count("service.shard.spool_saved", msg.spool_saved)
+                self._door.count("service.shard.spool_saved", msg.spool_saved)
                 shard.drained.set()
 
     def _on_result(self, msg: ResultMsg):
         with self._inflight_lock:
             entry = self._inflight.pop(msg.router_id, None)
-            if entry is not None:
-                self._inflight_count[entry.shard_id] -= 1
-        if entry is None:
-            # already failed by the monitor (its shard was declared dead
-            # while this answer was in the pipe)
-            return
-        self._count("service.shard.completed")
-        self._shards[entry.shard_id].completed += 1    # pump thread only
-        entry.pending._complete(msg.response)
+            if entry is None:
+                # already failed by the monitor (its shard was declared
+                # dead while this answer was in the pipe)
+                return
+            pending, sid = entry
+            self._inflight_count[sid] -= 1
+        self._door.count("service.shard.completed")
+        self._shards[sid].completed += 1    # pump thread only
+        pending._complete(msg.response)
 
     # ------------------------------------------------------------------ #
     # liveness monitor
@@ -507,25 +446,26 @@ class ShardedSolveService:
         # in-flight future completes, so a caller that sees ShardDied and
         # then wait_ready() is guaranteed to wait for the new process
         shard.ready.clear()
-        self._count("service.shard.deaths")
-        self._fail_shard_inflight(shard, exitcode)
-        if self.respawn and not self._closing:
-            self._count("service.shard.respawns")
-            self._spawn(shard, replay=True)
+        self._door.count("service.shard.deaths")
+        self._fail_inflight(shard.id, exitcode)
+        if not self._door.closed:
+            self._door.count("service.shard.respawns")
+            self._spawn(shard)
 
-    def _fail_shard_inflight(self, shard: _Shard, exitcode):
-        """Answer every in-flight request of ``shard`` with the
-        structured :class:`ShardDied` failure."""
+    def _fail_inflight(self, shard_id: int | None = None, exitcode=None):
+        """Answer every request in flight to ``shard_id`` (to any shard
+        when None) with the structured :class:`ShardDied` failure: the
+        tier never hangs a caller."""
         with self._inflight_lock:
-            victims = [(rid, e) for rid, e in self._inflight.items()
-                       if e.shard_id == shard.id]
-            for rid, _ in victims:
-                del self._inflight[rid]
-            self._inflight_count[shard.id] = 0
-        for _rid, entry in victims:
-            entry.pending._complete(SolveResponse(
-                request_id=entry.pending.request.request_id,
-                error=ShardDied(shard.id, exitcode)))
+            victims = [self._inflight.pop(rid) for rid, (_, sid)
+                       in list(self._inflight.items())
+                       if shard_id in (None, sid)]
+            for _, sid in victims:
+                self._inflight_count[sid] -= 1
+        for pending, sid in victims:
+            pending._complete(SolveResponse(
+                request_id=pending.request.request_id,
+                error=ShardDied(sid, exitcode)))
 
     # ------------------------------------------------------------------ #
     # test/ops hooks
@@ -555,26 +495,11 @@ class ShardedSolveService:
     # observability
     # ------------------------------------------------------------------ #
 
-    def _count(self, name: str, value: float = 1):
-        with self._obs_lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-
     def stats(self) -> dict:
         """Router counters plus (after ``close``) the summed inner
         ``service.*`` counters of every drained shard."""
-        with self._obs_lock:
-            counters = dict(self._counters)
-        counters.setdefault("service.shard.requests", 0)
-        counters.setdefault("service.shard.completed", 0)
-        counters.setdefault("service.shard.rejected_overload", 0)
-        counters.setdefault("service.shard.deaths", 0)
-        counters.setdefault("service.shard.respawns", 0)
-        counters.setdefault("service.shard.replicated", 0)
+        counters = self._door.stats()
         counters["shards"] = self.shards
-        counters["replicated_patterns"] = len(self._replicas)
-        tenants = self._tenants.counts()
-        if tenants:
-            counters["tenants"] = tenants
         with self._inflight_lock:
             counters["inflight"] = len(self._inflight)
         for shard in self._shards:

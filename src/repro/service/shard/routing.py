@@ -1,4 +1,4 @@
-"""Pattern-affinity routing: rendezvous hashing + hot-pattern tracking.
+"""Pattern-affinity routing: rendezvous hashing, one shard per pattern.
 
 The tier's routing invariant is *affinity*: every request for a given
 ``pattern_fingerprint`` lands on the same shard, so that shard's
@@ -12,21 +12,16 @@ shard set changes, only the patterns whose top-ranked shard changed move
 Pure functions over (fingerprint, shard ids) — deterministic across
 processes and interpreter restarts (blake2b, not ``hash()``, which is
 salted per process), so tests and operators can predict placement.
-
-:class:`HotPatternTracker` is the rebalance half: a sliding-window
-request-rate tracker that flags patterns hot enough to be worth
-replicating onto a second shard (trading one duplicate factorization
-for twice the solve bandwidth).
+The router's one rule is ``route(fingerprint, range(shards))``: each
+pattern has exactly one warm anchor, on one shard, so its answers are
+bit for bit those of the in-process service.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-import time
-from collections import deque
 
-__all__ = ["HotPatternTracker", "rendezvous_rank", "route"]
+__all__ = ["rendezvous_rank", "route"]
 
 
 def _weight(fingerprint: str, shard_id: int) -> int:
@@ -52,56 +47,3 @@ def rendezvous_rank(fingerprint: str, shard_ids) -> list[int]:
 def route(fingerprint: str, shard_ids) -> int:
     """The owning shard for ``fingerprint`` (the HRW top rank)."""
     return rendezvous_rank(fingerprint, shard_ids)[0]
-
-
-class HotPatternTracker:
-    """Sliding-window request rates per pattern, for replication.
-
-    ``note(fingerprint)`` records one arrival and returns True when the
-    pattern just crossed ``hot_rps`` (measured over the trailing
-    ``window`` seconds) *for the first time* — the router replicates it
-    onto its second-ranked HRW shard and the tracker keeps reporting it
-    in :meth:`hot` thereafter.  Thread-safe; O(window·rate) memory per
-    tracked pattern, timestamps older than the window are pruned on
-    every touch.
-    """
-
-    def __init__(self, hot_rps: float | None = None, window: float = 2.0,
-                 clock=time.monotonic):
-        if hot_rps is not None and hot_rps <= 0:
-            raise ValueError("hot_rps must be positive (or None to "
-                             "disable replication)")
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.hot_rps = hot_rps
-        self.window = float(window)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._arrivals: dict[str, deque] = {}
-        self._hot: set[str] = set()
-
-    def note(self, fingerprint: str) -> bool:
-        """Record one arrival; True when the pattern just went hot."""
-        if self.hot_rps is None:
-            return False
-        now = self._clock()
-        with self._lock:
-            q = self._arrivals.setdefault(fingerprint, deque())
-            q.append(now)
-            cutoff = now - self.window
-            while q and q[0] < cutoff:
-                q.popleft()
-            if fingerprint in self._hot:
-                return False
-            if len(q) / self.window >= self.hot_rps:
-                self._hot.add(fingerprint)
-                return True
-            return False
-
-    def hot(self) -> set[str]:
-        """Patterns currently flagged hot (replication is sticky: a
-        pattern stays replicated until the tier restarts — flapping
-        between one and two warm copies would throw the second copy's
-        warmth away exactly when it was paid for)."""
-        with self._lock:
-            return set(self._hot)

@@ -32,8 +32,9 @@ corrupt a solve — the plan key check makes a mismatched plan
 unreachable anyway).
 
 All shards share one spool directory: filenames are content-addressed
-by plan key, so two shards spooling the same replicated pattern write
-identical bytes and last-write-wins is harmless.
+by plan key, so two shards spooling the same pattern (a tier restarted
+with another shard count routes it elsewhere) write identical bytes and
+last-write-wins is harmless.
 """
 
 from __future__ import annotations

@@ -55,15 +55,18 @@ from repro.service.shard.messages import (
 
 __all__ = ["shard_main"]
 
+# plans one shard's private FactorizationCache holds
+_CACHE_SIZE = 128
+
 
 class _ShardWorker:
     def __init__(self, shard_id, config, request_q, response_q,
-                 spool_dir=None, cache_size=128):
+                 spool_dir=None):
         self.shard_id = shard_id
         self.request_q = request_q
         self.response_q = response_q
         self.spool_dir = spool_dir
-        self.cache = FactorizationCache(maxsize=cache_size)
+        self.cache = FactorizationCache(maxsize=_CACHE_SIZE)
         self.spool_loaded = 0
         if spool_dir is not None:
             self.spool_loaded = _spool.load_plans(spool_dir, self.cache)
@@ -164,8 +167,7 @@ class _ShardWorker:
                 pass
 
 
-def shard_main(shard_id, config, request_q, response_q, spool_dir=None,
-               cache_size=128):
+def shard_main(shard_id, config, request_q, response_q, spool_dir=None):
     """Process entry point (spawn-safe: importable at module top level)."""
     _ShardWorker(shard_id, config, request_q, response_q,
-                 spool_dir=spool_dir, cache_size=cache_size).run()
+                 spool_dir=spool_dir).run()

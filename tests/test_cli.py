@@ -149,6 +149,20 @@ def test_serve_seed_keeps_its_stream():
     assert all(it.t_offset == 0.0 for it in _mix_items(mix, 3, 3, None))
 
 
+def test_serve_shards(capsys):
+    assert main(["serve", "cfd01", "cfd03", "--shards", "2",
+                 "--requests", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "8 certified" in out
+    routing = [line for line in out.splitlines()
+               if line.startswith("shard routing")]
+    assert len(routing) == 1 and ": 8 routed," in routing[0]
+    assert "replicated" not in out
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "cfd01", "--shards", "2", "--hot-rps", "10"])
+    assert exc.value.code == 2
+
+
 def test_serve_trace_carries_service_span(capsys):
     assert main(["--trace", "serve", "cfd01", "--requests", "8"]) == 0
     out = capsys.readouterr().out

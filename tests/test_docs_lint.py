@@ -80,6 +80,7 @@ def test_lint_catches_an_unindexed_doc():
 
 def test_every_cli_flag_is_documented():
     assert check_docs.undocumented_flags() == []
+    assert check_docs.stale_flag_rows() == []
 
 
 def test_cli_flag_walk_sees_subcommand_and_global_flags():
@@ -94,6 +95,16 @@ def test_lint_catches_an_undocumented_flag():
     flags = check_docs.cli_flags()
     text = "\n".join(flags[:-1])
     assert check_docs.undocumented_flags(text) == [flags[-1]]
+
+
+def test_lint_catches_a_stale_flag_row():
+    text = ("| flag | meaning |\n|---|---|\n"
+            "| `--shards N` | serve through the sharded tier |\n"
+            "| `--tol T` / `--max-iter K` | tolerance and cap |\n"
+            "| `--hot-rps RPS` | replicate a hot pattern |\n"
+            "| `--requests N` | see also `--gone` in this cell |\n")
+    # only first-column flags count: `--gone` sits in the meaning column
+    assert check_docs.stale_flag_rows(text) == ["--hot-rps"]
 
 
 def test_bench_readme_names_every_declared_workload_and_metric():

@@ -2,9 +2,9 @@
 
 Process-spawning tests keep the fleet small (2 shards, n≈25 matrices)
 and skip cleanly where the multiprocessing spawn context is
-unavailable.  The pure pieces — rendezvous routing, the hot tracker,
-spool persistence, message/error pickling, a worker's responses — are
-tested without processes.
+unavailable.  The pure pieces — rendezvous routing, spool persistence,
+message/error pickling, a worker's responses — are tested without
+processes.
 
 The acceptance behaviors from the issue are all here: routing
 determinism, bit-identical solutions vs the single-process service
@@ -14,11 +14,11 @@ failing in-flight requests with structured ShardDied and respawning,
 overload isolated to one shard, and a warm start from the spool.
 """
 
-import gc
 import multiprocessing as mp
 import os
 import pickle
 import signal
+import threading
 import time
 
 import numpy as np
@@ -28,6 +28,7 @@ from repro import CSCMatrix
 from repro.driver.factcache import FactorizationCache
 from repro.service import (
     DeadlineExceeded,
+    ServiceClosed,
     ServiceConfig,
     ServiceError,
     ServiceOverloaded,
@@ -50,15 +51,6 @@ except ValueError:                     # pragma: no cover - exotic platform
 
 needs_spawn = pytest.mark.skipif(
     not _HAVE_SPAWN, reason="multiprocessing spawn context unavailable")
-
-
-@pytest.fixture(autouse=True)
-def _collect_first():
-    """Collect earlier tests' garbage before a test starts the tier's
-    threads and processes: a cyclic collection that ran inside
-    ``ShardedSolveService._spawn`` while a response pump was polling has
-    crashed full tier-1 runs with a segfault (root cause still open)."""
-    gc.collect()
 
 
 def sparse_matrix(n=25, seed=0, density=0.3):
@@ -117,27 +109,6 @@ def test_removing_a_shard_only_moves_its_patterns():
             assert after[fp] == before[fp]
         else:                          # shard 3's patterns re-route
             assert after[fp] in (0, 1, 2)
-
-
-def test_hot_tracker_flags_once_and_stays_sticky():
-    t = [0.0]
-    tracker = routing.HotPatternTracker(hot_rps=4.0, window=1.0,
-                                        clock=lambda: t[0])
-    flagged = []
-    for k in range(8):
-        t[0] = k * 0.1
-        flagged.append(tracker.note("fp"))
-    assert sum(flagged) == 1           # crossed the threshold exactly once
-    assert tracker.hot() == {"fp"}
-    t[0] = 100.0                       # long idle: stays replicated
-    assert tracker.note("fp") is False
-    assert tracker.hot() == {"fp"}
-
-
-def test_hot_tracker_disabled_by_default():
-    tracker = routing.HotPatternTracker(hot_rps=None)
-    assert all(not tracker.note("fp") for _ in range(100))
-    assert tracker.hot() == set()
 
 
 # --------------------------------------------------------------------- #
@@ -526,11 +497,32 @@ def test_keyed_request_is_checked_at_submit_on_both_tiers(tier):
 
 
 @needs_spawn
+@pytest.mark.parametrize("tier", ["service", "shards"])
+def test_registry_follows_one_rule_on_both_tiers(tier):
+    """A matrix registered before ``start`` is served by key once the
+    tier is up (every spawn replays the registry), and a closed tier
+    refuses a registration with ``ServiceClosed``: the same on both
+    tiers, since both register through the same front door."""
+    a = sparse_matrix(seed=5)
+    service = (SolveService(_cfg(), cache=False, auto_start=False)
+               if tier == "service" else
+               ShardedSolveService(shards=2, config=_cfg(), auto_start=False))
+    service.register_matrix("k", a)
+    with service as svc:
+        resp = svc.submit(SolveRequest(matrix="k", b=a @ np.ones(25))) \
+            .result(60.0)
+    assert resp.ok, resp.error
+    np.testing.assert_allclose(resp.x, np.ones(25), rtol=1e-8)
+    with pytest.raises(ServiceClosed):
+        service.register_matrix("late", a)
+
+
+@needs_spawn
 def test_overload_is_isolated_to_one_shard():
     a0 = _matrix_routed_to(0)
     a1 = _matrix_routed_to(1)
-    with ShardedSolveService(shards=2, config=_cfg(),
-                             per_shard_capacity=3) as tier:
+    with ShardedSolveService(shards=2,
+                             config=_cfg(queue_capacity=3)) as tier:
         tier.pause_shard(0, 3.0)       # shard 0 stops consuming
         time.sleep(0.3)
         held = [tier.submit(SolveRequest(matrix=a0, b=np.ones(25)))
@@ -564,9 +556,15 @@ def test_shard_spans_count_their_own_completions():
     assert tier.stats()["service.shard.completed"] == 3
 
 
+def _feeder_threads():
+    return {t for t in threading.enumerate()
+            if t.name == "QueueFeederThread"}
+
+
 @needs_spawn
 def test_shard_death_fails_inflight_structurally_and_respawns():
     a0 = _matrix_routed_to(0)
+    feeders = _feeder_threads()
     with ShardedSolveService(shards=2, config=_cfg()) as tier:
         tier.pause_shard(0, 30.0)      # the request will sit unanswered
         time.sleep(0.3)
@@ -585,6 +583,9 @@ def test_shard_death_fails_inflight_structurally_and_respawns():
     stats = tier.stats()
     assert stats["service.shard.deaths"] == 1
     assert stats["service.shard.respawns"] == 1
+    # every request queue, the one the respawn replaced included, was
+    # closed and its feeder joined by the tier, not by the collector
+    assert _feeder_threads() == feeders
 
 
 @needs_spawn

@@ -18,19 +18,20 @@ pattern alone.  A :class:`BlockPlan` is that function, evaluated once:
   their values back;
 - ``solve`` — the level-set schedule both triangular sweeps run from
   (:mod:`repro.factor.solveplan`);
-- ``runs`` — the elimination order cut into ``(k0, k1, run)``: consecutive
-  width-1 supernodes none of whose ``S_K`` reaches into another are
-  eliminated together from one :class:`Run` of index arrays.
+- ``runs`` — the elimination as steps ``(members, run)`` in level order:
+  independent width-1 supernodes are eliminated together from one
+  :class:`Run` of index arrays, any other supernode alone (``None``).
 
 The numeric pass (:func:`repro.factor.supernodal.eliminate`) is then
-``lu → trsm → trsm → gemm → one indexed subtract`` per supernode, or one
-divide, one product and one indexed subtract per batched run.  The index
-costs ``Σ|S_K|²`` integers (thrice for a batched member), stored ``int32``
-while the flat array is shorter than 2³¹ (docs/REFACTORIZATION.md).
+``lu → trsm → trsm → gemm → one indexed subtract`` per supernode taken
+alone, or one divide, one product and one indexed subtract per batched
+step.  The index, ``Σ|S_K|²`` integers (thrice for a batched member), is
+``int32`` while the flat array is shorter than 2³¹ (docs/REFACTORIZATION.md).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +44,8 @@ from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
 
-__all__ = ["BlockPlan", "Run", "build_block_plan", "supernode_row_sets"]
+__all__ = ["BlockPlan", "Blocks", "Run", "build_block_plan",
+           "supernode_row_sets"]
 
 
 def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
@@ -54,7 +56,8 @@ def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
     n, ns = part.n, part.nsuper
     k = np.repeat(part.supno(), np.diff(sym.l_colptr))
     below = sym.l_rowind >= part.xsup[k + 1]
-    keys = np.unique(k[below] * n + sym.l_rowind[below])
+    keys = np.sort(k[below] * n + sym.l_rowind[below])
+    keys = keys[np.diff(keys, prepend=-1) != 0]     # 5× np.unique's speed
     cuts = np.concatenate(([0], np.cumsum(np.bincount(keys // n,
                                                       minlength=ns)))).tolist()
     rows = keys % n
@@ -62,7 +65,7 @@ def supernode_row_sets(sym: SymbolicLU, part: SupernodePartition):
 
 
 class Run(NamedTuple):
-    """One batched stretch of width-1 supernodes, as flat positions."""
+    """One batched step of width-1 supernodes, as flat positions."""
     dpos: np.ndarray        # the members' pivots
     bpos: np.ndarray        # their below-panel entries L(S_K, K) ...
     bpiv: np.ndarray        # ... and the pivot each is divided by
@@ -88,7 +91,7 @@ class BlockPlan:
     u_pos: np.ndarray
     u_colptr: np.ndarray
     u_rowind: np.ndarray
-    runs: list          # [(k0, k1, Run | None)] tiling 0 … nsuper in order
+    runs: list          # [(members, Run | None)], each supernode once
     solve: SolvePlan | None = None
 
     def load(self, a: CSCMatrix):
@@ -96,9 +99,22 @@ class BlockPlan:
         ``a`` (zeros elsewhere), and every block as a 2-D view of them."""
         flat = np.zeros(self.bounds[-1], dtype=a.nzval.dtype)
         flat[self.a_pos] = a.nzval
-        views = [flat[lo:hi].reshape(shape) for lo, hi, shape
-                 in zip(self.bounds, self.bounds[1:], self.shapes)]
-        return flat, (views[0::3], views[1::3], views[2::3])
+        return flat, tuple(Blocks(self, flat, kind) for kind in range(3))
+
+
+class Blocks:
+    """Blocks ``kind`` (0: D_K, 1: B_K, 2: R_K) of every supernode, each a
+    2-D view of the block values ``flat`` made when asked for."""
+
+    def __init__(self, plan: BlockPlan, flat, kind: int):
+        self.flat, self.shapes = flat, plan.shapes[kind::3]
+        self.lo, self.hi = plan.bounds[kind:-1:3], plan.bounds[kind + 1::3]
+
+    def __len__(self):
+        return len(self.shapes)
+
+    def __getitem__(self, k):
+        return self.flat[self.lo[k]:self.hi[k]].reshape(self.shapes[k])
 
 
 def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
@@ -160,10 +176,13 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     reach = ks[pair], blk[pair]     # K reaches into block I, K ascending
     every, tptr, selection = _update_targets(
         n, xsup, w, m, sptr, bounds, keys, s_all, pair, reach, index)
+    runs, every, start = (
+        _build_runs(xsup, m, sptr, bounds, s_all, every, tptr, index)
+        if scheduled else ([(range(ns), None)], every, tptr[:-1]))
     # per-supernode views of one allocation: small arrays kept alive among
     # the builder's freed temporaries would pin the heap they sit in
-    tcut = tptr.tolist()
-    targets = [every[lo:hi] for lo, hi in zip(tcut, tcut[1:])]
+    targets = [every[lo:hi] for lo, hi in zip(start.tolist(), (
+        start + np.diff(tptr)).tolist())]
 
     shapes = [shape for wk, mk in zip(w.tolist(), m.tolist())
               for shape in ((wk, wk), (mk, wk), (wk, mk))]
@@ -171,8 +190,7 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
                      bounds=bounds.tolist(), shapes=shapes, a_pos=a_pos,
                      targets=targets, selection=selection, l_pos=l_pos,
                      u_pos=u_pos, u_colptr=u_colptr, u_rowind=u_rowind,
-                     runs=(_build_runs(w, m, bounds, reach, every, tptr, index)
-                           if scheduled else [(0, ns, None)]),
+                     runs=runs,
                      solve=(build_solve_plan(xsup, supno, ks, s_all, m, sptr,
                                              bounds, reach)
                             if scheduled else None))
@@ -254,42 +272,61 @@ def _update_targets(n, xsup, w, m, sptr, bounds, keys, s_all, pair, reach,
     return every[kept], np.concatenate(([0], np.cumsum(count))), selection
 
 
-def _build_runs(w, m, bounds, reach, every, tptr, index):
-    """Cut the elimination order into runs ``(k0, k1, run)``: a maximal
-    stretch of consecutive one-column supernodes (every update entry
-    stored) none of which reaches into another is batched — its arrays
-    views of one allocation per field, ``tgt`` of ``every`` (all targets,
-    K's from ``tptr[K]``) — and any other supernode is alone (``None``)."""
-    plain = (w == 1) & (np.diff(tptr) == m * m)
-    last = np.full(m.size, -1)
-    last[reach[1]] = reach[0]           # the latest K that reaches into I
-    first, k0 = [], 0
-    for k, (ok, dep) in enumerate(zip(plain.tolist(), last.tolist())):
-        if not ok or dep >= k0 or k == k0:      # k cannot join the run at k0
-            first.append(k)
-            k0 = k if ok else k + 1
-    size = np.diff(np.array(first + [m.size]))
-    batched = size > 1
-    mem = np.flatnonzero(np.repeat(batched, size))      # batched members
-    mk, t = m[mem], m[mem] ** 2
-    aptr, mptr, eptr = (np.concatenate(([0], np.cumsum(c))).tolist()
-                        for c in (size * batched, mk, t))
-    e, width = _runs(0 * t, t), np.repeat(mk, t)
-    dpos, bpos, bpiv, lpos, upos = (x.astype(index) for x in (
+def _build_runs(xsup, m, sptr, bounds, s_all, every, tptr, index):
+    """``(runs, every, start)``: the elimination as steps, and ``every``
+    (all targets, K's from ``tptr[K]``) laid out with a batched step's as
+    one slice, K's from ``start[K]``.  A plain supernode — one column,
+    every update entry stored — joins the earliest batched step after the
+    steps of all supernodes reaching into it and not before that of any
+    earlier one whose ``S_K`` shares a row with its own; any other
+    supernode opens a step, and a step of one is taken alone (``None``)."""
+    cnt = np.diff(tptr)
+    plain = (np.diff(xsup) == 1) & (cnt == m * m)
+    rows, sp = s_all.tolist(), sptr.tolist()
+    # a row's holders take ascending steps: held[i] is its last one's
+    held, step, opened, nsteps = [-1] * int(xsup[-1]), [], [], 0
+    for ok, col, a, b in zip(plain.tolist(), xsup.tolist(), sp, sp[1:]):
+        s, s_k = nsteps, rows[a:b]
+        if ok:
+            i = bisect_left(opened, max([held[col] + 1]
+                                        + [held[r] for r in s_k]))
+            if i == len(opened):
+                opened.append(s)
+            s = opened[i]
+        nsteps += s == nsteps
+        step.append(s)
+        for r in s_k:
+            held[r] = s
+    order = np.argsort(step, kind="stable")
+    size = np.bincount(step, minlength=nsteps)
+    heads = np.cumsum(size) - size
+    mem = order[np.repeat(size > 1, size)]      # batched, in step order
+    # the targets up to the last batched member, in step order, in place
+    pre = order[order <= mem.max(initial=-1)]
+    c, start, t = cnt[pre], tptr[:-1].copy(), tptr.tolist()
+    start[pre] = np.cumsum(c) - c
+    every[:c.sum()] = np.concatenate([every[t[k]:t[k + 1]] for k in
+                                      pre.tolist()] + [every[:0]])
+    mk = m[mem]
+    rep = np.repeat(mk, mk)     # per below-panel entry L(i, K): |S_K|
+    dpos, bpos, bpiv, upos = (x.astype(index) for x in (
         bounds[3 * mem], _runs(bounds[3 * mem + 1], mk),
         np.repeat(bounds[3 * mem], mk),
-        np.repeat(bounds[3 * mem + 1], t) + e // width,
-        np.repeat(bounds[3 * mem + 2], t) + e % width))
-    # KernelStats per member: lu (0 flops); 2 trsm (mk each), gemm (2·mk²)
-    one, panel = np.ones_like(mk), mk > 0
-    calls = np.column_stack((one, 0 * one, 2 * panel, 2 * mk, panel, 2 * t))
-    runs = []
-    for k0, n, a in zip(first, size.tolist(), aptr):
-        run, b = None, a + n
-        if n > 1:
+        _runs(np.repeat(bounds[3 * mem + 2], mk), rep)))
+    lpos = np.repeat(bpos, rep)
+    mptr, eptr, pptr = (np.concatenate(([0], np.cumsum(x))).tolist()
+                        for x in (mk, mk * mk, mk > 0))
+    runs, order, at, a = [], order.tolist(), start.tolist(), 0
+    for h, g in zip(heads.tolist(), size.tolist()):
+        run = None
+        if g > 1:
+            b = a + g
             ma, mb, ea, eb = mptr[a], mptr[b], eptr[a], eptr[b]
+            p = pptr[b] - pptr[a]       # members with a panel: trsm, gemm
             run = Run(dpos[a:b], bpos[ma:mb], bpiv[ma:mb], lpos[ea:eb],
-                      upos[ea:eb], every[tptr[k0]:tptr[k0 + n]],
-                      KernelStats(*calls[a:b].sum(0).tolist()))
-        runs.append((k0, k0 + n, run))
-    return runs
+                      upos[ea:eb], every[at[order[h]]:][:eb - ea],
+                      KernelStats(g, 0, 2 * p, 2 * (mb - ma), p,
+                                  2 * (eb - ea)))
+            a = b
+        runs.append((order[h:h + g], run))
+    return runs, every, start

@@ -68,42 +68,35 @@ __all__ = [
 def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0):
     """Paper Figure 8 over the block values ``flat`` and their views
     ``blocks`` (:meth:`BlockPlan.load`), every index read from ``plan``,
-    one stretch ``(k0, k1, run)`` of ``plan.runs`` after another.
+    one step ``(members, run)`` of ``plan.runs`` after another.
 
     ``factor_diag(k, d)`` factors diagonal block ``d`` of supernode ``k``
     in place — the one step a pivoting policy decides: static pivoting
     calls ``lu_nopivot``, :mod:`repro.factor.blockpivot` pivots inside
     the block and swaps the affected rows of block row ``k``.
 
-    A batched run (``run`` not ``None``; block-pivoting plans have none)
-    eliminates its width-1 supernodes ``k0 … k1−1`` together and is the
-    loop below over them, bit for bit.  A 1×1 LU is empty: ``factor_diag``
-    only matters to a pivot not above ``thresh`` (the tiny-pivot
-    threshold, 0 without replacement), and such a member is handed to it
-    as if alone, to be replaced and recorded or refused.  ``trsm_upper``
-    on one pivot is one divide per panel entry, ``trsm_lower_unit`` the
-    identity, a (m×1)(1×m) product one multiplication per entry.  No
-    member's ``S_K`` holds another, so they read and write disjoint
-    blocks, and ``subtract.at`` applies the updates in member order, also
-    where two share a target: every entry still receives its updates in
-    ascending supernode order.  The members' kernel calls are counted
-    from the run's totals.  Complex values take the loop: BLAS rounds a
-    complex product differently from an elementwise multiply.
+    A step without a run takes its members alone, in order.  A batched
+    step (block-pivoting plans have none) is that loop over its width-1
+    members, bit for bit (docs/ALGORITHMS.md): a pivot not above
+    ``thresh`` (the tiny-pivot threshold, 0 without replacement) goes to
+    ``factor_diag`` as if alone, and the members' kernel calls are
+    counted from the step's totals.  Complex values take the loop: BLAS
+    rounds a complex product differently from an elementwise multiply.
     """
     diag, below, right = blocks
     targets, selection, stats = plan.targets, plan.selection, kernels.stats()
-    for k0, k1, run in plan.runs:
+    for members, run in plan.runs:
         if run is not None and flat.dtype.kind != "c":
             dpos, bpos, bpiv, lpos, upos, tgt, counts = run
             for j in (~(abs(flat.take(dpos)) > thresh)).nonzero()[0].tolist():
-                factor_diag(k0 + j, diag[k0 + j])
+                factor_diag(members[j], diag[members[j]])
                 stats.lu_calls -= 1             # counts has it too
             if tgt.size:
                 flat[bpos] /= flat.take(bpiv)
                 np.subtract.at(flat, tgt, flat.take(lpos) * flat.take(upos))
             stats.add(counts)
             continue
-        for k in range(k0, k1):
+        for k in members:
             d, tgt, keep = diag[k], targets[k], selection[k]
             factor_diag(k, d)
             if not tgt.size:
@@ -277,7 +270,7 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     flat, (diag, below, right) = plan.load(a)
     xsup = plan.part.xsup
-    perturbed, deltas = [], []
+    replaced = {}       # column → pivot delta
 
     def factor_diag(k, d):
         entry = d.diagonal().copy()
@@ -287,16 +280,16 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
             old = entry[j]
             for t in range(j):
                 old = old - d[j, t] * d[t, j]
-            perturbed.append(xsup[k] + j)
-            deltas.append(d[j, j] - old)
+            replaced[xsup[k] + j] = d[j, j] - old
 
     stats = kernels.stats()
     snap = stats.snapshot()
     eliminate(plan, flat, (diag, below, right), factor_diag, thresh)
+    cols = sorted(replaced)     # steps run out of supernode order
     return SupernodalFactors(
         part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,
-        right=right, n_tiny_pivots=len(perturbed),
+        right=right, n_tiny_pivots=len(cols),
         tiny_pivot_threshold=thresh,
         flops=int(stats.flops_since(snap)), plan=plan, values=flat,
-        perturbed_columns=np.array(perturbed, dtype=np.int64),
-        pivot_deltas=np.array(deltas, dtype=flat.dtype))
+        perturbed_columns=np.array(cols, dtype=np.int64),
+        pivot_deltas=np.array([replaced[c] for c in cols], dtype=flat.dtype))

@@ -91,7 +91,7 @@ class KernelStats:
 
     def add(self, other: "KernelStats"):
         """Count ``other``'s calls and flops too — the static totals of
-        a batched run (:class:`repro.factor.blockplan.Run`), whose
+        a batched step (:class:`repro.factor.blockplan.Run`), whose
         width-1 rounds run as array lines, not as calls."""
         for name, value in vars(other).items():
             setattr(self, name, getattr(self, name) + value)

@@ -318,7 +318,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             panel = dist.lpanel[rank][k]
             kernels.trsm_upper(dloc, panel)
             # one panel call counts as the schedule's per-block calls, in
-            # bulk as a batched run does (docs/KERNELS.md); flops add up
+            # bulk as a batched step does (docs/KERNELS.md); flops add up
             kernels.stats().trsm_calls += len(my_l) - 1
             yield Compute(flops=kernels.trsm_flops(w, panel.shape[0]), width=w)
             # rowwise sends: one logical message (index[] + nzval[]) per

@@ -1,6 +1,7 @@
-"""Runs of independent width-1 supernodes are eliminated together
-(:func:`repro.factor.blockplan.build_block_plan` cuts the elimination
-order into runs, :func:`repro.factor.supernodal.eliminate` walks them).
+"""Independent width-1 supernodes are eliminated together, in level
+order (:func:`repro.factor.blockplan.build_block_plan` cuts the
+elimination into steps, :func:`repro.factor.supernodal.eliminate` walks
+them).
 
 Promises enforced here:
 
@@ -8,14 +9,17 @@ Promises enforced here:
    — the loop as it was before batching — in ``values``, ``flops``,
    ``n_tiny_pivots``, ``perturbed_columns`` and ``pivot_deltas``, over a
    hypothesis sweep of patterns × {float32, float64, complex128};
-2. a tiny pivot *inside* a batched run is replaced and recorded as it
-   was alone (sign kept; phase kept for complex), two members of a run
-   that update one entry apply their updates in supernode order, and a
-   zero pivot inside a run with replacement off raises
+2. a tiny pivot *inside* a batched step is replaced and recorded as it
+   was alone (sign kept; phase kept for complex), the record stays in
+   column order when steps run out of supernode order, two members of a
+   step that update one entry apply their updates in supernode order,
+   and a zero pivot inside a step with replacement off raises
    ``ZeroDivisionError`` and leaves a solver's previous factors intact;
-3. the run builder's invariants: runs tile the elimination order, their
-   members are width-1, independent and maximal, block-pivoting plans
-   have none, the index is ``int32`` views of one allocation per field;
+3. the schedule's invariants: every supernode runs once, batched members
+   are width-1, independent and after every supernode reaching into
+   them, supernodes whose ``S_K`` share a row run in ascending order,
+   block-pivoting plans have no batched step, the index is ``int32``
+   views of one allocation per field;
 4. the ``kernel.*`` counters of one factorization of cfd06 / kkt02 are
    the values recorded before batching (their calls are counted from the
    plan's static totals).
@@ -48,12 +52,12 @@ def _plan(a, **partition):
 
 
 def _alone(plan):
-    """``plan`` with every supernode a run of its own."""
-    return replace(plan, runs=[(0, plan.part.nsuper, None)])
+    """``plan`` with every supernode taken alone, in order."""
+    return replace(plan, runs=[(range(plan.part.nsuper), None)])
 
 
 def _batched(plan):
-    return [(k0, k1, run) for k0, k1, run in plan.runs if run is not None]
+    return [(members, run) for members, run in plan.runs if run is not None]
 
 
 def _assert_same_factorization(f, g):
@@ -74,7 +78,7 @@ def _with_values(a, nzval):
 def _arrow(leaves, dtype=np.float64):
     """``leaves`` columns that each couple only to the last two.  The
     last leaf joins the corner's supernode; the others are one batched
-    run whose members all update the same 2×2 corner."""
+    step whose members all update the same 2×2 corner."""
     n = leaves + 2
     d = np.zeros((n, n), dtype=dtype)
     rng = np.random.default_rng(leaves)
@@ -129,7 +133,7 @@ def test_batched_schedule_equals_the_sequential_loop_on_the_testbed(testbed):
 
 
 # --------------------------------------------------------------------- #
-# 2. tiny pivots, shared targets and zero pivots inside a run
+# 2. tiny pivots, shared targets and zero pivots inside a step
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
@@ -140,8 +144,8 @@ def test_tiny_pivots_inside_a_run_are_replaced_as_alone(dtype):
     d[1, 1], d[2, 2], d[4, 4] = 0.0, -1e-30 * phase, 1e-30 * phase
     a = _csc_keeping(d, mask)
     plan = _plan(a)
-    (k0, k1, run), = _batched(plan)
-    assert (k0, k1) == (0, 5) and plan.part.nsuper == 6
+    (members, run), = _batched(plan)
+    assert members == [0, 1, 2, 3, 4] and plan.part.nsuper == 6
     f = supernodal_factor(a, plan=plan)
     _assert_same_factorization(f, supernodal_factor(a, plan=_alone(plan)))
     assert f.perturbed_columns.tolist() == [1, 2, 4]
@@ -158,12 +162,31 @@ def test_tiny_pivots_inside_a_run_are_replaced_as_alone(dtype):
     assert np.all(np.abs(l @ u - d) <= 64 * eps * (np.abs(l) @ np.abs(u)))
 
 
+def test_the_tiny_pivot_record_keeps_column_order_across_steps():
+    """Supernode 2 (column 3) joins the batched step of supernode 0, so
+    it runs before the wide supernode 1 (columns 1-2): both replace a
+    pivot, and the record still lists them by column, as alone."""
+    d = np.diag([4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    d[1, 2], d[2, 1] = 1.0, 2.0
+    for i, j in ((0, 5), (1, 4), (2, 4), (3, 5), (4, 5)):
+        d[i, j], d[j, i] = 0.5 + i, 0.25 + j
+    mask = d != 0
+    d[1, 1] = d[3, 3] = 0.0
+    a = _csc_keeping(d, mask)
+    plan = _plan(a)
+    assert plan.part.xsup.tolist() == [0, 1, 3, 4, 6]
+    assert [members for members, _ in plan.runs] == [[0, 2], [1], [3]]
+    f = supernodal_factor(a, plan=plan)
+    _assert_same_factorization(f, supernodal_factor(a, plan=_alone(plan)))
+    assert f.perturbed_columns.tolist() == [1, 3]
+
+
 def test_members_sharing_a_target_update_it_in_supernode_order():
     d = _arrow(9)
     a = CSCMatrix.from_dense(d)
     plan = _plan(a)
-    (k0, k1, run), = _batched(plan)
-    assert (k0, k1) == (0, 8)
+    (members, run), = _batched(plan)
+    assert members == list(range(8))
     # every member updates the same four corner entries
     assert run.tgt.size == 8 * 4 and np.unique(run.tgt).size == 4
     f = supernodal_factor(a, plan=plan)
@@ -184,7 +207,7 @@ def test_zero_pivot_inside_a_run_without_replacement_raises():
     d[3, 3] = 0.0
     a = _csc_keeping(d, mask)
     plan = _plan(a)
-    assert _batched(plan)[0][:2] == (0, 5)
+    assert _batched(plan)[0][0] == [0, 1, 2, 3, 4]
     for p in (plan, _alone(plan)):
         with pytest.raises(ZeroDivisionError, match="zero pivot"):
             supernodal_factor(a, plan=p, replace_tiny_pivots=False)
@@ -193,13 +216,13 @@ def test_zero_pivot_inside_a_run_without_replacement_raises():
 
 
 def test_failed_batched_refactor_leaves_solver_intact():
-    """A zero pivot inside a batched run, replacement off: the
+    """A zero pivot inside a batched step, replacement off: the
     refactorization raises and the solver still answers for the matrix
     it held."""
     a = matrix_by_name("cfd03").build()
     s = GESPSolver(a, GESPOptions(replace_tiny_pivots=False), cache=False)
-    k0, k1, _ = max(_batched(s._block_plan), key=lambda r: r[1] - r[0])
-    k = (k0 + k1) // 2                  # a pivot in the middle of the run
+    members, _ = max(_batched(s._block_plan), key=lambda r: len(r[0]))
+    k = members[len(members) // 2]      # a member of the widest step
     col = int(np.flatnonzero(s.perm_c == s._block_plan.part.xsup[k])[0])
     row = int(np.flatnonzero(s.perm_r == col)[0])
     nzval = a.nzval.copy()
@@ -215,28 +238,33 @@ def test_failed_batched_refactor_leaves_solver_intact():
 
 
 # --------------------------------------------------------------------- #
-# 3. the run builder
+# 3. the schedule
 # --------------------------------------------------------------------- #
 
 def _check_runs(plan):
-    ns, xsup = plan.part.nsuper, plan.part.xsup
-    width = np.diff(xsup)
-    assert [k0 for k0, _, _ in plan.runs] == \
-        [0, *(k1 for _, k1, _ in plan.runs)][:-1]       # they tile, in order
-    assert (plan.runs[-1][1] if plan.runs else 0) == ns
+    ns, width = plan.part.nsuper, np.diff(plan.part.xsup)
     supno = plan.part.supno()
-    for k0, k1, run in plan.runs:
-        assert k1 > k0
-        if run is None:
-            continue
-        members = np.arange(k0, k1)
-        assert k1 - k0 > 1 and (width[members] == 1).all()
+    seq = [k for members, _ in plan.runs for k in members]
+    assert sorted(seq) == list(range(ns))               # each one once
+    step, at = np.empty(ns, int), np.empty(ns, int)
+    for s, (members, _) in enumerate(plan.runs):
+        step[list(members)] = s
+    at[seq] = np.arange(ns)
+    # every supernode reaching into I ran in an earlier step
+    for k, rows in enumerate(plan.s_rows):
+        assert (step[supno[rows]] > step[k]).all()
+    # two supernodes whose S_K share a row run in ascending order
+    ks = np.repeat(np.arange(ns), [s.size for s in plan.s_rows])
+    rows = np.concatenate([*plan.s_rows, np.zeros(0, int)])
+    o = np.lexsort((ks, rows))
+    same = np.diff(rows[o]) == 0
+    assert (np.diff(at[ks[o]])[same] > 0).all()
+    for members, run in _batched(plan):
+        members = np.array(members)
+        assert members.size > 1 and (width[members] == 1).all()
         assert all(plan.selection[k] is None for k in members)
         reached = supno[np.concatenate([plan.s_rows[k] for k in members])]
         assert not np.isin(reached, members).any()      # independent
-        # maximal: the next supernode could not have joined
-        if k1 < ns and width[k1] == 1 and plan.selection[k1] is None:
-            assert k1 in reached
         m = np.array([plan.s_rows[k].size for k in members])
         assert np.array_equal(run.dpos, np.array(plan.bounds)[3 * members])
         assert run.bpos.size == run.bpiv.size == m.sum()
@@ -246,18 +274,12 @@ def _check_runs(plan):
         for index in run[:6]:
             assert index.dtype == np.int32
         assert run.tgt.base is plan.targets[0].base     # no second copy
-        assert run.counts.lu_calls == k1 - k0
+        assert run.counts.lu_calls == members.size
         assert run.counts.gemm_calls == np.count_nonzero(m)
         assert run.counts.trsm_calls == 2 * run.counts.gemm_calls
         assert run.counts.trsm_flops == 2 * m.sum()
         assert run.counts.gemm_flops == 2 * (m * m).sum()
         assert run.counts.lu_flops == 0
-    # two stand-alone width-1 neighbours: the first reaches the second
-    for (k0, k1, r0), (_, _, r1) in zip(plan.runs, plan.runs[1:]):
-        if r0 is None and r1 is None and k1 - k0 == 1 \
-                and width[k0] == width[k1] == 1 \
-                and plan.selection[k0] is plan.selection[k1] is None:
-            assert k1 in supno[plan.s_rows[k0]]
 
 
 def test_run_invariants_over_the_testbed(testbed):
@@ -273,16 +295,15 @@ def test_run_invariants_property(n, density, hole, max_block, relax, seed):
 
 
 def test_the_bench_patterns_batch_what_was_sized(testbed):
-    """Loop iterations / supernodes batched, as docs/REFACTORIZATION.md
-    tabulates them."""
+    """Loop iterations (steps) / supernodes batched, as
+    docs/REFACTORIZATION.md tabulates them."""
     for name, nsuper, iterations, batched in (
-            ("cfd06", 612, 251, 419), ("resv02", 248, 109, 168),
-            ("hb02", 424, 65, 383), ("circuit03", 261, 41, 237),
+            ("cfd06", 612, 120, 528), ("resv02", 248, 72, 201),
+            ("hb02", 424, 58, 387), ("circuit03", 261, 38, 237),
             ("kkt02", 40, 28, 17)):
         plan = testbed[name][2]._block_plan
-        runs = _batched(plan)
-        inside = sum(k1 - k0 for k0, k1, _ in runs)
-        assert (plan.part.nsuper, nsuper - inside + len(runs), inside) == \
+        inside = sum(len(members) for members, _ in _batched(plan))
+        assert (plan.part.nsuper, len(plan.runs), inside) == \
             (nsuper, iterations, batched), name
 
 
@@ -292,7 +313,7 @@ def test_block_pivoting_plans_have_no_batched_run():
     part = block_partition(sym)
     plan = build_block_plan(a, sym, part,
                             s_rows=supernode_row_sets(sym, part))
-    assert plan.runs == [(0, part.nsuper, None)] and plan.solve is None
+    assert plan.runs == [(range(part.nsuper), None)] and plan.solve is None
 
 
 def test_empty_and_diagonal_matrices():
@@ -300,8 +321,8 @@ def test_empty_and_diagonal_matrices():
     assert plan.runs == []
     a = CSCMatrix.from_dense(np.diag([2.0, 0.0, -4.0, 5.0]))
     plan = _plan(_csc_keeping(a.to_dense(), np.eye(4, dtype=bool)))
-    (k0, k1, run), = plan.runs          # one run, nothing to update
-    assert (k0, k1, run.tgt.size) == (0, 4, 0)
+    (members, run), = plan.runs         # one step, nothing to update
+    assert (members, run.tgt.size) == ([0, 1, 2, 3], 0)
     f = supernodal_factor(_csc_keeping(a.to_dense(), np.eye(4, dtype=bool)),
                           plan=plan)
     assert f.perturbed_columns.tolist() == [1] and f.flops == 0

@@ -211,8 +211,8 @@ def test_reference_factorization_bit_identical_on_testbed(name, monkeypatch):
     """Whole supernodal factorizations and block substitutions through
     the frozen loops and through the ops produce identical bits — the
     frozen side over the schedule with every supernode taken alone (the
-    loop as it was before runs of width-1 supernodes were eliminated
-    together), the ops over the batched schedule."""
+    loop as it was before width-1 supernodes were eliminated together),
+    the ops over the batched schedule."""
     from dataclasses import replace
 
     from repro.driver import GESPSolver
@@ -223,17 +223,18 @@ def test_reference_factorization_bit_identical_on_testbed(name, monkeypatch):
     solver = GESPSolver(matrix_by_name(name).build(), cache=False)
     a, plan = solver.a_factored, solver._block_plan
     b = a @ np.ones(a.ncols)
-    batched = sum(k1 - k0 for k0, k1, run in plan.runs if run is not None)
+    batched = sum(len(members) for members, run in plan.runs
+                  if run is not None)
     assert batched > plan.part.nsuper // 4      # there is something to prove
     f_ref = supernodal_factor(a, plan=plan)
     x_ref = f_ref.solve(b)
     assert f_ref.flops > 0
-    alone = replace(plan, runs=[(0, plan.part.nsuper, None)])
+    alone = replace(plan, runs=[(range(plan.part.nsuper), None)])
     with monkeypatch.context() as patch:
         _swap_in_golden(patch)
         f_gold = supernodal_factor(a, plan=alone)
         x_gold = f_gold.solve(b)
-    # the frozen loops really ran, every call of them: a batched run
+    # the frozen loops really ran, every call of them: a batched step
     # would have counted its members' flops from the plan
     assert f_gold.flops == 0
     assert supernodal_factor(a, plan=alone).flops == f_ref.flops

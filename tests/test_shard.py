@@ -336,6 +336,43 @@ def test_spool_v4_plans_without_runs_are_skipped_not_half_loaded(tmp_path):
     assert reloaded.snapshot()[0].block_plan.runs
 
 
+def test_spool_v5_plans_with_consecutive_runs_are_skipped(tmp_path):
+    """A plan spooled while ``runs`` held ``(k0, k1, run)`` stretches of
+    consecutive supernodes unpickles whole, and the numeric pass would
+    misread its tuples as ``(members, run)`` steps.  Its schema tag sends
+    it down the skip path, loudly; the pattern starts cold and comes
+    back with steps."""
+    import copy
+
+    from repro.driver import GESPOptions, GESPSolver
+    from repro.obs import Tracer, use_tracer
+
+    a = sparse_matrix(seed=9)
+    plan = _plans_for([a]).snapshot()[0]
+    old = copy.copy(plan)
+    old.block_plan = copy.copy(plan.block_plan)
+    old.block_plan.runs = [(0, plan.block_plan.part.nsuper, None)]
+    spool.spool_path(tmp_path, plan.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v5", "key": plan.key, "plan": old}))
+
+    fresh = FactorizationCache(maxsize=32)
+    tracer = Tracer()
+    with use_tracer(tracer), \
+            pytest.warns(spool.SpoolSkipWarning, match="spool/v5"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    tracer.finish()
+    assert len(fresh) == 0
+    assert tracer.root.all_counters()["spool.load_skipped"] == 1
+    warm = GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=fresh)
+    assert warm.solve(a @ np.ones(a.ncols)).converged
+    spool.save_plans(tmp_path, fresh.snapshot(), set())
+    reloaded = FactorizationCache()
+    assert spool.load_plans(tmp_path, reloaded) == 1
+    runs = reloaded.snapshot()[0].block_plan.runs
+    assert sorted(k for members, _ in runs for k in members) == \
+        list(range(plan.block_plan.part.nsuper))
+
+
 def test_spool_clean_load_emits_no_warning(tmp_path, recwarn):
     cache = _plans_for([sparse_matrix(seed=9)])
     spool.save_plans(tmp_path, cache.snapshot(), set())

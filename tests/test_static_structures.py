@@ -94,130 +94,132 @@ def _structures(name):
 
 
 # recorded from the per-column fill, the numpy-scalar tree walks, the
-# per-column supernode test and the per-supernode target loop
+# per-column supernode test and the per-supernode target loop; the two
+# plan columns were re-recorded when ``runs`` became the level-order
+# steps, after checking that the digest of every other plan field held
 STRUCTURE_DIGESTS = {
-    "cfd01": ("4b0b323ede4e1b9e", "0b7dd806812eb334", "ba72a7f83aaf6e85",
-              "2b42f1cc8d4527f0", "53e6f67d5ac7e102"),
-    "cfd02": ("1e56b989504ab1e5", "f3b0e385908f1309", "d44f8f86db869fe9",
-              "47197887753b258b", "a9b33327421388cc"),
-    "cfd03": ("28fc66a4c0fef163", "616ec28c1a103697", "7fb5980b52e132a5",
-              "5e79fcea9022bcfa", "e98310c3b768a3a5"),
-    "cfd04": ("7a3b57f931ab5e31", "ac07ad4ff39539f2", "3e6c814f42334f09",
-              "6272aec983aca765", "4cfc6cb47695eb85"),
-    "cfd05": ("be650ec6e7fb32b8", "8e56257fbb2cbc4d", "f0ebbf89acab8079",
-              "aede2156eeff5de3", "c526ea18e3bd958a"),
-    "cfd06": ("050d7307a77972f2", "05b3d326e053f00a", "48565b4e748c4c2d",
-              "e8b61d2294202c06", "3cd7a7347b54c626"),
-    "cfd07": ("28fc66a4c0fef163", "616ec28c1a103697", "7fb5980b52e132a5",
-              "5e79fcea9022bcfa", "e98310c3b768a3a5"),
-    "cfd08": ("154ac6f477f8479e", "64828788306ce82d", "71815bb15e8c3632",
-              "a0a97b0b9eafb6d7", "17be5d92d45f936e"),
-    "device01": ("4b0b323ede4e1b9e", "0b7dd806812eb334", "ba72a7f83aaf6e85",
-                 "2b42f1cc8d4527f0", "53e6f67d5ac7e102"),
-    "device02": ("1e56b989504ab1e5", "f3b0e385908f1309", "d44f8f86db869fe9",
-                 "47197887753b258b", "a9b33327421388cc"),
-    "device03": ("28fc66a4c0fef163", "616ec28c1a103697", "7fb5980b52e132a5",
-                 "5e79fcea9022bcfa", "e98310c3b768a3a5"),
-    "device04": ("7a3b57f931ab5e31", "ac07ad4ff39539f2", "3e6c814f42334f09",
-                 "6272aec983aca765", "4cfc6cb47695eb85"),
-    "device05": ("be650ec6e7fb32b8", "8e56257fbb2cbc4d", "f0ebbf89acab8079",
-                 "aede2156eeff5de3", "c526ea18e3bd958a"),
-    "circuit01": ("640fbb6d28a9d844", "b2cb8592b2cf51df", "30195f4971ec909f",
-                  "2fd63605cff136a2", "40d4b5d9ed1a4d92"),
-    "circuit02": ("ae0abe1aa11677e2", "861921573fbd71c0", "f51f922979d7c436",
-                  "976aa94d10fa0fa6", "431778e092b104e2"),
-    "circuit03": ("23f42d60a4281915", "8510330aa6674427", "2628b38c027c8c2e",
-                  "f816f8e6292d365a", "6976d149e5ad95d1"),
-    "circuit04": ("bef873e4629605f2", "4d294c79f077baca", "f6aab82f8ea865c3",
-                  "ff683fe0c3841100", "d5322185588d135e"),
-    "circuit05": ("d4b692c2779cc2b9", "e9f4722e94c47f57", "17796990bca03e64",
-                  "64dbc61b377b5750", "6671a63684475044"),
-    "circuit06": ("d0ce294ab2c18d9c", "9bb2ca6086896487", "0d60e14ad5d5aa14",
-                  "8d7d5ea1e5f16b93", "b646c61a6afd4e7c"),
-    "hb01": ("eb3fbab742fbe48b", "06480f21da0b8df6", "5e720162f6c1c51c",
-             "04eb243daf5423fb", "2d351eb9a2dfedd4"),
-    "hb02": ("0748304062da0b5e", "2d11774e42de181c", "f08af56e5f4733d5",
-             "15177722fff850fb", "2d22c27891ea1f84"),
-    "fem01": ("57d630eb6d5f121d", "a485a693118a2867", "bf346e92cd274692",
-              "fbf4eee590c963a0", "7d7e901db3b3391b"),
-    "fem02": ("35e09215a8a59eee", "697aac096292dcd5", "9069a13ec2ab8a06",
-              "5f5069c42ee79828", "9c644c3583147c71"),
-    "fem03": ("ebc1634ef968cf63", "3c0432a2d4a5160b", "f6232e578253f1f0",
-              "05d282f17375c1e3", "93a46c1240425bbf"),
-    "fem04": ("9b843a839445d871", "0f77d4c0ed01fabc", "fb357a0636370e9d",
-              "9d8e08b215ddddee", "b171646d849a1064"),
-    "fem05": ("c7ed7a5f71a1e06b", "771180a33623d136", "218894588c8a79a6",
-              "6be39399fe5f268a", "0c14131c1168d2b0"),
-    "fem06": ("b4b3742afd9a196a", "0a42e6524b036a98", "2a95b1bd3353760e",
-              "2a51508c202b51a8", "a87c0b068c79a184"),
-    "chem01": ("f7c589c6798e4ab9", "78fedf88db1bca6b", "ccacd3e79cd9db2c",
-               "880fff40d64ef883", "00abc055aca05293"),
-    "chem02": ("efe27a0fbd18c202", "454cdeb31d478fac", "8750d1ca19ab1ff1",
-               "f15ab1ad7ed90bd9", "dbeb2d4e7afae3d9"),
-    "chem03": ("58f139b603212ae7", "1e74b952fb66f8ad", "b3a0b723f5b15f60",
-               "8c210e63c73c5de5", "395fec76548826bc"),
-    "chem04": ("d4c41e4a5ac8fcc2", "476ceb05fe1b464c", "c6fb5558f17fbe99",
-               "1c530fd4654544ce", "967d18652c438957"),
-    "chem05": ("e135e6ab69fb2380", "4e2a96c1700eb1e7", "9248ba9929aad37c",
-               "9af535826794b080", "2c9e94ac1f4a3067"),
-    "chem06": ("5c3bed15d54ac4ac", "3d7335303e6fefcf", "f7795878a422deab",
-               "cf0860b66078d656", "f4dc48dbcfddcc63"),
-    "resv01": ("3c57d60c75ad856b", "8caf2ed6ee19fcb8", "b2186d07de3f289a",
-               "d8c50b8634436472", "292a72a19b001503"),
-    "resv02": ("2c71589acc18fd68", "fc3097d0e82d9424", "f25cb7ff025f5ef3",
-               "595c87d933671fd9", "7883d31c555629ef"),
-    "resv03": ("83e15e41277463d1", "3044c5681363d42a", "673ff03a49d3d2f4",
-               "13bdef3a9b4665fd", "cd0887439d8b5b9f"),
-    "resv04": ("39a33ab67f462df4", "db29d6896bed7ddc", "e4d69962bb8b7d16",
-               "61cc8f9ff22dea14", "20bf669020442d46"),
-    "kkt01": ("ed766e63154a5b0d", "87f39d460c387d9c", "22a6033e36710192",
-              "7f02eae09ed3df16", "2e4c725fadce2180"),
-    "kkt02": ("d833038598b5bdba", "0faaa43477642302", "c34ffb6808712af2",
-              "34c90c9692b1cf76", "6bab08cc645907d9"),
-    "kkt03": ("0c27febdba9587d2", "604c63b46c261ece", "6dac6df5b0176f91",
-              "ecadb3aa53ae0382", "b2608aeafdd13d2f"),
-    "kkt04": ("038f947ba9aff66e", "2eb0b7a4372a7de6", "8fe4d29e35ff5e69",
-              "ce21dcce6e3e4bdc", "7e9d0f24e1ff7e86"),
-    "aniso01": ("2865760234e8e596", "0198156317517675", "7a85958d4c5c7142",
-                "0ba8077067fb6d79", "1d5c2e818c42d70c"),
-    "aniso02": ("2865760234e8e596", "0198156317517675", "7a85958d4c5c7142",
-                "0ba8077067fb6d79", "1d5c2e818c42d70c"),
-    "aniso03": ("2865760234e8e596", "0198156317517675", "7a85958d4c5c7142",
-                "0ba8077067fb6d79", "1d5c2e818c42d70c"),
-    "gen01": ("ce3508f31e7b707c", "4b5c214090f3a51a", "cdc4b5ffbbfe2a1b",
-              "01d8e965b1b1b80f", "98c637ab78e0c3ac"),
-    "gen02": ("4b8315a575e14083", "4baee73ebf591f77", "9c7e6463b28b71cb",
-              "613e348f6c73967a", "87c13987f6e578af"),
-    "gen03": ("e7bb927f6be3a0b4", "be420e62ac070946", "03e11618050bb7fc",
-              "6b2c698e494f3607", "6f4f693ebb749aa9"),
-    "gen04": ("cca366c0bd849add", "2bcb030fc8836c32", "0dd51dad61be68c2",
-              "b55afeaa015113f0", "83efc21f381eab87"),
-    "gen05": ("2d80903f5e6db490", "932689fede4b53f2", "4b8bdbe3144b9d2b",
-              "9abddc8da3520303", "449807d7b220e54a"),
-    "gen06": ("cf844b35f0243f99", "f94c9d160a1fe54c", "30edebf00d1fa0ef",
-              "05c0b417aefb0297", "62357787956151b9"),
-    "gen07": ("d808fabd8144e18b", "a161698e4f519d85", "f9dabafa74b6a084",
-              "c7d2854d07fee651", "1e0a6610146f2108"),
-    "gen08": ("7cd8a4a03e2bbc0e", "b2d9082d55821045", "9af4b2b5dea73c18",
-              "591ae881dc42468b", "aa6231a41e149913"),
-    "gen09": ("975f8158b6dbc2ae", "20a65da25d734f11", "b48546a0c85cd88a",
-              "97f85b0a33f356e6", "bc40b8fed84aa724"),
-    "AF23560a": ("3c68d95ff8208cd2", "28542631e4f53336", "86ed28c356eba1be",
-                 "a6f0fbf0d4016782", "052251e6435297f8"),
-    "BBMATa": ("dccc565370439532", "d6cf54b348ee0e68", "a51c8f98d2de3a78",
-               "969bf46924f42f6a", "3e0043a8e7f68af5"),
-    "ECL32a": ("93817a7504802a8c", "151708d91549b2c5", "cdbd2197347cef52",
-               "9375bcdcf266134a", "d647226314708525"),
-    "EX11a": ("2c12bb46c548fbc3", "cd63f977505668c6", "b5c50188c6356497",
-              "a6cbef54bd58c287", "eb094fa14d96ddc6"),
-    "FIDAPM11a": ("707022a172010e2c", "9ec7cf1b6c9208dd", "23780038ed24a219",
-                  "acc6e4644b6f979c", "c3d12ca3846f4645"),
-    "RDIST1a": ("1f36f0bbdcbeb6bc", "c74cdeccb23e6293", "52e1479dfbb8fdd9",
-                "d3cf03c2674b41b7", "5f5b4fd23a5c8e62"),
-    "TWOTONEa": ("a8dedca59e5b1fa7", "42ede169ae394d0e", "c4affc1219a1b26f",
-                 "b3548f6149731f6f", "9795317aa66eb5dc"),
-    "WANG4a": ("e10e16736109cccc", "ef426daf4f19b630", "8ddb2206bef68c44",
-               "d825d75c45879890", "58d0caab8c1c50af"),
+    "cfd01": ("4b0b323ede4e1b9e", "0b7dd806812eb334", "743b7880f92ee21c",
+              "23c12e349e119907", "53e6f67d5ac7e102"),
+    "cfd02": ("1e56b989504ab1e5", "f3b0e385908f1309", "f5a3c4faf3f972c3",
+              "512581e9b0a38a14", "a9b33327421388cc"),
+    "cfd03": ("28fc66a4c0fef163", "616ec28c1a103697", "2a0c44b2b218e529",
+              "020ffc2daa09ae49", "e98310c3b768a3a5"),
+    "cfd04": ("7a3b57f931ab5e31", "ac07ad4ff39539f2", "bd224afc74389db9",
+              "0d54c207cb05f8bf", "4cfc6cb47695eb85"),
+    "cfd05": ("be650ec6e7fb32b8", "8e56257fbb2cbc4d", "111375ff8437063d",
+              "b995953105ed9463", "c526ea18e3bd958a"),
+    "cfd06": ("050d7307a77972f2", "05b3d326e053f00a", "a0e9920eb4b7a811",
+              "6042e903d723992f", "3cd7a7347b54c626"),
+    "cfd07": ("28fc66a4c0fef163", "616ec28c1a103697", "2a0c44b2b218e529",
+              "020ffc2daa09ae49", "e98310c3b768a3a5"),
+    "cfd08": ("154ac6f477f8479e", "64828788306ce82d", "4923b7784a09d136",
+              "ba60cac232880f6c", "17be5d92d45f936e"),
+    "device01": ("4b0b323ede4e1b9e", "0b7dd806812eb334", "743b7880f92ee21c",
+                 "23c12e349e119907", "53e6f67d5ac7e102"),
+    "device02": ("1e56b989504ab1e5", "f3b0e385908f1309", "f5a3c4faf3f972c3",
+                 "512581e9b0a38a14", "a9b33327421388cc"),
+    "device03": ("28fc66a4c0fef163", "616ec28c1a103697", "2a0c44b2b218e529",
+                 "020ffc2daa09ae49", "e98310c3b768a3a5"),
+    "device04": ("7a3b57f931ab5e31", "ac07ad4ff39539f2", "bd224afc74389db9",
+                 "0d54c207cb05f8bf", "4cfc6cb47695eb85"),
+    "device05": ("be650ec6e7fb32b8", "8e56257fbb2cbc4d", "111375ff8437063d",
+                 "b995953105ed9463", "c526ea18e3bd958a"),
+    "circuit01": ("640fbb6d28a9d844", "b2cb8592b2cf51df", "da1c612f33bafaa9",
+                  "71e86f57e2701a31", "40d4b5d9ed1a4d92"),
+    "circuit02": ("ae0abe1aa11677e2", "861921573fbd71c0", "df9ff35bcd052d23",
+                  "aa78dd72f426c69a", "431778e092b104e2"),
+    "circuit03": ("23f42d60a4281915", "8510330aa6674427", "449802fa589badf4",
+                  "f660e9fe79816783", "6976d149e5ad95d1"),
+    "circuit04": ("bef873e4629605f2", "4d294c79f077baca", "3cc41045dd6b6768",
+                  "538ea05bf08ba341", "d5322185588d135e"),
+    "circuit05": ("d4b692c2779cc2b9", "e9f4722e94c47f57", "a031ec9c8cbecc97",
+                  "1ffc00e286cca38e", "6671a63684475044"),
+    "circuit06": ("d0ce294ab2c18d9c", "9bb2ca6086896487", "fb7c9d3e4a53cfff",
+                  "64237de984ff7637", "b646c61a6afd4e7c"),
+    "hb01": ("eb3fbab742fbe48b", "06480f21da0b8df6", "2856c2f937bb0074",
+             "75a0bec8aca0ad79", "2d351eb9a2dfedd4"),
+    "hb02": ("0748304062da0b5e", "2d11774e42de181c", "80e98258ce09c2fe",
+             "7cfd3ba11da4beb8", "2d22c27891ea1f84"),
+    "fem01": ("57d630eb6d5f121d", "a485a693118a2867", "395546c179a2143c",
+              "34b7cafad92567ba", "7d7e901db3b3391b"),
+    "fem02": ("35e09215a8a59eee", "697aac096292dcd5", "e36da4c9d5f52c44",
+              "e79de0b10ec9326f", "9c644c3583147c71"),
+    "fem03": ("ebc1634ef968cf63", "3c0432a2d4a5160b", "295c9fdf9a99ddf9",
+              "4ab3fe7fe86cd988", "93a46c1240425bbf"),
+    "fem04": ("9b843a839445d871", "0f77d4c0ed01fabc", "9c8a2d3f0d554e28",
+              "302af92e88a72aa5", "b171646d849a1064"),
+    "fem05": ("c7ed7a5f71a1e06b", "771180a33623d136", "561cc41b68333310",
+              "a5e7485429386206", "0c14131c1168d2b0"),
+    "fem06": ("b4b3742afd9a196a", "0a42e6524b036a98", "fc71338899c32654",
+              "ad70e1432a974854", "a87c0b068c79a184"),
+    "chem01": ("f7c589c6798e4ab9", "78fedf88db1bca6b", "3078c09531ec612d",
+               "5b00b0e25df63945", "00abc055aca05293"),
+    "chem02": ("efe27a0fbd18c202", "454cdeb31d478fac", "4581667fab398c8c",
+               "c47cca158a533622", "dbeb2d4e7afae3d9"),
+    "chem03": ("58f139b603212ae7", "1e74b952fb66f8ad", "293ffed3e68ed1ec",
+               "28ac5841c3f8b78b", "395fec76548826bc"),
+    "chem04": ("d4c41e4a5ac8fcc2", "476ceb05fe1b464c", "363317fd2b354729",
+               "2fbfee7353877af9", "967d18652c438957"),
+    "chem05": ("e135e6ab69fb2380", "4e2a96c1700eb1e7", "e9e696a78d096e52",
+               "cc52946842098d0c", "2c9e94ac1f4a3067"),
+    "chem06": ("5c3bed15d54ac4ac", "3d7335303e6fefcf", "7978110e70b7d305",
+               "1bcea87e718426c7", "f4dc48dbcfddcc63"),
+    "resv01": ("3c57d60c75ad856b", "8caf2ed6ee19fcb8", "ed6baf93d45174b0",
+               "b21ff1ad418eac70", "292a72a19b001503"),
+    "resv02": ("2c71589acc18fd68", "fc3097d0e82d9424", "318eb26c9a02e1a3",
+               "3b40a87e66c304fd", "7883d31c555629ef"),
+    "resv03": ("83e15e41277463d1", "3044c5681363d42a", "0ce66dd0b96c3b52",
+               "8828f15a946c0839", "cd0887439d8b5b9f"),
+    "resv04": ("39a33ab67f462df4", "db29d6896bed7ddc", "257c2cdad8e28f43",
+               "7646b4bf05d87278", "20bf669020442d46"),
+    "kkt01": ("ed766e63154a5b0d", "87f39d460c387d9c", "867e61874b9a8a1f",
+              "568ca6467672c943", "2e4c725fadce2180"),
+    "kkt02": ("d833038598b5bdba", "0faaa43477642302", "1e0230919015fc85",
+              "11a4ef65714ebbf7", "6bab08cc645907d9"),
+    "kkt03": ("0c27febdba9587d2", "604c63b46c261ece", "40c4e51bcc74c00c",
+              "9ff58dc1ac879b56", "b2608aeafdd13d2f"),
+    "kkt04": ("038f947ba9aff66e", "2eb0b7a4372a7de6", "7ffdabbdcca9f57f",
+              "0fdbcecc5832c0fe", "7e9d0f24e1ff7e86"),
+    "aniso01": ("2865760234e8e596", "0198156317517675", "4222a55e48d27eae",
+                "148edd2155580a22", "1d5c2e818c42d70c"),
+    "aniso02": ("2865760234e8e596", "0198156317517675", "4222a55e48d27eae",
+                "148edd2155580a22", "1d5c2e818c42d70c"),
+    "aniso03": ("2865760234e8e596", "0198156317517675", "4222a55e48d27eae",
+                "148edd2155580a22", "1d5c2e818c42d70c"),
+    "gen01": ("ce3508f31e7b707c", "4b5c214090f3a51a", "39e8fdae7b78a41b",
+              "84b7e13b28b20814", "98c637ab78e0c3ac"),
+    "gen02": ("4b8315a575e14083", "4baee73ebf591f77", "7ea7ca908ef3e974",
+              "fd68d596c6399031", "87c13987f6e578af"),
+    "gen03": ("e7bb927f6be3a0b4", "be420e62ac070946", "92747a0f13cae88b",
+              "d024a07b35e1b299", "6f4f693ebb749aa9"),
+    "gen04": ("cca366c0bd849add", "2bcb030fc8836c32", "77e61e548fd1c3de",
+              "dd41d12331edd5eb", "83efc21f381eab87"),
+    "gen05": ("2d80903f5e6db490", "932689fede4b53f2", "a05d307fb3a810f6",
+              "98638416cde5102a", "449807d7b220e54a"),
+    "gen06": ("cf844b35f0243f99", "f94c9d160a1fe54c", "97290dd99fc750c9",
+              "e5909c38169ede53", "62357787956151b9"),
+    "gen07": ("d808fabd8144e18b", "a161698e4f519d85", "8b2949c8d03b7cc2",
+              "b4432f61efb2709b", "1e0a6610146f2108"),
+    "gen08": ("7cd8a4a03e2bbc0e", "b2d9082d55821045", "0eef77bcfaf2c4ee",
+              "d0679a8b276ad99c", "aa6231a41e149913"),
+    "gen09": ("975f8158b6dbc2ae", "20a65da25d734f11", "06dfc497d99a6ff6",
+              "bf23e53cd8e8416b", "bc40b8fed84aa724"),
+    "AF23560a": ("3c68d95ff8208cd2", "28542631e4f53336", "74f67c8465c4fdff",
+                 "880c503e020e1565", "052251e6435297f8"),
+    "BBMATa": ("dccc565370439532", "d6cf54b348ee0e68", "e18430c73fc9e85d",
+               "10623cd9c16bc9a3", "3e0043a8e7f68af5"),
+    "ECL32a": ("93817a7504802a8c", "151708d91549b2c5", "88c788f2c0ca2264",
+               "94a10d0856069639", "d647226314708525"),
+    "EX11a": ("2c12bb46c548fbc3", "cd63f977505668c6", "b6c607730cd24ec9",
+              "b4ec989dcc766890", "eb094fa14d96ddc6"),
+    "FIDAPM11a": ("707022a172010e2c", "9ec7cf1b6c9208dd", "dfd2dff3d78575c0",
+                  "e1fe3b3cd086be64", "c3d12ca3846f4645"),
+    "RDIST1a": ("1f36f0bbdcbeb6bc", "c74cdeccb23e6293", "22f8da0729066b1f",
+                "7cfe7d1760e65bc9", "5f5b4fd23a5c8e62"),
+    "TWOTONEa": ("a8dedca59e5b1fa7", "42ede169ae394d0e", "f295c3a6741b88f9",
+                 "6be7d469aeb49395", "9795317aa66eb5dc"),
+    "WANG4a": ("e10e16736109cccc", "ef426daf4f19b630", "4863e9722226fe52",
+               "fe51f96867db15bc", "58d0caab8c1c50af"),
 }
 
 

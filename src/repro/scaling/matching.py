@@ -16,6 +16,7 @@ sparse matrix (one vertex per row, one per column, an edge per nonzero):
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -46,88 +47,81 @@ def max_transversal(a: CSCMatrix, require_perfect=False):
     (−1 when column ``j`` is unmatched).  Uses cheap assignment followed by
     depth-first augmenting paths, the structure of Duff's MC21 algorithm.
 
+    It runs on Python lists (``tolist()`` copies of the structure) and
+    returns bit for bit the matching of the per-entry numpy loop it
+    replaced (``tests/test_matching_identity.py`` keeps that loop).
+
     With ``require_perfect=True`` a :class:`StructurallySingularError` is
     raised when the matching is not perfect.
     """
     if a.nrows != a.ncols:
         raise ValueError("max_transversal requires a square matrix")
     n = a.ncols
-    colptr, rowind = a.colptr, a.rowind
-    rowof = np.full(n, -1, dtype=np.int64)   # row matched to column j
-    colof = np.full(n, -1, dtype=np.int64)   # column matched to row i
+    ptr, rows = a.colptr.tolist(), a.rowind.tolist()
+    rowof = [-1] * n   # row matched to column j
+    colof = [-1] * n   # column matched to row i
 
     # cheap assignment pass: take any free row in the column
     for j in range(n):
-        for k in range(colptr[j], colptr[j + 1]):
-            i = rowind[k]
+        for k in range(ptr[j], ptr[j + 1]):
+            i = rows[k]
             if colof[i] < 0:
                 colof[i] = j
                 rowof[j] = i
                 break
 
     # DFS augmentation for each unmatched column (iterative, with a
-    # per-column visited stamp to stay O(nnz) per augmentation)
-    visited = np.full(n, -1, dtype=np.int64)
-    # cursor[j]: next edge of column j to try, so each edge is scanned once
+    # per-column visited stamp to stay O(nnz) per augmentation).
+    # cursor[j]: next edge of column j to try, so each edge is scanned
+    # once; parent[j] / via[j]: the column and the row that led to j
+    visited, parent, via = [-1] * n, [-1] * n, [-1] * n
+    cursor = [0] * n
     for j0 in range(n):
         if rowof[j0] >= 0:
             continue
-        # iterative DFS over alternating paths
         stack = [j0]
-        cursor = {j0: colptr[j0]}
-        parent = {j0: -1}
+        cursor[j0] = ptr[j0]
+        parent[j0] = -1
         visited[j0] = j0
         found_row = -1
         while stack:
             j = stack[-1]
-            k = cursor[j]
-            advanced = False
-            while k < colptr[j + 1]:
-                i = rowind[k]
+            k, end = cursor[j], ptr[j + 1]
+            while k < end:
+                i = rows[k]
                 k += 1
                 if colof[i] < 0:
-                    # free row: augment along the DFS stack
-                    found_row = i
-                    cursor[j] = k
+                    found_row = i     # free row: augment along the stack
                     break
                 j2 = colof[i]
                 if visited[j2] != j0:
                     visited[j2] = j0
-                    cursor[j] = k
-                    cursor[j2] = colptr[j2]
+                    cursor[j2] = ptr[j2]
                     parent[j2] = j
-                    # remember which row led to j2 for augmentation
-                    parent[("row", j2)] = i
+                    via[j2] = i
                     stack.append(j2)
-                    advanced = True
                     break
             else:
-                cursor[j] = k
                 stack.pop()
                 continue
+            cursor[j] = k
             if found_row >= 0:
                 break
-            if advanced:
-                continue
         if found_row >= 0:
             # augment: assign found_row to the top column, then flip
             # matched edges upward along parent pointers
-            j = stack[-1]
-            i = found_row
+            j, i = stack[-1], found_row
             while True:
-                prev_i = rowof[j]
                 rowof[j] = i
                 colof[i] = j
-                pj = parent[j]
-                if pj < 0:
+                if parent[j] < 0:
                     break
-                i = parent[("row", j)]
-                j = pj
+                i, j = via[j], parent[j]
 
-    if require_perfect and np.any(rowof < 0):
+    if require_perfect and -1 in rowof:
         raise StructurallySingularError(
-            f"pattern has maximum matching of size {int(np.sum(rowof >= 0))} < n={n}")
-    return rowof
+            f"pattern has maximum matching of size {n - rowof.count(-1)} < n={n}")
+    return np.array(rowof, dtype=np.int64)
 
 
 # --------------------------------------------------------------------- #
@@ -213,100 +207,105 @@ def sparse_assignment(n, colptr, rowind, cost):
     (sparse Jonker-Volgenant; the engine inside MC64).  One Dijkstra per
     column; total complexity ``O(n (nnz + n) log n)`` worst case, far less
     in practice — the paper makes the same observation about MC64.
+
+    The initial duals, the reduced costs and the cheap assignment are
+    array passes; the Dijkstra runs on ``tolist()`` copies, with its
+    ``dist`` / ``final`` lists reset only at the rows a path touched.
+    Every floating-point expression keeps the order of the per-column
+    numpy loop this replaced, so ``rowof``, ``u`` and ``v`` are that
+    loop's byte for byte (``tests/test_matching_identity.py``).
     """
     colptr = np.asarray(colptr, dtype=np.int64)
     rowind = np.asarray(rowind, dtype=np.int64)
     cost = np.asarray(cost, dtype=np.float64)
     if np.any(~np.isfinite(cost)):
         raise ValueError("edge costs must be finite")
+    counts = np.diff(colptr[:n + 1])
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise StructurallySingularError(f"column {empty[0]} is empty")
+    cols = np.repeat(np.arange(n, dtype=np.int64), counts)
 
-    INF = np.inf
-    rowof = np.full(n, -1, dtype=np.int64)   # row matched to column j
-    colof = np.full(n, -1, dtype=np.int64)   # column matched to row i
-    u = np.zeros(n)                           # row duals
-    v = np.zeros(n)                           # column duals
+    # Column duals v[j] = min cost in column j (nonnegative reduced costs
+    # before the first augmentation); row duals u[i] = min over edges
+    # (i,j) of cost - v[j], 0 for rows with no edges (they fail later
+    # with a clear error).
+    v = np.minimum.reduceat(cost, colptr[:n])
+    u = np.full(n, np.inf)
+    np.minimum.at(u, rowind, cost - v[cols])
+    u[~np.isfinite(u)] = 0.0
 
-    # Column-dual initialization: v[j] = min cost in column j, guaranteeing
-    # nonnegative reduced costs before the first augmentation.
-    for j in range(n):
-        lo, hi = colptr[j], colptr[j + 1]
-        if lo == hi:
-            raise StructurallySingularError(f"column {j} is empty")
-        v[j] = cost[lo:hi].min()
-    # Row-dual initialization: u[i] = min over edges (i,j) of cost - v[j].
-    u.fill(INF)
-    for j in range(n):
-        lo, hi = colptr[j], colptr[j + 1]
-        np.minimum.at(u, rowind[lo:hi], cost[lo:hi] - v[j])
-    u[~np.isfinite(u)] = 0.0  # rows with no edges fail later with a clear error
+    # Cheap assignment on tight edges (reduced cost == 0), in column order:
+    # a column takes its first tight edge whose row is still free.
+    rowof = [-1] * n   # row matched to column j
+    colof = [-1] * n   # column matched to row i
+    tight = np.flatnonzero(cost - u[rowind] - v[cols] <= 1e-15)
+    for i, j in zip(rowind[tight].tolist(), cols[tight].tolist()):
+        if rowof[j] < 0 and colof[i] < 0:
+            colof[i] = j
+            rowof[j] = i
 
-    # Cheap assignment on tight edges (reduced cost == 0) to seed matching.
-    for j in range(n):
-        lo, hi = colptr[j], colptr[j + 1]
-        red = cost[lo:hi] - u[rowind[lo:hi]] - v[j]
-        for k in np.nonzero(red <= 1e-15)[0]:
-            i = rowind[lo + k]
-            if colof[i] < 0:
-                colof[i] = j
-                rowof[j] = i
-                break
-
+    ptr, rows, c = colptr.tolist(), rowind.tolist(), cost.tolist()
+    u, v = u.tolist(), v.tolist()
+    INF = math.inf
+    dist = [INF] * n
+    final = [False] * n
+    prev_col = [-1] * n   # column preceding row i (read only on reached rows)
+    heappush, heappop = heapq.heappush, heapq.heappop
     for j0 in range(n):
         if rowof[j0] >= 0:
             continue
         # Dijkstra from free column j0 over alternating paths.  States are
         # ROWS here (paths alternate col -> row via any edge, row -> col via
         # matched edge); distances are to rows.
-        dist = np.full(n, INF)
-        final = np.zeros(n, dtype=bool)
-        prev_col = np.full(n, -1, dtype=np.int64)  # column preceding row i
-        heap = []
-        lo, hi = colptr[j0], colptr[j0 + 1]
-        for k in range(lo, hi):
-            i = rowind[k]
-            d = cost[k] - u[i] - v[j0]
+        heap, touched, finals = [], [], []
+        vj = v[j0]
+        for k in range(ptr[j0], ptr[j0 + 1]):
+            i = rows[k]
+            d = c[k] - u[i] - vj
             if d < dist[i]:
                 dist[i] = d
                 prev_col[i] = j0
-                heapq.heappush(heap, (d, i))
+                heappush(heap, (d, i))
+                touched.append(i)
         found_row = -1
-        dfinal = INF
         while heap:
-            d, i = heapq.heappop(heap)
+            d, i = heappop(heap)
             if final[i] or d > dist[i]:
                 continue
             final[i] = True
-            if colof[i] < 0:
-                found_row = i
-                dfinal = d
-                break
-            # follow the matched edge row i -> column colof[i] (reduced cost
-            # zero by complementary slackness), then relax every edge of
-            # that column
+            finals.append(i)
             j = colof[i]
-            lo2, hi2 = colptr[j], colptr[j + 1]
-            base = d  # matched edges have reduced cost 0 (tight)
-            cand_rows = rowind[lo2:hi2]
-            cand_d = base + cost[lo2:hi2] - u[cand_rows] - v[j]
-            for idx in range(cand_rows.size):
-                i2 = cand_rows[idx]
-                nd = cand_d[idx]
-                if not final[i2] and nd < dist[i2] - 1e-300:
+            if j < 0:
+                found_row, dfinal = i, d
+                break
+            # follow the matched edge row i -> column j (reduced cost zero
+            # by complementary slackness), then relax every edge of j
+            vj = v[j]
+            for k in range(ptr[j], ptr[j + 1]):
+                i2 = rows[k]
+                if final[i2]:
+                    continue
+                nd = d + c[k] - u[i2] - vj
+                if nd < dist[i2] - 1e-300:
                     dist[i2] = nd
                     prev_col[i2] = j
-                    heapq.heappush(heap, (nd, i2))
+                    heappush(heap, (nd, i2))
+                    touched.append(i2)
         if found_row < 0:
             raise StructurallySingularError(
                 "no augmenting path: matrix is structurally singular")
         # Dual updates preserving complementary slackness.
-        fin = final & (dist <= dfinal)
-        fin_rows = np.nonzero(fin)[0]
-        u[fin_rows] += dist[fin_rows] - dfinal
-        for i in fin_rows:
-            j = colof[i]
-            if j >= 0:
-                v[j] -= dist[i] - dfinal
+        for i in finals:
+            if dist[i] <= dfinal:
+                u[i] += dist[i] - dfinal
+                j = colof[i]
+                if j >= 0:
+                    v[j] -= dist[i] - dfinal
         v[j0] += dfinal  # the source column absorbs the full path length
+        for i in touched:
+            dist[i] = INF
+            final[i] = False
         # Augment along prev_col chain from found_row back to j0.
         i = found_row
         while True:
@@ -318,4 +317,5 @@ def sparse_assignment(n, colptr, rowind, cost):
                 break
             i = prev_i
 
-    return rowof, u, v
+    return (np.array(rowof, dtype=np.int64), np.array(u, dtype=np.float64),
+            np.array(v, dtype=np.float64))

@@ -123,13 +123,12 @@ def _mc64(a: CSCMatrix, job: str, scale: bool) -> MC64Result:
         raise StructurallySingularError("matrix has no nonzero entries")
 
     mags = np.abs(nz.nzval)
-    colmax = np.empty(n)
-    for j in range(n):
-        lo, hi = nz.colptr[j], nz.colptr[j + 1]
-        if lo == hi:
-            raise StructurallySingularError(f"column {j} has no nonzeros")
-        colmax[j] = mags[lo:hi].max()
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(nz.colptr))
+    counts = np.diff(nz.colptr)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise StructurallySingularError(f"column {empty[0]} has no nonzeros")
+    colmax = np.maximum.reduceat(mags, nz.colptr[:-1])
+    cols = np.repeat(np.arange(n, dtype=np.int64), counts)
     cost = np.log(colmax[cols]) - np.log(mags)
 
     rowof, u, v = sparse_assignment(n, nz.colptr, nz.rowind, cost)
@@ -147,22 +146,22 @@ def _mc64(a: CSCMatrix, job: str, scale: bool) -> MC64Result:
 def _perm_from_matching(rowof, n):
     """perm_r with perm_r[rowof[j]] = j: matched entries land on the diagonal."""
     perm_r = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        i = rowof[j]
-        if i >= 0:
-            perm_r[i] = j
+    matched = np.flatnonzero(rowof >= 0)
+    perm_r[rowof[matched]] = matched
     if np.any(perm_r < 0):
         raise StructurallySingularError("matching is not perfect")
     return perm_r
 
 
 def _matched_edges(a, rowof):
-    """Indices into nzval of the matched entries (one per column)."""
-    idx = np.empty(a.ncols, dtype=np.int64)
-    for j in range(a.ncols):
-        lo, hi = a.colptr[j], a.colptr[j + 1]
-        k = lo + np.searchsorted(a.rowind[lo:hi], rowof[j])
-        if k >= hi or a.rowind[k] != rowof[j]:
-            raise AssertionError("matched entry missing from structure")
-        idx[j] = k
+    """Indices into nzval of the matched entries (one per column): one
+    search over the keys ``col * n + row``, sorted because rows are sorted
+    within each column."""
+    n = a.ncols
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.colptr))
+    idx = np.searchsorted(cols * n + a.rowind, np.arange(n) * n + rowof)
+    found = idx < a.colptr[1:]
+    found[found] = a.rowind[idx[found]] == rowof[found]
+    if not found.all():
+        raise AssertionError("matched entry missing from structure")
     return idx

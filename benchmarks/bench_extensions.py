@@ -50,6 +50,7 @@ def bench_extensions(benchmark):
         "aggr. + SMW + extra prec.": GESPOptions(
             aggressive_pivot_replacement=True,
             extra_precision_residual=True),
+        "diag-block pivoting": GESPOptions(diag_block_pivoting=1.0),
         "forced repl., refine only": GESPOptions(tiny_pivot_scale=0.05),
         "forced repl., SMW": GESPOptions(tiny_pivot_scale=0.05,
                                          aggressive_pivot_replacement=True),

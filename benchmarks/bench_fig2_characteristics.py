@@ -16,19 +16,19 @@ from repro.matrices import matrix_by_name
 
 def bench_fig2_characteristics(benchmark, testbed_results):
     rows = sorted(testbed_results.items(),
-                  key=lambda kv: kv[1]["timings"]["factor"])
+                  key=lambda kv: kv[1]["record"].span_seconds("factor"))
     t = Table("Figure 2 — matrix characteristics (sorted by factor time)",
               ["matrix", "discipline", "n", "nnz(A)", "nnz(L+U)",
                "factor(s)"])
     for name, r in rows:
         t.add(name, r["discipline"], r["n"], r["nnz"], r["fill"],
-              r["timings"]["factor"])
+              r["record"].span_seconds("factor"))
     save_table("fig2_characteristics", t)
 
     # the paper's qualitative claim: factor time grows with problem size —
     # Spearman rank correlation between fill and factor time is high
     fills = np.array([r["fill"] for _, r in rows], dtype=float)
-    times = np.array([r["timings"]["factor"] for _, r in rows])
+    times = np.array([r["record"].span_seconds("factor") for _, r in rows])
     rf = np.argsort(np.argsort(fills))
     rt = np.argsort(np.argsort(times))
     corr = np.corrcoef(rf, rt)[0, 1]

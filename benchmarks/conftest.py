@@ -57,9 +57,8 @@ def testbed_results():
     """Serial GESP + GEPP over all 53 matrices (Figures 2-6 raw data).
 
     Each row carries the full :class:`repro.obs.RunRecord` of the traced
-    solve (``"record"``) — stage times for the Figure-6 breakdown are
-    read from its spans; the legacy ``"timings"`` dict stays for
-    benchmarks that only need stage seconds.
+    solve (``"record"``): stage seconds are read from its spans
+    (``record.span_seconds("factor")``).
     """
     rows = {}
     for tm in full_testbed():
@@ -99,7 +98,6 @@ def testbed_results():
             "err_gepp": float(np.abs(x_gepp - 1.0).max()),
             "tiny": s.factors.n_tiny_pivots,
             "record": record,
-            "timings": dict(s.timings),
             "t_total": t_total,
             "t_gepp_factor": t_gepp,
             "t_solve": t_solve,

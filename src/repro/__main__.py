@@ -76,7 +76,6 @@ def cmd_solve(args):
         extra_precision_residual=args.extra_precision,
         fact=args.fact,
         executor=args.executor,
-        factor_dtype=args.factor_dtype,
     )
     if args.executor and args.nprocs <= 1:
         print("note: --executor only affects the distributed pipeline; "
@@ -343,7 +342,6 @@ def cmd_serve(args):
     multi-process tier with ``--shards N`` — under an open-loop client
     replaying a synthetic mix or a ``--workload`` scenario stream
     (docs/SERVICE.md, docs/SHARDING.md, docs/WORKLOADS.md)."""
-    from repro.driver import GESPOptions
     from repro.matrices import matrix_by_name
     from repro.service import ServiceConfig, ShardedSolveService, SolveService
     from repro.workload import (
@@ -367,9 +365,7 @@ def cmd_serve(args):
 
     cfg = ServiceConfig(queue_capacity=args.queue_capacity,
                         batch_window=args.batch_window,
-                        max_batch=args.max_batch,
-                        options=GESPOptions(
-                            factor_dtype=args.factor_dtype))
+                        max_batch=args.max_batch)
     print(f"service          : queue {cfg.queue_capacity}, batch window "
           f"{cfg.batch_window * 1e3:.1f}ms, max batch {cfg.max_batch}")
     if args.shards:
@@ -545,12 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "real worker process per rank, pickled "
                         "payloads); default: $REPRO_DMEM_EXECUTOR, then "
                         "'sim' (see docs/EXECUTOR.md)")
-    p.add_argument("--factor-dtype", default="float64",
-                   choices=["float64", "float32"],
-                   help="numeric factorization precision; 'float32' "
-                        "factors in single precision and refines in "
-                        "double against the original matrix (see "
-                        "docs/ROBUSTNESS.md)")
     p.add_argument("--refactor-sweep", type=int, default=0, metavar="K",
                    help="factor cold once, then refactor K times with "
                         "same-pattern perturbed values through the "
@@ -616,13 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="warm-start spool directory for the sharded "
                         "tier: PatternPlans persist here so restarted "
                         "shards skip the cold DOFACT analysis")
-    p.add_argument("--factor-dtype", default="float64",
-                   choices=["float64", "float32"],
-                   help="numeric factorization precision for the "
-                        "service's default solve options; 'float32' "
-                        "factors in single precision and lets berr "
-                        "certification / the recovery ladder decide "
-                        "(see docs/ROBUSTNESS.md)")
     p.add_argument("--workload", metavar="SPEC", default=None,
                    help="replay a workload/v1 scenario-spec JSON file "
                         "(seeded transient/Newton streams) instead of "

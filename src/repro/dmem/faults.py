@@ -87,8 +87,9 @@ class FaultPlan:
         duration is scaled by ``1 + compute_jitter * (2u - 1)``.
     drop_rules:
         Surgical :class:`DropRule` list, applied before the
-        probabilistic drop coin.  Rule countdowns are tracked by the
-        simulator per run, so a plan object stays immutable state.
+        probabilistic drop coin.  Rule countdowns are tracked by each
+        executor per run (see :meth:`send_fate`), so a plan object stays
+        immutable state.
     """
 
     seed: int = 0
@@ -132,9 +133,23 @@ class FaultPlan:
         # and sources are >= 0 at the send site.
         return np.random.default_rng((self.seed, stream, *map(int, key)))
 
+    def send_fate(self, countdowns, source, dest, tag, seq) -> MessageFate:
+        """Fate of logical send ``seq``: the first drop rule that matches
+        with count left in ``countdowns`` (the run's list, initialised
+        from each rule's ``count``) drops it and spends one, otherwise
+        :meth:`message_fate` decides.  Each executor numbers ``seq``
+        its own way: the simulator counts globally, the process executor
+        per sender."""
+        for i, rule in enumerate(self.drop_rules):
+            if countdowns[i] > 0 and rule.matches(source, dest, tag):
+                countdowns[i] -= 1
+                return MessageFate(copies=0, delay_factor=0.0)
+        return self.message_fate(source, dest, tag, seq)
+
     def message_fate(self, source, dest, tag, seq) -> MessageFate:
-        """Transit fate of logical send ``seq`` (drop rules excluded —
-        the simulator applies those first, since they carry countdowns)."""
+        """Transit fate of logical send ``seq`` under the probabilistic
+        knobs alone (drop rules excluded: :meth:`send_fate` applies
+        those first, since they carry countdowns)."""
         if not (self.drop or self.duplicate or self.delay):
             return MessageFate(copies=1, delay_factor=0.0)
         u = self._rng(_MSG_STREAM, source, dest, tag, seq).random(3)

@@ -169,24 +169,14 @@ class _Transport:
         seq = self.seq
         copies, delay_factor = 1, 0.0
         if self.fault_plan is not None:
-            dropped = False
-            for i, rule in enumerate(self.fault_plan.drop_rules):
-                if self.rule_counts[i] > 0 and \
-                        rule.matches(self.rank, op.dest, op.tag):
-                    self.rule_counts[i] -= 1
-                    dropped = True
-                    break
-            if dropped:
-                copies = 0
-            else:
-                # NOTE: seq is per-sender here, not the simulator's
-                # global counter — probabilistic fates draw from a
-                # different (still seeded, still deterministic) stream;
-                # surgical DropRules with an explicit source behave
-                # identically on both executors (docs/EXECUTOR.md).
-                fate = self.fault_plan.message_fate(self.rank, op.dest,
-                                                    op.tag, seq)
-                copies, delay_factor = fate.copies, fate.delay_factor
+            # NOTE: seq is per-sender here, not the simulator's global
+            # counter — probabilistic fates draw from a different (still
+            # seeded, still deterministic) stream; surgical DropRules with
+            # an explicit source behave identically on both executors
+            # (docs/EXECUTOR.md).
+            fate = self.fault_plan.send_fate(self.rule_counts, self.rank,
+                                             op.dest, op.tag, seq)
+            copies, delay_factor = fate.copies, fate.delay_factor
         if copies == 0:
             stats.msgs_dropped += op.count
             stats.send_time += time.monotonic() - t0

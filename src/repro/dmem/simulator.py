@@ -476,17 +476,8 @@ def _simulate(programs, machine, max_events, fault_plan,
         index, sends[r] = sends[r], sends[r] + 1
         copies, delay_factor = 1, 0.0
         if fault_plan is not None:
-            dropped = False
-            for i, rule in enumerate(fault_plan.drop_rules):
-                if rule_counts[i] > 0 and rule.matches(r, op.dest, op.tag):
-                    rule_counts[i] -= 1
-                    dropped = True
-                    break
-            if dropped:
-                copies = 0
-            else:
-                fate = fault_plan.message_fate(r, op.dest, op.tag, seq)
-                copies, delay_factor = fate.copies, fate.delay_factor
+            fate = fault_plan.send_fate(rule_counts, r, op.dest, op.tag, seq)
+            copies, delay_factor = fate.copies, fate.delay_factor
         if copies == 0:
             stats[r].msgs_dropped += op.count
             return

@@ -35,7 +35,7 @@ from repro.dmem.machine import MachineModel
 from repro.driver.factcache import dist_plan_key
 from repro.driver.options import GESPOptions
 from repro.driver.pipeline import PatternSolver, SolveReport
-from repro.obs import Tracer, annotate, use_tracer
+from repro.obs import Tracer, annotate, trace, use_tracer
 from repro.pdgstrf import FactorizationRun, build_schedule, pdgstrf
 from repro.pdgstrs import SolveRun, pdgstrs
 from repro.sparse.csc import CSCMatrix
@@ -87,9 +87,6 @@ class DistributedGESPSolver(PatternSolver):
         set, receives are armed with bounded-retry timeouts so injected
         message loss surfaces as a structured
         :class:`repro.dmem.comm.CommTimeoutError` rather than a hang.
-    recv_timeout, recv_retries:
-        Override the per-receive timeout (simulated seconds) and retry
-        budget used when a fault plan is active.
     executor:
         Runtime for the distributed phases: ``"sim"`` (event-loop
         simulator), ``"process"`` (one real worker process per rank over
@@ -117,8 +114,6 @@ class DistributedGESPSolver(PatternSolver):
     edag_prune: bool = True
     dense_tail_threshold: float = 0.0
     fault_plan: object | None = None
-    recv_timeout: float | None = None
-    recv_retries: int = 2
     executor: object | None = None
     tracer: Tracer | None = None
     cache: object = None
@@ -195,7 +190,7 @@ class DistributedGESPSolver(PatternSolver):
         """
         if self.factor_run is not None:
             return self.factor_run
-        with use_tracer(self.tracer), self._stage("factor"):
+        with use_tracer(self.tracer), trace("factor"):
             if self._schedule is None:
                 self._schedule = build_schedule(self.dist, self.dag,
                                                 self.edag_prune)
@@ -210,8 +205,6 @@ class DistributedGESPSolver(PatternSolver):
                     replace_tiny_pivots=self.options.replace_tiny_pivots,
                     tiny_pivot_scale=self.options.tiny_pivot_scale,
                     fault_plan=self.fault_plan,
-                    recv_timeout=self.recv_timeout,
-                    recv_retries=self.recv_retries,
                     schedule=self._schedule,
                     executor=self.executor)
             except BaseException:
@@ -235,8 +228,6 @@ class DistributedGESPSolver(PatternSolver):
                           self._to_factored(np.asarray(b, dtype=np.float64)),
                           machine=self.machine,
                           fault_plan=self.fault_plan,
-                          recv_timeout=self.recv_timeout,
-                          recv_retries=self.recv_retries,
                           executor=self.executor)
             x = self._from_factored(run.x)
         return SolveRun(x=x, lower=run.lower, upper=run.upper)

@@ -186,8 +186,7 @@ def serial_plan_key(fingerprint: str, opts) -> tuple:
     """Cache key for the serial :class:`~repro.driver.GESPSolver` —
     the fingerprint plus every option that shapes the plan."""
     return ("serial", fingerprint, opts.equilibrate, opts.row_perm,
-            opts.scale_diagonal, opts.col_perm, opts.symbolic_method,
-            opts.factor_dtype)
+            opts.scale_diagonal, opts.col_perm, opts.symbolic_method)
 
 
 def dist_plan_key(fingerprint: str, opts, grid, max_block_size: int,
@@ -198,5 +197,4 @@ def dist_plan_key(fingerprint: str, opts, grid, max_block_size: int,
     return ("dist", fingerprint, opts.equilibrate, opts.row_perm,
             opts.scale_diagonal, opts.col_perm,
             grid.nprow, grid.npcol, int(max_block_size), int(relax_size),
-            float(dense_tail_threshold), bool(edag_prune),
-            opts.factor_dtype)
+            float(dense_tail_threshold), bool(edag_prune))

@@ -14,8 +14,7 @@ with iterative refinement wrapped around the whole thing on the
 *original* A.  Every stage runs inside a :mod:`repro.obs` span
 (``equil``/``rowperm``/``colperm``/``symbolic``/``factor``, then
 ``solve``/``refine`` per solve), so Figure 6's cost breakdown can be
-regenerated from a trace; the legacy ``timings`` dict is kept as a thin
-view over those spans.
+regenerated from a trace.
 
 Steps (1)-(2), the fact-mode decision, ``refactor`` and the plan / cache
 plumbing are :mod:`repro.driver.pipeline`'s, shared with the distributed
@@ -46,7 +45,7 @@ from repro.driver.pipeline import PatternSolver, SolveReport
 from repro.factor.blockplan import build_block_plan
 from repro.factor.gesp import gesp_factor
 from repro.factor.supernodal import supernodal_factor
-from repro.obs import Tracer, annotate, trace
+from repro.obs import Tracer, trace
 from repro.solve.errbound import condest_1norm, forward_error_bound
 from repro.solve.refine import refine_block
 from repro.solve.sherman import ShermanMorrisonSolver
@@ -103,8 +102,8 @@ class GESPSolver(PatternSolver):
         A :class:`repro.obs.Tracer` to record spans into.  When omitted,
         the ambient tracer is used if one is installed (``use_tracer``).
         A solver handed neither keeps the spans of its latest build in a
-        private tracer (reachable as ``solver.tracer``, so the per-stage
-        timings remain available) and records its solves into whatever
+        private tracer (reachable as ``solver.tracer``, whose stage spans
+        carry the per-stage seconds) and records its solves into whatever
         tracer is ambient on the calling thread.
     cache:
         The :class:`~repro.driver.factcache.FactorizationCache` to
@@ -122,11 +121,9 @@ class GESPSolver(PatternSolver):
         and scale vectors).
     tracer:
         The :class:`repro.obs.Tracer` the build spans went to (and the
-        solve spans too, when the solver was handed one).
-    timings:
-        Backward-compat view over the stage spans: dict of per-phase
-        seconds with keys ``equil``, ``rowperm``, ``colperm``,
-        ``symbolic``, ``factor`` — the raw material of Figure 6.
+        solve spans too, when the solver was handed one); its stage
+        spans ``equil``, ``rowperm``, ``colperm``, ``symbolic`` and
+        ``factor`` are the raw material of Figure 6.
     """
 
     def __init__(self, a: CSCMatrix, options: GESPOptions | None = None,
@@ -172,8 +169,7 @@ class GESPSolver(PatternSolver):
         opts = self.options
         sym = structures["symbolic"]
         sym_s = structures["_sym_blockpivot"]
-        with self._stage("factor"):
-            a = self._numeric_input(at)
+        with trace("factor"):
             if opts.diag_block_pivoting > 0.0:
                 # §5 extension: mixed static / within-diagonal-block
                 # pivoting.  Requires the symmetrized (supernodal)
@@ -188,15 +184,15 @@ class GESPSolver(PatternSolver):
                 if sym.symmetrized:
                     sym_s = sym
                 elif sym_s is None:
-                    sym_s = symbolic_lu_symmetrized(a)
+                    sym_s = symbolic_lu_symmetrized(at)
                 factors = supernodal_factor_block_pivoting(
-                    a, sym=sym_s,
+                    at, sym=sym_s,
                     pivot_threshold=opts.diag_block_pivoting,
                     replace_tiny_pivots=opts.replace_tiny_pivots,
                     tiny_pivot_scale=opts.tiny_pivot_scale)
             elif self._block_engine(sym):
                 factors = supernodal_factor(
-                    a, plan=structures["_block_plan"],
+                    at, plan=structures["_block_plan"],
                     replace_tiny_pivots=opts.replace_tiny_pivots,
                     tiny_pivot_scale=opts.tiny_pivot_scale).to_gesp_factors()
             else:
@@ -205,7 +201,7 @@ class GESPSolver(PatternSolver):
                 policy = ("column_max" if opts.aggressive_pivot_replacement
                           else "sqrt_eps")
                 factors = gesp_factor(
-                    a, sym=sym,
+                    at, sym=sym,
                     replace_tiny_pivots=opts.replace_tiny_pivots,
                     tiny_pivot_scale=opts.tiny_pivot_scale,
                     pivot_policy=policy)
@@ -216,25 +212,9 @@ class GESPSolver(PatternSolver):
             smw = None
             if opts.aggressive_pivot_replacement and factors.n_tiny_pivots:
                 smw = ShermanMorrisonSolver(
-                    a.ncols, factors.solve,
+                    at.ncols, factors.solve,
                     factors.perturbed_columns, factors.pivot_deltas)
         return dict(factors=factors, _smw=smw, _sym_blockpivot=sym_s)
-
-    def _numeric_input(self, at):
-        """The matrix step (3) actually factors: ``at`` itself in double
-        precision, or a float32-valued view of the same pattern in
-        mixed-precision mode (``options.factor_dtype="float32"``).  The
-        cast lives here — the single convergence point of every fact
-        mode — so DOFACT, both SAME_PATTERN paths, and ``refactor`` all
-        produce fp32 factors while ``a_factored`` (and refinement
-        against the original ``a``) stay double.  Complex values have no
-        narrow path and factor at full precision."""
-        if self.options.factor_dtype == "float32" \
-                and not np.issubdtype(at.nzval.dtype, np.complexfloating):
-            annotate(factor_dtype="float32")
-            return CSCMatrix(at.nrows, at.ncols, at.colptr, at.rowind,
-                             at.nzval.astype(np.float32), check=False)
-        return at
 
     # ------------------------------------------------------------------ #
     # solves

@@ -99,17 +99,6 @@ class GESPOptions:
         ``REPRO_DMEM_EXECUTOR`` environment variable and finally
         ``"sim"``.  Both produce bit-identical factors and solutions
         (docs/EXECUTOR.md).
-    factor_dtype:
-        Precision of the numeric factorization: ``"float64"`` (default)
-        or ``"float32"``.  With ``"float32"`` the factors are computed
-        in single precision while residuals and refinement corrections
-        stay in double against the original values — the paper's
-        lose-half-the-digits-then-refine trade pushed one level further.
-        The berr certification decides whether the cheap factors
-        suffice; the recovery ladder's ``refactor_fp64`` rung escalates
-        back to double when they do not (docs/ROBUSTNESS.md).  Only the
-        serial supernodal/GESP path honors it; complex matrices ignore
-        it (there is no complex64 path).
     """
 
     equilibrate: bool = True
@@ -128,12 +117,8 @@ class GESPOptions:
     diag_block_pivoting: float = 0.0
     fact: str = "DOFACT"
     executor: str | None = None
-    factor_dtype: str = "float64"
 
     def validate(self):
-        if self.factor_dtype not in ("float64", "float32"):
-            raise ValueError(f"unknown factor_dtype {self.factor_dtype!r} "
-                             "(expected 'float64' or 'float32')")
         if self.executor is not None:
             from repro.dmem.executor import EXECUTOR_NAMES, UnknownExecutorError
 

@@ -107,21 +107,20 @@ class SolveReport:
 # ---------------------------------------------------------------------- #
 
 def scale_and_match(a, *, equil=True, row_perm="mc64_product",
-                    scale_diagonal=True, stage=trace):
+                    scale_diagonal=True):
     """Figure 1 step (1): ``(Pr·Dr·A·Dc, dr, dc, perm_r)``.
 
     Equilibrates (``equil`` stage), then permutes large entries to the
     diagonal with MC64 and folds its scalings in (``rowperm`` stage).
-    ``stage`` opens one named span per stage.
     """
     n = a.ncols
-    with stage("equil"):
+    with trace("equil"):
         if equil:
             eq = equilibrate(a)
             a, dr, dc = eq.apply(a), eq.dr.copy(), eq.dc.copy()
         else:
             dr, dc = np.ones(n), np.ones(n)
-    with stage("rowperm"):
+    with trace("rowperm"):
         if row_perm == "none":
             perm_r = np.arange(n, dtype=np.int64)
         else:
@@ -153,7 +152,7 @@ def _order_columns(a, col_perm, etree_postorder):
 
 
 def preprocess(a, options, plan=None, fact="DOFACT", *,
-               etree_postorder=False, stage=trace):
+               etree_postorder=False):
     """Steps (1)-(2) of Figure 1 under a fact mode (the rule in the
     module docstring, as straight-line code).
 
@@ -171,13 +170,13 @@ def preprocess(a, options, plan=None, fact="DOFACT", *,
     """
     if fact == "SAME_PATTERN_SAME_ROWPERM":
         for name in ("equil", "rowperm"):
-            with stage(name):
+            with trace(name):
                 annotate(reused=True)
         row_permuted, dr, dc, perm_r = None, plan.dr, plan.dc, plan.perm_r
     else:
         row_permuted, dr, dc, perm_r = scale_and_match(
             a, equil=options.equilibrate, row_perm=options.row_perm,
-            scale_diagonal=options.scale_diagonal, stage=stage)
+            scale_diagonal=options.scale_diagonal)
     reused = plan is not None and (
         perm_r is plan.perm_r or np.array_equal(perm_r, plan.perm_r))
     if reused:
@@ -185,7 +184,7 @@ def preprocess(a, options, plan=None, fact="DOFACT", *,
     elif plan is not None:
         add("factor.reuse_misses", 1)
         annotate(reuse_downgraded="row_perm_changed")
-    with stage("colperm"):
+    with trace("colperm"):
         if reused:
             annotate(reused=True)
             perm_c, value_map = plan.perm_c, plan.value_map
@@ -245,7 +244,6 @@ class PatternSolver:
         self._own_tracer = tracer is None
         self._cache = (FACTOR_CACHE if cache is None
                        else None if cache is False else cache)
-        self._stage_spans = {}
         fingerprint = pattern_fingerprint(self.a)
         with self._recording(build=True):
             plan = None
@@ -259,13 +257,6 @@ class PatternSolver:
                               fact if plan is not None else "DOFACT",
                               fingerprint)
 
-    @property
-    def timings(self):
-        """Per-stage seconds, derived from the build spans (same keys as
-        the pre-observability ad-hoc dict)."""
-        return {name: span.duration
-                for name, span in self._stage_spans.items()}
-
     @contextmanager
     def _recording(self, build=False):
         """Install, and yield, the tracer an operation records into.
@@ -273,8 +264,8 @@ class PatternSolver:
         A solver that was handed a tracer (the argument, or an enabled
         ambient tracer at construction) records everything there.  One
         that was not holds the spans of its *latest build only*: a build
-        starts a fresh private tracer — so ``tracer`` and ``timings``
-        describe the factorization now resident, and nothing accumulates
+        starts a fresh private tracer — so ``tracer`` describes the
+        factorization now resident, and nothing accumulates
         over the solver's lifetime — and a solve records into the calling
         thread's ambient tracer (the no-op one unless the caller enabled
         tracing), so threads sharing the solver share no span stack.
@@ -288,21 +279,14 @@ class PatternSolver:
         with use_tracer(tracer):
             yield tracer
 
-    @contextmanager
-    def _stage(self, name, **attrs):
-        """Open one top-level build-stage span and remember it."""
-        with self.tracer.span(name, **attrs) as span:
-            self._stage_spans[name] = span
-            yield span
-
     def _factor_from(self, a, plan, fact, fingerprint):
         """Run the pipeline on ``a`` reusing ``plan`` per ``fact``, then
         commit matrix, fingerprint, transforms, structures and numeric
         state together and publish the resulting plan."""
         at, dr, dc, perm_r, perm_c, value_map, reused = preprocess(
-            a, self.options, plan, fact, stage=self._stage,
+            a, self.options, plan, fact,
             etree_postorder=self._ETREE_POSTORDER)
-        with self._stage("symbolic"):
+        with trace("symbolic"):
             if reused:
                 annotate(reused=True)
             state = self._symbolic_step(at, plan if reused else None)

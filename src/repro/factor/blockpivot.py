@@ -67,10 +67,9 @@ class BlockPivotedFactors:
 
     def apply_row_perm(self, b):
         """Return ``P b`` (per-block local permutations applied)."""
-        # the wider of the factor and RHS dtypes, float64 floor — fp32
-        # factors still solve an fp64 RHS in fp64
-        factor_dtype = self.diag[0].dtype if self.diag else np.float64
-        out = np.array(b, dtype=np.result_type(factor_dtype, np.asarray(b),
+        # the wider of the factor and RHS dtypes, float64 floor
+        dtype = self.diag[0].dtype if self.diag else np.float64
+        out = np.array(b, dtype=np.result_type(dtype, np.asarray(b),
                                                np.float64), copy=True)
         xsup = self.part.xsup
         for k in range(self.part.nsuper):

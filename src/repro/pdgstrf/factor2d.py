@@ -82,8 +82,6 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
             replace_tiny_pivots: bool = True,
             tiny_pivot_scale: float | None = None,
             fault_plan=None,
-            recv_timeout: float | None = None,
-            recv_retries: int = DEFAULT_RECV_RETRIES,
             schedule: dict | None = None,
             executor=None) -> FactorizationRun:
     """Factor the distributed matrix in place (values in ``dist`` become
@@ -103,14 +101,12 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         See module docstring.
     fault_plan:
         A :class:`~repro.dmem.faults.FaultPlan` injecting deterministic
-        transport/compute faults into the simulation.
-    recv_timeout, recv_retries:
-        Per-attempt receive timeout (simulated seconds) and bounded
-        retry count for the rank programs.  The timeout defaults to
-        :data:`DEFAULT_RECV_TIMEOUT` whenever a fault plan is active, so
-        an injected dropped message surfaces as a structured
+        transport/compute faults into the simulation.  It arms every
+        receive with :data:`DEFAULT_RECV_TIMEOUT` and
+        :data:`DEFAULT_RECV_RETRIES`, so an injected dropped message
+        surfaces as a structured
         :class:`~repro.dmem.comm.CommTimeoutError` instead of a hang;
-        pass an explicit value to arm timeouts on a reliable machine too.
+        without one, receives block.
     schedule:
         A precomputed :func:`build_schedule` result for this (dist, dag,
         edag_prune) triple.  The schedule is pure structure — pattern
@@ -124,8 +120,8 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         simulator default (:func:`repro.dmem.executor.resolve_executor`).
         The process executor runs one worker per rank and ships each
         rank's store back into ``dist``'s, in place; results are
-        bit-identical to the simulator, which with no fault plan and no
-        timeout replays its first run on the layout (docs/EXECUTOR.md).
+        bit-identical to the simulator, which with no fault plan replays
+        its first run on the layout (docs/EXECUTOR.md).
     """
     machine = machine or MachineModel()
     exec_ = resolve_executor(executor)
@@ -133,8 +129,6 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         tiny_pivot_scale = float(np.sqrt(np.finfo(np.float64).eps))
     thresh = (tiny_pivot_scale * anorm if anorm > 0 else tiny_pivot_scale) \
         if replace_tiny_pivots else 0.0
-    if recv_timeout is None and fault_plan is not None:
-        recv_timeout = DEFAULT_RECV_TIMEOUT
 
     with trace("factor/pdgstrf", pipeline=pipeline, edag_prune=edag_prune), \
             kernels.kernel_counters():
@@ -145,10 +139,11 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
             factory=_rank_program,
             kwargs=dict(dist=dist, dag=dag, thresh=thresh,
                         pipeline=pipeline, edag_prune=edag_prune,
-                        sched=sched, recv_timeout=recv_timeout,
-                        recv_retries=recv_retries),
+                        sched=sched, recv_timeout=(
+                            None if fault_plan is None
+                            else DEFAULT_RECV_TIMEOUT)),
             collect=_collect_factor_state,
-            key=None if recv_timeout is not None else (pipeline, edag_prune))
+            key=(pipeline, edag_prune))
         sim = exec_.run(job, machine=machine, fault_plan=fault_plan)
         if sim.collected is not None:
             # executors whose workers do not share memory with the
@@ -272,8 +267,7 @@ def build_schedule(dist, dag, edag_prune):
 
 
 def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
-                  pipeline, edag_prune, sched,
-                  recv_timeout=None, recv_retries=DEFAULT_RECV_RETRIES):
+                  pipeline, edag_prune, sched, recv_timeout=None):
     """The SPMD program of one rank (a generator for the simulator)."""
     grid = dist.grid
     pr, pc = grid.coords(rank)
@@ -284,10 +278,10 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
     need_u_all = sched["need_u"]
 
     def recv(source, tag, where):
-        """Source/tag-specific receive with the configured timeout and
+        """Source/tag-specific receive with the fault plan's timeout and
         bounded retries (plain blocking Recv when no timeout is set)."""
         return recv_with_retry(source=source, tag=tag, timeout=recv_timeout,
-                               retries=recv_retries, where=where)
+                               retries=DEFAULT_RECV_RETRIES, where=where)
 
     # -------------------- step 1: factor block column K ---------------- #
 

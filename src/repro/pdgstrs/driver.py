@@ -69,8 +69,7 @@ class SolveRun:
 
 
 def pdgstrs(dist: DistributedBlocks, b, machine=None,
-            fault_plan=None, recv_timeout=None, recv_retries=2,
-            executor=None) -> SolveRun:
+            fault_plan=None, executor=None) -> SolveRun:
     """Solve ``L U x = b`` on the factored distributed blocks.
 
     ``executor`` selects the runtime both substitutions run on
@@ -81,14 +80,10 @@ def pdgstrs(dist: DistributedBlocks, b, machine=None,
         with trace("solve/lower"):
             y, low = pdgstrs_lower(dist, b, machine=machine,
                                    fault_plan=fault_plan,
-                                   recv_timeout=recv_timeout,
-                                   recv_retries=recv_retries,
                                    executor=executor)
         with trace("solve/upper"):
             x, up = pdgstrs_upper(dist, y, machine=machine,
                                   fault_plan=fault_plan,
-                                  recv_timeout=recv_timeout,
-                                  recv_retries=recv_retries,
                                   executor=executor)
         run = SolveRun(x=x, lower=low, upper=up)
         add("solve.flops", run.total_flops)

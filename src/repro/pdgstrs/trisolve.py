@@ -52,6 +52,7 @@ from repro.dmem.comm import (
 )
 from repro import kernels
 from repro.dmem.distribute import DistributedBlocks
+from repro.pdgstrf.factor2d import DEFAULT_RECV_RETRIES, DEFAULT_RECV_TIMEOUT
 
 __all__ = ["pdgstrs_lower", "pdgstrs_upper"]
 
@@ -76,21 +77,16 @@ _LOWER = _Direction("lower", "lblk", "diag_solve_lower_unit", False, 1)
 _UPPER = _Direction("upper", "ublk", "diag_solve_upper", True, 0)
 
 
-def _run(direction, dist, b, machine, fault_plan, recv_timeout,
-         recv_retries, executor):
+def _run(direction, dist, b, machine, fault_plan, executor):
     from repro.dmem.executor import RankJob, resolve_executor
-    from repro.pdgstrf.factor2d import DEFAULT_RECV_TIMEOUT
 
-    if recv_timeout is None and fault_plan is not None:
-        recv_timeout = DEFAULT_RECV_TIMEOUT
     b = np.asarray(b, dtype=np.float64)
     job = RankJob(nranks=dist.grid.size, factory=_rank_solve,
                   kwargs=dict(dist=dist, b=b, direction=direction,
-                              recv_timeout=recv_timeout,
-                              recv_retries=recv_retries),
+                              recv_timeout=(None if fault_plan is None
+                                            else DEFAULT_RECV_TIMEOUT)),
                   # nrhs sets the bytes, and so the ANY_SOURCE order
-                  key=None if recv_timeout is not None
-                  else (direction.name, b.shape))
+                  key=(direction.name, b.shape))
     sim = resolve_executor(executor).run(job, machine=machine,
                                          fault_plan=fault_plan)
     x = np.empty(b.shape)
@@ -102,38 +98,33 @@ def _run(direction, dist, b, machine, fault_plan, recv_timeout,
 
 
 def pdgstrs_lower(dist: DistributedBlocks, b, machine=None,
-                  fault_plan=None, recv_timeout=None, recv_retries=2,
-                  executor=None):
+                  fault_plan=None, executor=None):
     """Run the lower solve; returns ``(y, SimulationResult)``.
 
     ``b`` may be a vector (n,) or a block of right-hand sides (n, nrhs) —
     the message-driven algorithm is identical, with subvectors replaced
     by (width × nrhs) sub-blocks (the multiple-RHS case the paper's §5
-    closing discussion anticipates).  ``recv_timeout`` (simulated
-    seconds; defaulted when a ``fault_plan`` is set) arms the receives
-    with bounded-retry timeouts for running against an unreliable
-    machine; ``executor`` selects the runtime
+    closing discussion anticipates).  A ``fault_plan`` arms the receives
+    with the factorization's bounded-retry timeouts for running against
+    an unreliable machine; ``executor`` selects the runtime
     (``"sim"``/``"process"``/instance, see
     :func:`repro.dmem.executor.resolve_executor`); the canonical-order
     accumulation makes the result bit-identical across executors.
     """
-    return _run(_LOWER, dist, b, machine, fault_plan, recv_timeout,
-                recv_retries, executor)
+    return _run(_LOWER, dist, b, machine, fault_plan, executor)
 
 
 def pdgstrs_upper(dist: DistributedBlocks, y, machine=None,
-                  fault_plan=None, recv_timeout=None, recv_retries=2,
-                  executor=None):
+                  fault_plan=None, executor=None):
     """Run the upper solve; returns ``(x, SimulationResult)``.
 
     Same arguments and guarantees as :func:`pdgstrs_lower`.
     """
-    return _run(_UPPER, dist, y, machine, fault_plan, recv_timeout,
-                recv_retries, executor)
+    return _run(_UPPER, dist, y, machine, fault_plan, executor)
 
 
 def _rank_solve(rank, dist: DistributedBlocks, b, direction,
-                recv_timeout=None, recv_retries=2):
+                recv_timeout=None):
     """One rank of either substitution.  Returns ``{K: x_K}`` for the
     supernodes whose diagonal process this rank is."""
     diag_solve = getattr(kernels, direction.diag_solve)
@@ -236,7 +227,7 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     while remaining > 0:
         m = yield from recv_with_retry(              # line (*) of Fig. 9
             source=ANY_SOURCE, tag=ANY_TAG,
-            timeout=recv_timeout, retries=recv_retries,
+            timeout=recv_timeout, retries=DEFAULT_RECV_RETRIES,
             where=f"pdgstrs {direction.name} rank {rank} "
                   f"({remaining} msgs pending)")
         if m.msg_id in seen:

@@ -15,18 +15,13 @@ certified or the options are exhausted:
 3. ``smw`` — Sherman-Morrison-Woodbury correction of the recorded
    tiny-pivot perturbations, making the direct solve *exact* for the
    factored matrix, then refine again;
-4. ``refactor_fp64`` — only when the failed solve factored in single
-   precision (``options.factor_dtype="float32"``): refactor in full
-   double precision with the same pivot policy.  The mixed-precision
-   bargain is "fp32 factors are usually good enough once fp64
-   refinement runs"; this rung is the escalation when they are not;
-5. ``refactor`` — refactor with the aggressive column-max replacement
+4. ``refactor`` — refactor with the aggressive column-max replacement
    policy (bigger, better-conditioned perturbations, recovered exactly
    through Woodbury) and extended-precision refinement;
-6. ``gepp`` — Gilbert-Peierls partial pivoting on the original matrix:
+5. ``gepp`` — Gilbert-Peierls partial pivoting on the original matrix:
    slower, unscalable, but the reference for "a direct method can solve
    this";
-7. ``gmres_ilu`` — ILU(0)-preconditioned GMRES, the iterative
+6. ``gmres_ilu`` — ILU(0)-preconditioned GMRES, the iterative
    alternative of the paper's introduction, as the last resort.
 
 Handed a ``resident`` solver (the solve service does, under the pattern's
@@ -70,8 +65,8 @@ __all__ = ["RungAttempt", "RecoveryReport", "recover_solve", "RUNGS"]
 _EPS = float(np.finfo(np.float64).eps)
 DEFAULT_TARGET = float(np.sqrt(_EPS))
 
-RUNGS = ("gesp", "extra_precision", "smw", "refactor_fp64", "refactor",
-         "gepp", "gmres_ilu")
+RUNGS = ("gesp", "extra_precision", "smw", "refactor", "gepp",
+         "gmres_ilu")
 
 
 @dataclass
@@ -283,21 +278,12 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
                     "smw", woodbury,
                     detail=f"rank-{n_perturbed} Woodbury correction"):
                 return finish()
-            # every rebuild below is a real cold factorization
-            # (fact="DOFACT"), never a reuse-plan shortcut of the analysis
-            # that just failed, with the residual precision rung 2 already
-            # escalated to; once the fp32 rung failed or was skipped, every
-            # later rebuild factors in double
-            rebuild = dataclasses.replace(
-                opts, factor_dtype="float64", fact="DOFACT",
-                extra_precision_residual=True)
-            if opts.factor_dtype == "float32" and attempt(
-                    "refactor_fp64", build_and_solve(rebuild),
-                    detail="fp32 factors not certifiable: refactor in "
-                           "float64 with the same pivot policy"):
-                return finish()
+            # a real cold factorization (fact="DOFACT"), never a
+            # reuse-plan shortcut of the analysis that just failed, with
+            # the residual precision rung 2 already escalated to
             if attempt("refactor", build_and_solve(dataclasses.replace(
-                    rebuild, replace_tiny_pivots=True,
+                    opts, fact="DOFACT", extra_precision_residual=True,
+                    replace_tiny_pivots=True,
                     aggressive_pivot_replacement=True,
                     diag_block_pivoting=0.0)),
                     detail="aggressive column-max pivot replacement + "

@@ -61,7 +61,7 @@ def factor_options_key(options) -> tuple:
     symbolic analysis, never a factorization."""
     return (options.replace_tiny_pivots, options.tiny_pivot_scale,
             options.aggressive_pivot_replacement,
-            options.diag_block_pivoting, options.factor_dtype)
+            options.diag_block_pivoting)
 
 
 def solve_options_key(options) -> tuple:

@@ -474,13 +474,15 @@ class SolveService:
             state = self._pattern_state(batch.plan_key)
             try:
                 fact = self._ensure_factored(state, batch)
-            except Exception as exc:  # noqa: BLE001 — classified below
+            except Exception:  # noqa: BLE001 — retried per request
                 # a factorization that raises leaves the previous one
                 # fully in place (PatternSolver): keep the solver and
-                # its anchor, forget only which values it holds
+                # its anchor, forget only which values it holds; every
+                # member retries alone, through the ladder's own cold
+                # pipeline
                 state.values_sig = None
                 fact = "FAILED"
-                responses = [self._recover_or_error(e, exc) for e in live]
+                responses = [self._recover_entry(e, "DOFACT") for e in live]
             else:
                 responses = self._solve_batch(state, batch, live, fact)
                 self._door.count("service.batched")
@@ -556,8 +558,8 @@ class SolveService:
             np.result_type(solver.a.nzval, b_block, np.float64), copy=False)
         try:
             reports = _column_reports(solver, b_block)
-        except Exception as exc:  # noqa: BLE001 — retried per request
-            return [self._recover_or_error(e, exc, fact) for e in live]
+        except Exception:  # noqa: BLE001 — retried per request
+            return [self._recover_entry(e, fact) for e in live]
         facts = [fact] * len(live)
         lost = [t for t, r in enumerate(reports) if not r.converged]
         if lost and state.anchor_sig != batch.values_sig:
@@ -577,31 +579,19 @@ class SolveService:
         return [
             SolveResponse(request_id=e.request.request_id, report=report,
                           fact=mode)
-            if report.converged or not self.config.recover
-            else self._recover_entry(e, mode, solver)
+            if report.converged else self._recover_entry(e, mode, solver)
             for e, report, mode in zip(live, reports, facts)]
-
-    def _recover_or_error(self, e: QueuedRequest, exc: Exception,
-                          fact: str = "DOFACT") -> SolveResponse:
-        """The shared factorization or block solve died: the member
-        retries alone, through the ladder's own cold pipeline."""
-        if self.config.recover:
-            return self._recover_entry(e, fact)
-        return SolveResponse(
-            request_id=e.request.request_id, fact=fact,
-            error=ServiceError(f"solve failed: {exc!r} (recovery "
-                               "disabled by ServiceConfig.recover)"))
 
     def _recover_entry(self, e: QueuedRequest, fact: str,
                        resident: GESPSolver | None = None) -> SolveResponse:
         """Escalate one request through the recovery ladder, opened on
-        the pattern's ``resident`` factors when they are usable."""
+        the pattern's ``resident`` factors when they are usable, at the
+        ladder's default target."""
         from repro.recovery import recover_solve
 
         report = recover_solve(
             e.matrix, e.request.b, resident=resident,
-            options=dataclasses.replace(e.options, fact="DOFACT"),
-            target=self.config.recover_target)
+            options=dataclasses.replace(e.options, fact="DOFACT"))
         if report.converged:
             self._door.count("service.recovered")
         return SolveResponse(request_id=e.request.request_id, fact=fact,

@@ -13,18 +13,14 @@ __all__ = ["COOMatrix"]
 
 
 def value_dtype(arr):
-    """The dtype the sparse formats store values as: float32 passes
-    through (the mixed-precision factor path holds fp32 matrices), any
-    other real input widens to float64, complex input to complex128.
+    """The dtype the sparse formats store values as: real input widens
+    to float64, complex input to complex128.
 
     The whole serial stack (formats, kernels, refinement) is dtype-
     generic over these; the paper's flagship application factored a
     *complex* unsymmetric system of order 200,000 (Section 4).
     """
-    a = np.asarray(arr)
-    if a.dtype == np.float32:
-        return np.float32
-    return np.complex128 if np.iscomplexobj(a) else np.float64
+    return np.complex128 if np.iscomplexobj(arr) else np.float64
 
 
 class COOMatrix:

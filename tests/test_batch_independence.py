@@ -6,16 +6,13 @@ the paper's stopping rule to every column of a block on its own, so
 
 - bit for bit in all five fields (x, berr, step count, berr history,
   converged) wherever ``solve_once`` gives a column of a block the bits
-  it gives the vector alone — the default engine (real, fp32 factors,
-  complex) and the column oracle on real systems;
+  it gives the vector alone — the default engine (real, complex) and the column oracle on real systems;
 - to rounding, and certified alike, where it does not: a dense block
   operation inside ``solve_once`` (an active Woodbury correction,
   diagonal-block pivoting — ``gemm`` is not column-bit-stable), and the
   column sweeps on complex values (numpy's complex multiply rounds
   differently in its 1-D and its broadcast loop).
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -78,32 +75,12 @@ def assert_columns_are_the_single_solves(solver, block, label):
 
 def test_block_columns_equal_single_solves_over_the_testbed(testbed,
                                                             testbed_oracles):
-    """All 53 matrices × {default engine, column oracle, fp32 factors} ×
-    k = 1, 3, 8."""
-    mixed = 0
+    """All 53 matrices × {default engine, column oracle} × k = 1, 3, 8."""
     for name, (a, _, default) in testbed.items():
         block = block_for(a, a.ncols)
         assert_columns_are_the_single_solves(default, block, (name, "default"))
         assert_columns_are_the_single_solves(testbed_oracles[name], block,
                                              (name, "oracle"))
-        # the same resident solver under fp32-factor options, the way the
-        # service swaps a batch's options in; put back afterwards
-        options = default.options
-        default.options = dataclasses.replace(options, factor_dtype="float32")
-        try:
-            default.refactor(a)
-            assert default.factors.u.nzval.dtype == np.float32
-            singles = assert_columns_are_the_single_solves(
-                default, block, (name, "fp32"))
-        finally:
-            default.options = options
-            default.refactor(a)
-        # fp32 factors need several corrections per column, the zero
-        # column none: both kinds share every fp32 block of width 3 and 8
-        steps = [one.refine_steps for one in singles]
-        assert steps[1] == 0 and singles[1].converged
-        mixed += max(steps) >= 2
-    assert mixed == len(testbed)
 
 
 def complex_system(seed):

@@ -1,9 +1,8 @@
 """The serial default — value map + supernodal block engine — checked
 from outside and from inside.
 
-- from outside: on all 53 testbed matrices (plus the complex and the
-  ``factor_dtype="float32"`` systems other test modules build) the
-  default solver and the column-oracle configuration each agree with an
+- from outside: on all 53 testbed matrices (plus the complex systems
+  other test modules build) the default solver and the column-oracle configuration each agree with an
   independent solver, ``scipy.sparse.linalg.splu``, within a bound scaled
   by the condition of the system — and so do the answers the solve
   service and the sharded tier give from a pattern's *anchor*, 16+
@@ -100,23 +99,6 @@ def test_complex_system_agrees_with_splu(rng, options, zero_diag):
     a = CSCMatrix.from_dense(d)
     b = d @ (rng.standard_normal(30) + 1j * rng.standard_normal(30))
     rep = GESPSolver(a, options, cache=False).solve(b)
-    assert rep.converged
-    err, bound = splu_disagreement(a, b, rep.x)
-    assert err <= bound
-
-
-@pytest.mark.parametrize("symbolic_method", ["symmetrized", "unsymmetric"])
-def test_fp32_factored_system_agrees_with_splu(symbolic_method):
-    rng = np.random.default_rng(3)
-    n = 30
-    d = np.diag(rng.uniform(1, 2, n)) + 0.1 * rng.standard_normal((n, n))
-    a = CSCMatrix.from_dense(d)
-    b = d @ np.ones(n)
-    solver = GESPSolver(a, GESPOptions(factor_dtype="float32",
-                                       symbolic_method=symbolic_method),
-                        cache=False)
-    assert solver.factors.u.nzval.dtype == np.float32
-    rep = solver.solve(b)
     assert rep.converged
     err, bound = splu_disagreement(a, b, rep.x)
     assert err <= bound

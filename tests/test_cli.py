@@ -163,6 +163,18 @@ def test_serve_shards(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "cfd01", "--factor-dtype", "float32"],
+    ["serve", "cfd01", "--factor-dtype", "float32"],
+], ids=["solve", "serve"])
+def test_factor_dtype_flag_is_gone(argv):
+    """Factors are double precision only: argparse refuses the retired
+    flag instead of ignoring it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_serve_trace_carries_service_span(capsys):
     assert main(["--trace", "serve", "cfd01", "--requests", "8"]) == 0
     out = capsys.readouterr().out

@@ -80,8 +80,7 @@ def test_timings_recorded(rng):
     d = random_nonsingular_dense(rng, 15)
     s = GESPSolver(CSCMatrix.from_dense(d))
     for phase in ("equil", "rowperm", "colperm", "symbolic", "factor"):
-        assert phase in s.timings
-        assert s.timings[phase] >= 0.0
+        assert s.tracer.root.find(phase).duration >= 0.0
 
 
 def test_pivot_growth_reported(rng):

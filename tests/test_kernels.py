@@ -402,24 +402,6 @@ def test_kernel_stats_are_per_thread():
         assert seen[i] == [expected] * 6
 
 
-def test_factor_dtype_threads_through_plan_cache_key():
-    from repro.driver import GESPOptions
-    from repro.driver.factcache import serial_plan_key
-
-    k64 = serial_plan_key("fp", GESPOptions())
-    k32 = serial_plan_key("fp", GESPOptions(factor_dtype="float32"))
-    assert k64 != k32
-    assert k64[-1] == "float64" and k32[-1] == "float32"
-
-
-def test_options_validate_rejects_unknown_factor_dtype():
-    from repro.driver import GESPOptions
-
-    with pytest.raises(ValueError, match="factor_dtype"):
-        GESPOptions(factor_dtype="float16").validate()
-    GESPOptions(factor_dtype="float32").validate()
-
-
 # --------------------------------------------------------------------- #
 # 4. dtype preservation: every op
 # --------------------------------------------------------------------- #

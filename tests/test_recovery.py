@@ -248,53 +248,6 @@ def test_enable_woodbury_is_idempotent_and_reports_activation():
     assert sv2._smw is None
 
 
-# --------------------------------------------------------------------- #
-# mixed precision: fp32 factors certified by fp64 refinement, with the
-# refactor_fp64 rung as the escalation path when they are not enough
-# --------------------------------------------------------------------- #
-
-def test_fp32_factor_certifies_on_well_conditioned_system():
-    """The paper's thesis extended one notch: factor in single, refine
-    in double, and berr certification decides the cheap factors were
-    enough — no escalation."""
-    rng = np.random.default_rng(3)
-    n = 30
-    d = np.diag(rng.uniform(1, 2, n)) + 0.1 * rng.standard_normal((n, n))
-    a = CSCMatrix.from_dense(d)
-    b = d @ np.ones(n)
-    rep = recover_solve(a, b, options=GESPOptions(factor_dtype="float32"))
-    assert rep.converged
-    assert rep.berr <= SQRT_EPS
-    assert rep.failure is None
-    assert rep.recovery.path == ["gesp"]
-    np.testing.assert_allclose(rep.x, np.ones(n), rtol=1e-6)
-
-
-def test_fp32_factors_really_are_single_precision():
-    rng = np.random.default_rng(5)
-    n = 20
-    d = np.diag(rng.uniform(1, 2, n)) + 0.1 * rng.standard_normal((n, n))
-    a = CSCMatrix.from_dense(d)
-    sv = GESPSolver(a, GESPOptions(factor_dtype="float32"))
-    assert sv.factors.l.nzval.dtype == np.float32
-    assert sv.factors.u.nzval.dtype == np.float32
-    assert sv.a.nzval.dtype == np.float64  # residuals run against fp64 A
-    res = sv.solve(d @ np.ones(n))
-    assert res.converged
-    assert res.x.dtype == np.float64       # the answer is double precision
-
-
-def test_complex_matrices_ignore_factor_dtype():
-    # no complex64 path: a complex matrix factors in its own precision
-    rng = np.random.default_rng(6)
-    n = 12
-    d = (np.diag(rng.uniform(2, 3, n)) + 0.1 * rng.standard_normal((n, n))
-         + 0.1j * rng.standard_normal((n, n)))
-    a = CSCMatrix.from_dense(d)
-    sv = GESPSolver(a, GESPOptions(factor_dtype="float32"))
-    assert sv.factors.u.nzval.dtype == np.complex128
-
-
 def test_complex_right_hand_side_is_not_truncated():
     """recover_solve used to cast b to float64 and solve A x = Re(b)."""
     rng = np.random.default_rng(4)
@@ -308,59 +261,6 @@ def test_complex_right_hand_side_is_not_truncated():
     assert rep.converged and rep.recovery.final_rung == "gesp"
     assert np.abs(rep.x - GESPSolver(a, cache=False).solve(b).x).max() \
         <= 1e-12
-
-
-def test_fp32_stagnation_escalates_to_refactor_fp64():
-    """cond(A) ≈ 1e8 sits between the fp32 and fp64 certification
-    ranges: fp32 factors stagnate above sqrt(eps) (even with extended-
-    precision residuals), the dedicated refactor_fp64 rung refactors in
-    double with the same pivot policy, and that certifies.
-
-    The (expo=-8, seed=0) instance contracts by ~1.94x per fp32-factor
-    correction, a hair under the factor-two stagnation test, so which
-    rung ends the climb depends on the engine's roundings: the column
-    kernel stalls through ``extra_precision`` as it always did, the
-    default block engine's extended-precision refinement keeps halving
-    and certifies one rung earlier.  Both are pinned; (-8.5, 1) is the
-    instance that needs the fp64 rung under the default engine too."""
-    for expo, seed, method, final in (
-            (-8, 0, "unsymmetric", "refactor_fp64"),
-            (-8, 0, "symmetrized", "extra_precision"),
-            (-8.5, 1, "symmetrized", "refactor_fp64")):
-        d = graded_matrix(n=40, expo=expo, seed=seed)
-        a = CSCMatrix.from_dense(d)
-        b = d @ np.ones(40)
-        opts = GESPOptions(factor_dtype="float32", symbolic_method=method)
-
-        # the premise: fp32 factors alone genuinely cannot certify
-        base = GESPSolver(a, opts).solve(b)
-        assert not base.converged
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            rep = recover_solve(a, b, options=opts)
-        assert rep.converged
-        assert rep.berr <= SQRT_EPS
-        assert rep.recovery.final_rung == final, (expo, seed, method)
-        att = rep.recovery.rungs[-1]
-        assert att.rung == final and att.certified
-        assert att.triggered_by
-        tracer.finish()
-        span_names = [s.name for s in tracer.root.walk()]
-        assert "recovery/" + final in span_names
-
-
-def test_fp64_runs_never_visit_the_fp64_refactor_rung():
-    # the rung is gated on factor_dtype="float32"; a double-precision
-    # run that escalates goes straight to the aggressive rungs
-    rng = np.random.default_rng(7)
-    d = rng.standard_normal((10, 10))
-    d[:, 4] = d[:, 7]
-    a = CSCMatrix.from_dense(d)
-    opts = GESPOptions(replace_tiny_pivots=False, **RAW_OPTS)
-    rep = recover_solve(a, rng.standard_normal(10) * 1e6,
-                        target=1e-13, options=opts)
-    assert "refactor_fp64" not in rep.recovery.path
 
 
 # --------------------------------------------------------------------- #

@@ -102,9 +102,8 @@ def test_replay_is_a_fresh_simulation(name, grid, pipeline, edag, nrhs, tail):
 
 @pytest.mark.parametrize("kw", [
     dict(fault_plan=FaultPlan(seed=3, delay=0.5, delay_factor=2.0)),
-    dict(recv_timeout=10.0),
     dict(executor="process", nprocs=2),
-], ids=["fault_plan", "recv_timeout", "process"])
+], ids=["fault_plan", "process"])
 def test_bypasses_never_replay(kw):
     a = matrix_by_name("cfd01").build()
     b = a @ np.ones(a.ncols)

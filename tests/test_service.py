@@ -57,8 +57,7 @@ def healthy_dense(n=40, seed=1):
 
 def _service(**kw):
     kw.setdefault("batch_window", 0.005)
-    cfg_keys = ("queue_capacity", "batch_window", "max_batch",
-                "options", "recover", "recover_target")
+    cfg_keys = ("queue_capacity", "batch_window", "max_batch", "options")
     cfg = ServiceConfig(**{k: kw.pop(k) for k in cfg_keys if k in kw})
     return SolveService(cfg, **kw)
 
@@ -697,18 +696,6 @@ def test_unconverged_column_retries_individually(monkeypatch, rng):
     assert responses[0].report.recovery is not None
     assert not any(r.recovered for r in responses[1:])
     assert svc.stats()["service.recovered"] == 1
-
-
-def test_recover_disabled_returns_uncertified_report():
-    n = 40
-    a_bad = CSCMatrix.from_dense(graded_matrix(n=n, expo=-12, seed=0))
-    opts = GESPOptions(**RAW_OPTS)
-    with _service(cache=False, options=opts, recover=False) as svc:
-        resp = ServiceClient(svc).solve(a_bad, a_bad @ np.ones(n))
-    assert resp.error is None
-    assert not resp.ok                   # honest: ran, did not certify
-    assert not resp.report.converged
-    assert not resp.recovered
 
 
 # --------------------------------------------------------------------- #

@@ -284,7 +284,7 @@ def test_spool_v3_plans_under_a_dead_key_are_skipped_not_counted_warm(
     from repro.obs import Tracer, use_tracer
 
     plan = _plans_for([sparse_matrix(seed=9)]).snapshot()[0]
-    assert plan.key[-1] == "float64"           # no trailing backend name
+    assert plan.key[-1] == "symmetrized"       # no trailing backend name
     old = copy.copy(plan)
     old.key = plan.key + ("reference",)
     spool.spool_path(tmp_path, old.key).write_bytes(pickle.dumps(
@@ -371,6 +371,42 @@ def test_spool_v5_plans_with_consecutive_runs_are_skipped(tmp_path):
     runs = reloaded.snapshot()[0].block_plan.runs
     assert sorted(k for members, _ in runs for k in members) == \
         list(range(plan.block_plan.part.nsuper))
+
+
+def test_spool_v6_plans_keyed_with_a_factor_dtype_are_skipped(tmp_path):
+    """Until factors became double precision only, plan keys ended in
+    the factor dtype.  A v6 file is a whole plan under a key nothing
+    looks up any more: loaded, it would count as warm and never be
+    found.  Its schema tag sends it down the skip path, loudly; the
+    pattern starts cold and comes back under the current key."""
+    import copy
+
+    from repro.driver import GESPOptions, GESPSolver
+    from repro.obs import Tracer, use_tracer
+
+    a = sparse_matrix(seed=9)
+    plan = _plans_for([a]).snapshot()[0]
+    old = copy.copy(plan)
+    old.key = plan.key + ("float64",)
+    spool.spool_path(tmp_path, old.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v6", "key": old.key, "plan": old}))
+
+    fresh = FactorizationCache(maxsize=32)
+    tracer = Tracer()
+    with use_tracer(tracer), \
+            pytest.warns(spool.SpoolSkipWarning, match="spool/v6"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    tracer.finish()
+    assert len(fresh) == 0
+    assert tracer.root.all_counters()["spool.load_skipped"] == 1
+    warm = GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=fresh)
+    assert warm.solve(a @ np.ones(a.ncols)).converged
+    spool.save_plans(tmp_path, fresh.snapshot(), set())
+    reloaded = FactorizationCache()
+    # the new file sits beside the stale one, which is skipped again
+    with pytest.warns(spool.SpoolSkipWarning, match="spool/v6"):
+        assert spool.load_plans(tmp_path, reloaded) == 1
+    assert reloaded.snapshot()[0].key == plan.key
 
 
 def test_spool_clean_load_emits_no_warning(tmp_path, recwarn):

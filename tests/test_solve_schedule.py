@@ -5,7 +5,7 @@
   each in a row whose level is strictly above (L) or below (U) its
   source's, per-level rows distinct, no empty ``reduceat`` segment;
 - schedule ≡ the column sweeps ``solve_upper_csc(solve_lower_csc(·))``
-  on the same factors — fp64, fp32-factor and complex values, one
+  on the same factors — fp64 and complex values, one
   right-hand side and a block — and column t of a block solve equal to
   the solve of column t bit for bit;
 - a tiny-pivot-replaced block refines to certification and a non-finite
@@ -168,7 +168,6 @@ def test_schedule_matches_the_column_sweeps_over_the_testbed(testbed):
         block = rng.standard_normal((a.ncols, 8))
         phase = 1.0 + 0.2j * rng.uniform(-1, 1, at.nnz)
         for label, values in (("fp64", at.nzval),
-                              ("fp32", at.nzval.astype(np.float32)),
                               ("complex", at.nzval * phase)):
             factors = supernodal_factor(
                 CSCMatrix(at.nrows, at.ncols, at.colptr, at.rowind, values,

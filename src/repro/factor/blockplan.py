@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.factor.gesp import transpose_pattern
 from repro.factor.solveplan import SolvePlan, _runs, build_solve_plan
-from repro.kernels import KernelStats
+from repro.kernels import KernelCounts
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
@@ -72,7 +72,7 @@ class Run(NamedTuple):
     lpos: np.ndarray        # per update entry (i, j) of a member K: L(i, K)
     upos: np.ndarray        # ... and U(K, j), whose product it is
     tgt: np.ndarray         # ... and its target, in member order
-    counts: KernelStats     # what the members' kernel calls would count
+    counts: KernelCounts    # what the members' kernel calls would count
 
 
 @dataclass
@@ -325,8 +325,8 @@ def _build_runs(xsup, m, sptr, bounds, s_all, every, tptr, index):
             p = pptr[b] - pptr[a]       # members with a panel: trsm, gemm
             run = Run(dpos[a:b], bpos[ma:mb], bpiv[ma:mb], lpos[ea:eb],
                       upos[ea:eb], every[at[order[h]]:][:eb - ea],
-                      KernelStats(g, 0, 2 * p, 2 * (mb - ma), p,
-                                  2 * (eb - ea)))
+                      KernelCounts(g, 0, 2 * p, 2 * (mb - ma), p,
+                                   2 * (eb - ea)))
             a = b
         runs.append((order[h:h + g], run))
     return runs, every, start

@@ -21,7 +21,11 @@ Contract (docs/KERNELS.md has the table):
   ``factors.flops`` and, through :func:`kernel_counters`, the
   ``kernel.*`` counters; two running at once never see each other's
   increments.
-- The arithmetic is the historical loops **bit for bit**:
+- A C-ordered float64 block wider than one column goes to the LAPACK /
+  BLAS numpy itself loaded (``ctypes``, no scipy): ``lu_nopivot`` keeps
+  ``dgetrf``'s factors where the static pivot held inside the block,
+  the trsms are ``dtrsm`` — backward stable, not the loops' bits.  All
+  else runs the historical loops **bit for bit**:
   ``tests/test_kernels.py`` keeps a frozen copy of each and compares
   op by op and through whole factorizations.  Engines call the ops
   through the module (``kernels.trsm_upper(d, b)``), so that test swaps
@@ -30,6 +34,9 @@ Contract (docs/KERNELS.md has the table):
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -41,7 +48,7 @@ import numpy as np
 OPS = ("lu_nopivot", "lu_partial", "trsm_upper", "trsm_lower_unit",
        "gemm_update", "diag_solve_lower_unit", "diag_solve_upper")
 
-__all__ = ["OPS", "KernelStats", "stats", "kernel_counters",
+__all__ = ["OPS", "KernelCounts", "KernelStats", "stats", "kernel_counters",
            "lu_flops", "trsm_flops", "gemm_flops", *OPS]
 
 
@@ -70,15 +77,8 @@ def gemm_flops(m: int, k: int, n: int) -> int:
 # --------------------------------------------------------------------- #
 
 @dataclass
-class KernelStats:
-    """One thread's op/flop accumulator.
-
-    Plain integer fields bumped inside the ops; factorization wrappers
-    snapshot before/after and publish the delta (``flops_since`` /
-    ``counter_delta``), so accounting stays here without a per-op tracer
-    call.  ``axpy_flops`` is bumped by the column oracle's two SPA
-    helpers (:mod:`repro.factor.gesp`).
-    """
+class KernelCounts:
+    """The ops' calls and flops (also what a batched step counts)."""
 
     lu_calls: int = 0
     lu_flops: int = 0
@@ -89,7 +89,23 @@ class KernelStats:
     axpy_flops: int = 0
     solve_flops: int = 0
 
-    def add(self, other: "KernelStats"):
+
+@dataclass
+class KernelStats(KernelCounts):
+    """One thread's op/flop accumulator.
+
+    Plain integer fields bumped inside the ops; factorization wrappers
+    snapshot before/after and publish the delta (``flops_since`` /
+    ``counter_delta``), so accounting stays here without a per-op tracer
+    call.  ``axpy_flops`` is bumped by the column oracle's two SPA
+    helpers (:mod:`repro.factor.gesp`); ``lu_lapack`` / ``lu_fallbacks``
+    count the blocks whose ``dgetrf`` factors were kept / rejected.
+    """
+
+    lu_lapack: int = 0
+    lu_fallbacks: int = 0
+
+    def add(self, other: KernelCounts):
         """Count ``other``'s calls and flops too — the static totals of
         a batched step (:class:`repro.factor.blockplan.Run`), whose
         width-1 rounds run as array lines, not as calls."""
@@ -114,6 +130,8 @@ class KernelStats:
             "kernel.trsm_calls": self.trsm_calls - snap.trsm_calls,
             "kernel.gemm_calls": self.gemm_calls - snap.gemm_calls,
             "kernel.gemm_flops": self.gemm_flops - snap.gemm_flops,
+            "kernel.lu_lapack": self.lu_lapack - snap.lu_lapack,
+            "kernel.lu_fallbacks": self.lu_fallbacks - snap.lu_fallbacks,
         }
 
 
@@ -151,6 +169,49 @@ def kernel_counters():
 
 
 # --------------------------------------------------------------------- #
+# LAPACK / BLAS of the OpenBLAS numpy links, through ctypes
+# --------------------------------------------------------------------- #
+
+def _bind():
+    """``(dgetrf, dtrsm)`` of numpy's own OpenBLAS (numpy ≥ 2 wheels:
+    ``libscipy_openblas64_``, 64-bit ints, row-major LAPACKE / CBLAS), or
+    None: every op runs its loop."""
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for path in (glob.glob(f"{site}/numpy.libs/libscipy_openblas64_*")
+                 + glob.glob(f"{site}/numpy/.dylibs/libscipy_openblas64_*")):
+        try:
+            lib = ctypes.CDLL(path)
+            getrf, trsm = lib.scipy_LAPACKE_dgetrf64_, lib.scipy_cblas_dtrsm64_
+        except (OSError, AttributeError):
+            continue
+        i64, ptr, enum = ctypes.c_int64, ctypes.c_void_p, ctypes.c_int
+        getrf.restype, getrf.argtypes = i64, [enum, i64, i64, ptr, i64, ptr]
+        trsm.restype, trsm.argtypes = None, [enum] * 5 + [
+            i64, i64, ctypes.c_double, ptr, i64, ptr, i64]
+        return getrf, trsm
+    return None
+
+
+_BLAS = _bind()
+_CHAR = ctypes.c_char.from_buffer
+
+
+def _blas(d, x, n):
+    """``_BLAS`` if ``d`` is n×n (n > 1: width 1 keeps the division),
+    ``x`` is 2-D with one dimension n, nonempty and written in place, and
+    both are C-ordered float64, else None."""
+    return _BLAS if (_BLAS and n > 1 and d.shape == (n, n) and x.ndim == 2
+                     and x.size and d.dtype == x.dtype == np.float64
+                     and d.flags.c_contiguous and x.flags.c_contiguous
+                     and x.flags.writeable) else None
+
+
+def _addr(x):
+    """``x.ctypes.data`` at a fifth of the cost, when ``x`` is writable."""
+    return ctypes.byref(_CHAR(x)) if x.flags.writeable else x.ctypes.data
+
+
+# --------------------------------------------------------------------- #
 # factorization ops (paper Figure 8)
 # --------------------------------------------------------------------- #
 
@@ -172,8 +233,22 @@ def lu_nopivot(d, thresh):
     Pivots smaller than ``thresh`` are replaced by ``±thresh`` (GESP
     step (3)); ``thresh=0`` disables replacement and a zero pivot raises
     ``ZeroDivisionError``.  Returns the list of replaced local pivot
-    indices."""
+    indices.  ``dgetrf``'s factors of a copy are kept when it made no
+    interchange and left no pivot below ``thresh`` (an LU without
+    pivoting, to rounding), else the loop runs on the untouched block."""
     w = d.shape[0]
+    st = stats()
+    if blas := _blas(d, d, w):
+        lu, piv = d.copy(), np.empty(w, dtype=np.int64)
+        if (blas[0](101, w, w, _addr(lu), w, _addr(piv)) == 0  # row-major
+                and piv.tolist() == list(range(1, w + 1))
+                and abs(lu.diagonal()).min() >= thresh):
+            d[...] = lu
+            st.lu_lapack += 1
+            st.lu_calls += 1
+            st.lu_flops += lu_flops(w)
+            return []
+        st.lu_fallbacks += 1
     replaced = []
     for k in range(w):
         p = d[k, k]
@@ -187,7 +262,6 @@ def lu_nopivot(d, thresh):
         if k + 1 < w:
             d[k + 1:, k] /= p
             d[k + 1:, k + 1:] -= d[k + 1:, k, None] * d[k, None, k + 1:]
-    st = stats()
     st.lu_calls += 1
     st.lu_flops += lu_flops(w)
     return replaced
@@ -230,10 +304,14 @@ def trsm_upper(d, b):
     """Solve ``X · U_kk = B`` in place (B: rows × w); only the upper
     triangle of the packed ``d`` is referenced.  Returns ``b``."""
     w = d.shape[0]
-    for k in range(w):
-        if k:
-            b[:, k] -= b[:, :k] @ d[:k, k]
-        b[:, k] /= d[k, k]
+    if blas := _blas(d, b, b.shape[1]):  # row-major, Right, Upper, N, NonUnit
+        blas[1](101, 142, 121, 111, 131, b.shape[0], w, 1.0,
+                _addr(d), w, _addr(b), w)
+    else:
+        for k in range(w):
+            if k:
+                b[:, k] -= b[:, :k] @ d[:k, k]
+            b[:, k] /= d[k, k]
     st = stats()
     st.trsm_calls += 1
     st.trsm_flops += trsm_flops(w, b.shape[0])
@@ -245,8 +323,12 @@ def trsm_lower_unit(d, r):
     strictly-lower triangle of ``d`` (unit L) is referenced.
     Returns ``r``."""
     w = d.shape[0]
-    for k in range(1, w):
-        r[k, :] -= d[k, :k] @ r[:k, :]
+    if blas := _blas(d, r, r.shape[0]):  # row-major, Left, Lower, N, Unit
+        blas[1](101, 141, 122, 111, 132, w, r.shape[1], 1.0,
+                _addr(d), w, _addr(r), r.shape[1])
+    else:
+        for k in range(1, w):
+            r[k, :] -= d[k, :k] @ r[:k, :]
     st = stats()
     st.trsm_calls += 1
     st.trsm_flops += trsm_flops(w, r.shape[1])

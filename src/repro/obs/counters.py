@@ -147,6 +147,14 @@ COUNTERS = (
         "Flops of the gemm_update products alone (2·m·k·n per call) — "
         "the Schur-complement share of factor.flops."),
     CounterSpec(
+        "kernel.lu_lapack", "block", "repro/kernels.py",
+        "Diagonal blocks lu_nopivot kept dgetrf's factors for: no row "
+        "interchange, no pivot below the tiny-pivot threshold."),
+    CounterSpec(
+        "kernel.lu_fallbacks", "block", "repro/kernels.py",
+        "Diagonal blocks dgetrf was tried on and rejected, so the loop "
+        "factored them."),
+    CounterSpec(
         "cache.hits", "lookup",
         "repro/driver/factcache.py",
         "FactorizationCache lookups that returned a stored PatternPlan "

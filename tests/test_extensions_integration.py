@@ -103,7 +103,11 @@ def test_driver_block_pivoting_transpose_unsupported(rng):
 def test_block_pivoting_rescues_growth_prone_matrix():
     """A matrix engineered so static pivoting suffers large growth: the
     mixed strategy keeps the factorization clean (the §5 'can further
-    enhance stability')."""
+    enhance stability').  The strategies differ before refinement, so
+    that is where they are compared: refinement brings both to ε, and
+    their final berrs differ by rounding alone."""
+    from repro.solve.refine import STAGNATION_SLACK
+
     n = 40
     d = np.eye(n)
     for i in range(n):
@@ -123,8 +127,10 @@ def test_block_pivoting_rescues_growth_prone_matrix():
                                     col_perm="natural",
                                     diag_block_pivoting=1.0))
     rep_piv = piv.solve(b)
+    assert rep_piv.berr_history[0] <= 1e-3 * rep_base.berr_history[0]
     assert np.abs(rep_piv.x - 1.0).max() < 1e-8
-    assert rep_piv.berr <= rep_base.berr * 1.001
+    # certified: berr ≤ ε, or a stagnation stop within the slack of it
+    assert rep_piv.converged and rep_piv.berr <= STAGNATION_SLACK * EPS
 
 
 def test_distributed_dense_tail(rng):

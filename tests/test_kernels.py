@@ -2,7 +2,8 @@
 
 Promises enforced here:
 
-1. every op is **bit for bit** the historical loop it replaced — a
+1. on the loop path (the LAPACK / BLAS binding monkeypatched absent)
+   every op is **bit for bit** the historical loop it replaced — a
    frozen copy of every pre-refactor kernel lives in this file (the
    ``golden_*`` functions) and is compared op by op, through a
    hypothesis update pipeline, and through whole factorizations on
@@ -11,12 +12,16 @@ Promises enforced here:
 2. ops keep their dtype and the tiny-pivot replacement its phase;
 3. flops are counted once, inside the op, per thread;
 4. there is one implementation and nothing selects another: no option,
-   no flag, and no scipy in ``sys.modules`` after any default solve.
+   no flag, and no scipy in ``sys.modules`` after any default solve;
+5. on the LAPACK / BLAS path an op's backward error is within
+   c·w·ε of ‖|L||U|‖, a block ``dgetrf`` would pivot or leave a pivot
+   below the threshold runs the loop (bit for bit the frozen one), and
+   the binding resolves wherever numpy reports its OpenBLAS.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.factor.gesp
@@ -150,6 +155,12 @@ def _swap_in_golden(monkeypatch):
     monkeypatch.setattr(repro.factor.gesp, "col_scale", golden_col_scale)
 
 
+@pytest.fixture
+def no_blas(monkeypatch):
+    """The LAPACK / BLAS binding absent: every op runs its loop."""
+    monkeypatch.setattr(kernels, "_BLAS", None)
+
+
 def _block(rng, w, dominant=True):
     d = rng.standard_normal((w, w))
     if dominant:
@@ -163,7 +174,7 @@ def _block(rng, w, dominant=True):
 # --------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("w", [1, 2, 3, 5, 8, 13, 24])
-def test_reference_lu_bit_identical_to_golden(w):
+def test_reference_lu_bit_identical_to_golden(w, no_blas):
     rng = np.random.default_rng(42 + w)
     d0 = _block(rng, w, dominant=False)
     thresh = 1e-10
@@ -178,7 +189,7 @@ def test_reference_lu_bit_identical_to_golden(w):
 
 
 @pytest.mark.parametrize("w,m", [(1, 4), (3, 1), (8, 5), (24, 17)])
-def test_reference_trsm_bit_identical_to_golden(w, m):
+def test_reference_trsm_bit_identical_to_golden(w, m, no_blas):
     rng = np.random.default_rng(7 * w + m)
     d = _block(rng, w)
     b0 = rng.standard_normal((m, w))
@@ -207,7 +218,8 @@ def test_reference_scatter_spa_bit_identical_to_golden():
 
 
 @pytest.mark.parametrize("name", ["cfd01", "circuit01", "hb01", "cfd02"])
-def test_reference_factorization_bit_identical_on_testbed(name, monkeypatch):
+def test_reference_factorization_bit_identical_on_testbed(name, monkeypatch,
+                                                         no_blas):
     """Whole supernodal factorizations and block substitutions through
     the frozen loops and through the ops produce identical bits — the
     frozen side over the schedule with every supernode taken alone (the
@@ -277,9 +289,11 @@ def _typed(rng, shape, dtype):
 # 2. hypothesis: random supernode shapes, w ∈ 1..24, |S| ∈ 0..64
 # --------------------------------------------------------------------- #
 
+@pytest.mark.usefixtures("no_blas")      # one patch for every example
 @given(w=st.integers(1, 24), s_size=st.integers(0, 64),
        seed=st.integers(0, 2 ** 16))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_update_pipeline_property(w, s_size, seed):
     """One Figure-8 step — panel solve, GEMM, and the subtract through
     precomputed flat offsets that pdgstrf and ``eliminate`` do — is bit
@@ -329,7 +343,9 @@ def test_flop_formulas_and_stats():
     delta = stats.counter_delta(snap)
     assert delta == {"kernel.lu_calls": 1, "kernel.trsm_calls": 1,
                      "kernel.gemm_calls": 1,
-                     "kernel.gemm_flops": gemm_flops(3, 4, 5)}
+                     "kernel.gemm_flops": gemm_flops(3, 4, 5),
+                     "kernel.lu_lapack": int(kernels._BLAS is not None),
+                     "kernel.lu_fallbacks": 0}
     # the column oracle's SPA helpers count here too (2 / 1 per entry)
     snap = stats.snapshot()
     spa_axpy(np.zeros(9), np.arange(4), np.ones(4), 2.0)
@@ -417,7 +433,8 @@ def test_every_op_preserves_dtype_and_matches_golden(dtype):
     """Every op (and the column oracle's two SPA helpers) keeps its
     input dtype — the fp32-factor path depends on never silently
     upcasting — and agrees with the frozen loop to a few hundred ulps of
-    the *working* dtype (bit for bit in float64: section 1)."""
+    the *working* dtype (bit for bit on float64's loop path: section
+    1)."""
     rng = np.random.default_rng(20260808)
     w, m = 8, 5
     tol = 500 * float(np.finfo(np.dtype(dtype)).eps)
@@ -555,3 +572,133 @@ def test_tiny_pivot_replacement_is_dtype_and_phase_preserving():
     z0[0, 0] = 0.0
     assert kernels.lu_nopivot(z0, 1e-6) == [0]
     assert z0[0, 0] == 1e-6
+
+
+# --------------------------------------------------------------------- #
+# 6. the LAPACK / BLAS path
+# --------------------------------------------------------------------- #
+
+needs_blas = pytest.mark.skipif(kernels._BLAS is None,
+                                reason="no OpenBLAS binding on this host")
+
+
+def test_binding_resolves_on_scipy_openblas_numpy():
+    """Where numpy reports the 64-bit scipy-openblas it ships, the ops
+    must reach it: a silent fall back to the loops would pass every
+    other test and lose the speed."""
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    if blas.get("name") != "scipy-openblas" or \
+            "USE64BITINT" not in blas.get("openblas configuration", ""):
+        pytest.skip(f"numpy links {blas.get('name')}, not scipy-openblas64")
+    assert kernels._BLAS is not None
+
+
+def _dominant(rng, w):
+    """Strictly column diagonally dominant: partial pivoting makes no
+    interchange (dominance survives elimination)."""
+    d = rng.standard_normal((w, w))
+    d[np.arange(w), np.arange(w)] = \
+        np.where(np.diag(d) < 0, -1.0, 1.0) * (np.abs(d).sum(axis=0) + 1.0)
+    return d
+
+
+def _inf_norm(a):
+    return np.abs(a).sum(axis=1).max()
+
+
+@needs_blas
+@given(w=st.integers(2, 24), m=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_lapack_path_backward_error_property(w, m, seed):
+    """``dgetrf``'s accepted factors and ``dtrsm``'s panel solves are
+    backward stable: ‖A − LU‖ ≤ c·w·ε·‖|L||U|‖ and likewise for
+    ``X·U = B`` and ``L·Y = R`` (c = 2, ∞-norm)."""
+    rng = np.random.default_rng(seed)
+    d0 = _dominant(rng, w)
+    stats = kernels.stats()
+    snap = stats.snapshot()
+    d = d0.copy()
+    assert kernels.lu_nopivot(d, 1e-10) == []
+    assert stats.counter_delta(snap)["kernel.lu_lapack"] == 1
+    lo, up = np.tril(d, -1) + np.eye(w), np.triu(d)
+    tol = 2 * w * EPS
+    assert _inf_norm(lo @ up - d0) <= tol * _inf_norm(np.abs(lo) @ np.abs(up))
+    b0 = rng.standard_normal((m, w))
+    x = kernels.trsm_upper(d, b0.copy())
+    assert _inf_norm(x @ up - b0) <= tol * _inf_norm(np.abs(x) @ np.abs(up))
+    r0 = rng.standard_normal((w, m))
+    y = kernels.trsm_lower_unit(d, r0.copy())
+    assert _inf_norm(lo @ y - r0) <= tol * _inf_norm(np.abs(lo) @ np.abs(y))
+
+
+def _tiny_last_pivot(rng, w):
+    d = _dominant(rng, w)
+    d[-1, :] = 0.0
+    d[-1, -1] = 1e-14
+    return d
+
+
+@needs_blas
+@pytest.mark.parametrize("case", ["interchange", "tiny", "zero"])
+def test_lapack_rejects_take_the_golden_loop(case):
+    """A block ``dgetrf`` would pivot, one it leaves with a pivot below
+    ``thresh``, and a zero pivot at ``thresh = 0`` each run the loop on
+    the untouched block: bit for bit the frozen loop, the same
+    replacements, the same ``ZeroDivisionError``."""
+    rng = np.random.default_rng(11)
+    w, thresh = 6, 1e-10
+    if case == "interchange":
+        d0 = _dominant(rng, w)
+        d0[0, 0], d0[1, 0] = 0.5, 4.0           # above thresh, not the max
+    else:
+        d0 = _tiny_last_pivot(rng, w)
+        if case == "zero":
+            d0[-1, -1], thresh = 0.0, 0.0
+    stats = kernels.stats()
+    snap = stats.snapshot()
+    dk, dg = d0.copy(), d0.copy()
+    if case == "zero":
+        with pytest.raises(ZeroDivisionError):
+            kernels.lu_nopivot(dk, thresh)
+        with pytest.raises(ZeroDivisionError):
+            golden_lu_nopivot(dg, thresh)
+    else:
+        expected = [w - 1] if case == "tiny" else []
+        assert kernels.lu_nopivot(dk, thresh) == expected
+        assert golden_lu_nopivot(dg, thresh) == expected
+    assert np.array_equal(dk, dg)
+    delta = stats.counter_delta(snap)
+    assert (delta["kernel.lu_lapack"], delta["kernel.lu_fallbacks"]) == (0, 1)
+
+
+@needs_blas
+def test_what_stays_on_the_loops():
+    """Width 1 keeps the division (a batched step is the alone loop bit
+    for bit), and so do other dtypes and non-contiguous operands: bit
+    for bit the frozen loops, with ``dgetrf`` never tried.  Operands of
+    the wrong shape fail in the loop as before, never in BLAS."""
+    rng = np.random.default_rng(5)
+    stats = kernels.stats()
+    snap = stats.snapshot()
+    one = np.array([[3.0]])
+    b0 = rng.standard_normal((7, 1))
+    assert np.array_equal(kernels.trsm_upper(one, b0.copy()),
+                          golden_trsm_upper(one, b0.copy()))
+    d0 = _dominant(rng, 5)
+    for block in (one, d0.astype(np.float32), np.asfortranarray(d0)):
+        dk, dg = block.copy(order="K"), block.copy(order="K")
+        assert kernels.lu_nopivot(dk, 1e-6) == golden_lu_nopivot(dg, 1e-6)
+        assert np.array_equal(dk, dg)
+    pk = rng.standard_normal((5, 16))
+    pg = pk.copy()
+    kernels.trsm_lower_unit(d0, pk[:, ::2])              # strided panels
+    golden_trsm_lower_unit(d0, pg[:, ::2])
+    assert np.array_equal(pk, pg)
+    with pytest.raises(IndexError):     # a panel that does not face d0
+        kernels.trsm_upper(d0, np.ones((3, 4)))          # never reaches BLAS
+    with pytest.raises(IndexError):
+        kernels.trsm_lower_unit(d0, np.ones((4, 3)))
+    delta = stats.counter_delta(snap)
+    assert (delta["kernel.lu_lapack"], delta["kernel.lu_fallbacks"]) == (0, 0)

@@ -174,7 +174,9 @@ def test_cfd06_counts_and_clock_hold():
     run = ds.factorize()
     assert st.counter_delta(snap) == {
         "kernel.lu_calls": 247, "kernel.trsm_calls": 1890,
-        "kernel.gemm_calls": 3899, "kernel.gemm_flops": 630358}
+        "kernel.gemm_calls": 3899, "kernel.gemm_flops": 630358,
+        "kernel.lu_lapack": 208 if kernels._BLAS else 0,
+        "kernel.lu_fallbacks": 0}
     assert run.sim.total_flops == 1017924
     assert (run.sim.total_messages, run.sim.total_bytes) == (2380, 403520)
     assert run.elapsed == 0.009894351703002334

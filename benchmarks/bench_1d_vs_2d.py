@@ -28,7 +28,7 @@ def _run(base, grid):
 
 def bench_1d_vs_2d(benchmark):
     base = DistributedGESPSolver(matrix_by_name("ECL32a").build(),
-                                 nprocs=64, machine=MACHINE, relax_size=16)
+                                 nprocs=64, machine=MACHINE)
     t = Table("1-D vs 2-D decomposition (ECL32 analog, modeled)",
               ["P", "layout", "time(ms)", "bytes moved", "messages", "B"])
     results = {}

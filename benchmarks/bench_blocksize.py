@@ -23,7 +23,7 @@ from repro.symbolic.supernode import find_supernodes, relax_supernodes, split_su
 
 def bench_blocksize(benchmark):
     base = DistributedGESPSolver(matrix_by_name("ECL32a").build(),
-                                 nprocs=64, machine=MACHINE, relax_size=64)
+                                 nprocs=64, machine=MACHINE)
     caps = (2, 6, 12, 24, 48, 96)
     times = {}
     t = Table("Max block size sweep (ECL32 analog, P=64, modeled ms)",

@@ -31,9 +31,9 @@ def bench_edag_pruning(benchmark):
               ["matrix", "grid", "send-to-all", "EDAG", "reduction %"])
     reductions = {}
     af = DistributedGESPSolver(matrix_by_name("AF23560a").build(),
-                               nprocs=32, machine=MACHINE, relax_size=16)
+                               nprocs=32, machine=MACHINE)
     rd = DistributedGESPSolver(matrix_by_name("RDIST1a").build(),
-                               nprocs=32, machine=MACHINE, relax_size=16)
+                               nprocs=32, machine=MACHINE)
     for name, base, grid in [
             ("AF23560a", af, ProcessGrid(4, 8)),
             ("AF23560a", af, ProcessGrid(8, 8)),

@@ -30,8 +30,7 @@ def bench_memory(benchmark):
     rows = []
     for nx in (16, 24, 32, 48):
         a = convection_diffusion_2d(nx, peclet=30.0, seed=9)
-        s = DistributedGESPSolver(a, nprocs=4, machine=MACHINE,
-                                  relax_size=16)
+        s = DistributedGESPSolver(a, nprocs=4, machine=MACHINE)
         a_bytes = a.nzval.nbytes + a.rowind.nbytes + a.colptr.nbytes
         factor_bytes = sum(s.dist.local_bytes(r)
                            for r in range(s.grid.size))
@@ -55,7 +54,7 @@ def bench_memory(benchmark):
 
     # per-rank storage shrinks like ~1/P
     a = convection_diffusion_2d(40, peclet=30.0, seed=9)
-    base = DistributedGESPSolver(a, nprocs=4, machine=MACHINE, relax_size=16)
+    base = DistributedGESPSolver(a, nprocs=4, machine=MACHINE)
     per_rank = {}
     for p in (1, 4, 16):
         dist = distribute_matrix(base.a_factored, base.symbolic, base.part,

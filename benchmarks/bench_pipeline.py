@@ -33,8 +33,7 @@ def bench_pipeline(benchmark):
     bases = {}
     for name in ("AF23560a", "ECL32a", "RDIST1a"):
         base = DistributedGESPSolver(matrix_by_name(name).build(),
-                                     nprocs=64, machine=MACHINE,
-                                     relax_size=16)
+                                     nprocs=64, machine=MACHINE)
         bases[name] = base
         for p in (16, 64):
             t_off = _time(base, p, pipeline=False)

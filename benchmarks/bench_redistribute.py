@@ -28,7 +28,7 @@ def bench_redistribute(benchmark):
     ratios = []
     for name in ("AF23560a", "ECL32a"):
         base = DistributedGESPSolver(matrix_by_name(name).build(), nprocs=16,
-                                     machine=MACHINE, relax_size=16)
+                                     machine=MACHINE)
         for p in (4, 16):
             grid = best_grid(p)
             din = DistributedInput.from_csc(base.a_factored, nranks=p)
@@ -45,7 +45,7 @@ def bench_redistribute(benchmark):
     assert all(r < 0.5 for r in ratios), ratios
 
     base = DistributedGESPSolver(matrix_by_name("AF23560a").build(),
-                                 nprocs=4, machine=MACHINE, relax_size=16)
+                                 nprocs=4, machine=MACHINE)
     din = DistributedInput.from_csc(base.a_factored, nranks=4)
     benchmark.pedantic(
         lambda: redistribute(din, base.symbolic, base.part, best_grid(4),

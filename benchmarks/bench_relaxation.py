@@ -15,34 +15,48 @@ import numpy as np
 
 from conftest import MACHINE, save_table
 from repro.analysis import Table
+from repro.dmem import best_grid, distribute_matrix
 from repro.driver.dist_driver import DistributedGESPSolver
 from repro.matrices import matrix_by_name
+from repro.pdgstrf import pdgstrf
+from repro.pdgstrs import pdgstrs
+from repro.symbolic import build_block_dag
+from repro.symbolic.supernode import (
+    find_supernodes,
+    merge_dense_tail,
+    relax_supernodes,
+    split_supernodes,
+)
 
 
 def bench_relaxation(benchmark):
-    a = matrix_by_name("AF23560a").build()
-    b = a @ np.ones(a.ncols)
+    base = DistributedGESPSolver(matrix_by_name("AF23560a").build(),
+                                 nprocs=1, machine=MACHINE)
+    at, sym = base.a_factored, base.symbolic
+    b = at @ np.ones(at.ncols)
     t = Table("Supernode relaxation & dense-tail ablation (AF23560 analog)",
               ["config", "nsuper", "mean size", "P=1 (ms)", "P=16 (ms)"])
+    fundamental = find_supernodes(sym)
     times = {}
-    for cfg, kwargs in [
-            ("no relaxation", dict(relax_size=0)),
-            ("relax<=8", dict(relax_size=8)),
-            ("relax<=16", dict(relax_size=16)),
-            ("relax<=16 + dense tail", dict(relax_size=16,
-                                            dense_tail_threshold=0.6))]:
-        row = [cfg]
-        solver = None
+    for cfg, relax, tail in [
+            ("no relaxation", 0, 0.0),
+            ("relax<=8", 8, 0.0),
+            ("relax<=16", 16, 0.0),
+            ("relax<=16 + dense tail", 16, 0.6)]:
+        part = relax_supernodes(sym, fundamental, relax_size=relax)
+        if tail:
+            part = merge_dense_tail(sym, part, density_threshold=tail)
+        part = split_supernodes(part, max_size=24)
+        dag = build_block_dag(sym, part)
         per_p = {}
         for p in (1, 16):
-            s = DistributedGESPSolver(a, nprocs=p, machine=MACHINE, **kwargs)
-            run = s.factorize()
-            x = s.solve_distributed(b).x
+            dist = distribute_matrix(at, sym, part, best_grid(p))
+            run = pdgstrf(dist, dag, anorm=base.anorm, machine=MACHINE)
+            x = pdgstrs(dist, b, machine=MACHINE).x
             assert np.abs(x - 1.0).max() < 1e-6
             per_p[p] = run.elapsed
-            solver = s
         times[cfg] = per_p
-        t.add(cfg, solver.part.nsuper, solver.part.mean_size(),
+        t.add(cfg, part.nsuper, part.mean_size(),
               per_p[1] * 1e3, per_p[16] * 1e3)
     save_table("relaxation", t)
 
@@ -53,6 +67,6 @@ def bench_relaxation(benchmark):
         times["no relaxation"][1] * 1.2
 
     benchmark.pedantic(
-        lambda: DistributedGESPSolver(a, nprocs=1, machine=MACHINE,
-                                      relax_size=16).factorize(),
+        lambda: DistributedGESPSolver(base.a, nprocs=1,
+                                      machine=MACHINE).factorize(),
         rounds=1, iterations=1)

@@ -50,7 +50,7 @@ def bench_table3_factor_scaling(benchmark, scaling_results):
 
     # benchmark unit: one P=16 factorization of a mid-size matrix
     s = DistributedGESPSolver(matrix_by_name("AF23560a").build(), nprocs=4,
-                              machine=MACHINE, relax_size=16)
+                              machine=MACHINE)
 
     def unit():
         dist = distribute_matrix(s.a_factored, s.symbolic, s.part,

@@ -57,7 +57,7 @@ def bench_table4_solve_scaling(benchmark, scaling_results):
     from repro.pdgstrf import pdgstrf
 
     s = DistributedGESPSolver(matrix_by_name("AF23560a").build(), nprocs=4,
-                              machine=MACHINE, relax_size=16)
+                              machine=MACHINE)
     dist = distribute_matrix(s.a_factored, s.symbolic, s.part, best_grid(16))
     pdgstrf(dist, s.dag, anorm=s.anorm, machine=MACHINE)
     b = np.ones(s.a_factored.ncols)

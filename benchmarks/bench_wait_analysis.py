@@ -33,8 +33,7 @@ def _factor_trace(name, nprocs):
     a = matrix_by_name(name).build()
     tracer = Tracer(name=name)
     with use_tracer(tracer):
-        DistributedGESPSolver(a, nprocs=nprocs, machine=MACHINE,
-                              relax_size=16).factorize()
+        DistributedGESPSolver(a, nprocs=nprocs, machine=MACHINE).factorize()
     return tracer.root.find("factor").find("dmem/simulate")
 
 
@@ -70,6 +69,6 @@ def bench_wait_analysis(benchmark):
 
     a = matrix_by_name("RDIST1a").build()
     benchmark.pedantic(
-        lambda: DistributedGESPSolver(a, nprocs=16, machine=MACHINE,
-                                      relax_size=16).factorize(),
+        lambda: DistributedGESPSolver(a, nprocs=16,
+                                      machine=MACHINE).factorize(),
         rounds=1, iterations=1)

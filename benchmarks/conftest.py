@@ -115,8 +115,7 @@ def scaling_results():
     for tm in large_8():
         a = tm.build()
         b = a @ np.ones(a.ncols)
-        base = DistributedGESPSolver(a, nprocs=4, machine=MACHINE,
-                                     relax_size=16)
+        base = DistributedGESPSolver(a, nprocs=4, machine=MACHINE)
         plist = P_LIST_BIG if tm.name in BIG_FOUR else P_LIST_ALL
         t0 = time.perf_counter()
         per_p = {}

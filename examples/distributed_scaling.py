@@ -31,7 +31,7 @@ table = Table(
     ["P", "grid", "factor(ms)", "Mflops", "solve(ms)", "B", "comm%"])
 
 for p in (1, 4, 16, 64):
-    s = DistributedGESPSolver(a, nprocs=p, machine=machine, relax_size=16)
+    s = DistributedGESPSolver(a, nprocs=p, machine=machine)
     run = s.factorize()
     sol = s.solve_distributed(b)
     err = np.abs(sol.x - 1.0).max()

@@ -252,12 +252,10 @@ def cmd_analyze(args):
         # permutation + fill-reducing symmetric ordering + etree postorder
         from repro.driver.dist_driver import DistributedGESPSolver
 
-        a = DistributedGESPSolver(a, nprocs=1,
-                                  max_block_size=args.max_block_size,
-                                  relax_size=16).a_factored
+        a = DistributedGESPSolver(
+            a, nprocs=1, max_block_size=args.max_block_size).a_factored
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=args.max_block_size,
-                           relax_size=16)
+    part = block_partition(sym, max_size=args.max_block_size)
     dag = build_block_dag(sym, part)
     ls, us = dag.solve_parallel_steps()
     print(f"nnz(L+U) (A+Aᵀ)    : {sym.nnz_lu}")
@@ -284,7 +282,7 @@ def cmd_scaling(args):
                "comm%"])
     for p in args.procs:
         s = DistributedGESPSolver(a, nprocs=p, machine=machine,
-                                  options=opts, relax_size=16,
+                                  options=opts,
                                   max_block_size=args.max_block_size)
         run = s.factorize()
         sol = s.solve_distributed(b)

@@ -8,7 +8,8 @@ numeric phases (steps (3)-(4)) of Section 3:
    of the symmetrized pattern so supernode chains are index-contiguous
    (an equivalent reordering — fill is unchanged);
 3. symmetrized symbolic factorization, supernode partition
-   (detect → relax/amalgamate → split at ``max_block_size``), block DAG;
+   (:func:`~repro.symbolic.supernode.block_partition`, the serial
+   driver's rule), block DAG;
 4. 2-D block-cyclic distribution + simulated ``pdgstrf`` / ``pdgstrs``.
 
 The paper runs its symbolic phase redundantly on every processor; here it
@@ -42,11 +43,7 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import norm1
 from repro.symbolic.edag import build_block_dag
 from repro.symbolic.fill import symbolic_lu_symmetrized
-from repro.symbolic.supernode import (
-    find_supernodes,
-    relax_supernodes,
-    split_supernodes,
-)
+from repro.symbolic.supernode import block_partition
 
 __all__ = ["DistributedGESPSolver"]
 
@@ -68,8 +65,6 @@ class DistributedGESPSolver(PatternSolver):
         Cost model for the simulator.
     max_block_size:
         Supernode splitting threshold (paper: 24 on the T3E).
-    relax_size:
-        Supernode amalgamation threshold (0 disables).
     pipeline, edag_prune:
         Factorization variants (paper §3.2 ablations).
     cache:
@@ -109,7 +104,6 @@ class DistributedGESPSolver(PatternSolver):
     grid: ProcessGrid | None = None
     machine: MachineModel = field(default_factory=MachineModel)
     max_block_size: int = 24
-    relax_size: int = 8
     pipeline: bool = True
     edag_prune: bool = True
     dense_tail_threshold: float = 0.0
@@ -135,8 +129,7 @@ class DistributedGESPSolver(PatternSolver):
     def _plan_key(self, fingerprint):
         return dist_plan_key(
             fingerprint, self.options, self.grid,
-            self.max_block_size, self.relax_size,
-            self.dense_tail_threshold, self.edag_prune)
+            self.max_block_size, self.dense_tail_threshold, self.edag_prune)
 
     def _plan_extras(self):
         return dict(part=self.part, dag=self.dag, schedule=self._schedule)
@@ -148,15 +141,8 @@ class DistributedGESPSolver(PatternSolver):
             return dict(symbolic=plan.symbolic, part=plan.part, dag=plan.dag,
                         _schedule=plan.schedule)
         sym = symbolic_lu_symmetrized(at)
-        part = find_supernodes(sym)
-        if self.relax_size > 1:
-            part = relax_supernodes(sym, part, relax_size=self.relax_size)
-        if self.dense_tail_threshold > 0.0:
-            from repro.symbolic.supernode import merge_dense_tail
-
-            part = merge_dense_tail(
-                sym, part, density_threshold=self.dense_tail_threshold)
-        part = split_supernodes(part, max_size=self.max_block_size)
+        part = block_partition(sym, self.max_block_size,
+                               self.dense_tail_threshold)
         return dict(symbolic=sym, part=part, dag=build_block_dag(sym, part),
                     _schedule=None)
 

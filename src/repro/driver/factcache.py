@@ -190,11 +190,11 @@ def serial_plan_key(fingerprint: str, opts) -> tuple:
 
 
 def dist_plan_key(fingerprint: str, opts, grid, max_block_size: int,
-                  relax_size: int, dense_tail_threshold: float,
+                  dense_tail_threshold: float,
                   edag_prune: bool) -> tuple:
     """Cache key for the distributed driver: the serial fields plus
     everything that shapes the partition, layout, and schedule."""
     return ("dist", fingerprint, opts.equilibrate, opts.row_perm,
             opts.scale_diagonal, opts.col_perm,
-            grid.nprow, grid.npcol, int(max_block_size), int(relax_size),
+            grid.nprow, grid.npcol, int(max_block_size),
             float(dense_tail_threshold), bool(edag_prune))

@@ -98,7 +98,6 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
                                      sym: SymbolicLU | None = None,
                                      part: SupernodePartition | None = None,
                                      max_block_size: int = 24,
-                                     relax_size: int = 0,
                                      pivot_threshold: float = 1.0,
                                      replace_tiny_pivots: bool = True,
                                      tiny_pivot_scale: float | None = None
@@ -116,8 +115,7 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
     if sym is None:
         sym = symbolic_lu_symmetrized(a)
     if part is None:
-        part = block_partition(sym, max_size=max_block_size,
-                               relax_size=relax_size)
+        part = block_partition(sym, max_size=max_block_size)
     thresh = (tiny_pivot_threshold(a, tiny_pivot_scale)
               if replace_tiny_pivots else 0.0)
     if not (0.0 < pivot_threshold <= 1.0):

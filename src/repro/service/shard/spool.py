@@ -6,11 +6,11 @@ factorizations paid for.
 A respawned or restarted shard would otherwise re-run ``DOFACT`` for
 every tenant; the spool makes that a disk read instead.
 
-Format (``spool/v7``): one file per plan under the spool directory,
+Format (``spool/v8``): one file per plan under the spool directory,
 
     <blake2b(plan.key)[:24]>.plan.pkl
 
-containing ``pickle({"schema": "spool/v7", "key": plan.key, "plan":
+containing ``pickle({"schema": "spool/v8", "key": plan.key, "plan":
 plan})``.  The schema names the *shape of a plan and of its key*:
 ``spool/v1`` files hold plans from before the value map and block
 schedule existed and ``spool/v2`` files plans whose block schedule has
@@ -23,8 +23,11 @@ schedule without ``runs`` and would fail inside the first request's
 numeric pass.  ``spool/v5`` plans hold ``runs`` as ``(k0, k1, run)``
 stretches of consecutive supernodes, which the numeric pass would
 misread as ``(members, run)`` steps.  ``spool/v6`` plans are keyed
-with a trailing factor dtype no lookup carries any more.  All six take
-the wrong-schema skip path.  The filename
+with a trailing factor dtype no lookup carries any more.  ``spool/v7``
+plans hold the serial engine's unrelaxed block schedule under a key
+that names no partition: found, they would refactor on a schedule a
+cold run no longer computes.  All seven take the wrong-schema skip
+path.  The filename
 is a digest of the
 *plan key* (fingerprint plus every plan-shaping option), so distinct
 option sets for one pattern spool side by side, exactly mirroring the
@@ -54,7 +57,7 @@ from repro.obs import add
 
 __all__ = ["SpoolSkipWarning", "load_plans", "save_plans", "spool_path"]
 
-_SCHEMA = "spool/v7"
+_SCHEMA = "spool/v8"
 
 
 class SpoolSkipWarning(UserWarning):

@@ -15,6 +15,9 @@ Three operations:
   uniprocessor speed; paper §5 lists it as planned work);
 - :func:`split_supernodes` — cap the block size (the paper splits large
   supernodes to a maximum of 24 columns on the T3E for load balance).
+
+:func:`block_partition` composes them into the one partition rule both
+drivers use: relax to :data:`RELAX_SIZE` columns, split at ``max_size``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,11 @@ __all__ = [
     "split_supernodes",
     "merge_dense_tail",
     "block_partition",
+    "RELAX_SIZE",
 ]
+
+#: The amalgamation cap of :func:`block_partition` (paper §5), in columns.
+RELAX_SIZE = 16
 
 
 @dataclass
@@ -88,15 +95,14 @@ def find_supernodes(sym: SymbolicLU) -> SupernodePartition:
 
 
 def relax_supernodes(sym: SymbolicLU, part: SupernodePartition,
-                     relax_size: int = 8) -> SupernodePartition:
+                     relax_size: int = RELAX_SIZE) -> SupernodePartition:
     """Amalgamate consecutive small supernodes.
 
-    Merges a run of adjacent supernodes when (a) each is an etree
-    descendant chain (the last column of one is the parent of... in
-    practice: they are contiguous and the earlier one's root column's
-    parent is the first column of the next), and (b) the merged width
-    stays at most ``relax_size``.  The merged supernode stores a few
-    explicit zeros; the numeric kernel treats them as values.
+    Supernode ``t + 1`` joins the run that ends at ``t`` when (a) its
+    first column is the etree parent of the column just before it (the
+    last column of ``t``), and (b) the merged width stays at most
+    ``relax_size``.  The merged supernode stores a few explicit zeros;
+    the numeric kernel treats them as values.
     """
     parent, xsup = sym.etree.tolist(), part.xsup.tolist()
     merged, s = [xsup[0]], 0
@@ -173,11 +179,14 @@ def merge_dense_tail(sym: SymbolicLU, part: SupernodePartition,
 
 
 def block_partition(sym: SymbolicLU, max_size: int = 24,
-                    relax_size: int = 0) -> SupernodePartition:
-    """The full pipeline: fundamental supernodes → optional relaxation →
-    splitting at ``max_size``.  This is the block partition used by the
-    2-D distributed data structure in both dimensions."""
-    part = find_supernodes(sym)
-    if relax_size and relax_size > 1:
-        part = relax_supernodes(sym, part, relax_size=relax_size)
+                    dense_tail_threshold: float = 0.0) -> SupernodePartition:
+    """The partition rule of both drivers: fundamental supernodes →
+    relaxation to :data:`RELAX_SIZE` columns → (with a positive
+    ``dense_tail_threshold``) :func:`merge_dense_tail` → splitting at
+    ``max_size``.  This is the block partition of the serial block plan
+    and of the 2-D distributed data structure in both dimensions."""
+    part = relax_supernodes(sym, find_supernodes(sym))
+    if dense_tail_threshold > 0.0:
+        part = merge_dense_tail(sym, part,
+                                density_threshold=dense_tail_threshold)
     return split_supernodes(part, max_size=max_size)

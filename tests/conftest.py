@@ -98,3 +98,13 @@ def dense_lu_nopivot(d):
 
 def csc_from(dense):
     return CSCMatrix.from_dense(np.asarray(dense, dtype=np.float64))
+
+
+def primitive_partition(sym, max_size=24, relax=0):
+    """The partition composed from the primitives at an explicit
+    amalgamation cap (``relax`` ≤ 1 leaves the fundamental supernodes)."""
+    from repro.symbolic import find_supernodes, relax_supernodes, \
+        split_supernodes
+
+    return split_supernodes(relax_supernodes(sym, find_supernodes(sym), relax),
+                            max_size=max_size)

@@ -26,6 +26,7 @@ Promises enforced here:
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -37,10 +38,11 @@ from repro.driver import GESPOptions, GESPSolver
 from repro.factor import supernodal_factor
 from repro.factor.blockplan import build_block_plan, supernode_row_sets
 from repro.matrices import matrix_by_name
-from repro.obs import Tracer
+from repro.obs import Tracer, use_tracer
 from repro.sparse import CSCMatrix
 from repro.symbolic import block_partition, symbolic_lu_symmetrized
 
+from conftest import primitive_partition
 from test_block_engine import _random_system, shapes
 
 EPS = float(np.finfo(np.float64).eps)
@@ -48,7 +50,7 @@ EPS = float(np.finfo(np.float64).eps)
 
 def _plan(a, **partition):
     sym = symbolic_lu_symmetrized(a)
-    return build_block_plan(a, sym, block_partition(sym, **partition))
+    return build_block_plan(a, sym, primitive_partition(sym, **partition))
 
 
 def _alone(plan):
@@ -112,7 +114,7 @@ def test_batched_schedule_equals_the_sequential_loop_property(
         values = values * np.exp(1j * np.random.default_rng(seed).random(
             values.size))
     a = _with_values(a, values)
-    plan = _plan(a, max_size=max_block, relax_size=relax)
+    plan = _plan(a, max_size=max_block, relax=relax)
     for scale in (None, 1e-3):      # the paper's threshold, and a busy one
         _assert_same_factorization(
             supernodal_factor(a, plan=plan, tiny_pivot_scale=scale),
@@ -291,20 +293,28 @@ def test_run_invariants_over_the_testbed(testbed):
 @settings(max_examples=60, deadline=None)
 def test_run_invariants_property(n, density, hole, max_block, relax, seed):
     a, _ = _random_system(n, density, hole, seed)
-    _check_runs(_plan(a, max_size=max_block, relax_size=relax))
+    _check_runs(_plan(a, max_size=max_block, relax=relax))
 
 
 def test_the_bench_patterns_batch_what_was_sized(testbed):
-    """Loop iterations (steps) / supernodes batched, as
-    docs/REFACTORIZATION.md tabulates them."""
-    for name, nsuper, iterations, batched in (
-            ("cfd06", 612, 120, 528), ("resv02", 248, 72, 201),
-            ("hb02", 424, 58, 387), ("circuit03", 261, 38, 237),
-            ("kkt02", 40, 28, 17)):
-        plan = testbed[name][2]._block_plan
-        inside = sum(len(members) for members, _ in _batched(plan))
-        assert (plan.part.nsuper, len(plan.runs), inside) == \
-            (nsuper, iterations, batched), name
+    """Supernodes / loop iterations (steps) / supernodes batched, as
+    docs/REFACTORIZATION.md tabulates them: on the solver's plan (the
+    partition rule) and on the unrelaxed partition, composed from the
+    primitives."""
+    for name, rule, unrelaxed in (
+            ("cfd06", (449, 128, 337), (612, 120, 528)),
+            ("resv02", (172, 56, 124), (248, 72, 201)),
+            ("hb02", (397, 49, 363), (424, 58, 387)),
+            ("circuit03", (245, 31, 226), (261, 38, 237)),
+            ("kkt02", (27, 18, 11), (40, 28, 17))):
+        solver = testbed[name][2]
+        sym = solver.symbolic
+        for plan, want in ((solver._block_plan, rule),
+                           (build_block_plan(solver.a_factored, sym,
+                                             primitive_partition(sym)),
+                            unrelaxed)):
+            inside = sum(len(members) for members, _ in _batched(plan))
+            assert (plan.part.nsuper, len(plan.runs), inside) == want, name
 
 
 def test_block_pivoting_plans_have_no_batched_run():
@@ -332,19 +342,33 @@ def test_empty_and_diagonal_matrices():
 # 4. the counters kept their values and their meaning
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("name,lu,trsm,gemm,gemm_flops,flops", [
-    ("cfd06", 612, 1222, 611, 589_974, 924_724),
-    ("kkt02", 40, 78, 39, 8_289_486, 9_453_614)])
+@pytest.mark.parametrize("name,lu,trsm,gemm,gemm_flops,flops,partition", [
+    ("cfd06", 612, 1222, 611, 589_974, 924_724, "unrelaxed"),
+    ("kkt02", 40, 78, 39, 8_289_486, 9_453_614, "unrelaxed"),
+    ("cfd06", 449, 896, 448, 609_088, 998_468, "rule"),
+    ("kkt02", 27, 52, 26, 8_415_216, 9_643_324, "rule")])
 def test_kernel_counters_of_one_factorization_are_the_recorded_ones(
-        name, lu, trsm, gemm, gemm_flops, flops):
-    """Recorded at the commit before batching.  The traced
-    ``warm_newton`` pass (96 cfd06 + 32 kkt02 factorizations) read
-    60 032 / 119 808 / 59 904 / 321 901 056."""
+        name, lu, trsm, gemm, gemm_flops, flops, partition):
+    """The unrelaxed rows were recorded at the commit before batching
+    and are factored here on a plan composed from the primitives; the
+    rule's rows are the solver's own.  The traced ``warm_newton`` pass
+    (96 cfd06 + 32 kkt02 factorizations) read 60 032 / 119 808 /
+    59 904 / 321 901 056 unrelaxed and reads 43 968 / 87 680 / 43 840 /
+    327 759 360 on the rule."""
     a = matrix_by_name(name).build()
     tracer = Tracer()
     solver = GESPSolver(a, tracer=tracer, cache=False)
+    factor = partial(solver.refactor, a)
+    if partition == "unrelaxed":
+        at, sym = solver.a_factored, solver.symbolic
+        factor = partial(supernodal_factor, at, plan=build_block_plan(
+            at, sym, primitive_partition(sym)))
+        tracer = Tracer()
+        with use_tracer(tracer):
+            factor()
     cold = dict(tracer.root.all_counters())
-    solver.refactor(a)
+    with use_tracer(tracer):
+        factor()
     warm = tracer.root.all_counters()
     names = ("kernel.lu_calls", "kernel.trsm_calls", "kernel.gemm_calls",
              "kernel.gemm_flops", "factor.flops")

@@ -44,6 +44,7 @@ from repro.symbolic import (
     symbolic_lu_unsymmetric,
 )
 
+from conftest import primitive_partition
 from test_complex import random_complex
 
 EPS = float(np.finfo(np.float64).eps)
@@ -302,7 +303,7 @@ def test_block_engine_matches_column_kernel_property(n, density, hole,
     and ``L U = A + Σ δ_j e_j e_jᵀ`` with the reported perturbations."""
     a, d = _random_system(n, density, hole, seed)
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=max_block, relax_size=relax)
+    part = primitive_partition(sym, max_size=max_block, relax=relax)
     block = supernodal_factor(a, sym=sym, part=part).to_gesp_factors()
     column = gesp_factor(a, sym=sym)
     assert np.array_equal(block.perturbed_columns, column.perturbed_columns)
@@ -362,7 +363,7 @@ def test_plan_invariants_over_the_testbed(testbed):
 def test_plan_invariants_property(n, density, hole, max_block, relax, seed):
     a, _ = _random_system(n, density, hole, seed)
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=max_block, relax_size=relax)
+    part = primitive_partition(sym, max_size=max_block, relax=relax)
     _check_plan(build_block_plan(a, sym, part))
 
 

@@ -5,10 +5,16 @@ import pytest
 
 from repro.driver import GESPOptions, GESPSolver
 from repro.driver.dist_driver import DistributedGESPSolver
-from repro.dmem import MachineModel, ProcessGrid
+from repro.dmem import MachineModel, ProcessGrid, distribute_matrix
+from repro.matrices import matrix_by_name
+from repro.pdgstrf import pdgstrf
+from repro.pdgstrs import pdgstrs
 from repro.sparse import CSCMatrix
+from repro.sparse.ops import norm1
+from repro.symbolic import block_partition, build_block_dag
 
-from conftest import laplace2d_dense, random_nonsingular_dense
+from conftest import laplace2d_dense, random_nonsingular_dense, \
+    primitive_partition
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -107,16 +113,38 @@ def test_block_size_respected(rng):
     assert np.diff(s.part.xsup).max() <= 3
 
 
-def test_relaxation_increases_mean_supernode(rng):
-    d = laplace2d_dense(10)
-    a = CSCMatrix.from_dense(d)
-    s0 = DistributedGESPSolver(a, nprocs=4, relax_size=0)
-    s1 = DistributedGESPSolver(a, nprocs=4, relax_size=12)
-    assert s1.part.mean_size() >= s0.part.mean_size()
+def test_relaxation_increases_mean_supernode():
+    s = DistributedGESPSolver(CSCMatrix.from_dense(laplace2d_dense(10)),
+                              nprocs=4)
+    at, sym = s.a_factored, s.symbolic
+    parts = [primitive_partition(sym, relax=relax) for relax in (0, 12)]
+    assert parts[1].mean_size() >= parts[0].mean_size()
     # both still solve correctly
-    for s in (s0, s1):
-        run = s.solve_distributed(d @ np.ones(a.ncols))
+    for part in parts:
+        dist = distribute_matrix(at, sym, part, s.grid)
+        pdgstrf(dist, build_block_dag(sym, part), anorm=norm1(at))
+        run = pdgstrs(dist, at @ np.ones(at.ncols))
         assert np.abs(run.x - 1.0).max() < 1e-7
+
+
+def test_both_drivers_partition_by_the_one_rule():
+    a = matrix_by_name("cfd03").build()
+    serial = GESPSolver(a, cache=False)
+    assert np.array_equal(serial._block_plan.part.xsup,
+                          block_partition(serial.symbolic).xsup)
+    for max_block, tail in ((24, 0.0), (8, 0.3)):
+        dist = DistributedGESPSolver(a, nprocs=4, cache=False,
+                                     max_block_size=max_block,
+                                     dense_tail_threshold=tail)
+        assert np.array_equal(
+            dist.part.xsup, block_partition(dist.symbolic, max_block,
+                                            tail).xsup)
+
+
+def test_relax_size_is_not_an_option():
+    a = CSCMatrix.from_dense(laplace2d_dense(4))
+    with pytest.raises(TypeError):
+        DistributedGESPSolver(a, relax_size=8)
 
 
 def test_postorder_composition_preserves_solution(rng):

@@ -32,15 +32,15 @@ from repro.pdgstrs import pdgstrs
 from repro.recovery import FailureKind
 from repro.sparse import CSCMatrix
 from repro.sparse.ops import norm1
-from repro.symbolic import block_partition, build_block_dag, symbolic_lu_symmetrized
+from repro.symbolic import build_block_dag, symbolic_lu_symmetrized
 
-from conftest import random_nonsingular_dense
+from conftest import random_nonsingular_dense, primitive_partition
 
 
 def build_dist(d, p, max_block=4):
     a = CSCMatrix.from_dense(d)
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=max_block, relax_size=0)
+    part = primitive_partition(sym, max_size=max_block)
     dag = build_block_dag(sym, part)
     dist = distribute_matrix(a, sym, part, best_grid(p))
     return a, dag, dist

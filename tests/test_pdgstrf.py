@@ -8,9 +8,10 @@ from repro.factor import supernodal_factor
 from repro.pdgstrf import pdgstrf
 from repro.sparse import CSCMatrix
 from repro.sparse.ops import norm1
-from repro.symbolic import block_partition, build_block_dag, symbolic_lu_symmetrized
+from repro.symbolic import build_block_dag, symbolic_lu_symmetrized
 
-from conftest import laplace2d_dense, random_nonsingular_dense
+from conftest import laplace2d_dense, random_nonsingular_dense, \
+    primitive_partition
 
 
 def setup(rng_or_dense, n=40, max_block=4, relax=0):
@@ -20,7 +21,7 @@ def setup(rng_or_dense, n=40, max_block=4, relax=0):
         d = random_nonsingular_dense(rng_or_dense, n, hidden_perm=False)
     a = CSCMatrix.from_dense(d)
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=max_block, relax_size=relax)
+    part = primitive_partition(sym, max_size=max_block, relax=relax)
     dag = build_block_dag(sym, part)
     return d, a, sym, part, dag
 
@@ -173,10 +174,10 @@ def test_cfd06_counts_and_clock_hold():
     snap = st.snapshot()
     run = ds.factorize()
     assert st.counter_delta(snap) == {
-        "kernel.lu_calls": 247, "kernel.trsm_calls": 1890,
-        "kernel.gemm_calls": 3899, "kernel.gemm_flops": 630358,
-        "kernel.lu_lapack": 208 if kernels._BLAS else 0,
+        "kernel.lu_calls": 221, "kernel.trsm_calls": 1560,
+        "kernel.gemm_calls": 2978, "kernel.gemm_flops": 662020,
+        "kernel.lu_lapack": 189 if kernels._BLAS else 0,
         "kernel.lu_fallbacks": 0}
-    assert run.sim.total_flops == 1017924
-    assert (run.sim.total_messages, run.sim.total_bytes) == (2380, 403520)
-    assert run.elapsed == 0.009894351703002334
+    assert run.sim.total_flops == 1116755
+    assert (run.sim.total_messages, run.sim.total_bytes) == (2108, 427728)
+    assert run.elapsed == 0.009176151049433683

@@ -10,13 +10,14 @@ from repro.sparse import CSCMatrix
 from repro.sparse.ops import norm1
 from repro.symbolic import block_partition, build_block_dag, symbolic_lu_symmetrized
 
-from conftest import laplace2d_dense, random_nonsingular_dense
+from conftest import laplace2d_dense, random_nonsingular_dense, \
+    primitive_partition
 
 
 def factored_dist(d, p, max_block=4, relax=0):
     a = CSCMatrix.from_dense(d)
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=max_block, relax_size=relax)
+    part = primitive_partition(sym, max_size=max_block, relax=relax)
     dag = build_block_dag(sym, part)
     dist = distribute_matrix(a, sym, part, best_grid(p))
     pdgstrf(dist, dag, anorm=norm1(a))

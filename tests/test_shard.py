@@ -409,6 +409,51 @@ def test_spool_v6_plans_keyed_with_a_factor_dtype_are_skipped(tmp_path):
     assert reloaded.snapshot()[0].key == plan.key
 
 
+def test_spool_v7_plans_with_an_unrelaxed_schedule_are_skipped(tmp_path):
+    """Until both engines shared one partition rule, the serial block
+    schedule was built on the unrelaxed partition, under a key that names
+    no partition.  A v7 file is such a plan under today's key: found, it
+    would refactor on a schedule a cold run no longer computes.  Its
+    schema tag sends it down the skip path, loudly; the pattern starts
+    cold and comes back on the rule's partition."""
+    import copy
+
+    from repro.driver import GESPOptions, GESPSolver
+    from repro.factor.blockplan import build_block_plan
+    from repro.matrices import matrix_by_name
+    from repro.obs import Tracer, use_tracer
+    from repro.symbolic import block_partition, find_supernodes, \
+        split_supernodes
+
+    a = matrix_by_name("cfd01").build()
+    cache = FactorizationCache(maxsize=32)
+    at = GESPSolver(a, cache=cache).a_factored
+    plan = cache.snapshot()[0]
+    sym = plan.symbolic
+    old = copy.copy(plan)
+    old.block_plan = build_block_plan(
+        at, sym, split_supernodes(find_supernodes(sym)))
+    assert old.block_plan.part.nsuper > plan.block_plan.part.nsuper
+    spool.spool_path(tmp_path, plan.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v7", "key": plan.key, "plan": old}))
+
+    fresh = FactorizationCache(maxsize=32)
+    tracer = Tracer()
+    with use_tracer(tracer), \
+            pytest.warns(spool.SpoolSkipWarning, match="spool/v7"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    tracer.finish()
+    assert len(fresh) == 0
+    assert tracer.root.all_counters()["spool.load_skipped"] == 1
+    warm = GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=fresh)
+    assert warm.solve(a @ np.ones(a.ncols)).converged
+    spool.save_plans(tmp_path, fresh.snapshot(), set())
+    reloaded = FactorizationCache()
+    assert spool.load_plans(tmp_path, reloaded) == 1
+    assert np.array_equal(reloaded.snapshot()[0].block_plan.part.xsup,
+                          block_partition(sym).xsup)
+
+
 def test_spool_clean_load_emits_no_warning(tmp_path, recwarn):
     cache = _plans_for([sparse_matrix(seed=9)])
     spool.save_plans(tmp_path, cache.snapshot(), set())

@@ -28,6 +28,7 @@ from repro.solve import solve_lower_csc, solve_upper_csc
 from repro.sparse import CSCMatrix
 from repro.symbolic import block_partition, symbolic_lu_symmetrized
 
+from conftest import primitive_partition
 from test_block_engine import _random_system, shapes
 
 EPS = float(np.finfo(np.float64).eps)
@@ -122,7 +123,7 @@ def test_schedule_invariants_and_dense_oracle_property(n, density, hole,
     and the sweeps equal dense triangular solves with the blocks' L, U."""
     a, _ = _random_system(n, density, hole, seed)
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=max_block, relax_size=relax)
+    part = primitive_partition(sym, max_size=max_block, relax=relax)
     plan = build_block_plan(a, sym, part)
     _check_schedule(plan)
     assert plan.s_rows[-1].size == 0

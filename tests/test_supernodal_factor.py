@@ -9,7 +9,8 @@ from repro.kernels import lu_nopivot, trsm_lower_unit, trsm_upper
 from repro.sparse import CSCMatrix
 from repro.symbolic import block_partition, symbolic_lu_symmetrized
 
-from conftest import laplace2d_dense, random_nonsingular_dense
+from conftest import laplace2d_dense, random_nonsingular_dense, \
+    primitive_partition
 
 
 def test_factor_diagonal_block_matches_dense(rng):
@@ -84,7 +85,7 @@ def test_supernodal_with_relaxation(rng):
     d = np.eye(n) * 4 + np.eye(n, k=1) + np.eye(n, k=-1)
     a = CSCMatrix.from_dense(d)
     sym = symbolic_lu_symmetrized(a)
-    part = block_partition(sym, max_size=24, relax_size=4)
+    part = primitive_partition(sym, max_size=24, relax=4)
     assert part.nsuper < n  # relaxation actually merged something
     sf = supernodal_factor(a, sym=sym, part=part)
     ls, us = sf.to_csc_factors()

@@ -14,8 +14,10 @@ from repro.symbolic import (
     symbolic_lu_symmetrized,
     symbolic_lu_unsymmetric,
 )
+from repro.symbolic.supernode import RELAX_SIZE
 
-from conftest import laplace2d_dense, random_nonsingular_dense
+from conftest import laplace2d_dense, random_nonsingular_dense, \
+    primitive_partition
 
 
 def dense_lu_pattern(d):
@@ -163,9 +165,11 @@ def test_relax_merges_chains():
 def test_block_partition_pipeline(rng):
     d = random_nonsingular_dense(rng, 30, hidden_perm=False)
     sym = symbolic_lu_symmetrized(CSCMatrix.from_dense(d))
-    part = block_partition(sym, max_size=5, relax_size=4)
+    part = block_partition(sym, max_size=5)
     assert np.diff(part.xsup).max() <= 5
     assert part.xsup[-1] == 30
+    assert np.array_equal(
+        part.xsup, primitive_partition(sym, max_size=5, relax=RELAX_SIZE).xsup)
 
 
 def test_supno_map():

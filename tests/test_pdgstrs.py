@@ -108,3 +108,30 @@ def test_diagonally_distributed_rhs_consistency(rng):
     x1 = pdgstrs(dist, b).x
     x2 = pdgstrs(dist, b).x
     assert np.array_equal(x1, x2)
+
+
+def test_cfd06_solve_counts_and_clock_hold():
+    """One cfd06 solve on a 2×2 grid, pinned per direction: the
+    simulated clock, messages, bytes and flops are Figure 9's message
+    protocol, and the ``kernel.*`` counters count its per-block
+    operations — however the rank program groups the arithmetic."""
+    from repro import kernels
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd06").build()
+    ds = DistributedGESPSolver(a, nprocs=4, executor="sim", cache=False)
+    ds.factorize()
+    st = kernels.stats()
+    snap = st.snapshot()
+    run = ds.solve_distributed(a @ np.ones(a.ncols))
+    assert st.counter_delta(snap) == {
+        "kernel.lu_calls": 0, "kernel.trsm_calls": 0,
+        "kernel.gemm_calls": 1560, "kernel.gemm_flops": 62568,
+        "kernel.lu_lapack": 0, "kernel.lu_fallbacks": 0}
+    assert st.solve_flops - snap.solve_flops == 18680
+    for sim in (run.lower, run.upper):
+        assert (sim.total_messages, sim.total_bytes, sim.total_flops) == \
+            (366, 14888, 40624)
+    assert repr(run.lower.elapsed) == "0.0003897044444444446"
+    assert repr(run.upper.elapsed) == "0.0004158733333333341"

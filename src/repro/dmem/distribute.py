@@ -91,15 +91,18 @@ class DistributedBlocks:
         Per-rank dicts of store views: ``diag[rank][K]``, the panels
         ``lpanel[rank][K]`` and ``upanel[rank][K]``, and their slices
         ``lblk[rank][(I, K)]`` and ``ublk[rank][(K, J)]``.
-    widths, local_index, owners, solve_start:
-        ``widths[K]``, supernode K's width (a list).
-        For :mod:`repro.pdgstrs`, ``local_index[K][I]``: the rows of group
-        (K, I) counted from block I's first; ``owners[name] = (by_row,
-        by_col)``, the ranks (sorted tuples) owning an ``"lblk"`` /
-        ``"ublk"`` block in each block row / block column;
-        ``solve_start[name][rank] = (by J the block rows K of its (K, J)
-        blocks, its blocks per row K, partial sums due per diagonal K,
-        messages to receive)``, where that rank's solve starts.
+    widths, owners, solve_start, row_panels:
+        ``widths[K]``, supernode K's width (a list).  For
+        :mod:`repro.pdgstrs`: ``owners[name] = (by_row, by_col)``, the
+        ranks (sorted tuples) owning an ``"lblk"`` / ``"ublk"`` block in
+        each block row / column; ``solve_start[name][rank] = (by J the
+        (K, flops per right-hand side, width) of its (K, J) blocks, its
+        blocks per row K, partial sums due per diagonal K, messages to
+        receive)``; ``row_panels[name][rank] = ((buffer, src, dst) or
+        None, {K: (panel, cols, calls, dflops)})``, its (K, ·) blocks
+        side by side: ``lsum(K) = panel @ x[cols]``, which counts
+        ``calls`` more products and ``dflops`` (the padding, ≤ 0) more
+        flops per right-hand side than one, so ``kernel.*`` count blocks.
     recordings:
         The simulator executor's recorded runs on this layout (never
         pickled).
@@ -120,7 +123,7 @@ class DistributedBlocks:
     tiny_pivot_threshold: float = 0.0
 
     _DERIVED = ("widths", "diag", "lpanel", "upanel", "lblk", "ublk",
-                "local_index", "owners", "solve_start", "recordings")
+                "owners", "solve_start", "row_panels", "recordings")
 
     def __post_init__(self):
         self._bind()
@@ -140,7 +143,6 @@ class DistributedBlocks:
         for k, lo in enumerate(self.offsets.diag.tolist()):
             r = self.grid.owner(k, k)
             self.diag[r][k] = view(r, lo, (w[k], w[k]))
-        self.local_index = [{} for _ in w]
         for k, i, m, lo, uo, top, left, tall, wide in zip(
                 *(a.tolist() for a in self.offsets[1:])):
             r = self.grid.owner(i, k)
@@ -151,29 +153,59 @@ class DistributedBlocks:
             if not left:
                 self.upanel[r][k] = view(r, uo, (w[k], wide))
             self.ublk[r][(k, i)] = self.upanel[r][k][:, left:left + m]
-            self.local_index[k][i] = self.l_rows_by_block[k][i] - xsup[i]
-        self.owners = {}
+        self.owners, self.solve_start, self.row_panels = {}, {}, {}
         for name in ("lblk", "ublk"):
-            by_row, by_col = [set() for _ in w], [set() for _ in w]
-            for r, blocks in enumerate(getattr(self, name)):
-                for i, j in blocks:
-                    by_row[i].add(r)
-                    by_col[j].add(r)
-            self.owners[name] = tuple([tuple(sorted(ranks)) for ranks in side]
-                                      for side in (by_row, by_col))
-        self.solve_start = {name: [self._solve_start(name, r) for r in range(p)]
-                            for name in ("lblk", "ublk")}
+            self._solve_maps(name)
 
-    def _solve_start(self, name, rank):
-        contrib = self.owners[name][0]
-        my_blocks, mod = {}, {}
-        for k, j in sorted(getattr(self, name)[rank]):
-            my_blocks.setdefault(j, []).append(k)
-            mod[k] = mod.get(k, 0) + 1
-        recv = {k: len(contrib[k]) for k in self.diag[rank]}
-        expected = sum(self.grid.owner(j, j) != rank for j in my_blocks) \
-            + sum(n - (rank in contrib[k]) for k, n in recv.items())
-        return my_blocks, mod, recv, expected
+    def _solve_maps(self, name):
+        """The solve maps of the ``name`` blocks.  A row panel of U is its
+        ``upanel`` (``refill`` None); L(K, J) blocks sit in different
+        column panels, so a rank's are laid out ``w_K`` rows by their
+        x(J) columns (the rest zero) in a buffer a solve refills by one
+        indexed copy, ``buffer[dst] = store[src]``."""
+        lower, xsup = name == "lblk", self.part.xsup
+        w = np.diff(xsup)
+        by_row, by_col = [set() for _ in w], [set() for _ in w]
+        self.solve_start[name], self.row_panels[name] = [], []
+        for r, blocks in enumerate(getattr(self, name)):
+            my_blocks, mod, flops, rows = {}, {}, {}, {}
+            for (k, j), blk in sorted(blocks.items()):
+                # Figure 9's events: a block's (K, flops, width)
+                my_blocks.setdefault(j, []).append(
+                    (k, 2 * blk.size, blk.shape[lower]))
+                mod[k] = mod.get(k, 0) + 1
+                flops[k] = flops.get(k, 0) + 2 * blk.size
+                rows.setdefault(k, []).append(j)
+                by_row[k].add(r)
+                by_col[j].add(r)
+            self.solve_start[name].append([my_blocks, mod])
+            # the x a panel reads: all of x(J) (L), S_K's columns (U)
+            ks = np.fromiter(rows, np.intp, len(rows))
+            cols = [_ranges(xsup[js], w[js]) if lower else np.concatenate(
+                [self.l_rows_by_block[k][j] for j in js])
+                for k, js in rows.items()]
+            wide = np.array([c.size for c in cols], dtype=np.intp)
+            area = w[ks] * wide
+            base = (np.cumsum(area) - area).tolist()
+            refill, buf = None, np.zeros(area.sum() if lower else 0)
+            if lower:       # panel entry (a, c) is L's (xsup[K] + a, cols[c])
+                f = _ranges(np.zeros_like(area), area)
+                at = np.repeat(np.arange(ks.size), area)
+                _, pos, stored = self.slots(
+                    xsup[ks][at] + f // wide[at],
+                    np.concatenate(cols + [xsup[:0]])[
+                        (np.cumsum(wide) - wide)[at] + f % wide[at]])
+                refill = (buf, pos[stored], np.flatnonzero(stored))
+            self.row_panels[name].append((refill, {k: (
+                buf[lo:lo + a].reshape(w[k], -1) if lower
+                else self.upanel[r][k], c, mod[k] - 1, flops[k] - 2 * a)
+                for k, c, lo, a in zip(rows, cols, base, area.tolist())}))
+        contrib = [tuple(sorted(ranks)) for ranks in by_row]
+        self.owners[name] = (contrib, [tuple(sorted(s)) for s in by_col])
+        for r, start in enumerate(self.solve_start[name]):
+            recv = {k: len(contrib[k]) for k in self.diag[r]}
+            start += [recv, sum(self.grid.owner(j, j) != r for j in start[0])
+                      + sum(n - (r in contrib[k]) for k, n in recv.items())]
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items()
@@ -304,6 +336,12 @@ def block_layout(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
     dist.src = np.split(by_rank.astype(index), cuts)
     dist.pos = np.split(pos[by_rank].astype(index), cuts)
     return dist
+
+
+def _ranges(start, length):
+    """``start[i] .. start[i] + length[i]`` for every i, concatenated."""
+    return np.repeat(start - np.cumsum(length) + length, length) \
+        + np.arange(length.sum())
 
 
 def _panels(key, size):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import time
 from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.dmem.comm import (
     ANY_SOURCE,
@@ -360,8 +360,10 @@ def _replay(programs, rec) -> SimulationResult:
                 r, f"receives, messages, bytes, flops {did}; recorded {want}")
     if mail:
         raise ReplayDivergenceError(min(mail)[0], "a send no receive took")
-    return SimulationResult(stats=deepcopy(rec.stats), elapsed=rec.elapsed,
-                            returns=returns)
+    # a copy per field: a result's stats are the caller's to change
+    return SimulationResult(
+        stats=[replace(s, blocked_by_kind=dict(s.blocked_by_kind))
+               for s in rec.stats], elapsed=rec.elapsed, returns=returns)
 
 
 def _simulate(programs, machine, max_events, fault_plan,

@@ -176,16 +176,20 @@ def _collect_factor_state(rank, dist, **_kwargs):
 
 class UpdateTargets(NamedTuple):
     """Every rank's trailing updates as store offsets: batch
-    ``b = batch[K, rank]`` (-1: none) is the product of the rank's L and
+    ``b = batch[K][rank]`` (-1: none) is the product of the rank's L and
     U panels, taken as its first ``split`` columns (the look-ahead block
     J = K+1), then the rest, each row-major.  It sends the entries with a
     home — ``sel[b]`` of them when not all — to ``tgt[start:end]``, where
     ``(start, end, cut, split, *flops) = meta[b]``: the look-ahead
-    columns' ``cut`` entries first, and the flops of those and the rest."""
+    columns' ``cut`` entries first, and the flops of those and the rest.
+    ``calls[b] = (start, end, cut, *flops, blocks - 1, take)`` is that
+    as an update call reads it: ``take`` picks those entries of the
+    row-major product in ``tgt``'s order (None: all, as they stand)."""
     tgt: np.ndarray
-    batch: np.ndarray
+    batch: list
     meta: np.ndarray
     sel: dict
+    calls: list
 
 
 def _update_targets(dist, need_l, need_u):
@@ -196,7 +200,7 @@ def _update_targets(dist, need_l, need_u):
     factor) and the batch leaves it out."""
     grid, index = dist.grid, dist.pos[0].dtype          # the layout's width
     batch = np.full((dist.nsuper, grid.size), -1, dtype=np.int32)
-    tgt, meta, sel, end = [], [], {}, 0
+    tgt, meta, sel, calls, end = [], [], {}, [], 0
     for k, s in enumerate(dist.s_rows):
         _, where, stored = dist.slots(s[:, None], s[None, :])
         block, w = dist.supno[s], dist.widths[k]
@@ -210,6 +214,9 @@ def _update_targets(dist, need_l, need_u):
                 split = np.count_nonzero(block[c] == k + 1)
                 t, h = (np.concatenate((a[r, c[:split]], a[r, c[split:]]),
                                        axis=None) for a in (where, stored))
+                take = np.arange(r.size * c.size).reshape(r.size, c.size)
+                take = np.concatenate((take[:, :split], take[:, split:]),
+                                      axis=None)[h]
                 if not h.all():
                     sel[len(meta)] = np.flatnonzero(h).astype(index)
                 batch[k, grid.rank(pr, pc)] = len(meta)
@@ -218,10 +225,15 @@ def _update_targets(dist, need_l, need_u):
                              int(h[:r.size * split].sum()), split,
                              kernels.gemm_flops(r.size, w, split),
                              kernels.gemm_flops(r.size, w, c.size - split)))
+                calls.append((len(rows) * len(cols) - 1,
+                              take if split or not h.all() else None))
                 end += tgt[-1].size
+    meta = np.array(meta, dtype=np.int64).reshape(-1, 6)
+    # intp: the subtract indexes with the targets as they are
     return UpdateTargets(
-        np.concatenate([*tgt, np.zeros(0, np.int64)]).astype(index), batch,
-        np.array(meta, dtype=np.int64).reshape(-1, 6), sel)
+        np.concatenate([*tgt, np.zeros(0, np.intp)]).astype(np.intp),
+        batch.tolist(), meta, sel, [(*m[:3], *m[4:], *c) for m, c in zip(
+            meta.tolist(), calls)])
 
 
 def build_schedule(dist, dag, edag_prune):
@@ -277,11 +289,13 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
     need_l_all = sched["need_l"]
     need_u_all = sched["need_u"]
 
-    def recv(source, tag, where):
+    def recv(source, tag, where, k):
         """Source/tag-specific receive with the fault plan's timeout and
-        bounded retries (plain blocking Recv when no timeout is set)."""
+        bounded retries (plain blocking Recv when no timeout is set, and
+        ``where`` is filled in with ``k`` only for a timeout's error)."""
         return recv_with_retry(source=source, tag=tag, timeout=recv_timeout,
-                               retries=DEFAULT_RECV_RETRIES, where=where)
+                               retries=DEFAULT_RECV_RETRIES,
+                               where=recv_timeout and where.format(k=k))
 
     # -------------------- step 1: factor block column K ---------------- #
 
@@ -307,7 +321,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             dloc = d
         elif my_l:
             dloc = (yield from recv(grid.rank(kr, kc), _tag(k, _DIAG_L),
-                                    f"pdgstrf step1 diag_l k={k}")).payload
+                                    "pdgstrf step1 diag_l k={k}", k)).payload
         if my_l:
             panel = dist.lpanel[rank][k]
             kernels.trsm_upper(dloc, panel)
@@ -334,7 +348,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             return
         dloc = dist.diag[rank][k] if pc == kc else (yield from recv(
             grid.rank(kr, kc), _tag(k, _DIAG_U),
-            f"pdgstrf step2 diag_u k={k}")).payload
+            "pdgstrf step2 diag_u k={k}", k)).payload
         panel = dist.upanel[rank][k]
         kernels.trsm_lower_unit(dloc, panel)
         kernels.stats().trsm_calls += len(my_u) - 1
@@ -357,17 +371,17 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
             if not edag_prune:
                 if pc != kc and need_l:
                     yield from recv(grid.rank(pr, kc), _tag(k, _L_PANEL),
-                                    f"pdgstrf drain l_panel k={k}")
+                                    "pdgstrf drain l_panel k={k}", k)
                 if pr != kr and need_u:
                     yield from recv(grid.rank(kr, pc), _tag(k, _U_PANEL),
-                                    f"pdgstrf drain u_panel k={k}")
+                                    "pdgstrf drain u_panel k={k}", k)
             return None
         lpanel = dist.lpanel[rank][k] if pc == kc else (yield from recv(
             grid.rank(pr, kc), _tag(k, _L_PANEL),
-            f"pdgstrf update l_panel k={k}")).payload
+            "pdgstrf update l_panel k={k}", k)).payload
         upanel = dist.upanel[rank][k] if pr == kr else (yield from recv(
             grid.rank(kr, pc), _tag(k, _U_PANEL),
-            f"pdgstrf update u_panel k={k}")).payload
+            "pdgstrf update u_panel k={k}", k)).payload
         return lpanel, upanel
 
     def update(k, lpanel, upanel, lookahead):
@@ -376,17 +390,13 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         Compute — or, with ``lookahead``, the J = K+1 columns' subtract and
         Compute, step 1 of iteration K+1, then the rest's (the gemm read
         only panels K)."""
-        targets = sched["updates"]
-        b = int(targets.batch[k, rank])
-        start, end, cut, split, *flops = targets.meta[b].tolist()
+        start, end, cut, *flops, more, take = \
+            targets.calls[targets.batch[k][rank]]
         tgt = targets.tgt[start:end]
-        upd = kernels.gemm_update(lpanel, upanel)
-        kernels.stats().gemm_calls += \
-            len(need_l_all[k][pr]) * len(need_u_all[k][pc]) - 1
-        upd = np.concatenate((upd[:, :split], upd[:, split:]), axis=None) \
-            if split else upd.ravel()
-        if b in targets.sel:
-            upd = upd[targets.sel[b]]
+        upd = kernels.gemm_update(lpanel, upanel).ravel()
+        kernels.stats().gemm_calls += more
+        if take is not None:
+            upd = upd[take]
         if lookahead:
             store[tgt[:cut]] -= upd[:cut]
             if flops[0]:
@@ -401,7 +411,7 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
 
     # -------------------- main loop ------------------------------------ #
 
-    store = dist.stores[rank]
+    store, targets = dist.stores[rank], sched["updates"]
     # a panel message's index[]: the panel's global rows (columns)
     index_bytes = dist.s_rows[0].itemsize if ns else 0
     step1_done = [False] * ns

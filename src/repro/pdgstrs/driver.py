@@ -74,7 +74,7 @@ def pdgstrs(dist: DistributedBlocks, b, machine=None,
 
     ``executor`` selects the runtime both substitutions run on
     (``"sim"``/``"process"``/instance); results are bit-identical
-    across executors thanks to canonical-order accumulation.
+    across executors (:mod:`repro.pdgstrs.trisolve` says why).
     """
     with trace("solve/pdgstrs"):
         with trace("solve/lower"):

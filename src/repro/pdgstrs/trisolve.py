@@ -1,40 +1,29 @@
 """Distributed triangular solves ``L y = b`` and ``U x = y`` (paper
 Figure 9 and §3.3) — one message-driven rank program, two directions.
 
-Inner-product formulation: before subvector ``x(K)`` is solved, every
-update ``L(K,J)·x(J)``, ``J < K`` (lower; ``U(K,J)·x(J)``, ``J > K``,
-upper), must be accumulated and subtracted from ``b(K)``.  Per rank:
+Inner-product formulation: before ``x(K)`` is solved, every update
+``L(K,J)·x(J)``, ``J < K`` (``U(K,J)·x(J)``, ``J > K``, upper), is
+subtracted from ``b(K)``.  Per rank, ``mod[K]`` (the paper's ``fmod``;
+``umod`` in the mirror) counts its outstanding block updates to its
+partial sum ``lsum(K)``, shipped to K's diagonal process at zero;
+there ``recv[K]`` (``frecv`` / ``urecv``) counts the partial sums due,
+and at zero ``x(K)`` is solved against the diagonal block and sent down
+process column ``K mod npcol`` to the owners of block column K.  The
+main loop is a receive-any dispatcher on the two message kinds, with
+local cascades processed eagerly between receives.  The upper solve is
+the mirror image on the row-wise U storage: :class:`_Direction` says
+what differs.
 
-- ``mod[K]`` (the paper's ``fmod``; ``umod`` in the mirror) —
-  outstanding local block updates to this rank's partial sum
-  ``lsum(K)``; when it reaches zero the partial sum is shipped to the
-  diagonal process of K (or delivered locally when this rank *is* it);
-- ``recv[K]`` (``frecv``/``urecv``; diagonal process only) —
-  outstanding partial-sum deliveries (remote ranks each deliver once;
-  this rank's own contribution counts as one more); when it reaches
-  zero, ``x(K)`` is solved against the diagonal block and sent down
-  process column ``K mod npcol`` to every owner of a block in block
-  column K.
-
-The main loop is a receive-any dispatcher on the two message kinds —
-the paper's "execution of the program is message-driven" — with local
-cascades (a solve enabling local updates enabling further solves)
-processed eagerly between receives.
-
-The paper gives the lower solve and calls the upper its mirror image:
-back substitution proceeds from the root of the elimination tree toward
-the leaves, on the row-wise U storage (whose per-supernode column index
-sets play the role of the paper's "two vertical linked lists").  What
-actually differs is the :class:`_Direction` table below plus the one
-place where a block meets ``x(J)``.
-
-Accumulation order is *canonical*, not arrival order: block-update
-contributions are buffered per (target, source supernode) and partial
-sums per contributing rank, then reduced in sorted order once the
-``mod``/``recv`` counters hit zero.  Floating-point results are
-therefore a function of the inputs alone — bit-identical across message
-interleavings, and in particular across the simulator and the real
-process executor (docs/EXECUTOR.md).
+The events are Figure 9's, the arithmetic is not per block: an arriving
+``x(J)`` goes into a rank-local buffer and each of the rank's (K, J)
+blocks yields its ``Compute`` and counts ``mod[K]`` down as the figure
+does; at zero, ``lsum(K)`` is one product of the rank's row panel of K
+(its (K, ·) blocks side by side, ``DistributedBlocks.row_panels``) with
+the x entries it reads, in an order the layout fixes, and the diagonal
+process subtracts the partial sums in sorted-rank order.  Neither
+depends on arrival order, so ``x`` is a function of the inputs alone —
+bit-identical across message interleavings, and so across the
+simulator, the replay and the process executor (docs/EXECUTOR.md).
 """
 
 from __future__ import annotations
@@ -43,14 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dmem.comm import (
-    ANY_SOURCE,
-    ANY_TAG,
-    Compute,
-    Send,
-    recv_with_retry,
-)
 from repro import kernels
+from repro.dmem.comm import ANY_SOURCE, ANY_TAG, Compute, Send, recv_with_retry
 from repro.dmem.distribute import DistributedBlocks
 from repro.pdgstrf.factor2d import DEFAULT_RECV_RETRIES, DEFAULT_RECV_TIMEOUT
 
@@ -58,8 +41,6 @@ __all__ = ["pdgstrs_lower", "pdgstrs_upper"]
 
 _TAG_X = 0      # solved subvector x(K):   tag = 2*K
 _TAG_SUM = 1    # partial sum for K:       tag = 2*K + 1
-
-_ALL = slice(None)
 
 
 @dataclass(frozen=True)
@@ -70,11 +51,10 @@ class _Direction:
     blocks: str          # DistributedBlocks store of the (K, J) blocks
     diag_solve: str      # kernel op solving against the diagonal block
     descending: bool     # seeding order (the upper solve starts at the root)
-    width_axis: int      # block axis the machine model calls the width
 
 
-_LOWER = _Direction("lower", "lblk", "diag_solve_lower_unit", False, 1)
-_UPPER = _Direction("upper", "ublk", "diag_solve_upper", True, 0)
+_LOWER = _Direction("lower", "lblk", "diag_solve_lower_unit", False)
+_UPPER = _Direction("upper", "ublk", "diag_solve_upper", True)
 
 
 def _run(direction, dist, b, machine, fault_plan, executor):
@@ -108,8 +88,9 @@ def pdgstrs_lower(dist: DistributedBlocks, b, machine=None,
     with the factorization's bounded-retry timeouts for running against
     an unreliable machine; ``executor`` selects the runtime
     (``"sim"``/``"process"``/instance, see
-    :func:`repro.dmem.executor.resolve_executor`); the canonical-order
-    accumulation makes the result bit-identical across executors.
+    :func:`repro.dmem.executor.resolve_executor`); the result is
+    bit-identical across executors (each partial sum is one product over
+    a fixed column order).
     """
     return _run(_LOWER, dist, b, machine, fault_plan, executor)
 
@@ -128,30 +109,25 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     """One rank of either substitution.  Returns ``{K: x_K}`` for the
     supernodes whose diagonal process this rank is."""
     diag_solve = getattr(kernels, direction.diag_solve)
-    gemm_update = kernels.gemm_update
-    blocks = getattr(dist, direction.blocks)[rank]
-    width_axis = direction.width_axis
-    lower = direction == _LOWER
+    st = kernels.stats()
     grid = dist.grid
     xsup = dist.part.xsup
-    local_index = dist.local_index
     # owners of a block (·, J): x(J)'s readers
     consumers = dist.owners[direction.blocks][1]
     b = np.asarray(b, dtype=np.float64)
-
     nrhs = 1 if b.ndim == 1 else b.shape[1]
 
-    def zeros_block(w):
-        return np.zeros(w) if b.ndim == 1 else np.zeros((w, nrhs))
-
-    # my_blocks[J] = block rows K of my (K, J) blocks, ascending; the
-    # counters and message total are the layout's, once per pattern
+    # my_blocks[J] = (K, flops per column of x, width) of my (K, J)
+    # blocks, ascending K; the counters and message total are the
+    # layout's, once per pattern
     my_blocks, mod, recv, remaining = dist.solve_start[direction.blocks][rank]
     mod, recv = dict(mod), dict(recv)
-    # pending[K] = {J: (rows of lsum(K), block(K,J)·x(J))} — block
-    # updates buffered until mod[K] hits zero, then reduced in sorted-J
-    # order (canonical, arrival-independent)
-    pending = {}
+    refill, panels = dist.row_panels[direction.blocks][rank]
+    if refill is not None:
+        buf, src, dst = refill
+        buf[dst] = dist.stores[rank][src]
+    # the x(J) my blocks read, as they come in
+    x_in = np.empty(b.shape)
 
     my_diag = sorted(dist.diag[rank].keys(), reverse=direction.descending)
     acc = {k: b[xsup[k]:xsup[k + 1]].copy() for k in my_diag}
@@ -164,7 +140,7 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     # ---- local cascade helpers --------------------------------------- #
 
     def deliver_part(k, vec):
-        # vec is freshly reduced by apply_x and never touched again here —
+        # vec is fresh from partial_sum and never touched again here —
         # safe to hand to Send / store without a defensive copy
         d = grid.owner(k, k)
         if d == rank:
@@ -192,29 +168,25 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
                        nbytes=x.nbytes)
         yield from apply_x(k, x)
 
+    def partial_sum(k):
+        """lsum(K): my row panel of K times the x(J) it reads — one
+        product, counted as the blocks' products (kernel.* per block)."""
+        panel, cols, calls, dflops = panels[k]
+        st.gemm_calls += calls
+        st.gemm_flops += dflops * nrhs
+        return kernels.gemm_update(panel, x_in[cols])
+
     def apply_x(j, xj):
-        for k_blk in my_blocks.get(j, ()):
-            blk = blocks[(k_blk, j)]
-            # the one place the directions differ in kind: an L block
-            # reads all of x(J) and adds into a subset of K's rows, a U
-            # block reads a subset of x(J) and adds into all of K's rows
-            if lower:
-                put = local_index[j][k_blk]
-                contribution = gemm_update(blk, xj)
-            else:
-                put = _ALL
-                contribution = gemm_update(blk, xj[local_index[k_blk][j]])
-            yield Compute(flops=2 * blk.shape[0] * blk.shape[1] * nrhs,
-                          width=blk.shape[width_axis])
-            pending.setdefault(k_blk, {})[j] = (put, contribution)
-            mod[k_blk] -= 1
-            if mod[k_blk] == 0:
-                vec = zeros_block(dist.widths[k_blk])
-                contribs = pending.pop(k_blk)
-                for jj in sorted(contribs):
-                    idx, c = contribs[jj]
-                    vec[idx] += c
-                yield from deliver_part(k_blk, vec)
+        blocks = my_blocks.get(j, ())
+        if blocks:
+            x_in[xsup[j]:xsup[j + 1]] = xj
+        # Figure 9's events: one Compute per block (K, J); lsum(K) is
+        # formed once its last x(J) is in, so no order depends on arrival
+        for k, flops, width in blocks:
+            yield Compute(flops=flops * nrhs, width=width)
+            mod[k] -= 1
+            if mod[k] == 0:
+                yield from deliver_part(k, partial_sum(k))
 
     # ---- seeding: supernodes solvable with no remote input ------------ #
     for k in my_diag:
@@ -228,8 +200,8 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
         m = yield from recv_with_retry(              # line (*) of Fig. 9
             source=ANY_SOURCE, tag=ANY_TAG,
             timeout=recv_timeout, retries=DEFAULT_RECV_RETRIES,
-            where=f"pdgstrs {direction.name} rank {rank} "
-                  f"({remaining} msgs pending)")
+            where=recv_timeout and f"pdgstrs {direction.name} rank {rank} "
+                                   f"({remaining} msgs pending)")
         if m.msg_id in seen:
             continue
         seen.add(m.msg_id)

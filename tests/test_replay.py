@@ -180,6 +180,28 @@ def test_replay_checks_what_the_simulator_checks():
                                            rec.stats, rec.elapsed))
 
 
+def test_replayed_stats_are_the_callers():
+    """A replay hands out its own copy of the recorded stats: changing a
+    field or ``blocked_by_kind`` of one leaves the recording, and the
+    next replay's stats, as recorded."""
+    def ping():
+        yield Compute(flops=10.0)
+        yield Send(dest=1, tag=3, payload=None, nbytes=8)
+
+    def pong():
+        yield Recv(source=0, tag=3)
+
+    rec = Recording()
+    want = simulate([ping(), pong()], recording=rec)
+    assert want.stats[1].blocked_by_kind      # pong waited on tag 3
+    got = replay([ping(), pong()], rec)
+    got.stats[0].flops += 1.0
+    got.stats[1].blocked_by_kind[3] += 1.0
+    got.stats[1].blocked_by_kind["new"] = 1.0
+    assert rec.stats == want.stats
+    assert replay([ping(), pong()], rec).stats == want.stats
+
+
 # --------------------------------------------------------------------- #
 # a failed factorization does not poison the solver
 # --------------------------------------------------------------------- #

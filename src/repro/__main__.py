@@ -512,7 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row-perm", default="mc64_product",
                    choices=["mc64_product", "mc64_bottleneck",
                             "mc64_cardinality", "none"])
-    p.add_argument("--col-perm", default="mmd_ata", choices=COL_PERMS)
+    p.add_argument("--col-perm", default=None, choices=COL_PERMS,
+                   help="step (2) ordering (default: the engine's graph — "
+                        "mmd_at_plus_a serial, mmd_ata with --nprocs > 1)")
     p.add_argument("--no-scaling", action="store_true")
     p.add_argument("--no-pivot-replacement", action="store_true")
     p.add_argument("--extra-precision", action="store_true")

@@ -32,6 +32,7 @@ steps (1) and (2) independently on each processor".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -131,7 +132,7 @@ class DistributedBlocks:
     def _bind(self):
         """Derive the block views and solve maps from stores and offsets
         (also after unpickling: pickle ships no copy per view)."""
-        p, xsup = self.grid.size, self.part.xsup
+        p, xsup, off = self.grid.size, self.part.xsup, self.offsets
         w = self.widths = np.diff(xsup).tolist()
         self.recordings = {}
         self.diag, self.lpanel, self.upanel, self.lblk, self.ublk = (
@@ -140,72 +141,93 @@ class DistributedBlocks:
         def view(rank, lo, shape):
             return self.stores[rank][lo:lo + shape[0] * shape[1]].reshape(shape)
 
-        for k, lo in enumerate(self.offsets.diag.tolist()):
-            r = self.grid.owner(k, k)
+        k = np.arange(len(w))
+        diag_owner = self.grid.owner(k, k)
+        owner = {"lblk": self.grid.owner(off.row, off.col),   # L(I, K)'s
+                 "ublk": self.grid.owner(off.col, off.row)}   # U(K, I)'s
+        for k, lo, r in zip(k.tolist(), off.diag.tolist(),
+                            diag_owner.tolist()):
             self.diag[r][k] = view(r, lo, (w[k], w[k]))
-        for k, i, m, lo, uo, top, left, tall, wide in zip(
-                *(a.tolist() for a in self.offsets[1:])):
-            r = self.grid.owner(i, k)
+        for k, i, m, lo, uo, top, left, tall, wide, rl, ru in zip(
+                *(a.tolist() for a in off[1:]), owner["lblk"].tolist(),
+                owner["ublk"].tolist()):
             if not top:
-                self.lpanel[r][k] = view(r, lo, (tall, w[k]))
-            self.lblk[r][(i, k)] = self.lpanel[r][k][top:top + m]
-            r = self.grid.owner(k, i)
+                self.lpanel[rl][k] = view(rl, lo, (tall, w[k]))
+            self.lblk[rl][(i, k)] = self.lpanel[rl][k][top:top + m]
             if not left:
-                self.upanel[r][k] = view(r, uo, (w[k], wide))
-            self.ublk[r][(k, i)] = self.upanel[r][k][:, left:left + m]
+                self.upanel[ru][k] = view(ru, uo, (w[k], wide))
+            self.ublk[ru][(k, i)] = self.upanel[ru][k][:, left:left + m]
         self.owners, self.solve_start, self.row_panels = {}, {}, {}
         for name in ("lblk", "ublk"):
-            self._solve_maps(name)
+            self._solve_maps(name, owner[name], diag_owner)
 
-    def _solve_maps(self, name):
-        """The solve maps of the ``name`` blocks.  A row panel of U is its
-        ``upanel`` (``refill`` None); L(K, J) blocks sit in different
-        column panels, so a rank's are laid out ``w_K`` rows by their
-        x(J) columns (the rest zero) in a buffer a solve refills by one
-        indexed copy, ``buffer[dst] = store[src]``."""
-        lower, xsup = name == "lblk", self.part.xsup
+    def _solve_maps(self, name, owner, diag_owner):
+        """The solve maps of the ``name`` blocks (``owner``: each group's
+        block's rank), in array passes over the offset table.  A row
+        panel of U is its ``upanel`` (``refill`` None); L(K, J) blocks sit
+        in different column panels, so a rank's are laid out ``w_K`` rows
+        by their x(J) columns (the rest zero) in a buffer a solve refills
+        by one indexed copy, ``buffer[dst] = store[src]``."""
+        lower, xsup, off, p = name == "lblk", self.part.xsup, self.offsets, \
+            self.grid.size
         w = np.diff(xsup)
-        by_row, by_col = [set() for _ in w], [set() for _ in w]
+        # a group's block as the solve sees it, (K, J): (I, K') for
+        # L(I, K'), (K', I) for U(K', I); its rows are S_K''s run
+        # ``s_all[at:at + size]``, and it reads x(J) (L) or those rows (U)
+        kk, jj = (off.row, off.col) if lower else (off.col, off.row)
+        s_all = np.concatenate([*self.s_rows, xsup[:0]])
+        at, width = np.cumsum(off.size) - off.size, w[off.col]
+        count, flops = width if lower else off.size, 2 * off.size * width
+        order = np.lexsort((jj, kk, owner))             # by rank, K, J
+        cuts = np.searchsorted(owner[order], np.arange(p + 1)).tolist()
+        has = np.zeros((2, len(w), p), dtype=bool)      # owners per row / col
+        has[0, kk, owner] = has[1, jj, owner] = True
+        contrib, by_col = ([tuple(compress(range(p), row)) for row in side]
+                           for side in has.tolist())
+        self.owners[name] = (contrib, by_col)
         self.solve_start[name], self.row_panels[name] = [], []
-        for r, blocks in enumerate(getattr(self, name)):
-            my_blocks, mod, flops, rows = {}, {}, {}, {}
-            for (k, j), blk in sorted(blocks.items()):
+        diag_owner = diag_owner.tolist()
+        for r in range(p):
+            g = order[cuts[r]:cuts[r + 1]]
+            new = np.diff(kk[g], prepend=-1) > 0        # a block row K starts
+            head, row = np.flatnonzero(new), np.cumsum(new) - 1  # K's index
+            ks, c = kk[g][head], count[g]
+            my_blocks, mod = {}, dict(zip(ks.tolist(), np.diff(
+                head, append=g.size).tolist()))
+            for k, j, f, wd in zip(kk[g].tolist(), jj[g].tolist(),
+                                   flops[g].tolist(), width[g].tolist()):
                 # Figure 9's events: a block's (K, flops, width)
-                my_blocks.setdefault(j, []).append(
-                    (k, 2 * blk.size, blk.shape[lower]))
-                mod[k] = mod.get(k, 0) + 1
-                flops[k] = flops.get(k, 0) + 2 * blk.size
-                rows.setdefault(k, []).append(j)
-                by_row[k].add(r)
-                by_col[j].add(r)
-            self.solve_start[name].append([my_blocks, mod])
-            # the x a panel reads: all of x(J) (L), S_K's columns (U)
-            ks = np.fromiter(rows, np.intp, len(rows))
-            cols = [_ranges(xsup[js], w[js]) if lower else np.concatenate(
-                [self.l_rows_by_block[k][j] for j in js])
-                for k, js in rows.items()]
-            wide = np.array([c.size for c in cols], dtype=np.intp)
+                my_blocks.setdefault(j, []).append((k, f, wd))
+            recv = {k: len(contrib[k]) for k in self.diag[r]}
+            self.solve_start[name].append([my_blocks, mod, recv, sum(
+                diag_owner[j] != r for j in my_blocks) + sum(
+                n - (r in contrib[k]) for k, n in recv.items())])
+            # the x row K's panel reads: its blocks' runs side by side
+            wide = np.add.reduceat(c, head).astype(np.intp)
+            read = (_ranges(xsup[jj[g]], c) if lower
+                    else s_all[_ranges(at[g], c)])
+            ends = np.cumsum(wide).tolist()
+            cols = [read[lo:hi] for lo, hi in zip([0] + ends, ends)]
             area = w[ks] * wide
-            base = (np.cumsum(area) - area).tolist()
+            base = np.cumsum(area) - area
             refill, buf = None, np.zeros(area.sum() if lower else 0)
-            if lower:       # panel entry (a, c) is L's (xsup[K] + a, cols[c])
-                f = _ranges(np.zeros_like(area), area)
-                at = np.repeat(np.arange(ks.size), area)
-                _, pos, stored = self.slots(
-                    xsup[ks][at] + f // wide[at],
-                    np.concatenate(cols + [xsup[:0]])[
-                        (np.cumsum(wide) - wide)[at] + f % wide[at]])
-                refill = (buf, pos[stored], np.flatnonzero(stored))
+            if lower:   # L(K, J)'s entry e, row-major from its offset, is
+                # panel entry (its row - xsup[K], x(J)'s column + e % w_J)
+                size, left = off.size[g] * c, np.cumsum(c) - c
+                first = base[row] + left - left[head][row] \
+                    - wide[row] * xsup[ks][row]
+                e = _ranges(np.zeros_like(size), size)
+                b = np.repeat(np.arange(g.size), size)
+                dst = first[b] + e % c[b] \
+                    + wide[row][b] * s_all[at[g][b] + e // c[b]]
+                by_dst = np.argsort(dst)
+                refill = (buf, (off.lower[g][b] + e)[by_dst], dst[by_dst])
+            dflops = np.add.reduceat(flops[g], head) - 2 * area
             self.row_panels[name].append((refill, {k: (
                 buf[lo:lo + a].reshape(w[k], -1) if lower
-                else self.upanel[r][k], c, mod[k] - 1, flops[k] - 2 * a)
-                for k, c, lo, a in zip(rows, cols, base, area.tolist())}))
-        contrib = [tuple(sorted(ranks)) for ranks in by_row]
-        self.owners[name] = (contrib, [tuple(sorted(s)) for s in by_col])
-        for r, start in enumerate(self.solve_start[name]):
-            recv = {k: len(contrib[k]) for k in self.diag[r]}
-            start += [recv, sum(self.grid.owner(j, j) != r for j in start[0])
-                      + sum(n - (r in contrib[k]) for k, n in recv.items())]
+                else self.upanel[r][k], x, mod[k] - 1, d) for k, x, lo, a, d
+                in zip(mod, cols, base.tolist(), area.tolist(),
+                       dflops.tolist())}))
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items()

@@ -112,6 +112,9 @@ class DistributedGESPSolver(PatternSolver):
     tracer: Tracer | None = None
     cache: object = None
 
+    #: AᵀA, not the serial engine's Aᵀ+A: its coarser supernodes send
+    #: fewer messages, which this engine pays for (docs/ALGORITHMS.md)
+    _COL_PERM = "mmd_ata"
     _ETREE_POSTORDER = True
 
     def __post_init__(self):

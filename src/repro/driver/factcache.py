@@ -184,17 +184,24 @@ def get_factorization_cache() -> FactorizationCache:
 
 def serial_plan_key(fingerprint: str, opts) -> tuple:
     """Cache key for the serial :class:`~repro.driver.GESPSolver` —
-    the fingerprint plus every option that shapes the plan."""
+    the fingerprint plus every option that shapes the plan, ``col_perm``
+    as the engine resolves it (so ``None`` shares its value's entries)."""
+    from repro.driver.gesp_driver import GESPSolver   # imports this module
+
     return ("serial", fingerprint, opts.equilibrate, opts.row_perm,
-            opts.scale_diagonal, opts.col_perm, opts.symbolic_method)
+            opts.scale_diagonal, GESPSolver.resolve_col_perm(opts),
+            opts.symbolic_method)
 
 
 def dist_plan_key(fingerprint: str, opts, grid, max_block_size: int,
                   dense_tail_threshold: float,
                   edag_prune: bool) -> tuple:
-    """Cache key for the distributed driver: the serial fields plus
-    everything that shapes the partition, layout, and schedule."""
+    """Cache key for the distributed driver: the serial fields (the
+    distributed engine's ``col_perm``) plus everything that shapes the
+    partition, layout, and schedule."""
+    from repro.driver.dist_driver import DistributedGESPSolver
+
     return ("dist", fingerprint, opts.equilibrate, opts.row_perm,
-            opts.scale_diagonal, opts.col_perm,
+            opts.scale_diagonal, DistributedGESPSolver.resolve_col_perm(opts),
             grid.nprow, grid.npcol, int(max_block_size),
             float(dense_tail_threshold), bool(edag_prune))

@@ -1,13 +1,21 @@
 """Options controlling every step of the GESP pipeline.
 
 The defaults reproduce the configuration the paper reports results for:
-MC64 max-product matching *with* scaling, minimum degree on AᵀA applied
-symmetrically, ``sqrt(eps)·‖A‖`` tiny-pivot replacement, refinement until
-``berr <= eps`` or stagnation — with the symmetrized (A+Aᵀ) analysis
-SuperLU_DIST ships, which lets step (3) run the supernodal block engine
-on a per-pattern static schedule (:mod:`repro.factor.supernodal`).
+MC64 max-product matching *with* scaling, a minimum degree ordering
+applied symmetrically, ``sqrt(eps)·‖A‖`` tiny-pivot replacement,
+refinement until ``berr <= eps`` or stagnation — with the symmetrized
+(A+Aᵀ) analysis SuperLU_DIST ships, which lets step (3) run the
+supernodal block engine on a per-pattern static schedule
+(:mod:`repro.factor.supernodal`).
+
+Step (2)'s graph is the engine's to choose (``col_perm=None``): the
+serial :class:`~repro.driver.gesp_driver.GESPSolver` orders Aᵀ+A, the
+graph its symmetrized analysis eliminates (AᵀA bounds the fill of LU
+with row interchanges, which static pivoting never performs), while the
+:class:`~repro.driver.dist_driver.DistributedGESPSolver` keeps AᵀA,
+whose coarser supernodes send fewer messages (docs/ALGORITHMS.md).
 :meth:`GESPOptions.paper_defaults` pins the paper's §2 serial
-configuration (exact unsymmetric fill, column kernel) instead.
+configuration (AᵀA, exact unsymmetric fill, column kernel) instead.
 """
 
 from __future__ import annotations
@@ -41,8 +49,18 @@ class GESPOptions:
         FIDAPM11/JPWH_991/ORSIRR_1 want this *off*.
     col_perm:
         Step (2) ordering, one of :data:`repro.ordering.COL_PERMS`:
-        ``"mmd_ata"`` (paper default: minimum degree on AᵀA),
-        ``"mmd_at_plus_a"`` (minimum degree on Aᵀ+A) or ``"natural"``.
+        ``"mmd_ata"`` (minimum degree on AᵀA, the paper's §2 ``Pc``),
+        ``"mmd_at_plus_a"`` (minimum degree on Aᵀ+A) or ``"natural"`` —
+        or ``None`` (default): the engine's graph.  The serial engine
+        resolves it to ``"mmd_at_plus_a"``: its symmetrized analysis is
+        the symbolic Cholesky of Aᵀ+A, so that is the graph whose fill
+        it pays for (37 % less fill over the testbed than AᵀA).  The
+        distributed engine resolves it to ``"mmd_ata"``: Aᵀ+A's finer
+        supernodes multiply its messages (cfd06 on 2×2: 1.7× the
+        messages, 1.6× the wall time for 0.6× the flops).  Plan cache
+        keys carry the resolved value, so ``None`` and the value it
+        resolves to share entries.  An explicit value wins on both
+        engines.
     replace_tiny_pivots:
         Step (3) safeguard.  The paper notes EX11/RADFR1 want this off.
     tiny_pivot_scale:
@@ -104,7 +122,7 @@ class GESPOptions:
     equilibrate: bool = True
     row_perm: str = "mc64_product"
     scale_diagonal: bool = True
-    col_perm: str = "mmd_ata"
+    col_perm: str | None = None
     replace_tiny_pivots: bool = True
     tiny_pivot_scale: float = float(np.sqrt(_EPS))
     aggressive_pivot_replacement: bool = False
@@ -131,7 +149,7 @@ class GESPOptions:
         if self.row_perm not in ("mc64_product", "mc64_bottleneck",
                                  "mc64_cardinality", "none"):
             raise ValueError(f"unknown row_perm {self.row_perm!r}")
-        if self.col_perm not in COL_PERMS:
+        if self.col_perm is not None and self.col_perm not in COL_PERMS:
             raise ValueError(f"unknown col_perm {self.col_perm!r} "
                              f"(expected one of {', '.join(COL_PERMS)})")
         if self.symbolic_method not in ("unsymmetric", "symmetrized"):
@@ -149,11 +167,13 @@ class GESPOptions:
     @classmethod
     def paper_defaults(cls):
         """The configuration of the paper's Section 2 serial experiments:
-        the library defaults, except that the fill is the *exact*
-        unsymmetric one (so step (3) runs the column kernel).  The §2
-        exhibits and EXPERIMENTS.md's fill / refinement-step numbers are
-        produced with it and do not move with the library default."""
-        return cls(symbolic_method="unsymmetric")
+        the library defaults, except that the ordering is minimum degree
+        on AᵀA (the paper's ``Pc``, whatever the engine would choose) and
+        the fill is the *exact* unsymmetric one (so step (3) runs the
+        column kernel).  The §2 exhibits and EXPERIMENTS.md's fill /
+        refinement-step numbers are produced with it and do not move
+        with the library default."""
+        return cls(col_perm="mmd_ata", symbolic_method="unsymmetric")
 
     @classmethod
     def no_pivoting(cls):

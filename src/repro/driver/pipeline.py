@@ -151,10 +151,13 @@ def _order_columns(a, col_perm, etree_postorder):
     return perm_c
 
 
-def preprocess(a, options, plan=None, fact="DOFACT", *,
+def preprocess(a, options, plan=None, fact="DOFACT", *, col_perm=None,
                etree_postorder=False):
     """Steps (1)-(2) of Figure 1 under a fact mode (the rule in the
-    module docstring, as straight-line code).
+    module docstring, as straight-line code).  ``col_perm`` is the
+    ordering the engine resolved ``options.col_perm`` to
+    (:meth:`PatternSolver.resolve_col_perm`; by default the serial
+    engine's resolution).
 
     Returns ``(at, dr, dc, perm_r, perm_c, value_map, reused)``: the
     transformed matrix ``Pc·Pr·Dr·A·Dc·Pcᵀ``, the transforms, the map
@@ -189,8 +192,10 @@ def preprocess(a, options, plan=None, fact="DOFACT", *,
             annotate(reused=True)
             perm_c, value_map = plan.perm_c, plan.value_map
         else:
-            perm_c = _order_columns(row_permuted, options.col_perm,
-                                    etree_postorder)
+            perm_c = _order_columns(
+                row_permuted,
+                col_perm or PatternSolver.resolve_col_perm(options),
+                etree_postorder)
             value_map = ValueMap(a, perm_r, perm_c)
         at = value_map.apply(a, dr, dc)
     return at, dr, dc, perm_r, perm_c, value_map, reused
@@ -211,7 +216,8 @@ class PatternSolver:
     A back end sets ``a`` and ``options``, calls :meth:`_open`, and
     supplies three hooks:
 
-    - ``_plan_key(fingerprint)`` — its :mod:`~repro.driver.factcache` key;
+    - ``_plan_key(fingerprint)`` — its :mod:`~repro.driver.factcache` key
+      (which carries the resolved ``col_perm``);
     - ``_symbolic_step(at, plan)`` — the structures it derives from the
       pattern of ``at`` (taken from ``plan`` when that is not None), as a
       dict of attribute values;
@@ -224,8 +230,17 @@ class PatternSolver:
     factorization that raises leaves the previous one fully in place.
     """
 
+    #: what ``options.col_perm=None`` orders: minimum degree on Aᵀ+A,
+    #: the graph the symmetrized analysis eliminates
+    _COL_PERM = "mmd_at_plus_a"
     #: compose the etree postorder into ``perm_c`` (distributed layout)
     _ETREE_POSTORDER = False
+
+    @classmethod
+    def resolve_col_perm(cls, options):
+        """The step-(2) ordering this engine runs under ``options``: an
+        explicit ``col_perm``, else the engine's own."""
+        return options.col_perm or cls._COL_PERM
 
     def _open(self, tracer, cache):
         """Validate, resolve tracer and cache, run the first build."""
@@ -285,6 +300,7 @@ class PatternSolver:
         state together and publish the resulting plan."""
         at, dr, dc, perm_r, perm_c, value_map, reused = preprocess(
             a, self.options, plan, fact,
+            col_perm=self.resolve_col_perm(self.options),
             etree_postorder=self._ETREE_POSTORDER)
         with trace("symbolic"):
             if reused:

@@ -12,12 +12,13 @@ import numpy as np
 
 from repro.obs import trace
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import pattern_ata, pattern_union_transpose
+from repro.sparse.ops import pattern_ata
 
 __all__ = ["COL_PERMS", "column_ordering", "minimum_degree"]
 
 #: every ``col_perm`` value: minimum degree on the pattern of AᵀA (the
-#: paper's ``Pc`` and the default) or of Aᵀ+A, and the identity
+#: paper's ``Pc``) or of Aᵀ+A (the graph the symmetrized analysis
+#: eliminates), and the identity
 COL_PERMS = ("mmd_ata", "mmd_at_plus_a", "natural")
 #: a row of A with more than this share of n entries (and more than 16)
 #: is left out of AᵀA, which it would make nearly dense (COLAMD practice)
@@ -46,7 +47,7 @@ def column_ordering(a: CSCMatrix, method: str = "mmd_ata"):
         return np.arange(n, dtype=np.int64)
     with trace("ordering/colperm", method=method):
         if method == "mmd_at_plus_a":
-            return minimum_degree(pattern_union_transpose(a))
+            return minimum_degree(a)        # it orders A + Aᵀ itself
         dense = max(16, int(DENSE_ROW_FRAC * n))
         return minimum_degree(pattern_ata(a, dense_col_tol=dense))
 
@@ -72,8 +73,10 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True):
     Parameters
     ----------
     a:
-        Square matrix whose *pattern* is treated as symmetric (the union
-        with its transpose is taken defensively).  Values are ignored.
+        Square matrix; the graph ordered is the pattern of A + Aᵀ, which
+        the adjacency builds from ``a`` and its transpose — so
+        :func:`column_ordering`'s ``"mmd_at_plus_a"`` hands A over
+        as it is.  Values (and explicit zeros) are ignored.
     multiple:
         Use Liu's multiple elimination: per round, eliminate a maximal set
         of pairwise non-adjacent minimum-degree supervariables before any

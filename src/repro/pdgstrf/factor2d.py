@@ -179,16 +179,13 @@ class UpdateTargets(NamedTuple):
     ``b = batch[K][rank]`` (-1: none) is the product of the rank's L and
     U panels, taken as its first ``split`` columns (the look-ahead block
     J = K+1), then the rest, each row-major.  It sends the entries with a
-    home — ``sel[b]`` of them when not all — to ``tgt[start:end]``, where
-    ``(start, end, cut, split, *flops) = meta[b]``: the look-ahead
-    columns' ``cut`` entries first, and the flops of those and the rest.
-    ``calls[b] = (start, end, cut, *flops, blocks - 1, take)`` is that
-    as an update call reads it: ``take`` picks those entries of the
-    row-major product in ``tgt``'s order (None: all, as they stand)."""
+    home to ``tgt[start:end]``, where ``calls[b] = (start, end, cut,
+    *flops, blocks - 1, take)``: the look-ahead columns' ``cut`` entries
+    first, the flops of those and of the rest, and ``take``, which picks
+    those entries of the row-major product in ``tgt``'s order (None:
+    all, as they stand)."""
     tgt: np.ndarray
     batch: list
-    meta: np.ndarray
-    sel: dict
     calls: list
 
 
@@ -198,9 +195,9 @@ def _update_targets(dist, need_l, need_u):
     (i, j) of ``S_K × S_K`` may have no home in its target block; the
     product entry is exactly zero (each term has an explicitly-zero
     factor) and the batch leaves it out."""
-    grid, index = dist.grid, dist.pos[0].dtype          # the layout's width
+    grid = dist.grid
     batch = np.full((dist.nsuper, grid.size), -1, dtype=np.int32)
-    tgt, meta, sel, calls, end = [], [], {}, [], 0
+    tgt, calls, end = [], [], 0
     for k, s in enumerate(dist.s_rows):
         _, where, stored = dist.slots(s[:, None], s[None, :])
         block, w = dist.supno[s], dist.widths[k]
@@ -217,23 +214,19 @@ def _update_targets(dist, need_l, need_u):
                 take = np.arange(r.size * c.size).reshape(r.size, c.size)
                 take = np.concatenate((take[:, :split], take[:, split:]),
                                       axis=None)[h]
-                if not h.all():
-                    sel[len(meta)] = np.flatnonzero(h).astype(index)
-                batch[k, grid.rank(pr, pc)] = len(meta)
+                batch[k, grid.rank(pr, pc)] = len(calls)
                 tgt.append(t[h])
-                meta.append((end, end + tgt[-1].size,
-                             int(h[:r.size * split].sum()), split,
-                             kernels.gemm_flops(r.size, w, split),
-                             kernels.gemm_flops(r.size, w, c.size - split)))
-                calls.append((len(rows) * len(cols) - 1,
+                calls.append((end, end + tgt[-1].size,
+                              int(h[:r.size * split].sum()),
+                              kernels.gemm_flops(r.size, w, split),
+                              kernels.gemm_flops(r.size, w, c.size - split),
+                              len(rows) * len(cols) - 1,
                               take if split or not h.all() else None))
                 end += tgt[-1].size
-    meta = np.array(meta, dtype=np.int64).reshape(-1, 6)
     # intp: the subtract indexes with the targets as they are
     return UpdateTargets(
         np.concatenate([*tgt, np.zeros(0, np.intp)]).astype(np.intp),
-        batch.tolist(), meta, sel, [(*m[:3], *m[4:], *c) for m, c in zip(
-            meta.tolist(), calls)])
+        batch.tolist(), calls)
 
 
 def build_schedule(dist, dag, edag_prune):

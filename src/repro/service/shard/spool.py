@@ -27,7 +27,9 @@ with a trailing factor dtype no lookup carries any more.  ``spool/v7``
 plans hold the serial engine's unrelaxed block schedule under a key
 that names no partition: found, they would refactor on a schedule a
 cold run no longer computes.  All seven take the wrong-schema skip
-path.  The filename
+path.  (The serial default ordering's change from AᵀA to Aᵀ+A needed no
+new schema: keys carry the resolved ``col_perm``, so a v8 plan spooled
+under AᵀA is found only by a solver that asks for AᵀA.)  The filename
 is a digest of the
 *plan key* (fingerprint plus every plan-shaping option), so distinct
 option sets for one pattern spool side by side, exactly mirroring the

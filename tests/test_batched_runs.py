@@ -300,14 +300,21 @@ def test_the_bench_patterns_batch_what_was_sized(testbed):
     """Supernodes / loop iterations (steps) / supernodes batched, as
     docs/REFACTORIZATION.md tabulates them: on the solver's plan (the
     partition rule) and on the unrelaxed partition, composed from the
-    primitives."""
-    for name, rule, unrelaxed in (
-            ("cfd06", (449, 128, 337), (612, 120, 528)),
-            ("resv02", (172, 56, 124), (248, 72, 201)),
-            ("hb02", (397, 49, 363), (424, 58, 387)),
-            ("circuit03", (245, 31, 226), (261, 38, 237)),
-            ("kkt02", (27, 18, 11), (40, 28, 17))):
-        solver = testbed[name][2]
+    primitives — under minimum degree on AᵀA (the rows sized before the
+    serial default changed) and under the default (Aᵀ+A)."""
+    for name, col_perm, rule, unrelaxed in (
+            ("cfd06", "mmd_ata", (449, 128, 337), (612, 120, 528)),
+            ("resv02", "mmd_ata", (172, 56, 124), (248, 72, 201)),
+            ("hb02", "mmd_ata", (397, 49, 363), (424, 58, 387)),
+            ("circuit03", "mmd_ata", (245, 31, 226), (261, 38, 237)),
+            ("kkt02", "mmd_ata", (27, 18, 11), (40, 28, 17)),
+            ("cfd06", None, (781, 78, 719), (790, 84, 724)),
+            ("resv02", None, (344, 41, 315), (348, 42, 320)),
+            ("hb02", None, (459, 28, 445), (462, 29, 447)),
+            ("circuit03", None, (304, 31, 290), (304, 31, 290)),
+            ("kkt02", None, (71, 15, 61), (71, 15, 61))):
+        solver = (testbed[name][2] if col_perm is None else GESPSolver(
+            testbed[name][0], GESPOptions(col_perm=col_perm), cache=False))
         sym = solver.symbolic
         for plan, want in ((solver._block_plan, rule),
                            (build_block_plan(solver.a_factored, sym,
@@ -349,15 +356,36 @@ def test_empty_and_diagonal_matrices():
     ("kkt02", 27, 52, 26, 8_415_216, 9_643_324, "rule")])
 def test_kernel_counters_of_one_factorization_are_the_recorded_ones(
         name, lu, trsm, gemm, gemm_flops, flops, partition):
-    """The unrelaxed rows were recorded at the commit before batching
-    and are factored here on a plan composed from the primitives; the
-    rule's rows are the solver's own.  The traced ``warm_newton`` pass
-    (96 cfd06 + 32 kkt02 factorizations) read 60 032 / 119 808 /
-    59 904 / 321 901 056 unrelaxed and reads 43 968 / 87 680 / 43 840 /
-    327 759 360 on the rule."""
+    """Under minimum degree on AᵀA.  The unrelaxed rows were recorded at
+    the commit before batching and are factored here on a plan composed
+    from the primitives; the rule's rows are the solver's own.  The
+    traced ``warm_newton`` pass (96 cfd06 + 32 kkt02 factorizations)
+    read 60 032 / 119 808 / 59 904 / 321 901 056 unrelaxed and
+    43 968 / 87 680 / 43 840 / 327 759 360 on the rule."""
+    _check_kernel_counters(name, GESPOptions(col_perm="mmd_ata"), partition,
+                           [lu, trsm, gemm, gemm_flops, flops])
+
+
+@pytest.mark.parametrize("name,lu,trsm,gemm,gemm_flops,flops,partition", [
+    ("cfd06", 790, 1578, 789, 334_232, 445_250, "unrelaxed"),
+    ("kkt02", 71, 140, 70, 4_678_974, 5_514_706, "unrelaxed"),
+    ("cfd06", 781, 1560, 780, 336_608, 469_944, "rule"),
+    ("kkt02", 71, 140, 70, 4_678_974, 5_514_706, "rule")])
+def test_kernel_counters_under_the_default_ordering(
+        name, lu, trsm, gemm, gemm_flops, flops, partition):
+    """The same counts under the serial default (minimum degree on
+    Aᵀ+A), recorded when it became the default: the traced
+    ``warm_newton`` pass reads 77 248 / 154 240 / 77 120 /
+    182 041 536 on the rule."""
+    _check_kernel_counters(name, GESPOptions(), partition,
+                           [lu, trsm, gemm, gemm_flops, flops])
+
+
+def _check_kernel_counters(name, options, partition, want):
+    """One factorization's ``kernel.*`` counts and flops, cold and warm."""
     a = matrix_by_name(name).build()
     tracer = Tracer()
-    solver = GESPSolver(a, tracer=tracer, cache=False)
+    solver = GESPSolver(a, options, tracer=tracer, cache=False)
     factor = partial(solver.refactor, a)
     if partition == "unrelaxed":
         at, sym = solver.a_factored, solver.symbolic
@@ -372,7 +400,6 @@ def test_kernel_counters_of_one_factorization_are_the_recorded_ones(
     warm = tracer.root.all_counters()
     names = ("kernel.lu_calls", "kernel.trsm_calls", "kernel.gemm_calls",
              "kernel.gemm_flops", "factor.flops")
-    assert [cold[c] for c in names] == [lu, trsm, gemm, gemm_flops, flops]
-    assert [warm[c] - cold[c] for c in names] == \
-        [lu, trsm, gemm, gemm_flops, flops]
+    assert [cold[c] for c in names] == want
+    assert [warm[c] - cold[c] for c in names] == want
 

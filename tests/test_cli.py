@@ -187,3 +187,24 @@ def test_solve_trace_prints_plan_cache_stats(mtx_file, capsys):
     out = capsys.readouterr().out
     assert "plan cache" in out
     assert "misses" in out
+
+
+def test_solve_leaves_the_ordering_to_the_engine(mtx_file, monkeypatch,
+                                                 capsys):
+    """``--col-perm`` defaults to ``None`` — the engine's graph — and
+    an explicit choice reaches the solver as given."""
+    import repro.driver
+    from repro.__main__ import build_parser
+
+    seen = []
+
+    class Spy(repro.driver.GESPSolver):
+        def __init__(self, a, options=None, **kwargs):
+            seen.append(options.col_perm)
+            super().__init__(a, options, **kwargs)
+
+    monkeypatch.setattr(repro.driver, "GESPSolver", Spy)
+    assert build_parser().parse_args(["solve", mtx_file]).col_perm is None
+    assert main(["solve", mtx_file]) == 0
+    assert main(["solve", mtx_file, "--col-perm", "mmd_ata"]) == 0
+    assert seen == [None, "mmd_ata"]

@@ -165,3 +165,72 @@ def test_options_validation():
     with pytest.raises(ValueError):
         GESPOptions(diag_block_pivoting=2.0).validate()
     assert GESPOptions.paper_defaults().validate() is not None
+
+
+# --------------------------------------------------------------------- #
+# step (2)'s graph: each engine orders the one it pays for
+# --------------------------------------------------------------------- #
+
+def test_each_engine_resolves_its_own_ordering():
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.ordering import COL_PERMS
+
+    default = GESPOptions()
+    assert default.col_perm is None
+    assert GESPSolver.resolve_col_perm(default) == "mmd_at_plus_a"
+    assert DistributedGESPSolver.resolve_col_perm(default) == "mmd_ata"
+    # the §2 configuration keeps the paper's Pc on either engine
+    for opts in (GESPOptions.paper_defaults(), GESPOptions.no_pivoting()):
+        assert opts.col_perm == "mmd_ata"
+        assert GESPSolver.resolve_col_perm(opts) == "mmd_ata"
+    for col_perm in COL_PERMS:            # an explicit value wins on both
+        opts = GESPOptions(col_perm=col_perm)
+        assert GESPSolver.resolve_col_perm(opts) == col_perm
+        assert DistributedGESPSolver.resolve_col_perm(opts) == col_perm
+
+
+def test_the_default_orders_the_engines_graph():
+    """On cfd06 the serial default orders as an explicit Aᵀ+A does and
+    the distributed default as an explicit AᵀA does (etree postorder
+    composed in); the fills differ, and an explicit value moves either
+    engine to the other graph."""
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd06").build()
+
+    def serial(options=None, **kw):
+        return GESPSolver(a, options or GESPOptions(**kw), cache=False)
+
+    def dist(**kw):
+        return DistributedGESPSolver(a, nprocs=4, options=GESPOptions(**kw),
+                                     cache=False)
+
+    s_plus, s_ata = serial(), serial(col_perm="mmd_ata")
+    d_ata, d_plus = dist(), dist(col_perm="mmd_at_plus_a")
+    assert np.array_equal(s_plus.perm_c,
+                          serial(col_perm="mmd_at_plus_a").perm_c)
+    assert np.array_equal(d_ata.perm_c, dist(col_perm="mmd_ata").perm_c)
+    assert np.array_equal(serial(GESPOptions.paper_defaults()).perm_c,
+                          s_ata.perm_c)
+    # the postorder is an equivalent reordering: fill follows the graph
+    assert d_ata.symbolic.nnz_lu == s_ata.symbolic.nnz_lu
+    assert d_plus.symbolic.nnz_lu == s_plus.symbolic.nnz_lu
+    assert s_plus.symbolic.nnz_lu < s_ata.symbolic.nnz_lu
+
+
+def test_plan_keys_carry_the_resolved_ordering():
+    """``None`` and the value it resolves to are one cache entry; the
+    other graph is another."""
+    from repro.dmem import best_grid
+    from repro.driver.factcache import dist_plan_key, serial_plan_key
+
+    def dist_key(opts):
+        return dist_plan_key("fp", opts, best_grid(4), 24, 0.0, True)
+
+    default = GESPOptions()
+    assert serial_plan_key("fp", default) == \
+        serial_plan_key("fp", GESPOptions(col_perm="mmd_at_plus_a")) != \
+        serial_plan_key("fp", GESPOptions(col_perm="mmd_ata"))
+    assert dist_key(default) == dist_key(GESPOptions(col_perm="mmd_ata")) \
+        != dist_key(GESPOptions(col_perm="mmd_at_plus_a"))

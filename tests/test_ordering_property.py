@@ -55,3 +55,20 @@ def test_etree_parent_above_child(d):
     parent = etree_symmetric(a)
     for v, p in enumerate(parent):
         assert p == -1 or p > v
+
+
+@given(st.integers(1, 24), st.integers(0, 100_000), st.floats(0.05, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_minimum_degree_orders_the_union_with_the_transpose(n, seed, density):
+    """``column_ordering(a, "mmd_at_plus_a")`` hands an unsymmetric A
+    straight to :func:`minimum_degree`: its adjacency is the pattern of
+    A + Aᵀ, so symmetrizing first changes nothing — antisymmetric pairs
+    (whose sum is an explicit zero) and empty diagonals included."""
+    rng = np.random.default_rng(seed)
+    d = np.where(rng.random((n, n)) < density, rng.standard_normal((n, n)), 0)
+    d[rng.random((n, n)) < 0.1] = 0.0
+    pairs = np.triu(rng.random((n, n)) < 0.2, 1)
+    d[pairs.T] = -d.T[pairs.T]                  # a_ji = -a_ij
+    a = CSCMatrix.from_dense(d)
+    assert np.array_equal(minimum_degree(a),
+                          minimum_degree(pattern_union_transpose(a)))

@@ -146,13 +146,29 @@ def test_dense_tail_updates_select_the_entries_that_have_a_home():
     ds = DistributedGESPSolver(a, nprocs=4, dense_tail_threshold=0.2,
                                cache=False)
     ds.factorize()
-    targets = ds._schedule["updates"]
-    assert targets.sel                           # partial selections exist
-    for b, sel in targets.sel.items():
-        start, end, cut, *_ = targets.meta[b].tolist()
-        assert sel.size == end - start           # one target per selected
-        assert np.all(np.diff(sel) > 0)          # entry, in product order
-        assert 0 <= cut <= sel.size
+    dist, grid = ds.dist, ds.grid
+    targets, partial = ds._schedule["updates"], 0
+    for k, batches in enumerate(targets.batch):
+        for rank, b in enumerate(batches):
+            if b < 0:
+                continue
+            start, end, cut, *_, take = targets.calls[b]
+            if take is None:
+                continue
+            # the rank's product: its L panel's rows by its U panel's columns
+            pr, pc = grid.coords(rank)
+            kr, kc = grid.coords(grid.owner(k, k))
+            size = (dist.lpanel[grid.rank(pr, kc)][k].shape[0]
+                    * dist.upanel[grid.rank(kr, pc)][k].shape[1])
+            partial += take.size < size          # some entries have no home
+            # one target per selected entry; the look-ahead columns'
+            # entries first, each part in product order
+            assert take.size == end - start
+            assert 0 <= cut <= take.size
+            for part in (take[:cut], take[cut:]):
+                assert np.all(np.diff(part) > 0)
+            assert take.min(initial=0) >= 0 and take.max(initial=0) < size
+    assert partial                               # partial selections exist
     ref = supernodal_factor(ds.a_factored, sym=ds.symbolic, part=ds.part)
     factors_equal(ds.dist.gather_to_supernodal(), ref)
     rep = ds.solve(a @ np.ones(a.ncols))

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dmem import MachineModel, best_grid, distribute_matrix
+from repro.dmem.distribute import _ranges
 from repro.pdgstrf import pdgstrf
 from repro.pdgstrs import pdgstrs, pdgstrs_lower, pdgstrs_upper
 from repro.sparse import CSCMatrix
@@ -12,6 +15,7 @@ from repro.symbolic import block_partition, build_block_dag, symbolic_lu_symmetr
 
 from conftest import laplace2d_dense, random_nonsingular_dense, \
     primitive_partition
+from test_block_engine import _random_system, shapes
 
 
 def factored_dist(d, p, max_block=4, relax=0):
@@ -135,3 +139,114 @@ def test_cfd06_solve_counts_and_clock_hold():
             (366, 14888, 40624)
     assert repr(run.lower.elapsed) == "0.0003897044444444446"
     assert repr(run.upper.elapsed) == "0.0004158733333333341"
+
+
+# --------------------------------------------------------------------- #
+# the solve maps: array passes, bit for bit the per-block loop
+# --------------------------------------------------------------------- #
+
+def golden_solve_maps(self, name):
+    """``(owners, solve_start, row_panels)`` of the ``name`` blocks, by
+    the per-block loop ``DistributedBlocks._solve_maps`` ran before it
+    became array passes.  Frozen: do not "fix" or modernise it."""
+    owners, solve_start, row_panels = {}, {}, {}
+    lower, xsup = name == "lblk", self.part.xsup
+    w = np.diff(xsup)
+    by_row, by_col = [set() for _ in w], [set() for _ in w]
+    solve_start[name], row_panels[name] = [], []
+    for r, blocks in enumerate(getattr(self, name)):
+        my_blocks, mod, flops, rows = {}, {}, {}, {}
+        for (k, j), blk in sorted(blocks.items()):
+            my_blocks.setdefault(j, []).append(
+                (k, 2 * blk.size, blk.shape[lower]))
+            mod[k] = mod.get(k, 0) + 1
+            flops[k] = flops.get(k, 0) + 2 * blk.size
+            rows.setdefault(k, []).append(j)
+            by_row[k].add(r)
+            by_col[j].add(r)
+        solve_start[name].append([my_blocks, mod])
+        ks = np.fromiter(rows, np.intp, len(rows))
+        cols = [_ranges(xsup[js], w[js]) if lower else np.concatenate(
+            [self.l_rows_by_block[k][j] for j in js])
+            for k, js in rows.items()]
+        wide = np.array([c.size for c in cols], dtype=np.intp)
+        area = w[ks] * wide
+        base = (np.cumsum(area) - area).tolist()
+        refill, buf = None, np.zeros(area.sum() if lower else 0)
+        if lower:
+            f = _ranges(np.zeros_like(area), area)
+            at = np.repeat(np.arange(ks.size), area)
+            _, pos, stored = self.slots(
+                xsup[ks][at] + f // wide[at],
+                np.concatenate(cols + [xsup[:0]])[
+                    (np.cumsum(wide) - wide)[at] + f % wide[at]])
+            refill = (buf, pos[stored], np.flatnonzero(stored))
+        row_panels[name].append((refill, {k: (
+            buf[lo:lo + a].reshape(w[k], -1) if lower
+            else self.upanel[r][k], c, mod[k] - 1, flops[k] - 2 * a)
+            for k, c, lo, a in zip(rows, cols, base, area.tolist())}))
+    contrib = [tuple(sorted(ranks)) for ranks in by_row]
+    owners[name] = (contrib, [tuple(sorted(s)) for s in by_col])
+    for r, start in enumerate(solve_start[name]):
+        recv = {k: len(contrib[k]) for k in self.diag[r]}
+        start += [recv, sum(self.grid.owner(j, j) != r for j in start[0])
+                  + sum(n - (r in contrib[k]) for k, n in recv.items())]
+    return owners[name], solve_start[name], row_panels[name]
+
+
+def _address(x):
+    return x.__array_interface__["data"][0]
+
+
+def _same_array(x, y):
+    return x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def assert_solve_maps_match_the_loop(dist):
+    for name in ("lblk", "ublk"):
+        owners, start, panels = golden_solve_maps(dist, name)
+        assert dist.owners[name] == owners
+        for got, want in zip(dist.solve_start[name], start, strict=True):
+            # values and insertion order (the rank program only looks up)
+            assert [list(d.items()) for d in got[:3]] == \
+                [list(d.items()) for d in want[:3]]
+            assert got[3] == want[3]
+        for (refill, got), (ref_refill, want) in zip(
+                dist.row_panels[name], panels, strict=True):
+            if refill is None:
+                assert ref_refill is None
+            else:
+                assert all(map(_same_array, refill, ref_refill))
+            assert list(got) == list(want)
+            for k, (panel, cols, calls, dflops) in got.items():
+                p2, c2, calls2, dflops2 = want[k]
+                assert _same_array(cols, c2)
+                assert (calls, dflops) == (calls2, dflops2)
+                if refill is None:
+                    assert panel is p2          # the U panel itself
+                else:                           # same slice of the buffer
+                    assert panel.shape == p2.shape
+                    assert _address(panel) - _address(refill[0]) == \
+                        _address(p2) - _address(ref_refill[0])
+
+
+def test_cfd06_solve_maps_match_the_frozen_loop():
+    from repro.driver.dist_driver import DistributedGESPSolver
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd06").build()
+    assert_solve_maps_match_the_loop(
+        DistributedGESPSolver(a, nprocs=4, cache=False).dist)
+
+
+@given(nprocs=st.sampled_from([1, 2, 4, 6, 9]), **shapes)
+@settings(max_examples=60, deadline=None)
+def test_solve_maps_match_the_frozen_loop_property(nprocs, n, density, hole,
+                                                   max_block, relax, seed):
+    """Random patterns (zero and structurally absent diagonals), relaxed
+    and split partitions, on the grids the distributed tests use."""
+    a, _ = _random_system(n, density, hole, seed)
+    sym = symbolic_lu_symmetrized(a)
+    part = primitive_partition(sym, max_size=max_block, relax=relax)
+    assert_solve_maps_match_the_loop(
+        distribute_matrix(a, sym, part, best_grid(nprocs)))

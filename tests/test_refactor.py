@@ -380,7 +380,7 @@ def test_cache_key_separates_option_shapes(rng):
     a, _ = _pair(rng)
     fp = pattern_fingerprint(a)
     k1 = serial_plan_key(fp, GESPOptions())
-    k2 = serial_plan_key(fp, GESPOptions(col_perm="mmd_at_plus_a"))
+    k2 = serial_plan_key(fp, GESPOptions(col_perm="mmd_ata"))
     assert k1 != k2
 
 

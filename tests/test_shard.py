@@ -243,6 +243,37 @@ def test_spool_v1_plans_are_skipped_not_half_loaded(tmp_path):
     assert spool.load_plans(tmp_path, FactorizationCache()) == 1
 
 
+def test_spooled_ata_plans_are_never_served_to_the_default_ordering(
+        tmp_path):
+    """A ``spool/v8`` file written while the serial default ordered AᵀA
+    is keyed with ``"mmd_ata"``: the key carries the resolved ordering,
+    so a default solver (Aᵀ+A) misses it and orders cold, while an
+    explicit AᵀA request is still served from it — no schema bump."""
+    from dataclasses import replace
+
+    from repro.driver import GESPOptions, GESPSolver
+    from repro.obs import Tracer
+
+    a = sparse_matrix(seed=9)
+    ata = GESPOptions(col_perm="mmd_ata")
+    cache = FactorizationCache(maxsize=32)
+    GESPSolver(a, ata, cache=cache)
+    spool.save_plans(tmp_path, cache.snapshot(), set())
+    fresh = FactorizationCache(maxsize=32)
+    assert spool.load_plans(tmp_path, fresh) == 1
+    for opts, hit in ((GESPOptions(fact="SAME_PATTERN"), False),
+                      (GESPOptions(col_perm="mmd_ata", fact="SAME_PATTERN"),
+                       True)):
+        tracer = Tracer()
+        warm = GESPSolver(a, opts, tracer=tracer, cache=fresh)
+        counters = tracer.root.all_counters()
+        assert counters.get("factor.reuse_hits", 0) == hit
+        cold = GESPSolver(a, replace(opts, fact="DOFACT"), cache=False)
+        assert np.array_equal(warm.perm_c, cold.perm_c)
+    assert not np.array_equal(
+        GESPSolver(a, cache=False).perm_c, GESPSolver(a, ata, cache=False).perm_c)
+
+
 def test_spool_v2_plans_are_skipped_not_half_loaded(tmp_path):
     """A plan spooled before BlockPlan carried the solve schedule would
     load, factor, and then quietly solve through the column sweeps.  Its

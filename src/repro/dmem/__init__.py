@@ -6,7 +6,8 @@ MPI.  This package substitutes a *simulated* distributed-memory machine
 SPMD algorithm on real local data, yielding communication operations to a
 deterministic discrete-event scheduler.  Numerical results are a
 function of the inputs alone: the simulator, the process executor and
-the simulator's replay agree bit for bit.  They are *not* the serial
+a warm op's static sweep (:func:`~repro.dmem.simulator.sweep`) agree
+bit for bit.  They are *not* the serial
 factorization's bits — the distributed kernel runs the same block
 operations on rank panels, other operand shapes — and are held to it
 within a tolerance and to the scipy ``splu`` oracle's bound in the tests.

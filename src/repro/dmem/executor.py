@@ -3,10 +3,8 @@
 The distributed kernels (``repro.pdgstrf``, ``repro.pdgstrs``) are
 written as rank *programs*: generators yielding
 :class:`~repro.dmem.comm.Send`/:class:`~repro.dmem.comm.Recv`/
-:class:`~repro.dmem.comm.Compute` operations.  Historically the only way
-to run them was :func:`repro.dmem.simulator.simulate` — coroutines on a
-simulated clock, faithful but with zero real parallelism.  This module
-extracts the seam between *program* and *runtime*:
+:class:`~repro.dmem.comm.Compute` operations.  This module is the seam
+between *program* and *runtime*:
 
 - a :class:`RankJob` describes how to build (and optionally collect
   state back from) the per-rank generators without building them — a
@@ -15,9 +13,10 @@ extracts the seam between *program* and *runtime*:
 - an *executor* is any object with a ``name`` attribute and a
   ``run(job, machine=None, fault_plan=None) -> SimulationResult``
   method.  :class:`SimulatorExecutor` wraps the event-loop simulator
-  (the deterministic oracle); :class:`repro.dmem.procexec.ProcessExecutor`
-  runs one real worker process per rank over ``multiprocessing`` queues,
-  every payload pickled.
+  (the deterministic oracle) and runs a layout's warm jobs as static
+  sweeps; :class:`repro.dmem.procexec.ProcessExecutor` runs one real
+  worker process per rank over ``multiprocessing`` queues, every
+  payload pickled.
 
 Executor selection precedence (:func:`resolve_executor`): an explicit
 instance or name > the ``REPRO_DMEM_EXECUTOR`` environment variable >
@@ -30,11 +29,12 @@ injection — are tabulated in ``docs/EXECUTOR.md``.
 from __future__ import annotations
 
 import os
+from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.dmem.machine import MachineModel
-from repro.dmem.simulator import Recording, replay, simulate
+from repro.dmem.simulator import Recording, simulate, sweep
 
 __all__ = ["ENV_EXECUTOR", "EXECUTOR_NAMES", "RankJob",
            "SimulatorExecutor", "UnknownExecutorError", "resolve_executor"]
@@ -85,8 +85,10 @@ class RankJob:
     key:
         With ``factory``, the machine and the layout ``kwargs["dist"]``,
         all the run's events depend on: the simulator executor records a
-        keyed reliable run on the layout and replays the key's later
-        runs.  None (the default; any job arming timeouts) simulates.
+        keyed reliable run on the layout and runs the key's later ones as
+        ``sweep(**kwargs) -> (flops, run)``, the module's static sweep
+        (:func:`repro.dmem.simulator.sweep`).  None (the default; any job
+        arming timeouts) simulates.
     """
 
     nranks: int
@@ -94,6 +96,7 @@ class RankJob:
     kwargs: dict = field(default_factory=dict)
     collect: Callable[..., Any] | None = None
     key: Any = None
+    sweep: Callable[..., Any] | None = None
 
     def build_program(self, rank):
         return self.factory(rank, **self.kwargs)
@@ -110,28 +113,23 @@ class SimulatorExecutor:
     Deterministic, single-process, simulated clock — the oracle every
     other executor is bit-compared against.  ``collect`` is not run:
     rank programs mutate caller memory in place.  A keyed job with no
-    fault plan is simulated once per layout and replayed after that;
-    the recordings live on the layout and are never pickled.
+    fault plan is simulated once per layout and runs as its static sweep
+    after that; the recordings live on the layout and are never pickled.
     """
 
     name = "sim"
 
-    def __init__(self, max_events: int = 50_000_000):
-        self.max_events = max_events
-
     def run(self, job: RankJob, machine=None, fault_plan=None):
-        programs = [job.build_program(r) for r in range(job.nranks)]
-        if job.key is None or fault_plan is not None:
-            return simulate(programs, machine=machine,
-                            max_events=self.max_events, fault_plan=fault_plan)
         machine = machine or MachineModel()
-        recordings = job.kwargs["dist"].recordings
         key = (job.factory, job.key, machine)
+        keyed = job.key is not None and fault_plan is None
+        recordings = job.kwargs["dist"].recordings if keyed else {}
         if key in recordings:
-            return replay(programs, recordings[key])
-        rec = Recording()
-        sim = simulate(programs, machine, self.max_events, recording=rec)
-        recordings[key] = rec
+            return sweep(job.sweep, job.kwargs, recordings[key])
+        sim = simulate([job.build_program(r) for r in range(job.nranks)],
+                       machine, fault_plan=fault_plan)
+        if keyed:
+            recordings[key] = Recording(deepcopy(sim.stats), sim.elapsed)
         return sim
 
 

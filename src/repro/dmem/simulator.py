@@ -30,16 +30,16 @@ Failure modes are first-class (docs/ROBUSTNESS.md):
 - a true deadlock (no timeouts armed) raises :class:`DeadlockError`
   carrying the full per-rank blocked state in ``.blocked``.
 
-A reliable run can fill a :class:`Recording` that :func:`replay` drives
-the same programs along later, with no clock, matching or per-event
-stats: under static pivoting no event depends on a value (paper §3).
+:func:`sweep` hands a reliable run's :class:`Recording` (its stats and
+clock) out again when it runs a job's static sweep instead of its
+programs: under static pivoting no event depends on a value (paper §3).
 """
 
 from __future__ import annotations
 
 import time
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
+from typing import Any
 
 from repro.dmem.comm import (
     ANY_SOURCE,
@@ -55,7 +55,7 @@ from repro.dmem.machine import MachineModel
 from repro.obs import add, annotate, get_tracer, trace
 
 __all__ = ["BlockedRank", "DeadlockError", "RankStats", "Recording",
-           "ReplayDivergenceError", "SimulationResult", "replay", "simulate"]
+           "ReplayDivergenceError", "SimulationResult", "simulate", "sweep"]
 
 # blocked_by_kind key used for waiting time that ended in a fired timeout
 TIMEOUT_KIND = "timeout"
@@ -98,8 +98,8 @@ class DeadlockError(RuntimeError):
 
 
 class ReplayDivergenceError(RuntimeError):
-    """A replayed run did not do what its :class:`Recording` says: rank
-    ``rank`` received, sent or computed otherwise (``reason``)."""
+    """A static sweep does not do what its :class:`Recording` says: rank
+    ``rank`` computes otherwise (``reason``)."""
 
     def __init__(self, rank, reason):
         self.rank, self.reason = rank, reason
@@ -214,18 +214,16 @@ class SimulationResult:
 
 @dataclass
 class Recording:
-    """What :func:`replay` needs of one reliable :func:`simulate` run:
-    per rank, the ``(source, source's send index)`` of the message each
-    of its receives took, in order; the run's stats and elapsed time."""
+    """What :func:`sweep` keeps of a reliable :func:`simulate` run: its
+    stats (a copy), elapsed time and, once built, the static sweep."""
 
-    received: list = field(default_factory=list)
-    stats: list = field(default_factory=list)
-    elapsed: float = 0.0
+    stats: list
+    elapsed: float
+    run: Any = None
 
 
 def simulate(programs, machine: MachineModel | None = None,
-             max_events: int = 50_000_000, fault_plan=None,
-             recording: Recording | None = None) -> SimulationResult:
+             max_events: int = 50_000_000, fault_plan=None) -> SimulationResult:
     """Run rank generators to completion under the machine model.
 
     Parameters
@@ -240,8 +238,6 @@ def simulate(programs, machine: MachineModel | None = None,
     fault_plan:
         A :class:`~repro.dmem.faults.FaultPlan` injecting deterministic
         message/compute faults; ``None`` simulates a reliable machine.
-    recording:
-        An empty :class:`Recording` a reliable run fills for :func:`replay`.
 
     When a tracer is live, a ``dmem/simulate`` span is emitted carrying
     the aggregate message/byte/wait counters plus a ``per_rank``
@@ -252,28 +248,33 @@ def simulate(programs, machine: MachineModel | None = None,
     """
     with trace("dmem/simulate"):
         t0 = time.perf_counter()
-        received = None if recording is None else [[] for _ in programs]
-        result = _simulate(programs, machine, max_events, fault_plan, received)
-        if recording is not None:
-            recording.received, recording.elapsed = received, result.elapsed
-            recording.stats = deepcopy(result.stats)
+        result = _simulate(programs, machine, max_events, fault_plan)
         return report_run(result, t0, fault_plan)
 
 
-def replay(programs, recording: Recording) -> SimulationResult:
-    """Run ``programs`` again along ``recording``, the record of a
-    :func:`simulate` run of programs that send, compute and receive the
-    same.  Each receive takes its recorded message once the sender has
-    sent it.  The result has the recorded clocks (fresh stats copies),
-    this run's ``returns`` and ``wall_seconds``, and the span and
-    counters of :func:`simulate` plus ``replayed=True``.  A message
-    whose source or tag the receive does not match, or a rank whose
-    receives, messages, bytes or flops differ from the record, raises
-    :class:`ReplayDivergenceError`; a stall, :class:`DeadlockError`.
-    """
+def sweep(build, kwargs, recording: Recording) -> SimulationResult:
+    """A recorded job's numeric work as its static sweep, not its programs.
+    ``build(**kwargs) -> (flops, run)``, each rank's ``Compute`` flops and
+    ``run(**kwargs) -> returns``, is called once per recording; a rank
+    whose flops differ from the recorded ones raises
+    :class:`ReplayDivergenceError` then.  The result has the recorded
+    clocks (fresh stats copies), this run's ``returns`` and wall time,
+    and :func:`simulate`'s span and counters plus ``replayed=True``."""
     with trace("dmem/simulate", replayed=True):
         t0 = time.perf_counter()
-        return report_run(_replay(programs, recording), t0, None)
+        if recording.run is None:
+            flops, run = build(**kwargs)
+            for r, (f, s) in enumerate(zip(flops, recording.stats)):
+                if f != s.flops:
+                    raise ReplayDivergenceError(
+                        r, f"sweep flops {f}; recorded {s.flops}")
+            recording.run = run
+        # a copy per field: a result's stats are the caller's to change
+        return report_run(SimulationResult(
+            stats=[replace(s, blocked_by_kind=dict(s.blocked_by_kind))
+                   for s in recording.stats],
+            elapsed=recording.elapsed, returns=recording.run(**kwargs)),
+            t0, None)
 
 
 def report_run(result, t0, fault_plan):
@@ -299,75 +300,7 @@ def report_run(result, t0, fault_plan):
     return result
 
 
-def _replay(programs, rec) -> SimulationResult:
-    nranks = len(programs)
-    returns, waiting, alive = [None] * nranks, [None] * nranks, [True] * nranks
-    mail, seq = {}, 0          # (source, send index) -> Message
-    sent, took = [0] * nranks, [0] * nranks      # sends, receives made
-    counts = [[0, 0, 0.0] for _ in range(nranks)]   # messages, bytes, flops
-    while any(alive):
-        progressed = False
-        for r, gen in enumerate(programs):
-            log, count, m = rec.received[r], counts[r], None
-            while alive[r]:
-                if (op := waiting[r]) is not None:
-                    if took[r] == len(log):
-                        raise ReplayDivergenceError(
-                            r, "a receive the recording lacks")
-                    if (m := mail.pop(log[took[r]], None)) is None:
-                        break
-                    took[r] += 1
-                    if op.source not in (ANY_SOURCE, m.source) \
-                            or op.tag not in (ANY_TAG, m.tag):
-                        raise ReplayDivergenceError(
-                            r, f"receive (src={op.source}, tag={op.tag}) "
-                               f"got (src={m.source}, tag={m.tag})")
-                    waiting[r] = None
-                progressed = True
-                try:
-                    op = gen.send(m)
-                except StopIteration as stop:
-                    alive[r], returns[r] = False, stop.value
-                    break
-                m = None
-                if isinstance(op, Compute):
-                    count[2] += op.flops
-                elif isinstance(op, Send):
-                    if not (0 <= op.dest < nranks):
-                        raise ValueError(
-                            f"rank {r} sent to invalid rank {op.dest}")
-                    count[0] += op.count
-                    count[1] += op.nbytes
-                    seq += 1
-                    mail[(r, sent[r])] = Message(
-                        source=r, tag=op.tag, payload=op.payload,
-                        nbytes=op.nbytes, msg_id=seq)
-                    sent[r] += 1
-                elif isinstance(op, Recv):
-                    waiting[r] = op
-                else:
-                    raise TypeError(f"rank {r} yielded unknown op {op!r}")
-        if not progressed:
-            raise DeadlockError("replay stalled", blocked=[
-                BlockedRank(rank=r, source=op.source, tag=op.tag,
-                            clock=float("nan"))
-                for r, op in enumerate(waiting) if op is not None])
-    for r, s in enumerate(rec.stats):
-        did = [took[r], *counts[r]]
-        want = [len(rec.received[r]), s.msgs_sent, s.bytes_sent, s.flops]
-        if did != want:
-            raise ReplayDivergenceError(
-                r, f"receives, messages, bytes, flops {did}; recorded {want}")
-    if mail:
-        raise ReplayDivergenceError(min(mail)[0], "a send no receive took")
-    # a copy per field: a result's stats are the caller's to change
-    return SimulationResult(
-        stats=[replace(s, blocked_by_kind=dict(s.blocked_by_kind))
-               for s in rec.stats], elapsed=rec.elapsed, returns=returns)
-
-
-def _simulate(programs, machine, max_events, fault_plan,
-              received) -> SimulationResult:
+def _simulate(programs, machine, max_events, fault_plan) -> SimulationResult:
     machine = machine or MachineModel()
     nranks = len(programs)
     gens = list(programs)
@@ -384,8 +317,6 @@ def _simulate(programs, machine, max_events, fault_plan,
     alive = [True] * nranks
     # deterministic FIFO sequencing per (src, dst, tag)
     seq_counter = 0
-    # per-rank Send op index: with the rank, a message's recorded name
-    sends = [0] * nranks
     # per-rank Compute op index (keys the fault plan's jitter stream)
     compute_idx = [0] * nranks
     # mutable countdowns for the plan's surgical drop rules
@@ -434,8 +365,6 @@ def _simulate(programs, machine, max_events, fault_plan,
         clock[r] = t_ready
         stats[r].msgs_received += getattr(m, "_count", 1)
         stats[r].bytes_received += m.nbytes
-        if received is not None:
-            received[r].append((m.source, m._send))
         return m
 
     def fire_timeout(r, op, deadline):
@@ -475,7 +404,6 @@ def _simulate(programs, machine, max_events, fault_plan,
             raise ValueError(f"rank {r} sent to invalid rank {op.dest}")
         seq_counter += 1
         seq = seq_counter
-        index, sends[r] = sends[r], sends[r] + 1
         copies, delay_factor = 1, 0.0
         if fault_plan is not None:
             fate = fault_plan.send_fate(rule_counts, r, op.dest, op.tag, seq)
@@ -498,7 +426,6 @@ def _simulate(programs, machine, max_events, fault_plan,
                 stats[r].msgs_duplicated += op.count
             m._seq = seq_counter if c > 0 else seq
             m._count = op.count
-            m._send = index
             mailbox[op.dest].append(m)
 
     events = 0

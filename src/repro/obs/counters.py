@@ -125,7 +125,7 @@ COUNTERS = (
         "repro/dmem/simulator.py",
         "Real host wall-clock seconds for one executor run, distinct "
         "from the simulated clock: the simulator's event loop (or "
-        "replay) time, or the process executor's spawn-to-join time."),
+        "static sweep) time, or the process executor's spawn-to-join time."),
     CounterSpec(
         "kernel.lu_calls", "call",
         "repro/kernels.py",

@@ -6,9 +6,10 @@ an executor, on rank panels (:mod:`repro.dmem.distribute`): per
 iteration one ``trsm`` on a rank's L(·,K) panel, one on its U(K,·) panel
 and one GEMM of the two panels it holds or received, subtracted through
 store offsets :func:`build_schedule` lays out once per pattern.  The
-simulator, the process executor and the replay agree bit for bit; the
-serial kernel does the same block operations on other operand shapes, so
-the two agree to rounding (a tolerance and the ``splu`` oracle in tests).
+simulator, the process executor and :func:`_sweep`, a warm op's static
+pass over every rank, agree bit for bit; the serial kernel does the same
+block operations on other operand shapes, so the two agree to rounding
+(a tolerance and the ``splu`` oracle in tests).
 
 Message protocol per iteration K (tags encode ``4*K + kind``):
 
@@ -120,8 +121,9 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         simulator default (:func:`repro.dmem.executor.resolve_executor`).
         The process executor runs one worker per rank and ships each
         rank's store back into ``dist``'s, in place; results are
-        bit-identical to the simulator, which with no fault plan replays
-        its first run on the layout (docs/EXECUTOR.md).
+        bit-identical to the simulator, which with no fault plan runs a
+        layout's later factorizations as :func:`_sweep`
+        (docs/EXECUTOR.md).
     """
     machine = machine or MachineModel()
     exec_ = resolve_executor(executor)
@@ -143,7 +145,7 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
                             None if fault_plan is None
                             else DEFAULT_RECV_TIMEOUT)),
             collect=_collect_factor_state,
-            key=(pipeline, edag_prune))
+            key=(pipeline, edag_prune), sweep=_sweep)
         sim = exec_.run(job, machine=machine, fault_plan=fault_plan)
         if sim.collected is not None:
             # executors whose workers do not share memory with the
@@ -271,6 +273,57 @@ def build_schedule(dist, dag, edag_prune):
                 updates=_update_targets(dist, need_l, need_u))
 
 
+def _product(targets, b, lpanel, upanel):
+    """Batch ``b``'s targets and its product of the L(·,K) and U(K,·)
+    panels in their order — the update is ``store[tgt] -= upd`` — counted
+    as the batch's per-block products (``kernel.*``)."""
+    start, end, *_, more, take = targets.calls[b]
+    upd = kernels.gemm_update(lpanel, upanel).ravel()
+    kernels.stats().gemm_calls += more
+    return targets.tgt[start:end], upd if take is None else upd[take]
+
+
+def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
+    """Every rank's :func:`_rank_program` as one supernode-major pass, and
+    each rank's flops (:func:`repro.dmem.simulator.sweep`): per K the
+    diagonal factor, the panel trsms, then each rank's update.  A store
+    entry takes its updates in ascending K from the same panels, as in
+    the programs, so the bits are theirs (docs/EXECUTOR.md)."""
+    grid, targets = dist.grid, sched["updates"]
+    flops, steps = [0] * grid.size, []
+    for k in range(dag.nsuper):
+        kr, kc, w = k % grid.nprow, k % grid.npcol, dist.widths[k]
+        owner, trsm, update = grid.rank(kr, kc), [], []
+        flops[owner] += kernels.lu_flops(w)
+        for r in range(grid.size):
+            pr, pc = grid.coords(r)
+            rows, cols = sched["need_l"][k][pr], sched["need_u"][k][pc]
+            if pc == kc and rows:       # X · U_KK = L(·, K)
+                trsm.append(("trsm_upper", dist.lpanel[r][k], len(rows)))
+                flops[r] += kernels.trsm_flops(w, trsm[-1][1].shape[0])
+            if pr == kr and cols:       # L_KK · X = U(K, ·)
+                trsm.append(("trsm_lower_unit", dist.upanel[r][k], len(cols)))
+                flops[r] += kernels.trsm_flops(w, trsm[-1][1].shape[1])
+            if (b := targets.batch[k][r]) >= 0:
+                update.append((dist.stores[r], b, dist.lpanel[grid.rank(
+                    pr, kc)][k], dist.upanel[grid.rank(kr, pc)][k]))
+                flops[r] += sum(targets.calls[b][3:5])
+        steps.append((owner, dist.diag[owner][k], trsm, update))
+
+    def run(thresh, **_kwargs):
+        n_tiny, st = [0] * grid.size, kernels.stats()
+        for owner, d, trsm, update in steps:
+            n_tiny[owner] += len(kernels.lu_nopivot(d, thresh))
+            for op, panel, blocks in trsm:
+                getattr(kernels, op)(d, panel)
+                st.trsm_calls += blocks - 1
+            for store, b, lpanel, upanel in update:
+                tgt, upd = _product(targets, b, lpanel, upanel)
+                store[tgt] -= upd
+        return n_tiny
+    return flops, run
+
+
 def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
                   pipeline, edag_prune, sched, recv_timeout=None):
     """The SPMD program of one rank (a generator for the simulator)."""
@@ -383,13 +436,9 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         Compute — or, with ``lookahead``, the J = K+1 columns' subtract and
         Compute, step 1 of iteration K+1, then the rest's (the gemm read
         only panels K)."""
-        start, end, cut, *flops, more, take = \
-            targets.calls[targets.batch[k][rank]]
-        tgt = targets.tgt[start:end]
-        upd = kernels.gemm_update(lpanel, upanel).ravel()
-        kernels.stats().gemm_calls += more
-        if take is not None:
-            upd = upd[take]
+        b = targets.batch[k][rank]
+        tgt, upd = _product(targets, b, lpanel, upanel)
+        cut, *flops = targets.calls[b][2:5]
         if lookahead:
             store[tgt[:cut]] -= upd[:cut]
             if flops[0]:

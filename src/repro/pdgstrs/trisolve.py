@@ -23,7 +23,8 @@ the x entries it reads, in an order the layout fixes, and the diagonal
 process subtracts the partial sums in sorted-rank order.  Neither
 depends on arrival order, so ``x`` is a function of the inputs alone —
 bit-identical across message interleavings, and so across the
-simulator, the replay and the process executor (docs/EXECUTOR.md).
+simulator, the process executor and :func:`_sweep`, a warm op's static
+pass in solve order (docs/EXECUTOR.md).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from repro import kernels
 from repro.dmem.comm import ANY_SOURCE, ANY_TAG, Compute, Send, recv_with_retry
 from repro.dmem.distribute import DistributedBlocks
+from repro.dmem.executor import RankJob, resolve_executor
 from repro.pdgstrf.factor2d import DEFAULT_RECV_RETRIES, DEFAULT_RECV_TIMEOUT
 
 __all__ = ["pdgstrs_lower", "pdgstrs_upper"]
@@ -58,15 +60,13 @@ _UPPER = _Direction("upper", "ublk", "diag_solve_upper", True)
 
 
 def _run(direction, dist, b, machine, fault_plan, executor):
-    from repro.dmem.executor import RankJob, resolve_executor
-
     b = np.asarray(b, dtype=np.float64)
     job = RankJob(nranks=dist.grid.size, factory=_rank_solve,
                   kwargs=dict(dist=dist, b=b, direction=direction,
                               recv_timeout=(None if fault_plan is None
                                             else DEFAULT_RECV_TIMEOUT)),
                   # nrhs sets the bytes, and so the ANY_SOURCE order
-                  key=(direction.name, b.shape))
+                  key=(direction.name, b.shape), sweep=_sweep)
     sim = resolve_executor(executor).run(job, machine=machine,
                                          fault_plan=fault_plan)
     x = np.empty(b.shape)
@@ -104,12 +104,60 @@ def pdgstrs_upper(dist: DistributedBlocks, y, machine=None,
     return _run(_UPPER, dist, y, machine, fault_plan, executor)
 
 
+def _refill(dist, name, rank):
+    """Rank ``rank``'s row panels of the ``name`` blocks, an L panel
+    buffer refilled from the store first (``buffer[dst] = store[src]``)."""
+    refill, panels = dist.row_panels[name][rank]
+    if refill is not None:
+        buf, src, dst = refill
+        buf[dst] = dist.stores[rank][src]
+    return panels
+
+
+def _partial_sum(panel, cols, calls, dflops, x, nrhs):
+    """lsum(K): a rank's row panel of K times the x entries it reads —
+    one product, counted as the blocks' products (kernel.* per block)."""
+    st = kernels.stats()
+    st.gemm_calls += calls
+    st.gemm_flops += dflops * nrhs
+    return kernels.gemm_update(panel, x[cols])
+
+
+def _sweep(dist: DistributedBlocks, b, direction, **_kwargs):
+    """Every rank's :func:`_rank_solve` as one pass over K in solve order,
+    and each rank's flops (:func:`repro.dmem.simulator.sweep`): ``x(K)``
+    is ``b(K)`` minus each contributor's partial sum in sorted rank order,
+    solved against the diagonal block — the programs' operands and order,
+    so their bits (docs/EXECUTOR.md)."""
+    grid, xsup, name = dist.grid, dist.part.xsup, direction.blocks
+    nrhs, steps = 1 if b.ndim == 1 else b.shape[1], []
+    flops = [sum(f for blocks in start[0].values() for _, f, _ in blocks)
+             * nrhs for start in dist.solve_start[name]]
+    for k in sorted(range(dist.nsuper), reverse=direction.descending):
+        owner, w = grid.owner(k, k), dist.widths[k]
+        flops[owner] += w * w * nrhs
+        steps.append((k, owner, slice(xsup[k], xsup[k + 1]),
+                      dist.diag[owner][k], dist.owners[name][0][k]))
+
+    def run(dist, b, **_kwargs):
+        diag_solve = getattr(kernels, direction.diag_solve)
+        panels = [_refill(dist, name, r) for r in range(grid.size)]
+        x, solved = np.empty(b.shape), [{} for _ in range(grid.size)]
+        for k, owner, at, d, ranks in steps:
+            xk = b[at].copy()
+            for r in ranks:
+                xk -= _partial_sum(*panels[r][k], x, nrhs)
+            diag_solve(d, xk)
+            x[at] = solved[owner][k] = xk
+        return solved
+    return flops, run
+
+
 def _rank_solve(rank, dist: DistributedBlocks, b, direction,
                 recv_timeout=None):
     """One rank of either substitution.  Returns ``{K: x_K}`` for the
     supernodes whose diagonal process this rank is."""
     diag_solve = getattr(kernels, direction.diag_solve)
-    st = kernels.stats()
     grid = dist.grid
     xsup = dist.part.xsup
     # owners of a block (·, J): x(J)'s readers
@@ -122,10 +170,7 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     # layout's, once per pattern
     my_blocks, mod, recv, remaining = dist.solve_start[direction.blocks][rank]
     mod, recv = dict(mod), dict(recv)
-    refill, panels = dist.row_panels[direction.blocks][rank]
-    if refill is not None:
-        buf, src, dst = refill
-        buf[dst] = dist.stores[rank][src]
+    panels = _refill(dist, direction.blocks, rank)
     # the x(J) my blocks read, as they come in
     x_in = np.empty(b.shape)
 
@@ -168,14 +213,6 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
                        nbytes=x.nbytes)
         yield from apply_x(k, x)
 
-    def partial_sum(k):
-        """lsum(K): my row panel of K times the x(J) it reads — one
-        product, counted as the blocks' products (kernel.* per block)."""
-        panel, cols, calls, dflops = panels[k]
-        st.gemm_calls += calls
-        st.gemm_flops += dflops * nrhs
-        return kernels.gemm_update(panel, x_in[cols])
-
     def apply_x(j, xj):
         blocks = my_blocks.get(j, ())
         if blocks:
@@ -186,7 +223,8 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
             yield Compute(flops=flops * nrhs, width=width)
             mod[k] -= 1
             if mod[k] == 0:
-                yield from deliver_part(k, partial_sum(k))
+                yield from deliver_part(
+                    k, _partial_sum(*panels[k], x_in, nrhs))
 
     # ---- seeding: supernodes solvable with no remote input ------------ #
     for k in my_diag:

@@ -1,34 +1,37 @@
-"""A warm distributed op replays its layout's recorded simulation.
+"""A warm distributed op runs its layout's static sweep.
 
 Under static pivoting no event of a rank program depends on a value, so
-the simulator executor records the first reliable run of a job on a
-layout and replays every later one (docs/EXECUTOR.md).  The contract:
+the simulator executor simulates the first reliable run of a job on a
+layout, keeps its stats and clock, and does every later one as the
+job's static sweep: one supernode-major pass over the numeric work, no
+generators and no messages (docs/EXECUTOR.md).  The contract:
 
-- a replayed op is bit for bit a fresh simulation — stores, ``x``,
-  returns, elapsed and every ``RankStats`` field;
+- a swept op is bit for bit a fresh simulation — stores, ``x``,
+  returns, elapsed, every ``RankStats`` field and the ``kernel.*``
+  counts;
 - a fault plan, an armed receive timeout and the process executor
   always simulate, and store nothing;
-- a replay that does not match its recording raises a structured error;
+- a sweep whose flops differ from its recording raises a structured
+  error when it is built;
 - a new pattern is a new layout, recorded afresh;
 - a factorization that raises leaves the layout holding the resident
   values, so a retry factors A.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import kernels
 from repro.dmem import (
-    Compute,
-    DeadlockError,
     DropRule,
     FaultPlan,
     ProcessGrid,
-    Recv,
     ReplayDivergenceError,
-    Send,
-    simulate,
 )
-from repro.dmem.simulator import Recording, replay
 from repro.driver.dist_driver import DistributedGESPSolver
 from repro.matrices.testbed import matrix_by_name
 from repro.obs import Tracer
@@ -39,7 +42,7 @@ from conftest import random_nonsingular_dense
 
 
 def _replayed(tracer):
-    """How many ``dmem/simulate`` spans were replays."""
+    """How many ``dmem/simulate`` spans were swept ops."""
     return sum(bool(s.attrs.get("replayed"))
                for s in tracer.root.find_all("dmem/simulate"))
 
@@ -56,20 +59,19 @@ def _same_run(got, want):
             assert g == w
 
 
-# --------------------------------------------------------------------- #
-# replay ≡ fresh simulate on every op of a drifting stream
-# --------------------------------------------------------------------- #
+def _counted(call):
+    """``call()`` and the calling thread's kernel counts it made."""
+    st, snap = kernels.stats(), kernels.stats().snapshot()
+    out = call()
+    return out, {f.name: getattr(st, f.name) - getattr(snap, f.name)
+                 for f in fields(st)}
 
-@pytest.mark.parametrize("name,grid,pipeline,edag,nrhs,tail", [
-    ("cfd06", (2, 2), True, True, None, 0.0),
-    ("cfd06", (1, 2), False, False, 3, 0.0),
-    ("fem04", (2, 3), True, True, 3, 0.2),
-    ("circuit03", (2, 3), False, True, None, 0.0),
-    ("circuit03", (2, 2), True, False, 3, 0.0),
-])
-def test_replay_is_a_fresh_simulation(name, grid, pipeline, edag, nrhs, tail):
+
+def _swept_is_fresh(name, grid, pipeline, edag, nrhs, tail, iters=4):
+    """Every op of a drifting stream on a warm solver (the first records,
+    the rest sweep) against a solver simulating afresh each time."""
     stream = generate(ScenarioSpec(scenario="newton_drift", matrix=name,
-                                   newton_iters=4, newton_drift=0.01,
+                                   newton_iters=iters, newton_drift=0.01,
                                    seed=2))
     kw = dict(grid=ProcessGrid(*grid), pipeline=pipeline, edag_prune=edag,
               dense_tail_threshold=tail, executor="sim", cache=False)
@@ -83,17 +85,70 @@ def test_replay_is_a_fresh_simulation(name, grid, pipeline, edag, nrhs, tail):
         for s in (warm, fresh):
             s.refactor(item.matrix)
         fresh.dist.recordings.clear()
-        _same_run(warm.factorize().sim, fresh.factorize().sim)
-        for got, want in zip(warm.dist.stores, fresh.dist.stores):
-            assert np.array_equal(got, want)
+        got, got_counts = _counted(lambda: warm.factorize().sim)
+        want, want_counts = _counted(lambda: fresh.factorize().sim)
+        _same_run(got, want)
+        assert got_counts == want_counts
+        for g, w in zip(warm.dist.stores, fresh.dist.stores):
+            assert np.array_equal(g, w)
         fresh.dist.recordings.clear()
-        got, want = warm.solve_distributed(b), fresh.solve_distributed(b)
+        got, got_counts = _counted(lambda: warm.solve_distributed(b))
+        want, want_counts = _counted(lambda: fresh.solve_distributed(b))
         assert np.array_equal(got.x, want.x)
         _same_run(got.lower, want.lower)
         _same_run(got.upper, want.upper)
-    # the first op recorded three runs; every later one replayed them
+        assert got_counts == want_counts
+    # the first op recorded three runs; every later one swept them
     assert len(warm.dist.recordings) == 3
     assert _replayed(tracer) == 3 * (len(stream) - 1)
+
+
+# --------------------------------------------------------------------- #
+# swept op ≡ fresh simulate on every op of a drifting stream
+# --------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("name,grid,pipeline,edag,nrhs,tail", [
+    ("cfd06", (2, 2), True, True, None, 0.0),
+    ("cfd06", (1, 2), False, False, 3, 0.0),
+    ("fem04", (2, 3), True, True, 3, 0.2),
+    ("circuit03", (2, 3), False, True, None, 0.0),
+    ("circuit03", (2, 2), True, False, 3, 0.0),
+])
+def test_replay_is_a_fresh_simulation(name, grid, pipeline, edag, nrhs, tail):
+    _swept_is_fresh(name, grid, pipeline, edag, nrhs, tail)
+
+
+_MATRICES = [("cfd01", 0.0), ("circuit03", 0.0), ("fem04", 0.2)]
+_GRIDS = [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]
+
+
+@given(st.sampled_from(_MATRICES), st.sampled_from(_GRIDS), st.booleans(),
+       st.booleans(), st.sampled_from([None, 3]))
+@example(("fem04", 0.2), (1, 1), False, True, None)
+@example(("cfd01", 0.0), (3, 3), True, False, 3)
+@example(("circuit03", 0.0), (2, 3), False, False, 3)
+@settings(max_examples=10, deadline=None)
+def test_swept_op_is_a_fresh_simulation(matrix, grid, pipeline, edag, nrhs):
+    """Any grid of 1, 2, 4, 6 or 9 ranks, pipeline and EDAG pruning on or
+    off, one or three right-hand sides, a dense tail or none."""
+    name, tail = matrix
+    _swept_is_fresh(name, grid, pipeline, edag, nrhs, tail, iters=3)
+
+
+def test_swept_op_publishes_the_simulated_kernel_counters():
+    """A swept factorization's ``kernel.*`` counters (its
+    ``factor/pdgstrf`` span) are the simulated one's on the same values."""
+    a = matrix_by_name("cfd06").build()
+    tracer = Tracer()
+    s = DistributedGESPSolver(a, nprocs=4, cache=False, tracer=tracer)
+    s.factorize()
+    s.refactor(a)
+    s.factorize()
+    simulated, swept = (
+        {k: v for k, v in span.counters.items() if k.startswith("kernel.")}
+        for span in tracer.root.find_all("factor/pdgstrf"))
+    assert swept == simulated and simulated["kernel.gemm_calls"] > 0
+    assert _replayed(tracer) == 1
 
 
 # --------------------------------------------------------------------- #
@@ -122,20 +177,19 @@ def test_bypasses_never_replay(kw):
 # divergence and re-recording
 # --------------------------------------------------------------------- #
 
-@pytest.mark.parametrize("tamper", ["flops", "receive"])
+@pytest.mark.parametrize("tamper", ["flops"])
 def test_tampered_recording_raises_divergence(tamper):
+    """The sweep is checked against its recording once, when the first
+    warm op builds it: a rank whose flops differ is named."""
     a = matrix_by_name("cfd01").build()
     s = DistributedGESPSolver(a, nprocs=4, cache=False)
     s.factorize()
     (rec,) = s.dist.recordings.values()
-    if tamper == "flops":
-        rec.stats[2].flops += 1.0
-    else:
-        rec.received[2].pop()
+    rec.stats[2].flops += 1.0
     s.refactor(a)
     with pytest.raises(ReplayDivergenceError) as ei:
         s.factorize()
-    assert ei.value.rank == 2
+    assert ei.value.rank == 2 and rec.run is None
 
 
 def test_new_pattern_records_afresh(rng):
@@ -155,51 +209,24 @@ def test_new_pattern_records_afresh(rng):
     assert _replayed(tracer) == 1
 
 
-def test_replay_checks_what_the_simulator_checks():
-    def ping(dest=1, op=None):
-        yield Compute(flops=10.0)
-        yield op or Send(dest=dest, tag=3, payload=None, nbytes=8)
-
-    def pong(tag=3):
-        m = yield Recv(source=0, tag=tag)
-        return m.payload
-
-    rec = Recording()
-    want = simulate([ping(), pong()], recording=rec)
-    got = replay([ping(), pong()], rec)
-    assert (got.stats, got.elapsed) == (want.stats, want.elapsed)
-    assert got.stats[0] is not rec.stats[0]
-    with pytest.raises(ValueError, match="invalid rank"):
-        replay([ping(dest=5), pong()], rec)
-    with pytest.raises(TypeError, match="unknown op"):
-        replay([ping(op="nonsense"), pong()], rec)
-    with pytest.raises(ReplayDivergenceError, match="tag=4"):
-        replay([ping(), pong(tag=4)], rec)
-    with pytest.raises(DeadlockError, match="stalled"):
-        replay([pong(), pong()], Recording([[(1, 0)], [(0, 0)]],
-                                           rec.stats, rec.elapsed))
-
-
 def test_replayed_stats_are_the_callers():
-    """A replay hands out its own copy of the recorded stats: changing a
+    """A swept op hands out its own copy of the recorded stats: changing a
     field or ``blocked_by_kind`` of one leaves the recording, and the
-    next replay's stats, as recorded."""
-    def ping():
-        yield Compute(flops=10.0)
-        yield Send(dest=1, tag=3, payload=None, nbytes=8)
-
-    def pong():
-        yield Recv(source=0, tag=3)
-
-    rec = Recording()
-    want = simulate([ping(), pong()], recording=rec)
-    assert want.stats[1].blocked_by_kind      # pong waited on tag 3
-    got = replay([ping(), pong()], rec)
-    got.stats[0].flops += 1.0
-    got.stats[1].blocked_by_kind[3] += 1.0
-    got.stats[1].blocked_by_kind["new"] = 1.0
-    assert rec.stats == want.stats
-    assert replay([ping(), pong()], rec).stats == want.stats
+    next swept op's stats, as recorded."""
+    a = matrix_by_name("cfd01").build()
+    s = DistributedGESPSolver(a, nprocs=4, cache=False)
+    want = s.factorize().sim.stats
+    (rec,) = s.dist.recordings.values()
+    s.refactor(a)
+    got = s.factorize().sim.stats
+    assert got == want and got[1] is not rec.stats[1]
+    kind = next(iter(got[1].blocked_by_kind))
+    got[0].flops += 1.0
+    got[1].blocked_by_kind[kind] += 1.0
+    got[1].blocked_by_kind["new"] = 1.0
+    assert rec.stats == want
+    s.refactor(a)
+    assert s.factorize().sim.stats == want
 
 
 # --------------------------------------------------------------------- #

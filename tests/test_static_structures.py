@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 import repro.factor.blockpivot as blockpivot
 from repro.driver import GESPOptions
+from repro.driver.dist_driver import DistributedGESPSolver
 from repro.driver.pipeline import preprocess
 from repro.factor.blockplan import build_block_plan, supernode_row_sets
 from repro.matrices import matrix_by_name
@@ -641,7 +642,10 @@ def test_partial_update_grids_match_the_frozen_loop():
     etree branches (fem04 as the distributed driver partitions it) and
     row-set supersets leave update entries with no home, and the kept
     ones match the loop's."""
-    a = preprocess(matrix_by_name("fem04").build(), GESPOptions())[0]
+    engine = DistributedGESPSolver
+    a = preprocess(matrix_by_name("fem04").build(), GESPOptions(),
+                   col_perm=engine._COL_PERM,
+                   etree_postorder=engine._ETREE_POSTORDER)[0]
     sym = symbolic_lu_symmetrized(a)
     part = block_partition(sym, dense_tail_threshold=0.2)
     superset = _superset(part, supernode_row_sets(sym, part),

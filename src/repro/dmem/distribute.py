@@ -221,10 +221,7 @@ class DistributedBlocks:
                 dst = first[b] + e % c[b] \
                     + wide[row][b] * s_all[at[g][b] + e // c[b]]
                 by_dst = np.argsort(dst)
-                index = np.int32 if max(buf.size, self.stores[r].size) \
-                    < 2 ** 31 else np.intp
-                refill = (buf, (off.lower[g][b] + e)[by_dst].astype(index),
-                          dst[by_dst].astype(index))
+                refill = (buf, (off.lower[g][b] + e)[by_dst], dst[by_dst])
             dflops = np.add.reduceat(flops[g], head) - 2 * area
             self.row_panels[name].append((refill, {k: (
                 buf[lo:lo + a].reshape(w[k], -1) if lower

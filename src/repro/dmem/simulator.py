@@ -153,7 +153,7 @@ class SimulationResult:
 
     stats: list                       # RankStats per rank
     elapsed: float                    # max rank clock = parallel runtime
-    returns: list                     # generator return values per rank
+    returns: Any                      # per rank (a swept solve: its x)
     # real wall-clock seconds the run took end to end.  ``elapsed`` is
     # model time under the simulator (and == wall time, re-measured, on
     # the process executor); this field is always a wall measurement, so

@@ -31,6 +31,9 @@ Contract (docs/KERNELS.md has the table):
   op by op and through whole factorizations.  Engines call the ops
   through the module (``kernels.trsm_upper(d, b)``), so that test swaps
   an op with ``monkeypatch.setattr(repro.kernels, ...)``.
+- A static sweep, whose operands are fixed per layout, binds an op once
+  (``bind_<op>``): the op's own LAPACK / BLAS call on pre-resolved
+  operands, counted once per run by the sweep, or else the op itself.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ OPS = ("lu_nopivot", "lu_partial", "trsm_upper", "trsm_lower_unit",
        "gemm_update", "diag_solve_lower_unit", "diag_solve_upper")
 
 __all__ = ["OPS", "KernelCounts", "KernelStats", "stats", "kernel_counters",
-           "lu_flops", "trsm_flops", "gemm_flops", *OPS]
+           "lu_flops", "trsm_flops", "gemm_flops", *OPS, "bind_lu_nopivot",
+           "bind_trsm_upper", "bind_trsm_lower_unit",
+           "bind_diag_solve_lower_unit", "bind_diag_solve_upper"]
 
 
 # --------------------------------------------------------------------- #
@@ -212,6 +217,31 @@ def _addr(x):
     return ctypes.byref(_CHAR(x)) if x.flags.writeable else x.ctypes.data
 
 
+# A static sweep (repro.pdgstrf / repro.pdgstrs) binds each op once per
+# layout: ``bind_<op>(..., counts)`` returns ``(fn, args)``, the op's own
+# LAPACK / BLAS call on pre-resolved operands where ``_blas`` admits them
+# (their calls and flops added to ``counts``, for the caller to add once
+# per run with ``KernelStats.add``), else ``(op, operands)``, which counts
+# itself.
+
+class _Ptr:
+    """An array's address as ctypes passes it (``_as_parameter_``),
+    holding the array so the address stays valid: ≈ 90 B, where
+    ``ndarray.ctypes.data_as`` keeps ≈ 870 B per pointer alive."""
+
+    __slots__ = ("array", "_as_parameter_")
+
+    def __init__(self, x):
+        self.array, self._as_parameter_ = x, x.ctypes.data
+
+
+def _dtrsm(side, uplo, diag, d, b):
+    """``dtrsm``'s arguments solving against ``d`` in place of ``b``
+    (row-major, no transpose, alpha 1), as the ops pass them."""
+    return (101, side, uplo, 111, diag, *b.shape, 1.0, _Ptr(d), d.shape[0],
+            _Ptr(b), b.shape[1])
+
+
 # --------------------------------------------------------------------- #
 # factorization ops (paper Figure 8)
 # --------------------------------------------------------------------- #
@@ -268,6 +298,37 @@ def lu_nopivot(d, thresh):
     return replaced
 
 
+def bind_lu_nopivot(d, counts):
+    """:func:`lu_nopivot` of ``d`` bound once: ``fn(*args, thresh)``.  The
+    verdict is the op's and checked on every call, since it depends on the
+    values: a rejected block goes through the op itself (its loop, its
+    ``ZeroDivisionError``), which counts itself, so the kept call's counts
+    are taken back out of the caller's totals."""
+    w = d.shape[0]
+    if not _blas(d, d, w):
+        return lu_nopivot, (d,)
+    counts.lu_calls += 1
+    counts.lu_lapack += 1
+    counts.lu_flops += lu_flops(w)
+    lu, piv = np.empty_like(d), np.empty(w, dtype=np.int64)
+    return _lu_bound, (d, lu, piv, list(range(1, w + 1)), _BLAS[0],
+                       (101, w, w, _Ptr(lu), w, _Ptr(piv)))
+
+
+def _lu_bound(d, lu, piv, identity, getrf, args, thresh):
+    lu[...] = d
+    if (getrf(*args) == 0 and piv.tolist() == identity
+            and abs(lu.diagonal()).min() >= thresh):
+        d[...] = lu
+        return []
+    replaced = lu_nopivot(d, thresh)
+    st = stats()
+    st.lu_calls -= 1
+    st.lu_lapack -= 1
+    st.lu_flops -= lu_flops(d.shape[0])
+    return replaced
+
+
 def lu_partial(d, thresh, pivot_threshold=1.0):
     """In-place LU of ``d`` with threshold partial pivoting within the
     block (paper §5 mixed pivoting).  Returns ``(piv, replaced)`` where
@@ -319,6 +380,15 @@ def trsm_upper(d, b):
     return b
 
 
+def bind_trsm_upper(d, b, counts):
+    """:func:`trsm_upper` of ``d`` and ``b`` bound once: ``fn(*args)``."""
+    if not _blas(d, b, b.shape[1]):
+        return trsm_upper, (d, b)
+    counts.trsm_calls += 1
+    counts.trsm_flops += trsm_flops(d.shape[0], b.shape[0])
+    return _BLAS[1], _dtrsm(142, 121, 131, d, b)
+
+
 def trsm_lower_unit(d, r):
     """Solve ``L_kk · X = R`` in place (R: w × cols); only the
     strictly-lower triangle of ``d`` (unit L) is referenced.
@@ -334,6 +404,16 @@ def trsm_lower_unit(d, r):
     st.trsm_calls += 1
     st.trsm_flops += trsm_flops(w, r.shape[1])
     return r
+
+
+def bind_trsm_lower_unit(d, r, counts):
+    """:func:`trsm_lower_unit` of ``d`` and ``r`` bound once:
+    ``fn(*args)``."""
+    if not _blas(d, r, r.shape[0]):
+        return trsm_lower_unit, (d, r)
+    counts.trsm_calls += 1
+    counts.trsm_flops += trsm_flops(d.shape[0], r.shape[1])
+    return _BLAS[1], _dtrsm(141, 122, 132, d, r)
 
 
 def gemm_update(l, u):
@@ -369,6 +449,16 @@ def diag_solve_lower_unit(d, x):
     return x
 
 
+def bind_diag_solve_lower_unit(d, x, counts):
+    """:func:`diag_solve_lower_unit` of ``d`` and ``x`` bound once:
+    ``fn(*args)``."""
+    b = _columns(x)
+    if not _blas(d, b, b.shape[0]):
+        return diag_solve_lower_unit, (d, x)
+    counts.solve_flops += b.size * b.shape[0]
+    return _BLAS[1], _dtrsm(141, 122, 132, d, b)
+
+
 def diag_solve_upper(d, x):
     """Solve ``U_kk y = x`` in place against the packed block's upper
     triangle (diagonal included); ``x`` is (w,) or (w, nrhs).  A zero on
@@ -387,3 +477,22 @@ def diag_solve_upper(d, x):
             x[jj] /= d[jj, jj]
     stats().solve_flops += w * w * b.shape[1]
     return x
+
+
+def bind_diag_solve_upper(d, x, counts):
+    """:func:`diag_solve_upper` of ``d`` and ``x`` bound once:
+    ``fn(*args)``.  The zero-diagonal check is the op's, made on every
+    call; a zero sends ``x`` through the op (its loop and warning)."""
+    b = _columns(x)
+    if not _blas(d, b, b.shape[0]):
+        return diag_solve_upper, (d, x)
+    counts.solve_flops += b.size * b.shape[0]
+    return _upper_bound, (d, x, _BLAS[1], _dtrsm(141, 121, 131, d, b))
+
+
+def _upper_bound(d, x, trsm, args):
+    if np.count_nonzero(d.diagonal()) == d.shape[0]:
+        trsm(*args)
+    else:
+        diag_solve_upper(d, x)
+        stats().solve_flops -= x.size * d.shape[0]

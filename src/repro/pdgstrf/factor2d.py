@@ -7,9 +7,9 @@ iteration one ``trsm`` on a rank's L(·,K) panel, one on its U(K,·) panel
 and one GEMM of the two panels it holds or received, subtracted through
 store offsets :func:`build_schedule` lays out once per pattern.  The
 simulator, the process executor and :func:`_sweep`, a warm op's static
-pass over every rank, agree bit for bit; the serial kernel does the same
-block operations on other operand shapes, so the two agree to rounding
-(a tolerance and the ``splu`` oracle in tests).
+pass over every rank on dense ops bound once, agree bit for bit; the
+serial kernel does the same block operations on other operand shapes,
+so the two agree to rounding (a tolerance and the ``splu`` oracle).
 
 Message protocol per iteration K (tags encode ``4*K + kind``):
 
@@ -273,53 +273,54 @@ def build_schedule(dist, dag, edag_prune):
                 updates=_update_targets(dist, need_l, need_u))
 
 
-def _product(targets, b, lpanel, upanel):
-    """Batch ``b``'s targets and its product of the L(·,K) and U(K,·)
-    panels in their order — the update is ``store[tgt] -= upd`` — counted
-    as the batch's per-block products (``kernel.*``)."""
-    start, end, *_, more, take = targets.calls[b]
-    upd = kernels.gemm_update(lpanel, upanel).ravel()
-    kernels.stats().gemm_calls += more
-    return targets.tgt[start:end], upd if take is None else upd[take]
-
-
 def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
     """Every rank's :func:`_rank_program` as one supernode-major pass, and
     each rank's flops (:func:`repro.dmem.simulator.sweep`): per K the
-    diagonal factor, the panel trsms, then each rank's update.  A store
-    entry takes its updates in ascending K from the same panels, as in
-    the programs, so the bits are theirs (docs/EXECUTOR.md)."""
+    diagonal factor and the panel trsms (each bound once,
+    ``kernels.bind_*``), then each rank's update.  A store entry takes its
+    updates in ascending K from the same panels, as in the programs, so
+    the bits are theirs (docs/EXECUTOR.md)."""
     grid, targets = dist.grid, sched["updates"]
-    flops, steps = [0] * grid.size, []
+    flops, steps, counts = [0] * grid.size, [], kernels.KernelStats()
     for k in range(dag.nsuper):
         kr, kc, w = k % grid.nprow, k % grid.npcol, dist.widths[k]
         owner, trsm, update = grid.rank(kr, kc), [], []
+        d = dist.diag[owner][k]
         flops[owner] += kernels.lu_flops(w)
         for r in range(grid.size):
             pr, pc = grid.coords(r)
             rows, cols = sched["need_l"][k][pr], sched["need_u"][k][pc]
             if pc == kc and rows:       # X · U_KK = L(·, K)
-                trsm.append(("trsm_upper", dist.lpanel[r][k], len(rows)))
-                flops[r] += kernels.trsm_flops(w, trsm[-1][1].shape[0])
+                panel = dist.lpanel[r][k]
+                trsm.append(kernels.bind_trsm_upper(d, panel, counts))
+                counts.trsm_calls += len(rows) - 1
+                flops[r] += kernels.trsm_flops(w, panel.shape[0])
             if pr == kr and cols:       # L_KK · X = U(K, ·)
-                trsm.append(("trsm_lower_unit", dist.upanel[r][k], len(cols)))
-                flops[r] += kernels.trsm_flops(w, trsm[-1][1].shape[1])
+                panel = dist.upanel[r][k]
+                trsm.append(kernels.bind_trsm_lower_unit(d, panel, counts))
+                counts.trsm_calls += len(cols) - 1
+                flops[r] += kernels.trsm_flops(w, panel.shape[1])
             if (b := targets.batch[k][r]) >= 0:
-                update.append((dist.stores[r], b, dist.lpanel[grid.rank(
-                    pr, kc)][k], dist.upanel[grid.rank(kr, pc)][k]))
-                flops[r] += sum(targets.calls[b][3:5])
-        steps.append((owner, dist.diag[owner][k], trsm, update))
+                start, end, _, *f, more, take = targets.calls[b]
+                update.append((dist.stores[r], targets.tgt[start:end],
+                               dist.lpanel[grid.rank(pr, kc)][k],
+                               dist.upanel[grid.rank(kr, pc)][k], take))
+                counts.gemm_calls += 1 + more
+                counts.gemm_flops += int(sum(f))    # the panels' product
+                flops[r] += sum(f)
+        steps.append((owner, *kernels.bind_lu_nopivot(d, counts), trsm,
+                      update))
 
     def run(thresh, **_kwargs):
-        n_tiny, st = [0] * grid.size, kernels.stats()
-        for owner, d, trsm, update in steps:
-            n_tiny[owner] += len(kernels.lu_nopivot(d, thresh))
-            for op, panel, blocks in trsm:
-                getattr(kernels, op)(d, panel)
-                st.trsm_calls += blocks - 1
-            for store, b, lpanel, upanel in update:
-                tgt, upd = _product(targets, b, lpanel, upanel)
-                store[tgt] -= upd
+        n_tiny = [0] * grid.size
+        for owner, lu, lu_args, trsm, update in steps:
+            n_tiny[owner] += len(lu(*lu_args, thresh))
+            for fn, args in trsm:
+                fn(*args)
+            for store, tgt, lpanel, upanel, take in update:
+                upd = (lpanel @ upanel).ravel()
+                store[tgt] -= upd if take is None else upd[take]
+        kernels.stats().add(counts)
         return n_tiny
     return flops, run
 
@@ -436,9 +437,11 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         Compute — or, with ``lookahead``, the J = K+1 columns' subtract and
         Compute, step 1 of iteration K+1, then the rest's (the gemm read
         only panels K)."""
-        b = targets.batch[k][rank]
-        tgt, upd = _product(targets, b, lpanel, upanel)
-        cut, *flops = targets.calls[b][2:5]
+        start, end, cut, *flops, more, take = targets.calls[
+            targets.batch[k][rank]]
+        upd = kernels.gemm_update(lpanel, upanel).ravel()
+        kernels.stats().gemm_calls += more     # the batch's block products
+        tgt, upd = targets.tgt[start:end], upd if take is None else upd[take]
         if lookahead:
             store[tgt[:cut]] -= upd[:cut]
             if flops[0]:

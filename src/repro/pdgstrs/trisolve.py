@@ -24,7 +24,7 @@ process subtracts the partial sums in sorted-rank order.  Neither
 depends on arrival order, so ``x`` is a function of the inputs alone —
 bit-identical across message interleavings, and so across the
 simulator, the process executor and :func:`_sweep`, a warm op's static
-pass in solve order (docs/EXECUTOR.md).
+pass in solve order on diagonal solves bound once (docs/EXECUTOR.md).
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ def _run(direction, dist, b, machine, fault_plan, executor):
                   key=(direction.name, b.shape), sweep=_sweep)
     sim = resolve_executor(executor).run(job, machine=machine,
                                          fault_plan=fault_plan)
-    x = np.empty(b.shape)
-    xsup = dist.part.xsup
+    if isinstance(sim.returns, np.ndarray):     # a sweep's solution
+        return sim.returns, sim
+    x, xsup = np.empty(b.shape), dist.part.xsup
     for parts in sim.returns:
         for k, xk in parts.items():
             x[xsup[k]:xsup[k + 1]] = xk
@@ -104,52 +105,43 @@ def pdgstrs_upper(dist: DistributedBlocks, y, machine=None,
     return _run(_UPPER, dist, y, machine, fault_plan, executor)
 
 
-def _refill(dist, name, rank):
-    """Rank ``rank``'s row panels of the ``name`` blocks, an L panel
-    buffer refilled from the store first (``buffer[dst] = store[src]``)."""
-    refill, panels = dist.row_panels[name][rank]
-    if refill is not None:
-        buf, src, dst = refill
-        buf[dst] = dist.stores[rank][src]
-    return panels
-
-
-def _partial_sum(panel, cols, calls, dflops, x, nrhs):
-    """lsum(K): a rank's row panel of K times the x entries it reads —
-    one product, counted as the blocks' products (kernel.* per block)."""
-    st = kernels.stats()
-    st.gemm_calls += calls
-    st.gemm_flops += dflops * nrhs
-    return kernels.gemm_update(panel, x[cols])
-
-
 def _sweep(dist: DistributedBlocks, b, direction, **_kwargs):
     """Every rank's :func:`_rank_solve` as one pass over K in solve order,
     and each rank's flops (:func:`repro.dmem.simulator.sweep`): ``x(K)``
     is ``b(K)`` minus each contributor's partial sum in sorted rank order,
-    solved against the diagonal block — the programs' operands and order,
-    so their bits (docs/EXECUTOR.md)."""
+    solved in place in one solution buffer against the diagonal block
+    (bound once, ``kernels.bind_*``) — the programs' operands and order,
+    so their bits (docs/EXECUTOR.md).  A run returns a copy of the buffer."""
     grid, xsup, name = dist.grid, dist.part.xsup, direction.blocks
-    nrhs, steps = 1 if b.ndim == 1 else b.shape[1], []
+    nrhs, x = 1 if b.ndim == 1 else b.shape[1], np.empty(b.shape)
+    steps, counts = [], kernels.KernelStats()
+    bind = getattr(kernels, "bind_" + direction.diag_solve)
     flops = [sum(f for blocks in start[0].values() for _, f, _ in blocks)
              * nrhs for start in dist.solve_start[name]]
+    refills = [(*refill, store) for (refill, _), store in zip(
+        dist.row_panels[name], dist.stores) if refill is not None]
     for k in sorted(range(dist.nsuper), reverse=direction.descending):
         owner, w = grid.owner(k, k), dist.widths[k]
         flops[owner] += w * w * nrhs
-        steps.append((k, owner, slice(xsup[k], xsup[k + 1]),
-                      dist.diag[owner][k], dist.owners[name][0][k]))
+        parts, xk = [], x[xsup[k]:xsup[k + 1]]
+        for r in dist.owners[name][0][k]:   # lsum(K), sorted rank order
+            panel, cols, calls, dflops = dist.row_panels[name][r][1][k]
+            parts.append((panel, cols))
+            counts.gemm_calls += 1 + calls
+            counts.gemm_flops += kernels.gemm_flops(*panel.shape, nrhs) \
+                + dflops * nrhs
+        steps.append((xk, parts, *bind(dist.diag[owner][k], xk, counts)))
 
-    def run(dist, b, **_kwargs):
-        diag_solve = getattr(kernels, direction.diag_solve)
-        panels = [_refill(dist, name, r) for r in range(grid.size)]
-        x, solved = np.empty(b.shape), [{} for _ in range(grid.size)]
-        for k, owner, at, d, ranks in steps:
-            xk = b[at].copy()
-            for r in ranks:
-                xk -= _partial_sum(*panels[r][k], x, nrhs)
-            diag_solve(d, xk)
-            x[at] = solved[owner][k] = xk
-        return solved
+    def run(b, **_kwargs):
+        for buf, src, dst, store in refills:
+            buf[dst] = store[src]
+        x[...] = b
+        for xk, parts, fn, args in steps:
+            for panel, cols in parts:
+                xk -= panel @ x[cols]
+            fn(*args)
+        kernels.stats().add(counts)
+        return x.copy()
     return flops, run
 
 
@@ -170,7 +162,10 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
     # layout's, once per pattern
     my_blocks, mod, recv, remaining = dist.solve_start[direction.blocks][rank]
     mod, recv = dict(mod), dict(recv)
-    panels = _refill(dist, direction.blocks, rank)
+    refill, panels = dist.row_panels[direction.blocks][rank]
+    if refill is not None:      # the L panels: ``buffer[dst] = store[src]``
+        buf, src, dst = refill
+        buf[dst] = dist.stores[rank][src]
     # the x(J) my blocks read, as they come in
     x_in = np.empty(b.shape)
 
@@ -223,8 +218,13 @@ def _rank_solve(rank, dist: DistributedBlocks, b, direction,
             yield Compute(flops=flops * nrhs, width=width)
             mod[k] -= 1
             if mod[k] == 0:
+                # lsum(K): one product, counted as the blocks' products
+                panel, cols, calls, dflops = panels[k]
+                st = kernels.stats()
+                st.gemm_calls += calls
+                st.gemm_flops += dflops * nrhs
                 yield from deliver_part(
-                    k, _partial_sum(*panels[k], x_in, nrhs))
+                    k, kernels.gemm_update(panel, x_in[cols]))
 
     # ---- seeding: supernodes solvable with no remote input ------------ #
     for k in my_diag:

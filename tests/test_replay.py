@@ -18,6 +18,8 @@ generators and no messages (docs/EXECUTOR.md).  The contract:
   values, so a retry factors A.
 """
 
+import gc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -35,6 +37,7 @@ from repro.dmem import (
 from repro.driver.dist_driver import DistributedGESPSolver
 from repro.matrices.testbed import matrix_by_name
 from repro.obs import Tracer
+from repro.pdgstrs import pdgstrs
 from repro.sparse import CSCMatrix
 from repro.workload import ScenarioSpec, generate
 
@@ -47,9 +50,17 @@ def _replayed(tracer):
                for s in tracer.root.find_all("dmem/simulate"))
 
 
-def _same_run(got, want):
+def _same_run(got, want, xsup=None):
     assert got.elapsed == want.elapsed
     assert got.stats == want.stats
+    if isinstance(got.returns, np.ndarray):
+        # a swept substitution returns its solution buffer: every rank's
+        # x(K), each supernode once, is that buffer's slice
+        solved = [(k, xk) for parts in want.returns for k, xk in parts.items()]
+        assert sorted(k for k, _ in solved) == list(range(len(xsup) - 1))
+        assert all(np.array_equal(got.returns[xsup[k]:xsup[k + 1]], xk)
+                   for k, xk in solved)
+        return
     assert len(got.returns) == len(want.returns)
     for g, w in zip(got.returns, want.returns):
         if isinstance(w, dict):
@@ -95,8 +106,8 @@ def _swept_is_fresh(name, grid, pipeline, edag, nrhs, tail, iters=4):
         got, got_counts = _counted(lambda: warm.solve_distributed(b))
         want, want_counts = _counted(lambda: fresh.solve_distributed(b))
         assert np.array_equal(got.x, want.x)
-        _same_run(got.lower, want.lower)
-        _same_run(got.upper, want.upper)
+        _same_run(got.lower, want.lower, fresh.dist.part.xsup)
+        _same_run(got.upper, want.upper, fresh.dist.part.xsup)
         assert got_counts == want_counts
     # the first op recorded three runs; every later one swept them
     assert len(warm.dist.recordings) == 3
@@ -207,6 +218,35 @@ def test_new_pattern_records_afresh(rng):
     s.refactor(CSCMatrix.from_dense(d))
     s.factorize()
     assert _replayed(tracer) == 1
+
+
+def test_a_built_sweep_keeps_what_it_bound_alive():
+    """A sweep's bound calls hold raw addresses of stores, panels and
+    buffers: with the solver and its layout dropped, the three sweeps
+    still factor and solve in the arrays they bound, bit for bit a fresh
+    simulation."""
+    a = matrix_by_name("cfd01").build()
+    b = np.random.default_rng(8).standard_normal(a.ncols)
+    s = DistributedGESPSolver(a, nprocs=4, cache=False, executor="sim")
+    for _ in range(2):          # the first op records, the second sweeps
+        s.refactor(a)
+        s.factorize()
+        pdgstrs(s.dist, b, executor="sim")
+    s.refactor(a)               # A's values in the stores again
+    thresh = s.dist.tiny_pivot_threshold
+    runs = {key[1]: rec.run for key, rec in s.dist.recordings.items()}
+    stores = [weakref.ref(store) for store in s.dist.stores]
+    del s
+    gc.collect()
+    junk = [np.full(1 << 16, np.nan) for _ in range(64)]   # reuse freed memory
+    assert all(ref() is not None for ref in stores)
+    n_tiny = runs[(True, True)](thresh=thresh)
+    y = runs[("lower", b.shape)](b=b)
+    x = runs[("upper", b.shape)](b=y)
+    fresh = DistributedGESPSolver(a, nprocs=4, cache=False, executor="sim")
+    assert n_tiny == fresh.factorize().sim.returns
+    assert np.array_equal(x, pdgstrs(fresh.dist, b, executor="sim").x)
+    assert len(junk) == 64
 
 
 def test_replayed_stats_are_the_callers():

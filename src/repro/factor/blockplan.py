@@ -33,18 +33,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from repro.factor.gesp import transpose_pattern
 from repro.factor.solveplan import SolvePlan, _runs, build_solve_plan
-from repro.kernels import KernelCounts
+from repro.kernels import (KernelCounts, KernelStats, gemm_flops, lu_flops,
+                           trsm_flops)
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
 
-__all__ = ["BlockPlan", "Blocks", "Run", "build_block_plan",
+__all__ = ["BlockPlan", "Blocks", "Lone", "Run", "build_block_plan",
            "supernode_row_sets"]
 
 
@@ -75,6 +77,23 @@ class Run(NamedTuple):
     counts: KernelCounts    # what the members' kernel calls would count
 
 
+class Lone(NamedTuple):
+    """A supernode wider than one column that a step takes alone, as the
+    float64 LAPACK / BLAS path of :func:`~repro.factor.supernodal.eliminate`
+    reads it: D_K, B_K and R_K from flat ``d``, ``b``, ``r`` to ``end``."""
+    w: int
+    m: int                  # |S_K|
+    d: int
+    b: int
+    r: int
+    end: int
+    dp: int                 # D_K, B_K, R_K in bytes past the values'
+    bp: int                 # address (float64)
+    rp: int
+    tgt: np.ndarray         # the update targets, intp (no widening per call)
+    keep: np.ndarray | None  # the update entries taking part (``selection``)
+
+
 @dataclass
 class BlockPlan:
     """Everything the numeric pass looks up (see the module docstring)."""
@@ -93,6 +112,32 @@ class BlockPlan:
     u_rowind: np.ndarray
     runs: list          # [(members, Run | None)], each supernode once
     solve: SolvePlan | None = None
+
+    @cached_property
+    def lone(self):
+        """``(entries, counts)``: per supernode its :class:`Lone` entry if
+        a step takes it alone and it is wider than one column, else None,
+        and the calls and flops their ops count when ``dgetrf``'s factors
+        are kept.  Derived when first asked for (8 B per update target),
+        and not pickled."""
+        entries, counts = [None] * self.part.nsuper, KernelStats()
+        for members, run in self.runs:
+            for k in members if run is None else ():
+                (w, _), (m, _) = self.shapes[3 * k:3 * k + 2]
+                if w > 1:
+                    d, b, r, end = self.bounds[3 * k:3 * k + 4]
+                    tgt = self.targets[k].astype(np.intp)
+                    entries[k] = Lone(w, m, d, b, r, end, 8 * d, 8 * b, 8 * r,
+                                      tgt, self.selection[k])
+                    counts.add(KernelStats(1, lu_flops(w), lu_lapack=1))
+                    if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
+                        counts.add(KernelCounts(
+                            trsm_calls=2, trsm_flops=2 * trsm_flops(w, m),
+                            gemm_calls=1, gemm_flops=gemm_flops(m, w, m)))
+        return entries, counts
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "lone"}
 
     def load(self, a: CSCMatrix):
         """``(flat, (diag, below, right))``: the block values holding

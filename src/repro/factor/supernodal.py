@@ -65,7 +65,8 @@ __all__ = [
 # serial supernodal factorization
 # --------------------------------------------------------------------- #
 
-def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0):
+def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0,
+              bound=False):
     """Paper Figure 8 over the block values ``flat`` and their views
     ``blocks`` (:meth:`BlockPlan.load`), every index read from ``plan``,
     one step ``(members, run)`` of ``plan.runs`` after another.
@@ -82,9 +83,22 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0):
     ``factor_diag`` as if alone, and the members' kernel calls are
     counted from the step's totals.  Complex values take the loop: BLAS
     rounds a complex product differently from an elementwise multiply.
+
+    ``bound``: ``factor_diag`` is static pivoting, and
+    ``factor_diag(k, d, kernels.lu_fallback)`` factors a block whose
+    ``dgetrf`` factors were rejected.  Float64 values with LAPACK / BLAS
+    present then run each entry of ``plan.lone`` as its ops would, bit for
+    bit: ``dgetrf`` in place on D_K and both ``dtrsm`` at the values'
+    address plus the entry's offsets, the op's verdict per call (a reject
+    is restored from a scratch copy), the counts added once per run — not
+    by a run that raises, as for a batched step (docs/KERNELS.md).
     """
     diag, below, right = blocks
     targets, selection, stats = plan.targets, plan.selection, kernels.stats()
+    lone = bound and flat.dtype == np.float64 and kernels._BLAS and plan.lone
+    if lone:
+        (entries, total), (getrf, trsm) = lone, kernels._BLAS
+        base, scratch = flat.ctypes.data, {}
     for members, run in plan.runs:
         if run is not None and flat.dtype.kind != "c":
             dpos, bpos, bpiv, lpos, upos, tgt, counts = run
@@ -97,6 +111,27 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0):
             stats.add(counts)
             continue
         for k in members:
+            if lone and (e := entries[k]):
+                w, m, d, b, r, end, dp, bp, rp, tgt, keep = e
+                if (s := scratch.get(w)) is None:   # pivots, D_K's copy
+                    piv = np.empty(w, dtype=np.int64)
+                    s = scratch[w] = (piv, piv.ctypes.data, np.empty(w * w),
+                                      list(range(1, w + 1)))
+                piv, pp, save, identity = s
+                save[:] = flat[d:b]
+                if not kernels.lu_kept(getrf(101, w, w, base + dp, w, pp),
+                                       piv, identity, flat[d:b:w + 1], thresh):
+                    flat[d:b] = save
+                    factor_diag(k, diag[k], kernels.lu_fallback)
+                if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
+                    trsm(101, 142, 121, 111, 131, m, w, 1.0, base + dp, w,
+                         base + bp, w)
+                    trsm(101, 141, 122, 111, 132, w, m, 1.0, base + dp, w,
+                         base + rp, m)
+                    upd = (flat[b:r].reshape(m, w)
+                           @ flat[r:end].reshape(w, m)).ravel()
+                    flat[tgt] -= upd if keep is None else upd[keep]
+                continue
             d, tgt, keep = diag[k], targets[k], selection[k]
             factor_diag(k, d)
             if not tgt.size:
@@ -110,6 +145,8 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0):
             # (widened once: numpy would widen int32 targets to read and write)
             flat[tgt.astype(np.intp, copy=False)] -= \
                 upd if keep is None else upd[keep]
+    if lone:
+        stats.add(total)
 
 
 @dataclass
@@ -272,9 +309,9 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
     xsup = plan.part.xsup
     replaced = {}       # column → pivot delta
 
-    def factor_diag(k, d):
+    def factor_diag(k, d, lu=kernels.lu_nopivot):
         entry = d.diagonal().copy()
-        for j in kernels.lu_nopivot(d, thresh):
+        for j in lu(d, thresh):
             # the pivot the kernel replaced: replay column j's updates
             # on the block's entry value, in the kernel's order
             old = entry[j]
@@ -284,7 +321,8 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     stats = kernels.stats()
     snap = stats.snapshot()
-    eliminate(plan, flat, (diag, below, right), factor_diag, thresh)
+    eliminate(plan, flat, (diag, below, right), factor_diag, thresh,
+              bound=True)
     cols = sorted(replaced)     # steps run out of supernode order
     return SupernodalFactors(
         part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,

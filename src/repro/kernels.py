@@ -30,10 +30,21 @@ Contract (docs/KERNELS.md has the table):
   ``tests/test_kernels.py`` keeps a frozen copy of each and compares
   op by op and through whole factorizations.  Engines call the ops
   through the module (``kernels.trsm_upper(d, b)``), so that test swaps
-  an op with ``monkeypatch.setattr(repro.kernels, ...)``.
+  an op with ``monkeypatch.setattr(repro.kernels, ...)`` — except on the
+  two bound paths below, which make the ops' ``dgetrf`` / ``dtrsm`` calls
+  without the op, so a swapped op does not see them.  Both are taken
+  only where ``_BLAS`` is (read when a sweep is built and on every
+  serial factorization): with ``_BLAS`` monkeypatched to None (the
+  tests' ``no_blas``) every call goes through the ops again.
 - A static sweep, whose operands are fixed per layout, binds an op once
-  (``bind_<op>``): the op's own LAPACK / BLAS call on pre-resolved
-  operands, counted once per run by the sweep, or else the op itself.
+  (``bind_<op>``, sharing one :class:`Binder`): the op's own LAPACK /
+  BLAS call on pre-resolved operands, counted once per run by the sweep,
+  or else the op itself.
+- The serial block engine binds once per plan: each float64 supernode
+  wider than one column that a step takes alone runs from its
+  ``BlockPlan.lone`` entry, ``dgetrf`` / ``dtrsm`` at flat offsets from
+  the values' address, with the op's verdict (:func:`lu_kept`; a reject
+  takes :func:`lu_fallback`) and counts added once per run.
 """
 
 from __future__ import annotations
@@ -53,7 +64,8 @@ OPS = ("lu_nopivot", "lu_partial", "trsm_upper", "trsm_lower_unit",
        "gemm_update", "diag_solve_lower_unit", "diag_solve_upper")
 
 __all__ = ["OPS", "KernelCounts", "KernelStats", "stats", "kernel_counters",
-           "lu_flops", "trsm_flops", "gemm_flops", *OPS, "bind_lu_nopivot",
+           "lu_flops", "trsm_flops", "gemm_flops", *OPS, "lu_kept",
+           "lu_fallback", "Binder", "bind_lu_nopivot",
            "bind_trsm_upper", "bind_trsm_lower_unit",
            "bind_diag_solve_lower_unit", "bind_diag_solve_upper"]
 
@@ -218,11 +230,11 @@ def _addr(x):
 
 
 # A static sweep (repro.pdgstrf / repro.pdgstrs) binds each op once per
-# layout: ``bind_<op>(..., counts)`` returns ``(fn, args)``, the op's own
+# layout: ``bind_<op>(..., binder)`` returns ``(fn, args)``, the op's own
 # LAPACK / BLAS call on pre-resolved operands where ``_blas`` admits them
-# (their calls and flops added to ``counts``, for the caller to add once
-# per run with ``KernelStats.add``), else ``(op, operands)``, which counts
-# itself.
+# (their calls and flops added to ``binder.counts``, for the caller to add
+# once per run with ``KernelStats.add``), else ``(op, operands)``, which
+# counts itself.
 
 class _Ptr:
     """An array's address as ctypes passes it (``_as_parameter_``),
@@ -235,11 +247,37 @@ class _Ptr:
         self.array, self._as_parameter_ = x, x.ctypes.data
 
 
-def _dtrsm(side, uplo, diag, d, b):
-    """``dtrsm``'s arguments solving against ``d`` in place of ``b``
-    (row-major, no transpose, alpha 1), as the ops pass them."""
-    return (101, side, uplo, 111, diag, *b.shape, 1.0, _Ptr(d), d.shape[0],
-            _Ptr(b), b.shape[1])
+class Binder:
+    """What one sweep's bindings share: the ``counts`` its bound calls add
+    once per run, one pointer per array (a diagonal block is the left
+    operand of every trsm of its K) and one ``dgetrf`` scratch block and
+    pivot vector per width (a sweep factors one block at a time)."""
+
+    def __init__(self):
+        self.counts, self._ptrs, self._lu = KernelStats(), {}, {}
+
+    def ptr(self, x):
+        """``x``'s :class:`_Ptr`, made once (it holds ``x``, so the id
+        stays ``x``'s)."""
+        if (p := self._ptrs.get(id(x))) is None:
+            p = self._ptrs[id(x)] = _Ptr(x)
+        return p
+
+    def lu(self, w):
+        """``(lu, piv, identity, args)``: a w×w scratch block, the pivot
+        vector, ``dgetrf``'s pivots when it interchanges nothing, and its
+        argument list factoring the scratch in place."""
+        if (scratch := self._lu.get(w)) is None:
+            lu, piv = np.empty((w, w)), np.empty(w, dtype=np.int64)
+            scratch = self._lu[w] = (lu, piv, list(range(1, w + 1)), (
+                101, w, w, self.ptr(lu), w, self.ptr(piv)))
+        return scratch
+
+    def dtrsm(self, side, uplo, diag, d, b):
+        """``dtrsm``'s arguments solving against ``d`` in place of ``b``
+        (row-major, no transpose, alpha 1), as the ops pass them."""
+        return (101, side, uplo, 111, diag, *b.shape, 1.0, self.ptr(d),
+                d.shape[0], self.ptr(b), b.shape[1])
 
 
 # --------------------------------------------------------------------- #
@@ -271,15 +309,46 @@ def lu_nopivot(d, thresh):
     st = stats()
     if blas := _blas(d, d, w):
         lu, piv = d.copy(), np.empty(w, dtype=np.int64)
-        if (blas[0](101, w, w, _addr(lu), w, _addr(piv)) == 0  # row-major
-                and piv.tolist() == list(range(1, w + 1))
-                and abs(lu.diagonal()).min() >= thresh):
+        if lu_kept(blas[0](101, w, w, _addr(lu), w, _addr(piv)),  # row-major
+                   piv, list(range(1, w + 1)), lu.diagonal(), thresh):
             d[...] = lu
             st.lu_lapack += 1
             st.lu_calls += 1
             st.lu_flops += lu_flops(w)
             return []
         st.lu_fallbacks += 1
+    replaced = _lu_loop(d, thresh)
+    st.lu_calls += 1
+    st.lu_flops += lu_flops(w)
+    return replaced
+
+
+def lu_kept(info, piv, identity, diagonal, thresh):
+    """``dgetrf``'s verdict on a block: kept when it returned 0, made no
+    interchange (``piv`` is ``identity``, 1-based) and left no pivot of
+    ``diagonal`` below ``thresh``.  A NaN pivot compares false, so it
+    rejects the block (Python's ``min`` would skip it).  Over a block's few
+    pivots, ``all`` takes half the time of ``abs(diagonal).min()``."""
+    return (info == 0 and piv.tolist() == identity
+            and all(abs(u) >= thresh for u in diagonal.tolist()))
+
+
+def lu_fallback(d, thresh):
+    """:func:`lu_nopivot`'s loop on a block whose ``dgetrf`` factors a
+    bound call rejected (``d`` untouched): counted as that call's fallback,
+    whose ``lu_calls`` / ``lu_flops`` / ``lu_lapack`` its binder already
+    added — ``lu_lapack`` is taken back once the loop is through, so a
+    ``ZeroDivisionError`` leaves the op's own delta."""
+    st = stats()
+    st.lu_fallbacks += 1
+    replaced = _lu_loop(d, thresh)
+    st.lu_lapack -= 1
+    return replaced
+
+
+def _lu_loop(d, thresh):
+    """The historical LU without pivoting of ``d``, in place, uncounted."""
+    w = d.shape[0]
     replaced = []
     for k in range(w):
         p = d[k, k]
@@ -293,40 +362,29 @@ def lu_nopivot(d, thresh):
         if k + 1 < w:
             d[k + 1:, k] /= p
             d[k + 1:, k + 1:] -= d[k + 1:, k, None] * d[k, None, k + 1:]
-    st.lu_calls += 1
-    st.lu_flops += lu_flops(w)
     return replaced
 
 
-def bind_lu_nopivot(d, counts):
+def bind_lu_nopivot(d, binder):
     """:func:`lu_nopivot` of ``d`` bound once: ``fn(*args, thresh)``.  The
     verdict is the op's and checked on every call, since it depends on the
-    values: a rejected block goes through the op itself (its loop, its
-    ``ZeroDivisionError``), which counts itself, so the kept call's counts
-    are taken back out of the caller's totals."""
+    values: a rejected block takes the op's loop (:func:`lu_fallback`)."""
     w = d.shape[0]
     if not _blas(d, d, w):
         return lu_nopivot, (d,)
+    counts = binder.counts
     counts.lu_calls += 1
     counts.lu_lapack += 1
     counts.lu_flops += lu_flops(w)
-    lu, piv = np.empty_like(d), np.empty(w, dtype=np.int64)
-    return _lu_bound, (d, lu, piv, list(range(1, w + 1)), _BLAS[0],
-                       (101, w, w, _Ptr(lu), w, _Ptr(piv)))
+    return _lu_bound, (d, *binder.lu(w), _BLAS[0])
 
 
-def _lu_bound(d, lu, piv, identity, getrf, args, thresh):
+def _lu_bound(d, lu, piv, identity, args, getrf, thresh):
     lu[...] = d
-    if (getrf(*args) == 0 and piv.tolist() == identity
-            and abs(lu.diagonal()).min() >= thresh):
+    if lu_kept(getrf(*args), piv, identity, lu.diagonal(), thresh):
         d[...] = lu
         return []
-    replaced = lu_nopivot(d, thresh)
-    st = stats()
-    st.lu_calls -= 1
-    st.lu_lapack -= 1
-    st.lu_flops -= lu_flops(d.shape[0])
-    return replaced
+    return lu_fallback(d, thresh)
 
 
 def lu_partial(d, thresh, pivot_threshold=1.0):
@@ -380,13 +438,13 @@ def trsm_upper(d, b):
     return b
 
 
-def bind_trsm_upper(d, b, counts):
+def bind_trsm_upper(d, b, binder):
     """:func:`trsm_upper` of ``d`` and ``b`` bound once: ``fn(*args)``."""
     if not _blas(d, b, b.shape[1]):
         return trsm_upper, (d, b)
-    counts.trsm_calls += 1
-    counts.trsm_flops += trsm_flops(d.shape[0], b.shape[0])
-    return _BLAS[1], _dtrsm(142, 121, 131, d, b)
+    binder.counts.trsm_calls += 1
+    binder.counts.trsm_flops += trsm_flops(d.shape[0], b.shape[0])
+    return _BLAS[1], binder.dtrsm(142, 121, 131, d, b)
 
 
 def trsm_lower_unit(d, r):
@@ -406,14 +464,14 @@ def trsm_lower_unit(d, r):
     return r
 
 
-def bind_trsm_lower_unit(d, r, counts):
+def bind_trsm_lower_unit(d, r, binder):
     """:func:`trsm_lower_unit` of ``d`` and ``r`` bound once:
     ``fn(*args)``."""
     if not _blas(d, r, r.shape[0]):
         return trsm_lower_unit, (d, r)
-    counts.trsm_calls += 1
-    counts.trsm_flops += trsm_flops(d.shape[0], r.shape[1])
-    return _BLAS[1], _dtrsm(141, 122, 132, d, r)
+    binder.counts.trsm_calls += 1
+    binder.counts.trsm_flops += trsm_flops(d.shape[0], r.shape[1])
+    return _BLAS[1], binder.dtrsm(141, 122, 132, d, r)
 
 
 def gemm_update(l, u):
@@ -449,14 +507,14 @@ def diag_solve_lower_unit(d, x):
     return x
 
 
-def bind_diag_solve_lower_unit(d, x, counts):
+def bind_diag_solve_lower_unit(d, x, binder):
     """:func:`diag_solve_lower_unit` of ``d`` and ``x`` bound once:
     ``fn(*args)``."""
     b = _columns(x)
     if not _blas(d, b, b.shape[0]):
         return diag_solve_lower_unit, (d, x)
-    counts.solve_flops += b.size * b.shape[0]
-    return _BLAS[1], _dtrsm(141, 122, 132, d, b)
+    binder.counts.solve_flops += b.size * b.shape[0]
+    return _BLAS[1], binder.dtrsm(141, 122, 132, d, b)
 
 
 def diag_solve_upper(d, x):
@@ -479,15 +537,15 @@ def diag_solve_upper(d, x):
     return x
 
 
-def bind_diag_solve_upper(d, x, counts):
+def bind_diag_solve_upper(d, x, binder):
     """:func:`diag_solve_upper` of ``d`` and ``x`` bound once:
     ``fn(*args)``.  The zero-diagonal check is the op's, made on every
     call; a zero sends ``x`` through the op (its loop and warning)."""
     b = _columns(x)
     if not _blas(d, b, b.shape[0]):
         return diag_solve_upper, (d, x)
-    counts.solve_flops += b.size * b.shape[0]
-    return _upper_bound, (d, x, _BLAS[1], _dtrsm(141, 121, 131, d, b))
+    binder.counts.solve_flops += b.size * b.shape[0]
+    return _upper_bound, (d, x, _BLAS[1], binder.dtrsm(141, 121, 131, d, b))
 
 
 def _upper_bound(d, x, trsm, args):

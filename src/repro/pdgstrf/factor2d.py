@@ -281,7 +281,8 @@ def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
     updates in ascending K from the same panels, as in the programs, so
     the bits are theirs (docs/EXECUTOR.md)."""
     grid, targets = dist.grid, sched["updates"]
-    flops, steps, counts = [0] * grid.size, [], kernels.KernelStats()
+    flops, steps, binder = [0] * grid.size, [], kernels.Binder()
+    counts = binder.counts
     for k in range(dag.nsuper):
         kr, kc, w = k % grid.nprow, k % grid.npcol, dist.widths[k]
         owner, trsm, update = grid.rank(kr, kc), [], []
@@ -292,12 +293,12 @@ def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
             rows, cols = sched["need_l"][k][pr], sched["need_u"][k][pc]
             if pc == kc and rows:       # X · U_KK = L(·, K)
                 panel = dist.lpanel[r][k]
-                trsm.append(kernels.bind_trsm_upper(d, panel, counts))
+                trsm.append(kernels.bind_trsm_upper(d, panel, binder))
                 counts.trsm_calls += len(rows) - 1
                 flops[r] += kernels.trsm_flops(w, panel.shape[0])
             if pr == kr and cols:       # L_KK · X = U(K, ·)
                 panel = dist.upanel[r][k]
-                trsm.append(kernels.bind_trsm_lower_unit(d, panel, counts))
+                trsm.append(kernels.bind_trsm_lower_unit(d, panel, binder))
                 counts.trsm_calls += len(cols) - 1
                 flops[r] += kernels.trsm_flops(w, panel.shape[1])
             if (b := targets.batch[k][r]) >= 0:
@@ -308,7 +309,7 @@ def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
                 counts.gemm_calls += 1 + more
                 counts.gemm_flops += int(sum(f))    # the panels' product
                 flops[r] += sum(f)
-        steps.append((owner, *kernels.bind_lu_nopivot(d, counts), trsm,
+        steps.append((owner, *kernels.bind_lu_nopivot(d, binder), trsm,
                       update))
 
     def run(thresh, **_kwargs):

@@ -114,7 +114,8 @@ def _sweep(dist: DistributedBlocks, b, direction, **_kwargs):
     so their bits (docs/EXECUTOR.md).  A run returns a copy of the buffer."""
     grid, xsup, name = dist.grid, dist.part.xsup, direction.blocks
     nrhs, x = 1 if b.ndim == 1 else b.shape[1], np.empty(b.shape)
-    steps, counts = [], kernels.KernelStats()
+    steps, binder = [], kernels.Binder()
+    counts = binder.counts
     bind = getattr(kernels, "bind_" + direction.diag_solve)
     flops = [sum(f for blocks in start[0].values() for _, f, _ in blocks)
              * nrhs for start in dist.solve_start[name]]
@@ -130,7 +131,7 @@ def _sweep(dist: DistributedBlocks, b, direction, **_kwargs):
             counts.gemm_calls += 1 + calls
             counts.gemm_flops += kernels.gemm_flops(*panel.shape, nrhs) \
                 + dflops * nrhs
-        steps.append((xk, parts, *bind(dist.diag[owner][k], xk, counts)))
+        steps.append((xk, parts, *bind(dist.diag[owner][k], xk, binder)))
 
     def run(b, **_kwargs):
         for buf, src, dst, store in refills:

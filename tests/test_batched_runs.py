@@ -22,9 +22,16 @@ Promises enforced here:
    views of one allocation per field;
 4. the ``kernel.*`` counters of one factorization of cfd06 / kkt02 are
    the values recorded before batching (their calls are counted from the
-   plan's static totals).
+   plan's static totals);
+5. a supernode taken alone from its bound entry (``BlockPlan.lone``) is
+   its ops bit for bit — values, replaced pivots and every
+   ``KernelStats`` field — on the bench patterns and over the testbed
+   (a kept ``dgetrf``, an interchange, a tiny pivot, a NaN, a zero pivot
+   that raises), while float32, complex, no LAPACK / BLAS and the
+   block-pivoting engine call the ops, and the entries are not pickled.
 """
 
+import pickle
 from dataclasses import replace
 from functools import partial
 
@@ -36,14 +43,22 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.driver import GESPOptions, GESPSolver
 from repro.factor import supernodal_factor
-from repro.factor.blockplan import build_block_plan, supernode_row_sets
-from repro.matrices import matrix_by_name
+from repro.factor.blockplan import (
+    BlockPlan,
+    Blocks,
+    build_block_plan,
+    supernode_row_sets,
+)
+from repro.factor.blockpivot import supernodal_factor_block_pivoting
+from repro.factor.supernodal import eliminate
+from repro.matrices import matrix_by_name, testbed_53
 from repro.obs import Tracer, use_tracer
 from repro.sparse import CSCMatrix
 from repro.symbolic import block_partition, symbolic_lu_symmetrized
 
 from conftest import primitive_partition
 from test_block_engine import _random_system, shapes
+from test_kernels import needs_blas
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -403,3 +418,247 @@ def _check_kernel_counters(name, options, partition, want):
     assert [cold[c] for c in names] == want
     assert [warm[c] - cold[c] for c in names] == want
 
+
+
+# --------------------------------------------------------------------- #
+# 5. lone supernodes bound once per plan
+# --------------------------------------------------------------------- #
+
+BENCH_PATTERNS = ("cfd06", "circuit03", "fem05", "chem06", "resv02", "hb02",
+                  "kkt01", "kkt02")
+
+def _ops(plan):
+    """``plan`` with nothing bound: every supernode a step takes alone
+    calls the ops."""
+    ops = replace(plan)
+    ops.lone = None
+    return ops
+
+
+def _counted(factor):
+    """``factor()`` and the calling thread's ``KernelStats`` delta."""
+    st = kernels.stats()
+    snap = st.snapshot()
+    out = factor()
+    return out, {f: getattr(st, f) - getattr(snap, f) for f in vars(snap)}
+
+
+def _bound_is_ops(a, plan, **kw):
+    """Factor ``a`` from ``plan``'s bound entries and from its ops: the
+    same bytes, replaced pivots and counts.  Returns the bound side."""
+    f, got = _counted(lambda: supernodal_factor(a, plan=plan, **kw))
+    g, want = _counted(lambda: supernodal_factor(a, plan=_ops(plan), **kw))
+    assert f.values.tobytes() == g.values.tobytes()
+    assert f.perturbed_columns.tolist() == g.perturbed_columns.tolist()
+    assert f.pivot_deltas.tobytes() == g.pivot_deltas.tobytes()
+    assert (f.flops, f.n_tiny_pivots) == (g.flops, g.n_tiny_pivots)
+    assert got == want
+    return f, got
+
+
+def _drifted(a, seed, drift=0.01):
+    rng = np.random.default_rng(seed)
+    return _with_values(a, a.nzval * (1 + drift * rng.standard_normal(a.nnz)))
+
+
+def _bound(plan):
+    return [k for k, e in enumerate(plan.lone[0]) if e is not None]
+
+
+@needs_blas
+@pytest.mark.parametrize("name", BENCH_PATTERNS)
+def test_bound_lone_supernodes_are_the_ops_on_the_bench_patterns(name,
+                                                                 testbed):
+    """As step (3) sees the pattern, and a warm op's drifted values, at
+    the paper's threshold and with replacement off."""
+    solver = testbed[name][2]
+    a, plan = solver.a_factored, solver._block_plan
+    assert _bound(plan)
+    for values in (a, _drifted(a, 1)):
+        for replace_tiny in (True, False):
+            _bound_is_ops(values, plan, replace_tiny_pivots=replace_tiny)
+
+
+_TESTBED = [tm.name for tm in testbed_53()]
+
+
+@needs_blas
+@given(name=st.sampled_from(_TESTBED), seed=st.integers(0, 2 ** 16),
+       drift=st.sampled_from([0.0, 0.01, 0.3]),
+       threshold=st.sampled_from([0.0, None, 1e-2, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_bound_lone_supernodes_are_the_ops_property(testbed, name, seed,
+                                                    drift, threshold):
+    """Testbed matrices, drifted, with replacement off (``thresh = 0``),
+    at the paper's threshold and at busy ones that reject blocks."""
+    solver = testbed[name][2]
+    a = _drifted(solver.a_factored, seed, drift)
+    _bound_is_ops(a, solver._block_plan,
+                  replace_tiny_pivots=threshold != 0.0,
+                  tiny_pivot_scale=threshold or None)
+
+
+@needs_blas
+def test_a_bound_block_dgetrf_rejects_takes_the_loop(testbed):
+    """kkt02's wide blocks make ``dgetrf`` interchange rows, and a busy
+    threshold leaves cfd06's with tiny pivots: both go to the op's loop
+    through ``factor_diag`` once, with the replacements it records."""
+    solver = testbed["kkt02"][2]
+    plan = solver._block_plan
+    f, delta = _bound_is_ops(solver.a_factored, plan)
+    assert (delta["lu_lapack"], delta["lu_fallbacks"]) == (0, 9)
+    assert f.n_tiny_pivots == 0 and len(_bound(plan)) == 9
+    solver = testbed["cfd06"][2]
+    plan, xsup = solver._block_plan, solver._block_plan.part.xsup
+    f, delta = _bound_is_ops(solver.a_factored, plan, tiny_pivot_scale=0.3)
+    assert delta["lu_fallbacks"] == 7 and f.n_tiny_pivots == 7
+    # each replaced pivot lies in a bound supernode
+    assert set(np.searchsorted(xsup, f.perturbed_columns, "right") - 1) <= \
+        set(_bound(plan))
+
+
+@needs_blas
+def test_a_bound_partial_update_grid_is_the_ops(testbed):
+    """A dense tail merged across etree branches leaves some bound
+    supernodes a partial update grid (``keep``): the entries they keep
+    are subtracted as the ops subtract them."""
+    a = testbed["fem04"][2].a_factored
+    sym = symbolic_lu_symmetrized(a)
+    plan = build_block_plan(a, sym, block_partition(
+        sym, dense_tail_threshold=0.2))
+    assert any(plan.lone[0][k].keep is not None for k in _bound(plan))
+    for replace_tiny in (True, False):
+        _bound_is_ops(_drifted(a, 2), plan, replace_tiny_pivots=replace_tiny)
+
+
+@needs_blas
+def test_a_nan_pivot_rejects_a_bound_block(testbed):
+    """An infinity in U makes ``dgetrf``'s last pivot ``-inf + inf`` with
+    no interchange and ``info == 0``: the NaN fails its comparison with
+    the threshold, so the verdict rejects the block (a Python ``min`` of
+    the pivots would return 3.6).  A NaN already in a block is rejected
+    by LAPACKE's own check."""
+    d = np.full((4, 4), 1.0) + 3 * np.eye(4)
+    d[0, 3] = np.inf
+    a = CSCMatrix.from_dense(d)
+    with np.errstate(invalid="ignore"):     # the loop's -inf + inf
+        f, delta = _bound_is_ops(a, _plan(a), replace_tiny_pivots=False)
+    assert (delta["lu_lapack"], delta["lu_fallbacks"]) == (0, 1)
+    assert np.isnan(f.diag[0][3, 3])
+    solver = testbed["cfd06"][2]
+    a, plan = solver.a_factored, solver._block_plan
+    # the widest block that updates nothing: the NaN stays in it
+    k = max((k for k in _bound(plan) if not plan.lone[0][k].m),
+            key=lambda k: plan.lone[0][k].w)
+    last = int(plan.part.xsup[k + 1]) - 1
+    lo, hi = a.colptr[last], a.colptr[last + 1]
+    nzval = a.nzval.copy()
+    nzval[lo + int(np.flatnonzero(a.rowind[lo:hi] == last)[0])] = np.nan
+    f, delta = _bound_is_ops(_with_values(a, nzval), plan,
+                             replace_tiny_pivots=False)
+    assert (delta["lu_lapack"], delta["lu_fallbacks"]) == (56, 1)
+    assert np.isnan(f.diag[k][-1, -1])
+
+
+@needs_blas
+def test_zero_pivot_in_a_bound_block_raises_and_leaves_solver_intact():
+    """A zero pivot in a block taken from its bound entry, replacement
+    off: the refactorization raises and the solver still answers for the
+    matrix it held."""
+    rng = np.random.default_rng(4)
+    d = np.zeros((13, 13))
+    for lo in range(0, 12, 4):
+        d[lo:lo + 4, lo:lo + 4] = rng.standard_normal((4, 4)) + 6 * np.eye(4)
+    d[12, :], d[:, 12] = rng.standard_normal(13), rng.standard_normal(13)
+    d[12, 12] = 20.0
+    a = CSCMatrix.from_dense(d)
+    s = GESPSolver(a, GESPOptions(replace_tiny_pivots=False,
+                                  col_perm="natural"), cache=False)
+    plan = s._block_plan
+    k = _bound(plan)[0]
+    assert plan.lone[0][k].m       # it updates, and nothing reaches it
+    assert k not in plan.part.supno()[np.concatenate(plan.s_rows)]
+    col = int(np.flatnonzero(s.perm_c == plan.part.xsup[k])[0])
+    row = int(np.flatnonzero(s.perm_r == col)[0])
+    nzval = a.nzval.copy()
+    lo, hi = a.colptr[col], a.colptr[col + 1]
+    nzval[lo + int(np.flatnonzero(a.rowind[lo:hi] == row)[0])] = 0.0
+    before = s.factors
+    with pytest.raises(ZeroDivisionError, match="zero pivot"):
+        s.refactor(_with_values(a, nzval))
+    assert s.a is a and s.factors is before
+    rep = s.solve(a @ np.ones(a.ncols))
+    assert rep.converged and rep.berr <= 8 * EPS
+
+
+def _spied(monkeypatch, name):
+    calls = []
+    op = getattr(kernels, name)
+
+    def spy(d, *args, **kw):
+        calls.append(d.shape[0])
+        return op(d, *args, **kw)
+    monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["float32", "complex128", "no_blas"])
+def test_what_calls_the_ops(case, testbed, monkeypatch):
+    """float32 and complex values and a host without LAPACK / BLAS call
+    ``lu_nopivot`` for every supernode a step takes alone (complex: every
+    supernode) and never derive the bound entries; float64 calls it only
+    for the width-1 ones."""
+    a, plan = testbed["cfd06"][2].a_factored, testbed["cfd06"][2]._block_plan
+    alone = [k for members, run in plan.runs if run is None for k in members]
+    lu = _spied(monkeypatch, "lu_nopivot")
+
+    def eliminate_as(dtype, plan):
+        flat = plan.load(a)[0].astype(dtype)
+        eliminate(plan, flat, [Blocks(plan, flat, kind) for kind in range(3)],
+                  lambda k, d, op=kernels.lu_nopivot: op(d, 0.0), bound=True)
+    eliminate_as(np.float64, replace(plan))
+    assert len(lu) == len(alone) - len(_bound(plan))
+    if case == "no_blas":
+        monkeypatch.setattr(kernels, "_BLAS", None)
+    lu.clear()
+    fresh = replace(plan)
+    eliminate_as(np.float64 if case == "no_blas" else case, fresh)
+    assert len(lu) == (plan.part.nsuper if case == "complex128"
+                       else len(alone))
+    assert "lone" not in vars(fresh)
+
+
+def test_the_block_pivoting_engine_calls_its_own_factor_diag(monkeypatch):
+    """Every supernode's diagonal block goes through ``lu_partial``; the
+    engine never reads a plan's bound entries."""
+    a = matrix_by_name("cfd03").build()
+    sym = symbolic_lu_symmetrized(a)
+    part = block_partition(sym)
+
+    def unread(plan):
+        raise AssertionError("the block-pivoting engine read BlockPlan.lone")
+    monkeypatch.setattr(BlockPlan, "lone", property(unread))
+    lu = _spied(monkeypatch, "lu_partial")
+    supernodal_factor_block_pivoting(a, sym, part)
+    assert len(lu) == part.nsuper
+
+
+def test_bound_entries_are_the_wide_lone_supernodes(testbed):
+    """One entry per supernode a step takes alone wider than one column,
+    its targets ``intp`` copies, its blocks where the plan puts them —
+    and a pickled plan leaves them behind (``spool/v8`` is unchanged)."""
+    for name in BENCH_PATTERNS:
+        plan = testbed[name][2]._block_plan
+        entries, counts = plan.lone
+        for members, run in plan.runs:
+            for k in members:
+                e, w = entries[k], int(np.diff(plan.part.xsup)[k])
+                assert (e is not None) == (run is None and w > 1), name
+                if e is not None:
+                    assert e.tgt.dtype == np.intp
+                    assert np.array_equal(e.tgt, plan.targets[k])
+                    assert (e.w, e.m) == (w, plan.s_rows[k].size)
+                    assert plan.bounds[3 * k:3 * k + 4] == [e.d, e.b, e.r,
+                                                            e.end]
+        assert counts.lu_calls == counts.lu_lapack == len(_bound(plan))
+        assert "lone" not in vars(pickle.loads(pickle.dumps(plan)))

@@ -812,12 +812,12 @@ def _bound_call(name, operands, extra):
     """``bind_<name>`` on ``operands`` run as a static sweep runs it: the
     bound call, then the build-time counts added once (not after a raise).
     Returns ``(fn, result, delta)``."""
-    counts = kernels.KernelStats()
-    fn, args = getattr(kernels, "bind_" + name)(*operands, counts)
+    binder = kernels.Binder()
+    fn, args = getattr(kernels, "bind_" + name)(*operands, binder)
 
     def call():
         out = fn(*args, *extra)
-        kernels.stats().add(counts)
+        kernels.stats().add(binder.counts)
         return out
     return (fn, *_called(call))
 
@@ -915,8 +915,7 @@ def test_a_binding_keeps_its_operands_alive(name):
     getattr(kernels, name)(*want, *extra)
     operands = fresh()
     refs = [weakref.ref(x) for x in operands]
-    fn, args = getattr(kernels, "bind_" + name)(*operands,
-                                                kernels.KernelStats())
+    fn, args = getattr(kernels, "bind_" + name)(*operands, kernels.Binder())
     del operands
     gc.collect()
     junk = [np.full(want[-1].shape, np.nan) for _ in range(64)]

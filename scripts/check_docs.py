@@ -35,7 +35,13 @@ on ``sys.path``):
    ``docs/``, ``bench/``, ``benchmarks/`` or ``examples/`` path named in
    ``docs/*.md``, ``README.md``, ``EXPERIMENTS.md``, ``DESIGN.md`` or a
    module under ``src/`` exists in the tree, so deleting or renaming a
-   file cannot leave its name behind in prose.
+   file cannot leave its name behind in prose;
+9. every ``docs/<NAME>.md, "<title>"`` citation in ``docs/*.md``,
+   ``README.md``, ``DESIGN.md``, a module under ``src/`` or a skill
+   under ``.claude/skills/`` names a heading (``# title``) or a bold
+   lead-in (``**title``) of that doc, so merging or renaming a section
+   cannot leave a citation pointing nowhere (CHANGES.md is history and
+   is not read).
 
 A green run ends with two lines.  ``knobs: <GESPOptions fields> /
 <ServiceConfig fields> / <CLI flags> / <REPRO_* variables>`` counts
@@ -240,6 +246,39 @@ def dangling_file_names(texts=None):
     return sorted(dangling)
 
 
+_CITATION = re.compile(r'docs/(\w+\.md), "([^"]+)"')
+
+
+def citation_sources():
+    """``{repo-relative name: text}`` of everything check 9 reads."""
+    files = [*sorted(DOCS.glob("*.md")), REPO / "README.md",
+             REPO / "DESIGN.md", *sorted((REPO / "src").rglob("*.py")),
+             *sorted((REPO / ".claude" / "skills").rglob("*.md"))]
+    return {str(f.relative_to(REPO)): f.read_text(encoding="utf-8")
+            for f in files if f.is_file()}
+
+
+def unresolved_citations(texts=None):
+    """``(source, doc, title)`` of every citation whose doc has no heading
+    ``title`` and no bold lead-in starting with it (whitespace, line
+    breaks included, compares as one space), sorted."""
+    if texts is None:
+        texts = citation_sources()
+
+    def flat(text):
+        return " ".join(text.split())
+
+    unresolved = set()
+    for source, text in texts.items():
+        for doc, title in _CITATION.findall(flat(text)):
+            path = DOCS / doc
+            raw = path.read_text(encoding="utf-8") if path.is_file() else ""
+            headings = {flat(h) for h in re.findall(r"^#+ (.*)$", raw, re.M)}
+            if title not in headings and f"**{title}" not in flat(raw):
+                unresolved.add((source, f"docs/{doc}", title))
+    return sorted(unresolved)
+
+
 def src_size():
     """``(modules, lines)``: the ``*.py`` files under ``src/`` and the
     newlines in them (what ``find src -name '*.py' | xargs cat | wc -l``
@@ -317,6 +356,9 @@ def main():
         status = 1
     for source, name in dangling_file_names():
         print(f"{source}: names {name}, which does not exist")
+        status = 1
+    for source, doc, title in unresolved_citations():
+        print(f'{source}: cites {doc}, "{title}", which has no such section')
         status = 1
     if status == 0:
         print("docs lint: OK "

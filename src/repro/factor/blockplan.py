@@ -87,9 +87,6 @@ class Lone(NamedTuple):
     b: int
     r: int
     end: int
-    dp: int                 # D_K, B_K, R_K in bytes past the values'
-    bp: int                 # address (float64)
-    rp: int
     tgt: np.ndarray         # the update targets, intp (no widening per call)
     keep: np.ndarray | None  # the update entries taking part (``selection``)
 
@@ -127,8 +124,8 @@ class BlockPlan:
                 if w > 1:
                     d, b, r, end = self.bounds[3 * k:3 * k + 4]
                     tgt = self.targets[k].astype(np.intp)
-                    entries[k] = Lone(w, m, d, b, r, end, 8 * d, 8 * b, 8 * r,
-                                      tgt, self.selection[k])
+                    entries[k] = Lone(w, m, d, b, r, end, tgt,
+                                      self.selection[k])
                     counts.add(KernelStats(1, lu_flops(w), lu_lapack=1))
                     if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
                         counts.add(KernelCounts(

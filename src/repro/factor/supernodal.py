@@ -88,17 +88,17 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0,
     ``factor_diag(k, d, kernels.lu_fallback)`` factors a block whose
     ``dgetrf`` factors were rejected.  Float64 values with LAPACK / BLAS
     present then run each entry of ``plan.lone`` as its ops would, bit for
-    bit: ``dgetrf`` in place on D_K and both ``dtrsm`` at the values'
-    address plus the entry's offsets, the op's verdict per call (a reject
-    is restored from a scratch copy), the counts added once per run — not
-    by a run that raises, as for a batched step (docs/KERNELS.md).
+    bit: :func:`~repro.kernels.dgetrf` on D_K and both ``dtrsm`` at the
+    values' address plus the entry's offsets, the op's verdict per call,
+    the counts added once per run — not by a run that raises, as for a
+    batched step (docs/KERNELS.md).
     """
     diag, below, right = blocks
     targets, selection, stats = plan.targets, plan.selection, kernels.stats()
     lone = bound and flat.dtype == np.float64 and kernels._BLAS and plan.lone
     if lone:
-        (entries, total), (getrf, trsm) = lone, kernels._BLAS
-        base, scratch = flat.ctypes.data, {}
+        (entries, total), trsm = lone, kernels._BLAS[1]
+        base, scratch = flat.ctypes.data, kernels.Scratch()
     for members, run in plan.runs:
         if run is not None and flat.dtype.kind != "c":
             dpos, bpos, bpiv, lpos, upos, tgt, counts = run
@@ -112,22 +112,15 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0,
             continue
         for k in members:
             if lone and (e := entries[k]):
-                w, m, d, b, r, end, dp, bp, rp, tgt, keep = e
-                if (s := scratch.get(w)) is None:   # pivots, D_K's copy
-                    piv = np.empty(w, dtype=np.int64)
-                    s = scratch[w] = (piv, piv.ctypes.data, np.empty(w * w),
-                                      list(range(1, w + 1)))
-                piv, pp, save, identity = s
-                save[:] = flat[d:b]
-                if not kernels.lu_kept(getrf(101, w, w, base + dp, w, pp),
-                                       piv, identity, flat[d:b:w + 1], thresh):
-                    flat[d:b] = save
+                w, m, d, b, r, end, tgt, keep = e
+                dp = base + 8 * d
+                if not kernels.dgetrf(diag[k], dp, scratch, thresh):
                     factor_diag(k, diag[k], kernels.lu_fallback)
                 if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
-                    trsm(101, 142, 121, 111, 131, m, w, 1.0, base + dp, w,
-                         base + bp, w)
-                    trsm(101, 141, 122, 111, 132, w, m, 1.0, base + dp, w,
-                         base + rp, m)
+                    trsm(*kernels.dtrsm_args("trsm_upper", m, w, dp,
+                                             base + 8 * b))
+                    trsm(*kernels.dtrsm_args("trsm_lower_unit", w, m, dp,
+                                             base + 8 * r))
                     upd = (flat[b:r].reshape(m, w)
                            @ flat[r:end].reshape(w, m)).ravel()
                     flat[tgt] -= upd if keep is None else upd[keep]
@@ -233,8 +226,8 @@ class SupernodalFactors:
 
     def solve(self, b):
         """x with L U x = b, block forward then block back substitution."""
-        # solve in the wider of the factor and RHS dtypes (float64 floor:
-        # fp32 factors against an fp64 RHS still substitute in fp64)
+        # in the wider of the factors' dtype (float64 / complex128) and
+        # b's: a float32 or integer b is solved in float64
         x = np.array(b, dtype=np.result_type(self.dtype, np.asarray(b),
                                              np.float64), copy=True)
         return block_substitute(self, x)

@@ -14,7 +14,9 @@ docs/KERNELS.md records the measurements that retired the second one.
 Contract (docs/KERNELS.md has the table):
 
 - Ops mutate their array arguments **in place** where the docstring says
-  so, and keep their dtype (fp32 factors never silently upcast).
+  so, and keep their operands' dtype on a direct call (a float32 block
+  stays float32).  The solvers store values as float64 or complex128
+  (:func:`repro.sparse.coo.value_dtype`), so they factor nothing else.
 - Ops bump the calling thread's :class:`KernelStats` (:func:`stats`)
   unconditionally — plain integer adds.  A factorization runs on one
   thread, snapshots the stats around itself and publishes the delta as
@@ -30,21 +32,19 @@ Contract (docs/KERNELS.md has the table):
   ``tests/test_kernels.py`` keeps a frozen copy of each and compares
   op by op and through whole factorizations.  Engines call the ops
   through the module (``kernels.trsm_upper(d, b)``), so that test swaps
-  an op with ``monkeypatch.setattr(repro.kernels, ...)`` — except on the
-  two bound paths below, which make the ops' ``dgetrf`` / ``dtrsm`` calls
-  without the op, so a swapped op does not see them.  Both are taken
-  only where ``_BLAS`` is (read when a sweep is built and on every
-  serial factorization): with ``_BLAS`` monkeypatched to None (the
-  tests' ``no_blas``) every call goes through the ops again.
-- A static sweep, whose operands are fixed per layout, binds an op once
-  (``bind_<op>``, sharing one :class:`Binder`): the op's own LAPACK /
-  BLAS call on pre-resolved operands, counted once per run by the sweep,
-  or else the op itself.
-- The serial block engine binds once per plan: each float64 supernode
-  wider than one column that a step takes alone runs from its
-  ``BlockPlan.lone`` entry, ``dgetrf`` / ``dtrsm`` at flat offsets from
-  the values' address, with the op's verdict (:func:`lu_kept`; a reject
-  takes :func:`lu_fallback`) and counts added once per run.
+  an op with ``monkeypatch.setattr(repro.kernels, ...)`` — except where
+  an engine binds them (below), which makes the ops' calls without the
+  op, so a swapped op does not see them.  Binding happens only where
+  ``_BLAS`` is (read when a sweep is built and on every serial
+  factorization): with ``_BLAS`` monkeypatched to None (the tests'
+  ``no_blas``) every call goes through the ops again.
+- Each LAPACK / BLAS call is stated once, here: :func:`dgetrf` (in
+  place, the block saved first and restored when the op's verdict
+  rejects it) and :func:`dtrsm_args`.  The ops, the serial engine's lone
+  supernodes (``BlockPlan.lone``, once per plan) and the static sweeps
+  (``bind_*``, once per layout) call them at raw addresses of arrays
+  their caller keeps alive; a bound call keeps the verdict and the zero
+  check per call and leaves its counts to be added once per run.
 """
 
 from __future__ import annotations
@@ -64,10 +64,9 @@ OPS = ("lu_nopivot", "lu_partial", "trsm_upper", "trsm_lower_unit",
        "gemm_update", "diag_solve_lower_unit", "diag_solve_upper")
 
 __all__ = ["OPS", "KernelCounts", "KernelStats", "stats", "kernel_counters",
-           "lu_flops", "trsm_flops", "gemm_flops", *OPS, "lu_kept",
-           "lu_fallback", "Binder", "bind_lu_nopivot",
-           "bind_trsm_upper", "bind_trsm_lower_unit",
-           "bind_diag_solve_lower_unit", "bind_diag_solve_upper"]
+           "lu_flops", "trsm_flops", "gemm_flops", *OPS, "Scratch",
+           "dgetrf", "dtrsm_args", "lu_fallback", "bind_lu_nopivot",
+           "bind_dtrsm"]
 
 
 # --------------------------------------------------------------------- #
@@ -153,17 +152,17 @@ class KernelStats(KernelCounts):
         }
 
 
-_LOCAL = threading.local()
+class _Local(threading.local):
+    """Per thread: the ops' :class:`KernelStats` and :class:`Scratch`."""
+
+    def __init__(self):
+        self.stats, self.scratch = KernelStats(), Scratch()
 
 
 def stats() -> KernelStats:
     """The calling thread's accumulator (service worker threads share
     this module, not their counts)."""
-    try:
-        return _LOCAL.stats
-    except AttributeError:
-        _LOCAL.stats = st = KernelStats()
-        return st
+    return _LOCAL.stats
 
 
 @contextmanager
@@ -229,55 +228,53 @@ def _addr(x):
     return ctypes.byref(_CHAR(x)) if x.flags.writeable else x.ctypes.data
 
 
-# A static sweep (repro.pdgstrf / repro.pdgstrs) binds each op once per
-# layout: ``bind_<op>(..., binder)`` returns ``(fn, args)``, the op's own
-# LAPACK / BLAS call on pre-resolved operands where ``_blas`` admits them
-# (their calls and flops added to ``binder.counts``, for the caller to add
-# once per run with ``KernelStats.add``), else ``(op, operands)``, which
-# counts itself.
-
-class _Ptr:
-    """An array's address as ctypes passes it (``_as_parameter_``),
-    holding the array so the address stays valid: ≈ 90 B, where
-    ``ndarray.ctypes.data_as`` keeps ≈ 870 B per pointer alive."""
-
-    __slots__ = ("array", "_as_parameter_")
-
-    def __init__(self, x):
-        self.array, self._as_parameter_ = x, x.ctypes.data
+#: ``dtrsm``'s side, uplo and diag for each op it runs (CBLAS codes):
+#: X·U = B is Right / Upper / NonUnit, L·X = B Left / Lower / Unit and
+#: U·X = B Left / Upper / NonUnit
+_TRSM = {"trsm_upper": (142, 121, 131), "trsm_lower_unit": (141, 122, 132),
+         "diag_solve_lower_unit": (141, 122, 132),
+         "diag_solve_upper": (141, 121, 131)}
 
 
-class Binder:
-    """What one sweep's bindings share: the ``counts`` its bound calls add
-    once per run, one pointer per array (a diagonal block is the left
-    operand of every trsm of its K) and one ``dgetrf`` scratch block and
-    pivot vector per width (a sweep factors one block at a time)."""
+def dtrsm_args(op, m, n, dp, bp):
+    """``op``'s ``dtrsm`` arguments: solve in place of the m×n C-ordered
+    float64 block at address ``bp`` against the one at ``dp`` (n×n on the
+    right, m×m on the left), row-major, no transpose, alpha 1."""
+    side, uplo, diag = _TRSM[op]
+    return (101, side, uplo, 111, diag, m, n, 1.0, dp,
+            n if side == 142 else m, bp, n)
 
-    def __init__(self):
-        self.counts, self._ptrs, self._lu = KernelStats(), {}, {}
 
-    def ptr(self, x):
-        """``x``'s :class:`_Ptr`, made once (it holds ``x``, so the id
-        stays ``x``'s)."""
-        if (p := self._ptrs.get(id(x))) is None:
-            p = self._ptrs[id(x)] = _Ptr(x)
-        return p
+class Scratch(dict):
+    """:func:`dgetrf`'s scratch per width w: the block saved before the
+    call, the pivot vector and its address, and the pivots of no
+    interchange.  A factorization, a static sweep and each thread's ops
+    hold one (each factors one block at a time)."""
 
-    def lu(self, w):
-        """``(lu, piv, identity, args)``: a w×w scratch block, the pivot
-        vector, ``dgetrf``'s pivots when it interchanges nothing, and its
-        argument list factoring the scratch in place."""
-        if (scratch := self._lu.get(w)) is None:
-            lu, piv = np.empty((w, w)), np.empty(w, dtype=np.int64)
-            scratch = self._lu[w] = (lu, piv, list(range(1, w + 1)), (
-                101, w, w, self.ptr(lu), w, self.ptr(piv)))
-        return scratch
+    def __missing__(self, w):
+        piv = np.empty(w, dtype=np.int64)
+        self[w] = s = (np.empty((w, w)), piv, piv.ctypes.data,
+                       list(range(1, w + 1)))
+        return s
 
-    def dtrsm(self, side, uplo, diag, d, b):
-        """``dtrsm``'s arguments solving against ``d`` in place of ``b``
-        (row-major, no transpose, alpha 1), as the ops pass them."""
-        return (101, side, uplo, 111, diag, *b.shape, 1.0, self.ptr(d),
-                d.shape[0], self.ptr(b), b.shape[1])
+
+_LOCAL = _Local()
+
+
+def dgetrf(d, addr, scratch, thresh):
+    """``dgetrf`` in place on the C-ordered float64 block ``d`` at address
+    ``addr``, ``d`` saved into ``scratch`` first.  True when the factors
+    are kept: ``info == 0``, no interchange and no pivot below ``thresh``
+    (an LU without pivoting, to rounding; a NaN pivot fails ``all``, where
+    ``min`` would skip it).  Else False, ``d`` restored."""
+    w = d.shape[0]
+    save, piv, pp, identity = scratch[w]
+    save[...] = d
+    if (_BLAS[0](101, w, w, addr, w, pp) == 0 and piv.tolist() == identity
+            and all(abs(u) >= thresh for u in d.diagonal().tolist())):
+        return True
+    d[...] = save
+    return False
 
 
 # --------------------------------------------------------------------- #
@@ -302,16 +299,12 @@ def lu_nopivot(d, thresh):
     Pivots smaller than ``thresh`` are replaced by ``±thresh`` (GESP
     step (3)); ``thresh=0`` disables replacement and a zero pivot raises
     ``ZeroDivisionError``.  Returns the list of replaced local pivot
-    indices.  ``dgetrf``'s factors of a copy are kept when it made no
-    interchange and left no pivot below ``thresh`` (an LU without
-    pivoting, to rounding), else the loop runs on the untouched block."""
+    indices.  :func:`dgetrf`'s factors are kept where its verdict keeps
+    them, else the loop runs on the restored block."""
     w = d.shape[0]
     st = stats()
-    if blas := _blas(d, d, w):
-        lu, piv = d.copy(), np.empty(w, dtype=np.int64)
-        if lu_kept(blas[0](101, w, w, _addr(lu), w, _addr(piv)),  # row-major
-                   piv, list(range(1, w + 1)), lu.diagonal(), thresh):
-            d[...] = lu
+    if _blas(d, d, w):
+        if dgetrf(d, _addr(d), _LOCAL.scratch, thresh):
             st.lu_lapack += 1
             st.lu_calls += 1
             st.lu_flops += lu_flops(w)
@@ -323,21 +316,11 @@ def lu_nopivot(d, thresh):
     return replaced
 
 
-def lu_kept(info, piv, identity, diagonal, thresh):
-    """``dgetrf``'s verdict on a block: kept when it returned 0, made no
-    interchange (``piv`` is ``identity``, 1-based) and left no pivot of
-    ``diagonal`` below ``thresh``.  A NaN pivot compares false, so it
-    rejects the block (Python's ``min`` would skip it).  Over a block's few
-    pivots, ``all`` takes half the time of ``abs(diagonal).min()``."""
-    return (info == 0 and piv.tolist() == identity
-            and all(abs(u) >= thresh for u in diagonal.tolist()))
-
-
 def lu_fallback(d, thresh):
-    """:func:`lu_nopivot`'s loop on a block whose ``dgetrf`` factors a
-    bound call rejected (``d`` untouched): counted as that call's fallback,
-    whose ``lu_calls`` / ``lu_flops`` / ``lu_lapack`` its binder already
-    added — ``lu_lapack`` is taken back once the loop is through, so a
+    """:func:`lu_nopivot`'s loop on a block whose :func:`dgetrf` factors a
+    bound call rejected (``d`` restored): counted as that call's fallback,
+    whose ``lu_calls`` / ``lu_flops`` / ``lu_lapack`` were added for it in
+    advance — ``lu_lapack`` is taken back once the loop is through, so a
     ``ZeroDivisionError`` leaves the op's own delta."""
     st = stats()
     st.lu_fallbacks += 1
@@ -363,28 +346,6 @@ def _lu_loop(d, thresh):
             d[k + 1:, k] /= p
             d[k + 1:, k + 1:] -= d[k + 1:, k, None] * d[k, None, k + 1:]
     return replaced
-
-
-def bind_lu_nopivot(d, binder):
-    """:func:`lu_nopivot` of ``d`` bound once: ``fn(*args, thresh)``.  The
-    verdict is the op's and checked on every call, since it depends on the
-    values: a rejected block takes the op's loop (:func:`lu_fallback`)."""
-    w = d.shape[0]
-    if not _blas(d, d, w):
-        return lu_nopivot, (d,)
-    counts = binder.counts
-    counts.lu_calls += 1
-    counts.lu_lapack += 1
-    counts.lu_flops += lu_flops(w)
-    return _lu_bound, (d, *binder.lu(w), _BLAS[0])
-
-
-def _lu_bound(d, lu, piv, identity, args, getrf, thresh):
-    lu[...] = d
-    if lu_kept(getrf(*args), piv, identity, lu.diagonal(), thresh):
-        d[...] = lu
-        return []
-    return lu_fallback(d, thresh)
 
 
 def lu_partial(d, thresh, pivot_threshold=1.0):
@@ -424,9 +385,8 @@ def trsm_upper(d, b):
     """Solve ``X · U_kk = B`` in place (B: rows × w); only the upper
     triangle of the packed ``d`` is referenced.  Returns ``b``."""
     w = d.shape[0]
-    if blas := _blas(d, b, b.shape[1]):  # row-major, Right, Upper, N, NonUnit
-        blas[1](101, 142, 121, 111, 131, b.shape[0], w, 1.0,
-                _addr(d), w, _addr(b), w)
+    if _blas(d, b, b.shape[1]):
+        _BLAS[1](*dtrsm_args("trsm_upper", *b.shape, _addr(d), _addr(b)))
     else:
         for k in range(w):
             if k:
@@ -438,23 +398,13 @@ def trsm_upper(d, b):
     return b
 
 
-def bind_trsm_upper(d, b, binder):
-    """:func:`trsm_upper` of ``d`` and ``b`` bound once: ``fn(*args)``."""
-    if not _blas(d, b, b.shape[1]):
-        return trsm_upper, (d, b)
-    binder.counts.trsm_calls += 1
-    binder.counts.trsm_flops += trsm_flops(d.shape[0], b.shape[0])
-    return _BLAS[1], binder.dtrsm(142, 121, 131, d, b)
-
-
 def trsm_lower_unit(d, r):
     """Solve ``L_kk · X = R`` in place (R: w × cols); only the
     strictly-lower triangle of ``d`` (unit L) is referenced.
     Returns ``r``."""
     w = d.shape[0]
-    if blas := _blas(d, r, r.shape[0]):  # row-major, Left, Lower, N, Unit
-        blas[1](101, 141, 122, 111, 132, w, r.shape[1], 1.0,
-                _addr(d), w, _addr(r), r.shape[1])
+    if _blas(d, r, r.shape[0]):
+        _BLAS[1](*dtrsm_args("trsm_lower_unit", *r.shape, _addr(d), _addr(r)))
     else:
         for k in range(1, w):
             r[k, :] -= d[k, :k] @ r[:k, :]
@@ -462,16 +412,6 @@ def trsm_lower_unit(d, r):
     st.trsm_calls += 1
     st.trsm_flops += trsm_flops(w, r.shape[1])
     return r
-
-
-def bind_trsm_lower_unit(d, r, binder):
-    """:func:`trsm_lower_unit` of ``d`` and ``r`` bound once:
-    ``fn(*args)``."""
-    if not _blas(d, r, r.shape[0]):
-        return trsm_lower_unit, (d, r)
-    binder.counts.trsm_calls += 1
-    binder.counts.trsm_flops += trsm_flops(d.shape[0], r.shape[1])
-    return _BLAS[1], binder.dtrsm(141, 122, 132, d, r)
 
 
 def gemm_update(l, u):
@@ -497,24 +437,14 @@ def diag_solve_lower_unit(d, x):
     """Solve ``L_kk y = x`` in place against the packed block's unit
     lower triangle; ``x`` is (w,) or (w, nrhs).  Returns ``x``."""
     w, b = d.shape[0], _columns(x)
-    if blas := _blas(d, b, b.shape[0]):  # row-major, Left, Lower, N, Unit
-        blas[1](101, 141, 122, 111, 132, w, b.shape[1], 1.0,
-                _addr(d), w, _addr(b), b.shape[1])
+    if _blas(d, b, w):
+        _BLAS[1](*dtrsm_args("diag_solve_lower_unit", *b.shape, _addr(d),
+                             _addr(b)))
     else:
         for jj in range(1, w):
             x[jj] -= d[jj, :jj] @ x[:jj]
     stats().solve_flops += w * w * b.shape[1]
     return x
-
-
-def bind_diag_solve_lower_unit(d, x, binder):
-    """:func:`diag_solve_lower_unit` of ``d`` and ``x`` bound once:
-    ``fn(*args)``."""
-    b = _columns(x)
-    if not _blas(d, b, b.shape[0]):
-        return diag_solve_lower_unit, (d, x)
-    binder.counts.solve_flops += b.size * b.shape[0]
-    return _BLAS[1], binder.dtrsm(141, 122, 132, d, b)
 
 
 def diag_solve_upper(d, x):
@@ -523,11 +453,9 @@ def diag_solve_upper(d, x):
     the diagonal takes the loop: its division warns (``RuntimeWarning``)
     where ``dtrsm`` would not.  Returns ``x``."""
     w, b = d.shape[0], _columns(x)
-    if (blas := _blas(d, b, b.shape[0])) and \
-            np.count_nonzero(d.diagonal()) == w:
-        # row-major, Left, Upper, N, NonUnit
-        blas[1](101, 141, 121, 111, 131, w, b.shape[1], 1.0,
-                _addr(d), w, _addr(b), b.shape[1])
+    if _blas(d, b, w) and np.count_nonzero(d.diagonal()) == w:
+        _BLAS[1](*dtrsm_args("diag_solve_upper", *b.shape, _addr(d),
+                             _addr(b)))
     else:
         for jj in range(w - 1, -1, -1):
             if jj + 1 < w:
@@ -537,20 +465,52 @@ def diag_solve_upper(d, x):
     return x
 
 
-def bind_diag_solve_upper(d, x, binder):
-    """:func:`diag_solve_upper` of ``d`` and ``x`` bound once:
-    ``fn(*args)``.  The zero-diagonal check is the op's, made on every
-    call; a zero sends ``x`` through the op (its loop and warning)."""
-    b = _columns(x)
-    if not _blas(d, b, b.shape[0]):
-        return diag_solve_upper, (d, x)
-    binder.counts.solve_flops += b.size * b.shape[0]
-    return _upper_bound, (d, x, _BLAS[1], binder.dtrsm(141, 121, 131, d, b))
+# --------------------------------------------------------------------- #
+# an op bound once, for a static sweep
+# --------------------------------------------------------------------- #
+
+# ``bind_*`` returns ``(fn, args)``: the op's call at raw addresses where
+# ``_blas`` admits its operands, their calls and flops added to ``counts``
+# for the sweep's run to add once (the run holds what it bound), else
+# ``(op, operands)``, which counts itself.
+
+def bind_lu_nopivot(d, counts, scratch):
+    """:func:`lu_nopivot` of ``d`` bound once: ``fn(*args, thresh)``.  The
+    verdict is :func:`dgetrf`'s, made on every call (it depends on the
+    values): a rejected block takes the op's loop (:func:`lu_fallback`)."""
+    w = d.shape[0]
+    if not _blas(d, d, w):
+        return lu_nopivot, (d,)
+    counts.add(KernelStats(1, lu_flops(w), lu_lapack=1))
+    return _bound_lu, (d, d.ctypes.data, scratch)
 
 
-def _upper_bound(d, x, trsm, args):
+def _bound_lu(d, addr, scratch, thresh):
+    return [] if dgetrf(d, addr, scratch, thresh) else lu_fallback(d, thresh)
+
+
+def bind_dtrsm(op, d, x, counts):
+    """``op`` — ``trsm_upper``, ``trsm_lower_unit`` or a ``diag_solve_*``
+    — of ``d`` and ``x`` bound once: ``fn(*args)``.  ``diag_solve_upper``'s
+    zero-diagonal check is the op's, made on every call; a zero sends
+    ``x`` through the op (its loop and warning)."""
+    b, w = _columns(x), d.shape[0]
+    if not _blas(d, b, b.shape[op == "trsm_upper"]):
+        return globals()[op], (d, x)
+    if op.startswith("trsm"):
+        counts.add(KernelCounts(trsm_calls=1,
+                                trsm_flops=trsm_flops(w, b.size // w)))
+    else:
+        counts.solve_flops += b.size * w
+    args = dtrsm_args(op, *b.shape, d.ctypes.data, b.ctypes.data)
+    if op == "diag_solve_upper":
+        return _bound_upper, (d, x, args)
+    return _BLAS[1], args
+
+
+def _bound_upper(d, x, args):
     if np.count_nonzero(d.diagonal()) == d.shape[0]:
-        trsm(*args)
+        _BLAS[1](*args)
     else:
         diag_solve_upper(d, x)
         stats().solve_flops -= x.size * d.shape[0]

@@ -279,10 +279,10 @@ def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
     diagonal factor and the panel trsms (each bound once,
     ``kernels.bind_*``), then each rank's update.  A store entry takes its
     updates in ascending K from the same panels, as in the programs, so
-    the bits are theirs (docs/EXECUTOR.md)."""
-    grid, targets = dist.grid, sched["updates"]
-    flops, steps, binder = [0] * grid.size, [], kernels.Binder()
-    counts = binder.counts
+    the bits are theirs (docs/EXECUTOR.md); ``run`` holds what it bound."""
+    grid, targets, stores = dist.grid, sched["updates"], dist.stores
+    flops, steps, bind = [0] * grid.size, [], kernels.bind_dtrsm
+    counts, scratch = kernels.KernelStats(), kernels.Scratch()
     for k in range(dag.nsuper):
         kr, kc, w = k % grid.nprow, k % grid.npcol, dist.widths[k]
         owner, trsm, update = grid.rank(kr, kc), [], []
@@ -293,24 +293,24 @@ def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
             rows, cols = sched["need_l"][k][pr], sched["need_u"][k][pc]
             if pc == kc and rows:       # X · U_KK = L(·, K)
                 panel = dist.lpanel[r][k]
-                trsm.append(kernels.bind_trsm_upper(d, panel, binder))
+                trsm.append(bind("trsm_upper", d, panel, counts))
                 counts.trsm_calls += len(rows) - 1
                 flops[r] += kernels.trsm_flops(w, panel.shape[0])
             if pr == kr and cols:       # L_KK · X = U(K, ·)
                 panel = dist.upanel[r][k]
-                trsm.append(kernels.bind_trsm_lower_unit(d, panel, binder))
+                trsm.append(bind("trsm_lower_unit", d, panel, counts))
                 counts.trsm_calls += len(cols) - 1
                 flops[r] += kernels.trsm_flops(w, panel.shape[1])
             if (b := targets.batch[k][r]) >= 0:
                 start, end, _, *f, more, take = targets.calls[b]
-                update.append((dist.stores[r], targets.tgt[start:end],
+                update.append((r, targets.tgt[start:end],
                                dist.lpanel[grid.rank(pr, kc)][k],
                                dist.upanel[grid.rank(kr, pc)][k], take))
                 counts.gemm_calls += 1 + more
                 counts.gemm_flops += int(sum(f))    # the panels' product
                 flops[r] += sum(f)
-        steps.append((owner, *kernels.bind_lu_nopivot(d, binder), trsm,
-                      update))
+        steps.append((owner, *kernels.bind_lu_nopivot(d, counts, scratch),
+                      trsm, update))
 
     def run(thresh, **_kwargs):
         n_tiny = [0] * grid.size
@@ -318,9 +318,9 @@ def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
             n_tiny[owner] += len(lu(*lu_args, thresh))
             for fn, args in trsm:
                 fn(*args)
-            for store, tgt, lpanel, upanel, take in update:
+            for r, tgt, lpanel, upanel, take in update:
                 upd = (lpanel @ upanel).ravel()
-                store[tgt] -= upd if take is None else upd[take]
+                stores[r][tgt] -= upd if take is None else upd[take]
         kernels.stats().add(counts)
         return n_tiny
     return flops, run

@@ -111,16 +111,15 @@ def _sweep(dist: DistributedBlocks, b, direction, **_kwargs):
     is ``b(K)`` minus each contributor's partial sum in sorted rank order,
     solved in place in one solution buffer against the diagonal block
     (bound once, ``kernels.bind_*``) — the programs' operands and order,
-    so their bits (docs/EXECUTOR.md).  A run returns a copy of the buffer."""
+    so their bits (docs/EXECUTOR.md).  ``run`` holds what it bound and
+    returns a copy of the buffer."""
     grid, xsup, name = dist.grid, dist.part.xsup, direction.blocks
     nrhs, x = 1 if b.ndim == 1 else b.shape[1], np.empty(b.shape)
-    steps, binder = [], kernels.Binder()
-    counts = binder.counts
-    bind = getattr(kernels, "bind_" + direction.diag_solve)
+    steps, counts, stores = [], kernels.KernelStats(), dist.stores
     flops = [sum(f for blocks in start[0].values() for _, f, _ in blocks)
              * nrhs for start in dist.solve_start[name]]
-    refills = [(*refill, store) for (refill, _), store in zip(
-        dist.row_panels[name], dist.stores) if refill is not None]
+    refills = [(*refill, r) for r, (refill, _) in enumerate(
+        dist.row_panels[name]) if refill is not None]
     for k in sorted(range(dist.nsuper), reverse=direction.descending):
         owner, w = grid.owner(k, k), dist.widths[k]
         flops[owner] += w * w * nrhs
@@ -131,11 +130,12 @@ def _sweep(dist: DistributedBlocks, b, direction, **_kwargs):
             counts.gemm_calls += 1 + calls
             counts.gemm_flops += kernels.gemm_flops(*panel.shape, nrhs) \
                 + dflops * nrhs
-        steps.append((xk, parts, *bind(dist.diag[owner][k], xk, binder)))
+        steps.append((xk, parts, *kernels.bind_dtrsm(
+            direction.diag_solve, dist.diag[owner][k], xk, counts)))
 
     def run(b, **_kwargs):
-        for buf, src, dst, store in refills:
-            buf[dst] = store[src]
+        for buf, src, dst, r in refills:
+            buf[dst] = stores[r][src]
         x[...] = b
         for xk, parts, fn, args in steps:
             for panel, cols in parts:

@@ -165,3 +165,20 @@ def test_lint_catches_a_dangling_file_name():
         ("X.md", "benchmarks/bench_gone.py"),
         ("X.md", "scripts/bench_trajectory.py"),
     ]
+
+
+def test_every_cited_section_exists():
+    assert check_docs.unresolved_citations() == []
+
+
+def test_lint_catches_an_unresolved_citation():
+    text = ('docs/KERNELS.md, "Two paths,\n  one op" and docs/REFACTORIZATION'
+            '.md, "The distributed layout" resolve (a heading, a bold lead-in);'
+            ' docs/EXECUTOR.md, "A warm op replays its layout\'s simulation",'
+            ' docs/KERNELS.md, "Two paths" and docs/GONE.md, "Anything" do not')
+    assert check_docs.unresolved_citations({"X.md": text}) == [
+        ("X.md", "docs/EXECUTOR.md",
+         "A warm op replays its layout's simulation"),
+        ("X.md", "docs/GONE.md", "Anything"),
+        ("X.md", "docs/KERNELS.md", "Two paths"),
+    ]

@@ -9,7 +9,9 @@ Promises enforced here:
    hypothesis update pipeline, and through whole factorizations on
    testbed matrices (the engines reach an op through the module, so a
    golden run is ``monkeypatch.setattr(kernels, name, golden)``);
-2. ops keep their dtype and the tiny-pivot replacement its phase;
+2. ops keep their operands' dtype on a direct call and the tiny-pivot
+   replacement its phase, while the solvers factor a float32 matrix as
+   float64;
 3. flops are counted once, inside the op, per thread;
 4. there is one implementation and nothing selects another: no option,
    no flag, and no scipy in ``sys.modules`` after any default solve;
@@ -19,13 +21,10 @@ Promises enforced here:
    zero on ``U_KK``'s diagonal keeps the warning loop, and the binding
    resolves wherever numpy reports its OpenBLAS;
 6. an op bound once for a static sweep (``kernels.bind_*``) is the op
-   bit for bit with the same ``KernelStats`` delta, decides ``dgetrf``'s
-   verdict and the zero-diagonal check per call, and keeps the arrays
-   whose addresses it holds alive.
+   bit for bit with the same ``KernelStats`` delta, and decides
+   ``dgetrf``'s verdict and the zero-diagonal check per call.
 """
 
-import gc
-import weakref
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -439,11 +438,10 @@ def _typed_block(rng, w, dtype):
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
 def test_every_op_preserves_dtype_and_matches_golden(dtype):
-    """Every op (and the column oracle's two SPA helpers) keeps its
-    input dtype — the fp32-factor path depends on never silently
-    upcasting — and agrees with the frozen loop to a few hundred ulps of
-    the *working* dtype (bit for bit on float64's loop path: section
-    1)."""
+    """Every op (and the column oracle's two SPA helpers) called directly
+    keeps its input dtype — no solver hands them float32 (the next test) —
+    and agrees with the frozen loop to a few hundred ulps of the *working*
+    dtype (bit for bit on float64's loop path: section 1)."""
     rng = np.random.default_rng(20260808)
     w, m = 8, 5
     tol = 500 * float(np.finfo(np.dtype(dtype)).eps)
@@ -508,6 +506,29 @@ def test_every_op_preserves_dtype_and_matches_golden(dtype):
         assert xb.dtype == wide and xb.shape == x2.shape
         for t in range(m):
             assert np.array_equal(xb[:, t], solve(mat, x2[:, t]))
+
+
+def test_a_float32_matrix_factors_as_float64():
+    """The sparse formats store real values as float64 (``value_dtype``),
+    so a float32 matrix factors and solves in float64: bit for bit the
+    float64 matrix holding the same values, a float32 ``b`` included."""
+    from repro.driver import GESPSolver
+    from repro.matrices import matrix_by_name
+
+    a = matrix_by_name("cfd06").build()
+    vals = a.nzval.astype(np.float32)
+    a32 = CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind, vals)
+    a64 = CSCMatrix(a.nrows, a.ncols, a.colptr, a.rowind,
+                    vals.astype(np.float64))
+    assert a32.nzval.dtype == np.float64
+    s32, s64 = GESPSolver(a32, cache=False), GESPSolver(a64, cache=False)
+    for f32, f64 in ((s32.factors.l, s64.factors.l),
+                     (s32.factors.u, s64.factors.u)):
+        assert f32.nzval.dtype == np.float64
+        assert f32.nzval.tobytes() == f64.nzval.tobytes()
+    b = np.ones(a.ncols, dtype=np.float32)
+    r32, r64 = s32.solve(b), s64.solve(b.astype(np.float64))
+    assert r32.x.dtype == np.float64 and np.array_equal(r32.x, r64.x)
 
 
 # --------------------------------------------------------------------- #
@@ -809,15 +830,17 @@ def _called(call):
 
 
 def _bound_call(name, operands, extra):
-    """``bind_<name>`` on ``operands`` run as a static sweep runs it: the
+    """``name`` bound on ``operands`` and run as a static sweep runs it: the
     bound call, then the build-time counts added once (not after a raise).
     Returns ``(fn, result, delta)``."""
-    binder = kernels.Binder()
-    fn, args = getattr(kernels, "bind_" + name)(*operands, binder)
+    counts = kernels.KernelStats()
+    fn, args = (kernels.bind_lu_nopivot(*operands, counts, kernels.Scratch())
+                if name == "lu_nopivot"
+                else kernels.bind_dtrsm(name, *operands, counts))
 
     def call():
         out = fn(*args, *extra)
-        kernels.stats().add(binder.counts)
+        kernels.stats().add(counts)
         return out
     return (fn, *_called(call))
 
@@ -901,25 +924,3 @@ def test_bound_op_is_the_op(name, case):
         assert (got is ZeroDivisionError) == (case == "zero")
         assert (want_delta["lu_lapack"], want_delta["lu_fallbacks"]) == \
             ((1, 0) if case == "kept" else (0, 1))
-
-
-@needs_blas
-@pytest.mark.parametrize("name", ["lu_nopivot", "trsm_upper",
-                                  "diag_solve_lower_unit", "diag_solve_upper"])
-def test_a_binding_keeps_its_operands_alive(name):
-    """A bound call holds raw addresses: with every other reference to its
-    operands dropped, they stay alive, and the call still is the op's."""
-    fresh, extra = (_lu_block("kept") if name == "lu_nopivot"
-                    else _solve_operands(name, "w12"))
-    want = fresh()
-    getattr(kernels, name)(*want, *extra)
-    operands = fresh()
-    refs = [weakref.ref(x) for x in operands]
-    fn, args = getattr(kernels, "bind_" + name)(*operands, kernels.Binder())
-    del operands
-    gc.collect()
-    junk = [np.full(want[-1].shape, np.nan) for _ in range(64)]
-    assert all(ref() is not None for ref in refs)
-    fn(*args, *extra)
-    assert all(np.array_equal(ref(), w) for ref, w in zip(refs, want))
-    assert len(junk) == 64

@@ -249,6 +249,39 @@ def test_a_built_sweep_keeps_what_it_bound_alive():
     assert len(junk) == 64
 
 
+def _reached(run):
+    """Every object ``run``'s closure reaches through cells, lists, tuples
+    and dicts — not through an array's ``base``."""
+    seen, todo = {}, [c.cell_contents for c in run.__closure__]
+    while todo:
+        if id(o := todo.pop()) not in seen:
+            seen[id(o)] = o
+            if isinstance(o, (list, tuple)):
+                todo.extend(o)
+            elif isinstance(o, dict):
+                todo.extend(o.values())
+    return seen
+
+
+def test_a_built_sweep_holds_the_stores_it_bound():
+    """Each of the three sweeps binds raw addresses into the layout's
+    stores, so its ``run`` holds every store itself, not only through the
+    views it happens to keep (the lower solve keeps no view of two of
+    cfd01's four stores)."""
+    a = matrix_by_name("cfd01").build()
+    b = np.ones(a.ncols)
+    s = DistributedGESPSolver(a, nprocs=4, cache=False, executor="sim")
+    for _ in range(2):          # the first op records, the second sweeps
+        s.refactor(a)
+        s.factorize()
+        pdgstrs(s.dist, b, executor="sim")
+    runs = [rec.run for rec in s.dist.recordings.values()]
+    assert len(runs) == 3 and None not in runs
+    for run in runs:
+        held = _reached(run)
+        assert all(id(store) in held for store in s.dist.stores)
+
+
 def test_replayed_stats_are_the_callers():
     """A swept op hands out its own copy of the recorded stats: changing a
     field or ``blocked_by_kind`` of one leaves the recording, and the

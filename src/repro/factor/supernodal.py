@@ -114,7 +114,7 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0,
             if lone and (e := entries[k]):
                 w, m, d, b, r, end, tgt, keep = e
                 dp = base + 8 * d
-                if not kernels.dgetrf(diag[k], dp, scratch, thresh):
+                if not kernels.dgetrf(flat[d:b], w, dp, scratch, thresh):
                     factor_diag(k, diag[k], kernels.lu_fallback)
                 if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
                     trsm(*kernels.dtrsm_args("trsm_upper", m, w, dp,

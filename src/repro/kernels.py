@@ -253,7 +253,7 @@ class Scratch(dict):
 
     def __missing__(self, w):
         piv = np.empty(w, dtype=np.int64)
-        self[w] = s = (np.empty((w, w)), piv, piv.ctypes.data,
+        self[w] = s = (np.empty(w * w), piv, piv.ctypes.data,
                        list(range(1, w + 1)))
         return s
 
@@ -261,19 +261,18 @@ class Scratch(dict):
 _LOCAL = _Local()
 
 
-def dgetrf(d, addr, scratch, thresh):
-    """``dgetrf`` in place on the C-ordered float64 block ``d`` at address
-    ``addr``, ``d`` saved into ``scratch`` first.  True when the factors
-    are kept: ``info == 0``, no interchange and no pivot below ``thresh``
-    (an LU without pivoting, to rounding; a NaN pivot fails ``all``, where
-    ``min`` would skip it).  Else False, ``d`` restored."""
-    w = d.shape[0]
+def dgetrf(block, w, addr, scratch, thresh):
+    """``dgetrf`` in place on the w×w C-ordered float64 block at ``addr``,
+    its values (``block``, 1-D) saved into ``scratch`` first: True when the
+    factors are kept (``info == 0``, no interchange, no pivot below
+    ``thresh``: an LU without pivoting, to rounding; a NaN pivot fails
+    ``all``, where ``min`` would skip it), else False, the block restored."""
     save, piv, pp, identity = scratch[w]
-    save[...] = d
+    save[:] = block
     if (_BLAS[0](101, w, w, addr, w, pp) == 0 and piv.tolist() == identity
-            and all(abs(u) >= thresh for u in d.diagonal().tolist())):
+            and all(abs(u) >= thresh for u in block[::w + 1].tolist())):
         return True
-    d[...] = save
+    block[:] = save
     return False
 
 
@@ -304,7 +303,7 @@ def lu_nopivot(d, thresh):
     w = d.shape[0]
     st = stats()
     if _blas(d, d, w):
-        if dgetrf(d, _addr(d), _LOCAL.scratch, thresh):
+        if dgetrf(d.reshape(-1), w, _addr(d), _LOCAL.scratch, thresh):
             st.lu_lapack += 1
             st.lu_calls += 1
             st.lu_flops += lu_flops(w)
@@ -482,11 +481,12 @@ def bind_lu_nopivot(d, counts, scratch):
     if not _blas(d, d, w):
         return lu_nopivot, (d,)
     counts.add(KernelStats(1, lu_flops(w), lu_lapack=1))
-    return _bound_lu, (d, d.ctypes.data, scratch)
+    return _bound_lu, (d, d.reshape(-1), w, d.ctypes.data, scratch)
 
 
-def _bound_lu(d, addr, scratch, thresh):
-    return [] if dgetrf(d, addr, scratch, thresh) else lu_fallback(d, thresh)
+def _bound_lu(d, block, w, addr, scratch, thresh):
+    kept = dgetrf(block, w, addr, scratch, thresh)
+    return [] if kept else lu_fallback(d, thresh)
 
 
 def bind_dtrsm(op, d, x, counts):
@@ -503,9 +503,8 @@ def bind_dtrsm(op, d, x, counts):
     else:
         counts.solve_flops += b.size * w
     args = dtrsm_args(op, *b.shape, d.ctypes.data, b.ctypes.data)
-    if op == "diag_solve_upper":
-        return _bound_upper, (d, x, args)
-    return _BLAS[1], args
+    return ((_bound_upper, (d, x, args)) if op == "diag_solve_upper"
+            else (_BLAS[1], args))
 
 
 def _bound_upper(d, x, args):

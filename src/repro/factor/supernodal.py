@@ -99,6 +99,7 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0,
     if lone:
         (entries, total), trsm = lone, kernels._BLAS[1]
         base, scratch = flat.ctypes.data, kernels.Scratch()
+        getrf, args = kernels.dgetrf, kernels.dtrsm_args
     for members, run in plan.runs:
         if run is not None and flat.dtype.kind != "c":
             dpos, bpos, bpiv, lpos, upos, tgt, counts = run
@@ -114,13 +115,11 @@ def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0,
             if lone and (e := entries[k]):
                 w, m, d, b, r, end, tgt, keep = e
                 dp = base + 8 * d
-                if not kernels.dgetrf(flat[d:b], w, dp, scratch, thresh):
+                if not getrf(flat[d:b], w, dp, scratch, thresh):
                     factor_diag(k, diag[k], kernels.lu_fallback)
                 if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
-                    trsm(*kernels.dtrsm_args("trsm_upper", m, w, dp,
-                                             base + 8 * b))
-                    trsm(*kernels.dtrsm_args("trsm_lower_unit", w, m, dp,
-                                             base + 8 * r))
+                    trsm(*args("trsm_upper", m, w, dp, base + 8 * b))
+                    trsm(*args("trsm_lower_unit", w, m, dp, base + 8 * r))
                     upd = (flat[b:r].reshape(m, w)
                            @ flat[r:end].reshape(w, m)).ravel()
                     flat[tgt] -= upd if keep is None else upd[keep]

@@ -481,12 +481,12 @@ def bind_lu_nopivot(d, counts, scratch):
     if not _blas(d, d, w):
         return lu_nopivot, (d,)
     counts.add(KernelStats(1, lu_flops(w), lu_lapack=1))
-    return _bound_lu, (d, d.reshape(-1), w, d.ctypes.data, scratch)
+    return _bound_lu, (d.reshape(-1), w, d.ctypes.data, scratch)
 
 
-def _bound_lu(d, block, w, addr, scratch, thresh):
+def _bound_lu(block, w, addr, scratch, thresh):
     kept = dgetrf(block, w, addr, scratch, thresh)
-    return [] if kept else lu_fallback(d, thresh)
+    return [] if kept else lu_fallback(block.reshape(w, w), thresh)
 
 
 def bind_dtrsm(op, d, x, counts):

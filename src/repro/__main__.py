@@ -75,7 +75,6 @@ def cmd_solve(args):
         replace_tiny_pivots=not args.no_pivot_replacement,
         extra_precision_residual=args.extra_precision,
         fact=args.fact,
-        executor=args.executor,
     )
     if args.executor and args.nprocs <= 1:
         print("note: --executor only affects the distributed pipeline; "
@@ -103,7 +102,8 @@ def cmd_solve(args):
             args.error_bound = False
         opts.symbolic_method = "symmetrized"
         dsolver = DistributedGESPSolver(a, nprocs=args.nprocs, options=opts,
-                                        fault_plan=fault_plan)
+                                        fault_plan=fault_plan,
+                                        executor=args.executor)
         report = dsolver.solve(b)
         if report.failure is None:
             nnz_lu = dsolver.symbolic.nnz_lu
@@ -121,9 +121,7 @@ def cmd_solve(args):
     print(f"matrix           : {args.matrix}  (n={n}, nnz={a.nnz})")
     if args.nprocs > 1:
         print(f"virtual procs    : {args.nprocs}")
-        from repro.dmem.executor import resolve_executor
-
-        print(f"executor         : {resolve_executor(dsolver.executor).name}")
+        print(f"executor         : {dsolver.executor.name}")
         if dsolver.factor_run is not None:
             fr = dsolver.factor_run
             # model clock is simulated seconds on "sim", real seconds on
@@ -195,7 +193,8 @@ def _refactor_sweep(a, b, opts, args):
         def cold():
             nonlocal solver
             solver = DistributedGESPSolver(a, nprocs=args.nprocs,
-                                           options=opts)
+                                           options=opts,
+                                           executor=args.executor)
             return solver.solve(b)
     else:
         solver = None
@@ -539,8 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="runtime for the distributed phases (--nprocs > 1): "
                         "'sim' (event-loop simulator) or 'process' (one "
                         "real worker process per rank, pickled "
-                        "payloads); default: $REPRO_DMEM_EXECUTOR, then "
-                        "'sim' (see docs/EXECUTOR.md)")
+                        "payloads); default 'sim' (see docs/EXECUTOR.md)")
     p.add_argument("--refactor-sweep", type=int, default=0, metavar="K",
                    help="factor cold once, then refactor K times with "
                         "same-pattern perturbed values through the "

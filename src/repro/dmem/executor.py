@@ -18,9 +18,11 @@ between *program* and *runtime*:
   worker process per rank over ``multiprocessing`` queues, every
   payload pickled.
 
-Executor selection precedence (:func:`resolve_executor`): an explicit
-instance or name > the ``REPRO_DMEM_EXECUTOR`` environment variable >
-the ``"sim"`` default.  Semantics both backends must preserve — FIFO per
+An executor is chosen in one place, the ``executor`` argument of
+:class:`~repro.driver.dist_driver.DistributedGESPSolver` (or of
+``pdgstrf`` / ``pdgstrs`` called directly), and :func:`resolve_executor`
+turns it into an instance: an instance as it is, a name, or None for
+``"sim"``.  Semantics both backends must preserve — FIFO per
 (source, dest, tag), earliest-arrival ``ANY_SOURCE``/``ANY_TAG``
 matching, ``Recv(timeout=)``/``CommTimeoutError``, seeded ``FaultPlan``
 injection — are tabulated in ``docs/EXECUTOR.md``.
@@ -28,7 +30,6 @@ injection — are tabulated in ``docs/EXECUTOR.md``.
 
 from __future__ import annotations
 
-import os
 from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -36,10 +37,8 @@ from typing import Any, Callable
 from repro.dmem.machine import MachineModel
 from repro.dmem.simulator import Recording, simulate, sweep
 
-__all__ = ["ENV_EXECUTOR", "EXECUTOR_NAMES", "RankJob",
-           "SimulatorExecutor", "UnknownExecutorError", "resolve_executor"]
-
-ENV_EXECUTOR = "REPRO_DMEM_EXECUTOR"
+__all__ = ["EXECUTOR_NAMES", "RankJob", "SimulatorExecutor",
+           "UnknownExecutorError", "resolve_executor"]
 
 # names resolve_executor accepts (an executor *instance* may use any name)
 EXECUTOR_NAMES = ("sim", "process")
@@ -137,12 +136,8 @@ def resolve_executor(spec=None):
     """Resolve ``spec`` to an executor instance.
 
     ``spec`` may be an executor instance (returned as-is), one of the
-    names in :data:`EXECUTOR_NAMES`, or None — which defers to the
-    ``REPRO_DMEM_EXECUTOR`` environment variable (empty string = unset)
-    and finally the ``"sim"`` default.
+    names in :data:`EXECUTOR_NAMES`, or None — the ``"sim"`` default.
     """
-    if spec is None:
-        spec = os.environ.get(ENV_EXECUTOR) or None
     if spec is None:
         spec = "sim"
     if not isinstance(spec, str):

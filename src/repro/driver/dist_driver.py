@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dmem.distribute import distribute_matrix, refill_values
+from repro.dmem.executor import resolve_executor
 from repro.dmem.grid import ProcessGrid, best_grid
 from repro.dmem.machine import MachineModel
 from repro.driver.factcache import dist_plan_key
@@ -83,13 +84,16 @@ class DistributedGESPSolver(PatternSolver):
         message loss surfaces as a structured
         :class:`repro.dmem.comm.CommTimeoutError` rather than a hang.
     executor:
-        Runtime for the distributed phases: ``"sim"`` (event-loop
-        simulator), ``"process"`` (one real worker process per rank over
-        ``multiprocessing`` queues, payloads pickled), an
-        executor instance, or ``None`` — which falls back to
-        ``options.executor``, then the ``REPRO_DMEM_EXECUTOR``
-        environment variable, then ``"sim"``.  Factors and solutions are
-        bit-identical across executors (docs/EXECUTOR.md).
+        Runtime for the distributed phases, the one place it is chosen:
+        ``"sim"`` (event-loop simulator; also ``None``, the default),
+        ``"process"`` (one real worker process per rank over
+        ``multiprocessing`` queues, payloads pickled) or an executor
+        instance.  Resolved at construction
+        (:func:`~repro.dmem.executor.resolve_executor`), so an unknown
+        name raises :class:`~repro.dmem.executor.UnknownExecutorError`
+        before any analysis runs, and the attribute holds the instance.
+        Factors and solutions are bit-identical across executors
+        (docs/EXECUTOR.md).
     dense_tail_threshold:
         §5 switch-to-dense: merge the trailing supernodes into one dense
         block when the bottom-right submatrix's fill density exceeds this
@@ -120,8 +124,7 @@ class DistributedGESPSolver(PatternSolver):
     def __post_init__(self):
         if self.grid is None:
             self.grid = best_grid(self.nprocs)
-        if self.executor is None:
-            self.executor = self.options.executor
+        self.executor = resolve_executor(self.executor)
         self.dist = None
         self._open(self.tracer, self.cache)
 

@@ -47,7 +47,7 @@ from repro.factor.gesp import gesp_factor
 from repro.factor.supernodal import supernodal_factor
 from repro.obs import Tracer, trace
 from repro.solve.errbound import condest_1norm, forward_error_bound
-from repro.solve.refine import refine_block
+from repro.solve.refine import MAX_STEPS, refine_block
 from repro.solve.sherman import ShermanMorrisonSolver
 from repro.solve.triangular import solve_lower_t_csc, solve_upper_t_csc
 from repro.sparse.csc import CSCMatrix
@@ -269,7 +269,7 @@ class GESPSolver(PatternSolver):
         return report
 
     def solve_multi(self, b_block, refine: bool | None = None,
-                    max_steps: int | None = None) -> MultiSolveResult:
+                    max_steps: int = MAX_STEPS) -> MultiSolveResult:
         """Solve ``A X = B`` for a block of right-hand sides (n × nrhs).
 
         One pass over the factors for all columns (:meth:`solve_once` on

@@ -80,10 +80,14 @@ class GESPOptions:
         does under ``aggressive_pivot_replacement``).
     refine:
         Run step (4) iterative refinement.
-    refine_max_steps, refine_eps, refine_stagnation:
-        Stopping controls; defaults are the paper's rule.  (A stagnation
-        stop within :data:`repro.solve.refine.STAGNATION_SLACK` of
-        ``refine_eps`` is reported as converged.)
+    refine_eps:
+        Refinement's target for berr (machine epsilon, the paper's).
+        The rest of the stopping rule is the paper's and fixed
+        (:mod:`repro.solve.refine`): stop once berr fails to halve or
+        after :data:`~repro.solve.refine.MAX_STEPS` corrections; a
+        stagnation stop within
+        :data:`~repro.solve.refine.STAGNATION_SLACK` of ``refine_eps``
+        is reported as converged.
     extra_precision_residual:
         §5 extension: accumulate refinement residuals in extended
         precision.
@@ -109,14 +113,6 @@ class GESPOptions:
         - ``"FACTORED"`` — the existing factors are up to date; only
           valid on :meth:`~repro.driver.gesp_driver.GESPSolver.refactor`
           (swap in new values and let refinement absorb the drift).
-    executor:
-        Runtime for the distributed rank programs (distributed driver
-        only): ``"sim"`` (event-loop simulator, the deterministic
-        oracle), ``"process"`` (one real worker process per rank,
-        payloads pickled through queues), or ``None`` to defer to the
-        ``REPRO_DMEM_EXECUTOR`` environment variable and finally
-        ``"sim"``.  Both produce bit-identical factors and solutions
-        (docs/EXECUTOR.md).
     """
 
     equilibrate: bool = True
@@ -128,21 +124,12 @@ class GESPOptions:
     aggressive_pivot_replacement: bool = False
     symbolic_method: str = "symmetrized"
     refine: bool = True
-    refine_max_steps: int = 20
     refine_eps: float = _EPS
-    refine_stagnation: float = 2.0
     extra_precision_residual: bool = False
     diag_block_pivoting: float = 0.0
     fact: str = "DOFACT"
-    executor: str | None = None
 
     def validate(self):
-        if self.executor is not None:
-            from repro.dmem.executor import EXECUTOR_NAMES, UnknownExecutorError
-
-            if (isinstance(self.executor, str)
-                    and self.executor not in EXECUTOR_NAMES):
-                raise UnknownExecutorError(self.executor)
         if self.fact not in ("DOFACT", "SAME_PATTERN",
                              "SAME_PATTERN_SAME_ROWPERM", "FACTORED"):
             raise ValueError(f"unknown fact {self.fact!r}")

@@ -43,7 +43,7 @@ from repro.ordering.etree import etree_symmetric, postorder
 from repro.ordering.mmd import column_ordering
 from repro.scaling.equilibrate import equilibrate
 from repro.scaling.mc64 import mc64
-from repro.solve.refine import iterative_refinement
+from repro.solve.refine import MAX_STEPS, iterative_refinement
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import (
     PatternMismatchError,
@@ -412,17 +412,14 @@ class PatternSolver:
         ``x[i] = dc[i] · z[pc[i]]``."""
         return _per_row(self.dc, z) * z[self.perm_c]
 
-    def _refinement(self, refine, max_steps=None):
+    def _refinement(self, refine, max_steps=MAX_STEPS):
         """Step (4)'s arguments from the options.  ``refine=False`` is a
         cap of zero corrections: the first solve, certified like any
         other iterate."""
         opts = self.options
         if not (opts.refine if refine is None else refine):
             max_steps = 0
-        elif max_steps is None:
-            max_steps = opts.refine_max_steps
         return dict(max_steps=max_steps, eps=opts.refine_eps,
-                    stagnation_factor=opts.refine_stagnation,
                     extra_precision=opts.extra_precision_residual)
 
     def _solve_report(self, solve_once, b, refine) -> SolveReport:

@@ -52,14 +52,16 @@ def column_ordering(a: CSCMatrix, method: str = "mmd_ata"):
         return minimum_degree(pattern_ata(a, dense_col_tol=dense))
 
 
-def minimum_degree(a: CSCMatrix, multiple: bool = True):
+def minimum_degree(a: CSCMatrix):
     """Minimum degree permutation of a symmetric-pattern sparse matrix.
 
     Element absorption keeps memory at O(nnz); *supervariables*
     (indistinguishable nodes, keyed on ``reach(v) ∪ {v}``) are eliminated
     together; external (weighted) degrees are recomputed exactly after each
     round — the classical exact-degree MMD, not AMD's approximate bound.
-    Ties go to the lowest index.
+    Liu's multiple elimination: per round, a maximal set of pairwise
+    non-adjacent minimum-degree supervariables is eliminated before any
+    degree update.  Ties go to the lowest index.
 
     The quotient graph is Python-int bitsets: bit ``u`` of ``adj[v]`` is an
     original edge no element implies yet, bit ``u`` of ``evars[e]`` puts
@@ -77,10 +79,6 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True):
         the adjacency builds from ``a`` and its transpose — so
         :func:`column_ordering`'s ``"mmd_at_plus_a"`` hands A over
         as it is.  Values (and explicit zeros) are ignored.
-    multiple:
-        Use Liu's multiple elimination: per round, eliminate a maximal set
-        of pairwise non-adjacent minimum-degree supervariables before any
-        degree update.
 
     Returns
     -------
@@ -116,13 +114,11 @@ def minimum_degree(a: CSCMatrix, multiple: bool = True):
     while (dmin := degree.min()) != _DONE:
         cands = np.flatnonzero(degree == dmin).tolist()
         # maximal independent subset of the candidates (greedy, index order)
-        chosen = cands[:1]
-        if multiple:
-            chosen, blocked = [], 0
-            for v in cands:
-                if not blocked >> v & 1:
-                    chosen.append(v)
-                    blocked |= reach(v)
+        chosen, blocked = [], 0
+        for v in cands:
+            if not blocked >> v & 1:
+                chosen.append(v)
+                blocked |= reach(v)
         touched = 0
         for p in chosen:
             # the new element (id p) absorbs p's old elements

@@ -117,8 +117,8 @@ def pdgstrf(dist: DistributedBlocks, dag: BlockDAG,
         Computed here when omitted.
     executor:
         Rank-program runtime: an executor instance, ``"sim"`` /
-        ``"process"``, or ``None`` for the ``REPRO_DMEM_EXECUTOR`` /
-        simulator default (:func:`repro.dmem.executor.resolve_executor`).
+        ``"process"``, or ``None`` for the simulator
+        (:func:`repro.dmem.executor.resolve_executor`).
         The process executor runs one worker per rank and ships each
         rank's store back into ``dist``'s, in place; results are
         bit-identical to the simulator, which with no fault plan runs a

@@ -103,7 +103,6 @@ class RecoveryReport:
 
 def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
                   target: float | None = None,
-                  max_refine_steps: int | None = None,
                   resident: GESPSolver | None = None) -> SolveReport:
     """Solve ``A x = b``, escalating through the recovery ladder.
 
@@ -125,8 +124,6 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
         Certification threshold on the componentwise backward error;
         ``sqrt(eps)`` when omitted — half precision, the accuracy the
         tiny-pivot perturbation itself guarantees is recoverable.
-    max_refine_steps:
-        Refinement cap per rung (the options' cap when omitted).
     resident:
         A solver already factored on ``a`` (the solve service's pattern
         state).  The ladder then opens on it — rung ``warm``, which
@@ -136,8 +133,6 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
     """
     opts = (options or GESPOptions()).validate()
     target = DEFAULT_TARGET if target is None else target
-    steps_cap = opts.refine_max_steps if max_refine_steps is None \
-        else max_refine_steps
     b = np.asarray(b)
     b = b.astype(np.result_type(a.nzval, b, np.float64), copy=False)
     n = a.ncols
@@ -205,8 +200,7 @@ def recover_solve(a: CSCMatrix, b, options: GESPOptions | None = None,
 
     def refine_with(solve_once, x0=None):
         return iterative_refinement(
-            a, solve_once, b, x0=x0, max_steps=steps_cap,
-            eps=opts.refine_eps, stagnation_factor=opts.refine_stagnation,
+            a, solve_once, b, x0=x0, eps=opts.refine_eps,
             extra_precision=True)
 
     def build_and_solve(ropts):

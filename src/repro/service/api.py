@@ -18,7 +18,7 @@ unboundedly and nothing fails silently.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,15 +192,14 @@ class ServiceConfig:
     max_batch:
         Widest multi-RHS block one batch may solve; wider same-pattern
         groups split into several batches.
-    options:
-        Default :class:`~repro.driver.options.GESPOptions` for requests
-        that do not carry their own.
+
+    A request that carries no options runs ``GESPOptions()``
+    (:attr:`SolveRequest.options` is the one per-request channel).
     """
 
     queue_capacity: int = DEFAULT_QUEUE_CAPACITY
     batch_window: float = DEFAULT_BATCH_WINDOW
     max_batch: int = DEFAULT_MAX_BATCH
-    options: GESPOptions = field(default_factory=GESPOptions)
 
     def validate(self) -> "ServiceConfig":
         if self.queue_capacity < 1:
@@ -209,7 +208,6 @@ class ServiceConfig:
             raise ValueError("batch_window must be >= 0")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        self.options.validate()
         return self
 
 
@@ -233,8 +231,8 @@ class SolveRequest:
         waits forever.  A request still queued when its deadline passes
         is evicted with :class:`DeadlineExceeded` — never solved late.
     options:
-        Per-request :class:`~repro.driver.options.GESPOptions`; the
-        service config's default when ``None``.  Requests only coalesce
+        Per-request :class:`~repro.driver.options.GESPOptions`;
+        ``GESPOptions()`` when ``None``.  Requests only coalesce
         when their options shape the same plan (see
         :func:`repro.driver.factcache.serial_plan_key`).
     request_id:

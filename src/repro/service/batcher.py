@@ -66,9 +66,9 @@ def factor_options_key(options) -> tuple:
 
 def solve_options_key(options) -> tuple:
     """The ``GESPOptions`` fields that change the *solve* (refinement
-    target, step cap, residual precision) but not the factors."""
-    return (options.refine, options.refine_max_steps, options.refine_eps,
-            options.refine_stagnation, options.extra_precision_residual)
+    switch and target, residual precision) but not the factors."""
+    return (options.refine, options.refine_eps,
+            options.extra_precision_residual)
 
 
 def group_key(a, options) -> tuple:

@@ -57,6 +57,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from repro.driver.gesp_driver import GESPSolver, SolveReport
+from repro.driver.options import GESPOptions
 from repro.obs import Span, Tracer, get_tracer, use_tracer
 from repro.service.api import (
     DeadlineExceeded,
@@ -393,7 +394,7 @@ class SolveService:
         """
         matrix = self._door.resolve(request)
         options = (request.options if request.options is not None
-                   else self.config.options)
+                   else GESPOptions())
         now = _clock()
         priority, deadline = self._door.admit(request, now)
         entry = QueuedRequest(

@@ -49,6 +49,7 @@ from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import abs_matvec, spmv
 
 __all__ = [
+    "MAX_STEPS",
     "RefinementResult",
     "STAGNATION_SLACK",
     "componentwise_backward_error",
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+#: the paper's cap on the corrections one right-hand side gets
+MAX_STEPS = 20
 #: a stagnation stop within this factor of the target is converged
 #: (module docstring); read by :func:`refine_block` and nowhere else
 STAGNATION_SLACK = 2.0
@@ -133,9 +136,8 @@ class RefinementResult:
 
 def iterative_refinement(a: CSCMatrix, solve: Callable, b,
                          x0=None,
-                         max_steps: int = 20,
+                         max_steps: int = MAX_STEPS,
                          eps: float = _EPS,
-                         stagnation_factor: float = 2.0,
                          extra_precision: bool = False) -> RefinementResult:
     """Refine ``x`` with repeated ``x += solve(b - A x)`` — the width-1
     view of :func:`refine_block` (``solve`` only ever sees vectors).
@@ -152,12 +154,11 @@ def iterative_refinement(a: CSCMatrix, solve: Callable, b,
     x0:
         Starting point; ``solve(b)`` when omitted.
     max_steps:
-        Safety cap on refinement iterations; 0 evaluates the starting
-        point and corrects nothing (the unrefined certificate).
+        Safety cap on refinement iterations (:data:`MAX_STEPS` by
+        default); 0 evaluates the starting point and corrects nothing
+        (the unrefined certificate).
     eps:
         Convergence target for berr (machine epsilon by default).
-    stagnation_factor:
-        Stop when ``berr > berr_prev / stagnation_factor`` (paper: 2).
     extra_precision:
         Compute residuals in extended precision (§5 extension).
     """
@@ -165,15 +166,14 @@ def iterative_refinement(a: CSCMatrix, solve: Callable, b,
         a, lambda r: np.asarray(solve(r[:, 0]))[:, None],
         np.asarray(b)[:, None],
         None if x0 is None else np.asarray(x0)[:, None],
-        max_steps, eps, stagnation_factor, extra_precision)
+        max_steps, eps, extra_precision)
     return RefinementResult(x=x[:, 0], berr=float(berr[0]),
                             steps=int(steps[0]), berr_history=history[0],
                             converged=bool(converged[0]))
 
 
 def refine_block(a: CSCMatrix, solve: Callable, b, x0=None,
-                 max_steps: int = 20, eps: float = _EPS,
-                 stagnation_factor: float = 2.0,
+                 max_steps: int = MAX_STEPS, eps: float = _EPS,
                  extra_precision: bool = False):
     """Step (4) for an ``(n, k)`` block ``b``: the paper's rule, applied
     to each column on its own.
@@ -182,10 +182,11 @@ def refine_block(a: CSCMatrix, solve: Callable, b, x0=None,
     solutions.  It runs once on ``b`` (unless ``x0`` gives the starting
     block) and then once per sweep, on the residuals of the columns still
     being refined.  A column leaves that set when its ``berr`` meets
-    ``eps``; when it stagnates (``berr > berr_prev / stagnation_factor``:
-    a correction that made it worse is dropped, for that column only, and
-    a stop within :data:`STAGNATION_SLACK` of ``eps`` counts as
-    converged); or at once when its ``berr`` is non-finite.  So where
+    ``eps``; when it stagnates (``berr > berr_prev / 2``, it failed to
+    halve: a correction that made it worse is dropped, for that column
+    only, and a stop within :data:`STAGNATION_SLACK` of ``eps`` counts as
+    converged); after ``max_steps`` corrections (:data:`MAX_STEPS` by
+    default); or at once when its ``berr`` is non-finite.  So where
     ``solve`` treats the columns of a block independently, column *t*
     comes back bit for bit as the same right-hand side refined alone.
 
@@ -221,7 +222,7 @@ def refine_block(a: CSCMatrix, solve: Callable, b, x0=None,
             for j, t in enumerate(active):
                 x_new = xs[t] + dx[:, j]
                 r_new, new = _evaluate(a, x_new, b[:, t], extra_precision)
-                stalled = new > eps and new > berr[t] / stagnation_factor
+                stalled = new > eps and new > berr[t] / 2
                 if not (stalled and new > berr[t]):
                     # (a stalled correction that made things worse is
                     # dropped: the column keeps its better iterate)

@@ -101,7 +101,7 @@ def test_block_columns_equal_single_solves_complex():
 def assert_follows_the_rule(history, steps, converged, options):
     """One column's kept iterates and step count, read against the
     paper's rule."""
-    eps, factor = options.refine_eps, options.refine_stagnation
+    eps, factor = options.refine_eps, 2     # berr must halve per step
     # a dropped (worse) correction is counted but not kept
     assert len(history) in (steps, steps + 1) and history
     # refinement went on only above the target, and while berr halved

@@ -37,7 +37,6 @@ from repro.dmem import (
     resolve_executor,
 )
 from repro.dmem.comm import Compute, Message, Recv, Send
-from repro.dmem.executor import ENV_EXECUTOR
 from repro.dmem.procexec import ProcessExecutor
 from repro.matrices import matrix_by_name
 from repro.pdgstrf import pdgstrf
@@ -97,10 +96,8 @@ def test_resolve_executor_precedence(monkeypatch):
     assert resolve_executor(None).name == "sim"
     assert resolve_executor("sim").name == "sim"
     assert resolve_executor("process").name == "process"
-    monkeypatch.setenv(ENV_EXECUTOR, "process")
-    assert resolve_executor(None).name == "process"
-    assert resolve_executor("sim").name == "sim"   # explicit beats env
-    monkeypatch.setenv(ENV_EXECUTOR, "")           # empty = unset
+    # the argument is the only selector: no environment variable is read
+    monkeypatch.setenv("REPRO_DMEM_EXECUTOR", "process")
     assert resolve_executor(None).name == "sim"
     inst = ProcessExecutor()
     assert resolve_executor(inst) is inst
@@ -109,13 +106,21 @@ def test_resolve_executor_precedence(monkeypatch):
     assert ei.value.name == "threads"
 
 
-def test_gesp_options_validate_executor():
-    from repro.driver.options import GESPOptions
+def test_solver_rejects_an_unknown_executor_at_construction():
+    """The constructor resolves its executor: an unknown name raises
+    there, not after the whole analysis at ``factorize()``, and the
+    attribute holds the instance the phases run on."""
+    from repro.driver.dist_driver import DistributedGESPSolver
 
-    GESPOptions(executor="process").validate()
-    GESPOptions(executor=None).validate()
-    with pytest.raises(UnknownExecutorError):
-        GESPOptions(executor="threads").validate()
+    a = matrix_by_name("cfd01").build()
+    with pytest.raises(UnknownExecutorError) as ei:
+        DistributedGESPSolver(a, nprocs=2, executor="threads", cache=False)
+    assert ei.value.name == "threads"
+    solver = DistributedGESPSolver(a, nprocs=2, cache=False)
+    assert isinstance(solver.executor, SimulatorExecutor)
+    inst = ProcessExecutor()
+    solver = DistributedGESPSolver(a, nprocs=2, executor=inst, cache=False)
+    assert solver.executor is inst
 
 
 # --------------------------------------------------------------------- #
@@ -394,10 +399,9 @@ def test_distributed_driver_process_executor():
     with hard_timeout(300):
         reports = {}
         for ex in ("sim", "process"):
-            opts = GESPOptions(executor=ex)
-            opts.symbolic_method = "symmetrized"
+            opts = GESPOptions(symbolic_method="symmetrized")
             solver = DistributedGESPSolver(a, nprocs=4, options=opts,
-                                           cache=False)
+                                           executor=ex, cache=False)
             reports[ex] = solver.solve(b)
     assert reports["sim"].converged and reports["process"].converged
     assert np.array_equal(reports["sim"].x, reports["process"].x)
@@ -428,20 +432,6 @@ def test_process_refactor_rounds_bit_identical_to_sim():
     assert not np.array_equal(*xs["sim"])        # the values did move
     for x_sim, x_proc in zip(xs["sim"], xs["process"]):
         assert np.array_equal(x_sim, x_proc)
-
-
-def test_driver_executor_kwarg_overrides_options():
-    from repro.driver.dist_driver import DistributedGESPSolver
-    from repro.driver.options import GESPOptions
-
-    a = matrix_by_name("cfd01").build()
-    opts = GESPOptions(executor="process")
-    opts.symbolic_method = "symmetrized"
-    solver = DistributedGESPSolver(a, nprocs=2, options=opts,
-                                   executor="sim", cache=False)
-    assert solver.executor == "sim"
-    solver2 = DistributedGESPSolver(a, nprocs=2, options=opts, cache=False)
-    assert solver2.executor == "process"
 
 
 def _shm_listing():

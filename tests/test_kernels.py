@@ -17,7 +17,8 @@ Promises enforced here:
    no flag, and no scipy in ``sys.modules`` after any default solve;
 5. on the LAPACK / BLAS path an op's backward error is within
    c·w·ε of ‖|L||U|‖, a block ``dgetrf`` would pivot or leave a pivot
-   below the threshold runs the loop (bit for bit the frozen one), a
+   below the threshold comes back from it byte for byte and runs the
+   loop (bit for bit the frozen one), a
    zero on ``U_KK``'s diagonal keeps the warning loop, and the binding
    resolves wherever numpy reports its OpenBLAS;
 6. an op bound once for a static sweep (``kernels.bind_*``) is the op
@@ -743,6 +744,34 @@ def test_lapack_rejects_take_the_golden_loop(case):
     assert np.array_equal(dk, dg)
     delta = stats.counter_delta(snap)
     assert (delta["kernel.lu_lapack"], delta["kernel.lu_fallbacks"]) == (0, 1)
+
+
+@needs_blas
+@pytest.mark.parametrize("case", ["kept", "interchange", "tiny", "nan"])
+def test_dgetrf_keeps_or_restores_the_block(case):
+    """``kernels.dgetrf`` itself, not a caller of it: a block it rejects
+    (an interchange; a pivot below ``thresh > 0``; a NaN) comes back
+    byte for byte as its input, and a kept block is the frozen loop's LU
+    to rounding."""
+    rng = np.random.default_rng(29)
+    w, thresh = 6, 1e-10
+    d0 = _dominant(rng, w)
+    if case == "interchange":
+        d0[0, 0], d0[1, 0] = 0.5, 4.0           # above thresh, not the max
+    elif case == "tiny":
+        d0 = _tiny_last_pivot(rng, w)
+    elif case == "nan":
+        d0[2, 2] = np.nan
+    d = d0.copy()
+    kept = kernels.dgetrf(d.reshape(-1), w, d.ctypes.data,
+                          kernels.Scratch(), thresh)
+    assert kept == (case == "kept")
+    if kept:
+        lu = d0.copy()
+        assert golden_lu_nopivot(lu, thresh) == []
+        assert np.allclose(d, lu, rtol=1e-13, atol=1e-13 * np.abs(lu).max())
+    else:
+        assert d.tobytes() == d0.tobytes()
 
 
 @needs_blas

@@ -52,17 +52,6 @@ def test_mmd_reduces_fill_on_grid(grid_matrix):
     assert md < natural
 
 
-def test_mmd_single_vs_multiple_both_valid(grid_matrix):
-    n = grid_matrix.ncols
-    p1 = minimum_degree(grid_matrix, multiple=False)
-    p2 = minimum_degree(grid_matrix, multiple=True)
-    assert sorted(p1.tolist()) == list(range(n))
-    assert sorted(p2.tolist()) == list(range(n))
-    natural = fill_under(np.arange(n), grid_matrix)
-    assert fill_under(p1, grid_matrix) < natural
-    assert fill_under(p2, grid_matrix) < natural
-
-
 def test_mmd_diagonal_matrix():
     a = CSCMatrix.identity(5)
     p = minimum_degree(a)
@@ -141,62 +130,6 @@ MMD_DIGESTS = {
     "gen08": ("166cfc3ea1b0bebf", "88f9bc69394a42b1"),
     "gen09": ("d66c7a99d9a91b29", "1ff02ea9c7f1a938"),
 }
-# ... and with single elimination (``multiple=False``)
-MMD_SINGLE_DIGESTS = {
-    "cfd01": ("0d1bb2f45c809b58", "1572f2de075239b7"),
-    "cfd02": ("5d29d8b6639c7385", "cbde520e06e4ac01"),
-    "cfd03": ("26fc0f108e05e597", "a9e82c755cd7d83e"),
-    "cfd04": ("0231f5315165d8dd", "58e8d650896d0566"),
-    "cfd05": ("8d276592fb3b1d84", "6aaad72a7ee59d09"),
-    "cfd06": ("248438efc5532999", "f5f661c59732f180"),
-    "cfd07": ("26fc0f108e05e597", "a9e82c755cd7d83e"),
-    "cfd08": ("b9a0b78ac19b382d", "e1246a9a26f49f4a"),
-    "device01": ("0d1bb2f45c809b58", "1572f2de075239b7"),
-    "device02": ("5d29d8b6639c7385", "cbde520e06e4ac01"),
-    "device03": ("26fc0f108e05e597", "a9e82c755cd7d83e"),
-    "device04": ("0231f5315165d8dd", "58e8d650896d0566"),
-    "device05": ("8d276592fb3b1d84", "6aaad72a7ee59d09"),
-    "circuit01": ("330f396f48696214", "818a827bb5591d28"),
-    "circuit02": ("45c23113215b3cf3", "79f9b2441fd9eeb5"),
-    "circuit03": ("0f29c81b284a7c40", "f45b2d0f8c5c40fa"),
-    "circuit04": ("416ee0466503be6c", "ae45330e4fff6108"),
-    "circuit05": ("f0080d23ff482268", "cd939dbb22af27f9"),
-    "circuit06": ("0af2be029adb9bc0", "6156c86d7954d34c"),
-    "hb01": ("0ff74124906c4692", "ef0f3ac2736d718d"),
-    "hb02": ("3c3b5a7fe2dd1f48", "0bcf67fce6481ed7"),
-    "fem01": ("f1a65aaaef3a6d6a", "2303ce6fbb4d72e3"),
-    "fem02": ("df34fcb3e29a0bd8", "89bb6e128c40f511"),
-    "fem03": ("aa6cefd8286a1383", "07306320098e307b"),
-    "fem04": ("e959a5e44ebd5dba", "7d61fc9f97a1274f"),
-    "fem05": ("677753de5e56dec0", "293a556c74fef074"),
-    "fem06": ("f4c183b76dcefd5f", "f0e8109b8c3d1ab5"),
-    "chem01": ("4e4e0f58643b8d6c", "c7d8701dad8f94ce"),
-    "chem02": ("b03a60547bac4c50", "b28cd4d6315f106c"),
-    "chem03": ("967fbe83f77a4804", "bebd8fccc3fb0d16"),
-    "chem04": ("9a3de4ec2770822b", "b4eab001ebaad1ae"),
-    "chem05": ("73d8d9ff68ff37dc", "b940188c593ac9ae"),
-    "chem06": ("b28db8c5d6d9896d", "40d6c7c6ae997f68"),
-    "resv01": ("e1ddddc3671ef618", "2474968a15eba0e0"),
-    "resv02": ("eaef9067642ab812", "63d961edfd84e1aa"),
-    "resv03": ("0d4e4258eae52099", "dcde683c3238f827"),
-    "resv04": ("984f471a00dea677", "b46f49718db1ff7a"),
-    "kkt01": ("39104b9c922af27a", "da8f10aa46113022"),
-    "kkt02": ("2a09ac94bbc55a40", "7aeac3e61bd1170b"),
-    "kkt03": ("8c74ebc5c675e97b", "d8e3be5e74df75f0"),
-    "kkt04": ("6cfdcdf4d719187b", "7a4103d5d780159c"),
-    "aniso01": ("e59018215665eb02", "58f449e8c6b9b2d3"),
-    "aniso02": ("e59018215665eb02", "58f449e8c6b9b2d3"),
-    "aniso03": ("e59018215665eb02", "58f449e8c6b9b2d3"),
-    "gen01": ("3b89377f427c1454", "427e8154f6244275"),
-    "gen02": ("26db32cfa82803ff", "86d742baa63e66a4"),
-    "gen03": ("a1222a48365a419e", "5759b3fc06aa4b7d"),
-    "gen04": ("411e58d5359866ee", "9efbf96d8aef29f0"),
-    "gen05": ("14b339567b79a48c", "e60a6a624a7814f4"),
-    "gen06": ("a2e9382d5cfa4480", "b054d772bf17a78c"),
-    "gen07": ("0dfee64276b486a3", "3ebf294f7036fc81"),
-    "gen08": ("166cfc3ea1b0bebf", "88f9bc69394a42b1"),
-    "gen09": ("d66c7a99d9a91b29", "1ff02ea9c7f1a938"),
-}
 
 
 def _digest(perm):
@@ -216,8 +149,6 @@ def test_mmd_permutation_is_the_recorded_one(name):
               pattern_union_transpose(a))
     assert tuple(_digest(minimum_degree(g)) for g in graphs) \
         == MMD_DIGESTS[name]
-    assert tuple(_digest(minimum_degree(g, multiple=False)) for g in graphs) \
-        == MMD_SINGLE_DIGESTS[name]
 
 
 # ... and the same on AᵀA and Aᵀ+A of the eight large analogs
@@ -246,10 +177,11 @@ def test_mmd_permutation_on_the_large_analogs_is_the_recorded_one(name):
 
 
 # the frozen set-based loop — copied verbatim from the historical
-# ``minimum_degree`` (minus its one-valued ``tie_break``).  DO NOT "fix" or
-# modernise it: it is the reference every tie-break of the bitset quotient
-# graph is compared against
-def golden_minimum_degree(a, multiple=True):
+# ``minimum_degree`` (minus its one-valued ``tie_break`` and its
+# single-elimination switch, both retired).  DO NOT "fix" or modernise it:
+# it is the reference every tie-break of the bitset quotient graph is
+# compared against
+def golden_minimum_degree(a):
     n = a.ncols
 
     # ---- build symmetric adjacency sets (no self loops) ----
@@ -283,8 +215,6 @@ def golden_minimum_degree(a, multiple=True):
     while remaining:
         dmin = min(map(degree.__getitem__, remaining))
         cands = sorted(v for v in remaining if degree[v] == dmin)
-        if not multiple:
-            cands = cands[:1]
         # maximal independent subset of the candidates (greedy, index order)
         chosen = []
         blocked = set()
@@ -366,20 +296,17 @@ def mmd_graphs(draw):
     return CSCMatrix.from_dense(d.astype(float))
 
 
-@given(mmd_graphs(), st.booleans())
+@given(mmd_graphs())
 @settings(max_examples=300, deadline=None)
-def test_mmd_matches_the_frozen_set_loop(a, multiple):
-    assert np.array_equal(minimum_degree(a, multiple=multiple),
-                          golden_minimum_degree(a, multiple=multiple))
+def test_mmd_matches_the_frozen_set_loop(a):
+    assert np.array_equal(minimum_degree(a), golden_minimum_degree(a))
 
 
 @pytest.mark.parametrize("a", [CSCMatrix.empty(0, 0), CSCMatrix.empty(6, 6),
                                CSCMatrix.identity(7)],
                          ids=["empty", "no_entries", "diagonal_only"])
-@pytest.mark.parametrize("multiple", [True, False])
-def test_mmd_edge_graphs_match_the_frozen_set_loop(a, multiple):
-    assert np.array_equal(minimum_degree(a, multiple=multiple),
-                          golden_minimum_degree(a, multiple=multiple))
+def test_mmd_edge_graphs_match_the_frozen_set_loop(a):
+    assert np.array_equal(minimum_degree(a), golden_minimum_degree(a))
 
 
 @pytest.mark.parametrize("method", ["mmd_ata", "mmd_at_plus_a", "natural"])

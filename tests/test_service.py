@@ -57,7 +57,7 @@ def healthy_dense(n=40, seed=1):
 
 def _service(**kw):
     kw.setdefault("batch_window", 0.005)
-    cfg_keys = ("queue_capacity", "batch_window", "max_batch", "options")
+    cfg_keys = ("queue_capacity", "batch_window", "max_batch")
     cfg = ServiceConfig(**{k: kw.pop(k) for k in cfg_keys if k in kw})
     return SolveService(cfg, **kw)
 
@@ -644,9 +644,11 @@ def test_poisoned_member_recovers_while_batch_mates_succeed():
 
     rng = np.random.default_rng(9)
     rhs = [rng.standard_normal(n) for _ in range(7)]
-    svc = _service(auto_start=False, cache=False, options=opts)
-    mates = [svc.submit(SolveRequest(matrix=a_ok, b=b)) for b in rhs]
-    poisoned = svc.submit(SolveRequest(matrix=a_bad, b=a_bad @ np.ones(n)))
+    svc = _service(auto_start=False, cache=False)
+    mates = [svc.submit(SolveRequest(matrix=a_ok, b=b, options=opts))
+             for b in rhs]
+    poisoned = svc.submit(SolveRequest(matrix=a_bad, b=a_bad @ np.ones(n),
+                                       options=opts))
     svc.start()
     try:
         mate_resps = [p.result(60.0) for p in mates]

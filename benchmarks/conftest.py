@@ -26,6 +26,7 @@ from repro.obs import Tracer, use_tracer
 from repro.pdgstrf import pdgstrf
 from repro.pdgstrs import pdgstrs
 from repro.sparse.ops import norm1
+from repro.symbolic import find_supernodes, split_supernodes
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -151,6 +152,8 @@ def scaling_results():
             "fill": base.symbolic.nnz_lu,
             "flops": base.symbolic.factor_flops(),
             "mean_supernode": base.part.mean_size(),
+            "mean_unrelaxed": split_supernodes(
+                find_supernodes(base.symbolic)).mean_size(),
             "analog_of": tm.analog_of,
             "runs": per_p,
             "wall": time.perf_counter() - t0,

@@ -260,6 +260,7 @@ class PatternSolver:
         self._cache = (FACTOR_CACHE if cache is None
                        else None if cache is False else cache)
         fingerprint = pattern_fingerprint(self.a)
+        pattern = (self.a.colptr.copy(), self.a.rowind.copy())
         with self._recording(build=True):
             plan = None
             if fact in REUSE_FACTS and self._cache is not None:
@@ -270,7 +271,7 @@ class PatternSolver:
                     add("factor.reuse_misses", 1)
             self._factor_from(self.a, plan,
                               fact if plan is not None else "DOFACT",
-                              fingerprint)
+                              fingerprint, pattern)
 
     @contextmanager
     def _recording(self, build=False):
@@ -294,10 +295,11 @@ class PatternSolver:
         with use_tracer(tracer):
             yield tracer
 
-    def _factor_from(self, a, plan, fact, fingerprint):
+    def _factor_from(self, a, plan, fact, fingerprint, pattern):
         """Run the pipeline on ``a`` reusing ``plan`` per ``fact``, then
-        commit matrix, fingerprint, transforms, structures and numeric
-        state together and publish the resulting plan."""
+        commit matrix, fingerprint (and ``pattern``, the solver's own
+        copy of ``a``'s ``colptr`` / ``rowind``), transforms, structures
+        and numeric state together and publish the resulting plan."""
         at, dr, dc, perm_r, perm_c, value_map, reused = preprocess(
             a, self.options, plan, fact,
             col_perm=self.resolve_col_perm(self.options),
@@ -307,7 +309,8 @@ class PatternSolver:
                 annotate(reused=True)
             state = self._symbolic_step(at, plan if reused else None)
         state.update(self._numeric_step(at, state, reused))
-        state.update(a=a, _fingerprint=fingerprint, a_factored=at,
+        state.update(a=a, _fingerprint=fingerprint, _pattern=pattern,
+                     a_factored=at,
                      perm_r=perm_r, perm_c=perm_c, dr=dr, dc=dc,
                      _value_map=value_map)
         self.__dict__.update(state)
@@ -357,7 +360,12 @@ class PatternSolver:
                     else "SAME_PATTERN_SAME_ROWPERM")
         if fact not in ("DOFACT", "FACTORED") + REUSE_FACTS:
             raise ValueError(f"unknown fact {fact!r}")
-        fp = pattern_fingerprint(a_new)
+        # the resident pattern compares equal for a tenth of the hash
+        pattern, fp = self._pattern, self._fingerprint
+        if not (np.array_equal(a_new.colptr, pattern[0])
+                and np.array_equal(a_new.rowind, pattern[1])):
+            pattern = (a_new.colptr.copy(), a_new.rowind.copy())
+            fp = pattern_fingerprint(a_new)
         if fact != "DOFACT" and fp != self._fingerprint:
             raise PatternMismatchError(
                 expected=self._fingerprint, got=fp,
@@ -374,7 +382,7 @@ class PatternSolver:
                 # the solver's own state is the plan: refactor never
                 # depends on the module cache surviving eviction
                 plan = None if fact == "DOFACT" else self._instance_plan()
-                self._factor_from(a_new, plan, fact, fp)
+                self._factor_from(a_new, plan, fact, fp, pattern)
         return self
 
     # ------------------------------------------------------------------ #

@@ -6,11 +6,11 @@ factorizations paid for.
 A respawned or restarted shard would otherwise re-run ``DOFACT`` for
 every tenant; the spool makes that a disk read instead.
 
-Format (``spool/v8``): one file per plan under the spool directory,
+Format (``spool/v9``): one file per plan under the spool directory,
 
     <blake2b(plan.key)[:24]>.plan.pkl
 
-containing ``pickle({"schema": "spool/v8", "key": plan.key, "plan":
+containing ``pickle({"schema": "spool/v9", "key": plan.key, "plan":
 plan})``.  The schema names the *shape of a plan and of its key*:
 ``spool/v1`` files hold plans from before the value map and block
 schedule existed and ``spool/v2`` files plans whose block schedule has
@@ -26,9 +26,11 @@ misread as ``(members, run)`` steps.  ``spool/v6`` plans are keyed
 with a trailing factor dtype no lookup carries any more.  ``spool/v7``
 plans hold the serial engine's unrelaxed block schedule under a key
 that names no partition: found, they would refactor on a schedule a
-cold run no longer computes.  All seven take the wrong-schema skip
-path.  (The serial default ordering's change from AᵀA to Aᵀ+A needed no
-new schema: keys carry the resolved ``col_perm``, so a v8 plan spooled
+cold run no longer computes.  ``spool/v8`` plans were partitioned before
+the rule amalgamated small etree subtrees, and some (kkt04 under AᵀA)
+hold a partition a cold run no longer computes, under the same key.  All
+eight take the wrong-schema skip path.  (The serial default ordering's
+change from AᵀA to Aᵀ+A needed no new schema: keys carry the resolved ``col_perm``, so a plan spooled
 under AᵀA is found only by a solver that asks for AᵀA.)  The filename
 is a digest of the
 *plan key* (fingerprint plus every plan-shaping option), so distinct
@@ -59,7 +61,7 @@ from repro.obs import add
 
 __all__ = ["SpoolSkipWarning", "load_plans", "save_plans", "spool_path"]
 
-_SCHEMA = "spool/v8"
+_SCHEMA = "spool/v9"
 
 
 class SpoolSkipWarning(UserWarning):

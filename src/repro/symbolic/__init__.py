@@ -9,8 +9,9 @@ package computes that structure and everything derived from it:
   cheaper symmetrized variant (symbolic Cholesky on the pattern of A+Aᵀ,
   the SuperLU_DIST approach);
 - :mod:`~repro.symbolic.supernode` — supernode detection on L, relaxation
-  (amalgamation of small supernodes), and splitting against a maximum
-  block size (the paper's T3E sweet spot is 20-30 columns, 24 used);
+  (amalgamation of etree chains and small subtrees), and splitting
+  against a maximum block size (the paper's T3E sweet spot is 20-30
+  columns, 24 used);
 - :mod:`~repro.symbolic.edag` — block-level elimination DAGs (Gilbert &
   Liu) used to prune factorization communication from "send-to-all" to
   "send-to-dependents".
@@ -26,6 +27,7 @@ from repro.symbolic.supernode import (
     SupernodePartition,
     find_supernodes,
     relax_supernodes,
+    relax_subtrees,
     split_supernodes,
     merge_dense_tail,
     block_partition,
@@ -40,6 +42,7 @@ __all__ = [
     "SupernodePartition",
     "find_supernodes",
     "relax_supernodes",
+    "relax_subtrees",
     "split_supernodes",
     "merge_dense_tail",
     "block_partition",

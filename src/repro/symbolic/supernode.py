@@ -6,18 +6,20 @@ below that block are identical — so the whole range can be stored and
 updated as one dense block.  The supernode partition is used as the block
 partition of the 2-D distribution in *both* dimensions.
 
-Three operations:
+The operations:
 
 - :func:`find_supernodes` — fundamental supernodes from the static L
   pattern (etree-chain + column-count test);
-- :func:`relax_supernodes` — amalgamate small supernodes at the bottom of
-  the etree, accepting a bounded number of extra stored zeros (improves
-  uniprocessor speed; paper §5 lists it as planned work);
+- :func:`relax_supernodes` — amalgamate small supernodes along etree
+  chains, and :func:`relax_subtrees` — whole small etree subtrees,
+  accepting extra stored zeros for fewer, wider blocks: fewer messages
+  and dense calls (paper §5 lists relaxation as planned work);
 - :func:`split_supernodes` — cap the block size (the paper splits large
   supernodes to a maximum of 24 columns on the T3E for load balance).
 
 :func:`block_partition` composes them into the one partition rule both
-drivers use: relax to :data:`RELAX_SIZE` columns, split at ``max_size``.
+drivers use: relax chains, then subtrees, to :data:`RELAX_SIZE` columns,
+split at ``max_size``.
 """
 
 from __future__ import annotations
@@ -32,13 +34,15 @@ __all__ = [
     "SupernodePartition",
     "find_supernodes",
     "relax_supernodes",
+    "relax_subtrees",
     "split_supernodes",
     "merge_dense_tail",
     "block_partition",
     "RELAX_SIZE",
 ]
 
-#: The amalgamation cap of :func:`block_partition` (paper §5), in columns.
+#: The amalgamation cap of both relaxations of :func:`block_partition`
+#: (paper §5), in columns.
 RELAX_SIZE = 16
 
 
@@ -118,6 +122,31 @@ def relax_supernodes(sym: SymbolicLU, part: SupernodePartition,
     return SupernodePartition(np.array(merged, dtype=np.int64))
 
 
+def relax_subtrees(sym: SymbolicLU, part: SupernodePartition,
+                   relax_size: int = RELAX_SIZE) -> SupernodePartition:
+    """Amalgamate whole small etree subtrees (SuperLU's ``relax_snode``,
+    after Ashcraft and Grimes, ACM TOMS 1989).
+
+    Each maximal etree subtree of at most ``relax_size`` columns whose
+    columns are a contiguous range (always so on a postordered etree)
+    joins one supernode with every supernode of ``part`` it touches, so
+    a merged supernode is whole subtrees plus the rest of a chain run of
+    ``part`` that one ends in.  Any other supernode is ``part``'s.
+    """
+    parent, xsup = sym.etree.tolist(), part.xsup.tolist()
+    size, first, merged = [1] * sym.n, list(range(sym.n)), [0]
+    for lo, hi in zip(xsup, xsup[1:]):
+        for j in range(lo, hi):
+            if size[j] <= relax_size and size[j] == j + 1 - first[j]:
+                while merged[-1] > first[j]:    # the subtree rooted at j
+                    merged.pop()
+            if parent[j] >= 0:
+                size[parent[j]] += size[j]
+                first[parent[j]] = min(first[parent[j]], first[j])
+        merged.append(hi)
+    return SupernodePartition(np.array(merged, dtype=np.int64))
+
+
 def split_supernodes(part: SupernodePartition, max_size: int = 24) -> SupernodePartition:
     """Split any supernode wider than ``max_size`` into equal-ish chunks.
 
@@ -181,11 +210,14 @@ def merge_dense_tail(sym: SymbolicLU, part: SupernodePartition,
 def block_partition(sym: SymbolicLU, max_size: int = 24,
                     dense_tail_threshold: float = 0.0) -> SupernodePartition:
     """The partition rule of both drivers: fundamental supernodes →
-    relaxation to :data:`RELAX_SIZE` columns → (with a positive
-    ``dense_tail_threshold``) :func:`merge_dense_tail` → splitting at
-    ``max_size``.  This is the block partition of the serial block plan
-    and of the 2-D distributed data structure in both dimensions."""
-    part = relax_supernodes(sym, find_supernodes(sym))
+    chain relaxation to :data:`RELAX_SIZE` columns → subtree relaxation
+    (a postordered etree's small subtrees, so the distributed engine's;
+    the serial default does not postorder and rarely has one) → (with a
+    positive ``dense_tail_threshold``) :func:`merge_dense_tail` →
+    splitting at ``max_size``.  This is the block partition of the
+    serial block plan and of the 2-D distributed data structure in both
+    dimensions."""
+    part = relax_subtrees(sym, relax_supernodes(sym, find_supernodes(sym)))
     if dense_tail_threshold > 0.0:
         part = merge_dense_tail(sym, part,
                                 density_threshold=dense_tail_threshold)

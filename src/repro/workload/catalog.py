@@ -11,7 +11,7 @@ catalog**:
     catalog_dir/
       catalog.json            # schema catalog/v1: one entry per matrix
       matrices/<name>.mtx.gz  # normalized, recompressed copies
-      plans/<digest>.plan.pkl # spooled PatternPlans (spool/v8)
+      plans/<digest>.plan.pkl # spooled PatternPlans (spool/v9)
 
 Each entry records the pattern fingerprint, the paper-Table-2 style
 characterization (:func:`repro.matrices.stats.matrix_stats`) and — when

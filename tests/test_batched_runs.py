@@ -564,18 +564,25 @@ def test_a_nan_pivot_rejects_a_bound_block(testbed):
 def test_zero_pivot_in_a_bound_block_raises_and_leaves_solver_intact():
     """A zero pivot in a block taken from its bound entry, replacement
     off: the refactorization raises and the solver still answers for the
-    matrix it held."""
+    matrix it held.  The matrix is 4 × 4 diagonal blocks bordered by a
+    last row and column, with blocks added until the etree's root
+    subtree is too wide to amalgamate, so a bound block updates."""
     rng = np.random.default_rng(4)
-    d = np.zeros((13, 13))
-    for lo in range(0, 12, 4):
-        d[lo:lo + 4, lo:lo + 4] = rng.standard_normal((4, 4)) + 6 * np.eye(4)
-    d[12, :], d[:, 12] = rng.standard_normal(13), rng.standard_normal(13)
-    d[12, 12] = 20.0
-    a = CSCMatrix.from_dense(d)
-    s = GESPSolver(a, GESPOptions(replace_tiny_pivots=False,
-                                  col_perm="natural"), cache=False)
-    plan = s._block_plan
-    k = _bound(plan)[0]
+    for nblk in range(3, 8):
+        n = 4 * nblk + 1
+        d = np.zeros((n, n))
+        for lo in range(0, n - 1, 4):
+            d[lo:lo + 4, lo:lo + 4] = (rng.standard_normal((4, 4))
+                                       + 6 * np.eye(4))
+        d[-1, :], d[:, -1] = rng.standard_normal(n), rng.standard_normal(n)
+        d[-1, -1] = 20.0
+        a = CSCMatrix.from_dense(d)
+        s = GESPSolver(a, GESPOptions(replace_tiny_pivots=False,
+                                      col_perm="natural"), cache=False)
+        plan = s._block_plan
+        k = _bound(plan)[0]
+        if plan.lone[0][k].m:
+            break
     assert plan.lone[0][k].m       # it updates, and nothing reaches it
     assert k not in plan.part.supno()[np.concatenate(plan.s_rows)]
     col = int(np.flatnonzero(s.perm_c == plan.part.xsup[k])[0])
@@ -646,7 +653,7 @@ def test_the_block_pivoting_engine_calls_its_own_factor_diag(monkeypatch):
 def test_bound_entries_are_the_wide_lone_supernodes(testbed):
     """One entry per supernode a step takes alone wider than one column,
     its targets ``intp`` copies, its blocks where the plan puts them —
-    and a pickled plan leaves them behind (``spool/v8`` is unchanged)."""
+    and a pickled plan leaves them behind (the spool schema is unchanged)."""
     for name in BENCH_PATTERNS:
         plan = testbed[name][2]._block_plan
         entries, counts = plan.lone

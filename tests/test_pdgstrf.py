@@ -179,7 +179,9 @@ def test_cfd06_counts_and_clock_hold():
     """One cfd06 factorization on a 2×2 grid, pinned.  The ``kernel.*``
     counters count the schedule's per-block operations — a rank-panel
     call adds its blocks in bulk (docs/KERNELS.md) — and the flops,
-    messages, bytes and simulated clock are the message protocol's."""
+    messages, bytes and simulated clock are the message protocol's.
+    Re-recorded when the partition rule began to amalgamate small etree
+    subtrees (221 → 97 supernodes)."""
     from repro import kernels
     from repro.driver.dist_driver import DistributedGESPSolver
     from repro.matrices import matrix_by_name
@@ -190,10 +192,10 @@ def test_cfd06_counts_and_clock_hold():
     snap = st.snapshot()
     run = ds.factorize()
     assert st.counter_delta(snap) == {
-        "kernel.lu_calls": 221, "kernel.trsm_calls": 1560,
-        "kernel.gemm_calls": 2978, "kernel.gemm_flops": 662020,
-        "kernel.lu_lapack": 189 if kernels._BLAS else 0,
+        "kernel.lu_calls": 97, "kernel.trsm_calls": 732,
+        "kernel.gemm_calls": 1496, "kernel.gemm_flops": 755928,
+        "kernel.lu_lapack": 88 if kernels._BLAS else 0,
         "kernel.lu_fallbacks": 0}
-    assert run.sim.total_flops == 1116755
-    assert (run.sim.total_messages, run.sim.total_bytes) == (2108, 427728)
-    assert run.elapsed == 0.009176151049433683
+    assert run.sim.total_flops == 1493322
+    assert (run.sim.total_messages, run.sim.total_bytes) == (948, 547760)
+    assert run.elapsed == 0.0057164860187739934

@@ -118,7 +118,9 @@ def test_cfd06_solve_counts_and_clock_hold():
     """One cfd06 solve on a 2×2 grid, pinned per direction: the
     simulated clock, messages, bytes and flops are Figure 9's message
     protocol, and the ``kernel.*`` counters count its per-block
-    operations — however the rank program groups the arithmetic."""
+    operations — however the rank program groups the arithmetic.
+    Re-recorded when the partition rule began to amalgamate small etree
+    subtrees (221 → 97 supernodes)."""
     from repro import kernels
     from repro.driver.dist_driver import DistributedGESPSolver
     from repro.matrices import matrix_by_name
@@ -131,14 +133,14 @@ def test_cfd06_solve_counts_and_clock_hold():
     run = ds.solve_distributed(a @ np.ones(a.ncols))
     assert st.counter_delta(snap) == {
         "kernel.lu_calls": 0, "kernel.trsm_calls": 0,
-        "kernel.gemm_calls": 1560, "kernel.gemm_flops": 62568,
+        "kernel.gemm_calls": 732, "kernel.gemm_flops": 70792,
         "kernel.lu_lapack": 0, "kernel.lu_fallbacks": 0}
-    assert st.solve_flops - snap.solve_flops == 18680
+    assert st.solve_flops - snap.solve_flops == 31084
     for sim in (run.lower, run.upper):
         assert (sim.total_messages, sim.total_bytes, sim.total_flops) == \
-            (366, 14888, 40624)
-    assert repr(run.lower.elapsed) == "0.0003897044444444446"
-    assert repr(run.upper.elapsed) == "0.0004158733333333341"
+            (162, 13768, 50938)
+    assert repr(run.lower.elapsed) == "0.00034203111111111127"
+    assert repr(run.upper.elapsed) == "0.00036720444444444467"
 
 
 # --------------------------------------------------------------------- #

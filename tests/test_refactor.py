@@ -290,6 +290,37 @@ def test_refactor_pattern_mismatch_is_valueerror(rng):
         s.refactor(_other_pattern(a, rng))
 
 
+@pytest.mark.parametrize("engine", ["serial", "distributed"])
+def test_refactor_compares_the_pattern_and_hashes_only_a_new_one(
+        engine, rng, monkeypatch):
+    """A matrix whose ``colptr`` / ``rowind`` equal the solver's own copy
+    of its pattern reuses the fingerprint without hashing.  A mismatch
+    still raises with the same fields, also when the caller has since
+    rewritten the arrays the solver was built from."""
+    from repro.driver import pipeline
+
+    a, _ = _pair(rng, n=30)
+    s = (GESPSolver(a, cache=False) if engine == "serial"
+         else DistributedGESPSolver(a, nprocs=4, cache=False))
+    name = type(s).__name__
+    hashed = []
+    monkeypatch.setattr(pipeline, "pattern_fingerprint",
+                        lambda m: hashed.append(m) or pattern_fingerprint(m))
+    same = CSCMatrix(a.nrows, a.ncols, a.colptr.copy(), a.rowind.copy(),
+                     a.nzval * 1.01)
+    assert s.refactor(same) is s and hashed == []
+    fp, bad = pattern_fingerprint(a), _other_pattern(a, rng)
+    a.rowind[0] ^= 1             # the array the solver was built from
+    for wrong in (bad, a):
+        with pytest.raises(PatternMismatchError) as ei:
+            s.refactor(wrong)
+        err = ei.value
+        assert (err.expected, err.got, err.where, err.n, err.nnz) == (
+            fp, pattern_fingerprint(wrong), f"{name}.refactor", wrong.ncols,
+            wrong.nnz)
+    assert len(hashed) == 2
+
+
 def test_gesp_factor_rejects_wrong_pattern_symbolic(rng):
     from repro.factor.gesp import gesp_factor
     from repro.symbolic.fill import symbolic_lu
@@ -318,9 +349,10 @@ def test_refill_values_rejects_wrong_pattern(rng):
 def test_refill_values_checks_the_layout_pattern_with_and_without_sym():
     """The layout remembers the pattern it was built for, so a refill is
     checked even when no ``sym`` is passed.  Unchecked, an entry outside
-    the fill pattern — (7, 0) of cfd06's factored matrix — went into a
-    neighbouring slot of L(·, 0), and a one-gather refill would take any
-    matrix with the same nnz.  Nothing is written on a mismatch."""
+    the fill pattern — the first of cfd06's factored matrix in column 0
+    — went into a neighbouring slot of L(·, 0), and a one-gather refill
+    would take any matrix with the same nnz.  Nothing is written on a
+    mismatch."""
     from repro.dmem import refill_values
     from repro.matrices import matrix_by_name
     from repro.symbolic.fill import symbolic_lu_symmetrized
@@ -328,13 +360,15 @@ def test_refill_values_checks_the_layout_pattern_with_and_without_sym():
     s = DistributedGESPSolver(matrix_by_name("cfd06").build(), nprocs=4,
                               cache=False)
     at, dist = s.a_factored, s.dist
-    i, j = np.array([7]), np.array([0])
-    assert not dist.slots(i, j)[2].any()          # (7, 0) has no slot
+    rows = np.arange(at.nrows)
+    r = int(np.flatnonzero(~dist.slots(rows, np.zeros_like(rows))[2])[0])
+    assert not dist.slots(np.array([r]), np.array([0]))[2].any()  # no slot
     col0 = at.rowind[:at.colptr[1]].tolist()
-    t = int(np.searchsorted(col0, 7))
+    assert r not in col0
+    t = int(np.searchsorted(col0, r))
     extra = CSCMatrix(at.nrows, at.ncols, at.colptr + (at.colptr > 0),
-                      np.insert(at.rowind, t, 7), np.insert(at.nzval, t, 123.0))
-    rows0 = sorted(col0[:-1] + [7])               # same nnz: one entry moved
+                      np.insert(at.rowind, t, r), np.insert(at.nzval, t, 123.0))
+    rows0 = sorted(col0[:-1] + [r])               # same nnz: one entry moved
     moved = CSCMatrix(at.nrows, at.ncols, at.colptr,
                       np.concatenate((rows0, at.rowind[len(col0):])),
                       at.nzval)

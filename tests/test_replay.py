@@ -37,6 +37,7 @@ from repro.dmem import (
 from repro.driver.dist_driver import DistributedGESPSolver
 from repro.matrices.testbed import matrix_by_name
 from repro.obs import Tracer
+from repro.pdgstrf import build_schedule
 from repro.pdgstrs import pdgstrs
 from repro.sparse import CSCMatrix
 from repro.workload import ScenarioSpec, generate
@@ -309,8 +310,12 @@ def test_replayed_stats_are_the_callers():
 def test_failed_factorization_leaves_resident_values():
     a = matrix_by_name("cfd01").build()
     b = a @ np.ones(a.ncols)
-    s = DistributedGESPSolver(a, nprocs=4, fault_plan=FaultPlan(
-        drop_rules=(DropRule(tag=4 * 20 + 2, count=5),)))
+    s = DistributedGESPSolver(a, nprocs=4)
+    # the L panel of the first supernode whose panel leaves its process
+    # column: losing it starves a receiver
+    k = next(k for k, dests in enumerate(
+        build_schedule(s.dist, s.dag, s.edag_prune)["l_dests"]) if dests)
+    s.fault_plan = FaultPlan(drop_rules=(DropRule(tag=4 * k + 2, count=5),))
     report = s.solve(b)
     assert report.failure is not None and not report.converged
     assert s.dist.recordings == {}

@@ -245,7 +245,7 @@ def test_spool_v1_plans_are_skipped_not_half_loaded(tmp_path):
 
 def test_spooled_ata_plans_are_never_served_to_the_default_ordering(
         tmp_path):
-    """A ``spool/v8`` file written while the serial default ordered AᵀA
+    """A spooled file written while the serial default ordered AᵀA
     is keyed with ``"mmd_ata"``: the key carries the resolved ordering,
     so a default solver (Aᵀ+A) misses it and orders cold, while an
     explicit AᵀA request is still served from it — no schema bump."""
@@ -477,6 +477,53 @@ def test_spool_v7_plans_with_an_unrelaxed_schedule_are_skipped(tmp_path):
     assert len(fresh) == 0
     assert tracer.root.all_counters()["spool.load_skipped"] == 1
     warm = GESPSolver(a, GESPOptions(fact="SAME_PATTERN"), cache=fresh)
+    assert warm.solve(a @ np.ones(a.ncols)).converged
+    spool.save_plans(tmp_path, fresh.snapshot(), set())
+    reloaded = FactorizationCache()
+    assert spool.load_plans(tmp_path, reloaded) == 1
+    assert np.array_equal(reloaded.snapshot()[0].block_plan.part.xsup,
+                          block_partition(sym).xsup)
+
+
+def test_spool_v8_plans_from_before_subtree_relaxation_are_skipped(
+        tmp_path):
+    """Until the partition rule amalgamated small etree subtrees, kkt04
+    under AᵀA was partitioned otherwise, under today's key.  A v8 file
+    holding that plan is skipped loudly; the pattern starts cold and
+    comes back on the rule's partition."""
+    import copy
+
+    from repro.driver import GESPOptions, GESPSolver
+    from repro.factor.blockplan import build_block_plan
+    from repro.matrices import matrix_by_name
+    from repro.obs import Tracer, use_tracer
+    from repro.symbolic import block_partition, find_supernodes, \
+        relax_supernodes, split_supernodes
+
+    a = matrix_by_name("kkt04").build()
+    ata = GESPOptions(col_perm="mmd_ata")
+    cache = FactorizationCache(maxsize=32)
+    at = GESPSolver(a, ata, cache=cache).a_factored
+    plan = cache.snapshot()[0]
+    sym = plan.symbolic
+    old = copy.copy(plan)
+    old.block_plan = build_block_plan(at, sym, split_supernodes(
+        relax_supernodes(sym, find_supernodes(sym))))
+    assert not np.array_equal(old.block_plan.part.xsup,
+                              plan.block_plan.part.xsup)
+    spool.spool_path(tmp_path, plan.key).write_bytes(pickle.dumps(
+        {"schema": "spool/v8", "key": plan.key, "plan": old}))
+
+    fresh = FactorizationCache(maxsize=32)
+    tracer = Tracer()
+    with use_tracer(tracer), \
+            pytest.warns(spool.SpoolSkipWarning, match="spool/v8"):
+        assert spool.load_plans(tmp_path, fresh) == 0
+    tracer.finish()
+    assert len(fresh) == 0
+    assert tracer.root.all_counters()["spool.load_skipped"] == 1
+    warm = GESPSolver(a, GESPOptions(col_perm="mmd_ata", fact="SAME_PATTERN"),
+                      cache=fresh)
     assert warm.solve(a @ np.ones(a.ncols)).converged
     spool.save_plans(tmp_path, fresh.snapshot(), set())
     reloaded = FactorizationCache()

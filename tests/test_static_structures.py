@@ -113,7 +113,8 @@ def _structures(name):
 # drivers began to share ``block_partition``.  The six were recorded
 # under minimum degree on AᵀA, then the serial default; the seventh (the
 # rule's plan under minimum degree on Aᵀ+A) when the serial default
-# became Aᵀ+A
+# became Aᵀ+A.  When the rule began to amalgamate small etree subtrees,
+# only kkt04's sixth column moved (re-recorded); no seventh column did
 STRUCTURE_DIGESTS = {
     "cfd01": ("4b0b323ede4e1b9e", "0b7dd806812eb334", "743b7880f92ee21c",
               "23c12e349e119907", "53e6f67d5ac7e102", "2a06e25ce68ce0cb",
@@ -236,7 +237,7 @@ STRUCTURE_DIGESTS = {
               "9ff58dc1ac879b56", "b2608aeafdd13d2f", "8dd24ba4dfcccb82",
               "11130f6022d0df5f"),
     "kkt04": ("038f947ba9aff66e", "2eb0b7a4372a7de6", "7ffdabbdcca9f57f",
-              "0fdbcecc5832c0fe", "7e9d0f24e1ff7e86", "4d4be18612a08863",
+              "0fdbcecc5832c0fe", "7e9d0f24e1ff7e86", "0f71c10548db84aa",
               "aadc9a4c972d6d65"),
     "aniso01": ("2865760234e8e596", "0198156317517675", "4222a55e48d27eae",
                 "148edd2155580a22", "1d5c2e818c42d70c", "018d2ce943cf2f78",

@@ -1,23 +1,28 @@
 """Unit tests for symbolic factorization, supernodes, and EDAGs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.ordering.etree import postorder
 from repro.sparse import CSCMatrix
 from repro.symbolic import (
     block_partition,
     build_block_dag,
     find_supernodes,
+    relax_subtrees,
     relax_supernodes,
     split_supernodes,
     symbolic_lu,
     symbolic_lu_symmetrized,
     symbolic_lu_unsymmetric,
 )
-from repro.symbolic.supernode import RELAX_SIZE
+from repro.symbolic.supernode import RELAX_SIZE, SupernodePartition
 
-from conftest import laplace2d_dense, random_nonsingular_dense, \
-    primitive_partition
+from conftest import laplace2d_dense, random_nonsingular_dense
 
 
 def dense_lu_pattern(d):
@@ -162,14 +167,133 @@ def test_relax_merges_chains():
     assert relaxed.xsup[-1] == n
 
 
+# ------------------------- subtree relaxation -------------------------- #
+
+def golden_relax_snode(parent, relax_size):
+    """The ``(first, last)`` column ranges of SuperLU's ``relax_snode``
+    on a postordered etree: from each leaf, climb while the parent's
+    subtree has at most ``relax_size`` columns.  Frozen: do not "fix" or
+    modernise it."""
+    n = len(parent)
+    descendants = [0] * n
+    for j in range(n):
+        if parent[j] >= 0:
+            descendants[parent[j]] += descendants[j] + 1
+    ranges = []
+    j = 0
+    while j < n:
+        start = j
+        while parent[j] >= 0 and descendants[parent[j]] < relax_size:
+            j = parent[j]
+        ranges.append((start, j))
+        j += 1
+        while j < n and descendants[j] != 0:     # search for a new leaf
+            j += 1
+    return ranges
+
+
+def golden_subtree_ranges(parent, relax_size):
+    """Every etree subtree of at most ``relax_size`` columns that is a
+    contiguous column range, as ``(first, last)``, from explicit
+    descendant sets (any etree).  Frozen."""
+    n = len(parent)
+    subtree = [{j} for j in range(n)]
+    for j in range(n):
+        if parent[j] >= 0:
+            subtree[parent[j]] |= subtree[j]
+    return [(j + 1 - len(s), j) for j, s in enumerate(subtree)
+            if len(s) <= relax_size and s == set(range(j + 1 - len(s), j + 1))]
+
+
+def _merged(xsup, ranges):
+    """``xsup`` with every boundary inside a range removed."""
+    inside = {c for lo, hi in ranges for c in range(lo + 1, hi + 1)}
+    return [c for c in xsup if c not in inside]
+
+
+def _random_etree(n, span, root_share, seed, postordered):
+    rng = np.random.default_rng(seed)
+    parent = [-1 if j == n - 1 or rng.random() < root_share
+              else int(rng.integers(j + 1, min(n, j + 1 + span)))
+              for j in range(n)]
+    if postordered:
+        post = postorder(parent).tolist()
+        relabelled = [-1] * n
+        for v, p in enumerate(parent):
+            relabelled[post[v]] = -1 if p < 0 else post[p]
+        parent = relabelled
+    return parent
+
+
+@given(n=st.integers(1, 60), span=st.integers(1, 60),
+       root_share=st.sampled_from([0.0, 0.05, 0.3]),
+       seed=st.integers(0, 2 ** 16), postordered=st.booleans(),
+       chain=st.integers(1, RELAX_SIZE), relax=st.integers(1, 24),
+       max_size=st.integers(1, 24))
+@settings(max_examples=150, deadline=None)
+def test_relax_subtrees_is_the_frozen_loop_property(
+        n, span, root_share, seed, postordered, chain, relax, max_size):
+    """Against the frozen loops on random etrees, postordered or not, from
+    chain partitions at any cap; and the rule's invariants."""
+    parent = _random_etree(n, span, root_share, seed, postordered)
+    sym = SimpleNamespace(n=n, etree=np.array(parent, dtype=np.int64))
+    chains = relax_supernodes(
+        sym, SupernodePartition(np.arange(n + 1, dtype=np.int64)), chain)
+    part = relax_subtrees(sym, chains, relax)
+    xsup, cuts = part.xsup.tolist(), chains.xsup.tolist()
+    ranges = golden_subtree_ranges(parent, relax)
+    assert xsup == _merged(cuts, ranges)
+    if postordered:
+        assert xsup == _merged(cuts, golden_relax_snode(parent, relax))
+    # whole subtrees: each one lies in one supernode, and every boundary
+    # is the chain partition's
+    supno = part.supno()
+    assert all(supno[lo] == supno[hi] for lo, hi in ranges)
+    assert set(xsup) <= set(cuts)
+    # a merged supernode is chain runs joined by the subtrees they touch
+    for lo, hi in zip(xsup, xsup[1:]):
+        inner = [(f, j) for f, j in ranges if lo <= f < j < hi]
+        for a, b in zip(cuts, cuts[1:]):
+            if lo <= a < hi and (a, b) != (lo, hi):
+                assert any(f < b and a <= j for f, j in inner)
+    # nothing to amalgamate beyond the chains: the chain partition
+    if all(np.searchsorted(cuts, lo, "right") == np.searchsorted(
+            cuts, hi, "right") for lo, hi in ranges):
+        assert xsup == cuts
+    assert np.diff(split_supernodes(part, max_size).xsup).max(
+        initial=0) <= max_size
+
+
+@pytest.mark.parametrize("parent, relax, chains, subtrees", [
+    # two interleaved chains (parent[j] = j + 2): no subtree wider than
+    # one column is a contiguous range, so the partition is the chains'
+    ([j + 2 if j < 10 else -1 for j in range(12)], RELAX_SIZE,
+     list(range(13)), list(range(13))),
+    # a root with eight leaf children: the chain rule joins only the last
+    # leaf to the root, the subtree rule all nine columns ...
+    ([8] * 8 + [-1], RELAX_SIZE, [0, 1, 2, 3, 4, 5, 6, 7, 9], [0, 9]),
+    # ... unless they exceed the cap
+    ([8] * 8 + [-1], 8, [0, 1, 2, 3, 4, 5, 6, 7, 9],
+     [0, 1, 2, 3, 4, 5, 6, 7, 9]),
+])
+def test_relax_subtrees_on_small_trees(parent, relax, chains, subtrees):
+    n = len(parent)
+    sym = SimpleNamespace(n=n, etree=np.array(parent, dtype=np.int64))
+    part = relax_supernodes(
+        sym, SupernodePartition(np.arange(n + 1, dtype=np.int64)), relax)
+    assert part.xsup.tolist() == chains
+    assert relax_subtrees(sym, part, relax).xsup.tolist() == subtrees
+
+
 def test_block_partition_pipeline(rng):
     d = random_nonsingular_dense(rng, 30, hidden_perm=False)
     sym = symbolic_lu_symmetrized(CSCMatrix.from_dense(d))
     part = block_partition(sym, max_size=5)
     assert np.diff(part.xsup).max() <= 5
     assert part.xsup[-1] == 30
-    assert np.array_equal(
-        part.xsup, primitive_partition(sym, max_size=5, relax=RELAX_SIZE).xsup)
+    chains = relax_supernodes(sym, find_supernodes(sym), RELAX_SIZE)
+    assert np.array_equal(part.xsup, split_supernodes(
+        relax_subtrees(sym, chains, RELAX_SIZE), max_size=5).xsup)
 
 
 def test_supno_map():

@@ -43,15 +43,17 @@ on ``sys.path``):
    cannot leave a citation pointing nowhere (CHANGES.md is history and
    is not read).
 
-A green run ends with two lines.  ``knobs: <GESPOptions fields> /
+A green run ends with three lines.  ``knobs: <GESPOptions fields> /
 <ServiceConfig fields> / <CLI flags> / <REPRO_* variables>`` counts
 everything a user can set (the variables are the string literals under
 ``src/`` that are exactly a ``REPRO_<NAME>``, so a name in prose or a
-docstring does not count).  Last, ``src: <modules> modules / <lines>
-lines`` — every ``*.py`` file under ``src/`` and every line in them, the
-way ROADMAP.md and the CHANGES.md entries count source size (``find src
--name '*.py' | xargs cat | wc -l``).  ROADMAP's re-counted numbers come
-from these two lines, not from hand.
+docstring does not count).  ``packages: <name> <lines> / ...`` gives the
+lines of each package under ``src/repro/`` (subpackages included) and of
+each top-level module (``kernels.py``), by name.  Last, ``src: <modules>
+modules / <lines> lines`` — every ``*.py`` file under ``src/`` and every
+line in them, the way ROADMAP.md and the CHANGES.md entries count source
+size (``find src -name '*.py' | xargs cat | wc -l``).  ROADMAP's
+re-counted numbers come from these lines, not from hand.
 """
 
 from __future__ import annotations
@@ -287,6 +289,16 @@ def src_size():
     return len(files), sum(f.read_bytes().count(b"\n") for f in files)
 
 
+def package_sizes():
+    """``[(name, lines)]`` for each package under ``src/repro/`` (its
+    subpackages included) and each top-level module, by name — the
+    per-package counts ROADMAP.md's size targets are read from."""
+    return [(p.name, sum(f.read_bytes().count(b"\n") for f in (
+        p.rglob("*.py") if p.is_dir() else [p])))
+        for p in sorted(SRC.iterdir())
+        if p.suffix == ".py" or (p / "__init__.py").is_file()]
+
+
 def env_variables():
     """Every ``REPRO_<NAME>`` that is a whole string literal somewhere
     under ``src/`` — how an environment variable has to be spelt to be
@@ -366,6 +378,8 @@ def main():
               f"documented, {len(docs_files())} docs indexed, "
               f"{len(cli_flags())} CLI flags documented)")
         print("knobs: {} / {} / {} / {}".format(*knob_counts()))
+        print("packages: " + " / ".join(
+            f"{name} {lines}" for name, lines in package_sizes()))
         print("src: {} modules / {} lines".format(*src_size()))
     return status
 

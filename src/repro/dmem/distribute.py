@@ -40,7 +40,8 @@ import numpy as np
 from repro.dmem.grid import ProcessGrid
 from repro.factor.supernodal import supernode_row_sets
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import PatternMismatchError, pattern_fingerprint
+from repro.sparse.ops import (PatternMismatchError, pattern_fingerprint,
+                              same_pattern)
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
 
@@ -85,9 +86,10 @@ class DistributedBlocks:
     offsets, lookup, stores:
         The offset table, its per-entry form :meth:`slots` searches, and
         ``stores[rank]``, every block ``rank`` owns.
-    src, pos, fingerprint:
+    src, pos, fingerprint, pattern:
         Per rank, which nonzeros of the matrix laid out it holds and their
-        store offsets; that matrix's pattern fingerprint.
+        store offsets; that matrix's pattern fingerprint and its
+        ``(colptr, rowind)``.
     diag, lpanel, upanel, lblk, ublk:
         Per-rank dicts of store views: ``diag[rank][K]``, the panels
         ``lpanel[rank][K]`` and ``upanel[rank][K]``, and their slices
@@ -122,6 +124,7 @@ class DistributedBlocks:
     fingerprint: str
     n_tiny_pivots: int = 0
     tiny_pivot_threshold: float = 0.0
+    pattern: tuple = ()
 
     _DERIVED = ("widths", "diag", "lpanel", "upanel", "lblk", "ublk",
                 "owners", "solve_start", "row_panels", "recordings")
@@ -346,7 +349,7 @@ def block_layout(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
         grid=grid, part=part, supno=supno, s_rows=s_rows,
         l_rows_by_block=l_rows_by_block, offsets=offsets, lookup=lookup,
         stores=[np.zeros(t) for t in totals.tolist()], src=[], pos=[],
-        fingerprint=fingerprint)
+        fingerprint=fingerprint, pattern=(a.colptr, a.rowind))
     # where each nonzero of the matrix lands, grouped by rank
     rank, pos, stored = dist.slots(
         a.rowind, np.repeat(np.arange(a.ncols), np.diff(a.colptr)))
@@ -411,10 +414,13 @@ def refill_values(dist: DistributedBlocks, a: CSCMatrix,
     ``SamePattern`` fast path: each store zeroed and filled by one gather,
     nothing re-derived or reallocated.  ``a`` must have the pattern the
     layout was built for, and ``sym``'s when given
-    (:class:`~repro.sparse.ops.PatternMismatchError` otherwise)."""
+    (:class:`~repro.sparse.ops.PatternMismatchError` otherwise): hashed,
+    unless ``a`` holds the layout's pattern and ``sym`` is the layout's."""
     if np.iscomplexobj(a.nzval):
         raise TypeError("the distributed path is real-only (float64)")
-    _check_pattern(a, dist.fingerprint,
-                   None if sym is None else sym.pattern_fingerprint,
-                   where="refill_values")
+    expected = (dist.fingerprint,
+                None if sym is None else sym.pattern_fingerprint)
+    if not same_pattern(a, dist.pattern) or expected[1] not in (
+            None, expected[0]):
+        _check_pattern(a, *expected, where="refill_values")
     return _fill(dist, a)

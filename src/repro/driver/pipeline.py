@@ -52,6 +52,7 @@ from repro.sparse.ops import (
     pattern_union_transpose,
     permute_rows,
     permute_symmetric,
+    same_pattern,
     scale_cols,
     scale_rows,
 )
@@ -362,8 +363,7 @@ class PatternSolver:
             raise ValueError(f"unknown fact {fact!r}")
         # the resident pattern compares equal for a tenth of the hash
         pattern, fp = self._pattern, self._fingerprint
-        if not (np.array_equal(a_new.colptr, pattern[0])
-                and np.array_equal(a_new.rowind, pattern[1])):
+        if not same_pattern(a_new, pattern):
             pattern = (a_new.colptr.copy(), a_new.rowind.copy())
             fp = pattern_fingerprint(a_new)
         if fact != "DOFACT" and fp != self._fingerprint:

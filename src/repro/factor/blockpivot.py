@@ -35,7 +35,7 @@ import numpy as np
 from repro import kernels
 from repro.factor.blockplan import build_block_plan, supernode_row_sets
 from repro.factor.gesp import tiny_pivot_threshold
-from repro.factor.supernodal import block_substitute, eliminate
+from repro.factor.supernodal import block_substitute
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU, symbolic_lu_symmetrized
 from repro.symbolic.supernode import SupernodePartition, block_partition
@@ -176,7 +176,7 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
                     below[k_src][lo_s:hi_s, :][pk, :]
 
     with kernels.kernel_counters():
-        eliminate(plan, flat, (diag, below, right), factor_diag)
+        kernels.run_steps(plan.steps, [flat], factor_diag)
 
     return BlockPivotedFactors(part=part, s_rows=s_rows, diag=diag,
                                below=below, right=right, piv=piv,

@@ -22,11 +22,13 @@ pattern alone.  A :class:`BlockPlan` is that function, evaluated once:
   independent width-1 supernodes are eliminated together from one
   :class:`Run` of index arrays, any other supernode alone (``None``).
 
-The numeric pass (:func:`repro.factor.supernodal.eliminate`) is then
-``lu → trsm → trsm → gemm → one indexed subtract`` per supernode taken
-alone, or one divide, one product and one indexed subtract per batched
-step.  The index, ``Σ|S_K|²`` integers (thrice for a batched member), is
-``int32`` while the flat array is shorter than 2³¹ (docs/REFACTORIZATION.md).
+The numeric pass is then the plan's step list (:attr:`BlockPlan.steps`,
+built by :func:`repro.kernels.build_steps` as the distributed sweep's
+is, run by :func:`repro.kernels.run_steps`): Figure 8's ``lu → trsm →
+trsm → gemm → one indexed subtract`` per supernode taken alone, or one
+divide, one product and one indexed subtract per batched step.  The
+index, ``Σ|S_K|²`` integers (thrice for a batched member), is ``int32``
+while the flat array is shorter than 2³¹ (docs/REFACTORIZATION.md).
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ import numpy as np
 
 from repro.factor.gesp import transpose_pattern
 from repro.factor.solveplan import SolvePlan, _runs, build_solve_plan
-from repro.kernels import (KernelCounts, KernelStats, gemm_flops, lu_flops,
-                           trsm_flops)
+from repro.kernels import KernelCounts, Step, build_steps
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
 
-__all__ = ["BlockPlan", "Blocks", "Lone", "Run", "build_block_plan",
+__all__ = ["BlockPlan", "Blocks", "Run", "build_block_plan",
            "supernode_row_sets"]
 
 
@@ -77,20 +78,6 @@ class Run(NamedTuple):
     counts: KernelCounts    # what the members' kernel calls would count
 
 
-class Lone(NamedTuple):
-    """A supernode wider than one column that a step takes alone, as the
-    float64 LAPACK / BLAS path of :func:`~repro.factor.supernodal.eliminate`
-    reads it: D_K, B_K and R_K from flat ``d``, ``b``, ``r`` to ``end``."""
-    w: int
-    m: int                  # |S_K|
-    d: int
-    b: int
-    r: int
-    end: int
-    tgt: np.ndarray         # the update targets, intp (no widening per call)
-    keep: np.ndarray | None  # the update entries taking part (``selection``)
-
-
 @dataclass
 class BlockPlan:
     """Everything the numeric pass looks up (see the module docstring)."""
@@ -109,32 +96,31 @@ class BlockPlan:
     u_rowind: np.ndarray
     runs: list          # [(members, Run | None)], each supernode once
     solve: SolvePlan | None = None
+    pattern: tuple = ()     # the analysed matrix's colptr / rowind
 
     @cached_property
-    def lone(self):
-        """``(entries, counts)``: per supernode its :class:`Lone` entry if
-        a step takes it alone and it is wider than one column, else None,
-        and the calls and flops their ops count when ``dgetrf``'s factors
-        are kept.  Derived when first asked for (8 B per update target),
-        and not pickled."""
-        entries, counts = [None] * self.part.nsuper, KernelStats()
+    def steps(self):
+        """The elimination as :func:`repro.kernels.run_steps` runs it on
+        the block values (one store): a batched step of ``runs`` as it
+        stands, each supernode a step takes alone as its :class:`Step`,
+        whose targets are ``intp`` (numpy widens ``int32`` ones to read
+        and again to write).  Built when first asked for; a copy made by
+        ``dataclasses.replace`` builds its own."""
+        steps = []
         for members, run in self.runs:
+            if run is not None:
+                steps.append((members, run))
             for k in members if run is None else ():
                 (w, _), (m, _) = self.shapes[3 * k:3 * k + 2]
-                if w > 1:
-                    d, b, r, end = self.bounds[3 * k:3 * k + 4]
-                    tgt = self.targets[k].astype(np.intp)
-                    entries[k] = Lone(w, m, d, b, r, end, tgt,
-                                      self.selection[k])
-                    counts.add(KernelStats(1, lu_flops(w), lu_lapack=1))
-                    if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
-                        counts.add(KernelCounts(
-                            trsm_calls=2, trsm_flops=2 * trsm_flops(w, m),
-                            gemm_calls=1, gemm_flops=gemm_flops(m, w, m)))
-        return entries, counts
-
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "lone"}
+                d, b, r = self.bounds[3 * k:3 * k + 3]
+                tgt, panels, updates = self.targets[k], (), ()
+                if tgt.size:    # solve B_K and R_K, subtract their product
+                    panels = (("trsm_upper", 0, b, m, w, 1),
+                              ("trsm_lower_unit", 0, r, w, m, 1))
+                    updates = ((0, tgt.astype(np.intp), self.selection[k],
+                                0, 1, 1),)
+                steps.append(Step(k, w, 0, d, panels, updates))
+        return build_steps(steps, 1)
 
     def load(self, a: CSCMatrix):
         """``(flat, (diag, below, right))``: the block values holding
@@ -232,7 +218,7 @@ def build_block_plan(a: CSCMatrix, sym: SymbolicLU, part: SupernodePartition,
                      bounds=bounds.tolist(), shapes=shapes, a_pos=a_pos,
                      targets=targets, selection=selection, l_pos=l_pos,
                      u_pos=u_pos, u_colptr=u_colptr, u_rowind=u_rowind,
-                     runs=runs,
+                     runs=runs, pattern=(a.colptr, a.rowind),
                      solve=(build_solve_plan(xsup, supno, ks, s_all, m, sptr,
                                              bounds, reach)
                             if scheduled else None))

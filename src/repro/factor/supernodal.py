@@ -22,18 +22,17 @@ poorly.
 Every index the elimination needs — where A's nonzeros go, where each
 supernode's update is subtracted, where L and U are read back — comes
 from a :class:`~repro.factor.blockplan.BlockPlan` computed once per
-pattern, so :func:`eliminate`, the one numeric loop (shared with
-:mod:`repro.factor.blockpivot`), only moves numbers.  It is the serial
-driver's default engine; :func:`repro.factor.gesp.gesp_factor` is the
-column-by-column oracle it is tested against.
-
-The dense block operations (diagonal LU, panel solves, GEMM) are the
-functions of :mod:`repro.kernels`, reached through the module.
+pattern, so the numeric pass only moves numbers: the plan's step list
+(``BlockPlan.steps``, one store) run by :func:`repro.kernels.run_steps`,
+the runner of the distributed sweep and of :mod:`repro.factor.blockpivot`
+too.  It is the serial driver's default engine;
+:func:`repro.factor.gesp.gesp_factor` is the column-by-column oracle it is
+tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -48,7 +47,8 @@ from repro.factor.gesp import GESPFactors, tiny_pivot_threshold
 from repro.obs import add, annotate, trace
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import PatternMismatchError, pattern_fingerprint
+from repro.sparse.ops import (PatternMismatchError, pattern_fingerprint,
+                              same_pattern)
 from repro.symbolic.fill import SymbolicLU, symbolic_lu_symmetrized
 from repro.symbolic.supernode import SupernodePartition, block_partition
 
@@ -56,7 +56,6 @@ __all__ = [
     "SupernodalFactors",
     "supernodal_factor",
     "supernode_row_sets",
-    "eliminate",
     "block_substitute",
 ]
 
@@ -64,82 +63,6 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # serial supernodal factorization
 # --------------------------------------------------------------------- #
-
-def eliminate(plan: BlockPlan, flat, blocks, factor_diag, thresh=0.0,
-              bound=False):
-    """Paper Figure 8 over the block values ``flat`` and their views
-    ``blocks`` (:meth:`BlockPlan.load`), every index read from ``plan``,
-    one step ``(members, run)`` of ``plan.runs`` after another.
-
-    ``factor_diag(k, d)`` factors diagonal block ``d`` of supernode ``k``
-    in place — the one step a pivoting policy decides: static pivoting
-    calls ``lu_nopivot``, :mod:`repro.factor.blockpivot` pivots inside
-    the block and swaps the affected rows of block row ``k``.
-
-    A step without a run takes its members alone, in order.  A batched
-    step (block-pivoting plans have none) is that loop over its width-1
-    members, bit for bit (docs/ALGORITHMS.md): a pivot not above
-    ``thresh`` (the tiny-pivot threshold, 0 without replacement) goes to
-    ``factor_diag`` as if alone, and the members' kernel calls are
-    counted from the step's totals.  Complex values take the loop: BLAS
-    rounds a complex product differently from an elementwise multiply.
-
-    ``bound``: ``factor_diag`` is static pivoting, and
-    ``factor_diag(k, d, kernels.lu_fallback)`` factors a block whose
-    ``dgetrf`` factors were rejected.  Float64 values with LAPACK / BLAS
-    present then run each entry of ``plan.lone`` as its ops would, bit for
-    bit: :func:`~repro.kernels.dgetrf` on D_K and both ``dtrsm`` at the
-    values' address plus the entry's offsets, the op's verdict per call,
-    the counts added once per run — not by a run that raises, as for a
-    batched step (docs/KERNELS.md).
-    """
-    diag, below, right = blocks
-    targets, selection, stats = plan.targets, plan.selection, kernels.stats()
-    lone = bound and flat.dtype == np.float64 and kernels._BLAS and plan.lone
-    if lone:
-        (entries, total), trsm = lone, kernels._BLAS[1]
-        base, scratch = flat.ctypes.data, kernels.Scratch()
-        getrf, args = kernels.dgetrf, kernels.dtrsm_args
-    for members, run in plan.runs:
-        if run is not None and flat.dtype.kind != "c":
-            dpos, bpos, bpiv, lpos, upos, tgt, counts = run
-            for j in (~(abs(flat.take(dpos)) > thresh)).nonzero()[0].tolist():
-                factor_diag(members[j], diag[members[j]])
-                stats.lu_calls -= 1             # counts has it too
-            if tgt.size:
-                flat[bpos] /= flat.take(bpiv)
-                np.subtract.at(flat, tgt, flat.take(lpos) * flat.take(upos))
-            stats.add(counts)
-            continue
-        for k in members:
-            if lone and (e := entries[k]):
-                w, m, d, b, r, end, tgt, keep = e
-                dp = base + 8 * d
-                if not getrf(flat[d:b], w, dp, scratch, thresh):
-                    factor_diag(k, diag[k], kernels.lu_fallback)
-                if tgt.size:    # trsm_upper, trsm_lower_unit, gemm_update
-                    trsm(*args("trsm_upper", m, w, dp, base + 8 * b))
-                    trsm(*args("trsm_lower_unit", w, m, dp, base + 8 * r))
-                    upd = (flat[b:r].reshape(m, w)
-                           @ flat[r:end].reshape(w, m)).ravel()
-                    flat[tgt] -= upd if keep is None else upd[keep]
-                continue
-            d, tgt, keep = diag[k], targets[k], selection[k]
-            factor_diag(k, d)
-            if not tgt.size:
-                continue
-            b = kernels.trsm_upper(d, below[k])       # step (1): L(K+1:N, K)
-            r = kernels.trsm_lower_unit(d, right[k])  # step (2): U(K, K+1:N)
-            # step (3): the |S_K|×|S_K| rank-w update; no two of its entries
-            # share a target, so one indexed subtract applies it.  Entries a
-            # relaxed supernode has no slot for are exactly zero and dropped.
-            upd = kernels.gemm_update(b, r).ravel()
-            # (widened once: numpy would widen int32 targets to read and write)
-            flat[tgt.astype(np.intp, copy=False)] -= \
-                upd if keep is None else upd[keep]
-    if lone:
-        stats.add(total)
-
 
 @dataclass
 class SupernodalFactors:
@@ -290,7 +213,8 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
         if part is None:
             part = block_partition(sym, max_size=max_block_size)
         plan = build_block_plan(a, sym, part)
-    elif (got := pattern_fingerprint(a)) != plan.sym.pattern_fingerprint:
+    elif not same_pattern(a, plan.pattern) and (
+            got := pattern_fingerprint(a)) != plan.sym.pattern_fingerprint:
         raise PatternMismatchError(    # a_pos would fill the wrong slots
             plan.sym.pattern_fingerprint, got,
             "supernodal_factor (reused BlockPlan)", a.ncols, a.nnz)
@@ -313,8 +237,11 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     stats = kernels.stats()
     snap = stats.snapshot()
-    eliminate(plan, flat, (diag, below, right), factor_diag, thresh,
-              bound=True)
+    # complex values take every supernode alone: BLAS rounds a complex
+    # product differently from a batched step's elementwise multiply
+    kernels.run_steps(plan.steps if flat.dtype.kind != "c" else replace(
+        plan, runs=[(range(plan.part.nsuper), None)]).steps, [flat],
+        factor_diag, thresh)
     cols = sorted(replaced)     # steps run out of supernode order
     return SupernodalFactors(
         part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,

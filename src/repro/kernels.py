@@ -14,37 +14,30 @@ docs/KERNELS.md records the measurements that retired the second one.
 Contract (docs/KERNELS.md has the table):
 
 - Ops mutate their array arguments **in place** where the docstring says
-  so, and keep their operands' dtype on a direct call (a float32 block
-  stays float32).  The solvers store values as float64 or complex128
-  (:func:`repro.sparse.coo.value_dtype`), so they factor nothing else.
-- Ops bump the calling thread's :class:`KernelStats` (:func:`stats`)
-  unconditionally — plain integer adds.  A factorization runs on one
-  thread, snapshots the stats around itself and publishes the delta as
-  ``factors.flops`` and, through :func:`kernel_counters`, the
-  ``kernel.*`` counters; two running at once never see each other's
-  increments.
+  so and keep their operands' dtype on a direct call; the solvers store
+  float64 or complex128 (:func:`repro.sparse.coo.value_dtype`).
+- Ops bump the calling thread's :class:`KernelStats` (:func:`stats`);
+  a factorization publishes its delta as ``factors.flops`` and, through
+  :func:`kernel_counters`, the ``kernel.*`` counters, so two running at
+  once never see each other's increments.
 - A C-ordered float64 block wider than one column goes to the LAPACK /
-  BLAS numpy itself loaded (``ctypes``, no scipy): ``lu_nopivot`` keeps
-  ``dgetrf``'s factors where the static pivot held inside the block,
-  the trsms and the diagonal solves are ``dtrsm`` — backward stable,
-  not the loops' bits.  All else runs the historical loops **bit for
-  bit**:
-  ``tests/test_kernels.py`` keeps a frozen copy of each and compares
-  op by op and through whole factorizations.  Engines call the ops
-  through the module (``kernels.trsm_upper(d, b)``), so that test swaps
-  an op with ``monkeypatch.setattr(repro.kernels, ...)`` — except where
-  an engine binds them (below), which makes the ops' calls without the
-  op, so a swapped op does not see them.  Binding happens only where
-  ``_BLAS`` is (read when a sweep is built and on every serial
-  factorization): with ``_BLAS`` monkeypatched to None (the tests'
-  ``no_blas``) every call goes through the ops again.
-- Each LAPACK / BLAS call is stated once, here: :func:`dgetrf` (in
-  place, the block saved first and restored when the op's verdict
-  rejects it) and :func:`dtrsm_args`.  The ops, the serial engine's lone
-  supernodes (``BlockPlan.lone``, once per plan) and the static sweeps
-  (``bind_*``, once per layout) call them at raw addresses of arrays
-  their caller keeps alive; a bound call keeps the verdict and the zero
-  check per call and leaves its counts to be added once per run.
+  BLAS numpy itself loaded (``ctypes``, no scipy): ``dgetrf`` where the
+  static pivot held inside the block, ``dtrsm`` for the solves — backward
+  stable, not the loops' bits.  All else runs the historical loops **bit
+  for bit** (``tests/test_kernels.py`` keeps frozen copies).  Engines
+  reach an op through the module, so a test swaps one with
+  ``monkeypatch.setattr(repro.kernels, ...)``; a step run at raw
+  addresses (below) makes the ops' calls without the op, unless
+  ``_BLAS`` is monkeypatched to None (the tests' ``no_blas``).
+- Each LAPACK / BLAS call is stated once, here: :func:`dgetrf` (the
+  block saved first, restored when the op's verdict rejects it) and
+  :func:`dtrsm_args`.  So is Figure 8: one supernode's step — diagonal
+  factor, two panel solves, one product and one indexed subtract per
+  update — is a :class:`Step` of store offsets, :func:`build_steps`
+  counts a list of them (the serial plan's over one store, the
+  distributed sweep's over one per rank) and :func:`run_steps` runs it.
+  The substitution sweeps bind their diagonal solves once per layout
+  (:func:`bind_dtrsm`).
 """
 
 from __future__ import annotations
@@ -55,6 +48,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +59,8 @@ OPS = ("lu_nopivot", "lu_partial", "trsm_upper", "trsm_lower_unit",
 
 __all__ = ["OPS", "KernelCounts", "KernelStats", "stats", "kernel_counters",
            "lu_flops", "trsm_flops", "gemm_flops", *OPS, "Scratch",
-           "dgetrf", "dtrsm_args", "lu_fallback", "bind_lu_nopivot",
-           "bind_dtrsm"]
+           "dgetrf", "dtrsm_args", "lu_fallback", "Step", "Steps",
+           "build_steps", "run_steps", "bind_dtrsm"]
 
 
 # --------------------------------------------------------------------- #
@@ -248,8 +242,8 @@ def dtrsm_args(op, m, n, dp, bp):
 class Scratch(dict):
     """:func:`dgetrf`'s scratch per width w: the block saved before the
     call, the pivot vector and its address, and the pivots of no
-    interchange.  A factorization, a static sweep and each thread's ops
-    hold one (each factors one block at a time)."""
+    interchange.  A run of a step list and each thread's ops hold one
+    (each factors one block at a time)."""
 
     def __missing__(self, w):
         piv = np.empty(w, dtype=np.int64)
@@ -316,11 +310,11 @@ def lu_nopivot(d, thresh):
 
 
 def lu_fallback(d, thresh):
-    """:func:`lu_nopivot`'s loop on a block whose :func:`dgetrf` factors a
-    bound call rejected (``d`` restored): counted as that call's fallback,
-    whose ``lu_calls`` / ``lu_flops`` / ``lu_lapack`` were added for it in
-    advance — ``lu_lapack`` is taken back once the loop is through, so a
-    ``ZeroDivisionError`` leaves the op's own delta."""
+    """:func:`lu_nopivot`'s loop on a block whose :func:`dgetrf` factors
+    :func:`run_steps` rejected (``d`` restored): counted as that call's
+    fallback, whose ``lu_calls`` / ``lu_flops`` / ``lu_lapack`` are added
+    for it once per run — ``lu_lapack`` is taken back once the loop is
+    through, so a ``ZeroDivisionError`` leaves the op's own delta."""
     st = stats()
     st.lu_fallbacks += 1
     replaced = _lu_loop(d, thresh)
@@ -465,43 +459,122 @@ def diag_solve_upper(d, x):
 
 
 # --------------------------------------------------------------------- #
-# an op bound once, for a static sweep
+# Figure 8 as a step list, counted once and run by one runner
 # --------------------------------------------------------------------- #
 
-# ``bind_*`` returns ``(fn, args)``: the op's call at raw addresses where
-# ``_blas`` admits its operands, their calls and flops added to ``counts``
-# for the sweep's run to add once (the run holds what it bound), else
-# ``(op, operands)``, which counts itself.
+class Step(NamedTuple):
+    """Supernode K's Figure 8 step, its operands offsets into the stores a
+    run supplies: D_K (w×w) at ``d`` of store ``s``; the panels, each
+    ``(op, store, offset, rows, cols, blocks)``, solved against it by
+    ``op`` (``trsm_upper`` an L panel, ``trsm_lower_unit`` a U panel);
+    the updates ``(store, tgt, take, i, j, blocks)``: panel i times panel
+    j, its ``take`` entries, row-major (None: all), subtracted at ``tgt``.
+    A solve or product counts as ``blocks`` of the ops' calls."""
+    k: int
+    w: int
+    s: int
+    d: int
+    panels: tuple
+    updates: tuple
 
-def bind_lu_nopivot(d, counts, scratch):
-    """:func:`lu_nopivot` of ``d`` bound once: ``fn(*args, thresh)``.  The
-    verdict is :func:`dgetrf`'s, made on every call (it depends on the
-    values): a rejected block takes the op's loop (:func:`lu_fallback`)."""
-    w = d.shape[0]
-    if not _blas(d, d, w):
-        return lu_nopivot, (d,)
-    counts.add(KernelStats(1, lu_flops(w), lu_lapack=1))
-    return _bound_lu, (d.reshape(-1), w, d.ctypes.data, scratch)
+
+class Steps(NamedTuple):
+    """A step list as :func:`build_steps` returns it."""
+    steps: list         # Step, or a batched step (members, run)
+    counts: KernelStats  # what its calls at raw addresses count
+    flops: list         # per store
 
 
-def _bound_lu(block, w, addr, scratch, thresh):
-    kept = dgetrf(block, w, addr, scratch, thresh)
-    return [] if kept else lu_fallback(block.reshape(w, w), thresh)
+def build_steps(steps, nstores):
+    """``steps`` — each a :class:`Step` or the serial plan's batched step
+    ``(members, run)`` (:class:`repro.factor.blockplan.Run`) — with what
+    a run's calls at raw addresses count and each store's flops."""
+    counts, flops = KernelStats(), [0] * nstores
+    for k, w, s, d, panels, updates in (x for x in steps if type(x) is Step):
+        c = KernelStats(1, lu_flops(w), lu_lapack=1)
+        flops[s] += c.lu_flops
+        for _, p, _, m, n, b in panels:
+            c.trsm_calls += b
+            c.trsm_flops += (f := trsm_flops(w, m * n // w))
+            flops[p] += f
+        for t, _, _, i, j, b in updates:
+            c.gemm_calls += b
+            c.gemm_flops += (f := gemm_flops(panels[i][3], w, panels[j][4]))
+            flops[t] += f
+        if w > 1:
+            counts.add(c)
+    return Steps(steps, counts, flops)
 
+
+def run_steps(steps, stores, factor_diag, thresh=None):
+    """Run :func:`build_steps`' ``steps`` on ``stores``; ``factor_diag(k,
+    d)`` factors D_K, a view, in place.  ``thresh`` is static pivoting's:
+    with float64 stores and LAPACK / BLAS present, a step wider than one
+    column then runs at raw addresses, bit for bit its ops — :func:`dgetrf`
+    with the op's verdict per call (``factor_diag(k, d, lu_fallback)``
+    gets a block it rejects), both ``dtrsm``, ``@`` — counted once after
+    the last step (not after a raise).  Every other step calls the ops on
+    views: width 1, other dtypes, ``no_blas``, and ``thresh`` None, where
+    ``factor_diag`` pivots (block pivoting).  A batched step is its width-1
+    members' loop bit for bit (docs/ALGORITHMS.md): a pivot not above
+    ``thresh`` goes to ``factor_diag`` as if alone."""
+    st, scratch = stats(), _LOCAL.scratch
+    bound = thresh is not None and _BLAS and stores[0].dtype == np.float64
+    base = [s.ctypes.data for s in stores] if bound else ()
+    for step in steps.steps:
+        if type(step) is not Step:
+            members, (dpos, bpos, bpiv, lpos, upos, tgt, counts) = step
+            flat = stores[0]
+            for j in (~(abs(flat.take(dpos)) > thresh)).nonzero()[0].tolist():
+                p = int(dpos[j])
+                factor_diag(members[j], flat[p:p + 1].reshape(1, 1))
+                st.lu_calls -= 1                # counts has it too
+            if tgt.size:
+                flat[bpos] /= flat.take(bpiv)
+                np.subtract.at(flat, tgt, flat.take(lpos) * flat.take(upos))
+            st.add(counts)
+            continue
+        k, w, s, d, panels, updates = step
+        diag, views = stores[s][d:d + w * w], [
+            stores[p][o:o + m * n].reshape(m, n)
+            for _, p, o, m, n, _ in panels]
+        if raw := bound and w > 1:
+            dp = base[s] + 8 * d
+            if not dgetrf(diag, w, dp, scratch, thresh):
+                factor_diag(k, diag.reshape(w, w), lu_fallback)
+            for op, p, o, m, n, _ in panels:
+                _BLAS[1](*dtrsm_args(op, m, n, dp, base[p] + 8 * o))
+        else:
+            factor_diag(k, diag := diag.reshape(w, w))
+            for (op, *_, blocks), view in zip(panels, views):
+                globals()[op](diag, view)
+                st.trsm_calls += blocks - 1
+        for t, tgt, take, i, j, blocks in updates:
+            if raw:
+                upd = (views[i] @ views[j]).ravel()
+            else:
+                upd = gemm_update(views[i], views[j]).ravel()
+                st.gemm_calls += blocks - 1
+            stores[t][tgt] -= upd if take is None else upd[take]
+    if bound:
+        st.add(steps.counts)
+
+
+# --------------------------------------------------------------------- #
+# a diagonal solve bound once, for a static substitution sweep
+# --------------------------------------------------------------------- #
 
 def bind_dtrsm(op, d, x, counts):
-    """``op`` — ``trsm_upper``, ``trsm_lower_unit`` or a ``diag_solve_*``
-    — of ``d`` and ``x`` bound once: ``fn(*args)``.  ``diag_solve_upper``'s
-    zero-diagonal check is the op's, made on every call; a zero sends
-    ``x`` through the op (its loop and warning)."""
+    """``op`` — a ``diag_solve_*`` — of ``d`` and ``x`` bound once:
+    ``fn(*args)``, its ``dtrsm`` at the operands' addresses where ``_blas``
+    admits them, the flops added to ``counts`` for the sweep's run to add
+    once (the run holds what it bound), else the op, which counts itself.
+    ``diag_solve_upper``'s zero-diagonal check is made on every call; a
+    zero sends ``x`` through the op (its loop and warning)."""
     b, w = _columns(x), d.shape[0]
-    if not _blas(d, b, b.shape[op == "trsm_upper"]):
+    if not _blas(d, b, w):
         return globals()[op], (d, x)
-    if op.startswith("trsm"):
-        counts.add(KernelCounts(trsm_calls=1,
-                                trsm_flops=trsm_flops(w, b.size // w)))
-    else:
-        counts.solve_flops += b.size * w
+    counts.solve_flops += b.size * w
     args = dtrsm_args(op, *b.shape, d.ctypes.data, b.ctypes.data)
     return ((_bound_upper, (d, x, args)) if op == "diag_solve_upper"
             else (_BLAS[1], args))

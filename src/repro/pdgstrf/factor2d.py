@@ -23,6 +23,7 @@ Message protocol per iteration K (tags encode ``4*K + kind``):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -181,14 +182,14 @@ class UpdateTargets(NamedTuple):
     ``b = batch[K][rank]`` (-1: none) is the product of the rank's L and
     U panels, taken as its first ``split`` columns (the look-ahead block
     J = K+1), then the rest, each row-major.  It sends the entries with a
-    home to ``tgt[start:end]``, where ``calls[b] = (start, end, cut,
-    *flops, blocks - 1, take)``: the look-ahead columns' ``cut`` entries
-    first, the flops of those and of the rest, and ``take``, which picks
-    those entries of the row-major product in ``tgt``'s order (None:
-    all, as they stand)."""
-    tgt: np.ndarray
+    home to ``tgt``, where ``calls[b] = (tgt, cut, *flops, blocks - 1,
+    take)``: the look-ahead columns' ``cut`` entries first, the flops of
+    those and of the rest, and ``take``, which picks those entries of the
+    row-major product in ``tgt``'s order (None: all, as they stand).
+    ``steps`` is the same work as the static sweep's step list."""
     batch: list
     calls: list
+    steps: kernels.Steps
 
 
 def _update_targets(dist, need_l, need_u):
@@ -197,38 +198,52 @@ def _update_targets(dist, need_l, need_u):
     (i, j) of ``S_K × S_K`` may have no home in its target block; the
     product entry is exactly zero (each term has an explicitly-zero
     factor) and the batch leaves it out."""
-    grid = dist.grid
+    grid, base = dist.grid, [store.ctypes.data for store in dist.stores]
     batch = np.full((dist.nsuper, grid.size), -1, dtype=np.int32)
-    tgt, calls, end = [], [], 0
+    calls, steps = [], []
+
+    def at(blocks, r):      # rank r's panel of K: its store, offset, shape
+        view = blocks[r][k]
+        return r, (view.ctypes.data - base[r]) // view.itemsize, *view.shape
+
     for k, s in enumerate(dist.s_rows):
         _, where, stored = dist.slots(s[:, None], s[None, :])
         block, w = dist.supno[s], dist.widths[k]
-        for pr, rows in enumerate(need_l[k]):
-            for pc, cols in enumerate(need_u[k]):
-                if not (rows and cols):
-                    continue
-                # the panels' rows and columns of S_K; J = K+1 leads if any
-                r = np.flatnonzero(block % grid.nprow == pr)[:, None]
-                c = np.flatnonzero(block % grid.npcol == pc)
-                split = np.count_nonzero(block[c] == k + 1)
-                t, h = (np.concatenate((a[r, c[:split]], a[r, c[split:]]),
-                                       axis=None) for a in (where, stored))
-                take = np.arange(r.size * c.size).reshape(r.size, c.size)
-                take = np.concatenate((take[:, :split], take[:, split:]),
-                                      axis=None)[h]
-                batch[k, grid.rank(pr, pc)] = len(calls)
-                tgt.append(t[h])
-                calls.append((end, end + tgt[-1].size,
-                              int(h[:r.size * split].sum()),
-                              kernels.gemm_flops(r.size, w, split),
-                              kernels.gemm_flops(r.size, w, c.size - split),
-                              len(rows) * len(cols) - 1,
-                              take if split or not h.all() else None))
-                end += tgt[-1].size
-    # intp: the subtract indexes with the targets as they are
-    return UpdateTargets(
-        np.concatenate([*tgt, np.zeros(0, np.intp)]).astype(np.intp),
-        batch.tolist(), calls)
+        kr, kc = k % grid.nprow, k % grid.npcol
+        # the panels solved against D_K: X·U_KK = L(·, K) on the ranks of
+        # process column kc, L_KK·X = U(K, ·) on those of process row kr
+        lower = [(pr, len(rows)) for pr, rows in enumerate(need_l[k]) if rows]
+        upper = [(pc, len(cols)) for pc, cols in enumerate(need_u[k]) if cols]
+        panels = tuple(
+            [("trsm_upper", *at(dist.lpanel, grid.rank(pr, kc)), n)
+             for pr, n in lower]
+            + [("trsm_lower_unit", *at(dist.upanel, grid.rank(kr, pc)), n)
+               for pc, n in upper])
+        updates = []
+        for (i, (pr, nl)), (j, (pc, nu)) in product(
+                enumerate(lower), enumerate(upper, len(lower))):
+            # the panels' rows and columns of S_K; J = K+1 leads if any
+            r = np.flatnonzero(block % grid.nprow == pr)[:, None]
+            c = np.flatnonzero(block % grid.npcol == pc)
+            split = np.count_nonzero(block[c] == k + 1)
+            t, h = (np.concatenate((a[r, c[:split]], a[r, c[split:]]),
+                                   axis=None) for a in (where, stored))
+            take = np.arange(r.size * c.size).reshape(r.size, c.size)
+            take = np.concatenate((take[:, :split], take[:, split:]),
+                                  axis=None)[h]
+            take = take if split or not h.all() else None
+            tgt = t[h].astype(np.intp)  # the subtract indexes with it as is
+            batch[k, grid.rank(pr, pc)] = len(calls)
+            calls.append((tgt, int(h[:r.size * split].sum()),
+                          kernels.gemm_flops(r.size, w, split),
+                          kernels.gemm_flops(r.size, w, c.size - split),
+                          nl * nu - 1, take))
+            updates.append((grid.rank(pr, pc), tgt, take, i, j, nl * nu))
+        owner = grid.rank(kr, kc)
+        steps.append(kernels.Step(k, w, *at(dist.diag, owner)[:2], panels,
+                                  tuple(updates)))
+    return UpdateTargets(batch.tolist(), calls,
+                         kernels.build_steps(steps, grid.size))
 
 
 def build_schedule(dist, dag, edag_prune):
@@ -274,56 +289,24 @@ def build_schedule(dist, dag, edag_prune):
 
 
 def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
-    """Every rank's :func:`_rank_program` as one supernode-major pass, and
-    each rank's flops (:func:`repro.dmem.simulator.sweep`): per K the
-    diagonal factor and the panel trsms (each bound once,
-    ``kernels.bind_*``), then each rank's update.  A store entry takes its
-    updates in ascending K from the same panels, as in the programs, so
-    the bits are theirs (docs/EXECUTOR.md); ``run`` holds what it bound."""
-    grid, targets, stores = dist.grid, sched["updates"], dist.stores
-    flops, steps, bind = [0] * grid.size, [], kernels.bind_dtrsm
-    counts, scratch = kernels.KernelStats(), kernels.Scratch()
-    for k in range(dag.nsuper):
-        kr, kc, w = k % grid.nprow, k % grid.npcol, dist.widths[k]
-        owner, trsm, update = grid.rank(kr, kc), [], []
-        d = dist.diag[owner][k]
-        flops[owner] += kernels.lu_flops(w)
-        for r in range(grid.size):
-            pr, pc = grid.coords(r)
-            rows, cols = sched["need_l"][k][pr], sched["need_u"][k][pc]
-            if pc == kc and rows:       # X · U_KK = L(·, K)
-                panel = dist.lpanel[r][k]
-                trsm.append(bind("trsm_upper", d, panel, counts))
-                counts.trsm_calls += len(rows) - 1
-                flops[r] += kernels.trsm_flops(w, panel.shape[0])
-            if pr == kr and cols:       # L_KK · X = U(K, ·)
-                panel = dist.upanel[r][k]
-                trsm.append(bind("trsm_lower_unit", d, panel, counts))
-                counts.trsm_calls += len(cols) - 1
-                flops[r] += kernels.trsm_flops(w, panel.shape[1])
-            if (b := targets.batch[k][r]) >= 0:
-                start, end, _, *f, more, take = targets.calls[b]
-                update.append((r, targets.tgt[start:end],
-                               dist.lpanel[grid.rank(pr, kc)][k],
-                               dist.upanel[grid.rank(kr, pc)][k], take))
-                counts.gemm_calls += 1 + more
-                counts.gemm_flops += int(sum(f))    # the panels' product
-                flops[r] += sum(f)
-        steps.append((owner, *kernels.bind_lu_nopivot(d, counts, scratch),
-                      trsm, update))
+    """Every rank's :func:`_rank_program` as one pass, and each rank's
+    flops (:func:`repro.dmem.simulator.sweep`): ``run`` is
+    :func:`repro.kernels.run_steps` of the schedule's step list on the
+    stores — per K the diagonal factor on its owner, the panel trsms of
+    every rank holding a panel, then each rank's update from the same
+    panels.  A store entry takes its updates in ascending K, as in the
+    programs, so the bits are theirs (docs/EXECUTOR.md)."""
+    grid, stores, steps = dist.grid, dist.stores, sched["updates"].steps
 
     def run(thresh, **_kwargs):
         n_tiny = [0] * grid.size
-        for owner, lu, lu_args, trsm, update in steps:
-            n_tiny[owner] += len(lu(*lu_args, thresh))
-            for fn, args in trsm:
-                fn(*args)
-            for r, tgt, lpanel, upanel, take in update:
-                upd = (lpanel @ upanel).ravel()
-                stores[r][tgt] -= upd if take is None else upd[take]
-        kernels.stats().add(counts)
+
+        def factor_diag(k, d, lu=kernels.lu_nopivot):
+            n_tiny[grid.rank(k % grid.nprow, k % grid.npcol)] += len(
+                lu(d, thresh))
+        kernels.run_steps(steps, stores, factor_diag, thresh)
         return n_tiny
-    return flops, run
+    return steps.flops, run
 
 
 def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
@@ -438,11 +421,10 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         Compute — or, with ``lookahead``, the J = K+1 columns' subtract and
         Compute, step 1 of iteration K+1, then the rest's (the gemm read
         only panels K)."""
-        start, end, cut, *flops, more, take = targets.calls[
-            targets.batch[k][rank]]
+        tgt, cut, *flops, more, take = targets.calls[targets.batch[k][rank]]
         upd = kernels.gemm_update(lpanel, upanel).ravel()
         kernels.stats().gemm_calls += more     # the batch's block products
-        tgt, upd = targets.tgt[start:end], upd if take is None else upd[take]
+        upd = upd if take is None else upd[take]
         if lookahead:
             store[tgt[:cut]] -= upd[:cut]
             if flops[0]:

@@ -34,6 +34,7 @@ __all__ = [
     "extract_upper",
     "residual",
     "pattern_fingerprint",
+    "same_pattern",
     "PatternMismatchError",
 ]
 
@@ -78,6 +79,15 @@ def pattern_fingerprint(a: CSCMatrix) -> str:
     h.update(np.ascontiguousarray(a.colptr).tobytes())
     h.update(np.ascontiguousarray(a.rowind).tobytes())
     return h.hexdigest()
+
+
+def same_pattern(a: CSCMatrix, pattern) -> bool:
+    """Whether ``a``'s ``colptr`` / ``rowind`` are the arrays ``pattern``
+    holds or equal to them: a tenth of :func:`pattern_fingerprint`'s
+    time, and nothing for the arrays a value map hands over every time."""
+    return len(pattern) == 2 and all(
+        x is y or np.array_equal(x, y)
+        for x, y in zip((a.colptr, a.rowind), pattern))
 
 
 # --------------------------------------------------------------------- #

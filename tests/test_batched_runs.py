@@ -1,7 +1,6 @@
 """Independent width-1 supernodes are eliminated together, in level
 order (:func:`repro.factor.blockplan.build_block_plan` cuts the
-elimination into steps, :func:`repro.factor.supernodal.eliminate` walks
-them).
+elimination into steps, :func:`repro.kernels.run_steps` runs them).
 
 Promises enforced here:
 
@@ -23,12 +22,15 @@ Promises enforced here:
 4. the ``kernel.*`` counters of one factorization of cfd06 / kkt02 are
    the values recorded before batching (their calls are counted from the
    plan's static totals);
-5. a supernode taken alone from its bound entry (``BlockPlan.lone``) is
-   its ops bit for bit — values, replaced pivots and every
+5. one step list, one runner (``kernels.run_steps``) for both engines:
+   a supernode taken alone runs from the plan's ``Step`` at raw
+   addresses bit for bit the ops — values, replaced pivots and every
    ``KernelStats`` field — on the bench patterns and over the testbed
-   (a kept ``dgetrf``, an interchange, a tiny pivot, a NaN, a zero pivot
-   that raises), while float32, complex, no LAPACK / BLAS and the
-   block-pivoting engine call the ops, and the entries are not pickled.
+   (a kept ``dgetrf``, an interchange, a tiny pivot, a NaN, a partial
+   update grid, a zero pivot that raises), the 2 × 2 layout's sweep is
+   its rank programs with the same runner, float32, complex, no LAPACK /
+   BLAS and the block-pivoting engine call the ops, and a pickled plan
+   keeps its steps.
 """
 
 import pickle
@@ -43,14 +45,8 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.driver import GESPOptions, GESPSolver
 from repro.factor import supernodal_factor
-from repro.factor.blockplan import (
-    BlockPlan,
-    Blocks,
-    build_block_plan,
-    supernode_row_sets,
-)
+from repro.factor.blockplan import build_block_plan, supernode_row_sets
 from repro.factor.blockpivot import supernodal_factor_block_pivoting
-from repro.factor.supernodal import eliminate
 from repro.matrices import matrix_by_name, testbed_53
 from repro.obs import Tracer, use_tracer
 from repro.sparse import CSCMatrix
@@ -421,18 +417,11 @@ def _check_kernel_counters(name, options, partition, want):
 
 
 # --------------------------------------------------------------------- #
-# 5. lone supernodes bound once per plan
+# 5. one step list, one runner: a supernode taken alone is its ops
 # --------------------------------------------------------------------- #
 
 BENCH_PATTERNS = ("cfd06", "circuit03", "fem05", "chem06", "resv02", "hb02",
                   "kkt01", "kkt02")
-
-def _ops(plan):
-    """``plan`` with nothing bound: every supernode a step takes alone
-    calls the ops."""
-    ops = replace(plan)
-    ops.lone = None
-    return ops
 
 
 def _counted(factor):
@@ -443,15 +432,32 @@ def _counted(factor):
     return out, {f: getattr(st, f) - getattr(snap, f) for f in vars(snap)}
 
 
+def _ops_loop(a, plan, thresh):
+    """The elimination as one loop over the supernodes, in order, through
+    the ops on views of the block values (the loop before step lists).
+    Returns the values and the columns whose pivots were replaced."""
+    flat, (diag, below, right) = plan.load(a)
+    cols, xsup = [], plan.part.xsup.tolist()
+    for k in range(plan.part.nsuper):
+        cols += [xsup[k] + j for j in kernels.lu_nopivot(diag[k], thresh)]
+        tgt, keep = plan.targets[k], plan.selection[k]
+        if tgt.size:
+            upd = kernels.gemm_update(
+                kernels.trsm_upper(diag[k], below[k]),
+                kernels.trsm_lower_unit(diag[k], right[k])).ravel()
+            flat[tgt] -= upd if keep is None else upd[keep]
+    return flat, sorted(cols)
+
+
 def _bound_is_ops(a, plan, **kw):
-    """Factor ``a`` from ``plan``'s bound entries and from its ops: the
-    same bytes, replaced pivots and counts.  Returns the bound side."""
+    """Factor ``a`` from ``plan``'s step list and by :func:`_ops_loop`:
+    the same bytes, replaced pivots and counts.  Returns the step list's
+    factors and counts."""
     f, got = _counted(lambda: supernodal_factor(a, plan=plan, **kw))
-    g, want = _counted(lambda: supernodal_factor(a, plan=_ops(plan), **kw))
-    assert f.values.tobytes() == g.values.tobytes()
-    assert f.perturbed_columns.tolist() == g.perturbed_columns.tolist()
-    assert f.pivot_deltas.tobytes() == g.pivot_deltas.tobytes()
-    assert (f.flops, f.n_tiny_pivots) == (g.flops, g.n_tiny_pivots)
+    (flat, cols), want = _counted(
+        lambda: _ops_loop(a, plan, f.tiny_pivot_threshold))
+    assert f.values.tobytes() == flat.tobytes()
+    assert f.perturbed_columns.tolist() == cols
     assert got == want
     return f, got
 
@@ -461,8 +467,15 @@ def _drifted(a, seed, drift=0.01):
     return _with_values(a, a.nzval * (1 + drift * rng.standard_normal(a.nnz)))
 
 
+def _alone_steps(plan):
+    """The steps of the supernodes a step takes alone."""
+    return [s for s in plan.steps.steps if type(s) is kernels.Step]
+
+
 def _bound(plan):
-    return [k for k, e in enumerate(plan.lone[0]) if e is not None]
+    """The supernodes whose steps run at raw addresses (float64 values):
+    the ones taken alone wider than one column."""
+    return [s.k for s in _alone_steps(plan) if s.w > 1]
 
 
 @needs_blas
@@ -498,6 +511,87 @@ def test_bound_lone_supernodes_are_the_ops_property(testbed, name, seed,
                   tiny_pivot_scale=threshold or None)
 
 
+@pytest.fixture(scope="module")
+def grids():
+    """name -> the 2 × 2 distributed solver of cfd06 and kkt02."""
+    from repro.driver.dist_driver import DistributedGESPSolver
+
+    return {name: DistributedGESPSolver(matrix_by_name(name).build(),
+                                        nprocs=4, cache=False)
+            for name in ("cfd06", "kkt02")}
+
+
+def _pdgstrf(s, scale, swept):
+    """``s``'s layout factored at ``scale`` by its static sweep (a
+    recording made first if there is none) or by a fresh simulation of
+    the rank programs.  Returns the stores, the replaced pivots and the
+    ``KernelStats`` delta."""
+    from repro.dmem.distribute import refill_values
+    from repro.pdgstrf import pdgstrf
+    from repro.sparse import norm1
+
+    at, dist = s.a_factored, s.dist
+
+    def factor():
+        refill_values(dist, at)
+        return pdgstrf(dist, s.dag, norm1(at), s.machine, s.pipeline,
+                       s.edag_prune, replace_tiny_pivots=scale != 0.0,
+                       tiny_pivot_scale=scale, schedule=s._schedule)
+    if not swept:
+        dist.recordings.clear()
+    elif not dist.recordings:
+        factor()
+    run, delta = _counted(factor)
+    (rec,) = dist.recordings.values()
+    assert (rec.run is not None) == swept
+    s.factor_run = None             # the stores no longer hold A's values
+    return [x.copy() for x in dist.stores], run.n_tiny_pivots, delta
+
+
+def _backward_error(a, factors):
+    b = a @ np.ones(a.ncols)
+    x = factors.solve(b)
+    return np.abs(a @ x - b).max() / (np.abs(a.to_dense()).sum(axis=1).max()
+                                      * np.abs(x).max() + np.abs(b).max())
+
+
+@needs_blas
+@pytest.mark.parametrize("engine", ["serial", "2x2"])
+@pytest.mark.parametrize("name,scale", [("cfd06", None), ("cfd06", 0.0),
+                                        ("cfd06", 0.3), ("kkt02", None)])
+def test_one_runner_serves_both_engines(engine, name, scale, testbed, grids):
+    """``kernels.run_steps`` against each engine's own reference: the
+    serial plan's step list against the loop over the ops, the 2 × 2
+    layout's static sweep against a fresh simulation of the rank
+    programs — the same bytes, replaced pivots and ``KernelStats``
+    deltas — at the paper's threshold, with replacement off, at a busy
+    threshold (blocks ``dgetrf`` leaves a tiny pivot in) and on kkt02
+    (blocks it interchanges).  Where no pivot was replaced the factors
+    solve A to a small backward error: a rejected block's loop ran on
+    the block as it was."""
+    if engine == "serial":
+        solver = testbed[name][2]
+        a = solver.a_factored
+        f, _ = _bound_is_ops(a, solver._block_plan,
+                             replace_tiny_pivots=scale != 0.0,
+                             tiny_pivot_scale=scale)
+        n_tiny = f.n_tiny_pivots
+    else:
+        s = grids[name]
+        a = s.a_factored
+        stores, n_tiny, delta = _pdgstrf(s, scale, swept=True)
+        want = _pdgstrf(s, scale, swept=False)
+        assert [x.tobytes() for x in stores] == [x.tobytes() for x in want[0]]
+        assert (n_tiny, delta) == want[1:]
+        for store, x in zip(s.dist.stores, stores):
+            store[...] = x
+        f = s.dist.gather_to_supernodal()
+    if scale == 0.3:
+        assert n_tiny > 0
+    else:
+        assert n_tiny == 0 and _backward_error(a, f) < 1e-10
+
+
 @needs_blas
 def test_a_bound_block_dgetrf_rejects_takes_the_loop(testbed):
     """kkt02's wide blocks make ``dgetrf`` interchange rows, and a busy
@@ -526,7 +620,8 @@ def test_a_bound_partial_update_grid_is_the_ops(testbed):
     sym = symbolic_lu_symmetrized(a)
     plan = build_block_plan(a, sym, block_partition(
         sym, dense_tail_threshold=0.2))
-    assert any(plan.lone[0][k].keep is not None for k in _bound(plan))
+    assert any(s.w > 1 and s.updates and s.updates[0][2] is not None
+               for s in _alone_steps(plan))
     for replace_tiny in (True, False):
         _bound_is_ops(_drifted(a, 2), plan, replace_tiny_pivots=replace_tiny)
 
@@ -548,25 +643,26 @@ def test_a_nan_pivot_rejects_a_bound_block(testbed):
     solver = testbed["cfd06"][2]
     a, plan = solver.a_factored, solver._block_plan
     # the widest block that updates nothing: the NaN stays in it
-    k = max((k for k in _bound(plan) if not plan.lone[0][k].m),
-            key=lambda k: plan.lone[0][k].w)
+    k = max((s for s in _alone_steps(plan) if s.w > 1 and not s.updates),
+            key=lambda s: s.w).k
     last = int(plan.part.xsup[k + 1]) - 1
     lo, hi = a.colptr[last], a.colptr[last + 1]
     nzval = a.nzval.copy()
     nzval[lo + int(np.flatnonzero(a.rowind[lo:hi] == last)[0])] = np.nan
-    f, delta = _bound_is_ops(_with_values(a, nzval), plan,
-                             replace_tiny_pivots=False)
+    with np.errstate(invalid="ignore"):     # the ops loop's NaN compares
+        f, delta = _bound_is_ops(_with_values(a, nzval), plan,
+                                 replace_tiny_pivots=False)
     assert (delta["lu_lapack"], delta["lu_fallbacks"]) == (56, 1)
     assert np.isnan(f.diag[k][-1, -1])
 
 
 @needs_blas
 def test_zero_pivot_in_a_bound_block_raises_and_leaves_solver_intact():
-    """A zero pivot in a block taken from its bound entry, replacement
-    off: the refactorization raises and the solver still answers for the
-    matrix it held.  The matrix is 4 × 4 diagonal blocks bordered by a
-    last row and column, with blocks added until the etree's root
-    subtree is too wide to amalgamate, so a bound block updates."""
+    """A zero pivot in a block run at raw addresses, replacement off: the
+    refactorization raises and the solver still answers for the matrix
+    it held.  The matrix is 4 × 4 diagonal blocks bordered by a last row
+    and column, with blocks added until the etree's root subtree is too
+    wide to amalgamate, so a bound block updates."""
     rng = np.random.default_rng(4)
     for nblk in range(3, 8):
         n = 4 * nblk + 1
@@ -580,10 +676,11 @@ def test_zero_pivot_in_a_bound_block_raises_and_leaves_solver_intact():
         s = GESPSolver(a, GESPOptions(replace_tiny_pivots=False,
                                       col_perm="natural"), cache=False)
         plan = s._block_plan
-        k = _bound(plan)[0]
-        if plan.lone[0][k].m:
+        step = next(x for x in _alone_steps(plan) if x.w > 1)
+        if step.updates:
             break
-    assert plan.lone[0][k].m       # it updates, and nothing reaches it
+    k = step.k
+    assert step.updates       # it updates, and nothing reaches it
     assert k not in plan.part.supno()[np.concatenate(plan.s_rows)]
     col = int(np.flatnonzero(s.perm_c == plan.part.xsup[k])[0])
     row = int(np.flatnonzero(s.perm_r == col)[0])
@@ -611,61 +708,77 @@ def _spied(monkeypatch, name):
 
 @pytest.mark.parametrize("case", ["float32", "complex128", "no_blas"])
 def test_what_calls_the_ops(case, testbed, monkeypatch):
-    """float32 and complex values and a host without LAPACK / BLAS call
-    ``lu_nopivot`` for every supernode a step takes alone (complex: every
-    supernode) and never derive the bound entries; float64 calls it only
-    for the width-1 ones."""
+    """float32 values and a host without LAPACK / BLAS call ``lu_nopivot``
+    for every supernode a step takes alone, complex values for every
+    supernode (each taken alone: no batched step); float64 calls it only
+    for the width-1 ones taken alone."""
     a, plan = testbed["cfd06"][2].a_factored, testbed["cfd06"][2]._block_plan
     alone = [k for members, run in plan.runs if run is None for k in members]
     lu = _spied(monkeypatch, "lu_nopivot")
-
-    def eliminate_as(dtype, plan):
-        flat = plan.load(a)[0].astype(dtype)
-        eliminate(plan, flat, [Blocks(plan, flat, kind) for kind in range(3)],
-                  lambda k, d, op=kernels.lu_nopivot: op(d, 0.0), bound=True)
-    eliminate_as(np.float64, replace(plan))
+    supernodal_factor(a, plan=plan)
     assert len(lu) == len(alone) - len(_bound(plan))
     if case == "no_blas":
         monkeypatch.setattr(kernels, "_BLAS", None)
     lu.clear()
-    fresh = replace(plan)
-    eliminate_as(np.float64 if case == "no_blas" else case, fresh)
+    if case == "float32":           # the runner itself: no solver has one
+        kernels.run_steps(plan.steps, [plan.load(a)[0].astype(case)],
+                          lambda k, d, op=kernels.lu_nopivot: op(d, 0.0), 0.0)
+    else:
+        supernodal_factor(_with_values(a, a.nzval.astype(
+            np.float64 if case == "no_blas" else case)), plan=plan)
     assert len(lu) == (plan.part.nsuper if case == "complex128"
                        else len(alone))
-    assert "lone" not in vars(fresh)
 
 
 def test_the_block_pivoting_engine_calls_its_own_factor_diag(monkeypatch):
-    """Every supernode's diagonal block goes through ``lu_partial``; the
-    engine never reads a plan's bound entries."""
+    """Every supernode's diagonal block goes through ``lu_partial``, and
+    nothing calls ``dgetrf``: its steps all run on the ops."""
     a = matrix_by_name("cfd03").build()
     sym = symbolic_lu_symmetrized(a)
     part = block_partition(sym)
 
-    def unread(plan):
-        raise AssertionError("the block-pivoting engine read BlockPlan.lone")
-    monkeypatch.setattr(BlockPlan, "lone", property(unread))
+    def unused(*args):
+        raise AssertionError("the block-pivoting engine called dgetrf")
+    monkeypatch.setattr(kernels, "dgetrf", unused)
     lu = _spied(monkeypatch, "lu_partial")
     supernodal_factor_block_pivoting(a, sym, part)
     assert len(lu) == part.nsuper
 
 
 def test_bound_entries_are_the_wide_lone_supernodes(testbed):
-    """One entry per supernode a step takes alone wider than one column,
-    its targets ``intp`` copies, its blocks where the plan puts them —
-    and a pickled plan leaves them behind (the spool schema is unchanged)."""
+    """The plan's step list is its ``runs`` in order: a batched step as
+    it stands, each supernode taken alone a ``Step`` with D_K, B_K and
+    R_K where the plan puts them, its targets ``intp`` copies and its
+    selection the plan's; the static counts are those of the steps wider
+    than one column.  A pickled plan keeps its steps, its batched steps
+    still the plan's own runs."""
     for name in BENCH_PATTERNS:
         plan = testbed[name][2]._block_plan
-        entries, counts = plan.lone
+        steps = iter(plan.steps.steps)
         for members, run in plan.runs:
-            for k in members:
-                e, w = entries[k], int(np.diff(plan.part.xsup)[k])
-                assert (e is not None) == (run is None and w > 1), name
-                if e is not None:
-                    assert e.tgt.dtype == np.intp
-                    assert np.array_equal(e.tgt, plan.targets[k])
-                    assert (e.w, e.m) == (w, plan.s_rows[k].size)
-                    assert plan.bounds[3 * k:3 * k + 4] == [e.d, e.b, e.r,
-                                                            e.end]
+            if run is not None:
+                assert next(steps)[1] is run
+            for k in members if run is None else ():
+                step = next(steps)
+                (w, _), (m, _) = plan.shapes[3 * k:3 * k + 2]
+                d, b, r = plan.bounds[3 * k:3 * k + 3]
+                assert step[:4] == (k, w, 0, d), name
+                if plan.targets[k].size:
+                    assert step.panels == (("trsm_upper", 0, b, m, w, 1),
+                                           ("trsm_lower_unit", 0, r, w, m, 1))
+                    (t, tgt, take, *operands), = step.updates
+                    assert tgt.dtype == np.intp and t == 0
+                    assert np.array_equal(tgt, plan.targets[k])
+                    assert take is plan.selection[k]
+                    assert operands == [0, 1, 1]     # panel 0 times panel 1
+                else:
+                    assert step.panels == step.updates == ()
+        assert next(steps, None) is None
+        counts = plan.steps.counts
         assert counts.lu_calls == counts.lu_lapack == len(_bound(plan))
-        assert "lone" not in vars(pickle.loads(pickle.dumps(plan)))
+        copy = pickle.loads(pickle.dumps(plan))
+        assert "steps" in vars(copy)
+        runs = [run for _, run in copy.runs if run is not None]
+        kept = [s[1] for s in copy.steps.steps if type(s) is not kernels.Step]
+        assert len(kept) == len(runs)
+        assert all(x is y for x, y in zip(kept, runs))

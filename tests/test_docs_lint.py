@@ -33,9 +33,10 @@ def test_check_docs_cli_exit_status():
 
 def test_green_run_ends_with_the_source_size_line(capsys):
     """The numbers ROADMAP.md and every CHANGES.md entry quote, from one
-    tool: what a user can set, then the source size."""
+    tool: what a user can set, each package's size, then the source
+    size."""
     assert check_docs.main() == 0
-    knobs, last = capsys.readouterr().out.splitlines()[-2:]
+    knobs, packages, last = capsys.readouterr().out.splitlines()[-3:]
     # pinned: a knob added or retired later shows up as an edit here
     assert knobs == "knobs: 13 / 3 / 38 / 0"
     # a name in prose or a docstring is not a variable the code reads
@@ -44,6 +45,15 @@ def test_green_run_ends_with_the_source_size_line(capsys):
     lines = b"".join(p.read_bytes() for p in files).count(b"\n")
     assert last == f"src: {len(files)} modules / {lines} lines"
     assert len(files) > 80 and lines > 15_000
+    # a package's lines include its subpackages'; a top-level module is
+    # an entry of its own; together they are every line under src/
+    sizes = {}
+    for p in files:
+        top = p.relative_to(REPO / "src" / "repro").parts[0]
+        sizes[top] = sizes.get(top, 0) + p.read_bytes().count(b"\n")
+    assert packages == "packages: " + " / ".join(
+        f"{name} {n}" for name, n in sorted(sizes.items()))
+    assert sum(sizes.values()) == lines and "kernels.py" in sizes
 
 
 def test_lint_catches_a_missing_package():

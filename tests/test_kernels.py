@@ -839,7 +839,7 @@ def test_zero_on_the_upper_diagonal_warns_on_the_loop():
 
 
 # --------------------------------------------------------------------- #
-# 7. an op bound once (``kernels.bind_*``) is the op
+# 7. a step run at raw addresses, or a diagonal solve bound once, is the op
 # --------------------------------------------------------------------- #
 
 def _delta(st, snap):
@@ -858,20 +858,52 @@ def _called(call):
     return out, _delta(st, snap)
 
 
-def _bound_call(name, operands, extra):
-    """``name`` bound on ``operands`` and run as a static sweep runs it: the
-    bound call, then the build-time counts added once (not after a raise).
-    Returns ``(fn, result, delta)``."""
-    counts = kernels.KernelStats()
-    fn, args = (kernels.bind_lu_nopivot(*operands, counts, kernels.Scratch())
-                if name == "lu_nopivot"
-                else kernels.bind_dtrsm(name, *operands, counts))
+_FACTOR_OPS = ("lu_nopivot", "trsm_upper", "trsm_lower_unit")
 
-    def call():
-        out = fn(*args, *extra)
-        kernels.stats().add(counts)
-        return out
-    return (fn, *_called(call))
+
+def _op_call(name, operands, extra):
+    """``name`` on ``operands`` through the op; a panel solve after the
+    ``lu_nopivot`` of its diagonal block, as a step makes it."""
+    if name in _FACTOR_OPS[1:]:
+        kernels.lu_nopivot(operands[0], 0.0)
+    return getattr(kernels, name)(*operands, *extra)
+
+
+def _bound_call(name, operands, extra):
+    """``name`` on ``operands`` as a static run makes it.  A diagonal solve
+    is bound once (``kernels.bind_dtrsm``) and called, the counts added
+    after (not after a raise).  ``lu_nopivot`` and the panel solves are a
+    one-supernode step list (``kernels.build_steps``) over a store holding
+    the operands' values row-major, run by ``kernels.run_steps`` and read
+    back into them.  Returns ``(raw, result, delta)``: whether the call
+    was made at raw addresses, its result and its ``KernelStats`` delta."""
+    if name not in _FACTOR_OPS:
+        counts = kernels.KernelStats()
+        fn, args = kernels.bind_dtrsm(name, *operands, counts)
+
+        def call():
+            out = fn(*args, *extra)
+            kernels.stats().add(counts)
+            return out
+        return (fn is not getattr(kernels, name), *_called(call))
+    d, *panel = operands
+    w, thresh = d.shape[0], (*extra, 0.0)[0]
+    store = np.concatenate([x.ravel() for x in operands])
+    solve = tuple((name, 0, w * w, *x.shape, 1) for x in panel)
+    steps = kernels.build_steps([kernels.Step(0, w, 0, 0, solve, ())], 1)
+    replaced = []
+
+    def factor_diag(k, dk, lu=kernels.lu_nopivot):
+        replaced.extend(lu(dk, thresh))
+        return replaced
+
+    out = _called(lambda: kernels.run_steps(steps, [store], factor_diag,
+                                            thresh) or replaced)
+    at = 0
+    for x in operands:
+        x[...] = store[at:at + x.size].reshape(x.shape)
+        at += x.size
+    return w > 1 and store.dtype == np.float64, *out
 
 
 def _lu_block(case):
@@ -924,32 +956,39 @@ _BOUND = [("lu_nopivot", c) for c in ("kept", "interchange", "tiny", "zero",
 @needs_blas
 @pytest.mark.parametrize("name,case", _BOUND)
 def test_bound_op_is_the_op(name, case):
-    """A binding is its op bit for bit with the same ``KernelStats``
-    delta: ``dgetrf`` kept, rejected (an interchange, a tiny pivot, a zero
-    pivot at ``thresh = 0`` and its ``ZeroDivisionError``), and a zero on
+    """A step run at raw addresses, and a diagonal solve bound once, is
+    its op bit for bit with the same ``KernelStats`` delta: ``dgetrf``
+    kept, rejected (an interchange, a tiny pivot, a zero pivot at
+    ``thresh = 0`` and its ``ZeroDivisionError``), and a zero on
     ``U_KK``'s diagonal (the loop's ``RuntimeWarning``) are decided per
-    call; width 1, a non-contiguous and a float32 operand bind the op
-    itself."""
+    call; width 1 and float32 call the op itself, and so does a
+    non-contiguous diagonal-solve operand.  A step addresses row-major
+    slices of a store, so a Fortran-ordered or strided operand of a factor
+    op is the op on a C-ordered copy."""
     fresh, extra = (_lu_block(case) if name == "lu_nopivot"
                     else _solve_operands(name, case))
     op_operands, bound_operands = fresh(), fresh()
+    if name in _FACTOR_OPS:
+        op_operands = [np.ascontiguousarray(x) for x in op_operands]
+
     def warns():
         return pytest.warns(RuntimeWarning, match="divide by zero") \
             if (name, case) == ("diag_solve_upper", "zero") else nullcontext()
 
     with warns():
         want, want_delta = _called(
-            lambda: getattr(kernels, name)(*op_operands, *extra))
+            lambda: _op_call(name, op_operands, extra))
     with warns():
-        fn, got, got_delta = _bound_call(name, bound_operands, extra)
+        raw, got, got_delta = _bound_call(name, bound_operands, extra)
     assert got_delta == want_delta
     assert all(np.array_equal(g, w, equal_nan=True) and g.dtype == w.dtype
                for g, w in zip(bound_operands, op_operands))
     if name == "lu_nopivot":
         assert got == want
-    falls_back = case in ("width1", "fortran", "strided", "float32")
-    assert (fn is getattr(kernels, name)) == falls_back
+    falls_back = case in ("width1", "float32") or (
+        case in ("fortran", "strided") and name not in _FACTOR_OPS)
+    assert raw != falls_back
     if name == "lu_nopivot" and not falls_back:
         assert (got is ZeroDivisionError) == (case == "zero")
         assert (want_delta["lu_lapack"], want_delta["lu_fallbacks"]) == \
-            ((1, 0) if case == "kept" else (0, 1))
+            ((1, 0) if case in ("kept", "fortran") else (0, 1))

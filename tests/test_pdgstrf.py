@@ -152,7 +152,7 @@ def test_dense_tail_updates_select_the_entries_that_have_a_home():
         for rank, b in enumerate(batches):
             if b < 0:
                 continue
-            start, end, cut, *_, take = targets.calls[b]
+            tgt, cut, *_, take = targets.calls[b]
             if take is None:
                 continue
             # the rank's product: its L panel's rows by its U panel's columns
@@ -163,7 +163,7 @@ def test_dense_tail_updates_select_the_entries_that_have_a_home():
             partial += take.size < size          # some entries have no home
             # one target per selected entry; the look-ahead columns'
             # entries first, each part in product order
-            assert take.size == end - start
+            assert take.size == tgt.size
             assert 0 <= cut <= take.size
             for part in (take[:cut], take[cut:]):
                 assert np.all(np.diff(part) > 0)

@@ -321,6 +321,43 @@ def test_refactor_compares_the_pattern_and_hashes_only_a_new_one(
     assert len(hashed) == 2
 
 
+@pytest.mark.parametrize("engine", ["serial", "distributed"])
+def test_a_warm_op_hashes_no_pattern_and_another_pattern_still_raises(
+        engine, rng, monkeypatch):
+    """A warm refactor hands the factorization (serial) or the refill
+    (distributed) the arrays its plan or layout was built from — the
+    value map's — so nothing hashes a pattern, and a copy that compares
+    equal is not hashed either.  A direct call with another pattern of
+    the same order still pays the hash and raises."""
+    from repro.dmem import distribute
+    from repro.driver import pipeline
+    from repro.factor import supernodal
+
+    a, a2 = _pair(rng, n=30)
+    s = (GESPSolver(a, cache=False) if engine == "serial"
+         else DistributedGESPSolver(a, nprocs=4, cache=False))
+    hashed = []
+    for module in (pipeline, supernodal, distribute):
+        monkeypatch.setattr(module, "pattern_fingerprint", lambda m, f=(
+            module.pattern_fingerprint): hashed.append(m) or f(m))
+    s.refactor(a2)
+    at = s.a_factored
+    copy = CSCMatrix(at.nrows, at.ncols, at.colptr.copy(), at.rowind.copy(),
+                     at.nzval)
+    if engine == "serial":
+        def factor(m):
+            return supernodal.supernodal_factor(m, plan=s._block_plan)
+    else:
+        def factor(m):
+            return distribute.refill_values(s.dist, m, s.symbolic)
+    factor(copy)
+    assert hashed == []
+    bad = _other_pattern(at, rng)
+    with pytest.raises(PatternMismatchError):
+        factor(bad)
+    assert hashed == [bad]
+
+
 def test_gesp_factor_rejects_wrong_pattern_symbolic(rng):
     from repro.factor.gesp import gesp_factor
     from repro.symbolic.fill import symbolic_lu

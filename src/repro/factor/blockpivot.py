@@ -166,9 +166,7 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
         # earlier L panels
         if not np.array_equal(pk, np.arange(pk.size)):
             right[k][:, :] = right[k][pk, :]
-            for (k_src, lo_s, hi_s) in l_slices[k]:
-                if k_src >= k:
-                    continue
+            for (k_src, lo_s, hi_s) in l_slices[k]:    # k_src < k
                 # block-closed storage: the slice covers the whole
                 # block, so the local interchange is a plain row shuffle
                 assert hi_s - lo_s == pk.size

@@ -106,8 +106,22 @@ class BlockPlan:
         whose targets are ``intp`` (numpy widens ``int32`` ones to read
         and again to write).  Built when first asked for; a copy made by
         ``dataclasses.replace`` builds its own."""
+        return self._steps(self.runs)
+
+    @cached_property
+    def steps_alone(self):
+        """:attr:`steps` with every supernode taken alone, for complex
+        values: BLAS rounds a complex product differently from a batched
+        step's elementwise multiply."""
+        return self._steps([(range(self.part.nsuper), None)])
+
+    def __getstate__(self):     # the step lists are built where needed
+        return {k: v for k, v in vars(self).items()
+                if k not in ("steps", "steps_alone")}
+
+    def _steps(self, runs):
         steps = []
-        for members, run in self.runs:
+        for members, run in runs:
             if run is not None:
                 steps.append((members, run))
             for k in members if run is None else ():

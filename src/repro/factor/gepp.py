@@ -85,7 +85,6 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
     u_cols_vals = []
     # pinv[orig_row] = pivot step at which the row became pivotal, else -1
     pinv = np.full(n, -1, dtype=np.int64)
-    porder = np.empty(n, dtype=np.int64)  # porder[k] = original row of pivot k
 
     dtype = a.nzval.dtype
     spa = np.zeros(n, dtype=dtype)
@@ -149,7 +148,6 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
         mags = np.abs(spa[cand_arr])
         mmax = mags.max()
         if mmax == 0.0:
-            spa[list(visited)] = 0.0
             raise ZeroDivisionError(f"no nonzero pivot in column {j}")
         pivot_row = -1
         if prefer_diagonal:
@@ -165,7 +163,6 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
             pivot_row = int(cand_arr[best[np.argmax(mags[best])]])
         pivot_val = spa[pivot_row]
         pinv[pivot_row] = j
-        porder[j] = pivot_row
 
         # ---- gather U(:,j): pivotal rows of the reach (mapped to steps) ----
         urows, uvals = [j], [pivot_val]
@@ -190,9 +187,8 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
 
     # assemble CSC L (rows remapped to pivot coordinates) and U
     perm_r = pinv  # destination convention: original row -> pivot position
-    l_colptr = np.zeros(n + 1, dtype=np.int64)
-    for j in range(n):
-        l_colptr[j + 1] = l_colptr[j] + l_cols_rows[j].size + 1
+    l_colptr = np.concatenate(([0], np.cumsum(
+        [rows.size + 1 for rows in l_cols_rows], dtype=np.int64)))
     l_rowind = np.empty(l_colptr[-1], dtype=np.int64)
     l_nzval = np.empty(l_colptr[-1], dtype=dtype)
     for j in range(n):
@@ -203,9 +199,8 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
         l_nzval[lo] = 1.0
         l_rowind[lo + 1:l_colptr[j + 1]] = rows_p[order]
         l_nzval[lo + 1:l_colptr[j + 1]] = l_cols_vals[j][order]
-    u_colptr = np.zeros(n + 1, dtype=np.int64)
-    for j in range(n):
-        u_colptr[j + 1] = u_colptr[j] + u_cols_rows[j].size
+    u_colptr = np.concatenate(([0], np.cumsum(
+        [rows.size for rows in u_cols_rows], dtype=np.int64)))
     u_rowind = np.concatenate(u_cols_rows) if n else np.empty(0, np.int64)
     u_nzval = np.concatenate(u_cols_vals) if n else np.empty(0, dtype)
 

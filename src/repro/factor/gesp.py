@@ -242,7 +242,6 @@ def _gesp_factor(a, sym, replace_tiny_pivots, tiny_pivot_scale,
                 perturbed.append(j)
                 deltas.append(pivot - old)
         elif pivot == 0.0:
-            _clear_spa(spa, arows, l_rowind, l_colptr, u_rowind, u_colptr, j)
             raise ZeroDivisionError(
                 f"zero pivot at column {j} with static pivoting disabled")
 
@@ -280,9 +279,3 @@ def transpose_pattern(rowptr, colind, n):
     rowind = rows_of[order]
     return colptr, rowind
 
-
-def _clear_spa(spa, arows, l_rowind, l_colptr, u_rowind, u_colptr, j):
-    """Reset the SPA after an aborted column (error path)."""
-    spa[arows] = 0.0
-    spa[l_rowind[l_colptr[j]:l_colptr[j + 1]]] = 0.0
-    spa[u_rowind[u_colptr[j]:u_colptr[j + 1]]] = 0.0

@@ -32,7 +32,7 @@ tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -237,11 +237,8 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     stats = kernels.stats()
     snap = stats.snapshot()
-    # complex values take every supernode alone: BLAS rounds a complex
-    # product differently from a batched step's elementwise multiply
-    kernels.run_steps(plan.steps if flat.dtype.kind != "c" else replace(
-        plan, runs=[(range(plan.part.nsuper), None)]).steps, [flat],
-        factor_diag, thresh)
+    kernels.run_steps(plan.steps if flat.dtype.kind != "c"
+                      else plan.steps_alone, [flat], factor_diag, thresh)
     cols = sorted(replaced)     # steps run out of supernode order
     return SupernodalFactors(
         part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,

@@ -7,7 +7,8 @@ iteration one ``trsm`` on a rank's L(·,K) panel, one on its U(K,·) panel
 and one GEMM of the two panels it holds or received, subtracted through
 store offsets :func:`build_schedule` lays out once per pattern.  The
 simulator, the process executor and :func:`_sweep`, a warm op's static
-pass over every rank on dense ops bound once, agree bit for bit; the
+pass over every rank (the schedule's step list, run by
+:func:`repro.kernels.run_steps`), agree bit for bit; the
 serial kernel does the same block operations on other operand shapes,
 so the two agree to rounding (a tolerance and the ``splu`` oracle).
 
@@ -178,17 +179,15 @@ def _collect_factor_state(rank, dist, **_kwargs):
 
 
 class UpdateTargets(NamedTuple):
-    """Every rank's trailing updates as store offsets: batch
-    ``b = batch[K][rank]`` (-1: none) is the product of the rank's L and
-    U panels, taken as its first ``split`` columns (the look-ahead block
-    J = K+1), then the rest, each row-major.  It sends the entries with a
-    home to ``tgt``, where ``calls[b] = (tgt, cut, *flops, blocks - 1,
-    take)``: the look-ahead columns' ``cut`` entries first, the flops of
-    those and of the rest, and ``take``, which picks those entries of the
-    row-major product in ``tgt``'s order (None: all, as they stand).
-    ``steps`` is the same work as the static sweep's step list."""
+    """Every rank's trailing updates: ``steps`` is the static sweep's step
+    list (:func:`repro.kernels.build_steps`, one store per rank), and
+    ``batch[K][rank]`` (None: no update) is ``(update, cut, *flops)``:
+    the rank's update of step K, the product of its L and U panels,
+    taken as its first ``split`` columns (the look-ahead block J = K+1),
+    then the rest, each row-major, whose targets hold the look-ahead
+    columns' ``cut`` entries first; and the flops of those columns and
+    of the rest."""
     batch: list
-    calls: list
     steps: kernels.Steps
 
 
@@ -197,10 +196,10 @@ def _update_targets(dist, need_l, need_u):
     :meth:`DistributedBlocks.slots`.  With relaxed or merged supernodes an
     (i, j) of ``S_K × S_K`` may have no home in its target block; the
     product entry is exactly zero (each term has an explicitly-zero
-    factor) and the batch leaves it out."""
+    factor) and the update's ``take`` leaves it out."""
     grid, base = dist.grid, [store.ctypes.data for store in dist.stores]
-    batch = np.full((dist.nsuper, grid.size), -1, dtype=np.int32)
-    calls, steps = [], []
+    batch = [[None] * grid.size for _ in range(dist.nsuper)]
+    steps = []
 
     def at(blocks, r):      # rank r's panel of K: its store, offset, shape
         view = blocks[r][k]
@@ -231,19 +230,18 @@ def _update_targets(dist, need_l, need_u):
             take = np.arange(r.size * c.size).reshape(r.size, c.size)
             take = np.concatenate((take[:, :split], take[:, split:]),
                                   axis=None)[h]
-            take = take if split or not h.all() else None
-            tgt = t[h].astype(np.intp)  # the subtract indexes with it as is
-            batch[k, grid.rank(pr, pc)] = len(calls)
-            calls.append((tgt, int(h[:r.size * split].sum()),
-                          kernels.gemm_flops(r.size, w, split),
-                          kernels.gemm_flops(r.size, w, c.size - split),
-                          nl * nu - 1, take))
-            updates.append((grid.rank(pr, pc), tgt, take, i, j, nl * nu))
+            # the subtract indexes with the targets as they are: intp
+            rank = grid.rank(pr, pc)
+            updates.append((rank, t[h].astype(np.intp),
+                            take if split or not h.all() else None,
+                            i, j, nl * nu))
+            batch[k][rank] = (updates[-1], int(h[:r.size * split].sum()),
+                              kernels.gemm_flops(r.size, w, split),
+                              kernels.gemm_flops(r.size, w, c.size - split))
         owner = grid.rank(kr, kc)
         steps.append(kernels.Step(k, w, *at(dist.diag, owner)[:2], panels,
                                   tuple(updates)))
-    return UpdateTargets(batch.tolist(), calls,
-                         kernels.build_steps(steps, grid.size))
+    return UpdateTargets(batch, kernels.build_steps(steps, grid.size))
 
 
 def build_schedule(dist, dag, edag_prune):
@@ -421,9 +419,9 @@ def _rank_program(rank, dist: DistributedBlocks, dag: BlockDAG, thresh,
         Compute — or, with ``lookahead``, the J = K+1 columns' subtract and
         Compute, step 1 of iteration K+1, then the rest's (the gemm read
         only panels K)."""
-        tgt, cut, *flops, more, take = targets.calls[targets.batch[k][rank]]
+        (_, tgt, take, _, _, blocks), cut, *flops = targets.batch[k][rank]
         upd = kernels.gemm_update(lpanel, upanel).ravel()
-        kernels.stats().gemm_calls += more     # the batch's block products
+        kernels.stats().gemm_calls += blocks - 1     # its block products
         upd = upd if take is None else upd[take]
         if lookahead:
             store[tgt[:cut]] -= upd[:cut]

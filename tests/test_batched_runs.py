@@ -24,13 +24,13 @@ Promises enforced here:
    plan's static totals);
 5. one step list, one runner (``kernels.run_steps``) for both engines:
    a supernode taken alone runs from the plan's ``Step`` at raw
-   addresses bit for bit the ops — values, replaced pivots and every
-   ``KernelStats`` field — on the bench patterns and over the testbed
+   addresses bit for bit the ops — values, replaced pivots and their
+   deltas, flops and every ``KernelStats`` field — on the bench patterns and over the testbed
    (a kept ``dgetrf``, an interchange, a tiny pivot, a NaN, a partial
    update grid, a zero pivot that raises), the 2 × 2 layout's sweep is
    its rank programs with the same runner, float32, complex, no LAPACK /
    BLAS and the block-pivoting engine call the ops, and a pickled plan
-   keeps its steps.
+   leaves its step lists out.
 """
 
 import pickle
@@ -435,29 +435,41 @@ def _counted(factor):
 def _ops_loop(a, plan, thresh):
     """The elimination as one loop over the supernodes, in order, through
     the ops on views of the block values (the loop before step lists).
-    Returns the values and the columns whose pivots were replaced."""
+    Returns the values and each replaced pivot's column and delta, the
+    delta replayed from the block as the op received it."""
     flat, (diag, below, right) = plan.load(a)
-    cols, xsup = [], plan.part.xsup.tolist()
+    deltas, xsup = {}, plan.part.xsup.tolist()
     for k in range(plan.part.nsuper):
-        cols += [xsup[k] + j for j in kernels.lu_nopivot(diag[k], thresh)]
+        d = diag[k]
+        entry = d.diagonal().copy()
+        for j in kernels.lu_nopivot(d, thresh):
+            old = entry[j]
+            for t in range(j):
+                old = old - d[j, t] * d[t, j]
+            deltas[xsup[k] + j] = d[j, j] - old
         tgt, keep = plan.targets[k], plan.selection[k]
         if tgt.size:
             upd = kernels.gemm_update(
-                kernels.trsm_upper(diag[k], below[k]),
-                kernels.trsm_lower_unit(diag[k], right[k])).ravel()
+                kernels.trsm_upper(d, below[k]),
+                kernels.trsm_lower_unit(d, right[k])).ravel()
             flat[tgt] -= upd if keep is None else upd[keep]
-    return flat, sorted(cols)
+    cols = sorted(deltas)
+    return flat, cols, np.array([deltas[c] for c in cols], dtype=flat.dtype)
 
 
 def _bound_is_ops(a, plan, **kw):
     """Factor ``a`` from ``plan``'s step list and by :func:`_ops_loop`:
-    the same bytes, replaced pivots and counts.  Returns the step list's
-    factors and counts."""
+    the same bytes, replaced pivots, pivot deltas and counts.  Returns
+    the step list's factors and counts."""
     f, got = _counted(lambda: supernodal_factor(a, plan=plan, **kw))
-    (flat, cols), want = _counted(
+    (flat, cols, deltas), want = _counted(
         lambda: _ops_loop(a, plan, f.tiny_pivot_threshold))
     assert f.values.tobytes() == flat.tobytes()
     assert f.perturbed_columns.tolist() == cols
+    assert f.pivot_deltas.tobytes() == deltas.tobytes()
+    assert f.n_tiny_pivots == len(cols)
+    assert f.flops == kernels.KernelStats(**want).flops_since(
+        kernels.KernelStats())
     assert got == want
     return f, got
 
@@ -750,8 +762,9 @@ def test_bound_entries_are_the_wide_lone_supernodes(testbed):
     it stands, each supernode taken alone a ``Step`` with D_K, B_K and
     R_K where the plan puts them, its targets ``intp`` copies and its
     selection the plan's; the static counts are those of the steps wider
-    than one column.  A pickled plan keeps its steps, its batched steps
-    still the plan's own runs."""
+    than one column.  A pickled plan leaves both step lists out and
+    builds them again: its batched steps are its own runs, and its
+    complex list takes every supernode alone."""
     for name in BENCH_PATTERNS:
         plan = testbed[name][2]._block_plan
         steps = iter(plan.steps.steps)
@@ -776,9 +789,12 @@ def test_bound_entries_are_the_wide_lone_supernodes(testbed):
         assert next(steps, None) is None
         counts = plan.steps.counts
         assert counts.lu_calls == counts.lu_lapack == len(_bound(plan))
+        plan.steps_alone
         copy = pickle.loads(pickle.dumps(plan))
-        assert "steps" in vars(copy)
+        assert "steps" not in vars(copy) and "steps_alone" not in vars(copy)
         runs = [run for _, run in copy.runs if run is not None]
         kept = [s[1] for s in copy.steps.steps if type(s) is not kernels.Step]
         assert len(kept) == len(runs)
         assert all(x is y for x, y in zip(kept, runs))
+        assert all(type(s) is kernels.Step for s in copy.steps_alone.steps)
+        assert len(copy.steps_alone.steps) == plan.part.nsuper

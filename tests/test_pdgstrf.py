@@ -150,9 +150,10 @@ def test_dense_tail_updates_select_the_entries_that_have_a_home():
     targets, partial = ds._schedule["updates"], 0
     for k, batches in enumerate(targets.batch):
         for rank, b in enumerate(batches):
-            if b < 0:
+            if b is None:
                 continue
-            tgt, cut, *_, take = targets.calls[b]
+            (_, tgt, take, *_), cut, *_ = b
+            assert any(u is b[0] for u in targets.steps.steps[k].updates)
             if take is None:
                 continue
             # the rank's product: its L panel's rows by its U panel's columns

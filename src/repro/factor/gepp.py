@@ -187,8 +187,9 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
 
     # assemble CSC L (rows remapped to pivot coordinates) and U
     perm_r = pinv  # destination convention: original row -> pivot position
-    l_colptr = np.concatenate(([0], np.cumsum(
-        [rows.size + 1 for rows in l_cols_rows], dtype=np.int64)))
+    l_colptr = np.zeros(n + 1, dtype=np.int64)
+    for j in range(n):
+        l_colptr[j + 1] = l_colptr[j] + l_cols_rows[j].size + 1
     l_rowind = np.empty(l_colptr[-1], dtype=np.int64)
     l_nzval = np.empty(l_colptr[-1], dtype=dtype)
     for j in range(n):
@@ -199,8 +200,9 @@ def gepp_factor(a: CSCMatrix, pivot_threshold: float = 1.0,
         l_nzval[lo] = 1.0
         l_rowind[lo + 1:l_colptr[j + 1]] = rows_p[order]
         l_nzval[lo + 1:l_colptr[j + 1]] = l_cols_vals[j][order]
-    u_colptr = np.concatenate(([0], np.cumsum(
-        [rows.size for rows in u_cols_rows], dtype=np.int64)))
+    u_colptr = np.zeros(n + 1, dtype=np.int64)
+    for j in range(n):
+        u_colptr[j + 1] = u_colptr[j] + u_cols_rows[j].size
     u_rowind = np.concatenate(u_cols_rows) if n else np.empty(0, np.int64)
     u_nzval = np.concatenate(u_cols_vals) if n else np.empty(0, dtype)
 

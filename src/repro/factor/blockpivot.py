@@ -174,7 +174,7 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
                     below[k_src][lo_s:hi_s, :][pk, :]
 
     with kernels.kernel_counters():
-        kernels.run_steps(plan.steps, [flat], factor_diag)
+        kernels.run_steps(kernels.bind_steps(plan.steps, [flat]), factor_diag)
 
     return BlockPivotedFactors(part=part, s_rows=s_rows, diag=diag,
                                below=below, right=right, piv=piv,

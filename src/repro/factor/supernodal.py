@@ -237,8 +237,8 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     stats = kernels.stats()
     snap = stats.snapshot()
-    kernels.run_steps(plan.steps if flat.dtype.kind != "c"
-                      else plan.steps_alone, [flat], factor_diag, thresh)
+    steps = plan.steps if flat.dtype.kind != "c" else plan.steps_alone
+    kernels.run_steps(kernels.bind_steps(steps, [flat]), factor_diag, thresh)
     cols = sorted(replaced)     # steps run out of supernode order
     return SupernodalFactors(
         part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,

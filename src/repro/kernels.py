@@ -26,18 +26,17 @@ Contract (docs/KERNELS.md has the table):
   stable, not the loops' bits.  All else runs the historical loops **bit
   for bit** (``tests/test_kernels.py`` keeps frozen copies).  Engines
   reach an op through the module, so a test swaps one with
-  ``monkeypatch.setattr(repro.kernels, ...)``; a step run at raw
-  addresses (below) makes the ops' calls without the op, unless
+  ``monkeypatch.setattr(repro.kernels, ...)``; a float64 step list
+  (below) makes the ops' calls, bit for bit, without the ops, unless
   ``_BLAS`` is monkeypatched to None (the tests' ``no_blas``).
 - Each LAPACK / BLAS call is stated once, here: :func:`dgetrf` (the
   block saved first, restored when the op's verdict rejects it) and
   :func:`dtrsm_args`.  So is Figure 8: one supernode's step — diagonal
   factor, two panel solves, one product and one indexed subtract per
-  update — is a :class:`Step` of store offsets, :func:`build_steps`
-  counts a list of them (the serial plan's over one store, the
-  distributed sweep's over one per rank) and :func:`run_steps` runs it.
-  The substitution sweeps bind their diagonal solves once per layout
-  (:func:`bind_dtrsm`).
+  update — is a :class:`Step` of store offsets; :func:`build_steps`
+  counts a list (the serial plan's, one store; the sweep's, one per
+  rank), :func:`bind_steps` resolves it once per factorization or
+  layout, :func:`run_steps` runs it; :func:`bind_dtrsm` binds diagonal solves.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ OPS = ("lu_nopivot", "lu_partial", "trsm_upper", "trsm_lower_unit",
 __all__ = ["OPS", "KernelCounts", "KernelStats", "stats", "kernel_counters",
            "lu_flops", "trsm_flops", "gemm_flops", *OPS, "Scratch",
            "dgetrf", "dtrsm_args", "lu_fallback", "Step", "Steps",
-           "build_steps", "run_steps", "bind_dtrsm"]
+           "build_steps", "bind_steps", "run_steps", "bind_dtrsm"]
 
 
 # --------------------------------------------------------------------- #
@@ -242,8 +241,8 @@ def dtrsm_args(op, m, n, dp, bp):
 class Scratch(dict):
     """:func:`dgetrf`'s scratch per width w: the block saved before the
     call, the pivot vector and its address, and the pivots of no
-    interchange.  A run of a step list and each thread's ops hold one
-    (each factors one block at a time)."""
+    interchange.  Each thread holds one for its ops and its runs of step
+    lists (each factors one block at a time)."""
 
     def __missing__(self, w):
         piv = np.empty(w, dtype=np.int64)
@@ -479,19 +478,20 @@ class Step(NamedTuple):
 
 
 class Steps(NamedTuple):
-    """A step list as :func:`build_steps` returns it."""
-    steps: list         # Step, or a batched step (members, run)
-    counts: KernelStats  # what its calls at raw addresses count
+    """A step list as :func:`build_steps` or :func:`bind_steps` made it."""
+    steps: list         # Step (resolved: a tuple), or (members, run)
+    counts: KernelStats  # what a run's calls off the ops count
     flops: list         # per store
+    stores: tuple = ()
 
 
 def build_steps(steps, nstores):
     """``steps`` — each a :class:`Step` or the serial plan's batched step
     ``(members, run)`` (:class:`repro.factor.blockplan.Run`) — with what
-    a run's calls at raw addresses count and each store's flops."""
+    a run's calls off the ops count and each store's flops."""
     counts, flops = KernelStats(), [0] * nstores
     for k, w, s, d, panels, updates in (x for x in steps if type(x) is Step):
-        c = KernelStats(1, lu_flops(w), lu_lapack=1)
+        c = KernelStats(1, lu_flops(w), lu_lapack=int(w > 1))
         flops[s] += c.lu_flops
         for _, p, _, m, n, b in panels:
             c.trsm_calls += b
@@ -501,30 +501,47 @@ def build_steps(steps, nstores):
             c.gemm_calls += b
             c.gemm_flops += (f := gemm_flops(panels[i][3], w, panels[j][4]))
             flops[t] += f
-        if w > 1:
-            counts.add(c)
+        counts.add(c)
     return Steps(steps, counts, flops)
 
 
-def run_steps(steps, stores, factor_diag, thresh=None):
-    """Run :func:`build_steps`' ``steps`` on ``stores``; ``factor_diag(k,
-    d)`` factors D_K, a view, in place.  ``thresh`` is static pivoting's:
-    with float64 stores and LAPACK / BLAS present, a step wider than one
-    column then runs at raw addresses, bit for bit its ops — :func:`dgetrf`
-    with the op's verdict per call (``factor_diag(k, d, lu_fallback)``
-    gets a block it rejects), both ``dtrsm``, ``@`` — counted once after
-    the last step (not after a raise).  Every other step calls the ops on
-    views: width 1, other dtypes, ``no_blas``, and ``thresh`` None, where
-    ``factor_diag`` pivots (block pivoting).  A batched step is its width-1
-    members' loop bit for bit (docs/ALGORITHMS.md): a pivot not above
-    ``thresh`` goes to ``factor_diag`` as if alone."""
-    st, scratch = stats(), _LOCAL.scratch
-    bound = thresh is not None and _BLAS and stores[0].dtype == np.float64
-    base = [s.ctypes.data for s in stores] if bound else ()
+def bind_steps(steps, stores):
+    """:func:`build_steps`' ``steps`` resolved against ``stores``, which
+    the result holds: a :class:`Step` as ``(k, w, diag, dp, panels,
+    updates)`` — D_K (1-D) and its address (None unless float64), the
+    panels ``(op, view, blocks, dtrsm args)``, the updates ``(store, tgt,
+    take, view i, view j, blocks)``; a batched step as it stands."""
+    f64, base = stores[0].dtype == np.float64, [s.ctypes.data for s in stores]
+    out = []
     for step in steps.steps:
-        if type(step) is not Step:
+        if type(step) is Step:
+            k, w, s, d, panels, updates = step
+            dp = base[s] + 8 * d if f64 else None
+            panels = [(op, stores[p][o:o + m * n].reshape(m, n), b,
+                       f64 and dtrsm_args(op, m, n, dp, base[p] + 8 * o))
+                      for op, p, o, m, n, b in panels]
+            step = (k, w, stores[s][d:d + w * w], dp, panels,
+                    [(stores[t], tgt, take, panels[i][1], panels[j][1], b)
+                     for t, tgt, take, i, j, b in updates])
+        out.append(step)
+    return steps._replace(steps=out, stores=tuple(stores))
+
+
+def run_steps(steps, factor_diag, thresh=None):
+    """Run :func:`bind_steps`' ``steps``; ``factor_diag(k, d)`` factors
+    D_K, a 2-D view, in place.  With static pivoting's ``thresh``, float64
+    stores and LAPACK / BLAS, each step runs bit for bit its ops, counted
+    once after the last step (not after a raise): wider than one column,
+    :func:`dgetrf` with the op's verdict (``factor_diag(k, d, lu_fallback)``
+    on a reject), both ``dtrsm``, ``@``; one column wide, alone or batched
+    (docs/ALGORITHMS.md), a pivot not above ``thresh`` goes to
+    ``factor_diag`` as if alone, then the L panel is divided by it.  Else
+    (other dtypes, ``no_blas``, ``thresh`` None) the ops run on views."""
+    st, scratch, flat = stats(), _LOCAL.scratch, steps.stores[0]
+    raw = thresh is not None and _BLAS and flat.dtype == np.float64
+    for step in steps.steps:
+        if len(step) == 2:                      # batched: (members, run)
             members, (dpos, bpos, bpiv, lpos, upos, tgt, counts) = step
-            flat = stores[0]
             for j in (~(abs(flat.take(dpos)) > thresh)).nonzero()[0].tolist():
                 p = int(dpos[j])
                 factor_diag(members[j], flat[p:p + 1].reshape(1, 1))
@@ -534,29 +551,32 @@ def run_steps(steps, stores, factor_diag, thresh=None):
                 np.subtract.at(flat, tgt, flat.take(lpos) * flat.take(upos))
             st.add(counts)
             continue
-        k, w, s, d, panels, updates = step
-        diag, views = stores[s][d:d + w * w], [
-            stores[p][o:o + m * n].reshape(m, n)
-            for _, p, o, m, n, _ in panels]
-        if raw := bound and w > 1:
-            dp = base[s] + 8 * d
+        k, w, diag, dp, panels, updates = step
+        if not raw:
+            factor_diag(k, d := diag.reshape(w, w))
+            for op, view, blocks, _ in panels:
+                globals()[op](d, view)
+                st.trsm_calls += blocks - 1
+        elif w > 1:
             if not dgetrf(diag, w, dp, scratch, thresh):
                 factor_diag(k, diag.reshape(w, w), lu_fallback)
-            for op, p, o, m, n, _ in panels:
-                _BLAS[1](*dtrsm_args(op, m, n, dp, base[p] + 8 * o))
-        else:
-            factor_diag(k, diag := diag.reshape(w, w))
-            for (op, *_, blocks), view in zip(panels, views):
-                globals()[op](diag, view)
-                st.trsm_calls += blocks - 1
-        for t, tgt, take, i, j, blocks in updates:
+            for _, _, _, args in panels:
+                _BLAS[1](*args)
+        else:                                   # the unit 1 × 1 U solve: none
+            if not abs(diag[0]) > thresh:
+                factor_diag(k, diag.reshape(1, 1))
+                st.lu_calls -= 1                # counts has it too
+            for op, view, _, _ in panels:
+                if op == "trsm_upper":
+                    view /= diag[0]
+        for store, tgt, take, l, u, blocks in updates:
             if raw:
-                upd = (views[i] @ views[j]).ravel()
+                upd = (l @ u).ravel()
             else:
-                upd = gemm_update(views[i], views[j]).ravel()
+                upd = gemm_update(l, u).ravel()
                 st.gemm_calls += blocks - 1
-            stores[t][tgt] -= upd if take is None else upd[take]
-    if bound:
+            store[tgt] -= upd if take is None else upd[take]
+    if raw:
         st.add(steps.counts)
 
 

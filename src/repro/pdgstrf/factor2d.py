@@ -7,10 +7,10 @@ iteration one ``trsm`` on a rank's L(·,K) panel, one on its U(K,·) panel
 and one GEMM of the two panels it holds or received, subtracted through
 store offsets :func:`build_schedule` lays out once per pattern.  The
 simulator, the process executor and :func:`_sweep`, a warm op's static
-pass over every rank (the schedule's step list, run by
-:func:`repro.kernels.run_steps`), agree bit for bit; the
-serial kernel does the same block operations on other operand shapes,
-so the two agree to rounding (a tolerance and the ``splu`` oracle).
+pass over every rank (the schedule's step list, bound to the layout's
+stores once, run by :func:`repro.kernels.run_steps`), agree bit for bit;
+the serial kernel does the same block operations on other operand
+shapes, so the two agree to rounding (a tolerance and the ``splu`` oracle).
 
 Message protocol per iteration K (tags encode ``4*K + kind``):
 
@@ -288,13 +288,13 @@ def build_schedule(dist, dag, edag_prune):
 
 def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
     """Every rank's :func:`_rank_program` as one pass, and each rank's
-    flops (:func:`repro.dmem.simulator.sweep`): ``run`` is
-    :func:`repro.kernels.run_steps` of the schedule's step list on the
-    stores — per K the diagonal factor on its owner, the panel trsms of
-    every rank holding a panel, then each rank's update from the same
-    panels.  A store entry takes its updates in ascending K, as in the
-    programs, so the bits are theirs (docs/EXECUTOR.md)."""
-    grid, stores, steps = dist.grid, dist.stores, sched["updates"].steps
+    flops (:func:`repro.dmem.simulator.sweep`, once per layout): ``run``
+    is :func:`repro.kernels.run_steps` of the schedule's step list, bound
+    here to this layout's stores — per K the owner's diagonal factor,
+    every panel's trsm, then each rank's update: a store entry takes its
+    updates in ascending K, as in the programs, and has their bits."""
+    grid = dist.grid
+    steps = kernels.bind_steps(sched["updates"].steps, dist.stores)
 
     def run(thresh, **_kwargs):
         n_tiny = [0] * grid.size
@@ -302,7 +302,7 @@ def _sweep(dist: DistributedBlocks, dag: BlockDAG, sched, **_kwargs):
         def factor_diag(k, d, lu=kernels.lu_nopivot):
             n_tiny[grid.rank(k % grid.nprow, k % grid.npcol)] += len(
                 lu(d, thresh))
-        kernels.run_steps(steps, stores, factor_diag, thresh)
+        kernels.run_steps(steps, factor_diag, thresh)
         return n_tiny
     return steps.flops, run
 

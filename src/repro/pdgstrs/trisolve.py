@@ -110,7 +110,7 @@ def _sweep(dist: DistributedBlocks, b, direction, **_kwargs):
     and each rank's flops (:func:`repro.dmem.simulator.sweep`): ``x(K)``
     is ``b(K)`` minus each contributor's partial sum in sorted rank order,
     solved in place in one solution buffer against the diagonal block
-    (bound once, ``kernels.bind_*``) — the programs' operands and order,
+    (bound once, ``kernels.bind_dtrsm``) — the programs' operands and order,
     so their bits (docs/EXECUTOR.md).  ``run`` holds what it bound and
     returns a copy of the buffer."""
     grid, xsup, name = dist.grid, dist.part.xsup, direction.blocks

@@ -22,15 +22,17 @@ Promises enforced here:
 4. the ``kernel.*`` counters of one factorization of cfd06 / kkt02 are
    the values recorded before batching (their calls are counted from the
    plan's static totals);
-5. one step list, one runner (``kernels.run_steps``) for both engines:
-   a supernode taken alone runs from the plan's ``Step`` at raw
-   addresses bit for bit the ops — values, replaced pivots and their
-   deltas, flops and every ``KernelStats`` field — on the bench patterns and over the testbed
+5. one step list, one resolver (``kernels.bind_steps``) and one runner
+   (``kernels.run_steps``) for both engines: a supernode taken alone
+   runs from the plan's ``Step`` off the ops bit for bit the ops —
+   values, replaced pivots and their deltas, flops and every
+   ``KernelStats`` field — on the bench patterns and over the testbed
    (a kept ``dgetrf``, an interchange, a tiny pivot, a NaN, a partial
-   update grid, a zero pivot that raises), the 2 × 2 layout's sweep is
-   its rank programs with the same runner, float32, complex, no LAPACK /
-   BLAS and the block-pivoting engine call the ops, and a pickled plan
-   leaves its step lists out.
+   update grid, a zero pivot that raises), and so does a step one column
+   wide on both engines (a tiny, a NaN and a zero pivot); the 2 × 2
+   layout's sweep is its rank programs with the same runner, float32,
+   complex, no LAPACK / BLAS and the block-pivoting engine call the ops,
+   and a pickled plan leaves its step lists out.
 """
 
 import pickle
@@ -485,8 +487,8 @@ def _alone_steps(plan):
 
 
 def _bound(plan):
-    """The supernodes whose steps run at raw addresses (float64 values):
-    the ones taken alone wider than one column."""
+    """The supernodes whose blocks go to ``dgetrf`` (float64 values): the
+    ones taken alone wider than one column."""
     return [s.k for s in _alone_steps(plan) if s.w > 1]
 
 
@@ -533,16 +535,17 @@ def grids():
             for name in ("cfd06", "kkt02")}
 
 
-def _pdgstrf(s, scale, swept):
+def _pdgstrf(s, scale, swept, at=None):
     """``s``'s layout factored at ``scale`` by its static sweep (a
     recording made first if there is none) or by a fresh simulation of
-    the rank programs.  Returns the stores, the replaced pivots and the
-    ``KernelStats`` delta."""
+    the rank programs, holding ``at`` (default: ``s.a_factored``).
+    Returns the stores, the replaced pivots and the ``KernelStats``
+    delta."""
     from repro.dmem.distribute import refill_values
     from repro.pdgstrf import pdgstrf
     from repro.sparse import norm1
 
-    at, dist = s.a_factored, s.dist
+    at, dist = s.a_factored if at is None else at, s.dist
 
     def factor():
         refill_values(dist, at)
@@ -707,6 +710,102 @@ def test_zero_pivot_in_a_bound_block_raises_and_leaves_solver_intact():
     assert rep.converged and rep.berr <= 8 * EPS
 
 
+def _pivot_at(a, j, rows, c, value):
+    """``a`` with ``value`` in column j where ``rows`` (every entry's row
+    as the engine factors it) is c, and zeros where it is above c: the
+    pivot of column c, where j lands, is ``value`` exactly when it is
+    eliminated (every update of it is a product with zero)."""
+    lo, hi = a.colptr[j], a.colptr[j + 1]
+    nzval = a.nzval.copy()
+    nzval[lo:hi][rows[lo:hi] < c] = 0.0
+    nzval[lo:hi][rows[lo:hi] == c] = value
+    return _with_values(a, nzval)
+
+
+def _width1(engine, s):
+    """The first column of ``s``'s engine that is a step one column wide
+    taken alone."""
+    from repro.pdgstrf import build_schedule
+
+    steps = (s._block_plan.steps.steps if engine == "serial" else
+             build_schedule(s.dist, s.dag, s.edag_prune)["updates"].steps.steps)
+    part = s._block_plan.part if engine == "serial" else s.part
+    return int(part.xsup[next(x.k for x in steps
+                              if type(x) is kernels.Step and x.w == 1)])
+
+
+@needs_blas
+@pytest.mark.parametrize("engine", ["serial", "2x2"])
+@pytest.mark.parametrize("case", ["tiny", "nan"])
+def test_a_width1_step_is_the_ops(engine, case, testbed, grids):
+    """A step one column wide taken alone runs off the ops by the batched
+    step's rule, bit for bit the ops with the same ``KernelStats`` delta:
+    a pivot below the threshold goes to ``factor_diag``, which replaces it
+    and records it (with the ops' pivot delta on the serial engine), and
+    a NaN pivot goes there too and spreads as the ops spread it."""
+    value = -1e-30 if case == "tiny" else np.nan
+    s = testbed["cfd06"][2] if engine == "serial" else grids["cfd06"]
+    c, at = _width1(engine, s), s.a_factored
+    at = _pivot_at(at, c, at.rowind, c, value)
+    with np.errstate(invalid="ignore"):     # the NaN's compares
+        if engine == "serial":
+            f, _ = _bound_is_ops(at, s._block_plan)
+            pivot = f.diag[int(s._block_plan.part.supno()[c])][0, 0]
+        else:
+            stores, n_tiny, delta = _pdgstrf(s, None, True, at)
+            want = _pdgstrf(s, None, False, at)
+            assert [x.tobytes() for x in stores] == \
+                [x.tobytes() for x in want[0]]
+            assert (n_tiny, delta) == want[1:]
+    if case == "tiny" and engine == "serial":
+        assert c in f.perturbed_columns and pivot == -f.tiny_pivot_threshold
+    elif case == "tiny":
+        assert n_tiny >= 1
+    elif engine == "serial":
+        assert np.isnan(pivot)
+
+
+@needs_blas
+@pytest.mark.parametrize("engine", ["serial", "2x2"])
+def test_a_zero_width1_pivot_raises_and_leaves_the_solver_intact(engine):
+    """Replacement off, a zero pivot in a step one column wide raises
+    ``ZeroDivisionError`` on both engines — in the distributed layout's
+    sweep and in a fresh simulation — and the solver still answers for
+    the matrix it holds: bit for bit what it answered before."""
+    from repro.driver.dist_driver import DistributedGESPSolver
+
+    a = matrix_by_name("cfd06").build()
+    b, fact = a @ np.ones(a.ncols), "SAME_PATTERN_SAME_ROWPERM"
+    opts = GESPOptions(replace_tiny_pivots=False)
+    s = (GESPSolver(a, opts, cache=False) if engine == "serial" else
+         DistributedGESPSolver(a, nprocs=4, options=opts, cache=False))
+    c = _width1(engine, s)
+    j = int(np.flatnonzero(s.perm_c == c)[0])
+    bad = _pivot_at(a, j, s.perm_c[s.perm_r[a.rowind]], c, 0.0)
+    if engine == "serial":
+        before, want = s.factors, s.solve(b).x
+        with pytest.raises(ZeroDivisionError, match="zero pivot"):
+            s.refactor(bad, fact=fact)
+        assert s.a is a and s.factors is before
+        assert np.array_equal(s.solve(b).x, want)
+        return
+    s.refactor(a, fact=fact)
+    want = s.solve_distributed(b).x       # recorded
+    for swept in (True, False):
+        s.refactor(a, fact=fact)
+        assert np.array_equal(s.solve_distributed(b).x, want)
+        if not swept:
+            s.dist.recordings.clear()
+        s.refactor(bad, fact=fact)
+        with pytest.raises(ZeroDivisionError, match="zero pivot"):
+            s.factorize()
+        runs = [rec.run for rec in s.dist.recordings.values()]
+        # the sweep raised; the simulation raised and recorded nothing
+        assert len(runs) == 3 and None not in runs if swept else not runs
+        s.refactor(a, fact=fact)
+        assert np.array_equal(s.solve_distributed(b).x, want)
+
+
 def _spied(monkeypatch, name):
     calls = []
     op = getattr(kernels, name)
@@ -722,19 +821,21 @@ def _spied(monkeypatch, name):
 def test_what_calls_the_ops(case, testbed, monkeypatch):
     """float32 values and a host without LAPACK / BLAS call ``lu_nopivot``
     for every supernode a step takes alone, complex values for every
-    supernode (each taken alone: no batched step); float64 calls it only
-    for the width-1 ones taken alone."""
+    supernode (each taken alone: no batched step); float64 calls it for
+    none, the width-1 ones taken alone included (no pivot is at or below
+    the threshold)."""
     a, plan = testbed["cfd06"][2].a_factored, testbed["cfd06"][2]._block_plan
     alone = [k for members, run in plan.runs if run is None for k in members]
     lu = _spied(monkeypatch, "lu_nopivot")
     supernodal_factor(a, plan=plan)
-    assert len(lu) == len(alone) - len(_bound(plan))
+    assert lu == []
     if case == "no_blas":
         monkeypatch.setattr(kernels, "_BLAS", None)
     lu.clear()
     if case == "float32":           # the runner itself: no solver has one
-        kernels.run_steps(plan.steps, [plan.load(a)[0].astype(case)],
-                          lambda k, d, op=kernels.lu_nopivot: op(d, 0.0), 0.0)
+        kernels.run_steps(kernels.bind_steps(
+            plan.steps, [plan.load(a)[0].astype(case)]),
+            lambda k, d, op=kernels.lu_nopivot: op(d, 0.0), 0.0)
     else:
         supernodal_factor(_with_values(a, a.nzval.astype(
             np.float64 if case == "no_blas" else case)), plan=plan)
@@ -761,8 +862,8 @@ def test_bound_entries_are_the_wide_lone_supernodes(testbed):
     """The plan's step list is its ``runs`` in order: a batched step as
     it stands, each supernode taken alone a ``Step`` with D_K, B_K and
     R_K where the plan puts them, its targets ``intp`` copies and its
-    selection the plan's; the static counts are those of the steps wider
-    than one column.  A pickled plan leaves both step lists out and
+    selection the plan's; the static counts are those of every step taken
+    alone, ``lu_lapack`` of the ones wider than one column.  A pickled plan leaves both step lists out and
     builds them again: its batched steps are its own runs, and its
     complex list takes every supernode alone."""
     for name in BENCH_PATTERNS:
@@ -788,7 +889,8 @@ def test_bound_entries_are_the_wide_lone_supernodes(testbed):
                     assert step.panels == step.updates == ()
         assert next(steps, None) is None
         counts = plan.steps.counts
-        assert counts.lu_calls == counts.lu_lapack == len(_bound(plan))
+        assert counts.lu_calls == len(_alone_steps(plan))
+        assert counts.lu_lapack == len(_bound(plan))
         plan.steps_alone
         copy = pickle.loads(pickle.dumps(plan))
         assert "steps" not in vars(copy) and "steps_alone" not in vars(copy)

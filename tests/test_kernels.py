@@ -21,9 +21,12 @@ Promises enforced here:
    loop (bit for bit the frozen one), a
    zero on ``U_KK``'s diagonal keeps the warning loop, and the binding
    resolves wherever numpy reports its OpenBLAS;
-6. an op bound once for a static sweep (``kernels.bind_*``) is the op
-   bit for bit with the same ``KernelStats`` delta, and decides
-   ``dgetrf``'s verdict and the zero-diagonal check per call.
+6. a step list resolved once (``kernels.bind_steps``) and run by
+   ``kernels.run_steps``, and a diagonal solve bound once
+   (``kernels.bind_dtrsm``), is the op bit for bit with the same
+   ``KernelStats`` delta, and decides ``dgetrf``'s verdict, a width-1
+   pivot's comparison with the threshold and the zero-diagonal check per
+   call.
 """
 
 from contextlib import contextmanager, nullcontext
@@ -874,9 +877,11 @@ def _bound_call(name, operands, extra):
     is bound once (``kernels.bind_dtrsm``) and called, the counts added
     after (not after a raise).  ``lu_nopivot`` and the panel solves are a
     one-supernode step list (``kernels.build_steps``) over a store holding
-    the operands' values row-major, run by ``kernels.run_steps`` and read
-    back into them.  Returns ``(raw, result, delta)``: whether the call
-    was made at raw addresses, its result and its ``KernelStats`` delta."""
+    the operands' values row-major, resolved (``kernels.bind_steps``), run
+    by ``kernels.run_steps`` and read back into them.  Returns ``(raw,
+    result, delta)``: whether the call was made off the ops (at raw
+    addresses, or a width-1 step's division), its result and its
+    ``KernelStats`` delta."""
     if name not in _FACTOR_OPS:
         counts = kernels.KernelStats()
         fn, args = kernels.bind_dtrsm(name, *operands, counts)
@@ -890,20 +895,21 @@ def _bound_call(name, operands, extra):
     w, thresh = d.shape[0], (*extra, 0.0)[0]
     store = np.concatenate([x.ravel() for x in operands])
     solve = tuple((name, 0, w * w, *x.shape, 1) for x in panel)
-    steps = kernels.build_steps([kernels.Step(0, w, 0, 0, solve, ())], 1)
+    steps = kernels.bind_steps(kernels.build_steps(
+        [kernels.Step(0, w, 0, 0, solve, ())], 1), [store])
     replaced = []
 
     def factor_diag(k, dk, lu=kernels.lu_nopivot):
         replaced.extend(lu(dk, thresh))
         return replaced
 
-    out = _called(lambda: kernels.run_steps(steps, [store], factor_diag,
-                                            thresh) or replaced)
+    out = _called(lambda: kernels.run_steps(steps, factor_diag, thresh)
+                  or replaced)
     at = 0
     for x in operands:
         x[...] = store[at:at + x.size].reshape(x.shape)
         at += x.size
-    return w > 1 and store.dtype == np.float64, *out
+    return store.dtype == np.float64, *out
 
 
 def _lu_block(case):
@@ -916,8 +922,10 @@ def _lu_block(case):
         d = _tiny_last_pivot(rng, 6)
         if case == "zero":
             d[-1, -1], thresh = 0.0, 0.0
-    elif case == "width1":
-        d = np.array([[3.0]])
+    elif case.startswith("width1"):     # a pivot above thresh, below, 0, NaN
+        d = np.array([[{"width1": 3.0, "width1-tiny": -1e-12,
+                        "width1-zero": 0.0, "width1-nan": np.nan}[case]]])
+        thresh = 0.0 if case == "width1-zero" else thresh
     elif case == "fortran":
         d = np.asfortranarray(d)
     elif case == "float32":
@@ -945,8 +953,9 @@ def _solve_operands(name, case):
     return fresh, ()
 
 
-_BOUND = [("lu_nopivot", c) for c in ("kept", "interchange", "tiny", "zero",
-                                      "width1", "fortran", "float32")] + [
+_BOUND = [("lu_nopivot", c) for c in (
+    "kept", "interchange", "tiny", "zero", "width1", "width1-tiny",
+    "width1-zero", "width1-nan", "fortran", "float32")] + [
     (name, c) for name in ("trsm_upper", "trsm_lower_unit",
                            "diag_solve_lower_unit", "diag_solve_upper")
     for c in ("w3", "w12", "width1", "strided", "float32")] + [
@@ -956,15 +965,16 @@ _BOUND = [("lu_nopivot", c) for c in ("kept", "interchange", "tiny", "zero",
 @needs_blas
 @pytest.mark.parametrize("name,case", _BOUND)
 def test_bound_op_is_the_op(name, case):
-    """A step run at raw addresses, and a diagonal solve bound once, is
-    its op bit for bit with the same ``KernelStats`` delta: ``dgetrf``
+    """A resolved step run off the ops, and a diagonal solve bound once,
+    is its op bit for bit with the same ``KernelStats`` delta: ``dgetrf``
     kept, rejected (an interchange, a tiny pivot, a zero pivot at
-    ``thresh = 0`` and its ``ZeroDivisionError``), and a zero on
-    ``U_KK``'s diagonal (the loop's ``RuntimeWarning``) are decided per
-    call; width 1 and float32 call the op itself, and so does a
-    non-contiguous diagonal-solve operand.  A step addresses row-major
-    slices of a store, so a Fortran-ordered or strided operand of a factor
-    op is the op on a C-ordered copy."""
+    ``thresh = 0`` and its ``ZeroDivisionError``), a width-1 pivot above
+    ``thresh``, below it (replaced), zero at ``thresh = 0`` (raised) or
+    NaN, and a zero on ``U_KK``'s diagonal (the loop's
+    ``RuntimeWarning``) are decided per call; float32 calls the op
+    itself, and so do a width-1 or non-contiguous diagonal-solve operand.
+    A step addresses row-major slices of a store, so a Fortran-ordered or
+    strided operand of a factor op is the op on a C-ordered copy."""
     fresh, extra = (_lu_block(case) if name == "lu_nopivot"
                     else _solve_operands(name, case))
     op_operands, bound_operands = fresh(), fresh()
@@ -985,10 +995,13 @@ def test_bound_op_is_the_op(name, case):
                for g, w in zip(bound_operands, op_operands))
     if name == "lu_nopivot":
         assert got == want
-    falls_back = case in ("width1", "float32") or (
-        case in ("fortran", "strided") and name not in _FACTOR_OPS)
+    falls_back = case == "float32" or (
+        case in ("width1", "fortran", "strided") and name not in _FACTOR_OPS)
     assert raw != falls_back
     if name == "lu_nopivot" and not falls_back:
-        assert (got is ZeroDivisionError) == (case == "zero")
+        assert (got is ZeroDivisionError) == case.endswith("zero")
         assert (want_delta["lu_lapack"], want_delta["lu_fallbacks"]) == \
-            ((1, 0) if case in ("kept", "fortran") else (0, 1))
+            ((1, 0) if case in ("kept", "fortran") else
+             (0, 0) if case.startswith("width1") else (0, 1))
+    if case == "width1-tiny":
+        assert got == [0] and op_operands[0][0, 0] == -1e-10

@@ -15,7 +15,10 @@ generators and no messages (docs/EXECUTOR.md).  The contract:
   error when it is built;
 - a new pattern is a new layout, recorded afresh;
 - a factorization that raises leaves the layout holding the resident
-  values, so a retry factors A.
+  values, so a retry factors A;
+- a layout's factor sweep resolves the schedule's step list against its
+  own stores once, when it is built: two layouts sharing one cached
+  schedule sweep their own stores, and a warm op resolves nothing.
 """
 
 import gc
@@ -34,6 +37,7 @@ from repro.dmem import (
     ProcessGrid,
     ReplayDivergenceError,
 )
+from repro.driver import FactorizationCache, GESPOptions
 from repro.driver.dist_driver import DistributedGESPSolver
 from repro.matrices.testbed import matrix_by_name
 from repro.obs import Tracer
@@ -281,6 +285,66 @@ def test_a_built_sweep_holds_the_stores_it_bound():
     for run in runs:
         held = _reached(run)
         assert all(id(store) in held for store in s.dist.stores)
+
+
+def test_two_layouts_of_one_schedule_sweep_their_own_stores():
+    """With a cache, two solvers of one pattern share its schedule, step
+    list included, but each has its own layout and stores.  Interleaved
+    refactor, factorize and solve ops with different values are each bit
+    for bit a fresh simulation: the resolved list lives with the layout's
+    recording, never on the shared schedule."""
+    stream = generate(ScenarioSpec(scenario="newton_drift", matrix="cfd06",
+                                   newton_iters=4, newton_drift=0.01,
+                                   seed=5))
+    kw = dict(nprocs=4, executor="sim",
+              options=GESPOptions(fact="SAME_PATTERN"))
+
+    def pair():                 # two layouts of one cached schedule
+        cache = FactorizationCache()
+        one = DistributedGESPSolver(stream[0].matrix, cache=cache, **kw)
+        one.factorize()
+        two = DistributedGESPSolver(stream[1].matrix, cache=cache, **kw)
+        assert two._schedule is one._schedule and two.dist is not one.dist
+        return one, two
+
+    warm, fresh = pair(), pair()
+    b = stream[0].b
+    for item_one, item_two in zip(stream, reversed(stream)):
+        for one, two in (warm, fresh):
+            one.refactor(item_one.matrix)
+            two.refactor(item_two.matrix)
+        for i in (1, 0):
+            fresh[i].dist.recordings.clear()
+            warm[i].factorize()
+            fresh[i].factorize()
+            for g, w in zip(warm[i].dist.stores, fresh[i].dist.stores):
+                assert g.tobytes() == w.tobytes()
+        for i in (0, 1):
+            fresh[i].dist.recordings.clear()
+            assert np.array_equal(warm[i].solve_distributed(b).x,
+                                  fresh[i].solve_distributed(b).x)
+    for s in warm:              # every later op swept
+        assert all(rec.run is not None for rec in s.dist.recordings.values())
+
+
+def test_a_warm_swept_op_resolves_nothing(monkeypatch):
+    """Building a layout's factor sweep resolves its step list (every
+    panel's ``dtrsm`` arguments); a later refactor + factorize makes no
+    ``kernels.dtrsm_args`` call."""
+    a = matrix_by_name("cfd06").build()
+    s = DistributedGESPSolver(a, nprocs=4, cache=False, executor="sim")
+    s.factorize()               # records
+    calls, dtrsm_args = [], kernels.dtrsm_args
+    monkeypatch.setattr(kernels, "dtrsm_args",
+                        lambda *args: calls.append(args) or dtrsm_args(*args))
+    s.refactor(a)
+    s.factorize()               # builds the sweep
+    assert calls
+    calls.clear()
+    for _ in range(2):
+        s.refactor(a)
+        s.factorize()
+    assert calls == []
 
 
 def test_replayed_stats_are_the_callers():

@@ -35,7 +35,7 @@ import numpy as np
 from repro import kernels
 from repro.factor.blockplan import build_block_plan, supernode_row_sets
 from repro.factor.gesp import tiny_pivot_threshold
-from repro.factor.supernodal import block_substitute
+from repro.factor.supernodal import SupernodalFactors, block_substitute
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU, symbolic_lu_symmetrized
 from repro.symbolic.supernode import SupernodePartition, block_partition
@@ -44,32 +44,19 @@ __all__ = ["BlockPivotedFactors", "supernodal_factor_block_pivoting"]
 
 
 @dataclass
-class BlockPivotedFactors:
-    """Factors of ``P A = L U`` with block-diagonal ``P``.
-
-    Same packed layout as
-    :class:`~repro.factor.supernodal.SupernodalFactors` plus the local
-    pivot vector ``piv[K]`` of each diagonal block.
+class BlockPivotedFactors(SupernodalFactors):
+    """Factors of ``P A = L U`` with block-diagonal ``P``: the packed
+    layout of :class:`~repro.factor.supernodal.SupernodalFactors` (its
+    ``values`` this factorization's own) plus the local pivot vector
+    ``piv[K]`` of each diagonal block.
     """
 
-    part: SupernodePartition
-    s_rows: list
-    diag: list
-    below: list
-    right: list
-    piv: list
-    n_tiny_pivots: int
-    tiny_pivot_threshold: float
-
-    @property
-    def n(self):
-        return self.part.n
+    piv: list | None = None
 
     def apply_row_perm(self, b):
-        """Return ``P b`` (per-block local permutations applied)."""
-        # the wider of the factor and RHS dtypes, float64 floor
-        dtype = self.diag[0].dtype if self.diag else np.float64
-        out = np.array(b, dtype=np.result_type(dtype, np.asarray(b),
+        """Return ``P b`` (per-block local permutations applied), in the
+        wider of the factor and RHS dtypes, float64 floor."""
+        out = np.array(b, dtype=np.result_type(self.dtype, np.asarray(b),
                                                np.float64), copy=True)
         xsup = self.part.xsup
         for k in range(self.part.nsuper):
@@ -151,10 +138,7 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
             l_slices[supno[rows[0]]].append((k, start, end))
 
     plan = build_block_plan(a, sym, part, s_rows=s_rows)
-    flat, (diag, below, right) = plan.load(a)
-    piv = [None] * ns
-
-    replaced = []
+    piv, replaced = [None] * ns, []
 
     def factor_diag(k, d):
         pk, tiny = kernels.lu_partial(
@@ -173,10 +157,11 @@ def supernodal_factor_block_pivoting(a: CSCMatrix,
                 below[k_src][lo_s:hi_s, :] = \
                     below[k_src][lo_s:hi_s, :][pk, :]
 
-    with kernels.kernel_counters():
-        kernels.run_steps(kernels.bind_steps(plan.steps, [flat]), factor_diag)
-
-    return BlockPivotedFactors(part=part, s_rows=s_rows, diag=diag,
-                               below=below, right=right, piv=piv,
-                               n_tiny_pivots=len(replaced),
-                               tiny_pivot_threshold=thresh)
+    with plan.checkout(a) as steps, kernels.kernel_counters() as snap:
+        _, below, right = plan.blocks(steps.stores[0])  # what it swaps
+        kernels.run_steps(steps, factor_diag)
+        flat = steps.stores[0].copy()
+    return BlockPivotedFactors(
+        part, s_rows, *plan.blocks(flat), piv=piv,
+        n_tiny_pivots=len(replaced), tiny_pivot_threshold=thresh,
+        flops=int(kernels.stats().flops_since(snap)), plan=plan, values=flat)

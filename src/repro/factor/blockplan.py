@@ -8,7 +8,7 @@ pattern alone.  A :class:`BlockPlan` is that function, evaluated once:
 - one flat value array laid out ``[D_K | B_K | R_K]`` supernode after
   supernode — the diagonal block (w×w), the below panel L(S_K, K)
   (|S_K|×w) and the right panel U(K, S_K) (w×|S_K|), each a C-ordered
-  view (:meth:`BlockPlan.load`);
+  view of a store the plan refills (:meth:`BlockPlan.checkout`);
 - ``a_pos`` — where each nonzero of the analysed matrix lands in it;
 - per supernode, the flat positions its |S_K|×|S_K| rank-w update is
   subtracted from (``targets``), and which entries of the update take
@@ -24,9 +24,9 @@ pattern alone.  A :class:`BlockPlan` is that function, evaluated once:
 
 The numeric pass is then the plan's step list (:attr:`BlockPlan.steps`,
 built by :func:`repro.kernels.build_steps` as the distributed sweep's
-is, run by :func:`repro.kernels.run_steps`): Figure 8's ``lu → trsm →
-trsm → gemm → one indexed subtract`` per supernode taken alone, or one
-divide, one product and one indexed subtract per batched step.  The
+is, resolved once per store by :func:`repro.kernels.bind_steps`): Figure
+8's ``lu → trsm → trsm → gemm → one indexed subtract`` per supernode
+taken alone, or one divide, one product and one subtract per batch.  The
 index, ``Σ|S_K|²`` integers (thrice for a batched member), is ``int32``
 while the flat array is shorter than 2³¹ (docs/REFACTORIZATION.md).
 """
@@ -34,6 +34,7 @@ while the flat array is shorter than 2³¹ (docs/REFACTORIZATION.md).
 from __future__ import annotations
 
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.factor.gesp import transpose_pattern
 from repro.factor.solveplan import SolvePlan, _runs, build_solve_plan
-from repro.kernels import KernelCounts, Step, build_steps
+from repro.kernels import KernelCounts, Step, bind_steps, build_steps
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.fill import SymbolicLU
 from repro.symbolic.supernode import SupernodePartition
@@ -115,9 +116,9 @@ class BlockPlan:
         step's elementwise multiply."""
         return self._steps([(range(self.part.nsuper), None)])
 
-    def __getstate__(self):     # the step lists are built where needed
+    def __getstate__(self):     # step lists and stores are built where needed
         return {k: v for k, v in vars(self).items()
-                if k not in ("steps", "steps_alone")}
+                if k not in ("steps", "steps_alone", "_free")}
 
     def _steps(self, runs):
         steps = []
@@ -136,12 +137,28 @@ class BlockPlan:
                 steps.append(Step(k, w, 0, d, panels, updates))
         return build_steps(steps, 1)
 
-    def load(self, a: CSCMatrix):
-        """``(flat, (diag, below, right))``: the block values holding
-        ``a`` (zeros elsewhere), and every block as a 2-D view of them."""
-        flat = np.zeros(self.bounds[-1], dtype=a.nzval.dtype)
-        flat[self.a_pos] = a.nzval
-        return flat, tuple(Blocks(self, flat, kind) for kind in range(3))
+    def blocks(self, flat):
+        """``(diag, below, right)``: every block as a 2-D view of ``flat``."""
+        return tuple(Blocks(self, flat, kind) for kind in range(3))
+
+    @contextmanager
+    def checkout(self, a: CSCMatrix):
+        """The step list resolved once against a store of the plan's, holding
+        ``a`` (zeros elsewhere) until the block exits, raise or not; stores
+        sit on a free list per dtype (pop, append): one per thread at once."""
+        free = vars(self).setdefault("_free", {}).setdefault(a.nzval.dtype, [])
+        try:
+            steps = free.pop()
+        except IndexError:
+            steps = bind_steps(self.steps_alone if a.nzval.dtype.kind == "c"
+                               else self.steps,
+                               [np.empty(self.bounds[-1], a.nzval.dtype)])
+        try:
+            steps.stores[0].fill(0)
+            steps.stores[0][self.a_pos] = a.nzval
+            yield steps
+        finally:
+            free.append(steps)
 
 
 class Blocks:

@@ -60,6 +60,16 @@ class GESPFactors:
     # the block engine's level-set solve schedule bound to these values
     # (repro.factor.solveplan); None for the column kernel's factors
     sweeps: Callable | None = None
+    gather: Callable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):    # the block engine's (l, u): read when asked
+        if self.gather:
+            del self.l, self.u
+
+    def __getattr__(self, name):    # what the instance does not hold
+        if name in ("l", "u") and "gather" in vars(self):
+            self.l, self.u = self.gather()
+        return object.__getattribute__(self, name)
 
     def solve(self, b):
         """x with L U x = b for b of shape (n,) or (n, nrhs) (no

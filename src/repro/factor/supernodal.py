@@ -23,9 +23,9 @@ Every index the elimination needs — where A's nonzeros go, where each
 supernode's update is subtracted, where L and U are read back — comes
 from a :class:`~repro.factor.blockplan.BlockPlan` computed once per
 pattern, so the numeric pass only moves numbers: the plan's step list
-(``BlockPlan.steps``, one store) run by :func:`repro.kernels.run_steps`,
-the runner of the distributed sweep and of :mod:`repro.factor.blockpivot`
-too.  It is the serial driver's default engine;
+resolved once over the store ``BlockPlan.checkout`` refills, run by
+:func:`repro.kernels.run_steps` (the sweep's and block pivoting's too).
+L and U are gathered when read.  It is the serial driver's default engine;
 :func:`repro.factor.gesp.gesp_factor` is the column-by-column oracle it is
 tested against.
 """
@@ -127,24 +127,28 @@ class SupernodalFactors:
             for t, x in ((keep & (r >= c), unit), (keep & (r <= c), v)))
 
     def to_gesp_factors(self) -> GESPFactors:
-        """L and U on the static CSC pattern of the analysis (explicit
-        zeros kept), read out of the block values through the plan — what
-        pivot growth, transpose solves and the tests consume — and the
-        plan's solve schedule bound to this factorization's values."""
-        plan, n = self.plan, self.n
+        """These factors as :class:`~repro.factor.gesp.GESPFactors`: the
+        plan's solve schedule bound to their values, L and U (:meth:`csc_lu`)
+        read out of them when first asked for."""
+        plan = self.plan
         sweeps = None if plan.solve is None else partial(
             plan.solve.apply, plan.solve.values(self.values))
-        lval = self.values[plan.l_pos]
-        lval[plan.sym.l_colptr[:-1]] = 1.0         # unit diagonal of L
-        l = CSCMatrix(n, n, plan.sym.l_colptr, plan.sym.l_rowind, lval,
-                      check=False)
-        u = CSCMatrix(n, n, plan.u_colptr, plan.u_rowind,
-                      self.values[plan.u_pos], check=False)
-        return GESPFactors(l=l, u=u, n_tiny_pivots=self.n_tiny_pivots,
+        return GESPFactors(l=None, u=None, n_tiny_pivots=self.n_tiny_pivots,
                            tiny_pivot_threshold=self.tiny_pivot_threshold,
                            perturbed_columns=self.perturbed_columns,
                            pivot_deltas=self.pivot_deltas, flops=self.flops,
-                           sweeps=sweeps)
+                           sweeps=sweeps, gather=self.csc_lu)
+
+    def csc_lu(self):
+        """``(l, u)`` on the static CSC pattern of the analysis (explicit
+        zeros kept), read out of the block values through the plan."""
+        plan, n = self.plan, self.n
+        lval = self.values[plan.l_pos]
+        lval[plan.sym.l_colptr[:-1]] = 1.0         # unit diagonal of L
+        return (CSCMatrix(n, n, plan.sym.l_colptr, plan.sym.l_rowind, lval,
+                          check=False),
+                CSCMatrix(n, n, plan.u_colptr, plan.u_rowind,
+                          self.values[plan.u_pos], check=False))
 
     def solve(self, b):
         """x with L U x = b, block forward then block back substitution."""
@@ -221,7 +225,6 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
     thresh = (tiny_pivot_threshold(a, tiny_pivot_scale)
               if replace_tiny_pivots else 0.0)
 
-    flat, (diag, below, right) = plan.load(a)
     xsup = plan.part.xsup
     replaced = {}       # column → pivot delta
 
@@ -237,12 +240,12 @@ def _supernodal_factor(a, sym, part, max_block_size, replace_tiny_pivots,
 
     stats = kernels.stats()
     snap = stats.snapshot()
-    steps = plan.steps if flat.dtype.kind != "c" else plan.steps_alone
-    kernels.run_steps(kernels.bind_steps(steps, [flat]), factor_diag, thresh)
+    with plan.checkout(a) as steps:
+        kernels.run_steps(steps, factor_diag, thresh)
+        flat = steps.stores[0].copy()   # the store stays the plan's
     cols = sorted(replaced)     # steps run out of supernode order
     return SupernodalFactors(
-        part=plan.part, s_rows=plan.s_rows, diag=diag, below=below,
-        right=right, n_tiny_pivots=len(cols),
+        plan.part, plan.s_rows, *plan.blocks(flat), n_tiny_pivots=len(cols),
         tiny_pivot_threshold=thresh,
         flops=int(stats.flops_since(snap)), plan=plan, values=flat,
         perturbed_columns=np.array(cols, dtype=np.int64),

@@ -35,8 +35,8 @@ Contract (docs/KERNELS.md has the table):
   factor, two panel solves, one product and one indexed subtract per
   update — is a :class:`Step` of store offsets; :func:`build_steps`
   counts a list (the serial plan's, one store; the sweep's, one per
-  rank), :func:`bind_steps` resolves it once per factorization or
-  layout, :func:`run_steps` runs it; :func:`bind_dtrsm` binds diagonal solves.
+  rank), :func:`bind_steps` resolves it once per plan's resident store
+  or layout, :func:`run_steps` runs it; :func:`bind_dtrsm` binds diagonal solves.
 """
 
 from __future__ import annotations

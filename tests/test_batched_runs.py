@@ -32,10 +32,20 @@ Promises enforced here:
    wide on both engines (a tiny, a NaN and a zero pivot); the 2 × 2
    layout's sweep is its rank programs with the same runner, float32,
    complex, no LAPACK / BLAS and the block-pivoting engine call the ops,
-   and a pickled plan leaves its step lists out.
+   and a pickled plan leaves its step lists out;
+6. a factorization refills a store the plan keeps, its step list
+   resolved once per store: a warm refactor resolves nothing and gathers
+   no L or U; earlier factors are unchanged by later factorizations (one
+   raising), threads factoring one cached plan get their serial
+   bits, pickles and copies hold no store, real and complex values do
+   not share one; ``l`` / ``u`` read later are the eager gather, and
+   what reads them (pivot growth, transpose solves, the health check)
+   reads as before.
 """
 
 import pickle
+import sys
+import threading
 from dataclasses import replace
 from functools import partial
 
@@ -45,12 +55,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.driver import GESPOptions, GESPSolver
-from repro.factor import supernodal_factor
+from repro.driver import FactorizationCache, GESPOptions, GESPSolver
+from repro.factor import blockplan, supernodal_factor
+from repro.factor.gesp import GESPFactors
+from repro.factor.supernodal import SupernodalFactors
 from repro.factor.blockplan import build_block_plan, supernode_row_sets
 from repro.factor.blockpivot import supernodal_factor_block_pivoting
 from repro.matrices import matrix_by_name, testbed_53
 from repro.obs import Tracer, use_tracer
+from repro.recovery import FailureKind, check_factors
 from repro.sparse import CSCMatrix
 from repro.symbolic import block_partition, symbolic_lu_symmetrized
 
@@ -434,12 +447,20 @@ def _counted(factor):
     return out, {f: getattr(st, f) - getattr(snap, f) for f in vars(snap)}
 
 
+def _load(plan, a):
+    """``(flat, (diag, below, right))``: ``a``'s block values in a new
+    array (zeros elsewhere) and every block as a view of them."""
+    flat = np.zeros(plan.bounds[-1], dtype=a.nzval.dtype)
+    flat[plan.a_pos] = a.nzval
+    return flat, plan.blocks(flat)
+
+
 def _ops_loop(a, plan, thresh):
     """The elimination as one loop over the supernodes, in order, through
     the ops on views of the block values (the loop before step lists).
     Returns the values and each replaced pivot's column and delta, the
     delta replayed from the block as the op received it."""
-    flat, (diag, below, right) = plan.load(a)
+    flat, (diag, below, right) = _load(plan, a)
     deltas, xsup = {}, plan.part.xsup.tolist()
     for k in range(plan.part.nsuper):
         d = diag[k]
@@ -834,7 +855,7 @@ def test_what_calls_the_ops(case, testbed, monkeypatch):
     lu.clear()
     if case == "float32":           # the runner itself: no solver has one
         kernels.run_steps(kernels.bind_steps(
-            plan.steps, [plan.load(a)[0].astype(case)]),
+            plan.steps, [_load(plan, a)[0].astype(case)]),
             lambda k, d, op=kernels.lu_nopivot: op(d, 0.0), 0.0)
     else:
         supernodal_factor(_with_values(a, a.nzval.astype(
@@ -900,3 +921,219 @@ def test_bound_entries_are_the_wide_lone_supernodes(testbed):
         assert all(x is y for x, y in zip(kept, runs))
         assert all(type(s) is kernels.Step for s in copy.steps_alone.steps)
         assert len(copy.steps_alone.steps) == plan.part.nsuper
+
+
+# --------------------------------------------------------------------- #
+# 6. the plan's resident store, and L and U gathered when read
+# --------------------------------------------------------------------- #
+
+def _snapshot(f):
+    """A serial factorization's bytes: ``values`` and every block view."""
+    return [f.values.tobytes()] + [blk.tobytes() for blocks in (
+        f.diag, f.below, f.right) for blk in blocks]
+
+
+def _eager_lu(f):
+    """``f``'s L and U gathered from its values on the static pattern at
+    once: the reference the lazy ``l`` / ``u`` are held to."""
+    plan, n = f.plan, f.n
+    lval = f.values[plan.l_pos]
+    lval[plan.sym.l_colptr[:-1]] = 1.0
+    return (CSCMatrix(n, n, plan.sym.l_colptr, plan.sym.l_rowind, lval,
+                      check=False),
+            CSCMatrix(n, n, plan.u_colptr, plan.u_rowind,
+                      f.values[plan.u_pos], check=False))
+
+
+def _same_csc(x, y):
+    assert (x.colptr.tobytes(), x.rowind.tobytes(), x.nzval.tobytes()) == (
+        y.colptr.tobytes(), y.rowind.tobytes(), y.nzval.tobytes())
+
+
+def _free(plan, dtype=np.float64):
+    """The resolved lists of ``plan``'s stores of ``dtype`` not out."""
+    return vars(plan).get("_free", {}).get(np.dtype(dtype), [])
+
+
+def test_a_warm_serial_refactor_resolves_and_gathers_nothing(monkeypatch):
+    """A warm refactor + solve makes no ``kernels.bind_steps`` call and
+    reads no L or U; reading ``l`` / ``u`` gathers them once, and a copy
+    of the plan resolves its own store on its first factorization."""
+    a = matrix_by_name("cfd06").build()
+    s = GESPSolver(a, cache=False)
+    b = a @ np.ones(a.ncols)
+    binds, gathers = [], []
+    bind, gather = kernels.bind_steps, SupernodalFactors.csc_lu
+    for module in (kernels, blockplan):     # the plan imports it by name
+        monkeypatch.setattr(module, "bind_steps",
+                            lambda *args: binds.append(args) or bind(*args))
+    monkeypatch.setattr(SupernodalFactors, "csc_lu",
+                        lambda f: gathers.append(f) or gather(f))
+    for scale in (1.0, 1.5, 0.75):
+        s.refactor(_with_values(a, a.nzval * scale))
+        assert s.solve(b).converged
+    assert binds == [] and gathers == []
+    assert "l" not in vars(s.factors) and "u" not in vars(s.factors)
+    s.factors.l, s.factors.u, s.factors.l
+    assert len(gathers) == 1
+    assert len(_free(s._block_plan)) == 1
+    supernodal_factor(s.a_factored, plan=replace(s._block_plan))
+    assert len(binds) == 1
+
+
+def test_earlier_factors_outlive_later_factorizations_of_the_plan():
+    """Factors keep their own copy of the store: their values, block
+    views, solves and (first read afterwards) L and U are unchanged by
+    later factorizations of the plan with other values, one of them
+    raising ``ZeroDivisionError`` mid-list; the factorization after the
+    raise is a fresh plan's, bit for bit."""
+    s = GESPSolver(matrix_by_name("cfd06").build(), cache=False)
+    a, plan = s.a_factored, s._block_plan
+    b = np.linspace(1.0, 2.0, a.ncols)
+    first = supernodal_factor(a, plan=plan)
+    snap, eager = _snapshot(first), _eager_lu(first)
+    factors = first.to_gesp_factors()
+    x = factors.solve(b).tobytes()
+    # a supernode nothing reaches, late in the list: zero its D_K and it
+    # raises there, with the steps before it run
+    reached = set(plan.part.supno()[np.concatenate(plan.s_rows)].tolist())
+    order = [k for s_ in plan.steps.steps for k in (
+        [s_.k] if type(s_) is kernels.Step else s_[0])]
+    k = max((k for k in order if k not in reached), key=order.index)
+    assert order.index(k) > len(order) // 2
+    d, w = plan.bounds[3 * k], plan.shapes[3 * k][0]
+    zero = a.nzval.copy()
+    zero[(plan.a_pos >= d) & (plan.a_pos < d + w * w)] = 0.0
+    other = _with_values(a, a.nzval * 1.25)
+    supernodal_factor(other, plan=plan)
+    (store,) = _free(plan)
+    with pytest.raises(ZeroDivisionError, match="zero pivot"):
+        supernodal_factor(_with_values(a, zero), plan=plan,
+                          replace_tiny_pivots=False)
+    assert len(_free(plan)) == 1 and _free(plan)[0] is store  # back
+    after = supernodal_factor(other, plan=plan)
+    assert _snapshot(after) == _snapshot(
+        supernodal_factor(other, plan=replace(plan)))
+    assert _snapshot(first) == snap
+    assert factors.solve(b).tobytes() == x
+    _same_csc(factors.l, eager[0])
+    _same_csc(factors.u, eager[1])
+
+
+def test_threads_factor_one_shared_plan(monkeypatch):
+    """``cache=True`` solvers of one ``FactorizationCache`` share a plan;
+    factored from three threads at once (more than the host's cores; each
+    first run held at a barrier, so three stores are out; a short switch
+    interval), every answer and U is bit for bit what the same stream
+    gives serially."""
+    a = matrix_by_name("cfd06").build()
+    cache, opts = (FactorizationCache(),
+                   GESPOptions(fact="SAME_PATTERN_SAME_ROWPERM"))
+    solvers = [GESPSolver(a, opts, cache=cache) for _ in range(3)]
+    plan = solvers[0]._block_plan
+    assert all(s._block_plan is plan for s in solvers)
+    rng = np.random.default_rng(7)
+    b = a @ np.ones(a.ncols)
+    streams = [[_with_values(a, a.nzval * (1 + 0.05 * rng.standard_normal(
+        a.nnz))) for _ in range(12)] for _ in solvers]
+
+    def walk(s, stream):
+        out = []
+        for m in stream:
+            s.refactor(m)
+            out.append((s.solve(b).x.tobytes(), s.factors.u.nzval.tobytes()))
+        return out
+
+    serial = GESPSolver(a, opts, cache=False)
+    want = [walk(serial, stream) for stream in streams]
+    barrier, held = threading.Barrier(len(solvers)), threading.local()
+    run = kernels.run_steps
+
+    def run_steps(*args):
+        if not getattr(held, "once", False):
+            held.once = True
+            barrier.wait(timeout=30)
+        return run(*args)
+    monkeypatch.setattr(kernels, "run_steps", run_steps)
+    got, errors = [None] * len(solvers), []
+
+    def thread(i):
+        try:
+            got[i] = walk(solvers[i], streams[i])
+        except Exception as exc:    # reported below
+            errors.append(exc)
+            barrier.abort()
+    threads = [threading.Thread(target=thread, args=(i,))
+               for i in range(len(solvers))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert got == want
+    assert all(s._block_plan is plan for s in solvers)
+    assert len(_free(plan)) == len(solvers)
+
+
+def test_pickles_and_copies_carry_no_store_and_dtypes_share_none():
+    """A pickled plan and a ``dataclasses.replace`` copy hold no store;
+    real and complex factorizations of one plan each have their own, and
+    a real one after a complex one is a fresh plan's bit for bit."""
+    s = GESPSolver(matrix_by_name("cfd03").build(), cache=False)
+    a, plan = s.a_factored, s._block_plan
+    real = supernodal_factor(a, plan=plan)
+    cplx = supernodal_factor(_with_values(a, a.nzval * (1 + 0.5j)),
+                             plan=plan)
+    (r,), (c,) = _free(plan), _free(plan, np.complex128)
+    assert r.stores[0].dtype == np.float64
+    assert c.stores[0].dtype == np.complex128
+    assert not np.shares_memory(r.stores[0], c.stores[0])
+    assert cplx.values.dtype == np.complex128
+    assert _snapshot(supernodal_factor(a, plan=plan)) == _snapshot(real)
+    for copy in (pickle.loads(pickle.dumps(plan)), replace(plan)):
+        assert "_free" not in vars(copy)
+        assert _snapshot(supernodal_factor(a, plan=copy)) == _snapshot(real)
+        assert _free(copy)[0].stores[0] is not r.stores[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_l_and_u_read_when_asked_are_the_eager_gather(dtype):
+    """After a warm refactor, ``l`` / ``u`` are the eager gather byte for
+    byte, and ``pivot_growth``, ``solve_transpose`` and
+    ``check_factors`` read as on eager factors, a NaN factor's
+    ``NONFINITE_FACTORS`` included."""
+    a = matrix_by_name("cfd06").build()
+    a = _with_values(a, a.nzval.astype(dtype) * (1 + 0.25j if dtype ==
+                                                  np.complex128 else 1))
+    s = GESPSolver(a, cache=False)
+    s.refactor(_with_values(a, a.nzval * 1.5))
+    f = supernodal_factor(s.a_factored, plan=s._block_plan)
+    assert f.tiny_pivot_threshold == s.factors.tiny_pivot_threshold
+    l, u = _eager_lu(f)
+    eager = GESPFactors(l=l, u=u, n_tiny_pivots=f.n_tiny_pivots,
+                        tiny_pivot_threshold=f.tiny_pivot_threshold)
+    assert "l" not in vars(s.factors)
+    assert s.pivot_growth() == eager.pivot_growth(s.a_factored)
+    _same_csc(s.factors.l, l)
+    _same_csc(s.factors.u, u)
+    b = np.linspace(1.0, 2.0, a.ncols)
+    s.refactor(_with_values(a, a.nzval * 1.5))
+    xt = s.solve_transpose(b)
+    s.factors = replace(s.factors, l=l, u=u, gather=None)
+    assert s.solve_transpose(b).tobytes() == xt.tobytes()
+    # a NaN in an L and in a U entry (not L's unit diagonal)
+    off = np.setdiff1d(np.arange(f.plan.l_pos.size),
+                       f.plan.sym.l_colptr[:-1])[0]
+    f.values[[f.plan.l_pos[off], f.plan.u_pos[-1]]] = np.nan
+    lazy, (l, u) = f.to_gesp_factors(), _eager_lu(f)
+    diagnoses = [(d.kind, d.data) for d in check_factors(lazy, a.ncols)]
+    assert diagnoses == [(d.kind, d.data) for d in check_factors(
+        replace(eager, l=l, u=u), a.ncols)]
+    assert diagnoses[0] == (FailureKind.NONFINITE_FACTORS,
+                            {"nonfinite_entries": 2})
